@@ -27,16 +27,27 @@
 //! which fails the compile with [`CompileError::VerifyRejected`] on any
 //! `Deny` finding), or a hand-built [`Verifier`] for custom lint sets.
 //!
+//! The verifier gates every artifact served from the store, so it is
+//! built to cost a linear pass: per-array state lives in tables indexed
+//! by array id ([`cmswitch_metaop::dense`]), the flow's segment blocks
+//! are indexed once per [`Verifier::run`], and names, array lists and
+//! messages are only built for findings — a clean program allocates a
+//! few dozen times whatever its size. Array ids are untrusted (they come
+//! from decoded artifacts): ids beyond the chip are findings, never
+//! panics, and cost nothing proportional to their value.
+//!
 //! The [`mutate`] submodule injects known defect classes into valid
 //! programs; the test suite uses it to prove every rule actually fires
 //! (mutation-kill testing).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
+use std::ops::Range;
 
 use cmswitch_arch::{ArrayId, ArrayMode, DualModeArch};
+use cmswitch_metaop::dense::{ArrayTable, BlockClaims};
 use cmswitch_metaop::walk::{walk_flow, FlowEvent};
-use cmswitch_metaop::{ComputeStmt, Flow, MemLoc, Stmt};
+use cmswitch_metaop::{ComputeStmt, Flow, MemLoc, Stmt, WeightLoadStmt};
 
 use crate::compiler::{CompiledProgram, SegmentPlan};
 use crate::diagnostics::DiagnosticEvent;
@@ -84,8 +95,9 @@ pub mod rules {
     /// A switch targets arrays already in that mode, or re-switches
     /// arrays untouched since their previous switch.
     pub const REDUNDANT_SWITCH: &str = "redundant-switch";
-    /// A segment claims more physical arrays than the chip has, or
-    /// references an array id beyond the chip.
+    /// A segment claims more physical arrays than the chip has, or a
+    /// statement (inside a segment or not) references an array id beyond
+    /// the chip.
     pub const CAPACITY_ARRAYS: &str = "capacity-arrays";
     /// A static op's compute-array allocation cannot hold its weights
     /// (fewer than `min_tiles` arrays).
@@ -263,6 +275,20 @@ pub struct VerifyCx<'a> {
     pub program: &'a CompiledProgram,
     /// The target architecture.
     pub arch: &'a DualModeArch,
+    /// The flow's segment blocks, indexed once per [`Verifier::run`].
+    index: &'a BlockIndex<'a>,
+}
+
+impl<'a> VerifyCx<'a> {
+    /// The flow's segments, in order.
+    fn blocks(&self) -> &'a [SegmentBlock<'a>] {
+        &self.index.blocks
+    }
+
+    /// The compute statements of `block`, in order.
+    fn computes(&self, block: &SegmentBlock<'a>) -> &'a [&'a ComputeStmt] {
+        &self.index.computes[block.computes.clone()]
+    }
 }
 
 /// One static analysis over a compiled program.
@@ -284,35 +310,44 @@ pub trait Lint {
 
 /// One segment of the flow, in the same counting the event engine uses:
 /// each top-level `parallel` block or bare compute statement.
+#[derive(Debug)]
 struct SegmentBlock<'a> {
     stmt: usize,
     body: &'a [Stmt],
+    /// This block's slice of [`BlockIndex::computes`].
+    computes: Range<usize>,
 }
 
-fn segment_blocks(flow: &Flow) -> Vec<SegmentBlock<'_>> {
-    flow.stmts()
-        .iter()
-        .enumerate()
-        .filter_map(|(i, s)| match s {
-            Stmt::Parallel(body) => Some(SegmentBlock { stmt: i, body }),
-            Stmt::Compute(_) => Some(SegmentBlock {
-                stmt: i,
-                body: std::slice::from_ref(s),
-            }),
-            _ => None,
-        })
-        .collect()
+/// Every segment block of a flow and, flattened behind them, their
+/// compute statements — built once per run and shared by the lints.
+#[derive(Debug, Default)]
+struct BlockIndex<'a> {
+    blocks: Vec<SegmentBlock<'a>>,
+    computes: Vec<&'a ComputeStmt>,
 }
 
-fn block_computes<'a>(block: &SegmentBlock<'a>) -> Vec<&'a ComputeStmt> {
-    block
-        .body
-        .iter()
-        .filter_map(|s| match s {
-            Stmt::Compute(c) => Some(c),
-            _ => None,
-        })
-        .collect()
+impl<'a> BlockIndex<'a> {
+    fn of(flow: &'a Flow) -> Self {
+        let mut index = BlockIndex::default();
+        for (stmt, s) in flow.stmts().iter().enumerate() {
+            let body = match s {
+                Stmt::Parallel(body) => body.as_slice(),
+                Stmt::Compute(_) => std::slice::from_ref(s),
+                _ => continue,
+            };
+            let start = index.computes.len();
+            index.computes.extend(body.iter().filter_map(|s| match s {
+                Stmt::Compute(c) => Some(c),
+                _ => None,
+            }));
+            index.blocks.push(SegmentBlock {
+                stmt,
+                body,
+                computes: start..index.computes.len(),
+            });
+        }
+        index
+    }
 }
 
 /// Formats a short array list for messages.
@@ -341,32 +376,28 @@ fn fmt_arrays(arrays: &[ArrayId]) -> String {
 pub struct ModeIntervalLint;
 
 #[derive(Clone, Default)]
-struct ArrayState {
+struct ArrayState<'a> {
     mode: Option<ArrayMode>, // None = initial memory mode
-    load: Option<PendingLoad>,
+    load: Option<PendingLoad<'a>>,
     switched_at: Option<usize>,
     used_since_switch: bool,
 }
 
 #[derive(Clone)]
-struct PendingLoad {
-    op: String,
+struct PendingLoad<'a> {
+    op: &'a str,
     stmt: usize,
     consumed: bool,
 }
 
-impl ArrayState {
+impl ArrayState<'_> {
     fn mode(&self) -> ArrayMode {
         self.mode.unwrap_or(ArrayMode::Memory)
     }
 }
 
 impl ModeIntervalLint {
-    fn touch(states: &mut HashMap<ArrayId, ArrayState>, a: ArrayId) -> &mut ArrayState {
-        states.entry(a).or_default()
-    }
-
-    fn flag_dead_load(report: &mut VerifyReport, a: ArrayId, load: &PendingLoad, why: &str) {
+    fn flag_dead_load(report: &mut VerifyReport, a: ArrayId, load: &PendingLoad<'_>, why: &str) {
         report.push(
             rules::DEAD_WEIGHT_LOAD,
             Some(load.stmt),
@@ -392,7 +423,7 @@ impl Lint for ModeIntervalLint {
     }
 
     fn check(&self, cx: &VerifyCx<'_>, report: &mut VerifyReport) {
-        let mut states: HashMap<ArrayId, ArrayState> = HashMap::new();
+        let mut states = ArrayTable::new(cx.arch.n_arrays(), ArrayState::default());
         let _: Result<(), std::convert::Infallible> =
             walk_flow(&cx.program.flow, |event| {
                 let FlowEvent::Stmt { pos, stmt } = event else {
@@ -405,7 +436,7 @@ impl Lint for ModeIntervalLint {
                         let mut same_mode = Vec::new();
                         let mut unused = Vec::new();
                         for &a in arrays {
-                            let st = Self::touch(&mut states, a);
+                            let st = states.slot(a);
                             if st.mode() == target {
                                 same_mode.push(a);
                             } else if st.switched_at.is_some() && !st.used_since_switch {
@@ -460,7 +491,7 @@ impl Lint for ModeIntervalLint {
                         let mut bad_buffer = Vec::new();
                         let mut unloaded = Vec::new();
                         for &a in &c.compute_arrays {
-                            let st = Self::touch(&mut states, a);
+                            let st = states.slot(a);
                             st.used_since_switch = true;
                             if st.mode() != ArrayMode::Compute {
                                 bad_compute.push(a);
@@ -473,7 +504,7 @@ impl Lint for ModeIntervalLint {
                             }
                         }
                         for &a in c.mem_in_arrays.iter().chain(&c.mem_out_arrays) {
-                            let st = Self::touch(&mut states, a);
+                            let st = states.slot(a);
                             st.used_since_switch = true;
                             if st.mode() != ArrayMode::Memory {
                                 bad_buffer.push(a);
@@ -516,13 +547,13 @@ impl Lint for ModeIntervalLint {
                     Stmt::LoadWeights(w) => {
                         let mut wrong_mode = Vec::new();
                         for &a in &w.arrays {
-                            let st = Self::touch(&mut states, a);
+                            let st = states.slot(a);
                             st.used_since_switch = true;
                             if st.mode() != ArrayMode::Compute {
                                 wrong_mode.push(a);
                             }
                             if let Some(prev) = st.load.replace(PendingLoad {
-                                op: w.op.clone(),
+                                op: &w.op,
                                 stmt: idx,
                                 consumed: false,
                             }) {
@@ -554,7 +585,7 @@ impl Lint for ModeIntervalLint {
                         if let MemLoc::CimArrays(arrays) = &m.loc {
                             let mut wrong_mode = Vec::new();
                             for &a in arrays {
-                                let st = Self::touch(&mut states, a);
+                                let st = states.slot(a);
                                 st.used_since_switch = true;
                                 if st.mode() != ArrayMode::Memory {
                                     wrong_mode.push(a);
@@ -580,14 +611,11 @@ impl Lint for ModeIntervalLint {
                 }
                 Ok(())
             });
-        // Loads never consumed by the end of the flow.
-        let mut leftovers: Vec<(ArrayId, PendingLoad)> = states
-            .into_iter()
-            .filter_map(|(a, st)| st.load.filter(|l| !l.consumed).map(|l| (a, l)))
-            .collect();
-        leftovers.sort_by_key(|(a, _)| a.0);
-        for (a, load) in leftovers {
-            Self::flag_dead_load(report, a, &load, "never consumed by any compute");
+        // Loads never consumed by the end of the flow, in array order.
+        for (a, st) in states.iter() {
+            if let Some(load) = st.load.as_ref().filter(|l| !l.consumed) {
+                Self::flag_dead_load(report, a, load, "never consumed by any compute");
+            }
         }
     }
 }
@@ -619,8 +647,11 @@ impl Lint for CapacityLint {
     fn check(&self, cx: &VerifyCx<'_>, report: &mut VerifyReport) {
         let program = cx.program;
         let n_arrays = cx.arch.n_arrays();
-        let blocks = segment_blocks(&program.flow);
+        let blocks = cx.blocks();
         let aligned = blocks.len() == program.segments.len();
+        // The segment (1-based) that last touched each array: counts
+        // distinct arrays per block without a set.
+        let mut touched_in = vec![0usize; n_arrays];
 
         for (si, plan) in program.segments.iter().enumerate() {
             let block_stmt = aligned.then(|| blocks[si].stmt);
@@ -639,7 +670,7 @@ impl Lint for CapacityLint {
             // its min-tiles worth of compute arrays to hold the [K,N]
             // operand.
             for (oi, a) in plan.alloc.ops.iter().enumerate() {
-                let gi = plan.range.0 + oi;
+                let Some(gi) = plan.range.0.checked_add(oi) else { break };
                 let Some(op) = program.ops.get(gi) else { continue };
                 if op.weight_static && a.compute < op.min_tiles {
                     report.push(
@@ -659,15 +690,18 @@ impl Lint for CapacityLint {
             }
             // Flow-side cross-checks against the aligned block.
             let block = &blocks[si];
-            let mut distinct: HashSet<ArrayId> = HashSet::new();
+            let mut distinct = 0usize;
             let mut out_of_range: Vec<ArrayId> = Vec::new();
             for s in block.body {
-                for a in s.arrays_recursive() {
-                    if (a.0 as usize) >= n_arrays && !out_of_range.contains(&a) {
-                        out_of_range.push(a);
+                s.for_each_array(&mut |a| match touched_in.get_mut(a.0 as usize) {
+                    Some(seg) if *seg == si + 1 => {}
+                    Some(seg) => {
+                        *seg = si + 1;
+                        distinct += 1;
                     }
-                    distinct.insert(a);
-                }
+                    None if out_of_range.contains(&a) => {}
+                    None => out_of_range.push(a),
+                });
                 if let Stmt::LoadWeights(w) = s {
                     let capacity = w.arrays.len() as u64 * cx.arch.array_bytes();
                     if w.bytes > capacity {
@@ -687,6 +721,7 @@ impl Lint for CapacityLint {
                     }
                 }
             }
+            distinct += out_of_range.len();
             if !out_of_range.is_empty() {
                 let list = fmt_arrays(&out_of_range);
                 report.push(
@@ -697,17 +732,41 @@ impl Lint for CapacityLint {
                     format!("segment {si} references arrays beyond the chip: {list}"),
                 );
             }
-            if distinct.len() != used {
+            if distinct != used {
                 report.push(
                     rules::CAPACITY_CLAIM_MISMATCH,
                     Some(block.stmt),
                     None,
                     Vec::new(),
                     format!(
-                        "segment {si} touches {} distinct arrays but its allocation \
-                         claims {used}",
-                        distinct.len()
+                        "segment {si} touches {distinct} distinct arrays but its allocation \
+                         claims {used}"
                     ),
+                );
+            }
+        }
+
+        // Statements the aligned blocks above do not cover address the
+        // chip too: the simulator indexes its array state by every id it
+        // meets, wherever the statement sits.
+        for (idx, s) in program.flow.stmts().iter().enumerate() {
+            if aligned && matches!(s, Stmt::Parallel(_) | Stmt::Compute(_)) {
+                continue;
+            }
+            let mut out_of_range: Vec<ArrayId> = Vec::new();
+            s.for_each_array(&mut |a| {
+                if a.0 as usize >= n_arrays && !out_of_range.contains(&a) {
+                    out_of_range.push(a);
+                }
+            });
+            if !out_of_range.is_empty() {
+                let list = fmt_arrays(&out_of_range);
+                report.push(
+                    rules::CAPACITY_ARRAYS,
+                    Some(idx),
+                    None,
+                    out_of_range,
+                    format!("statement {idx} references arrays beyond the chip: {list}"),
                 );
             }
         }
@@ -736,7 +795,7 @@ impl Lint for DependenceLint {
     fn check(&self, cx: &VerifyCx<'_>, report: &mut VerifyReport) {
         let program = cx.program;
         let n = program.ops.len();
-        let mut valid_edges: Vec<(usize, usize)> = Vec::new();
+        let mut valid_edges: Vec<(usize, usize)> = Vec::with_capacity(program.op_deps.len());
         for (i, &(p, c)) in program.op_deps.iter().enumerate() {
             if p >= n || c >= n {
                 report.push(
@@ -767,17 +826,23 @@ impl Lint for DependenceLint {
         // Kahn's algorithm over the in-range edges: leftovers sit on a
         // cycle. (Backwards edges are still counted here so a genuine
         // cycle is reported as such, not only as order violations.)
+        // Sorted by producer, the edge list is its own adjacency index:
+        // `succs_from[p]..succs_from[p + 1]` are `p`'s out-edges.
+        valid_edges.sort_unstable();
         let mut indegree = vec![0usize; n];
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut succs_from = vec![0usize; n + 1];
         for &(p, c) in &valid_edges {
             indegree[c] += 1;
-            succs[p].push(c);
+            succs_from[p + 1] += 1;
+        }
+        for p in 0..n {
+            succs_from[p + 1] += succs_from[p];
         }
         let mut queue: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
         let mut visited = 0usize;
         while let Some(i) = queue.pop() {
             visited += 1;
-            for &c in &succs[i] {
+            for &(_, c) in &valid_edges[succs_from[i]..succs_from[i + 1]] {
                 indegree[c] -= 1;
                 if indegree[c] == 0 {
                     queue.push(c);
@@ -798,52 +863,16 @@ impl Lint for DependenceLint {
 
         // Coverage: every dependence the program implies must have an
         // edge, else the engine may overlap dependent segments.
-        let have: HashSet<(usize, usize)> = program.op_deps.iter().copied().collect();
-        let mut required: Vec<(usize, usize, String)> = Vec::new();
-        // (a) Planned Eq. 6 reuse, mapped to global op indices.
-        for plan in &program.segments {
-            let width = plan.range.1.saturating_sub(plan.range.0);
-            for &((lp, lc), r) in &plan.alloc.reuse {
-                if r == 0 || lp > width || lc > width {
-                    continue;
-                }
-                required.push((
-                    plan.range.0 + lp,
-                    plan.range.0 + lc,
-                    "planned buffer reuse".into(),
-                ));
+        let has_edge = |p: usize, c: usize| {
+            if p < n && c < n {
+                valid_edges.binary_search(&(p, c)).is_ok()
+            } else {
+                program.op_deps.contains(&(p, c))
             }
-        }
-        // (b) Shared buffer arrays between computes of one block
-        // (producer's mem_out feeding a later op's mem_in).
-        let blocks = segment_blocks(&program.flow);
-        if blocks.len() == program.segments.len() {
-            for (plan, block) in program.segments.iter().zip(&blocks) {
-                let computes = block_computes(block);
-                if computes.len() != plan.range.1 - plan.range.0 + 1 {
-                    continue; // plan-ops reports the mismatch
-                }
-                for (i, prod) in computes.iter().enumerate() {
-                    let outs: HashSet<ArrayId> =
-                        prod.mem_out_arrays.iter().copied().collect();
-                    if outs.is_empty() {
-                        continue;
-                    }
-                    for (j, cons) in computes.iter().enumerate().skip(i + 1) {
-                        if cons.mem_in_arrays.iter().any(|a| outs.contains(a)) {
-                            required.push((
-                                plan.range.0 + i,
-                                plan.range.0 + j,
-                                "shared buffer arrays in the flow".into(),
-                            ));
-                        }
-                    }
-                }
-            }
-        }
+        };
         let mut reported: HashSet<(usize, usize)> = HashSet::new();
-        for (p, c, why) in required {
-            if !have.contains(&(p, c)) && reported.insert((p, c)) {
+        let mut require = |p: usize, c: usize, why: &str| {
+            if !has_edge(p, c) && reported.insert((p, c)) {
                 let name = |i: usize| {
                     program.ops.get(i).map_or_else(|| format!("op {i}"), |o| o.name.clone())
                 };
@@ -859,6 +888,55 @@ impl Lint for DependenceLint {
                     ),
                 );
             }
+        };
+        // (a) Planned Eq. 6 reuse, mapped to global op indices.
+        for plan in &program.segments {
+            let (lo, hi) = plan.range;
+            let width = hi.saturating_sub(lo);
+            for &((lp, lc), r) in &plan.alloc.reuse {
+                if r == 0 || lp > width || lc > width {
+                    continue;
+                }
+                if let (Some(p), Some(c)) = (lo.checked_add(lp), lo.checked_add(lc)) {
+                    require(p, c, "planned buffer reuse");
+                }
+            }
+        }
+        // (b) Shared buffer arrays between computes of one block
+        // (producer's mem_out feeding a later op's mem_in).
+        let blocks = cx.blocks();
+        if blocks.len() == program.segments.len() {
+            // The producer (numbered across the whole flow) whose output
+            // buffer each array last was.
+            let mut out_of = ArrayTable::new(cx.arch.n_arrays(), 0usize);
+            let mut producer = 0usize;
+            for (plan, block) in program.segments.iter().zip(blocks) {
+                let computes = cx.computes(block);
+                // Checked: a decoded plan's range may be inverted.
+                let (lo, hi) = plan.range;
+                if hi.checked_sub(lo).and_then(|w| w.checked_add(1)) != Some(computes.len()) {
+                    continue; // plan-ops reports the mismatch
+                }
+                for (i, prod) in computes.iter().enumerate() {
+                    if prod.mem_out_arrays.is_empty() {
+                        continue;
+                    }
+                    producer += 1;
+                    for &a in &prod.mem_out_arrays {
+                        *out_of.slot(a) = producer;
+                    }
+                    for (j, cons) in computes.iter().enumerate().skip(i + 1) {
+                        if cons.mem_in_arrays.iter().any(|&a| *out_of.get(a) == producer) {
+                            // In range: the block's ops fit the plan.
+                            require(
+                                plan.range.0 + i,
+                                plan.range.0 + j,
+                                "shared buffer arrays in the flow",
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 }
@@ -873,20 +951,6 @@ impl Lint for DependenceLint {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ParallelRaceLint;
 
-#[derive(Default)]
-struct BlockClaims {
-    compute: HashMap<ArrayId, Vec<String>>,
-    mem_in: HashMap<ArrayId, Vec<String>>,
-    mem_out: HashMap<ArrayId, Vec<String>>,
-}
-
-fn claim(map: &mut HashMap<ArrayId, Vec<String>>, a: ArrayId, op: &str) {
-    let ops = map.entry(a).or_default();
-    if !ops.iter().any(|o| o == op) {
-        ops.push(op.to_string());
-    }
-}
-
 impl Lint for ParallelRaceLint {
     fn id(&self) -> &'static str {
         "parallel-race"
@@ -897,95 +961,77 @@ impl Lint for ParallelRaceLint {
     }
 
     fn check(&self, cx: &VerifyCx<'_>, report: &mut VerifyReport) {
-        let mut claims: Option<BlockClaims> = None;
-        let _: Result<(), std::convert::Infallible> =
-            walk_flow(&cx.program.flow, |event| {
-                match event {
-                    FlowEvent::EnterParallel { .. } => claims = Some(BlockClaims::default()),
-                    FlowEvent::ExitParallel { stmt } => {
-                        if let Some(c) = claims.take() {
-                            Self::report_conflicts(&c, stmt, report);
-                        }
-                    }
-                    FlowEvent::Stmt { pos, stmt } => {
-                        if matches!(stmt, Stmt::Parallel(_)) {
-                            report.push(
-                                rules::RACE_NESTED,
-                                Some(pos.stmt),
-                                None,
-                                Vec::new(),
-                                "parallel block nested inside another parallel block",
-                            );
-                            return Ok(());
-                        }
-                        let (Some(claims), Stmt::Compute(c)) = (claims.as_mut(), stmt)
-                        else {
-                            return Ok(());
-                        };
-                        for &a in &c.compute_arrays {
-                            claim(&mut claims.compute, a, &c.op);
-                        }
-                        for &a in &c.mem_in_arrays {
-                            claim(&mut claims.mem_in, a, &c.op);
-                        }
-                        for &a in &c.mem_out_arrays {
-                            claim(&mut claims.mem_out, a, &c.op);
-                        }
-                    }
+        let mut claims = BlockClaims::new(cx.arch.n_arrays());
+        for (idx, stmt) in cx.program.flow.stmts().iter().enumerate() {
+            let Stmt::Parallel(body) = stmt else { continue };
+            claims.enter_block();
+            // Arrays with at least one conflicting claim; the findings
+            // themselves are worked out after the block, from its body.
+            let mut contested: Vec<ArrayId> = Vec::new();
+            for s in body {
+                match s {
+                    Stmt::Parallel(_) => report.push(
+                        rules::RACE_NESTED,
+                        Some(idx),
+                        None,
+                        Vec::new(),
+                        "parallel block nested inside another parallel block",
+                    ),
+                    Stmt::Compute(c) => claims.claim(c, |a| contested.push(a)),
+                    _ => {}
                 }
-                Ok(())
-            });
+            }
+            contested.sort_unstable();
+            contested.dedup();
+            for a in contested {
+                Self::report_conflict(a, body, idx, report);
+            }
+        }
     }
 }
 
 impl ParallelRaceLint {
-    fn report_conflicts(claims: &BlockClaims, stmt: usize, report: &mut VerifyReport) {
-        let mut arrays: Vec<ArrayId> = claims
-            .compute
-            .keys()
-            .chain(claims.mem_in.keys())
-            .chain(claims.mem_out.keys())
-            .copied()
-            .collect::<HashSet<_>>()
-            .into_iter()
-            .collect();
-        arrays.sort_by_key(|a| a.0);
-        for a in arrays {
-            let comp = claims.compute.get(&a);
-            let ins = claims.mem_in.get(&a);
-            let outs = claims.mem_out.get(&a);
-            let conflict = match (comp, ins, outs) {
-                // Two operators computing on one array.
-                (Some(c), _, _) if c.len() > 1 => {
-                    Some(format!("computed on by {}", c.join(" and ")))
+    /// Describes how the computes of `body` fight over `a`, naming every
+    /// operator involved (each once, in claim order).
+    fn report_conflict(a: ArrayId, body: &[Stmt], stmt: usize, report: &mut VerifyReport) {
+        let (mut comp, mut ins, mut outs) = (Vec::new(), Vec::new(), Vec::new());
+        for s in body {
+            let Stmt::Compute(c) = s else { continue };
+            let roles = [
+                (&mut comp, &c.compute_arrays),
+                (&mut ins, &c.mem_in_arrays),
+                (&mut outs, &c.mem_out_arrays),
+            ];
+            for (ops, arrays) in roles {
+                if arrays.contains(&a) && !ops.contains(&c.op.as_str()) {
+                    ops.push(c.op.as_str());
                 }
-                // Compute and buffer roles on one array — conflicting
-                // even within one operator.
-                (Some(c), Some(_), _) | (Some(c), _, Some(_)) => Some(format!(
-                    "both compute ({}) and buffer in one segment",
-                    c.join(", ")
-                )),
-                // Two operators' input buffers on one array.
-                (_, Some(i), _) if i.len() > 1 => {
-                    Some(format!("input buffer of {}", i.join(" and ")))
-                }
-                // Two operators' output buffers on one array. A single
-                // out + single in pair is the legal Eq. 6 reuse.
-                (_, _, Some(o)) if o.len() > 1 => {
-                    Some(format!("output buffer of {}", o.join(" and ")))
-                }
-                _ => None,
-            };
-            if let Some(why) = conflict {
-                report.push(
-                    rules::RACE_CONFLICT,
-                    Some(stmt),
-                    None,
-                    vec![a],
-                    format!("array a{} is {why}", a.0),
-                );
             }
         }
+        let why = if comp.len() > 1 {
+            // Two operators computing on one array.
+            format!("computed on by {}", comp.join(" and "))
+        } else if !comp.is_empty() && (!ins.is_empty() || !outs.is_empty()) {
+            // Compute and buffer roles on one array — conflicting even
+            // within one operator.
+            format!("both compute ({}) and buffer in one segment", comp.join(", "))
+        } else if ins.len() > 1 {
+            // Two operators' input buffers on one array.
+            format!("input buffer of {}", ins.join(" and "))
+        } else if outs.len() > 1 {
+            // Two operators' output buffers on one array. A single out +
+            // single in pair is the legal Eq. 6 reuse.
+            format!("output buffer of {}", outs.join(" and "))
+        } else {
+            return;
+        };
+        report.push(
+            rules::RACE_CONFLICT,
+            Some(stmt),
+            None,
+            vec![a],
+            format!("array a{} is {why}", a.0),
+        );
     }
 }
 
@@ -1014,7 +1060,7 @@ impl Lint for FlowPlanLint {
 
     fn check(&self, cx: &VerifyCx<'_>, report: &mut VerifyReport) {
         let program = cx.program;
-        let blocks = segment_blocks(&program.flow);
+        let blocks = cx.blocks();
         if blocks.len() != program.segments.len() {
             report.push(
                 rules::PLAN_SEGMENTS,
@@ -1081,23 +1127,27 @@ impl Lint for FlowPlanLint {
             return;
         }
 
-        for (si, (plan, block)) in program.segments.iter().zip(&blocks).enumerate() {
-            Self::check_segment(cx, si, plan, block, report);
+        // Scratch reused across segments: each block's weight loads and
+        // whether a compute has accounted for them yet.
+        let mut loads = Vec::new();
+        for (si, (plan, block)) in program.segments.iter().zip(blocks).enumerate() {
+            Self::check_segment(cx, si, plan, block, &mut loads, report);
         }
     }
 }
 
 impl FlowPlanLint {
-    fn check_segment(
-        cx: &VerifyCx<'_>,
+    fn check_segment<'a>(
+        cx: &VerifyCx<'a>,
         si: usize,
         plan: &SegmentPlan,
-        block: &SegmentBlock<'_>,
+        block: &SegmentBlock<'a>,
+        loads: &mut Vec<(&'a WeightLoadStmt, bool)>,
         report: &mut VerifyReport,
     ) {
         let program = cx.program;
         let (lo, hi) = plan.range;
-        let computes = block_computes(block);
+        let computes = cx.computes(block);
         if computes.len() != hi - lo + 1 {
             report.push(
                 rules::PLAN_OPS,
@@ -1152,21 +1202,28 @@ impl FlowPlanLint {
             }
         }
         // Weight loads: exactly one per static op with compute arrays,
-        // targeting exactly that op's compute arrays, sized to them.
-        let mut loads: HashMap<&str, Vec<&cmswitch_metaop::WeightLoadStmt>> =
-            HashMap::new();
-        for s in block.body {
-            if let Stmt::LoadWeights(w) = s {
-                loads.entry(w.op.as_str()).or_default().push(w);
-            }
-        }
+        // targeting exactly that op's compute arrays, sized to them. The
+        // first compute of a name accounts for every load of that name.
+        loads.clear();
+        loads.extend(block.body.iter().filter_map(|s| match s {
+            Stmt::LoadWeights(w) => Some((w, false)),
+            _ => None,
+        }));
         for (oi, c) in computes.iter().enumerate() {
             let gi = lo + oi;
             let op = &program.ops[gi];
-            let seen = loads.remove(op.name.as_str()).unwrap_or_default();
+            let mut seen = 0usize;
+            let mut first = None;
+            for (w, taken) in loads.iter_mut() {
+                if !*taken && w.op == op.name {
+                    *taken = true;
+                    seen += 1;
+                    first = first.or(Some(*w));
+                }
+            }
             let wants_load = op.weight_static && !c.compute_arrays.is_empty();
             if !wants_load {
-                if !seen.is_empty() {
+                if seen > 0 {
                     report.push(
                         rules::PLAN_WEIGHT_LOADS,
                         Some(block.stmt),
@@ -1177,15 +1234,15 @@ impl FlowPlanLint {
                 }
                 continue;
             }
-            match seen.as_slice() {
-                [] => report.push(
+            match (first, seen) {
+                (None, _) => report.push(
                     rules::PLAN_WEIGHT_LOADS,
                     Some(block.stmt),
                     Some(gi),
                     c.compute_arrays.clone(),
                     format!("{} has static weights but segment {si} loads none", op.name),
                 ),
-                [w] => {
+                (Some(w), 1) => {
                     if w.arrays != c.compute_arrays {
                         report.push(
                             rules::PLAN_WEIGHT_LOADS,
@@ -1217,18 +1274,23 @@ impl FlowPlanLint {
                         );
                     }
                 }
-                many => report.push(
+                (Some(_), many) => report.push(
                     rules::PLAN_WEIGHT_LOADS,
                     Some(block.stmt),
                     Some(gi),
                     Vec::new(),
-                    format!("{} is loaded {} times in segment {si}", op.name, many.len()),
+                    format!("{} is loaded {many} times in segment {si}", op.name),
                 ),
             }
         }
         // Loads naming ops outside this segment.
-        let mut stray: Vec<&str> = loads.keys().copied().collect();
+        let mut stray: Vec<&str> = loads
+            .iter()
+            .filter(|(_, taken)| !taken)
+            .map(|(w, _)| w.op.as_str())
+            .collect();
         stray.sort_unstable();
+        stray.dedup();
         for name in stray {
             report.push(
                 rules::PLAN_WEIGHT_LOADS,
@@ -1294,7 +1356,12 @@ impl Verifier {
 
     /// Runs every lint over `program` as compiled for `arch`.
     pub fn run(&self, program: &CompiledProgram, arch: &DualModeArch) -> VerifyReport {
-        let cx = VerifyCx { program, arch };
+        let index = BlockIndex::of(&program.flow);
+        let cx = VerifyCx {
+            program,
+            arch,
+            index: &index,
+        };
         let mut report = VerifyReport::new();
         for lint in &self.lints {
             lint.check(&cx, &mut report);

@@ -22,8 +22,9 @@
 //!   across runners and processes.
 //!
 //! Every compiled program is checked with the static [`Verifier`]
-//! before it is simulated; a `Deny` finding fails the point (it never
-//! silently enters the frontier). Points are evaluated sequentially in
+//! before it is simulated — by the session where it already does so
+//! (store hits, the verify stage), by the runner otherwise; a `Deny`
+//! finding fails the point (it never silently enters the frontier). Points are evaluated sequentially in
 //! grid order — parallelism lives *inside* each point (the session's
 //! batch worker pool and solve pool) — so records come out in a
 //! deterministic order regardless of worker counts.
@@ -436,7 +437,6 @@ impl SweepRunner {
             failure,
         };
 
-        let verifier = Verifier::new();
         let engine = EventEngine::with_energy_model(self.cost_model.energy.clone());
         let n_arrays = point.arch.n_arrays();
 
@@ -450,16 +450,20 @@ impl SweepRunner {
                 Ok(p) => p,
                 Err(e) => return Err(fail(&outcome.name, SweepFailure::Compile(e))),
             };
-            let verdict = verifier.run(&program, &point.arch);
-            if verdict.deny_count() > 0 {
-                return Err(fail(
-                    &outcome.name,
-                    SweepFailure::VerifyDenied {
-                        deny: verdict.deny_count(),
-                    },
-                ));
+            // The session has usually verified the program already (its
+            // store-hit gate, or the verify stage when the options enable
+            // it) and says so in the diagnostics; verify here only if not.
+            let (deny, warn) = match outcome.diagnostics.verified_counts() {
+                Some((deny, warn)) => (deny as usize, warn as usize),
+                None => {
+                    let verdict = Verifier::new().run(&program, &point.arch);
+                    (verdict.deny_count(), verdict.warn_count())
+                }
+            };
+            if deny > 0 {
+                return Err(fail(&outcome.name, SweepFailure::VerifyDenied { deny }));
             }
-            warnings += verdict.warn_count();
+            warnings += warn;
             let sim = match engine.simulate_program(&program, &point.arch) {
                 Ok(r) => r,
                 Err(e) => return Err(fail(&outcome.name, SweepFailure::Simulate(e))),

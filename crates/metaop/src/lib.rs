@@ -29,6 +29,7 @@
 
 #![warn(clippy::needless_pass_by_value, clippy::redundant_clone)]
 
+pub mod dense;
 mod error;
 mod flow;
 mod op;

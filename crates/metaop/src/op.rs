@@ -175,15 +175,31 @@ impl Stmt {
     /// block appears twice, so callers can both count distinct arrays
     /// (`collect::<HashSet<_>>`) and detect double-claims.
     pub fn arrays_recursive(&self) -> Vec<ArrayId> {
+        let mut all = Vec::new();
+        self.for_each_array(&mut |a| all.push(a));
+        all
+    }
+
+    /// Calls `f` with every array reference of
+    /// [`Stmt::arrays_recursive`], in the same order, without building
+    /// the list.
+    pub fn for_each_array(&self, f: &mut impl FnMut(ArrayId)) {
+        let mut each = |arrays: &[ArrayId]| arrays.iter().copied().for_each(&mut *f);
         match self {
-            Stmt::Parallel(body) => {
-                let mut all = Vec::new();
-                for s in body {
-                    all.extend(s.arrays_recursive());
-                }
-                all
+            Stmt::Switch { arrays, .. } => each(arrays),
+            Stmt::Compute(c) => {
+                each(&c.compute_arrays);
+                each(&c.mem_in_arrays);
+                each(&c.mem_out_arrays);
             }
-            other => other.arrays(),
+            Stmt::LoadWeights(w) => each(&w.arrays),
+            Stmt::Mem(m) => {
+                if let MemLoc::CimArrays(arrays) = &m.loc {
+                    each(arrays);
+                }
+            }
+            Stmt::Vector(_) => {}
+            Stmt::Parallel(body) => body.iter().for_each(|s| s.for_each_array(f)),
         }
     }
 }

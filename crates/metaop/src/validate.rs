@@ -10,21 +10,25 @@
 //!   output buffer is another's input buffer,
 //! * `parallel` blocks do not nest.
 
-use std::collections::HashMap;
-
 use cmswitch_arch::{ArrayId, ArrayMode};
 
+use crate::dense::{ArrayTable, BlockClaims};
 use crate::walk::{walk_flow, FlowEvent};
 use crate::{Flow, MemLoc, MetaOpError, Stmt};
 
-#[derive(Debug, Default)]
-struct SegmentClaims {
-    /// op name that claimed the array for compute.
-    compute: HashMap<ArrayId, String>,
-    /// op names that claimed the array as input buffer.
-    mem_in: HashMap<ArrayId, String>,
-    /// op names that claimed the array as output buffer.
-    mem_out: HashMap<ArrayId, String>,
+/// How many array ids get dense state: one past the largest id the flow
+/// names, but never more than the flow has array references — so an
+/// absurd id in an untrusted flow cannot size the tables (ids beyond
+/// the bound take [`ArrayTable`]'s spill path).
+fn dense_len(flow: &Flow) -> usize {
+    let (mut refs, mut max_id) = (0usize, 0u32);
+    for stmt in flow.stmts() {
+        stmt.for_each_array(&mut |a| {
+            refs += 1;
+            max_id = max_id.max(a.0);
+        });
+    }
+    refs.min((max_id as usize).saturating_add(1))
 }
 
 /// Validates a flow.
@@ -38,116 +42,83 @@ struct SegmentClaims {
 ///
 /// Returns the first [`MetaOpError`] violation found.
 pub fn validate(flow: &Flow) -> Result<(), MetaOpError> {
+    let len = dense_len(flow);
     // All arrays start in memory mode.
-    let mut modes: HashMap<ArrayId, ArrayMode> = HashMap::new();
-    let mut claims: Option<SegmentClaims> = None;
+    let mut modes = ArrayTable::new(len, ArrayMode::Memory);
+    let mut claims = BlockClaims::new(len);
+    let mut in_block = false;
 
     walk_flow(flow, |event| match event {
         FlowEvent::EnterParallel { .. } => {
-            claims = Some(SegmentClaims::default());
+            claims.enter_block();
+            in_block = true;
             Ok(())
         }
         FlowEvent::ExitParallel { .. } => {
-            claims = None;
+            in_block = false;
             Ok(())
         }
         FlowEvent::Stmt { pos, stmt } => {
             if matches!(stmt, Stmt::Parallel(_)) {
                 return Err(MetaOpError::NestedParallel { stmt: pos.stmt });
             }
-            check_stmt(stmt, pos.stmt, &mut modes, claims.as_mut())
+            check_stmt(stmt, pos.stmt, &mut modes, in_block.then_some(&mut claims))
         }
     })
 }
 
-fn check_stmt(
-    stmt: &Stmt,
+fn check_stmt<'a>(
+    stmt: &'a Stmt,
     idx: usize,
-    modes: &mut HashMap<ArrayId, ArrayMode>,
-    mut claims: Option<&mut SegmentClaims>,
+    modes: &mut ArrayTable<ArrayMode>,
+    claims: Option<&mut BlockClaims<'a>>,
 ) -> Result<(), MetaOpError> {
-    let mode_of =
-        |modes: &HashMap<ArrayId, ArrayMode>, a: ArrayId| *modes.get(&a).unwrap_or(&ArrayMode::Memory);
+    // The first array of `arrays` not in `mode`, as the violation to
+    // report; `detail` is only rendered for it.
+    let require = |modes: &ArrayTable<ArrayMode>,
+                   arrays: &[ArrayId],
+                   mode: ArrayMode,
+                   detail: &dyn Fn() -> String| {
+        match arrays.iter().find(|&&a| *modes.get(a) != mode) {
+            Some(&array) => Err(MetaOpError::ModeViolation {
+                array,
+                stmt: idx,
+                detail: detail(),
+            }),
+            None => Ok(()),
+        }
+    };
     match stmt {
         Stmt::Switch { kind, arrays } => {
             for &a in arrays {
-                modes.insert(a, kind.target_mode());
+                *modes.slot(a) = kind.target_mode();
             }
         }
         Stmt::Compute(c) => {
-            for &a in &c.compute_arrays {
-                if mode_of(modes, a) != ArrayMode::Compute {
-                    return Err(MetaOpError::ModeViolation {
-                        array: a,
-                        stmt: idx,
-                        detail: format!("{} computes on a memory-mode array", c.op),
-                    });
-                }
-            }
-            for &a in c.mem_in_arrays.iter().chain(&c.mem_out_arrays) {
-                if mode_of(modes, a) != ArrayMode::Memory {
-                    return Err(MetaOpError::ModeViolation {
-                        array: a,
-                        stmt: idx,
-                        detail: format!("{} buffers on a compute-mode array", c.op),
-                    });
-                }
-            }
-            if let Some(claims) = claims.as_mut() {
-                for &a in &c.compute_arrays {
-                    if let Some(prev) = claims.compute.insert(a, c.op.clone()) {
-                        if prev != c.op {
-                            return Err(MetaOpError::ArrayConflict { array: a, stmt: idx });
-                        }
-                    }
-                    if claims.mem_in.contains_key(&a) || claims.mem_out.contains_key(&a) {
-                        return Err(MetaOpError::ArrayConflict { array: a, stmt: idx });
-                    }
-                }
-                for &a in &c.mem_in_arrays {
-                    if claims.compute.contains_key(&a) {
-                        return Err(MetaOpError::ArrayConflict { array: a, stmt: idx });
-                    }
-                    if let Some(prev) = claims.mem_in.insert(a, c.op.clone()) {
-                        if prev != c.op {
-                            return Err(MetaOpError::ArrayConflict { array: a, stmt: idx });
-                        }
-                    }
-                }
-                for &a in &c.mem_out_arrays {
-                    if claims.compute.contains_key(&a) {
-                        return Err(MetaOpError::ArrayConflict { array: a, stmt: idx });
-                    }
-                    if let Some(prev) = claims.mem_out.insert(a, c.op.clone()) {
-                        if prev != c.op {
-                            return Err(MetaOpError::ArrayConflict { array: a, stmt: idx });
-                        }
-                    }
+            require(modes, &c.compute_arrays, ArrayMode::Compute, &|| {
+                format!("{} computes on a memory-mode array", c.op)
+            })?;
+            let buffers = || format!("{} buffers on a compute-mode array", c.op);
+            require(modes, &c.mem_in_arrays, ArrayMode::Memory, &buffers)?;
+            require(modes, &c.mem_out_arrays, ArrayMode::Memory, &buffers)?;
+            if let Some(claims) = claims {
+                let mut first = None;
+                claims.claim(c, |a| first = first.or(Some(a)));
+                if let Some(array) = first {
+                    return Err(MetaOpError::ArrayConflict { array, stmt: idx });
                 }
             }
         }
         Stmt::LoadWeights(w) => {
-            for &a in &w.arrays {
-                if mode_of(modes, a) != ArrayMode::Compute {
-                    return Err(MetaOpError::ModeViolation {
-                        array: a,
-                        stmt: idx,
-                        detail: format!("weight load for {} into a memory-mode array", w.op),
-                    });
-                }
-            }
+            require(modes, &w.arrays, ArrayMode::Compute, &|| {
+                format!("weight load for {} into a memory-mode array", w.op)
+            })?;
         }
         Stmt::Mem(m) => {
             if let MemLoc::CimArrays(arrays) = &m.loc {
-                for &a in arrays {
-                    if mode_of(modes, a) != ArrayMode::Memory {
-                        return Err(MetaOpError::ModeViolation {
-                            array: a,
-                            stmt: idx,
-                            detail: format!("scratchpad access `{}` on a compute-mode array", m.label),
-                        });
-                    }
-                }
+                require(modes, arrays, ArrayMode::Memory, &|| {
+                    format!("scratchpad access `{}` on a compute-mode array", m.label)
+                })?;
             }
         }
         Stmt::Vector(_) => {}

@@ -243,3 +243,76 @@ fn frontier_extraction_matches_raw_indices_on_real_records() {
     let table = frontier.table(&report.records);
     assert_eq!(table.lines().count(), frontier.len() + 1);
 }
+
+/// The runner takes the verifier's verdict from the session when the
+/// session has one (store hits are always gated, cold compiles only
+/// when the options enable the verify stage) and runs the verifier
+/// itself otherwise. Either way a `Deny` fails the point, and what a
+/// point measures does not depend on which of the two verified it.
+#[test]
+fn unverified_sessions_still_gate_points_and_records_match_across_warmth() {
+    let unverified = CompilerOptions::default().with_verify(false);
+    let grid = SweepSpace::around(presets::tiny())
+        .with_array_counts([4, 8])
+        .instantiate();
+
+    // A poisoned allocation cache: every cached window grants its last
+    // op far more output buffers than the chip has arrays. Code
+    // generation hands out what exists and the compile succeeds; only
+    // the verifier can object.
+    let honest = SweepRunner::new(workload()).with_options(unverified.clone());
+    assert!(honest.run(&grid).failed.is_empty());
+    let mut entries = honest.cache().export_entries();
+    for (_, _, alloc) in &mut entries {
+        if let Some(op) = alloc.as_mut().and_then(|a| a.ops.last_mut()) {
+            op.mem_out += 1000;
+        }
+    }
+    let poisoned = AllocationCache::new();
+    poisoned.import_entries(entries);
+    let report = SweepRunner::new(workload())
+        .with_options(unverified.clone())
+        .with_cache(poisoned)
+        .run(&grid);
+    assert!(report.records.is_empty(), "poisoned plans entered the frontier");
+    assert_eq!(report.failed.len(), grid.points.len());
+    for failed in &report.failed {
+        assert!(
+            matches!(failed.failure, cmswitch::dse::SweepFailure::VerifyDenied { deny } if deny > 0),
+            "{}: {}",
+            failed.model,
+            failed.failure
+        );
+    }
+
+    // Cold (runner verifies), memo-warm (nothing runs) and disk-warm
+    // (the session's store-hit gate verifies) measure the same thing.
+    let dir = std::env::temp_dir().join(format!("cmswitch-dse-warmth-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = ArtifactStore::open(&dir).unwrap();
+    let first = SweepRunner::new(workload())
+        .with_options(unverified.clone())
+        .with_store(std::sync::Arc::clone(&store));
+    let cold = first.run(&grid);
+    let memo_warm = first.run(&grid);
+    let disk_warm = SweepRunner::new(workload())
+        .with_options(unverified)
+        .with_store(store)
+        .run(&grid);
+    assert!(cold.solves > 0 && cold.failed.is_empty());
+    assert_eq!(disk_warm.solves, 0);
+    assert!(disk_warm.store_hits > 0);
+    assert_eq!(memo_warm.records, cold.records);
+    for (c, w) in cold.records.iter().zip(&disk_warm.records) {
+        assert_eq!(c.spec, w.spec);
+        assert_eq!(c.fingerprint, w.fingerprint);
+        assert_eq!(c.latency_cycles, w.latency_cycles);
+        assert_eq!(c.energy_pj, w.energy_pj);
+        assert_eq!(c.cost, w.cost);
+        assert_eq!(c.avg_power_mw, w.avg_power_mw);
+        assert_eq!(c.occupancy, w.occupancy);
+        assert_eq!(c.verify_warnings, w.verify_warnings);
+        assert_eq!(c.per_model, w.per_model);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

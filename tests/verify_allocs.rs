@@ -1,0 +1,227 @@
+//! Cost guards for the flow checkers, stated as allocation counts — a
+//! count repeats exactly where a clock does not.
+//!
+//! `core::verify` and `metaop::validate` run on every compile and on
+//! every artifact served from the store, over flows with hundreds of
+//! thousands of array references. Their contract is dense per-array
+//! state: work per reference is an indexed load, and heap traffic is
+//! bounded by the number of *statements*, never by the number of
+//! references or by the value of an (untrusted) array id.
+//!
+//! Own test binary: the counting `#[global_allocator]` must not tax the
+//! other suites. Counters are per thread, so the tests here may run in
+//! parallel.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use cmswitch::arch::{presets, ArrayId};
+use cmswitch::compiler::verify::{rules, Verifier};
+use cmswitch::compiler::CompiledProgram;
+use cmswitch::metaop::{validate, Flow, MetaOpError, Stmt, SwitchKind};
+use cmswitch::models::registry;
+use cmswitch::prelude::*;
+
+thread_local! {
+    // Const-initialised and destructor-free, so touching them from
+    // inside the allocator cannot itself allocate.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn grew(bytes: usize) {
+    ALLOCS.with(|c| c.set(c.get() + 1));
+    let live = LIVE.with(|c| {
+        c.set(c.get() + bytes as i64);
+        c.get()
+    });
+    PEAK.with(|c| c.set(c.get().max(live)));
+}
+
+fn shrank(bytes: usize) {
+    LIVE.with(|c| c.set(c.get() - bytes as i64));
+}
+
+// SAFETY: every call forwards to `System` with the caller's own layout
+// and pointer; the bookkeeping around it touches only thread-local
+// `Cell`s.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        grew(layout.size());
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrank(layout.size());
+        // SAFETY: `ptr` came from `System` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        shrank(layout.size());
+        grew(new_size);
+        // SAFETY: `ptr` came from `System` with this layout.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// Runs `f` and returns its result with the number of allocator calls it
+/// made and the most bytes it held live beyond what was live before.
+fn measured<R>(f: impl FnOnce() -> R) -> (R, u64, i64) {
+    let calls = ALLOCS.with(Cell::get);
+    let live = LIVE.with(Cell::get);
+    PEAK.with(|c| c.set(live));
+    let out = f();
+    (
+        out,
+        ALLOCS.with(Cell::get) - calls,
+        PEAK.with(Cell::get) - live,
+    )
+}
+
+fn with_stmts(program: &CompiledProgram, edit: impl FnOnce(&mut Vec<Stmt>)) -> CompiledProgram {
+    let mut stmts = program.flow.stmts().to_vec();
+    edit(&mut stmts);
+    let mut flow = Flow::new(program.flow.name());
+    for s in stmts {
+        flow.push(s);
+    }
+    CompiledProgram {
+        flow,
+        ..program.clone()
+    }
+}
+
+#[test]
+fn clean_llm_checks_allocate_per_statement_not_per_array_reference() {
+    let arch = presets::dynaplasia();
+    let graph = registry::build("llama2-7b", 1, 32).unwrap();
+    let program = Session::builder(arch.clone())
+        .build()
+        .compile_graph(&graph)
+        .unwrap();
+
+    let (mut statements, mut references) = (0u64, 0u64);
+    for s in program.flow.stmts() {
+        statements += 1;
+        if let Stmt::Parallel(body) = s {
+            statements += body.len() as u64;
+        }
+        s.for_each_array(&mut |_| references += 1);
+    }
+    assert!(
+        references > 20 * statements,
+        "llama2-7b no longer separates the two budgets: {references} references \
+         over {statements} statements"
+    );
+    let budget = 2 * statements + 64;
+
+    let verifier = Verifier::new();
+    let (report, calls, _) = measured(|| verifier.run(&program, &arch));
+    assert!(report.is_empty(), "{report}");
+    assert!(
+        calls <= budget,
+        "Verifier::run made {calls} allocations on {statements} statements \
+         ({references} array references); budget {budget}"
+    );
+
+    let (verdict, calls, _) = measured(|| validate(&program.flow));
+    verdict.expect("a clean flow validates");
+    assert!(
+        calls <= budget,
+        "validate made {calls} allocations on {statements} statements \
+         ({references} array references); budget {budget}"
+    );
+}
+
+/// Ids no chip has — one past the last array, and `u32::MAX` — reach
+/// the checkers from decoded artifacts. They must come out as findings,
+/// at a cost that does not depend on the id's value.
+#[test]
+fn hostile_array_ids_are_findings_and_stay_cheap() {
+    let arch = presets::tiny();
+    let graph = cmswitch::models::mlp::mlp(2, &[256, 256, 256, 64]).unwrap();
+    let program = Session::builder(arch.clone())
+        .build()
+        .compile_graph(&graph)
+        .unwrap();
+    let edge = ArrayId(arch.n_arrays() as u32);
+    let far = ArrayId(u32::MAX);
+
+    // Inside a segment block, in every role of its first compute, and
+    // in the weight load in front of it.
+    let in_block = with_stmts(&program, |stmts| {
+        let body = stmts
+            .iter_mut()
+            .find_map(|s| match s {
+                Stmt::Parallel(body) => Some(body),
+                _ => None,
+            })
+            .expect("the mlp has a parallel block");
+        for s in body {
+            match s {
+                Stmt::LoadWeights(w) => w.arrays.push(far),
+                Stmt::Compute(c) => {
+                    c.compute_arrays.extend([edge, far]);
+                    c.mem_in_arrays.extend([edge, far]);
+                    c.mem_out_arrays.push(edge);
+                    break;
+                }
+                _ => {}
+            }
+        }
+    });
+    // And at top level, where no segment block covers the statement.
+    let top_level = with_stmts(&program, |stmts| {
+        stmts.insert(0, Stmt::switch(SwitchKind::ToCompute, vec![edge, far]));
+    });
+
+    const MIB: i64 = 1 << 20;
+    let verifier = Verifier::new();
+    for (what, hostile) in [("in-block", &in_block), ("top-level", &top_level)] {
+        let (report, _, peak) = measured(|| verifier.run(hostile, &arch));
+        assert!(peak < MIB, "{what}: Verifier::run held {peak} bytes");
+        let beyond: Vec<ArrayId> = report
+            .findings()
+            .iter()
+            .filter(|f| f.rule == rules::CAPACITY_ARRAYS)
+            .flat_map(|f| f.arrays.iter().copied())
+            .collect();
+        assert!(
+            beyond.contains(&edge) && beyond.contains(&far),
+            "{what}: capacity-arrays names {beyond:?}\n{report}"
+        );
+        assert!(!report.is_clean());
+
+        let (verdict, _, peak) = measured(|| validate(&hostile.flow));
+        assert!(peak < MIB, "{what}: validate held {peak} bytes");
+        match (what, verdict) {
+            // `far` joins a weight load before anything switched it to
+            // compute mode.
+            ("in-block", Err(MetaOpError::ModeViolation { array, .. })) => {
+                assert_eq!(array, far);
+            }
+            // A switch of arrays the chip lacks is not a mode error.
+            ("top-level", Ok(())) => {}
+            (_, other) => panic!("{what}: unexpected validate verdict {other:?}"),
+        }
+    }
+    // The in-block program also fights over both ids inside one segment.
+    let report = verifier.run(&in_block, &arch);
+    for a in [edge, far] {
+        assert!(
+            report
+                .findings()
+                .iter()
+                .any(|f| f.rule == rules::RACE_CONFLICT && f.arrays == [a]),
+            "no race-conflict on {a}\n{report}"
+        );
+    }
+}
