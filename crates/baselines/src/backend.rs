@@ -17,9 +17,8 @@ use crate::{CimMlc, Occ, Puma};
 
 /// Instantiates the backend strategy `kind` for `arch`.
 ///
-/// This is the non-deprecated replacement for [`crate::by_name`]:
-/// parse the name with [`BackendKind::from_name`] (whose error lists
-/// the known backends), then instantiate here.
+/// To go from a name, parse it with [`BackendKind::from_name`] (whose
+/// error lists the known backends), then instantiate here.
 pub fn backend_for(kind: BackendKind, arch: DualModeArch) -> Box<dyn Backend> {
     match kind {
         BackendKind::Puma => Box::new(Puma::new(arch)),

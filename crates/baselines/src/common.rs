@@ -11,48 +11,6 @@ use cmswitch_core::frontend::{OpList, SegOp};
 /// [`cmswitch_core::segment::Segment`]s with Eq. 4 inter costs charged.
 pub use cmswitch_core::segment::chain_segments;
 
-use cmswitch_core::pipeline::{
-    compile_with_segmenter, Partitioned, PipelineCx, Segmented, Stage,
-};
-use cmswitch_core::{CompileError, CompiledProgram, CompilerOptions};
-use cmswitch_graph::Graph;
-
-/// Drives the shared staged pipeline for a baseline segmentation stage
-/// standalone: the same `lower` → `partition` → `segmenter` → `emit`
-/// chain CMSwitch itself runs (via
-/// [`cmswitch_core::pipeline::compile_with_segmenter`]), with default
-/// options and a private context. Per-stage wall timings land in the
-/// program's `stats.stage_wall` exactly like a CMSwitch compile.
-///
-/// Backends reached through a `cmswitch_core::Session` do not go
-/// through here — the session prepares the context (shared cache,
-/// cancellation, diagnostics) and calls `Backend::compile_in` directly.
-///
-/// # Errors
-///
-/// Propagates any stage's [`CompileError`].
-#[deprecated(
-    since = "0.5.0",
-    note = "implement `Backend::compile_in` and use `Backend::compile`, or drive \
-            `cmswitch_core::pipeline::compile_with_segmenter` with your own context"
-)]
-pub fn compile_via_stages<S>(
-    arch: &DualModeArch,
-    segmenter: &S,
-    graph: &Graph,
-) -> Result<CompiledProgram, CompileError>
-where
-    S: Stage<Partitioned, Output = Segmented>,
-{
-    let start = std::time::Instant::now();
-    let options = CompilerOptions::default();
-    let mut cx = PipelineCx::new(arch, &options);
-    let mut program = compile_with_segmenter(&mut cx, segmenter, graph)?;
-    let _ = cx.finalize(&mut program.stats);
-    program.stats.wall = start.elapsed();
-    Ok(program)
-}
-
 /// All-compute allocation for a slice of ops: every operator gets its
 /// minimal weight tiles; with `duplicate`, leftover arrays are granted
 /// greedily to the operator with the highest current latency (weight

@@ -41,40 +41,3 @@ pub use puma::{Puma, PumaSegmentStage};
 
 /// All baseline names in the paper's plotting order.
 pub const BASELINE_NAMES: &[&str] = &["puma", "occ", "cim-mlc"];
-
-/// Builds a backend by name (`puma`, `occ`, `cim-mlc`, `cmswitch`).
-///
-/// # Errors
-///
-/// Returns [`UnknownBackend`] — whose message lists the known backend
-/// names — when `name` does not resolve.
-#[deprecated(
-    since = "0.5.0",
-    note = "use `BackendKind::from_name` + `backend_for`, or \
-            `SessionBackendExt::backend_kind` on a `Session` builder"
-)]
-pub fn by_name(
-    name: &str,
-    arch: cmswitch_arch::DualModeArch,
-) -> Result<Box<dyn Backend>, UnknownBackend> {
-    Ok(backend_for(BackendKind::from_name(name)?, arch))
-}
-
-#[cfg(test)]
-#[allow(deprecated)] // The shim's own regression tests exercise `by_name`.
-mod tests {
-    use super::*;
-    use cmswitch_arch::presets;
-
-    #[test]
-    fn by_name_resolves_all() {
-        for name in ["puma", "occ", "cim-mlc", "cmswitch"] {
-            let b = by_name(name, presets::tiny()).unwrap();
-            assert_eq!(b.name(), name);
-        }
-        let Err(err) = by_name("tvm", presets::tiny()) else {
-            panic!("unknown backend must not resolve");
-        };
-        assert!(err.to_string().contains("known backends"));
-    }
-}

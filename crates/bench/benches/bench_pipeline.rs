@@ -3,8 +3,8 @@
 //!
 //! Every iteration compiles from scratch with a fresh per-compilation
 //! allocation cache, so the measured difference is exactly what the
-//! analytic bound pruning saves on a first compile (the cross-model
-//! cache of `bench_service` only helps *repeated* segments). The two
+//! analytic bound pruning saves on a first compile (a session's
+//! cross-model cache only helps *repeated* segments). The two
 //! modes provably produce identical schedules — asserted here on every
 //! iteration — so this is a pure compile-time comparison.
 //!

@@ -472,8 +472,7 @@ impl<'a> Allocator<'a> {
 
     /// Creates an allocator whose results are read from and written to
     /// `cache`, which outlives the allocator and may be shared across
-    /// compilations and threads (the batch-compilation path of
-    /// [`crate::CompileService`]).
+    /// compilations and threads ([`crate::Session::compile_batch`]).
     pub fn with_cache(cm: CostModel<'a>, kind: AllocatorKind, cache: Arc<AllocationCache>) -> Self {
         Self::build(cm, kind, Some(cache))
     }

@@ -6,11 +6,10 @@
 //! stage → [`crate::EmitStage`]) compose for one compilation, while the
 //! environment (architecture, options, allocation cache, cancellation,
 //! diagnostics) is carried by the [`crate::PipelineCx`] the caller
-//! prepares. That split is what lets a [`crate::Session`] and the
-//! [`crate::CompileService`] batch path serve *any* backend — CMSwitch
-//! itself or the paper's PUMA / OCC / CIM-MLC baselines
-//! (`cmswitch-baselines`) — with the same worker pool, shared cache and
-//! deadline handling.
+//! prepares. That split is what lets a [`crate::Session`] serve *any*
+//! backend — CMSwitch itself or the paper's PUMA / OCC / CIM-MLC
+//! baselines (`cmswitch-baselines`) — with the same worker pool, shared
+//! cache and deadline handling.
 //!
 //! [`CmSwitch`] is the native dual-mode-aware strategy; the baseline
 //! strategies live in `cmswitch-baselines` and are selected by

@@ -1,15 +1,10 @@
-use std::sync::Arc;
 use std::time::Duration;
 
-use cmswitch_arch::DualModeArch;
-use cmswitch_graph::Graph;
 use cmswitch_metaop::Flow;
 
-use crate::allocation::{AllocationCache, SegmentAllocation};
+use crate::allocation::SegmentAllocation;
 use crate::frontend::SegOp;
 use crate::pipeline::StageWall;
-use crate::session::Session;
-use crate::{CompileError, CompilerOptions};
 
 /// One segment of the compiled plan, for reports and experiments.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,100 +98,26 @@ impl CompiledProgram {
     }
 }
 
-/// The legacy single-compile entry point, kept as a thin shim over
-/// [`Session`].
-///
-/// New code should build a [`Session`] (`Session::builder(arch)`) and
-/// serve [`crate::CompileRequest`]s: that surface adds backend
-/// selection, batching, cancellation/deadlines, per-request option
-/// overrides and typed [`crate::Diagnostics`]. The shim preserves the
-/// old semantics exactly — [`Compiler::compile`] uses a fresh private
-/// allocation cache per call, [`Compiler::compile_with_cache`] a caller
-/// supplied shared one.
-#[derive(Debug, Clone)]
-pub struct Compiler {
-    arch: DualModeArch,
-    options: CompilerOptions,
-}
-
-impl Compiler {
-    /// Creates a compiler for `arch` with `options`.
-    #[deprecated(
-        since = "0.5.0",
-        note = "build a `Session` via `Session::builder(arch).options(...)` instead"
-    )]
-    pub fn new(arch: DualModeArch, options: CompilerOptions) -> Self {
-        Compiler { arch, options }
-    }
-
-    /// The target architecture.
-    pub fn arch(&self) -> &DualModeArch {
-        &self.arch
-    }
-
-    /// The compiler options.
-    pub fn options(&self) -> &CompilerOptions {
-        &self.options
-    }
-
-    /// Compiles a graph to a meta-operator flow through a one-shot
-    /// [`Session`] with a fresh private allocation cache.
-    ///
-    /// # Errors
-    ///
-    /// * [`CompileError::Graph`] for malformed inputs,
-    /// * [`CompileError::OperatorTooLarge`] if an operator cannot fit the
-    ///   chip even after partitioning,
-    /// * [`CompileError::NoFeasibleSchedule`] if segmentation fails.
-    pub fn compile(&self, graph: &Graph) -> Result<CompiledProgram, CompileError> {
-        self.session(None).compile_graph(graph)
-    }
-
-    /// Compiles a graph like [`Compiler::compile`], but reads and writes
-    /// per-segment allocations through the shared `cache` instead of a
-    /// fresh per-compilation one. Superseded by a [`Session`] built with
-    /// `.cache(...)`, which holds the shared cache once instead of
-    /// passing it per call.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Compiler::compile`].
-    #[deprecated(
-        since = "0.5.0",
-        note = "use `Session::builder(arch).cache(cache).build()` and `compile_graph`"
-    )]
-    pub fn compile_with_cache(
-        &self,
-        graph: &Graph,
-        cache: &Arc<AllocationCache>,
-    ) -> Result<CompiledProgram, CompileError> {
-        self.session(Some(Arc::clone(cache))).compile_graph(graph)
-    }
-
-    fn session(&self, cache: Option<Arc<AllocationCache>>) -> Session {
-        let builder = Session::builder(self.arch.clone())
-            .options(self.options.clone())
-            .workers(1);
-        match cache {
-            Some(cache) => builder.cache(cache),
-            None => builder,
-        }
-        .build()
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // The shim's own regression tests exercise the deprecated entry points.
 mod tests {
     use super::*;
-    use crate::{AllocatorKind, DpMode};
+    use crate::{AllocatorKind, CompileError, CompilerOptions, DpMode, Session};
     use cmswitch_arch::presets;
+    use cmswitch_graph::Graph;
+
+    /// One compile on the tiny chip through a session of its own (fresh
+    /// allocation cache).
+    fn compile(options: CompilerOptions, graph: &Graph) -> Result<CompiledProgram, CompileError> {
+        Session::builder(presets::tiny())
+            .options(options)
+            .build()
+            .compile_graph(graph)
+    }
 
     #[test]
     fn compiles_mlp_end_to_end() {
         let g = cmswitch_models::mlp::mlp(4, &[256, 512, 128]).unwrap();
-        let c = Compiler::new(presets::tiny(), CompilerOptions::default());
-        let p = c.compile(&g).unwrap();
+        let p = compile(CompilerOptions::default(), &g).unwrap();
         assert!(p.predicted_latency > 0.0);
         assert_eq!(p.stats.n_segments, p.segments.len());
         assert!(p.stats.n_ops >= 2);
@@ -207,14 +128,8 @@ mod tests {
     #[test]
     fn fast_allocator_compiles_too() {
         let g = cmswitch_models::mlp::mlp(4, &[256, 512, 128]).unwrap();
-        let c = Compiler::new(
-            presets::tiny(),
-            CompilerOptions {
-                allocator: AllocatorKind::Fast,
-                ..CompilerOptions::default()
-            },
-        );
-        let p = c.compile(&g).unwrap();
+        let fast = CompilerOptions::default().with_allocator(AllocatorKind::Fast);
+        let p = compile(fast, &g).unwrap();
         assert!(p.predicted_latency.is_finite());
         assert!(p.stats.fast_solves > 0);
         assert_eq!(p.stats.mip_solves, 0);
@@ -227,22 +142,9 @@ mod tests {
         // exactly what the signature cache deduplicates (the pruned DP
         // skips most repeats before the cache is even consulted).
         let g = cmswitch_models::mlp::mlp(1, &[64, 64, 64, 64, 64]).unwrap();
-        let exhaustive = CompilerOptions {
-            dp_mode: DpMode::Exhaustive,
-            ..CompilerOptions::default()
-        };
-        let cached = Compiler::new(presets::tiny(), exhaustive.clone())
-            .compile(&g)
-            .unwrap();
-        let uncached = Compiler::new(
-            presets::tiny(),
-            CompilerOptions {
-                reuse_cache: false,
-                ..exhaustive
-            },
-        )
-        .compile(&g)
-        .unwrap();
+        let exhaustive = CompilerOptions::default().with_dp_mode(DpMode::Exhaustive);
+        let cached = compile(exhaustive.clone(), &g).unwrap();
+        let uncached = compile(exhaustive.with_reuse_cache(false), &g).unwrap();
         assert!(cached.stats.cache_hits > 0);
         assert!(
             cached.stats.mip_solves + cached.stats.fast_solves
@@ -259,8 +161,7 @@ mod tests {
     #[test]
     fn stage_timings_reported() {
         let g = cmswitch_models::mlp::mlp(2, &[128, 256, 128]).unwrap();
-        let c = Compiler::new(presets::tiny(), CompilerOptions::default());
-        let p = c.compile(&g).unwrap();
+        let p = compile(CompilerOptions::default(), &g).unwrap();
         let names: Vec<_> = p.stats.stage_wall.iter().map(|t| t.stage).collect();
         assert_eq!(names, ["lower", "partition", "segment", "emit"]);
         assert!(p.stats.stage_wall("segment").is_some());
@@ -273,18 +174,9 @@ mod tests {
     #[test]
     fn dp_modes_produce_identical_programs() {
         let g = cmswitch_models::mlp::mlp(2, &[256, 512, 256, 128, 64]).unwrap();
-        let pruned = Compiler::new(presets::tiny(), CompilerOptions::default())
-            .compile(&g)
-            .unwrap();
-        let exhaustive = Compiler::new(
-            presets::tiny(),
-            CompilerOptions {
-                dp_mode: DpMode::Exhaustive,
-                ..CompilerOptions::default()
-            },
-        )
-        .compile(&g)
-        .unwrap();
+        let pruned = compile(CompilerOptions::default(), &g).unwrap();
+        let exhaustive =
+            compile(CompilerOptions::default().with_dp_mode(DpMode::Exhaustive), &g).unwrap();
         assert_eq!(pruned.segments, exhaustive.segments);
         assert_eq!(
             pruned.predicted_latency.to_bits(),
@@ -301,10 +193,9 @@ mod tests {
     #[test]
     fn rejects_cyclic_graph_via_error_type() {
         // Graph validation failure propagates as CompileError::Graph.
-        use cmswitch_graph::{Graph, GraphError};
+        use cmswitch_graph::GraphError;
         let empty = Graph::from_nodes("empty", Vec::new());
-        let c = Compiler::new(presets::tiny(), CompilerOptions::default());
-        match c.compile(&empty) {
+        match compile(CompilerOptions::default(), &empty) {
             Err(CompileError::Graph(GraphError::Empty)) => {}
             other => panic!("expected empty-graph error, got {other:?}"),
         }

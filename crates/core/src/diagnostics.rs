@@ -1,11 +1,10 @@
 //! Structured compilation diagnostics.
 //!
-//! Every compilation driven through a [`crate::Session`] (and therefore
-//! through [`crate::CompileService`] and the deprecated [`crate::Compiler`]
-//! shim) collects typed [`DiagnosticEvent`]s in a [`Diagnostics`] sink
-//! threaded through the [`crate::PipelineCx`]. The events replace the
-//! stringly prose that previously had to be fished out of summary text:
-//! callers match on variants and read counters instead of parsing lines.
+//! Every compilation driven through a [`crate::Session`] collects typed
+//! [`DiagnosticEvent`]s in a [`Diagnostics`] sink threaded through the
+//! [`crate::PipelineCx`]. The events replace the stringly prose that
+//! previously had to be fished out of summary text: callers match on
+//! variants and read counters instead of parsing lines.
 //!
 //! The sink is per-compilation: a [`crate::CompileOutcome`] carries exactly
 //! the events of its own run, and batch outcomes carry one sink per job.

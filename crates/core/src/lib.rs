@@ -37,9 +37,8 @@
 //! [`AllocationCache`], a worker pool for batches
 //! ([`Session::compile_batch`]), deadline/token cancellation
 //! ([`CancelToken`]) and structured [`Diagnostics`] in every
-//! [`CompileOutcome`]. The [`service`] module keeps the job-oriented
-//! [`CompileService`] veneer over the same engine, and the old
-//! [`Compiler`] entry points remain as thin deprecated shims.
+//! [`CompileOutcome`]; the [`service`] module holds what a batch
+//! reports ([`BatchReport`]).
 //!
 //! # Example
 //!
@@ -81,14 +80,14 @@ pub mod verify;
 pub use allocation::AllocationCache;
 pub use artifact::ArtifactError;
 pub use backend::{Backend, BackendKind, CmSwitch, UnknownBackend};
-pub use compiler::{CompiledProgram, Compiler, CompileStats, SegmentPlan};
+pub use compiler::{CompiledProgram, CompileStats, SegmentPlan};
 pub use diagnostics::{DiagnosticEvent, Diagnostics};
 pub use error::CompileError;
 pub use pipeline::{
     compile_with_segmenter, EmitStage, Lowered, LowerStage, Partitioned, PartitionStage,
     PipelineCx, Segmented, SegmentStage, Stage, StageWall,
 };
-pub use service::{BatchJob, BatchOutcome, BatchReport, BatchStats, CompileService, ServiceOptions};
+pub use service::{BatchOutcome, BatchReport, BatchStats};
 pub use session::{CancelToken, CompileOutcome, CompileRequest, Session, SessionBuilder};
 pub use store::{ArtifactStore, StoreFetch, StoreKey, StoreStats};
 pub use verify::{

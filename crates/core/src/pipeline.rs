@@ -13,7 +13,7 @@
 //! Every stage runs through a [`PipelineCx`], which carries the target
 //! architecture, the [`CompilerOptions`], the (optionally shared)
 //! [`AllocationCache`], per-stage wall-clock timings and the solver
-//! counters. [`crate::Compiler`] composes exactly these stages; the
+//! counters. [`crate::CmSwitch`] composes exactly these stages; the
 //! baseline backends (`cmswitch-baselines`) compose the same lower /
 //! partition / emit stages and swap only the segmentation stage, so
 //! every backend pays the same physics and reports the same per-stage
@@ -141,7 +141,7 @@ impl<'a> PipelineCx<'a> {
 
     /// Creates a context whose allocations go through `cache`, which
     /// outlives the compilation and may be shared across models and
-    /// threads (the [`crate::CompileService`] batch path). Ignored when
+    /// threads (the [`crate::Session::compile_batch`] path). Ignored when
     /// `options.reuse_cache` is off.
     pub fn with_shared_cache(
         arch: &'a DualModeArch,

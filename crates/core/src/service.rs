@@ -1,109 +1,51 @@
-//! Batch compilation service: many models, many threads, one
-//! allocation cache.
+//! What a batch compile reports: [`crate::Session::compile_batch`]
+//! returns a [`BatchReport`] — one [`BatchOutcome`] per request, in
+//! submission order, plus aggregate [`BatchStats`].
 //!
 //! Compiling a fleet of models one-by-one wastes the structure the paper
 //! itself points out (§5.6): DNNs — transformers especially — repeat
 //! identical blocks, and identical blocks across *different* models
 //! (BERT-base and BERT-large share layer shapes, LLaMA and OPT share
 //! projection shapes at equal hidden sizes) produce identical per-segment
-//! allocation problems. [`CompileService`] exploits both axes:
+//! allocation problems. The batch engine exploits both axes:
 //!
-//! * **Concurrency** — a batch of named graphs is compiled by a pool of
-//!   `workers` OS threads ([`std::thread::scope`]); jobs are pulled from a
-//!   shared atomic counter, so long models do not convoy short ones.
+//! * **Concurrency** — requests are compiled by a pool of `workers` OS
+//!   threads ([`std::thread::scope`]) pulling from a shared atomic
+//!   counter, so long models do not convoy short ones.
 //! * **Cross-model allocation caching** — every compilation reads and
-//!   writes one shared [`AllocationCache`], keyed by a stable hash of
-//!   `(architecture fingerprint, allocator kind, segment signature)`.
-//!   A segment seen in any earlier model — or earlier batch — skips the
-//!   MIP solve entirely and reuses the identical allocation.
+//!   writes the session's one [`crate::AllocationCache`], keyed by a
+//!   stable hash of `(architecture fingerprint, allocator kind, segment
+//!   signature)`. A segment seen in any earlier model — or earlier
+//!   batch — skips the MIP solve entirely and reuses the identical
+//!   allocation.
 //!
 //! Cached hits return exactly what a fresh solve would have produced, so
-//! results are deterministic: the same batch compiled with 1 or 8 workers,
-//! cold or warm, yields bit-identical schedules. Two workers racing on the
-//! same segment may both solve it (best-effort dedup; both compute the
-//! same value and the insert is idempotent), which costs a duplicated
-//! solve but never correctness.
+//! results are deterministic: the same batch compiled with 1 or 8
+//! workers, cold or warm, yields bit-identical schedules.
 //!
 //! # Example
 //!
 //! ```
 //! use cmswitch_arch::presets;
-//! use cmswitch_core::{BatchJob, CompileService, ServiceOptions};
+//! use cmswitch_core::{CompileRequest, Session};
 //!
-//! let service = CompileService::new(presets::tiny(), ServiceOptions::default());
-//! let jobs = vec![
-//!     BatchJob::new("a", cmswitch_models::mlp::mlp(1, &[64, 64, 64]).unwrap()),
-//!     BatchJob::new("b", cmswitch_models::mlp::mlp(1, &[64, 64, 64]).unwrap()),
+//! let session = Session::builder(presets::tiny()).build();
+//! let requests = vec![
+//!     CompileRequest::new(cmswitch_models::mlp::mlp(1, &[64, 64, 64]).unwrap()).with_label("a"),
+//!     CompileRequest::new(cmswitch_models::mlp::mlp(1, &[64, 64, 64]).unwrap()).with_label("b"),
 //! ];
-//! let report = service.compile_batch(&jobs);
+//! let report = session.compile_batch(&requests);
 //! assert_eq!(report.stats.compiled, 2);
 //! // Model "b" is shape-identical to "a": its segments all hit the cache.
 //! assert!(report.stats.cache_hits > 0);
 //! ```
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use cmswitch_arch::DualModeArch;
-use cmswitch_graph::Graph;
-
-use crate::allocation::AllocationCache;
-use crate::backend::Backend;
 use crate::diagnostics::Diagnostics;
-use crate::session::{BatchItem, CancelToken, Session};
-use crate::{CompileError, CompiledProgram, CompilerOptions};
+use crate::{CompileError, CompiledProgram};
 
-/// Configuration of a [`CompileService`].
-///
-/// The default is auto-sized workers (`0`) and default
-/// [`CompilerOptions`]. `#[non_exhaustive]` with `with_*` setters, so
-/// future fields are non-breaking.
-#[non_exhaustive]
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ServiceOptions {
-    /// Worker threads for batch compilation. `0` means auto: the
-    /// machine's available parallelism, capped at 8.
-    pub workers: usize,
-    /// Options applied to every compilation in the service.
-    pub compiler: CompilerOptions,
-}
-
-impl ServiceOptions {
-    /// Sets the worker-thread count (`0` = auto).
-    #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    /// Sets the per-compilation compiler options.
-    #[must_use]
-    pub fn with_compiler(mut self, compiler: CompilerOptions) -> Self {
-        self.compiler = compiler;
-        self
-    }
-}
-
-/// One named compilation request in a batch.
-#[derive(Debug, Clone)]
-pub struct BatchJob {
-    /// Display name of the model (reported back in [`BatchOutcome`]).
-    pub name: String,
-    /// The graph to compile.
-    pub graph: Graph,
-}
-
-impl BatchJob {
-    /// Creates a job compiling `graph` under `name`.
-    pub fn new(name: impl Into<String>, graph: Graph) -> Self {
-        BatchJob {
-            name: name.into(),
-            graph,
-        }
-    }
-}
-
-/// Result of one job in a batch.
+/// Result of one request in a batch.
 #[non_exhaustive]
 #[derive(Debug)]
 pub struct BatchOutcome {
@@ -119,7 +61,7 @@ pub struct BatchOutcome {
     pub result: Result<CompiledProgram, CompileError>,
 }
 
-/// Aggregate statistics of one [`CompileService::compile_batch`] call.
+/// Aggregate statistics of one [`crate::Session::compile_batch`] call.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BatchStats {
     /// Wall-clock time of the whole batch (all workers).
@@ -136,7 +78,7 @@ pub struct BatchStats {
     /// Allocation-cache misses during the batch — each one went to a
     /// solver. (Measured as the cache's hit/miss delta over the batch,
     /// so if the cache is concurrently shared with *another* running
-    /// service, that service's traffic is attributed here too.)
+    /// session, that session's traffic is attributed here too.)
     pub cache_misses: u64,
     /// MIP solves performed by the batch's *successfully compiled*
     /// models (a model that errors mid-compilation drops its per-model
@@ -276,163 +218,28 @@ impl BatchReport {
     }
 }
 
-/// A compilation service for model fleets: one backend strategy, one
-/// options set, a persistent cross-model [`AllocationCache`], and a
-/// thread pool per batch. A thin job-oriented veneer over [`Session`] —
-/// the session is the primitive; the service keeps the familiar
-/// [`BatchJob`] vocabulary.
-///
-/// The service is **backend-generic**: [`CompileService::with_backend`]
-/// runs a whole baseline fleet (PUMA, OCC, CIM-MLC — any
-/// [`Backend`]) through the same worker pool, cancellation handling
-/// and [`BatchReport`] accounting as CMSwitch itself. (The shared
-/// [`AllocationCache`] speeds up allocator-backed compiles — CMSwitch's
-/// dual-mode MIP/fast solves; the baselines' closed-form all-compute
-/// allocations never consult it.)
-///
-/// The cache persists across [`CompileService::compile_batch`] calls, so
-/// a service that has compiled a fleet once recompiles it (or compiles
-/// shape-related models) mostly from cache — the *warm-cache* path the
-/// `bench_service` benchmark measures. Share one cache between services
-/// targeting different chips freely: keys embed the architecture
-/// fingerprint, so entries never leak across architectures.
-#[derive(Debug)]
-pub struct CompileService {
-    session: Session,
-}
-
-impl CompileService {
-    /// Creates a CMSwitch service for `arch` with a fresh empty cache.
-    pub fn new(arch: DualModeArch, options: ServiceOptions) -> Self {
-        Self::with_cache(arch, options, AllocationCache::new())
-    }
-
-    /// Creates a CMSwitch service reading and writing an existing
-    /// (possibly already warm, possibly shared) cache.
-    pub fn with_cache(
-        arch: DualModeArch,
-        options: ServiceOptions,
-        cache: Arc<AllocationCache>,
-    ) -> Self {
-        CompileService {
-            session: Session::builder(arch)
-                .options(options.compiler)
-                .workers(options.workers)
-                .cache(cache)
-                .build(),
-        }
-    }
-
-    /// Creates a service compiling through an arbitrary [`Backend`]
-    /// strategy (the backend brings its architecture), with a fresh
-    /// cache.
-    pub fn with_backend(backend: Box<dyn Backend>, options: ServiceOptions) -> Self {
-        let arch = backend.arch().clone();
-        CompileService {
-            session: Session::builder(arch)
-                .backend(backend)
-                .options(options.compiler)
-                .workers(options.workers)
-                .build(),
-        }
-    }
-
-    /// Wraps an existing session (any backend, any cache) as a service.
-    pub fn from_session(session: Session) -> Self {
-        CompileService { session }
-    }
-
-    /// The underlying session (the richer request-oriented surface).
-    pub fn session(&self) -> &Session {
-        &self.session
-    }
-
-    /// The target architecture.
-    pub fn arch(&self) -> &DualModeArch {
-        self.session.arch()
-    }
-
-    /// The backend strategy's name.
-    pub fn backend_name(&self) -> &str {
-        self.session.backend_name()
-    }
-
-    /// The worker-thread count used by [`CompileService::compile_batch`].
-    pub fn workers(&self) -> usize {
-        self.session.workers()
-    }
-
-    /// The shared allocation cache (inspect hit counters, pre-warm it, or
-    /// hand it to another service).
-    pub fn cache(&self) -> &Arc<AllocationCache> {
-        self.session.cache()
-    }
-
-    /// Compiles a single graph through the shared cache.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the backend's [`CompileError`].
-    pub fn compile(&self, graph: &Graph) -> Result<CompiledProgram, CompileError> {
-        self.session.compile_graph(graph)
-    }
-
-    /// Compiles a batch of named graphs concurrently.
-    ///
-    /// Jobs are distributed dynamically over the worker pool (an atomic
-    /// work-stealing counter), every job compiles through the shared
-    /// cache, and per-model failures are reported in the job's
-    /// [`BatchOutcome`] without affecting the others. Outcomes are
-    /// returned in submission order regardless of completion order. An
-    /// empty job slice returns an empty report without entering the
-    /// worker pool at all.
-    pub fn compile_batch(&self, jobs: &[BatchJob]) -> BatchReport {
-        let items: Vec<BatchItem<'_>> = jobs
-            .iter()
-            .map(|job| BatchItem {
-                name: &job.name,
-                graph: &job.graph,
-                options: None,
-                cancel: CancelToken::new(),
-            })
-            .collect();
-        self.session.compile_batch_items(&items)
-    }
-}
-
-impl From<Session> for CompileService {
-    fn from(session: Session) -> Self {
-        CompileService::from_session(session)
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{ArtifactStore, Backend, CmSwitch, CompileRequest, Session};
     use cmswitch_arch::presets;
     use cmswitch_models::mlp::mlp;
+    use std::sync::Arc;
 
-    fn service(workers: usize) -> CompileService {
-        CompileService::new(
-            presets::tiny(),
-            ServiceOptions {
-                workers,
-                ..ServiceOptions::default()
-            },
-        )
+    fn session(workers: usize) -> Session {
+        Session::builder(presets::tiny()).workers(workers).build()
     }
 
-    fn fleet() -> Vec<BatchJob> {
+    fn fleet() -> Vec<CompileRequest> {
         vec![
-            BatchJob::new("mlp-a", mlp(1, &[64, 64, 64, 64]).unwrap()),
-            BatchJob::new("mlp-b", mlp(1, &[64, 64, 64, 64]).unwrap()),
-            BatchJob::new("mlp-c", mlp(2, &[128, 256, 128]).unwrap()),
+            CompileRequest::new(mlp(1, &[64, 64, 64, 64]).unwrap()).with_label("mlp-a"),
+            CompileRequest::new(mlp(1, &[64, 64, 64, 64]).unwrap()).with_label("mlp-b"),
+            CompileRequest::new(mlp(2, &[128, 256, 128]).unwrap()).with_label("mlp-c"),
         ]
     }
 
     #[test]
     fn batch_preserves_job_order_and_compiles_all() {
-        let report = service(2).compile_batch(&fleet());
+        let report = session(2).compile_batch(&fleet());
         assert_eq!(
             report.outcomes.iter().map(|o| o.name.as_str()).collect::<Vec<_>>(),
             vec!["mlp-a", "mlp-b", "mlp-c"]
@@ -447,8 +254,7 @@ mod tests {
     fn identical_models_share_allocations() {
         // mlp-b is shape-identical to mlp-a: every one of its segment
         // lookups must hit the cache entry mlp-a populated.
-        let svc = service(1);
-        let report = svc.compile_batch(&fleet());
+        let report = session(1).compile_batch(&fleet());
         let a = report.get("mlp-a").unwrap().result.as_ref().unwrap();
         let b = report.get("mlp-b").unwrap().result.as_ref().unwrap();
         assert!(b.stats.mip_solves + b.stats.fast_solves < a.stats.mip_solves + a.stats.fast_solves);
@@ -459,9 +265,9 @@ mod tests {
 
     #[test]
     fn warm_batch_saves_solver_invocations_and_matches_cold() {
-        let svc = service(2);
-        let cold = svc.compile_batch(&fleet());
-        let warm = svc.compile_batch(&fleet());
+        let session = session(2);
+        let cold = session.compile_batch(&fleet());
+        let warm = session.compile_batch(&fleet());
         assert!(
             warm.stats.solver_invocations() < cold.stats.solver_invocations(),
             "warm {} vs cold {}",
@@ -478,10 +284,10 @@ mod tests {
 
     #[test]
     fn worker_count_does_not_change_results() {
-        let jobs = fleet();
-        let serial = service(1).compile_batch(&jobs);
-        let parallel = service(4).compile_batch(&jobs);
-        assert!(parallel.stats.workers <= 3, "clamped to job count");
+        let requests = fleet();
+        let serial = session(1).compile_batch(&requests);
+        let parallel = session(4).compile_batch(&requests);
+        assert!(parallel.stats.workers <= 3, "clamped to request count");
         for (a, b) in serial.outcomes.iter().zip(&parallel.outcomes) {
             let (a, b) = (a.result.as_ref().unwrap(), b.result.as_ref().unwrap());
             assert_eq!(a.predicted_latency, b.predicted_latency);
@@ -495,7 +301,7 @@ mod tests {
         // plus its embedded warm-start fast solve. The hit rate must be
         // computed over lookups (hits + misses), not solver runs, or it
         // would under-report by up to 2x on the default options.
-        let report = service(1).compile_batch(&fleet());
+        let report = session(1).compile_batch(&fleet());
         let s = &report.stats;
         assert!(s.mip_solves > 0);
         // Every model compiles, so per-model solve sums line up exactly
@@ -512,7 +318,7 @@ mod tests {
 
     #[test]
     fn batch_aggregates_stage_timings() {
-        let report = service(2).compile_batch(&fleet());
+        let report = session(2).compile_batch(&fleet());
         let names: Vec<_> = report.stats.stage_wall.iter().map(|t| t.stage).collect();
         assert_eq!(names, ["lower", "partition", "segment", "emit"]);
         // Aggregated per-stage CPU time equals the sum over models.
@@ -538,70 +344,37 @@ mod tests {
     }
 
     #[test]
-    fn per_model_failure_does_not_sink_batch() {
-        use cmswitch_graph::Graph;
-        let jobs = vec![
-            BatchJob::new("empty", Graph::from_nodes("empty", Vec::new())),
-            BatchJob::new("ok", mlp(1, &[64, 64]).unwrap()),
-        ];
-        let report = service(2).compile_batch(&jobs);
-        assert_eq!(report.stats.compiled, 1);
-        assert_eq!(report.stats.failed, 1);
-        assert!(report.get("empty").unwrap().result.is_err());
-        assert!(report.get("ok").unwrap().result.is_ok());
-        assert!(report.summary().contains("FAILED"));
-    }
-
-    #[test]
-    fn empty_batch_returns_early_without_a_worker_pool() {
-        // Regression: an empty job slice used to enter `thread::scope`
-        // with one clamped worker; it must early-return instead.
-        let report = service(3).compile_batch(&[]);
-        assert!(report.outcomes.is_empty());
-        assert_eq!(report.stats.workers, 0, "no workers for an empty batch");
-        assert_eq!(report.stats.wall, Duration::ZERO);
-        assert_eq!(report.stats.compiled + report.stats.failed, 0);
-        assert_eq!(report.stats.hit_rate(), 0.0);
-    }
-
-    #[test]
     fn generic_backend_service_matches_standalone_compiles() {
-        // The service is backend-generic: a non-default backend (here
-        // CMSwitch constructed explicitly through the generic path) gets
-        // the same pool + cache + report machinery.
-        let backend = crate::CmSwitch::new(presets::tiny());
-        let svc = CompileService::with_backend(
-            Box::new(backend),
-            ServiceOptions::default().with_workers(2),
-        );
-        assert_eq!(svc.backend_name(), "cmswitch");
-        let report = svc.compile_batch(&fleet());
+        // Batches are backend-generic: a backend handed to the builder
+        // explicitly (here CMSwitch through the generic path) gets the
+        // same pool + cache + report machinery as the default one.
+        let session = Session::builder(presets::tiny())
+            .backend(Box::new(CmSwitch::new(presets::tiny())))
+            .workers(2)
+            .build();
+        assert_eq!(session.backend_name(), "cmswitch");
+        let report = session.compile_batch(&fleet());
         assert_eq!(report.stats.compiled, 3);
-        let standalone = crate::Backend::compile(
-            &crate::CmSwitch::new(presets::tiny()),
-            &fleet()[0].graph,
-        )
-        .unwrap();
+        let standalone = CmSwitch::new(presets::tiny())
+            .compile(&fleet()[0].graph)
+            .unwrap();
         let batched = report.get("mlp-a").unwrap().result.as_ref().unwrap();
         assert_eq!(batched.predicted_latency, standalone.predicted_latency);
         assert_eq!(batched.flow, standalone.flow);
-        // Per-job typed diagnostics ride along.
+        // Per-request typed diagnostics ride along.
         assert!(!report.get("mlp-a").unwrap().diagnostics.is_empty());
     }
 
     #[test]
     fn cache_survives_batches_and_is_shareable() {
-        let svc = service(1);
-        let _ = svc.compile_batch(&fleet());
-        let entries = svc.cache().len();
-        assert!(entries > 0);
-        // A second service on the same chip reuses the warm cache.
-        let svc2 = CompileService::with_cache(
-            presets::tiny(),
-            ServiceOptions::default(),
-            Arc::clone(svc.cache()),
-        );
-        let report = svc2.compile_batch(&fleet());
+        let first = session(1);
+        let _ = first.compile_batch(&fleet());
+        assert!(!first.cache().is_empty());
+        // A second session on the same chip reuses the warm cache.
+        let second = Session::builder(presets::tiny())
+            .cache(Arc::clone(first.cache()))
+            .build();
+        let report = second.compile_batch(&fleet());
         assert_eq!(report.stats.mip_solves + report.stats.fast_solves, 0);
         assert_eq!(report.stats.hit_rate(), 1.0);
     }
@@ -613,13 +386,13 @@ mod tests {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = crate::ArtifactStore::open(&dir).unwrap();
-        let svc = CompileService::from_session(
-            Session::builder(presets::tiny()).store(store).workers(1).build(),
-        );
-        let cold = svc.compile_batch(&fleet());
+        let store_session = || {
+            let store = ArtifactStore::open(&dir).unwrap();
+            Session::builder(presets::tiny()).store(store).workers(1).build()
+        };
+        let cold = store_session().compile_batch(&fleet());
         // mlp-a and mlp-b are content-identical, so with one worker the
-        // second job already hits the artifact the first one wrote —
+        // second request already hits the artifact the first one wrote —
         // content addressing dedups even inside a cold batch.
         assert_eq!(cold.stats.store_misses, 2);
         assert_eq!(cold.stats.store_hits, 1);
@@ -633,11 +406,7 @@ mod tests {
 
         // A fresh session on the same directory is a process restart in
         // miniature: every model serves from disk, zero solver work.
-        let store2 = crate::ArtifactStore::open(&dir).unwrap();
-        let svc2 = CompileService::from_session(
-            Session::builder(presets::tiny()).store(store2).workers(1).build(),
-        );
-        let warm = svc2.compile_batch(&fleet());
+        let warm = store_session().compile_batch(&fleet());
         assert_eq!(warm.stats.store_hits, 3);
         assert_eq!(warm.stats.solver_invocations(), 0);
         assert!(warm.summary().contains("served from disk"), "{}", warm.summary());
@@ -646,10 +415,10 @@ mod tests {
 
     #[test]
     fn single_compile_goes_through_cache() {
-        let svc = service(1);
+        let session = session(1);
         let g = mlp(1, &[64, 64, 64]).unwrap();
-        let p1 = svc.compile(&g).unwrap();
-        let p2 = svc.compile(&g).unwrap();
+        let p1 = session.compile_graph(&g).unwrap();
+        let p2 = session.compile_graph(&g).unwrap();
         assert!(p2.stats.mip_solves + p2.stats.fast_solves < p1.stats.mip_solves + p1.stats.fast_solves);
         assert_eq!(p1.predicted_latency, p2.predicted_latency);
     }

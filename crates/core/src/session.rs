@@ -366,16 +366,6 @@ pub struct Session {
     store: Option<Arc<ArtifactStore>>,
 }
 
-/// One borrowed unit of batch work — how both [`Session::compile_batch`]
-/// and [`crate::CompileService::compile_batch`] feed the worker pool
-/// without cloning graphs.
-pub(crate) struct BatchItem<'a> {
-    pub(crate) name: &'a str,
-    pub(crate) graph: &'a Graph,
-    pub(crate) options: Option<&'a CompilerOptions>,
-    pub(crate) cancel: CancelToken,
-}
-
 impl Session {
     /// Starts building a session for `arch`.
     pub fn builder(arch: DualModeArch) -> SessionBuilder {
@@ -437,14 +427,16 @@ impl Session {
     /// valid array count (zero).
     pub fn partitioned(&self, n_arrays: usize) -> Result<Session, cmswitch_arch::ArchError> {
         let sub = self.arch().partition(n_arrays)?;
-        let mut builder = Session::builder(sub)
-            .options(self.options.clone())
-            .workers(self.workers)
-            .cache(Arc::clone(&self.cache));
-        if let Some(store) = &self.store {
-            builder = builder.store(Arc::clone(store));
-        }
-        Ok(builder.build())
+        // Built directly, not through `SessionBuilder::build`: the shared
+        // cache already holds whatever this session promoted from the
+        // store's snapshot.
+        Ok(Session {
+            backend: Box::new(CmSwitch::with_options(sub, self.options.clone())),
+            options: self.options.clone(),
+            workers: self.workers,
+            cache: Arc::clone(&self.cache),
+            store: self.store.clone(),
+        })
     }
 
     /// Writes the allocation cache's current entries to the attached
@@ -486,8 +478,7 @@ impl Session {
     }
 
     /// Compiles a borrowed graph with session defaults, returning just
-    /// the program — the drop-in replacement for the deprecated
-    /// `Compiler::compile` / `compile_with_cache`.
+    /// the program.
     ///
     /// # Errors
     ///
@@ -506,21 +497,7 @@ impl Session {
     /// request up. An empty slice returns an empty report without
     /// spinning up any worker.
     pub fn compile_batch(&self, requests: &[CompileRequest]) -> BatchReport {
-        let items: Vec<BatchItem<'_>> = requests
-            .iter()
-            .map(|r| BatchItem {
-                name: r.display_name(),
-                graph: &r.graph,
-                options: r.options.as_ref(),
-                cancel: r.effective_cancel(),
-            })
-            .collect();
-        self.compile_batch_items(&items)
-    }
-
-    /// The engine under both batch entry points.
-    pub(crate) fn compile_batch_items(&self, items: &[BatchItem<'_>]) -> BatchReport {
-        if items.is_empty() {
+        if requests.is_empty() {
             return BatchReport {
                 outcomes: Vec::new(),
                 stats: BatchStats::default(),
@@ -529,24 +506,27 @@ impl Session {
         let start = Instant::now();
         let (hits_before, misses_before) = (self.cache.hits(), self.cache.misses());
         let store_before = self.store.as_ref().map(|s| s.stats());
-        let workers = self.workers.clamp(1, items.len());
+        let workers = self.workers.clamp(1, requests.len());
+        // Deadlines are armed here, before any worker starts.
+        let cancels: Vec<CancelToken> =
+            requests.iter().map(CompileRequest::effective_cancel).collect();
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<BatchOutcome>>> =
-            items.iter().map(|_| Mutex::new(None)).collect();
+            requests.iter().map(|_| Mutex::new(None)).collect();
 
         thread::scope(|s| {
             for _ in 0..workers {
                 s.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(i) else { break };
+                    let Some(request) = requests.get(i) else { break };
                     let t = Instant::now();
                     let (result, diagnostics) = self.run_one(
-                        item.graph,
-                        item.options.unwrap_or(&self.options),
-                        &item.cancel,
+                        &request.graph,
+                        request.options.as_ref().unwrap_or(&self.options),
+                        &cancels[i],
                     );
                     *slots[i].lock() = Some(BatchOutcome {
-                        name: item.name.to_string(),
+                        name: request.display_name().to_string(),
                         wall: t.elapsed(),
                         diagnostics,
                         result,
@@ -835,7 +815,9 @@ mod tests {
         let report = session.compile_batch(&[]);
         assert!(report.outcomes.is_empty());
         assert_eq!(report.stats.workers, 0, "no worker pool for an empty batch");
+        assert_eq!(report.stats.wall, Duration::ZERO);
         assert_eq!(report.stats.compiled + report.stats.failed, 0);
+        assert_eq!(report.stats.hit_rate(), 0.0);
     }
 
     #[test]
@@ -851,6 +833,7 @@ mod tests {
         assert!(report.get("empty").unwrap().result.is_err());
         assert!(report.get("ok").unwrap().result.is_ok());
         assert!(!report.get("ok").unwrap().diagnostics.is_empty());
+        assert!(report.summary().contains("FAILED"));
     }
 
     #[test]
@@ -867,6 +850,30 @@ mod tests {
         let p_half = half.compile_graph(&graph()).unwrap();
         assert!(p_full.predicted_latency > 0.0);
         assert!(p_half.predicted_latency > 0.0);
+    }
+
+    #[test]
+    fn partitioned_session_does_not_reread_the_alloc_snapshot() {
+        // Regression: `partitioned` used to go through the builder, whose
+        // L2 -> L1 promotion re-read and re-imported the snapshot into the
+        // cache the parent had already promoted — once per tenant.
+        let dir = std::env::temp_dir()
+            .join(format!("cmswitch-session-partition-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ArtifactStore::open(&dir).unwrap();
+        let session = Session::builder(presets::tiny())
+            .store(Arc::clone(&store))
+            .build();
+        session.compile_graph(&graph()).unwrap();
+        assert!(session.persist_alloc_snapshot().unwrap() > 0);
+        let entries = session.cache().len();
+        // A re-read would now trip over garbage and count it.
+        std::fs::write(dir.join("alloc_cache.cmsart"), b"not a snapshot").unwrap();
+        let half = session.partitioned(session.arch().n_arrays() / 2).unwrap();
+        assert_eq!(store.stats().corrupt, 0, "partitioning must not touch the snapshot");
+        assert_eq!(half.cache().len(), entries);
+        assert!(half.store().is_some(), "the partition still shares the store");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

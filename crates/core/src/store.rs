@@ -241,9 +241,11 @@ impl ArtifactStore {
         Ok(())
     }
 
-    /// Counts an artifact that decoded cleanly but was rejected
-    /// downstream (the session's verify-before-serve gate).
+    /// Reclassifies the probe that just returned [`StoreFetch::Hit`] as
+    /// corrupt: the artifact decoded cleanly but was rejected downstream
+    /// (the session's verify-before-serve gate), so nothing was served.
     pub fn record_corrupt(&self) {
+        self.hits.fetch_sub(1, Ordering::Relaxed);
         self.corrupt.fetch_add(1, Ordering::Relaxed);
     }
 

@@ -65,7 +65,7 @@ pub fn build(name: &str, batch: usize, seq: usize) -> Result<Graph, GraphError> 
 
 /// Builds every registered model ([`ALL_MODELS`]) as a named graph — the
 /// model-fleet input for batch compilation (`cmswitch-core`'s
-/// `CompileService`). `batch`/`seq` are passed to [`build`] for each
+/// `Session::compile_batch`). `batch`/`seq` are passed to [`build`] for each
 /// model (decoders get their prefill graph).
 ///
 /// # Errors

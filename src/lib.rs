@@ -51,11 +51,11 @@
 //!
 //! Baseline backends ride the same session (`SessionBackendExt` adds
 //! `.backend_kind(BackendKind::CimMlc)` to the builder), fleets batch
-//! through [`compiler::Session::compile_batch`] or the job-oriented
-//! [`compiler::CompileService`] over a worker pool with one shared
-//! [`compiler::AllocationCache`] (see `examples/batch_compile.rs`), and
-//! a [`compiler::CompileRequest::with_deadline`] aborts a compile
-//! mid-solve with [`compiler::CompileError::Cancelled`].
+//! through [`compiler::Session::compile_batch`] over a worker pool with
+//! one shared [`compiler::AllocationCache`] (see
+//! `examples/batch_compile.rs`), and a
+//! [`compiler::CompileRequest::with_deadline`] aborts a compile mid-solve
+//! with [`compiler::CompileError::Cancelled`].
 //!
 //! Compiled programs persist across processes: attach a
 //! [`compiler::ArtifactStore`] to the session builder and compiles are
@@ -71,18 +71,6 @@
 //! ([`dse::SweepRunner`]), prices each with an analytic area/power
 //! model ([`dse::AreaPowerModel`]) and reports the Pareto frontier over
 //! latency, energy and area (see `examples/dse_frontier.rs`).
-//!
-//! # Migrating from the pre-session API
-//!
-//! The old entry points still work but are deprecated shims:
-//!
-//! * `Compiler::new(arch, options).compile(&g)` →
-//!   `Session::builder(arch).options(options).build().compile_graph(&g)`
-//! * `compiler.compile_with_cache(&g, &cache)` →
-//!   `Session::builder(arch).cache(cache).build().compile_graph(&g)`
-//! * `baselines::by_name(name, arch)` (now returning `Result`) →
-//!   `BackendKind::from_name(name)` + `baselines::backend_for(kind, arch)`,
-//!   or `.backend_kind(kind)` on the session builder.
 
 pub use cmswitch_arch as arch;
 pub use cmswitch_baselines as baselines;
@@ -100,27 +88,21 @@ pub use cmswitch_tensor as tensor;
 /// The items most programs need.
 pub mod prelude {
     pub use cmswitch_arch::{presets, ArrayMode, DualModeArch};
-    #[allow(deprecated)] // `by_name` stays re-exported for compatibility.
-    pub use cmswitch_baselines::{backend_for, by_name, SessionBackendExt};
+    pub use cmswitch_baselines::{backend_for, SessionBackendExt};
     pub use cmswitch_core::{
-        AllocationCache, ArtifactStore, Backend, BackendKind, BatchJob, BatchReport, CancelToken,
-        CompileError, CompileOutcome, CompileRequest, CompileService, CompileStats,
-        CompiledProgram, Compiler, CompilerOptions, DiagnosticEvent, Diagnostics, DpMode,
-        EmitStage, LowerStage, Lint, PartitionStage, PipelineCx, SegmentStage, ServiceOptions,
-        Session, SessionBuilder, Severity, Stage, StoreFetch, StoreKey, UnknownBackend, Verifier,
-        VerifyCx, VerifyFinding, VerifyReport, VerifyStage,
+        AllocationCache, ArtifactStore, Backend, BackendKind, BatchReport, CancelToken,
+        CompileError, CompileOutcome, CompileRequest, CompileStats, CompiledProgram,
+        CompilerOptions, DiagnosticEvent, Diagnostics, DpMode, EmitStage, LowerStage,
+        PartitionStage, PipelineCx, SegmentStage, Session, SessionBuilder, Severity, Stage,
+        StoreFetch, StoreKey, UnknownBackend, Verifier, VerifyReport, VerifyStage,
     };
-    pub use cmswitch_dse::{
-        AreaPowerModel, ChipCost, ParetoFrontier, SweepRecord, SweepReport, SweepRunner,
-        SweepSpace,
-    };
+    pub use cmswitch_dse::{ParetoFrontier, SweepReport, SweepRunner, SweepSpace};
     pub use cmswitch_graph::{Graph, GraphBuilder};
     pub use cmswitch_serve::{CompileServer, ServeReply, ServeRequest, ServerOptions, Ticket};
     pub use cmswitch_metaop::{print_flow, Flow};
     pub use cmswitch_sim::timing::simulate;
     pub use cmswitch_sim::{
-        ChipScheduler, CoSimOptions, DecodeLoop, DecodeOptions, DecodeTenant, EngineReport,
-        EventEngine, SequentialModel, SessionSimExt, SimulationOutcome, TenancyPolicy,
-        TenancyReport, TenantProgram,
+        CoSimOptions, DecodeLoop, DecodeOptions, DecodeTenant, EngineReport, EventEngine,
+        SequentialModel, SessionSimExt, TenancyReport, TenantProgram,
     };
 }

@@ -1,9 +1,7 @@
 //! Smoke test: backend selection exposed through the facade crate —
 //! `BackendKind` parsing, `backend_for` instantiation, the session
-//! builder's by-kind/by-name selection, and the deprecated `by_name`
-//! shim (now returning `Result` with a suggestion-bearing error).
-
-#![allow(deprecated)] // This suite intentionally exercises the `by_name` shim.
+//! builder's by-kind/by-name selection, and the suggestion-bearing
+//! error for unknown names.
 
 use cmswitch::prelude::*;
 
@@ -24,18 +22,20 @@ fn session_builder_selects_backends_by_kind() {
 }
 
 #[test]
-fn by_name_shim_resolves_all_published_backends() {
+fn from_name_resolves_all_published_backends() {
     for name in ["puma", "occ", "cim-mlc", "cmswitch"] {
-        let backend = by_name(name, presets::tiny())
+        let kind = BackendKind::from_name(name)
             .unwrap_or_else(|e| panic!("backend {name:?} must resolve: {e}"));
-        assert_eq!(backend.name(), name);
+        assert_eq!(backend_for(kind, presets::tiny()).name(), name);
+        let session = Session::builder(presets::tiny()).backend_name(name).unwrap().build();
+        assert_eq!(session.backend_name(), name);
     }
 }
 
 #[test]
 fn unknown_names_error_with_the_known_backend_list() {
     for bogus in ["", "gpu", "CMSWITCH", "cim_mlc", "puma "] {
-        let Err(err) = by_name(bogus, presets::tiny()) else {
+        let Err(err) = BackendKind::from_name(bogus) else {
             panic!("unknown backend {bogus:?} must not resolve");
         };
         assert_eq!(err.requested(), bogus);
@@ -44,7 +44,7 @@ fn unknown_names_error_with_the_known_backend_list() {
             msg.contains("known backends: puma, occ, cim-mlc, cmswitch"),
             "error must suggest the known names, got: {msg}"
         );
-        // The same suggestion text backs `BackendKind::from_name`.
-        assert_eq!(BackendKind::from_name(bogus), Err(err));
+        // The same error backs the session builder's by-name selection.
+        assert_eq!(Session::builder(presets::tiny()).backend_name(bogus).err(), Some(err));
     }
 }

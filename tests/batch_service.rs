@@ -1,47 +1,47 @@
-//! Facade-level integration tests for the batch compilation service:
-//! the whole model registry through one `CompileService`, cold and warm.
+//! Facade-level integration tests for batch compilation: the whole
+//! model registry through one `Session::compile_batch`, cold and warm.
 
-use cmswitch::arch::presets;
+use std::sync::Arc;
+
+use cmswitch::arch::{presets, DualModeArch};
 use cmswitch::compiler::{
-    AllocatorKind, BatchJob, CompileService, CompilerOptions, ServiceOptions,
+    AllocationCache, AllocatorKind, CompileRequest, CompilerOptions, Session,
 };
 use cmswitch::models::registry;
 
-fn registry_fleet() -> Vec<BatchJob> {
+fn registry_fleet() -> Vec<CompileRequest> {
     registry::build_all(1, 32)
         .unwrap()
         .into_iter()
-        .map(|(name, graph)| BatchJob::new(name, graph))
+        .map(|(name, graph)| CompileRequest::new(graph).with_label(name))
         .collect()
 }
 
-fn fast_options(workers: usize) -> ServiceOptions {
-    // The fast allocator keeps this affordable in debug builds; caching
-    // semantics are identical to the MIP path (the cache key embeds the
-    // allocator kind), so the cold/warm invocation accounting is the same
-    // property the MIP path has.
-    ServiceOptions::default()
-        .with_workers(workers)
-        .with_compiler(CompilerOptions::default().with_allocator(AllocatorKind::Fast))
-}
-
-fn registry_service(workers: usize) -> CompileService {
-    CompileService::new(presets::dynaplasia(), fast_options(workers))
+/// A session on `arch` over `cache`. The fast allocator keeps this
+/// affordable in debug builds; caching semantics are identical to the
+/// MIP path (the cache key embeds the allocator kind), so the cold/warm
+/// invocation accounting is the same property the MIP path has.
+fn fast_session(arch: DualModeArch, workers: usize, cache: Arc<AllocationCache>) -> Session {
+    Session::builder(arch)
+        .options(CompilerOptions::default().with_allocator(AllocatorKind::Fast))
+        .workers(workers)
+        .cache(cache)
+        .build()
 }
 
 #[test]
 fn warm_registry_batch_strictly_reduces_solver_invocations() {
     let jobs = registry_fleet();
-    let service = registry_service(2);
+    let session = fast_session(presets::dynaplasia(), 2, AllocationCache::new());
 
-    let cold = service.compile_batch(&jobs);
+    let cold = session.compile_batch(&jobs);
     assert_eq!(cold.stats.compiled, jobs.len(), "{}", cold.summary());
     assert_eq!(cold.stats.failed, 0);
     assert!(cold.stats.solver_invocations() > 0);
     // Even cold, intra-model block repetition hits the shared cache.
     assert!(cold.stats.cache_hits > 0);
 
-    let warm = service.compile_batch(&jobs);
+    let warm = session.compile_batch(&jobs);
     assert_eq!(warm.stats.compiled, jobs.len());
     assert!(
         warm.stats.solver_invocations() < cold.stats.solver_invocations(),
@@ -65,35 +65,27 @@ fn warm_registry_batch_strictly_reduces_solver_invocations() {
 #[test]
 fn shared_cache_transfers_between_services_but_not_architectures() {
     // A small fleet is enough to exercise the transfer semantics.
-    let jobs: Vec<BatchJob> = registry_fleet()
+    let jobs: Vec<CompileRequest> = registry_fleet()
         .into_iter()
-        .filter(|j| j.name == "bert-base" || j.name == "mobilenetv2")
+        .filter(|j| matches!(j.display_name(), "bert-base" | "mobilenetv2"))
         .collect();
     assert_eq!(jobs.len(), 2);
 
-    let donor = registry_service(1);
+    let donor = fast_session(presets::dynaplasia(), 1, AllocationCache::new());
     let cold = donor.compile_batch(&jobs);
+    assert!(cold.stats.solver_invocations() > 0);
 
     // Same arch, warm cache handed over: zero solves.
-    let same_arch = CompileService::with_cache(
-        presets::dynaplasia(),
-        fast_options(1),
-        std::sync::Arc::clone(donor.cache()),
-    );
+    let same_arch = fast_session(presets::dynaplasia(), 1, Arc::clone(donor.cache()));
     let transferred = same_arch.compile_batch(&jobs);
     assert_eq!(transferred.stats.solver_invocations(), 0);
 
     // Different arch, same cache object: fingerprints differ, so every
     // prior entry is effectively invalidated and real solves happen.
-    let other_arch = CompileService::with_cache(
-        presets::prime(),
-        fast_options(1),
-        std::sync::Arc::clone(donor.cache()),
-    );
+    let other_arch = fast_session(presets::prime(), 1, Arc::clone(donor.cache()));
     let foreign = other_arch.compile_batch(&jobs);
     assert!(
         foreign.stats.solver_invocations() > 0,
         "a different chip must not reuse allocations sized for another"
     );
-    let _ = cold;
 }

@@ -74,19 +74,19 @@ fn batched_compiles_are_bit_identical_to_sequential_per_backend() {
 }
 
 #[test]
-fn compile_service_is_backend_generic() {
-    // Baseline fleets get the same pool + cache + BatchReport as
-    // CMSwitch through the generic service constructor.
-    let svc = CompileService::with_backend(
-        backend_for(BackendKind::CimMlc, presets::tiny()),
-        ServiceOptions::default().with_workers(2),
-    );
-    assert_eq!(svc.backend_name(), "cim-mlc");
-    let jobs: Vec<BatchJob> = small_graphs()
+fn explicit_backend_gets_the_same_batch_machinery() {
+    // A baseline handed to the builder as a boxed `Backend` gets the
+    // same pool + cache + BatchReport as CMSwitch.
+    let session = Session::builder(presets::tiny())
+        .backend(backend_for(BackendKind::CimMlc, presets::tiny()))
+        .workers(2)
+        .build();
+    assert_eq!(session.backend_name(), "cim-mlc");
+    let requests: Vec<CompileRequest> = small_graphs()
         .into_iter()
-        .map(|(name, g)| BatchJob::new(name, g))
+        .map(|(name, g)| CompileRequest::new(g).with_label(name))
         .collect();
-    let report = svc.compile_batch(&jobs);
+    let report = session.compile_batch(&requests);
     assert_eq!(report.stats.compiled, 3, "{}", report.summary());
     let solo = backend_for(BackendKind::CimMlc, presets::tiny())
         .compile(&small_graphs()[2].1)
@@ -94,15 +94,6 @@ fn compile_service_is_backend_generic() {
     let batched = report.get("mlp-c").unwrap().result.as_ref().unwrap();
     assert_eq!(batched.predicted_latency.to_bits(), solo.predicted_latency.to_bits());
     assert_eq!(batched.flow, solo.flow);
-}
-
-#[test]
-fn empty_service_batch_early_returns() {
-    // Regression for the empty-slice worker-pool bug.
-    let svc = CompileService::new(presets::tiny(), ServiceOptions::default().with_workers(4));
-    let report = svc.compile_batch(&[]);
-    assert!(report.outcomes.is_empty());
-    assert_eq!(report.stats.workers, 0);
 }
 
 #[test]
@@ -222,24 +213,4 @@ fn exhaustive_override_reports_zero_pruning() {
         .unwrap();
     assert_eq!(outcome.stats().dp_windows_pruned, 0);
     assert_eq!(outcome.diagnostics.windows_pruned(), 0);
-}
-
-#[test]
-fn deprecated_compiler_shim_matches_session() {
-    #[allow(deprecated)]
-    let via_shim = {
-        let compiler = Compiler::new(presets::tiny(), CompilerOptions::default());
-        compiler
-            .compile(&cmswitch::models::mlp::mlp(2, &[128, 256, 128]).unwrap())
-            .unwrap()
-    };
-    let via_session = Session::builder(presets::tiny())
-        .build()
-        .compile_graph(&cmswitch::models::mlp::mlp(2, &[128, 256, 128]).unwrap())
-        .unwrap();
-    assert_eq!(
-        via_shim.predicted_latency.to_bits(),
-        via_session.predicted_latency.to_bits()
-    );
-    assert_eq!(via_shim.flow, via_session.flow);
 }

@@ -11,7 +11,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cmswitch::arch::presets;
-use cmswitch::compiler::artifact::encode_program;
 use cmswitch::compiler::verify::mutate;
 use cmswitch::models::registry;
 use cmswitch::prelude::*;
@@ -129,22 +128,23 @@ fn corrupt_artifact_is_recompiled_and_healed() {
 }
 
 /// A well-formed artifact that fails static verification (simulated by
-/// writing a mutated program under the correct key) is rejected before
-/// serving: decoded bytes are never trusted without `core::verify`.
+/// putting a mutated program under the correct key) is rejected before
+/// serving: decoded bytes are never trusted without `core::verify`. The
+/// probe counts once, as corrupt — never as a hit, since nothing was
+/// served — and the cold recompile heals the entry on disk.
 #[test]
 fn verifier_rejected_artifact_is_never_served() {
     let dir = temp_store("verify-reject");
-    let store = ArtifactStore::open(&dir).unwrap();
-    let session = Session::builder(presets::tiny())
-        .store(Arc::clone(&store))
-        .build();
+    let arch = presets::tiny();
     let graph = cmswitch::models::mlp::mlp(2, &[128, 256, 128]).unwrap();
-    let honest = session.compile(CompileRequest::new(graph.clone())).unwrap();
+    let honest = Session::builder(arch.clone())
+        .build()
+        .compile(CompileRequest::new(graph.clone()))
+        .unwrap();
 
     // Craft a checksum-valid but semantically broken artifact: apply
     // the first defect-injection operator that both mutates this
     // program and draws a deny finding.
-    let arch = presets::tiny();
     let verifier = Verifier::new();
     let mutant = mutate::ALL
         .iter()
@@ -152,20 +152,36 @@ fn verifier_rejected_artifact_is_never_served() {
         .find(|p| verifier.run(p, &arch).deny_count() > 0)
         .expect("some mutation operator produces a deny-able program");
     let key = StoreKey::for_compile(&arch, "cmswitch", &CompilerOptions::default(), &graph);
-    std::fs::write(store.program_path(key), encode_program(&mutant)).unwrap();
+    let store = ArtifactStore::open(&dir).unwrap();
+    store.put_program(key, &mutant).unwrap();
 
-    let session = Session::builder(presets::tiny())
+    let session = Session::builder(arch.clone())
         .store(Arc::clone(&store))
         .build();
-    let outcome = session.compile(CompileRequest::new(graph)).unwrap();
+    let outcome = session.compile(CompileRequest::new(graph.clone())).unwrap();
     let (hits, _misses, corrupt) = outcome.diagnostics.store_traffic();
     assert_eq!(hits, 0, "a verifier-rejected artifact must not be served");
     assert_eq!(corrupt, 1, "the rejection must be diagnosed");
-    // And the recompile overwrote the poisoned entry with an honest one.
-    match store.fetch_program(key) {
-        StoreFetch::Hit(p) => assert_eq!(verifier.run(&p, &arch).deny_count(), 0),
-        other => panic!("store should hold a healed artifact, got {other:?}"),
-    }
+    assert!(
+        outcome.diagnostics.events().iter().any(|e| matches!(
+            e,
+            DiagnosticEvent::StoreCorrupt { reason, .. } if reason.starts_with("verify rejected: ")
+        )),
+        "{}",
+        outcome.diagnostics
+    );
+    assert!(outcome.stats().mip_solves + outcome.stats().fast_solves > 0, "cold recompile");
+    assert_eq!(verifier.run(&outcome.program, &arch).deny_count(), 0);
+    // One probe, one count: the store's own counters agree.
+    let stats = store.stats();
+    assert_eq!((stats.hits, stats.corrupt), (0, 1));
+
+    // Healed: the recompile overwrote the poisoned entry, so the next
+    // fresh session serves it from disk without solving.
+    let session = Session::builder(arch).store(store).build();
+    let outcome = session.compile(CompileRequest::new(graph)).unwrap();
+    assert_eq!(outcome.diagnostics.store_traffic(), (1, 0, 0));
+    assert_eq!(outcome.stats().mip_solves + outcome.stats().fast_solves, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
