@@ -1,36 +1,30 @@
 //! Backend selection and session glue for the baseline strategies.
 //!
 //! The [`Backend`] trait and the native [`CmSwitch`] strategy live in
-//! `cmswitch-core` (re-exported here for compatibility); this module
-//! adds what only the baselines crate can provide — instantiating *any*
-//! [`BackendKind`] ([`backend_for`]) and the [`SessionBackendExt`]
-//! sugar that lets a `SessionBuilder` select a backend by kind or name.
+//! `cmswitch-core`; this module adds what only the baselines crate can
+//! provide — instantiating *any* [`BackendKind`] ([`backend_for`]) and
+//! the [`SessionBackendExt`] sugar that lets a `SessionBuilder` select a
+//! backend by kind or name.
 
-use cmswitch_arch::DualModeArch;
-use cmswitch_core::{BackendKind, SessionBuilder, UnknownBackend};
-
-/// Re-exports of the core backend abstraction, for compatibility with
-/// code that imported them from this crate.
-pub use cmswitch_core::{Backend, CmSwitch};
+use cmswitch_core::{Backend, BackendKind, CmSwitch, SessionBuilder, UnknownBackend};
 
 use crate::{CimMlc, Occ, Puma};
 
-/// Instantiates the backend strategy `kind` for `arch`.
+/// Instantiates the backend strategy `kind`.
 ///
 /// To go from a name, parse it with [`BackendKind::from_name`] (whose
 /// error lists the known backends), then instantiate here.
-pub fn backend_for(kind: BackendKind, arch: DualModeArch) -> Box<dyn Backend> {
+pub fn backend_for(kind: BackendKind) -> Box<dyn Backend> {
     match kind {
-        BackendKind::Puma => Box::new(Puma::new(arch)),
-        BackendKind::Occ => Box::new(Occ::new(arch)),
-        BackendKind::CimMlc => Box::new(CimMlc::new(arch)),
-        BackendKind::CmSwitch => Box::new(CmSwitch::new(arch)),
+        BackendKind::Puma => Box::new(Puma),
+        BackendKind::Occ => Box::new(Occ),
+        BackendKind::CimMlc => Box::new(CimMlc),
+        BackendKind::CmSwitch => Box::new(CmSwitch),
     }
 }
 
 /// Backend selection sugar for `SessionBuilder`: pick any published
-/// strategy by [`BackendKind`] or by wire name, instantiated for the
-/// builder's architecture.
+/// strategy by [`BackendKind`] or by wire name.
 ///
 /// ```
 /// use cmswitch_arch::presets;
@@ -58,8 +52,7 @@ pub trait SessionBackendExt: Sized {
 
 impl SessionBackendExt for SessionBuilder {
     fn backend_kind(self, kind: BackendKind) -> Self {
-        let arch = self.arch().clone();
-        self.backend(backend_for(kind, arch))
+        self.backend(backend_for(kind))
     }
 
     fn backend_name(self, name: &str) -> Result<Self, UnknownBackend> {
@@ -76,9 +69,7 @@ mod tests {
     #[test]
     fn backend_for_resolves_every_kind() {
         for kind in BackendKind::ALL {
-            let b = backend_for(kind, presets::tiny());
-            assert_eq!(b.name(), kind.name());
-            assert_eq!(b.arch().name(), presets::tiny().name());
+            assert_eq!(backend_for(kind).name(), kind.name());
         }
     }
 

@@ -9,16 +9,14 @@
 
 use std::collections::HashMap;
 
-use cmswitch_arch::DualModeArch;
 use cmswitch_core::allocation::SegmentAllocation;
 use cmswitch_core::cost::CostModel;
 use cmswitch_core::frontend::OpList;
 use cmswitch_core::pipeline::{compile_with_segmenter, Partitioned, Segmented, Stage};
-use cmswitch_core::{CancelToken, CompileError, CompiledProgram, PipelineCx};
+use cmswitch_core::{Backend, CancelToken, CompileError, CompiledProgram, PipelineCx};
 use cmswitch_graph::Graph;
 
 use crate::common::all_compute_alloc;
-use crate::Backend;
 
 /// CIM-MLC's segmentation policy as a pipeline stage: CMSwitch's Eq. 3
 /// DP over candidate windows, scored with all-compute allocations.
@@ -132,25 +130,12 @@ impl Stage<Partitioned> for CimMlcSegmentStage {
 }
 
 /// The CIM-MLC baseline.
-#[derive(Debug, Clone)]
-pub struct CimMlc {
-    arch: DualModeArch,
-}
-
-impl CimMlc {
-    /// Creates the backend.
-    pub fn new(arch: DualModeArch) -> Self {
-        CimMlc { arch }
-    }
-}
+#[derive(Debug, Clone, Copy)]
+pub struct CimMlc;
 
 impl Backend for CimMlc {
     fn name(&self) -> &str {
         "cim-mlc"
-    }
-
-    fn arch(&self) -> &DualModeArch {
-        &self.arch
     }
 
     fn compile_in(
@@ -168,13 +153,19 @@ impl Backend for CimMlc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Backend, CmSwitch, Occ, Puma};
+    use crate::{BackendKind, SessionBackendExt};
     use cmswitch_arch::presets;
+    use cmswitch_core::Session;
+
+    fn compile(kind: BackendKind, g: &Graph) -> CompiledProgram {
+        let session = Session::builder(presets::tiny()).backend_kind(kind).build();
+        session.compile_graph(g).unwrap()
+    }
 
     #[test]
     fn mlc_is_all_compute() {
         let g = cmswitch_models::mlp::mlp(2, &[256, 256, 128, 64]).unwrap();
-        let p = CimMlc::new(presets::tiny()).compile(&g).unwrap();
+        let p = compile(BackendKind::CimMlc, &g);
         for s in &p.segments {
             assert_eq!(s.alloc.total_memory(), 0, "{:?}", s.alloc);
         }
@@ -184,10 +175,9 @@ mod tests {
     #[test]
     fn mlc_beats_or_matches_greedy_baselines() {
         let g = cmswitch_models::mlp::mlp(2, &[256, 512, 256, 128]).unwrap();
-        let arch = presets::tiny();
-        let mlc = CimMlc::new(arch.clone()).compile(&g).unwrap();
-        let puma = Puma::new(arch.clone()).compile(&g).unwrap();
-        let occ = Occ::new(arch).compile(&g).unwrap();
+        let mlc = compile(BackendKind::CimMlc, &g);
+        let puma = compile(BackendKind::Puma, &g);
+        let occ = compile(BackendKind::Occ, &g);
         assert!(mlc.predicted_latency <= puma.predicted_latency * 1.001);
         assert!(mlc.predicted_latency <= occ.predicted_latency * 1.001);
     }
@@ -198,9 +188,8 @@ mod tests {
         // strict superset of CIM-MLC's space, so it can never be worse
         // under the shared cost model.
         let g = cmswitch_models::mlp::mlp(4, &[256, 512, 256, 128]).unwrap();
-        let arch = presets::tiny();
-        let ours = CmSwitch::new(arch.clone()).compile(&g).unwrap();
-        let mlc = CimMlc::new(arch).compile(&g).unwrap();
+        let ours = compile(BackendKind::CmSwitch, &g);
+        let mlc = compile(BackendKind::CimMlc, &g);
         assert!(
             ours.predicted_latency <= mlc.predicted_latency * 1.01,
             "cmswitch {} vs mlc {}",

@@ -17,9 +17,10 @@
 //!   ASPLOS'24), the paper's main baseline: the same segmentation DP as
 //!   CMSwitch, but restricted to compute-mode-only allocations.
 //!
-//! All backends implement [`Backend`], as does CMSwitch itself via
-//! [`CmSwitch`]. Every baseline is expressed over the *same staged
-//! pipeline* as CMSwitch (`cmswitch_core::pipeline`): it composes the
+//! All backends implement [`cmswitch_core::Backend`], as does CMSwitch
+//! itself via [`cmswitch_core::CmSwitch`]. Every baseline is expressed
+//! over the *same staged pipeline* as CMSwitch
+//! (`cmswitch_core::pipeline`): it composes the
 //! shared `LowerStage` → `PartitionStage` → `EmitStage` chain and swaps
 //! in its own segmentation stage ([`PumaSegmentStage`],
 //! [`OccSegmentStage`], [`CimMlcSegmentStage`]), so backend comparisons
@@ -33,7 +34,7 @@ pub mod common;
 pub mod occ;
 pub mod puma;
 
-pub use backend::{backend_for, Backend, CmSwitch, SessionBackendExt};
+pub use backend::{backend_for, SessionBackendExt};
 pub use cim_mlc::{CimMlc, CimMlcSegmentStage};
 pub use cmswitch_core::{BackendKind, UnknownBackend};
 pub use occ::{Occ, OccSegmentStage};

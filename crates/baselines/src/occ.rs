@@ -1,13 +1,11 @@
 //! OCC-style backend: per-operator tiling with sequential execution
 //! (Siemieniuk et al., TCAD'21).
 
-use cmswitch_arch::DualModeArch;
 use cmswitch_core::pipeline::{compile_with_segmenter, Partitioned, Segmented, Stage};
-use cmswitch_core::{CompileError, CompiledProgram, PipelineCx};
+use cmswitch_core::{Backend, CompileError, CompiledProgram, PipelineCx};
 use cmswitch_graph::Graph;
 
 use crate::common::{all_compute_alloc, greedy_ranges};
-use crate::Backend;
 
 /// OCC's segmentation policy as a pipeline stage: greedy packing with
 /// minimal-tile mapping (no duplication) and *sequential* operator
@@ -46,25 +44,12 @@ impl Stage<Partitioned> for OccSegmentStage {
 }
 
 /// The OCC baseline.
-#[derive(Debug, Clone)]
-pub struct Occ {
-    arch: DualModeArch,
-}
-
-impl Occ {
-    /// Creates the backend.
-    pub fn new(arch: DualModeArch) -> Self {
-        Occ { arch }
-    }
-}
+#[derive(Debug, Clone, Copy)]
+pub struct Occ;
 
 impl Backend for Occ {
     fn name(&self) -> &str {
         "occ"
-    }
-
-    fn arch(&self) -> &DualModeArch {
-        &self.arch
     }
 
     fn compile_in(
@@ -81,15 +66,19 @@ impl Backend for Occ {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::Puma;
+    use crate::{BackendKind, SessionBackendExt};
     use cmswitch_arch::presets;
+    use cmswitch_core::Session;
 
     #[test]
     fn sequential_slower_than_pipelined_puma_per_segment() {
         let g = cmswitch_models::mlp::mlp(4, &[128, 256, 256, 64]).unwrap();
-        let occ = Occ::new(presets::tiny()).compile(&g).unwrap();
-        let puma = Puma::new(presets::tiny()).compile(&g).unwrap();
+        let compile = |kind| {
+            let session = Session::builder(presets::tiny()).backend_kind(kind).build();
+            session.compile_graph(&g).unwrap()
+        };
+        let occ = compile(BackendKind::Occ);
+        let puma = compile(BackendKind::Puma);
         // Both valid; OCC uses minimal tiles only.
         for s in &occ.segments {
             assert_eq!(s.alloc.total_memory(), 0);

@@ -1,13 +1,11 @@
 //! PUMA-style backend: operator duplication + pipeline scheduling over
 //! all-compute arrays (Ankit et al., ASPLOS'19).
 
-use cmswitch_arch::DualModeArch;
 use cmswitch_core::pipeline::{compile_with_segmenter, Partitioned, Segmented, Stage};
-use cmswitch_core::{CompileError, CompiledProgram, PipelineCx};
+use cmswitch_core::{Backend, CompileError, CompiledProgram, PipelineCx};
 use cmswitch_graph::Graph;
 
 use crate::common::{all_compute_alloc, greedy_ranges};
-use crate::Backend;
 
 /// PUMA's segmentation policy as a pipeline stage: greedy packing,
 /// all-compute allocation with weight duplication into leftover arrays,
@@ -44,25 +42,12 @@ impl Stage<Partitioned> for PumaSegmentStage {
 }
 
 /// The PUMA baseline.
-#[derive(Debug, Clone)]
-pub struct Puma {
-    arch: DualModeArch,
-}
-
-impl Puma {
-    /// Creates the backend.
-    pub fn new(arch: DualModeArch) -> Self {
-        Puma { arch }
-    }
-}
+#[derive(Debug, Clone, Copy)]
+pub struct Puma;
 
 impl Backend for Puma {
     fn name(&self) -> &str {
         "puma"
-    }
-
-    fn arch(&self) -> &DualModeArch {
-        &self.arch
     }
 
     fn compile_in(
@@ -81,11 +66,16 @@ impl Backend for Puma {
 mod tests {
     use super::*;
     use cmswitch_arch::presets;
+    use cmswitch_core::Session;
+
+    fn puma() -> Session {
+        Session::builder(presets::tiny()).backend(Box::new(Puma)).build()
+    }
 
     #[test]
     fn compiles_all_compute() {
         let g = cmswitch_models::mlp::mlp(2, &[128, 256, 64]).unwrap();
-        let p = Puma::new(presets::tiny()).compile(&g).unwrap();
+        let p = puma().compile_graph(&g).unwrap();
         for s in &p.segments {
             assert_eq!(s.alloc.total_memory(), 0);
         }
@@ -96,7 +86,7 @@ mod tests {
     #[test]
     fn reports_stage_timings_like_cmswitch() {
         let g = cmswitch_models::mlp::mlp(2, &[128, 256, 64]).unwrap();
-        let p = Puma::new(presets::tiny()).compile(&g).unwrap();
+        let p = puma().compile_graph(&g).unwrap();
         let names: Vec<_> = p.stats.stage_wall.iter().map(|t| t.stage).collect();
         assert_eq!(names, ["lower", "partition", "segment:puma-greedy", "emit"]);
     }

@@ -3,19 +3,20 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use cmswitch_arch::presets;
-use cmswitch_baselines::{backend_for, Backend, BackendKind};
+use cmswitch_arch::{presets, DualModeArch};
+use cmswitch_baselines::{BackendKind, SessionBackendExt};
 use cmswitch_bench::workloads::{build, Workload};
+use cmswitch_core::Session;
 
-fn compile_once(backend: &dyn Backend, w: &Workload) {
-    match w {
-        Workload::Single(g) => {
-            let _ = backend.compile(g).expect("compiles");
-        }
-        Workload::Generative(gen) => {
-            let _ = backend.compile(&gen.prefill).expect("compiles");
-        }
-    }
+/// One cold compile: a fresh session, so no iteration is served from the
+/// previous one's allocation cache.
+fn compile_once(arch: &DualModeArch, kind: BackendKind, w: &Workload) {
+    let graph = match w {
+        Workload::Single(g) => g,
+        Workload::Generative(gen) => &gen.prefill,
+    };
+    let session = Session::builder(arch.clone()).backend_kind(kind).build();
+    let _ = session.compile_graph(graph).expect("compiles");
 }
 
 fn bench_compile(c: &mut Criterion) {
@@ -26,13 +27,10 @@ fn bench_compile(c: &mut Criterion) {
         let Ok(w) = build(model, 1, 64, 64, 0.08, 1) else {
             continue;
         };
-        for backend_name in ["cim-mlc", "cmswitch"] {
-            let backend = backend_for(BackendKind::from_name(backend_name).expect("known backend"), arch.clone());
-            group.bench_with_input(
-                BenchmarkId::new(backend_name, model),
-                &w,
-                |b, w| b.iter(|| compile_once(backend.as_ref(), w)),
-            );
+        for kind in [BackendKind::CimMlc, BackendKind::CmSwitch] {
+            group.bench_with_input(BenchmarkId::new(kind.name(), model), &w, |b, w| {
+                b.iter(|| compile_once(&arch, kind, w))
+            });
         }
     }
     group.finish();

@@ -5,9 +5,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use cmswitch_arch::presets;
-use cmswitch_baselines::{backend_for, BackendKind};
+use cmswitch_baselines::{BackendKind, SessionBackendExt};
 use cmswitch_bench::harness::run_workload;
 use cmswitch_bench::workloads::build;
+use cmswitch_core::Session;
 
 fn bench_e2e(c: &mut Criterion) {
     let arch = presets::dynaplasia();
@@ -20,21 +21,20 @@ fn bench_e2e(c: &mut Criterion) {
         };
         let mut line = format!("  {model}:");
         let mut mlc_cycles = 0.0;
-        for backend_name in ["puma", "occ", "cim-mlc", "cmswitch"] {
-            let backend = backend_for(BackendKind::from_name(backend_name).expect("known backend"), arch.clone());
-            let r = run_workload(backend.as_ref(), &w).expect("runs");
-            if backend_name == "cim-mlc" {
+        for kind in BackendKind::ALL {
+            let session = Session::builder(arch.clone()).backend_kind(kind).build();
+            let r = run_workload(&session, &w).expect("runs");
+            if kind == BackendKind::CimMlc {
                 mlc_cycles = r.cycles;
             }
-            if backend_name == "cmswitch" && mlc_cycles > 0.0 {
+            if kind == BackendKind::CmSwitch && mlc_cycles > 0.0 {
                 line.push_str(&format!(
-                    " {}={:.3e} (speedup vs mlc {:.2}x)",
-                    backend_name,
+                    " {kind}={:.3e} (speedup vs mlc {:.2}x)",
                     r.cycles,
                     mlc_cycles / r.cycles
                 ));
             } else {
-                line.push_str(&format!(" {}={:.3e}", backend_name, r.cycles));
+                line.push_str(&format!(" {kind}={:.3e}", r.cycles));
             }
         }
         eprintln!("{line}");
@@ -46,13 +46,14 @@ fn bench_e2e(c: &mut Criterion) {
         let Ok(w) = build(model, 1, 64, 64, 0.08, 1) else {
             continue;
         };
-        for backend_name in ["cim-mlc", "cmswitch"] {
-            let backend = backend_for(BackendKind::from_name(backend_name).expect("known backend"), arch.clone());
-            group.bench_with_input(
-                BenchmarkId::new(backend_name, model),
-                &w,
-                |b, w| b.iter(|| run_workload(backend.as_ref(), w).expect("runs")),
-            );
+        for kind in [BackendKind::CimMlc, BackendKind::CmSwitch] {
+            // A fresh session per iteration keeps every compile cold.
+            group.bench_with_input(BenchmarkId::new(kind.name(), model), &w, |b, w| {
+                b.iter(|| {
+                    let session = Session::builder(arch.clone()).backend_kind(kind).build();
+                    run_workload(&session, w).expect("runs")
+                })
+            });
         }
     }
     group.finish();

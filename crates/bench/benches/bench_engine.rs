@@ -7,8 +7,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use cmswitch_arch::presets;
-use cmswitch_baselines::{backend_for, BackendKind};
 use cmswitch_bench::workloads::{build, Workload};
+use cmswitch_core::Session;
 use cmswitch_sim::{EventEngine, SequentialModel};
 
 fn bench_engine(c: &mut Criterion) {
@@ -24,8 +24,8 @@ fn bench_engine(c: &mut Criterion) {
             Workload::Single(g) => g.clone(),
             Workload::Generative(gen) => gen.prefill.clone(),
         };
-        let backend = backend_for(BackendKind::CmSwitch, arch.clone());
-        let program = backend.compile(&g).expect("compiles");
+        let session = Session::builder(arch.clone()).build();
+        let program = session.compile_graph(&g).expect("compiles");
         let report = engine.simulate_program(&program, &arch).expect("simulates");
         eprintln!(
             "  {model}: {} events on {} segments, {:.2}% latency hidden by overlap",

@@ -4,8 +4,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use cmswitch_arch::presets;
-use cmswitch_baselines::{backend_for, BackendKind};
 use cmswitch_bench::workloads::{build, Workload};
+use cmswitch_core::Session;
 use cmswitch_sim::timing::simulate;
 
 fn bench_sim(c: &mut Criterion) {
@@ -18,8 +18,8 @@ fn bench_sim(c: &mut Criterion) {
             Workload::Single(g) => g.clone(),
             Workload::Generative(gen) => gen.prefill.clone(),
         };
-        let backend = backend_for(BackendKind::CmSwitch, arch.clone());
-        let program = backend.compile(&g).expect("compiles");
+        let session = Session::builder(arch.clone()).build();
+        let program = session.compile_graph(&g).expect("compiles");
         group.bench_with_input(
             BenchmarkId::new("timing_sim", model),
             &program.flow,

@@ -7,9 +7,8 @@
 
 use cmswitch_arch::presets;
 use cmswitch_baselines::common::greedy_ranges;
-use cmswitch_baselines::{Backend, CmSwitch};
 use cmswitch_core::pipeline::{EmitStage, LowerStage, PartitionStage, Segmented};
-use cmswitch_core::{AllocatorKind, CompilerOptions, PipelineCx};
+use cmswitch_core::{AllocatorKind, CompilerOptions, PipelineCx, Session};
 use cmswitch_graph::Graph;
 use cmswitch_sim::timing::simulate;
 
@@ -59,6 +58,7 @@ fn single_graph(w: &Workload) -> &Graph {
 /// Runs all ablations.
 pub fn run(cfg: &ExpConfig) -> String {
     let arch = presets::dynaplasia();
+    let session = |options: CompilerOptions| Session::builder(arch.clone()).options(options).build();
     let models: &[(&str, usize, usize)] = if cfg.quick {
         &[("bert-large", 64, 0)]
     } else {
@@ -73,8 +73,9 @@ pub fn run(cfg: &ExpConfig) -> String {
             continue;
         };
         let g = single_graph(&w);
-        let dp = CmSwitch::new(arch.clone());
-        let Ok(p) = dp.compile(g) else { continue };
+        let Ok(p) = session(CompilerOptions::default()).compile_graph(g) else {
+            continue;
+        };
         let Ok(dpr) = simulate(&p.flow, &arch) else { continue };
         let Some(greedy) = greedy_dual_mode_cycles(g) else {
             continue;
@@ -95,21 +96,16 @@ pub fn run(cfg: &ExpConfig) -> String {
             continue;
         };
         let g = single_graph(&w);
-        let mip = CmSwitch::with_options(arch.clone(), CompilerOptions::default());
-        let fast = CmSwitch::with_options(
-            arch.clone(),
-            CompilerOptions::default().with_allocator(AllocatorKind::Fast),
-        );
-        let nocache = CmSwitch::with_options(
-            arch.clone(),
-            CompilerOptions::default().with_reuse_cache(false),
-        );
-        // Compile times are noisy; take the best of three runs each.
-        let timed = |b: &CmSwitch| -> Option<(f64, f64)> {
+        let mip = CompilerOptions::default();
+        let fast = CompilerOptions::default().with_allocator(AllocatorKind::Fast);
+        let nocache = CompilerOptions::default().with_reuse_cache(false);
+        // Compile times are noisy; take the best of three runs each, every
+        // run on a fresh session so none is served from a warm cache.
+        let timed = |options: &CompilerOptions| -> Option<(f64, f64)> {
             let mut best = f64::INFINITY;
             let mut latency = 0.0;
             for _ in 0..3 {
-                let p = b.compile(g).ok()?;
+                let p = session(options.clone()).compile_graph(g).ok()?;
                 best = best.min(p.stats.wall.as_secs_f64());
                 latency = p.predicted_latency;
             }
@@ -139,12 +135,9 @@ pub fn run(cfg: &ExpConfig) -> String {
             continue;
         };
         let g = single_graph(&w);
-        let aware = CmSwitch::new(arch.clone());
-        let oblivious = CmSwitch::with_options(
-            arch.clone(),
-            CompilerOptions::default().with_switch_aware(false),
-        );
-        let (Ok(pa), Ok(po)) = (aware.compile(g), oblivious.compile(g)) else {
+        let aware = session(CompilerOptions::default());
+        let oblivious = session(CompilerOptions::default().with_switch_aware(false));
+        let (Ok(pa), Ok(po)) = (aware.compile_graph(g), oblivious.compile_graph(g)) else {
             continue;
         };
         let (Ok(ra), Ok(ro)) = (simulate(&pa.flow, &arch), simulate(&po.flow, &arch)) else {
@@ -171,8 +164,7 @@ mod tests {
         let w = build("bert-base", 1, 32, 0, 0.08, 1).unwrap();
         let g = single_graph(&w);
         let arch = presets::dynaplasia();
-        let dp = CmSwitch::new(arch.clone());
-        let p = dp.compile(g).unwrap();
+        let p = Session::builder(arch.clone()).build().compile_graph(g).unwrap();
         let dpr = simulate(&p.flow, &arch).unwrap();
         let greedy = greedy_dual_mode_cycles(g).unwrap();
         assert!(

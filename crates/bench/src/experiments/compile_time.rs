@@ -2,25 +2,28 @@
 
 use std::time::Instant;
 
-use cmswitch_arch::presets;
-use cmswitch_baselines::{backend_for, Backend, BackendKind};
+use cmswitch_arch::{presets, DualModeArch};
+use cmswitch_baselines::{BackendKind, SessionBackendExt};
+use cmswitch_core::Session;
+use cmswitch_graph::Graph;
 
 use crate::experiments::ExpConfig;
 use crate::table::{ratio, Table};
 use crate::workloads::{build, Workload, FIG14_MODELS};
 
-fn time_compile(backend: &dyn Backend, w: &Workload, reps: usize) -> f64 {
+fn time_compile(arch: &DualModeArch, kind: BackendKind, w: &Workload, reps: usize) -> f64 {
+    // A fresh session per compile: a reused one would serve repeats from
+    // its allocation cache and time the cache, not the compiler.
+    let cold = |g: &Graph| {
+        let _ = Session::builder(arch.clone()).backend_kind(kind).build().compile_graph(g);
+    };
     let start = Instant::now();
     for _ in 0..reps {
         match w {
-            Workload::Single(g) => {
-                let _ = backend.compile(g);
-            }
+            Workload::Single(g) => cold(g),
             Workload::Generative(gen) => {
-                let _ = backend.compile(&gen.prefill);
-                for s in &gen.decode_samples {
-                    let _ = backend.compile(&s.graph);
-                }
+                cold(&gen.prefill);
+                gen.decode_samples.iter().for_each(|s| cold(&s.graph));
             }
         }
     }
@@ -36,10 +39,8 @@ pub fn run(cfg: &ExpConfig) -> String {
         let Ok(w) = build(model, 1, 64, 64, cfg.scale, cfg.decode_samples) else {
             continue;
         };
-        let mlc = backend_for(BackendKind::CimMlc, arch.clone());
-        let ours = backend_for(BackendKind::CmSwitch, arch.clone());
-        let tm = time_compile(mlc.as_ref(), &w, reps);
-        let to = time_compile(ours.as_ref(), &w, reps);
+        let tm = time_compile(&arch, BackendKind::CimMlc, &w, reps);
+        let to = time_compile(&arch, BackendKind::CmSwitch, &w, reps);
         t.row(vec![
             model.to_string(),
             format!("{:.1}", tm * 1e3),
@@ -63,10 +64,8 @@ mod tests {
     fn cmswitch_compiles_slower_but_boundedly() {
         let arch = presets::dynaplasia();
         let w = build("bert-base", 1, 32, 0, 0.08, 1).unwrap();
-        let mlc = backend_for(BackendKind::CimMlc, arch.clone());
-        let ours = backend_for(BackendKind::CmSwitch, arch);
-        let tm = time_compile(mlc.as_ref(), &w, 1);
-        let to = time_compile(ours.as_ref(), &w, 1);
+        let tm = time_compile(&arch, BackendKind::CimMlc, &w, 1);
+        let to = time_compile(&arch, BackendKind::CmSwitch, &w, 1);
         // The dual-mode space is strictly larger, so CMSwitch compiles
         // slower (paper: 2.8x-6.3x under Gurobi; our branch-and-bound in
         // an unoptimized build can be orders of magnitude off in

@@ -2,7 +2,8 @@
 //! across the six benchmark networks and batch sizes.
 
 use cmswitch_arch::presets;
-use cmswitch_baselines::{backend_for, BackendKind};
+use cmswitch_baselines::{BackendKind, SessionBackendExt};
+use cmswitch_core::Session;
 
 use crate::experiments::ExpConfig;
 use crate::harness::{geomean, run_backends};
@@ -12,6 +13,8 @@ use crate::workloads::{build, FIG14_MODELS};
 /// Runs the end-to-end comparison.
 pub fn run(cfg: &ExpConfig) -> String {
     let arch = presets::dynaplasia();
+    let sessions =
+        BackendKind::ALL.map(|kind| Session::builder(arch.clone()).backend_kind(kind).build());
     let batches: &[usize] = if cfg.quick { &[1, 4] } else { &[1, 2, 4, 8] };
     let mut t = Table::new(&[
         "model",
@@ -34,11 +37,7 @@ pub fn run(cfg: &ExpConfig) -> String {
                     continue;
                 }
             };
-            let backends: Vec<_> = ["puma", "occ", "cim-mlc", "cmswitch"]
-                .iter()
-                .map(|n| backend_for(BackendKind::from_name(n).expect("known backend"), arch.clone()))
-                .collect();
-            let results = match run_backends(&backends, &w) {
+            let results = match run_backends(&sessions, &w) {
                 Ok(r) => r,
                 Err(e) => {
                     t.row(vec![model.into(), batch.to_string(), format!("error: {e}"), String::new(), String::new(), String::new(), String::new()]);
@@ -79,10 +78,10 @@ mod tests {
     fn cmswitch_at_least_matches_mlc_on_bert() {
         let arch = presets::dynaplasia();
         let w = build("bert-large", 1, 64, 0, 0.08, 1).unwrap();
-        let mlc = backend_for(BackendKind::CimMlc, arch.clone());
-        let ours = backend_for(BackendKind::CmSwitch, arch);
-        let rm = run_workload(mlc.as_ref(), &w).unwrap();
-        let ro = run_workload(ours.as_ref(), &w).unwrap();
+        let mlc = Session::builder(arch.clone()).backend_kind(BackendKind::CimMlc).build();
+        let ours = Session::builder(arch).backend_kind(BackendKind::CmSwitch).build();
+        let rm = run_workload(&mlc, &w).unwrap();
+        let ro = run_workload(&ours, &w).unwrap();
         assert!(
             ro.cycles <= rm.cycles * 1.02,
             "cmswitch {} vs mlc {}",
@@ -96,10 +95,10 @@ mod tests {
         // The paper's headline case: decode-heavy generative inference.
         let arch = presets::dynaplasia();
         let w = build("opt-13b", 1, 32, 32, 0.05, 1).unwrap();
-        let mlc = backend_for(BackendKind::CimMlc, arch.clone());
-        let ours = backend_for(BackendKind::CmSwitch, arch);
-        let rm = run_workload(mlc.as_ref(), &w).unwrap();
-        let ro = run_workload(ours.as_ref(), &w).unwrap();
+        let mlc = Session::builder(arch.clone()).backend_kind(BackendKind::CimMlc).build();
+        let ours = Session::builder(arch).backend_kind(BackendKind::CmSwitch).build();
+        let rm = run_workload(&mlc, &w).unwrap();
+        let ro = run_workload(&ours, &w).unwrap();
         assert!(
             ro.cycles < rm.cycles,
             "cmswitch {} should beat mlc {} on decode",

@@ -2,7 +2,8 @@
 //! length, and vice versa.
 
 use cmswitch_arch::presets;
-use cmswitch_baselines::{backend_for, BackendKind};
+use cmswitch_baselines::{BackendKind, SessionBackendExt};
+use cmswitch_core::Session;
 
 use crate::experiments::ExpConfig;
 use crate::harness::run_workload;
@@ -12,6 +13,8 @@ use crate::workloads::build;
 /// Runs both sweeps for LLaMA2-7B and OPT-13B.
 pub fn run(cfg: &ExpConfig) -> String {
     let arch = presets::dynaplasia();
+    let mlc = Session::builder(arch.clone()).backend_kind(BackendKind::CimMlc).build();
+    let ours = Session::builder(arch).backend_kind(BackendKind::CmSwitch).build();
     let lens: &[usize] = if cfg.quick {
         &[32, 256]
     } else {
@@ -26,11 +29,9 @@ pub fn run(cfg: &ExpConfig) -> String {
                 let Ok(w) = build(model, 1, inl, outl, cfg.scale, cfg.decode_samples) else {
                     continue;
                 };
-                let mlc = backend_for(BackendKind::CimMlc, arch.clone());
-                let ours = backend_for(BackendKind::CmSwitch, arch.clone());
                 let (rm, ro) = match (
-                    run_workload(mlc.as_ref(), &w),
-                    run_workload(ours.as_ref(), &w),
+                    run_workload(&mlc, &w),
+                    run_workload(&ours, &w),
                 ) {
                     (Ok(a), Ok(b)) => (a, b),
                     _ => continue,

@@ -2,7 +2,8 @@
 //! mode-switch process (Fig. 10 write-back + switch steps) contributes.
 
 use cmswitch_arch::presets;
-use cmswitch_baselines::{backend_for, BackendKind};
+use cmswitch_baselines::{BackendKind, SessionBackendExt};
+use cmswitch_core::Session;
 
 use crate::experiments::ExpConfig;
 use crate::harness::run_workload;
@@ -12,13 +13,13 @@ use crate::workloads::{build, FIG14_MODELS};
 /// Runs the overhead measurement with CMSwitch.
 pub fn run(cfg: &ExpConfig) -> String {
     let arch = presets::dynaplasia();
-    let ours = backend_for(BackendKind::CmSwitch, arch);
+    let ours = Session::builder(arch).backend_kind(BackendKind::CmSwitch).build();
     let mut t = Table::new(&["model", "switch-process share of runtime"]);
     for &model in FIG14_MODELS {
         let Ok(w) = build(model, 1, 64, 64, cfg.scale, cfg.decode_samples) else {
             continue;
         };
-        let Ok(r) = run_workload(ours.as_ref(), &w) else {
+        let Ok(r) = run_workload(&ours, &w) else {
             continue;
         };
         t.row(vec![model.to_string(), percent(r.switch_fraction)]);
@@ -37,9 +38,9 @@ mod tests {
     #[test]
     fn overhead_is_minor() {
         let arch = presets::dynaplasia();
-        let ours = backend_for(BackendKind::CmSwitch, arch);
+        let ours = Session::builder(arch).backend_kind(BackendKind::CmSwitch).build();
         let w = build("bert-base", 1, 64, 0, 0.08, 1).unwrap();
-        let r = run_workload(ours.as_ref(), &w).unwrap();
+        let r = run_workload(&ours, &w).unwrap();
         // The switch process must stay a small fraction of runtime —
         // the §5.5 claim that motivated including it in the DP at all.
         assert!(

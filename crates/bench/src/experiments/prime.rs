@@ -1,7 +1,8 @@
 //! §5.5 scalability: CMSwitch on the PRIME-like ReRAM configuration.
 
 use cmswitch_arch::presets;
-use cmswitch_baselines::{backend_for, BackendKind};
+use cmswitch_baselines::{BackendKind, SessionBackendExt};
+use cmswitch_core::Session;
 
 use crate::experiments::ExpConfig;
 use crate::harness::run_workload;
@@ -12,17 +13,17 @@ use crate::workloads::build;
 /// 1.10x OPT-13B over CIM-MLC).
 pub fn run(cfg: &ExpConfig) -> String {
     let arch = presets::prime();
+    let mlc = Session::builder(arch.clone()).backend_kind(BackendKind::CimMlc).build();
+    let ours = Session::builder(arch).backend_kind(BackendKind::CmSwitch).build();
     let mut t = Table::new(&["model", "speedup vs cim-mlc on PRIME"]);
     for &(model, inl, outl) in &[("bert-large", 64, 0), ("llama2-7b", 64, 64), ("opt-13b", 64, 64)]
     {
         let Ok(w) = build(model, 1, inl, outl, cfg.scale, cfg.decode_samples) else {
             continue;
         };
-        let mlc = backend_for(BackendKind::CimMlc, arch.clone());
-        let ours = backend_for(BackendKind::CmSwitch, arch.clone());
         let (rm, ro) = match (
-            run_workload(mlc.as_ref(), &w),
-            run_workload(ours.as_ref(), &w),
+            run_workload(&mlc, &w),
+            run_workload(&ours, &w),
         ) {
             (Ok(a), Ok(b)) => (a, b),
             _ => continue,
@@ -44,10 +45,10 @@ mod tests {
     fn cmswitch_not_worse_on_prime() {
         let arch = presets::prime();
         let w = build("bert-large", 1, 64, 0, 0.08, 1).unwrap();
-        let mlc = backend_for(BackendKind::CimMlc, arch.clone());
-        let ours = backend_for(BackendKind::CmSwitch, arch);
-        let rm = run_workload(mlc.as_ref(), &w).unwrap();
-        let ro = run_workload(ours.as_ref(), &w).unwrap();
+        let mlc = Session::builder(arch.clone()).backend_kind(BackendKind::CimMlc).build();
+        let ours = Session::builder(arch).backend_kind(BackendKind::CmSwitch).build();
+        let rm = run_workload(&mlc, &w).unwrap();
+        let ro = run_workload(&ours, &w).unwrap();
         assert!(ro.cycles <= rm.cycles * 1.02, "{} vs {}", ro.cycles, rm.cycles);
     }
 }

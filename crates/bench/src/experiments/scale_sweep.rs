@@ -2,7 +2,8 @@
 //! memory-array ratio across sequence lengths and batch sizes.
 
 use cmswitch_arch::presets;
-use cmswitch_baselines::{backend_for, BackendKind};
+use cmswitch_baselines::{BackendKind, SessionBackendExt};
+use cmswitch_core::Session;
 
 use crate::experiments::ExpConfig;
 use crate::harness::run_workload;
@@ -12,6 +13,8 @@ use crate::workloads::{build, FIG16_MODELS};
 /// Runs the sweep.
 pub fn run(cfg: &ExpConfig) -> String {
     let arch = presets::dynaplasia();
+    let mlc = Session::builder(arch.clone()).backend_kind(BackendKind::CimMlc).build();
+    let ours = Session::builder(arch).backend_kind(BackendKind::CmSwitch).build();
     let seqs: &[usize] = if cfg.quick {
         &[32, 128, 512]
     } else {
@@ -32,11 +35,9 @@ pub fn run(cfg: &ExpConfig) -> String {
                 else {
                     continue;
                 };
-                let mlc = backend_for(BackendKind::CimMlc, arch.clone());
-                let ours = backend_for(BackendKind::CmSwitch, arch.clone());
                 let (rm, ro) = match (
-                    run_workload(mlc.as_ref(), &w),
-                    run_workload(ours.as_ref(), &w),
+                    run_workload(&mlc, &w),
+                    run_workload(&ours, &w),
                 ) {
                     (Ok(a), Ok(b)) => (a, b),
                     _ => continue,
@@ -64,12 +65,12 @@ mod tests {
         // ~1.19x at short sequences to ~1.0x beyond 512, where the
         // workload turns compute-bound and both compilers converge.
         let arch = presets::dynaplasia();
-        let ours = backend_for(BackendKind::CmSwitch, arch.clone());
-        let mlc = backend_for(BackendKind::CimMlc, arch);
+        let ours = Session::builder(arch.clone()).backend_kind(BackendKind::CmSwitch).build();
+        let mlc = Session::builder(arch).backend_kind(BackendKind::CimMlc).build();
         let speedup = |seq: usize| {
             let w = build("bert-large", 4, seq, 0, 0.08, 1).unwrap();
-            let ro = run_workload(ours.as_ref(), &w).unwrap();
-            let rm = run_workload(mlc.as_ref(), &w).unwrap();
+            let ro = run_workload(&ours, &w).unwrap();
+            let rm = run_workload(&mlc, &w).unwrap();
             rm.cycles / ro.cycles
         };
         let short = speedup(64);

@@ -2,8 +2,8 @@
 
 use std::time::Duration;
 
-use cmswitch_baselines::Backend;
-use cmswitch_core::CompileError;
+use cmswitch_core::{CompileError, Session};
+use cmswitch_graph::Graph;
 use cmswitch_sim::EventEngine;
 
 use crate::workloads::Workload;
@@ -35,111 +35,78 @@ pub struct RunResult {
     pub switch_fraction: f64,
 }
 
-/// Compiles and simulates `workload` on `backend`, executing the
-/// compiled plan on the event-driven engine (`cmswitch-sim::engine`) so
-/// every backend is scored by the same cycle-level model, pipelining
+/// Compiles `workload` through `session` and simulates it, executing
+/// the compiled plan on the event-driven engine (`cmswitch-sim::engine`)
+/// so every backend is scored by the same cycle-level model, pipelining
 /// and contention included.
 ///
 /// Generative workloads compile the prefill graph and every decode
 /// sample, summing simulated cycles weighted by the steps each sample
-/// represents.
+/// represents; a single graph is one phase of weight 1.
 ///
 /// # Errors
 ///
 /// Propagates [`CompileError`] (simulation failures of validated flows
 /// are compiler bugs and surface as [`CompileError::InvalidFlow`]).
-pub fn run_workload(backend: &dyn Backend, workload: &Workload) -> Result<RunResult, CompileError> {
+pub fn run_workload(session: &Session, workload: &Workload) -> Result<RunResult, CompileError> {
+    let phases: Vec<(&Graph, f64)> = match workload {
+        Workload::Single(graph) => vec![(graph, 1.0)],
+        Workload::Generative(gen) => std::iter::once((&gen.prefill, 1.0))
+            .chain(gen.decode_samples.iter().map(|s| (&s.graph, s.steps)))
+            .collect(),
+    };
     let engine = EventEngine::new();
-    match workload {
-        Workload::Single(graph) => {
-            let program = backend.compile(graph)?;
-            let report = engine
-                .simulate_program(&program, backend.arch())
-                .map_err(CompileError::InvalidFlow)?;
-            Ok(RunResult {
-                backend: backend.name().to_string(),
-                workload: graph.name().to_string(),
-                cycles: report.total_cycles,
-                serialized_cycles: report.serialized_cycles,
-                predicted: program.predicted_latency,
-                compile_time: program.stats.wall,
-                segments: program.stats.n_segments,
-                memory_ratio: program.average_memory_ratio(),
-                switch_fraction: report.switch_process_fraction(),
-            })
+    let mut r = RunResult {
+        backend: session.backend_name().to_string(),
+        workload: workload.name().to_string(),
+        cycles: 0.0,
+        serialized_cycles: 0.0,
+        predicted: 0.0,
+        compile_time: Duration::ZERO,
+        segments: 0,
+        memory_ratio: 0.0,
+        switch_fraction: 0.0,
+    };
+    for (i, (graph, steps)) in phases.into_iter().enumerate() {
+        let program = session.compile_graph(graph)?;
+        let report = engine
+            .simulate_program(&program, session.arch())
+            .map_err(CompileError::InvalidFlow)?;
+        let step_cycles = report.total_cycles * steps;
+        r.cycles += step_cycles;
+        r.serialized_cycles += report.serialized_cycles * steps;
+        r.predicted += program.predicted_latency * steps;
+        r.compile_time += program.stats.wall;
+        if i == 0 {
+            r.segments = program.stats.n_segments;
         }
-        Workload::Generative(gen) => {
-            let mut cycles = 0.0;
-            let mut serialized = 0.0;
-            let mut predicted = 0.0;
-            let mut compile_time = Duration::ZERO;
-            let mut mem_ratio_weighted = 0.0;
-            let mut switch_weighted = 0.0;
-
-            let prefill = backend.compile(&gen.prefill)?;
-            let report = engine
-                .simulate_program(&prefill, backend.arch())
-                .map_err(CompileError::InvalidFlow)?;
-            cycles += report.total_cycles;
-            serialized += report.serialized_cycles;
-            predicted += prefill.predicted_latency;
-            compile_time += prefill.stats.wall;
-            let segments = prefill.stats.n_segments;
-            mem_ratio_weighted += prefill.average_memory_ratio() * report.total_cycles;
-            switch_weighted += report.switch_process_fraction() * report.total_cycles;
-
-            for sample in &gen.decode_samples {
-                let program = backend.compile(&sample.graph)?;
-                let report = engine
-                    .simulate_program(&program, backend.arch())
-                    .map_err(CompileError::InvalidFlow)?;
-                let step_cycles = report.total_cycles * sample.steps;
-                cycles += step_cycles;
-                serialized += report.serialized_cycles * sample.steps;
-                predicted += program.predicted_latency * sample.steps;
-                compile_time += program.stats.wall;
-                mem_ratio_weighted += program.average_memory_ratio() * step_cycles;
-                switch_weighted += report.switch_process_fraction() * step_cycles;
-            }
-            Ok(RunResult {
-                backend: backend.name().to_string(),
-                workload: gen.name.clone(),
-                predicted,
-                compile_time,
-                segments,
-                memory_ratio: if cycles > 0.0 {
-                    mem_ratio_weighted / cycles
-                } else {
-                    0.0
-                },
-                switch_fraction: if cycles > 0.0 {
-                    switch_weighted / cycles
-                } else {
-                    0.0
-                },
-                serialized_cycles: serialized,
-                cycles,
-            })
-        }
+        r.memory_ratio += program.average_memory_ratio() * step_cycles;
+        r.switch_fraction += report.switch_process_fraction() * step_cycles;
     }
+    if r.cycles > 0.0 {
+        r.memory_ratio /= r.cycles;
+        r.switch_fraction /= r.cycles;
+    }
+    Ok(r)
 }
 
-/// Runs `workload` through several backends, returning results in the
-/// same order. Backends run in parallel (scoped threads).
+/// Runs `workload` through several sessions (one per backend),
+/// returning results in the same order. Sessions run in parallel
+/// (scoped threads).
 ///
 /// # Errors
 ///
 /// Propagates the first [`CompileError`] encountered.
 pub fn run_backends(
-    backends: &[Box<dyn Backend>],
+    sessions: &[Session],
     workload: &Workload,
 ) -> Result<Vec<RunResult>, CompileError> {
     let mut slots: Vec<Option<Result<RunResult, CompileError>>> =
-        (0..backends.len()).map(|_| None).collect();
+        (0..sessions.len()).map(|_| None).collect();
     std::thread::scope(|s| {
-        for (slot, backend) in slots.iter_mut().zip(backends) {
+        for (slot, session) in slots.iter_mut().zip(sessions) {
             s.spawn(move || {
-                *slot = Some(run_workload(backend.as_ref(), workload));
+                *slot = Some(run_workload(session, workload));
             });
         }
     });
@@ -170,14 +137,13 @@ mod tests {
     use super::*;
     use crate::workloads::build;
     use cmswitch_arch::presets;
-    use cmswitch_baselines::{backend_for, BackendKind};
+    use cmswitch_baselines::{BackendKind, SessionBackendExt};
 
     #[test]
     fn runs_single_and_generative() {
-        let arch = presets::dynaplasia();
-        let backend = backend_for(BackendKind::CmSwitch, arch);
+        let session = Session::builder(presets::dynaplasia()).build();
         let w = build("bert-base", 1, 16, 0, 0.1, 1).unwrap();
-        let r = run_workload(backend.as_ref(), &w).unwrap();
+        let r = run_workload(&session, &w).unwrap();
         assert!(r.cycles > 0.0);
         assert!(
             r.cycles <= r.serialized_cycles,
@@ -186,7 +152,7 @@ mod tests {
             r.serialized_cycles
         );
         let w = build("llama2-7b", 1, 8, 8, 0.06, 1).unwrap();
-        let r = run_workload(backend.as_ref(), &w).unwrap();
+        let r = run_workload(&session, &w).unwrap();
         assert!(r.cycles > 0.0);
         assert!(r.cycles <= r.serialized_cycles);
         assert!(r.memory_ratio >= 0.0 && r.memory_ratio <= 1.0);
@@ -201,16 +167,11 @@ mod tests {
     #[test]
     fn parallel_backends_agree_with_serial() {
         let arch = presets::dynaplasia();
-        let backends: Vec<_> = ["cim-mlc", "cmswitch"]
-            .iter()
-            .map(|n| backend_for(BackendKind::from_name(n).expect("known backend"), arch.clone()))
-            .collect();
+        let sessions = [BackendKind::CimMlc, BackendKind::CmSwitch]
+            .map(|kind| Session::builder(arch.clone()).backend_kind(kind).build());
         let w = build("bert-base", 1, 16, 0, 0.1, 1).unwrap();
-        let par = run_backends(&backends, &w).unwrap();
-        let ser: Vec<_> = backends
-            .iter()
-            .map(|b| run_workload(b.as_ref(), &w).unwrap())
-            .collect();
+        let par = run_backends(&sessions, &w).unwrap();
+        let ser: Vec<_> = sessions.iter().map(|s| run_workload(s, &w).unwrap()).collect();
         for (p, s) in par.iter().zip(&ser) {
             assert_eq!(p.backend, s.backend);
             assert!((p.cycles - s.cycles).abs() < 1e-6 * s.cycles.max(1.0));

@@ -1,49 +1,36 @@
 //! The backend abstraction: compilation strategies over the shared
 //! staged pipeline.
 //!
-//! A [`Backend`] is a *strategy* — it decides how the standard stages
-//! ([`crate::LowerStage`] → [`crate::PartitionStage`] → a segmentation
-//! stage → [`crate::EmitStage`]) compose for one compilation, while the
-//! environment (architecture, options, allocation cache, cancellation,
-//! diagnostics) is carried by the [`crate::PipelineCx`] the caller
-//! prepares. That split is what lets a [`crate::Session`] serve *any*
-//! backend — CMSwitch itself or the paper's PUMA / OCC / CIM-MLC
-//! baselines (`cmswitch-baselines`) — with the same worker pool, shared
-//! cache and deadline handling.
+//! A [`Backend`] is a stateless *strategy* — it decides how the standard
+//! stages ([`crate::LowerStage`] → [`crate::PartitionStage`] → a
+//! segmentation stage → [`crate::EmitStage`]) compose for one
+//! compilation, while the environment (architecture, options, allocation
+//! cache, cancellation, diagnostics) is owned by the [`crate::Session`]
+//! and handed over in a [`crate::PipelineCx`]. That split is what lets a
+//! session serve *any* backend — CMSwitch itself or the paper's PUMA /
+//! OCC / CIM-MLC baselines (`cmswitch-baselines`) — with the same worker
+//! pool, shared cache and deadline handling.
 //!
 //! [`CmSwitch`] is the native dual-mode-aware strategy; the baseline
 //! strategies live in `cmswitch-baselines` and are selected by
 //! [`BackendKind`] through that crate's `backend_for`.
 
 use std::fmt;
-use std::time::Instant;
 
-use cmswitch_arch::DualModeArch;
 use cmswitch_graph::Graph;
 
 use crate::compiler::CompiledProgram;
 use crate::pipeline::{compile_with_segmenter, PipelineCx, SegmentStage};
-use crate::{CompileError, CompilerOptions};
+use crate::CompileError;
 
 /// A compilation strategy producing a full [`CompiledProgram`].
 ///
 /// Implemented by the three baselines (`cmswitch-baselines`) and by
-/// CMSwitch itself ([`CmSwitch`]), so sessions, batch services and the
+/// CMSwitch itself ([`CmSwitch`]), so sessions, batches and the
 /// experiment harness sweep over backends uniformly.
 pub trait Backend: Send + Sync {
     /// Short backend name (`puma`, `occ`, `cim-mlc`, `cmswitch`).
     fn name(&self) -> &str;
-
-    /// The architecture this backend targets.
-    fn arch(&self) -> &DualModeArch;
-
-    /// The options this backend applies when compiled standalone via
-    /// [`Backend::compile`]. A [`crate::Session`] ignores this and
-    /// supplies its own (or the request's) options through the
-    /// [`PipelineCx`].
-    fn default_options(&self) -> CompilerOptions {
-        CompilerOptions::default()
-    }
 
     /// Compiles `graph` through a caller-prepared pipeline context.
     ///
@@ -62,56 +49,16 @@ pub trait Backend: Send + Sync {
         cx: &mut PipelineCx<'_>,
         graph: &Graph,
     ) -> Result<CompiledProgram, CompileError>;
-
-    /// Compiles `graph` standalone: a fresh private context with
-    /// [`Backend::default_options`], no shared cache, no cancellation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CompileError`] for infeasible or malformed inputs.
-    fn compile(&self, graph: &Graph) -> Result<CompiledProgram, CompileError> {
-        let options = self.default_options();
-        let start = Instant::now();
-        let mut cx = PipelineCx::new(self.arch(), &options);
-        let mut program = self.compile_in(&mut cx, graph)?;
-        let _ = cx.finalize(&mut program.stats);
-        program.stats.wall = start.elapsed();
-        Ok(program)
-    }
 }
 
 /// CMSwitch's dual-mode-aware strategy as a [`Backend`]: the standard
 /// four stages with the Eq. 3 segmentation DP.
-#[derive(Debug, Clone)]
-pub struct CmSwitch {
-    arch: DualModeArch,
-    options: CompilerOptions,
-}
-
-impl CmSwitch {
-    /// Creates the backend with default compiler options.
-    pub fn new(arch: DualModeArch) -> Self {
-        Self::with_options(arch, CompilerOptions::default())
-    }
-
-    /// Creates the backend with explicit standalone options (used by
-    /// [`Backend::compile`]; sessions supply their own).
-    pub fn with_options(arch: DualModeArch, options: CompilerOptions) -> Self {
-        CmSwitch { arch, options }
-    }
-}
+#[derive(Debug, Clone, Copy)]
+pub struct CmSwitch;
 
 impl Backend for CmSwitch {
     fn name(&self) -> &str {
         "cmswitch"
-    }
-
-    fn arch(&self) -> &DualModeArch {
-        &self.arch
-    }
-
-    fn default_options(&self) -> CompilerOptions {
-        self.options.clone()
     }
 
     fn compile_in(
@@ -126,8 +73,8 @@ impl Backend for CmSwitch {
 /// The published backend strategies, as a closed selector.
 ///
 /// [`BackendKind::from_name`] parses the wire names; the actual
-/// instantiation for a given architecture lives in `cmswitch-baselines`
-/// (`backend_for`), which owns the baseline implementations.
+/// instantiation lives in `cmswitch-baselines` (`backend_for`), which
+/// owns the baseline implementations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendKind {
     /// PUMA-style duplication + pipelining (Ankit et al., ASPLOS'19).
@@ -219,11 +166,13 @@ mod tests {
     #[test]
     fn cmswitch_backend_compiles() {
         let g = cmswitch_models::mlp::mlp(2, &[128, 256, 64]).unwrap();
-        let b = CmSwitch::new(presets::tiny());
-        let p = b.compile(&g).unwrap();
+        let session = crate::Session::builder(presets::tiny())
+            .backend(Box::new(CmSwitch))
+            .build();
+        let p = session.compile_graph(&g).unwrap();
         assert!(p.predicted_latency > 0.0);
-        assert_eq!(b.name(), "cmswitch");
-        assert_eq!(b.arch().name(), presets::tiny().name());
+        assert_eq!(session.backend_name(), "cmswitch");
+        assert_eq!(session.arch().name(), presets::tiny().name());
     }
 
     #[test]

@@ -31,6 +31,14 @@ pub enum CompileError {
     /// ([`CompilerOptions::with_verify`](crate::CompilerOptions::with_verify));
     /// the full report is attached.
     VerifyRejected(Box<crate::verify::VerifyReport>),
+    /// The backend strategy panicked; the [`crate::Session`] contained
+    /// the unwind, so only this request fails.
+    BackendPanicked {
+        /// The strategy's [`crate::Backend::name`].
+        backend: String,
+        /// The panic payload, when it was a string.
+        message: String,
+    },
 }
 
 impl fmt::Display for CompileError {
@@ -57,6 +65,9 @@ impl fmt::Display for CompileError {
                 report.deny_count(),
                 report.warn_count()
             ),
+            CompileError::BackendPanicked { backend, message } => {
+                write!(f, "backend {backend} panicked: {message}")
+            }
         }
     }
 }

@@ -220,7 +220,7 @@ impl BatchReport {
 
 #[cfg(test)]
 mod tests {
-    use crate::{ArtifactStore, Backend, CmSwitch, CompileRequest, Session};
+    use crate::{ArtifactStore, CmSwitch, CompileRequest, Session};
     use cmswitch_arch::presets;
     use cmswitch_models::mlp::mlp;
     use std::sync::Arc;
@@ -349,14 +349,15 @@ mod tests {
         // explicitly (here CMSwitch through the generic path) gets the
         // same pool + cache + report machinery as the default one.
         let session = Session::builder(presets::tiny())
-            .backend(Box::new(CmSwitch::new(presets::tiny())))
+            .backend(Box::new(CmSwitch))
             .workers(2)
             .build();
         assert_eq!(session.backend_name(), "cmswitch");
         let report = session.compile_batch(&fleet());
         assert_eq!(report.stats.compiled, 3);
-        let standalone = CmSwitch::new(presets::tiny())
-            .compile(&fleet()[0].graph)
+        let standalone = Session::builder(presets::tiny())
+            .build()
+            .compile_graph(&fleet()[0].graph)
             .unwrap();
         let batched = report.get("mlp-a").unwrap().result.as_ref().unwrap();
         assert_eq!(batched.predicted_latency, standalone.predicted_latency);

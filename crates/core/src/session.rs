@@ -44,6 +44,7 @@
 //! ```
 
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -251,12 +252,6 @@ pub struct SessionBuilder {
 }
 
 impl SessionBuilder {
-    /// The architecture this builder targets (used to instantiate the
-    /// default backend, and by backend-selection extension traits).
-    pub fn arch(&self) -> &DualModeArch {
-        &self.arch
-    }
-
     /// Sets the session-default compiler options (each request may still
     /// override them via [`CompileRequest::with_options`]).
     #[must_use]
@@ -265,10 +260,8 @@ impl SessionBuilder {
         self
     }
 
-    /// Selects the backend strategy. The backend's own architecture
-    /// wins over the builder's (use `cmswitch-baselines::backend_for`
-    /// with the builder's [`SessionBuilder::arch`] to keep them equal —
-    /// its `SessionBackendExt` does exactly that). Defaults to
+    /// Selects the backend strategy (any `cmswitch-baselines::backend_for`
+    /// kind, or that crate's `SessionBackendExt` sugar). Defaults to
     /// [`CmSwitch`].
     #[must_use]
     pub fn backend(mut self, backend: Box<dyn Backend>) -> Self {
@@ -317,12 +310,10 @@ impl SessionBuilder {
 
     /// Builds the session.
     pub fn build(self) -> Session {
-        let backend = self.backend.unwrap_or_else(|| {
-            Box::new(CmSwitch::with_options(
-                self.arch.clone(),
-                self.options.clone(),
-            ))
-        });
+        let backend: Arc<dyn Backend> = match self.backend {
+            Some(backend) => Arc::from(backend),
+            None => Arc::new(CmSwitch),
+        };
         let workers = if self.workers == 0 {
             thread::available_parallelism().map_or(1, |n| n.get().min(8))
         } else {
@@ -335,6 +326,7 @@ impl SessionBuilder {
             store.load_alloc_snapshot(&cache);
         }
         Session {
+            arch: self.arch,
             backend,
             options: self.options,
             workers,
@@ -359,7 +351,8 @@ impl fmt::Debug for SessionBuilder {
 /// options default, a persistent cross-model [`AllocationCache`] and a
 /// worker pool for batches. See the [module docs](self).
 pub struct Session {
-    backend: Box<dyn Backend>,
+    arch: DualModeArch,
+    backend: Arc<dyn Backend>,
     options: CompilerOptions,
     workers: usize,
     cache: Arc<AllocationCache>,
@@ -379,9 +372,9 @@ impl Session {
         }
     }
 
-    /// The target architecture (the backend's).
+    /// The target architecture.
     pub fn arch(&self) -> &DualModeArch {
-        self.backend.arch()
+        &self.arch
     }
 
     /// The backend strategy's name.
@@ -418,20 +411,21 @@ impl Session {
     /// and artifact store, so re-planning a tenant mid-flight is near
     /// solve-free once warm (cache keys embed the sub-chip fingerprint,
     /// keeping partition sizes from cross-contaminating). It keeps the
-    /// session-default [`CompilerOptions`] but always compiles with the
-    /// default CMSwitch backend, targeted at the sub-chip.
+    /// session's backend and default [`CompilerOptions`], targeted at
+    /// the sub-chip.
     ///
     /// # Errors
     ///
     /// Propagates [`cmswitch_arch::ArchError`] when `n_arrays` is not a
     /// valid array count (zero).
     pub fn partitioned(&self, n_arrays: usize) -> Result<Session, cmswitch_arch::ArchError> {
-        let sub = self.arch().partition(n_arrays)?;
+        let arch = self.arch.partition(n_arrays)?;
         // Built directly, not through `SessionBuilder::build`: the shared
         // cache already holds whatever this session promoted from the
         // store's snapshot.
         Ok(Session {
-            backend: Box::new(CmSwitch::with_options(sub, self.options.clone())),
+            arch,
+            backend: Arc::clone(&self.backend),
             options: self.options.clone(),
             workers: self.workers,
             cache: Arc::clone(&self.cache),
@@ -600,9 +594,10 @@ impl Session {
         cancel: &CancelToken,
     ) -> (Result<CompiledProgram, CompileError>, Diagnostics) {
         let start = Instant::now();
-        let key = self.store.is_some().then(|| {
-            StoreKey::for_compile(self.backend.arch(), self.backend.name(), options, graph)
-        });
+        let key = self
+            .store
+            .is_some()
+            .then(|| StoreKey::for_compile(&self.arch, self.backend.name(), options, graph));
         let mut store_events: Vec<DiagnosticEvent> = Vec::new();
         if let (Some(store), Some(key)) = (&self.store, key) {
             match store.fetch_program(key) {
@@ -611,7 +606,7 @@ impl Session {
                     // Never serve an unverified artifact: the checksum
                     // catches bit rot, the verifier catches stale or
                     // semantically unsound plans.
-                    let report = Verifier::new().run(&program, self.backend.arch());
+                    let report = Verifier::new().run(&program, &self.arch);
                     if report.deny_count() == 0 {
                         let mut diagnostics = Diagnostics::new();
                         diagnostics.push(DiagnosticEvent::StoreHit { key: key.hash() });
@@ -656,13 +651,28 @@ impl Session {
                 }
             }
         }
-        let mut cx =
-            PipelineCx::with_shared_cache(self.backend.arch(), options, Arc::clone(&self.cache))
-                .with_cancel(cancel.clone());
+        let mut cx = PipelineCx::with_shared_cache(&self.arch, options, Arc::clone(&self.cache))
+            .with_cancel(cancel.clone());
         for event in store_events {
             cx.emit(event);
         }
-        match self.backend.compile_in(&mut cx, graph) {
+        // The one unwind barrier between a strategy and the server
+        // worker or batch thread running it: a panic fails this request
+        // only. `cx` is dropped for its diagnostics alone afterwards, and
+        // the cache's in-flight marks release themselves on unwind.
+        let result = catch_unwind(AssertUnwindSafe(|| self.backend.compile_in(&mut cx, graph)))
+            .unwrap_or_else(|payload| {
+                let message = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string panic payload".to_string());
+                Err(CompileError::BackendPanicked {
+                    backend: self.backend.name().to_string(),
+                    message,
+                })
+            });
+        match result {
             Ok(mut program) => {
                 let diagnostics = cx.finalize(&mut program.stats);
                 program.stats.wall = start.elapsed();
@@ -682,7 +692,7 @@ impl fmt::Debug for Session {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Session")
             .field("backend", &self.backend.name())
-            .field("arch", &self.backend.arch().name())
+            .field("arch", &self.arch.name())
             .field("options", &self.options)
             .field("workers", &self.workers)
             .field("cache_entries", &self.cache.len())

@@ -302,7 +302,11 @@ impl ArtifactStore {
     }
 
     fn write_atomic(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+        // Unique per write, not per process: threads that write one key
+        // concurrently must not truncate each other's temp file.
+        static WRITE_SEQ: AtomicU64 = AtomicU64::new(0);
+        let seq = WRITE_SEQ.fetch_add(1, Ordering::Relaxed);
+        let tmp = path.with_extension(format!("tmp.{}.{seq}", std::process::id()));
         fs::write(&tmp, bytes)?;
         fs::rename(&tmp, path)
     }

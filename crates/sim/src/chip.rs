@@ -43,8 +43,24 @@ impl ChipState {
     /// # Errors
     ///
     /// Returns [`MetaOpError::ModeViolation`] when a statement uses an
-    /// array in the wrong mode.
+    /// array in the wrong mode, or names an array the chip does not have
+    /// (flows are public input: parsed text, or a program compiled for a
+    /// larger chip).
     pub fn apply(&mut self, stmt: &Stmt, stmt_idx: usize) -> Result<(), MetaOpError> {
+        let n_arrays = self.modes.len();
+        let mut stray = None;
+        stmt.for_each_array(&mut |a| {
+            if a.index() >= n_arrays {
+                stray.get_or_insert(a);
+            }
+        });
+        if let Some(array) = stray {
+            return Err(MetaOpError::ModeViolation {
+                array,
+                stmt: stmt_idx,
+                detail: format!("array id out of range: the chip has {n_arrays} arrays"),
+            });
+        }
         match stmt {
             Stmt::Switch { kind, arrays } => {
                 for &a in arrays {

@@ -246,7 +246,8 @@ mod tests {
     fn cmswitch_saves_energy_vs_all_compute_on_bandwidth_bound_work() {
         // The §3.2 energy-efficiency claim, checked end-to-end: compile a
         // bandwidth-hungry model both ways and compare energy.
-        use cmswitch_baselines::{Backend, CimMlc, CmSwitch};
+        use cmswitch_baselines::{BackendKind, SessionBackendExt};
+        use cmswitch_core::Session;
         let arch = presets::dynaplasia();
         let cfg = cmswitch_models::transformer::TransformerConfig {
             name: "tiny-opt".into(),
@@ -259,8 +260,12 @@ mod tests {
             lm_head: false,
         };
         let g = cmswitch_models::transformer::stack(&cfg, 4, 64).unwrap();
-        let ours = CmSwitch::new(arch.clone()).compile(&g).unwrap();
-        let mlc = CimMlc::new(arch.clone()).compile(&g).unwrap();
+        let ours = Session::builder(arch.clone()).build().compile_graph(&g).unwrap();
+        let mlc = Session::builder(arch.clone())
+            .backend_kind(BackendKind::CimMlc)
+            .build()
+            .compile_graph(&g)
+            .unwrap();
         let m = EnergyModel::default();
         let e_ours = estimate(&ours.flow, &arch, &m).total_pj();
         let e_mlc = estimate(&mlc.flow, &arch, &m).total_pj();

@@ -11,10 +11,9 @@
 //! cargo run --release --example llm_inference
 //! ```
 
-use cmswitch::arch::presets;
-use cmswitch::baselines::{backend_for, BackendKind};
 use cmswitch::bench::harness::run_workload;
 use cmswitch::bench::workloads::build;
+use cmswitch::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let arch = presets::dynaplasia();
@@ -29,8 +28,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut rows = Vec::new();
     for kind in BackendKind::ALL {
-        let backend = backend_for(kind, arch.clone());
-        let r = run_workload(backend.as_ref(), &workload)?;
+        let session = Session::builder(arch.clone()).backend_kind(kind).build();
+        let r = run_workload(&session, &workload)?;
         println!(
             "{:>9}: {:>12.0} cycles   memory-array ratio {:>5.1}%   compile {:?}",
             kind.name(),

@@ -123,7 +123,7 @@ fn snapshot_items_exist_and_have_expected_shapes() {
     use cmswitch::prelude::*;
 
     fn assert_backend<T: Backend>() {}
-    assert_backend::<cmswitch::baselines::CmSwitch>();
+    assert_backend::<cmswitch::compiler::CmSwitch>();
     assert_backend::<cmswitch::baselines::Puma>();
 
     let _kinds: [BackendKind; 4] = BackendKind::ALL;

@@ -8,8 +8,7 @@ use cmswitch::prelude::*;
 #[test]
 fn backend_for_resolves_every_published_kind() {
     for kind in BackendKind::ALL {
-        let backend = backend_for(kind, presets::tiny());
-        assert_eq!(backend.name(), kind.name());
+        assert_eq!(backend_for(kind).name(), kind.name());
     }
 }
 
@@ -26,7 +25,7 @@ fn from_name_resolves_all_published_backends() {
     for name in ["puma", "occ", "cim-mlc", "cmswitch"] {
         let kind = BackendKind::from_name(name)
             .unwrap_or_else(|e| panic!("backend {name:?} must resolve: {e}"));
-        assert_eq!(backend_for(kind, presets::tiny()).name(), name);
+        assert_eq!(backend_for(kind).name(), name);
         let session = Session::builder(presets::tiny()).backend_name(name).unwrap().build();
         assert_eq!(session.backend_name(), name);
     }

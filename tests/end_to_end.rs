@@ -2,7 +2,6 @@
 //! checking the paper's headline orderings hold across the stack.
 
 use cmswitch::arch::presets;
-use cmswitch::baselines::{backend_for, BackendKind};
 use cmswitch::bench::harness::run_workload;
 use cmswitch::bench::workloads::build;
 use cmswitch::prelude::*;
@@ -12,13 +11,12 @@ fn every_benchmark_compiles_and_simulates_on_dynaplasia() {
     let arch = presets::dynaplasia();
     for model in ["mobilenetv2", "resnet18"] {
         let w = build(model, 1, 0, 0, 1.0, 1).unwrap();
-        for backend_name in ["puma", "occ", "cim-mlc", "cmswitch"] {
-            let backend = backend_for(BackendKind::from_name(backend_name).expect("known backend"), arch.clone());
-            let r = run_workload(backend.as_ref(), &w)
-                .unwrap_or_else(|e| panic!("{model}/{backend_name}: {e}"));
+        for kind in BackendKind::ALL {
+            let session = Session::builder(arch.clone()).backend_kind(kind).build();
+            let r = run_workload(&session, &w).unwrap_or_else(|e| panic!("{model}/{kind}: {e}"));
             assert!(
                 r.cycles.is_finite() && r.cycles > 0.0,
-                "{model}/{backend_name} produced {} cycles",
+                "{model}/{kind} produced {} cycles",
                 r.cycles
             );
         }
@@ -26,10 +24,9 @@ fn every_benchmark_compiles_and_simulates_on_dynaplasia() {
     // VGG16 is the largest CNN (13 partitioned FC chunks); exercise it on
     // the two backends the paper's headline comparison needs.
     let w = build("vgg16", 1, 0, 0, 1.0, 1).unwrap();
-    for backend_name in ["cim-mlc", "cmswitch"] {
-        let backend = backend_for(BackendKind::from_name(backend_name).expect("known backend"), arch.clone());
-        let r = run_workload(backend.as_ref(), &w)
-            .unwrap_or_else(|e| panic!("vgg16/{backend_name}: {e}"));
+    for kind in [BackendKind::CimMlc, BackendKind::CmSwitch] {
+        let session = Session::builder(arch.clone()).backend_kind(kind).build();
+        let r = run_workload(&session, &w).unwrap_or_else(|e| panic!("vgg16/{kind}: {e}"));
         assert!(r.cycles > 0.0);
     }
 }
@@ -39,8 +36,8 @@ fn transformers_compile_and_simulate_depth_scaled() {
     let arch = presets::dynaplasia();
     for model in ["bert-base", "bert-large", "llama2-7b", "opt-6.7b", "opt-13b"] {
         let w = build(model, 1, 32, 32, 0.06, 1).unwrap();
-        let backend = backend_for(BackendKind::CmSwitch, arch.clone());
-        let r = run_workload(backend.as_ref(), &w).unwrap();
+        let session = Session::builder(arch.clone()).build();
+        let r = run_workload(&session, &w).unwrap();
         assert!(r.cycles > 0.0, "{model}");
     }
 }
@@ -57,10 +54,10 @@ fn cmswitch_dominates_mlc_across_benchmark_sweep() {
         ("resnet18", 0, 0),
     ] {
         let w = build(model, 2, inl, outl, 0.06, 1).unwrap();
-        let mlc = backend_for(BackendKind::CimMlc, arch.clone());
-        let ours = backend_for(BackendKind::CmSwitch, arch.clone());
-        let rm = run_workload(mlc.as_ref(), &w).unwrap();
-        let ro = run_workload(ours.as_ref(), &w).unwrap();
+        let mlc = Session::builder(arch.clone()).backend_kind(BackendKind::CimMlc).build();
+        let ours = Session::builder(arch.clone()).build();
+        let rm = run_workload(&mlc, &w).unwrap();
+        let ro = run_workload(&ours, &w).unwrap();
         assert!(
             ro.cycles <= rm.cycles * 1.02,
             "{model}: cmswitch {} vs mlc {}",
@@ -76,10 +73,10 @@ fn decode_heavy_workload_shows_dual_mode_gain() {
     // sequence is where dual-mode switching pays off most.
     let arch = presets::dynaplasia();
     let w = build("opt-6.7b", 8, 256, 256, 0.06, 2).unwrap();
-    let mlc = backend_for(BackendKind::CimMlc, arch.clone());
-    let ours = backend_for(BackendKind::CmSwitch, arch);
-    let rm = run_workload(mlc.as_ref(), &w).unwrap();
-    let ro = run_workload(ours.as_ref(), &w).unwrap();
+    let mlc = Session::builder(arch.clone()).backend_kind(BackendKind::CimMlc).build();
+    let ours = Session::builder(arch).build();
+    let rm = run_workload(&mlc, &w).unwrap();
+    let ro = run_workload(&ours, &w).unwrap();
     let speedup = rm.cycles / ro.cycles;
     assert!(
         speedup > 1.1,

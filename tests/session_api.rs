@@ -54,13 +54,17 @@ fn batched_compiles_are_bit_identical_to_sequential_per_backend() {
             .map(|(name, g)| CompileRequest::new(g).with_label(name))
             .collect();
         let report = session.compile_batch(&requests);
-        // Sequential reference: the standalone backend compile.
-        let backend = backend_for(kind, presets::tiny());
+        // Sequential reference: a fresh 1-worker session, one graph at a
+        // time.
+        let sequential = Session::builder(presets::tiny())
+            .backend_kind(kind)
+            .workers(1)
+            .build();
         for ((_, graph), outcome) in small_graphs().iter().zip(&report.outcomes) {
             let batched = outcome.result.as_ref().unwrap_or_else(|e| {
                 panic!("{kind}/{}: {e}", outcome.name);
             });
-            let solo = backend.compile(graph).unwrap();
+            let solo = sequential.compile_graph(graph).unwrap();
             assert_eq!(
                 batched.predicted_latency.to_bits(),
                 solo.predicted_latency.to_bits(),
@@ -78,7 +82,7 @@ fn explicit_backend_gets_the_same_batch_machinery() {
     // A baseline handed to the builder as a boxed `Backend` gets the
     // same pool + cache + BatchReport as CMSwitch.
     let session = Session::builder(presets::tiny())
-        .backend(backend_for(BackendKind::CimMlc, presets::tiny()))
+        .backend(backend_for(BackendKind::CimMlc))
         .workers(2)
         .build();
     assert_eq!(session.backend_name(), "cim-mlc");
@@ -88,12 +92,39 @@ fn explicit_backend_gets_the_same_batch_machinery() {
         .collect();
     let report = session.compile_batch(&requests);
     assert_eq!(report.stats.compiled, 3, "{}", report.summary());
-    let solo = backend_for(BackendKind::CimMlc, presets::tiny())
-        .compile(&small_graphs()[2].1)
+    let solo = Session::builder(presets::tiny())
+        .backend(backend_for(BackendKind::CimMlc))
+        .workers(1)
+        .build()
+        .compile_graph(&small_graphs()[2].1)
         .unwrap();
     let batched = report.get("mlp-c").unwrap().result.as_ref().unwrap();
     assert_eq!(batched.predicted_latency.to_bits(), solo.predicted_latency.to_bits());
     assert_eq!(batched.flow, solo.flow);
+}
+
+#[test]
+fn partitioned_session_keeps_its_backend_on_the_sub_chip() {
+    // The session owns the architecture and the strategy is stateless,
+    // so a partition re-targets the *same* strategy at the sub-chip.
+    let arch = presets::tiny();
+    let n = arch.n_arrays() / 2;
+    let half = Session::builder(arch.clone())
+        .backend_kind(BackendKind::CimMlc)
+        .build()
+        .partitioned(n)
+        .unwrap();
+    assert_eq!(half.backend_name(), "cim-mlc");
+    assert_eq!(half.arch().n_arrays(), n);
+    let fresh = Session::builder(arch.partition(n).unwrap())
+        .backend_kind(BackendKind::CimMlc)
+        .build();
+    for (name, graph) in small_graphs() {
+        let (p, q) = (half.compile_graph(&graph).unwrap(), fresh.compile_graph(&graph).unwrap());
+        assert_eq!(p.flow, q.flow, "{name}");
+        assert_eq!(p.segments, q.segments, "{name}");
+        assert_eq!(p.predicted_latency.to_bits(), q.predicted_latency.to_bits(), "{name}");
+    }
 }
 
 #[test]

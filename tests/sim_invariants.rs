@@ -17,7 +17,7 @@ use proptest::prelude::*;
 
 use cmswitch::arch::{presets, ArrayId, DualModeArch};
 use cmswitch::metaop::{
-    ComputeStmt, Flow, MemDirection, MemLoc, MemStmt, Stmt, SwitchKind, VectorStmt,
+    ComputeStmt, Flow, MemDirection, MemLoc, MemStmt, MetaOpError, Stmt, SwitchKind, VectorStmt,
     WeightLoadStmt,
 };
 use cmswitch::prelude::*;
@@ -192,5 +192,71 @@ proptest! {
         prop_assert!(eng.overlap_saved() == 0.0);
         prop_assert!(eng.total_cycles >= latency_lower_bound(&flow, &arch));
         assert_timelines_disjoint(&eng)?;
+    }
+}
+
+/// One statement of every kind that names arrays, each naming `stray`.
+fn statements_naming(stray: ArrayId) -> Vec<Stmt> {
+    let compute = |compute: &[ArrayId], mem_in: &[ArrayId], mem_out: &[ArrayId]| {
+        Stmt::Compute(ComputeStmt {
+            op: "fc".into(),
+            compute_arrays: compute.to_vec(),
+            mem_in_arrays: mem_in.to_vec(),
+            mem_out_arrays: mem_out.to_vec(),
+            m: 4,
+            k: 4,
+            n: 4,
+            units: 1,
+            in_bytes: 16,
+            out_bytes: 16,
+            weight_static: true,
+        })
+    };
+    vec![
+        Stmt::switch(SwitchKind::ToCompute, vec![stray]),
+        Stmt::switch(SwitchKind::ToMemory, vec![stray]),
+        Stmt::LoadWeights(WeightLoadStmt { op: "fc".into(), arrays: vec![stray], bytes: 16 }),
+        compute(&[stray], &[], &[]),
+        compute(&[], &[stray], &[]),
+        compute(&[], &[], &[stray]),
+        Stmt::Mem(MemStmt {
+            loc: MemLoc::CimArrays(vec![stray]),
+            direction: MemDirection::Write,
+            bytes: 16,
+            label: "spill".into(),
+        }),
+    ]
+}
+
+/// Flows are public input (parsed text, or a program compiled for a
+/// larger chip): an array id the chip does not have is a typed error
+/// from every simulator entry point, never an index panic.
+#[test]
+fn out_of_range_array_ids_are_typed_errors_from_every_entry_point() {
+    let arch = presets::tiny();
+    let graph = cmswitch::models::mlp::mlp(2, &[64, 64]).unwrap();
+    let mut program = Session::builder(arch.clone()).build().compile_graph(&graph).unwrap();
+    for stray in [ArrayId(arch.n_arrays() as u32), ArrayId(u32::MAX)] {
+        for stmt in statements_naming(stray) {
+            for body in [stmt.clone(), Stmt::Parallel(vec![stmt])] {
+                let mut flow = Flow::new("stray");
+                flow.push(body);
+                program.flow = flow.clone();
+                let results = [
+                    EventEngine::new().simulate(&flow, &arch).map(drop),
+                    EventEngine::new().simulate_program(&program, &arch).map(drop),
+                    SequentialModel.simulate(&flow, &arch).map(drop),
+                ];
+                for result in results {
+                    match result {
+                        Err(MetaOpError::ModeViolation { array, stmt: 0, detail }) => {
+                            assert_eq!(array, stray);
+                            assert!(detail.contains("the chip has 8 arrays"), "{detail}");
+                        }
+                        other => panic!("{stray:?} in {flow:?}: expected a mode violation, got {other:?}"),
+                    }
+                }
+            }
+        }
     }
 }

@@ -214,3 +214,52 @@ fn alloc_snapshot_alone_warms_a_fresh_session() {
     assert!(outcome.stats().cache_hits > 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Several threads of one process writing and reading the same key —
+/// two server workers cold-compiling one request — must never tear each
+/// other's artifact: every put lands, every read is whole.
+#[test]
+fn concurrent_writers_of_one_key_never_tear_the_artifact() {
+    const THREADS: usize = 4;
+    const ROUNDS: usize = 300;
+    let dir = temp_store("same-key-race");
+    let store = ArtifactStore::open(&dir).unwrap();
+    let arch = presets::dynaplasia();
+    let graph = registry::build("bert-base", 1, 16).unwrap();
+    let options = CompilerOptions::default();
+    let program = Session::builder(arch.clone()).build().compile_graph(&graph).unwrap();
+    let key = StoreKey::for_compile(&arch, "cmswitch", &options, &graph);
+
+    let start = std::sync::Barrier::new(THREADS);
+    let (failed_puts, bad_reads): (usize, usize) = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    let (mut failed, mut bad) = (0, 0);
+                    for _ in 0..ROUNDS {
+                        failed += usize::from(store.put_program(key, &program).is_err());
+                        match store.fetch_program(key) {
+                            StoreFetch::Hit(read) if *read == program => {}
+                            _ => bad += 1,
+                        }
+                    }
+                    (failed, bad)
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().unwrap())
+            .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
+    });
+
+    assert_eq!(failed_puts, 0, "a concurrent put lost its temp file");
+    assert_eq!(bad_reads, 0, "a reader saw a torn or foreign artifact");
+    let stats = store.stats();
+    assert_eq!(stats.corrupt, 0);
+    assert_eq!(stats.writes, (THREADS * ROUNDS) as u64);
+    let files = std::fs::read_dir(store.root().join("programs")).unwrap().count();
+    assert_eq!(files, 1, "one artifact, no temp file left behind");
+    let _ = std::fs::remove_dir_all(&dir);
+}
