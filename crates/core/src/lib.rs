@@ -241,13 +241,13 @@ impl CompilerOptions {
     /// The clamp is deliberate: plans are bit-identical at every worker
     /// count, so extra workers only ever buy wall-clock — and a solve
     /// pool wider than the machine *loses* wall-clock to scheduling
-    /// churn (on a 2-core container the full-registry cold compile runs
-    /// ~708 ms at 1 worker but ~899 ms when 4 workers contend for 2
-    /// cores; see `BENCH_pipeline.json`). A single oversubscribed
-    /// compile wastes milliseconds; a design-space sweep fanning out
-    /// hundreds of compiles compounds the waste into minutes. Callers
-    /// who really want to oversubscribe (e.g. to measure the churn)
-    /// can still size [`crate::solvepool::SolvePool`] directly.
+    /// churn (the `cold_par` workload of `BENCHMARK.json` measures the
+    /// full-registry cold compile at 2 solve workers). A single
+    /// oversubscribed compile wastes milliseconds; a design-space sweep
+    /// fanning out hundreds of compiles compounds the waste into
+    /// minutes. Callers who really want to oversubscribe (e.g. to
+    /// measure the churn) can still size
+    /// [`crate::solvepool::SolvePool`] directly.
     pub fn effective_solve_workers(&self) -> usize {
         let available = std::thread::available_parallelism().map_or(1, |n| n.get());
         if self.solve_workers == 0 {
@@ -272,9 +272,8 @@ mod tests {
         let inline = CompilerOptions::default().with_solve_workers(1);
         assert_eq!(inline.effective_solve_workers(), 1);
         // An explicit count wider than the machine is clamped: an
-        // oversubscribed solve pool only loses wall-clock (see
-        // `BENCH_pipeline.json`), and plans are worker-count-invariant,
-        // so the clamp is observationally safe.
+        // oversubscribed solve pool only loses wall-clock, and plans are
+        // worker-count-invariant, so the clamp is observationally safe.
         let oversubscribed = CompilerOptions::default().with_solve_workers(available + 7);
         assert_eq!(oversubscribed.effective_solve_workers(), available);
     }

@@ -13,7 +13,8 @@
 //!   fingerprint. Re-sweeping a point the *same runner* already
 //!   evaluated returns the memoized record without recompiling,
 //!   re-verifying or re-simulating — the steady state of a long-lived
-//!   explorer, and the warm-re-sweep speedup `BENCH_dse.json` records.
+//!   explorer (the disk-warm counterpart is the `dse_warm` workload of
+//!   `BENCHMARK.json`).
 //! * **L1 — allocation cache.** Shared across points and runners; keyed
 //!   on the architecture fingerprint, so distinct points never
 //!   cross-contaminate while *new* points with repeated segments skip

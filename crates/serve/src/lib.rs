@@ -602,8 +602,10 @@ fn worker_loop(shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+
     use cmswitch_arch::presets;
-    use cmswitch_core::ArtifactStore;
+    use cmswitch_core::{ArtifactStore, Backend, CmSwitch, CompiledProgram, PipelineCx};
     use cmswitch_models::mlp::mlp;
 
     fn graph() -> Graph {
@@ -701,24 +703,48 @@ mod tests {
         assert_eq!(server.stats().failed, 0, "cancellation is not failure");
     }
 
+    /// CMSwitch behind a latch: every compile blocks until the test
+    /// drops the sender.
+    struct Latched(Mutex<mpsc::Receiver<()>>);
+
+    impl Backend for Latched {
+        fn name(&self) -> &str {
+            "latched"
+        }
+
+        fn compile_in(
+            &self,
+            cx: &mut PipelineCx<'_>,
+            graph: &Graph,
+        ) -> Result<CompiledProgram, CompileError> {
+            // `recv` returns (with `Err`) once the sender is gone.
+            let _ = self.0.lock().unwrap().recv();
+            CmSwitch.compile_in(cx, graph)
+        }
+    }
+
     #[test]
     fn queued_deadline_expiry_unblocks_wait_promptly() {
-        // One worker wedged behind a queue of slow compiles; a request
-        // with a 1 ms deadline sits at the back. Its `wait` must return
-        // `Cancelled` promptly (while the queue ahead of it is still
-        // draining), not block until the worker finally dequeues it.
+        // One worker wedged behind a queue of latched compiles; a
+        // request with a 1 ms deadline sits at the back. Its `wait` must
+        // return `Cancelled` promptly (while the queue ahead of it is
+        // still blocked), not block until the worker finally dequeues
+        // it. The latch opens only after `wait` has returned, so the
+        // backlog cannot drain first however fast the compiles are.
+        let (latch, gate) = mpsc::channel();
         let server = CompileServer::start(
-            Session::builder(presets::tiny()).build(),
+            Session::builder(presets::tiny())
+                .backend(Box::new(Latched(Mutex::new(gate))))
+                .build(),
             ServerOptions::default()
                 .with_workers(1)
                 .with_queue_capacity(8),
         );
-        // Distinct shapes so the allocation cache cannot make the queue
-        // drain instantly.
         let slow: Vec<Ticket> = (0..5)
             .map(|i| {
-                let g = mlp(4, &[512, 512, 512, 512, 256 + 16 * i]).unwrap();
-                server.submit(ServeRequest::new(format!("slow{i}"), g)).unwrap()
+                server
+                    .submit(ServeRequest::new(format!("slow{i}"), graph()))
+                    .unwrap()
             })
             .collect();
         let late = server
@@ -729,12 +755,13 @@ mod tests {
         let reply = late.wait();
         assert_eq!(reply.solver_invocations(), 0);
         assert_eq!(reply.outcome.unwrap_err(), CompileError::Cancelled);
-        // Promptness: the queue ahead of the late request has not fully
-        // drained yet — `wait` did not ride out the whole backlog.
+        // Promptness: the queue ahead of the late request has not
+        // drained — `wait` did not ride out the backlog.
         assert!(
             slow.last().unwrap().try_take().is_none(),
             "late.wait() returned only after the entire backlog drained"
         );
+        drop(latch);
         for t in slow {
             assert!(t.wait().outcome.is_ok());
         }

@@ -173,3 +173,31 @@ fn no_deprecated_shims_in_library_sources() {
         }
     }
 }
+
+#[test]
+fn no_second_measurement_system() {
+    // Numbers live in the benchmark of record (`BENCHMARK.json` +
+    // `benchmark/`). A Cargo bench target (declared, or auto-discovered
+    // from a `benches/` directory) or a `BENCH_*.json` at the root is a
+    // second system growing back.
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut packages = vec![root.to_path_buf()];
+    for dir in ["crates", "vendor"] {
+        for package in std::fs::read_dir(root.join(dir)).unwrap() {
+            packages.push(package.unwrap().path());
+        }
+    }
+    assert!(packages.len() > 15, "the scan must reach the workspace crates");
+    for package in packages {
+        let manifest = std::fs::read_to_string(package.join("Cargo.toml")).unwrap();
+        assert!(!manifest.contains("[[bench]]"), "{}: declares a bench target", package.display());
+        assert!(!package.join("benches").exists(), "{}: has a benches/ directory", package.display());
+    }
+    for entry in std::fs::read_dir(root).unwrap() {
+        let name = entry.unwrap().file_name().into_string().unwrap();
+        assert!(
+            !(name.starts_with("BENCH_") && name.ends_with(".json")),
+            "{name}: results belong to the benchmark of record, not the repository root"
+        );
+    }
+}

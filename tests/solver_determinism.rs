@@ -83,12 +83,15 @@ fn registry_plans_identical_at_every_worker_count_on_all_backends() {
         } else {
             &[4]
         };
+        // Registry-wide (warm starts accepted, DP windows pruned) per
+        // entry of `sweep`.
+        let mut counters = vec![(0u64, 0u64); sweep.len()];
         for &model in registry::ALL_MODELS {
             let graph = registry::build(model, 1, 8).expect("registered model");
             let base = session(kind, 1, model)
                 .compile_graph(&graph)
                 .expect("sequential baseline compiles");
-            for &workers in sweep {
+            for (&workers, sums) in sweep.iter().zip(&mut counters) {
                 let p = session(kind, workers, model)
                     .compile_graph(&graph)
                     .expect("parallel compile succeeds");
@@ -97,6 +100,17 @@ fn registry_plans_identical_at_every_worker_count_on_all_backends() {
                     &p,
                     &format!("{model} on {} at {workers} workers", kind.name()),
                 );
+                sums.0 += p.stats.warm_accepted;
+                sums.1 += p.stats.dp_windows_pruned;
+            }
+        }
+        // The parallel path is the real one, not a degenerate pass: the
+        // pool's injected warm starts get accepted and the bound still
+        // prunes windows.
+        if kind == BackendKind::CmSwitch {
+            for (&workers, &(warm_accepted, pruned)) in sweep.iter().zip(&counters) {
+                assert!(warm_accepted > 0, "no warm start accepted at {workers} workers");
+                assert!(pruned > 0, "DP pruned no windows at {workers} workers");
             }
         }
     }

@@ -1,6 +1,6 @@
 //! The persistent artifact store across (simulated) process restarts.
 //!
-//! The contract under test is the tentpole acceptance criterion: after
+//! The contract under test is the tentpole acceptance bar: after
 //! one priming run, a **fresh session over the same store directory**
 //! compiles the whole registry with *zero* allocator solves and at
 //! least 3× faster than the cold run — plus the integrity half of the

@@ -1,12 +1,12 @@
 //! Integration tests for multi-tenant co-scheduling (`sim::tenancy`):
 //! determinism across solve-worker counts, energy conservation across
-//! tenants, and mid-flight re-segmentation equivalence with cold
-//! compilation.
+//! tenants, mid-flight re-segmentation equivalence with cold
+//! compilation, and the pinned co-scheduling speedup of the decode loop.
 
 use cmswitch::models::registry;
 use cmswitch::models::transformer::{decode_step, TransformerConfig};
 use cmswitch::prelude::*;
-use cmswitch::sim::{DecodeReport, TenancyError};
+use cmswitch::sim::{DecodeLoop, DecodeOptions, DecodeReport, TenancyError};
 
 fn tiny_llm(name: &str) -> TransformerConfig {
     TransformerConfig {
@@ -151,4 +151,53 @@ fn reseg_final_plan_matches_cold_compile_at_grown_kv() {
     assert_eq!(warm.solves, 0, "warm re-run must be solve-free");
     assert_eq!(warm.resegmentations, report.resegmentations);
     assert_eq!(warm.total_cycles, report.total_cycles);
+}
+
+/// Co-scheduled decode at tenancy 2 and 4 — one-layer decoders under a
+/// tight KV headroom, KV starts staggered so tenants re-segment on
+/// different steps, like continuous batching. Re-segmentations fire, a
+/// warm re-run is solve-free and bit-equal, and co-scheduling beats
+/// running the tenants back-to-back by a pinned factor. Simulated
+/// cycles are deterministic, so the pins hold to the published three
+/// decimals: a change that moves them says so in CHANGES.md and re-pins.
+#[test]
+fn co_scheduled_decode_beats_serialization_by_the_pinned_factor() {
+    let session = Session::builder(presets::dynaplasia()).build();
+    for (tenancy, speedup) in [(2usize, 1.324), (4, 1.461)] {
+        let run = || {
+            let mut decode = DecodeLoop::new(&session).with_options(DecodeOptions {
+                steps: 4,
+                kv_headroom_bytes: 2048,
+                ..DecodeOptions::default()
+            });
+            for i in 0..tenancy {
+                let name = format!("tenant{i}");
+                let cfg = TransformerConfig {
+                    layers: 1,
+                    ..tiny_llm(&name)
+                };
+                decode = decode.tenant(DecodeTenant::new(name, 1, 8 + 4 * i, 1024, move |kv| {
+                    decode_step(&cfg, 1, kv)
+                }));
+            }
+            decode.run().unwrap()
+        };
+        let cold = run();
+        assert!(
+            cold.resegmentations > 0,
+            "tenancy {tenancy}: KV growth must force a re-segmentation"
+        );
+        let warm = run();
+        assert_eq!(warm.solves, 0, "tenancy {tenancy}: warm re-run must be solve-free");
+        assert_eq!(warm.total_cycles.to_bits(), cold.total_cycles.to_bits());
+        assert!(
+            cold.tenancy.total_cycles < cold.tenancy.serialized_cycles,
+            "tenancy {tenancy}: co-scheduling must beat serialization"
+        );
+        assert!(
+            (cold.tenancy.speedup() - speedup).abs() <= 0.0005,
+            "tenancy {tenancy}: speedup over serialized moved from {speedup} to {:.4}",
+            cold.tenancy.speedup()
+        );
+    }
 }
