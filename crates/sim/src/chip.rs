@@ -1,5 +1,5 @@
-//! Chip state: per-array modes and resident data, with dynamic mode
-//! discipline enforcement.
+//! Chip state: per-array modes, with dynamic mode discipline
+//! enforcement.
 
 use cmswitch_arch::{ArrayId, ArrayMode, DualModeArch};
 use cmswitch_metaop::{MemLoc, MetaOpError, Stmt};
@@ -8,34 +8,20 @@ use cmswitch_metaop::{MemLoc, MetaOpError, Stmt};
 #[derive(Debug, Clone)]
 pub struct ChipState {
     modes: Vec<ArrayMode>,
-    /// Label of the operator whose weights (or runtime operand) currently
-    /// occupy each compute-mode array.
-    resident: Vec<Option<String>>,
 }
 
 impl ChipState {
     /// Fresh chip: every array in memory mode (the DynaPlasia reset
-    /// state), nothing resident.
+    /// state).
     pub fn new(arch: &DualModeArch) -> Self {
         ChipState {
             modes: vec![ArrayMode::Memory; arch.n_arrays()],
-            resident: vec![None; arch.n_arrays()],
         }
     }
 
     /// Current mode of an array.
     pub fn mode(&self, id: ArrayId) -> ArrayMode {
         self.modes[id.index()]
-    }
-
-    /// Number of arrays currently in `mode`.
-    pub fn count_in_mode(&self, mode: ArrayMode) -> usize {
-        self.modes.iter().filter(|&&m| m == mode).count()
-    }
-
-    /// The operator resident on a compute array, if any.
-    pub fn resident(&self, id: ArrayId) -> Option<&str> {
-        self.resident[id.index()].as_deref()
     }
 
     /// Applies one (non-parallel) statement, enforcing mode discipline.
@@ -65,9 +51,6 @@ impl ChipState {
             Stmt::Switch { kind, arrays } => {
                 for &a in arrays {
                     self.modes[a.index()] = kind.target_mode();
-                    if kind.target_mode() == ArrayMode::Memory {
-                        self.resident[a.index()] = None;
-                    }
                 }
             }
             Stmt::LoadWeights(w) => {
@@ -79,7 +62,6 @@ impl ChipState {
                             detail: format!("weight load for {} on memory-mode array", w.op),
                         });
                     }
-                    self.resident[a.index()] = Some(w.op.clone());
                 }
             }
             Stmt::Compute(c) => {
@@ -99,12 +81,6 @@ impl ChipState {
                             stmt: stmt_idx,
                             detail: format!("{} buffers on compute-mode array", c.op),
                         });
-                    }
-                }
-                // Dynamic matmuls write their operand in place.
-                if !c.weight_static {
-                    for &a in &c.compute_arrays {
-                        self.resident[a.index()] = Some(c.op.clone());
                     }
                 }
             }
@@ -138,9 +114,11 @@ mod tests {
 
     #[test]
     fn starts_all_memory() {
-        let chip = ChipState::new(&presets::tiny());
-        assert_eq!(chip.count_in_mode(ArrayMode::Memory), 8);
-        assert_eq!(chip.count_in_mode(ArrayMode::Compute), 0);
+        let arch = presets::tiny();
+        let chip = ChipState::new(&arch);
+        for i in 0..arch.n_arrays() {
+            assert_eq!(chip.mode(ArrayId(i as u32)), ArrayMode::Memory);
+        }
     }
 
     #[test]
@@ -159,10 +137,10 @@ mod tests {
             1,
         )
         .unwrap();
-        assert_eq!(chip.resident(ArrayId(0)), Some("fc"));
+        assert_eq!(chip.mode(ArrayId(0)), ArrayMode::Compute);
         chip.apply(&Stmt::switch(SwitchKind::ToMemory, vec![ArrayId(0)]), 2)
             .unwrap();
-        assert_eq!(chip.resident(ArrayId(0)), None);
+        assert_eq!(chip.mode(ArrayId(0)), ArrayMode::Memory);
     }
 
     #[test]

@@ -5,9 +5,41 @@
 //! buffering and mode-switch overheads *overlap and contend* on a real
 //! chip — the effect the paper's end-to-end evaluation rests on. This
 //! module grows the simulator into that role: statements become events
-//! on per-array timelines, a binary-heap completion queue drives the
-//! schedule, and an event starts as soon as — but no sooner than — its
-//! data and resources allow.
+//! on per-array timelines, and an event starts as soon as — but no
+//! sooner than — its data and resources allow.
+//!
+//! # One forward pass
+//!
+//! There is no event queue. Every dependency of an event points
+//! *backwards* in flow order: the previous occupant of an array it
+//! touches, the last data / bus / vector-unit event, its own segment's
+//! weight loads, the write-back statements emitted ahead of its segment
+//! and the segments that produce its inputs. All of those were lowered —
+//! and therefore timed — earlier, so an event's start is the `max` over
+//! dense state the moment its statement is reached, and one walk over
+//! the flow yields the exact schedule a completion queue would
+//! rediscover. Three rules keep every report bit stable:
+//!
+//! 1. **Binding-dependency order** — the critical-path predecessor of an
+//!    event is the *first* dependency attaining the `max`, visited in a
+//!    fixed order (switch / weight load: its arrays in statement order;
+//!    memory: data, bus, arrays; vector: data, vector unit; segment
+//!    execution: its weight loads in body order, the arrays it
+//!    references ascending by id, the write-back prologue in flow order,
+//!    then its producer segments — or the last data event when there is
+//!    no plan). Ties keep the earlier dependency.
+//! 2. **First release wins** — a segment releases each lane's arrays as
+//!    the lane drains; when it names an array twice (two lanes, or a
+//!    lane and a memory role) successors wait for the first release
+//!    recorded, so an array's free time is written once per event.
+//! 3. **Same kernel, same order** — durations, `serialized_cycles`,
+//!    `switch_process_cycles` and energy come from [`crate::model`] and
+//!    [`crate::energy`] in flow order, after a separate
+//!    [`ChipState`] walk, so a flow violating mode discipline is
+//!    rejected before any timeline exists.
+//!
+//! `tests/golden/engine_reports.txt` pins a digest of every field of
+//! every report these rules protect.
 //!
 //! # Event model
 //!
@@ -39,9 +71,6 @@
 //! replay — on a fully serial flow the two agree bit-for-bit, and every
 //! admitted overlap only moves events earlier. `tests/sim_differential.rs`
 //! checks exactly that across the full model registry.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use cmswitch_arch::{ArrayId, DualModeArch};
 use cmswitch_core::{CompileOutcome, CompiledProgram, DiagnosticEvent, Diagnostics, Session};
@@ -118,50 +147,6 @@ pub fn latency_lower_bound(flow: &Flow, arch: &DualModeArch) -> f64 {
         lb
     }
     visit(flow.stmts(), arch, &chip)
-}
-
-/// What an event waits for from one predecessor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DepOn {
-    /// The predecessor's completion.
-    Finish,
-    /// The predecessor releasing one specific array (a segment releases
-    /// each lane's arrays as the lane drains, before the whole segment
-    /// completes).
-    Array(ArrayId),
-}
-
-/// Payload of one event node.
-enum Payload {
-    Switch {
-        kind: SwitchKind,
-        arrays: Vec<ArrayId>,
-    },
-    Load {
-        arrays: Vec<ArrayId>,
-    },
-    Seg {
-        index: usize,
-        phases: model::SegmentPhases,
-        /// `(lane cycles, compute arrays)` per operator.
-        lanes: Vec<(f64, Vec<ArrayId>)>,
-        /// Memory-mode arrays and how long the segment keeps each busy.
-        mem_busy: Vec<(ArrayId, f64)>,
-        /// Weight-load events forming this segment's barrier.
-        load_nodes: Vec<usize>,
-        energy_pj: f64,
-    },
-    Mem {
-        arrays: Vec<ArrayId>,
-    },
-    Vector,
-}
-
-struct Node {
-    label: String,
-    duration: f64,
-    payload: Payload,
-    deps: Vec<(usize, DepOn)>,
 }
 
 /// The event-driven simulator. Construct once (optionally with a custom
@@ -280,560 +265,373 @@ impl EventEngine {
             }
         }
 
-        // ---- Build the event graph. ----
-        let mut b = Builder::new(arch, &self.energy, seg_deps);
+        // ---- The schedule: one walk, every event timed as it is
+        // lowered. ----
+        let mut pass = ForwardPass {
+            arch,
+            energy_model: &self.energy,
+            seg_deps,
+            events: Vec::new(),
+            released: vec![None; arch.n_arrays()],
+            data: None,
+            bus: None,
+            fu: None,
+            seg_events: Vec::new(),
+            prologue: Vec::new(),
+            referenced: Vec::new(),
+            mem_busy: Vec::new(),
+            report: EngineReport {
+                total_cycles: 0.0,
+                serialized_cycles: 0.0,
+                switch_process_cycles: 0.0,
+                switches_to_compute: 0,
+                switches_to_memory: 0,
+                breakdown: BusyBreakdown::default(),
+                segments: Vec::new(),
+                energy: EnergyReport::default(),
+                timelines: (0..arch.n_arrays() as u32)
+                    .map(|i| ArrayTimeline {
+                        array: ArrayId(i),
+                        final_mode: chip.mode(ArrayId(i)),
+                        intervals: Vec::new(),
+                    })
+                    .collect(),
+                critical_path: Vec::new(),
+            },
+        };
         for (idx, stmt) in flow.stmts().iter().enumerate() {
-            b.push_stmt(stmt, idx);
+            pass.push_stmt(stmt, idx);
         }
-        let Builder {
-            nodes,
-            seg_nodes,
-            serialized,
-            switch_process,
-            switches_to_compute,
-            switches_to_memory,
-            energy: total_energy,
-            ..
-        } = b;
-
-        // ---- Event-driven run: completion events through a binary
-        // heap, dependents fire as their last dependency resolves. ----
-        let timelines = (0..arch.n_arrays())
-            .map(|i| ArrayTimeline {
-                array: ArrayId(i as u32),
-                final_mode: chip.mode(ArrayId(i as u32)),
-                intervals: Vec::new(),
-            })
-            .collect();
-        let mut sched = Scheduler::new(&nodes, timelines);
-        sched.run(&nodes, arch);
-        let Scheduler {
-            starts,
-            finishes,
-            critical,
-            timelines,
-            breakdown,
-            ..
-        } = sched;
-
-        // ---- Makespan + critical path. ----
-        let mut last: Option<usize> = None;
-        let mut total = 0.0f64;
-        for (i, &f) in finishes.iter().enumerate() {
-            if last.is_none() || f > total {
-                total = f;
-                last = Some(i);
-            }
-        }
-        let mut critical_path = Vec::new();
-        let mut cursor = last;
-        while let Some(i) = cursor {
-            critical_path.push(CriticalStep {
-                label: nodes[i].label.clone(),
-                start: starts[i],
-                end: finishes[i],
-            });
-            cursor = critical[i];
-        }
-        critical_path.reverse();
-
-        // ---- Per-segment windows. ----
-        let mut segments = Vec::with_capacity(seg_nodes.len());
-        for &si in &seg_nodes {
-            if let Payload::Seg {
-                index,
-                phases,
-                load_nodes,
-                energy_pj,
-                ..
-            } = &nodes[si].payload
-            {
-                let first = load_nodes
-                    .iter()
-                    .map(|&l| starts[l])
-                    .fold(starts[si], f64::min);
-                segments.push(SegmentWindow {
-                    index: *index,
-                    start: first,
-                    end: finishes[si],
-                    load_cycles: phases.load_phase,
-                    exec_cycles: phases.exec_and_loose(),
-                    compute_ops: phases.n_ops,
-                    energy_pj: *energy_pj,
-                });
-            }
-        }
-
-        Ok(EngineReport {
-            total_cycles: total,
-            serialized_cycles: serialized,
-            switch_process_cycles: switch_process,
-            switches_to_compute,
-            switches_to_memory,
-            breakdown,
-            segments,
-            energy: total_energy,
-            timelines,
-            critical_path,
-        })
+        Ok(pass.finish())
     }
 }
 
-/// The discrete-event run over a built node graph: a binary heap of
-/// completion events; a node is scheduled the moment its last
-/// dependency resolves, and scheduling records its busy intervals and
-/// per-array release times.
-struct Scheduler {
-    pending: Vec<usize>,
-    dependents: Vec<Vec<usize>>,
-    starts: Vec<f64>,
-    finishes: Vec<f64>,
-    critical: Vec<Option<usize>>,
-    releases: Vec<Vec<(ArrayId, f64)>>,
-    timelines: Vec<ArrayTimeline>,
-    breakdown: BusyBreakdown,
-    heap: BinaryHeap<Reverse<(TimeKey, usize)>>,
+/// One timed event.
+struct Event {
+    label: String,
+    start: f64,
+    finish: f64,
+    /// The binding dependency: the critical-path predecessor.
+    critical: Option<usize>,
 }
 
-impl Scheduler {
-    fn new(nodes: &[Node], timelines: Vec<ArrayTimeline>) -> Self {
-        let n = nodes.len();
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut pending: Vec<usize> = vec![0; n];
-        for (i, node) in nodes.iter().enumerate() {
-            pending[i] = node.deps.len();
-            for &(d, _) in &node.deps {
-                dependents[d].push(i);
-            }
-        }
-        Scheduler {
-            pending,
-            dependents,
-            starts: vec![0.0; n],
-            finishes: vec![0.0; n],
-            critical: vec![None; n],
-            releases: vec![Vec::new(); n],
-            timelines,
-            breakdown: BusyBreakdown::default(),
-            heap: BinaryHeap::new(),
-        }
-    }
+/// Running `max` over one event's dependencies, remembering the first
+/// dependency that attains it.
+#[derive(Default)]
+struct Ready {
+    start: f64,
+    critical: Option<usize>,
+}
 
-    fn run(&mut self, nodes: &[Node], arch: &DualModeArch) {
-        for i in 0..nodes.len() {
-            if self.pending[i] == 0 {
-                self.schedule(i, nodes, arch);
-            }
+impl Ready {
+    fn wait(&mut self, event: usize, until: f64) {
+        if self.critical.is_none() || until > self.start {
+            self.start = self.start.max(until);
+            self.critical = Some(event);
         }
-        let mut completed = 0usize;
-        while let Some(Reverse((_, i))) = self.heap.pop() {
-            completed += 1;
-            let dependents = std::mem::take(&mut self.dependents[i]);
-            for &d in &dependents {
-                self.pending[d] -= 1;
-                if self.pending[d] == 0 {
-                    self.schedule(d, nodes, arch);
-                }
-            }
-            self.dependents[i] = dependents;
-        }
-        debug_assert_eq!(completed, nodes.len(), "event graph must be acyclic");
-    }
-
-    fn schedule(&mut self, i: usize, nodes: &[Node], arch: &DualModeArch) {
-        let node = &nodes[i];
-        let mut start = 0.0f64;
-        let mut crit = None;
-        for &(d, on) in &node.deps {
-            let t = match on {
-                DepOn::Finish => self.finishes[d],
-                DepOn::Array(a) => self.releases[d]
-                    .iter()
-                    .find(|(id, _)| *id == a)
-                    .map_or(self.finishes[d], |&(_, t)| t),
-            };
-            if crit.is_none() || t > start {
-                start = start.max(t);
-                crit = Some(d);
-            }
-        }
-        let finish = start + node.duration;
-        self.starts[i] = start;
-        self.finishes[i] = finish;
-        self.critical[i] = crit;
-        match &node.payload {
-            Payload::Switch { kind, arrays } => {
-                let stride = model::switch_stride(*kind, arch);
-                for (r, &a) in arrays.iter().enumerate() {
-                    self.timelines[a.index()].intervals.push(BusyInterval {
-                        start: start + stride * r as f64,
-                        end: start + stride * (r + 1) as f64,
-                        kind: BusyKind::Switch,
-                    });
-                    self.releases[i].push((a, finish));
-                }
-                self.breakdown.switch += node.duration;
-            }
-            Payload::Load { arrays } => {
-                let lat = arch.lat_write_array() as f64;
-                for (j, &a) in arrays.iter().enumerate() {
-                    self.timelines[a.index()].intervals.push(BusyInterval {
-                        start: start + lat * j as f64,
-                        end: start + lat * (j + 1) as f64,
-                        kind: BusyKind::WeightLoad,
-                    });
-                    self.releases[i].push((a, finish));
-                }
-                self.breakdown.weight_load += node.duration;
-            }
-            Payload::Seg {
-                lanes, mem_busy, ..
-            } => {
-                for (lane, arrays) in lanes {
-                    let end = start + lane;
-                    for &a in arrays {
-                        self.timelines[a.index()].intervals.push(BusyInterval {
-                            start,
-                            end,
-                            kind: BusyKind::Compute,
-                        });
-                        self.releases[i].push((a, end));
-                        self.breakdown.compute += lane;
-                    }
-                }
-                for &(a, busy) in mem_busy {
-                    let end = start + busy;
-                    self.timelines[a.index()].intervals.push(BusyInterval {
-                        start,
-                        end,
-                        kind: BusyKind::MemTraffic,
-                    });
-                    self.releases[i].push((a, end));
-                    self.breakdown.mem_traffic += busy;
-                }
-            }
-            Payload::Mem { arrays } => {
-                for &a in arrays {
-                    self.timelines[a.index()].intervals.push(BusyInterval {
-                        start,
-                        end: finish,
-                        kind: BusyKind::MemTraffic,
-                    });
-                    self.releases[i].push((a, finish));
-                    self.breakdown.mem_traffic += node.duration;
-                }
-            }
-            Payload::Vector => self.breakdown.vector += node.duration,
-        }
-        self.heap.push(Reverse((TimeKey(finish), i)));
     }
 }
 
-/// Heap key: finish time ordered totally (ties broken by node index in
-/// the tuple the heap stores).
-#[derive(Debug, PartialEq)]
-struct TimeKey(f64);
-
-impl Eq for TimeKey {}
-
-impl PartialOrd for TimeKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for TimeKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-/// Builds the event graph from a flow, tracking per-array last users,
-/// the data chain, the bus and the vector unit.
-struct Builder<'a> {
+/// The forward pass: events in lowering order, dense per-array release
+/// state, and the report filled in as each event is timed.
+struct ForwardPass<'a> {
     arch: &'a DualModeArch,
     energy_model: &'a EnergyModel,
     seg_deps: Option<Vec<Vec<usize>>>,
-    nodes: Vec<Node>,
-    /// Last event touching each array (build order = touch order).
-    last_user: Vec<Option<usize>>,
+    events: Vec<Event>,
+    /// Per array: the event that last occupied it and the cycle that
+    /// event released it (none: untouched, free from cycle 0).
+    released: Vec<Option<(usize, f64)>>,
     /// Last data-producing event (segment exec, bulk memory, vector).
-    data_node: Option<usize>,
+    data: Option<usize>,
     /// Last bulk-memory event (the shared off-chip/buffer port).
-    bus_node: Option<usize>,
+    bus: Option<usize>,
     /// Last top-level vector event (the single vector function unit).
-    fu_node: Option<usize>,
-    /// Node id of each segment's execution event, in segment order.
-    seg_nodes: Vec<usize>,
+    fu: Option<usize>,
+    /// Execution event of each segment, in segment order.
+    seg_events: Vec<usize>,
     /// Mem/vector events since the previous segment: the next segment's
     /// prologue (its write-back/reload traffic), which gates it even
     /// when its producers lie further back.
     prologue: Vec<usize>,
-    seg_count: usize,
-    serialized: f64,
-    switch_process: f64,
-    switches_to_compute: u64,
-    switches_to_memory: u64,
-    energy: EnergyReport,
+    /// Per-segment scratch, reused: the arrays a body references, and
+    /// how long it keeps each memory-mode array busy.
+    referenced: Vec<ArrayId>,
+    mem_busy: Vec<(ArrayId, f64)>,
+    report: EngineReport,
 }
 
-impl<'a> Builder<'a> {
-    fn new(
-        arch: &'a DualModeArch,
-        energy_model: &'a EnergyModel,
-        seg_deps: Option<Vec<Vec<usize>>>,
-    ) -> Self {
-        Builder {
-            arch,
-            energy_model,
-            seg_deps,
-            nodes: Vec::new(),
-            last_user: vec![None; arch.n_arrays()],
-            data_node: None,
-            bus_node: None,
-            fu_node: None,
-            seg_nodes: Vec::new(),
-            prologue: Vec::new(),
-            seg_count: 0,
-            serialized: 0.0,
-            switch_process: 0.0,
-            switches_to_compute: 0,
-            switches_to_memory: 0,
-            energy: EnergyReport::default(),
+impl ForwardPass<'_> {
+    /// Adds `stmt`'s energy to the flow total.
+    fn charge(&mut self, stmt: &Stmt) {
+        energy::accumulate_stmt(stmt, self.arch, self.energy_model, &mut self.report.energy);
+    }
+
+    fn wait_finish(&self, event: Option<usize>, ready: &mut Ready) {
+        if let Some(e) = event {
+            ready.wait(e, self.events[e].finish);
         }
     }
 
-    fn array_deps(&self, arrays: &[ArrayId], deps: &mut Vec<(usize, DepOn)>) {
+    fn wait_arrays(&self, arrays: &[ArrayId], ready: &mut Ready) {
         for &a in arrays {
-            if let Some(u) = self.last_user[a.index()] {
-                deps.push((u, DepOn::Array(a)));
+            if let Some((user, free_at)) = self.released[a.index()] {
+                ready.wait(user, free_at);
             }
         }
     }
 
-    fn touch(&mut self, arrays: &[ArrayId], node: usize) {
-        for &a in arrays {
-            self.last_user[a.index()] = Some(node);
+    /// Times one event; returns `(id, start, finish)`.
+    fn record(&mut self, label: String, ready: Ready, duration: f64) -> (usize, f64, f64) {
+        let (start, finish) = (ready.start, ready.start + duration);
+        self.events.push(Event {
+            label,
+            start,
+            finish,
+            critical: ready.critical,
+        });
+        (self.events.len() - 1, start, finish)
+    }
+
+    /// Puts `event` on array `a`'s timeline for `start..end` and frees
+    /// the array at `free_at` — unless `event` already released it.
+    fn occupy(&mut self, a: ArrayId, event: usize, busy: BusyInterval, free_at: f64) {
+        self.report.timelines[a.index()].intervals.push(busy);
+        let released = &mut self.released[a.index()];
+        if released.is_none_or(|(user, _)| user != event) {
+            *released = Some((event, free_at));
         }
+    }
+
+    /// An event that drives `arrays` one after another at `stride`
+    /// cycles each (a mode switch, a weight load): it waits only for
+    /// those arrays and holds all of them until the last is done.
+    fn push_serial(
+        &mut self,
+        label: String,
+        arrays: &[ArrayId],
+        duration: f64,
+        stride: f64,
+        kind: BusyKind,
+    ) {
+        let mut ready = Ready::default();
+        self.wait_arrays(arrays, &mut ready);
+        let (id, start, finish) = self.record(label, ready, duration);
+        for (i, &a) in arrays.iter().enumerate() {
+            let busy = BusyInterval {
+                start: start + stride * i as f64,
+                end: start + stride * (i + 1) as f64,
+                kind,
+            };
+            self.occupy(a, id, busy, finish);
+        }
+    }
+
+    /// A weight load, top-level or inside a segment; returns its cycles.
+    fn push_load(&mut self, label: String, arrays: &[ArrayId]) -> f64 {
+        let duration = model::load_duration(arrays.len(), self.arch);
+        let stride = self.arch.lat_write_array() as f64;
+        self.push_serial(label, arrays, duration, stride, BusyKind::WeightLoad);
+        self.report.breakdown.weight_load += duration;
+        duration
     }
 
     fn push_stmt(&mut self, stmt: &Stmt, idx: usize) {
         match stmt {
             Stmt::Switch { kind, arrays } => {
-                energy::accumulate_stmt(stmt, self.arch, self.energy_model, &mut self.energy);
+                self.charge(stmt);
                 match kind {
-                    SwitchKind::ToCompute => self.switches_to_compute += arrays.len() as u64,
-                    SwitchKind::ToMemory => self.switches_to_memory += arrays.len() as u64,
+                    SwitchKind::ToCompute => self.report.switches_to_compute += arrays.len() as u64,
+                    SwitchKind::ToMemory => self.report.switches_to_memory += arrays.len() as u64,
                 }
                 let duration = model::switch_duration(*kind, arrays.len(), self.arch);
-                self.serialized += duration;
-                self.switch_process += duration;
-                let mut deps = Vec::new();
-                self.array_deps(arrays, &mut deps);
-                let id = self.nodes.len();
-                self.nodes.push(Node {
-                    label: format!("switch#{idx}({} x{})", kind.keyword(), arrays.len()),
-                    duration,
-                    payload: Payload::Switch {
-                        kind: *kind,
-                        arrays: arrays.clone(),
-                    },
-                    deps,
-                });
-                self.touch(arrays, id);
+                self.report.serialized_cycles += duration;
+                self.report.switch_process_cycles += duration;
+                let label = format!("switch#{idx}({} x{})", kind.keyword(), arrays.len());
+                let stride = model::switch_stride(*kind, self.arch);
+                self.push_serial(label, arrays, duration, stride, BusyKind::Switch);
+                self.report.breakdown.switch += duration;
             }
             Stmt::LoadWeights(w) => {
-                energy::accumulate_stmt(stmt, self.arch, self.energy_model, &mut self.energy);
-                let duration = model::load_duration(w.arrays.len(), self.arch);
-                self.serialized += duration;
-                self.switch_process += duration;
-                let mut deps = Vec::new();
-                self.array_deps(&w.arrays, &mut deps);
-                let id = self.nodes.len();
-                self.nodes.push(Node {
-                    label: format!("load#{idx}({})", w.op),
-                    duration,
-                    payload: Payload::Load {
-                        arrays: w.arrays.clone(),
-                    },
-                    deps,
-                });
-                self.touch(&w.arrays, id);
+                self.charge(stmt);
+                let duration = self.push_load(format!("load#{idx}({})", w.op), &w.arrays);
+                self.report.serialized_cycles += duration;
+                self.report.switch_process_cycles += duration;
             }
             Stmt::Mem(m) => {
-                energy::accumulate_stmt(stmt, self.arch, self.energy_model, &mut self.energy);
+                self.charge(stmt);
                 let duration = model::mem_duration(m, self.arch);
-                self.serialized += duration;
-                self.switch_process += duration;
-                let arrays = match &m.loc {
-                    MemLoc::CimArrays(a) => a.clone(),
-                    _ => Vec::new(),
+                self.report.serialized_cycles += duration;
+                self.report.switch_process_cycles += duration;
+                let arrays: &[ArrayId] = match &m.loc {
+                    MemLoc::CimArrays(a) => a,
+                    _ => &[],
                 };
-                let mut deps = Vec::new();
-                if let Some(d) = self.data_node {
-                    deps.push((d, DepOn::Finish));
+                let mut ready = Ready::default();
+                self.wait_finish(self.data, &mut ready);
+                self.wait_finish(self.bus, &mut ready);
+                self.wait_arrays(arrays, &mut ready);
+                let (id, start, end) =
+                    self.record(format!("mem#{idx}({})", m.label), ready, duration);
+                let kind = BusyKind::MemTraffic;
+                for &a in arrays {
+                    self.occupy(a, id, BusyInterval { start, end, kind }, end);
+                    self.report.breakdown.mem_traffic += duration;
                 }
-                if let Some(bus) = self.bus_node {
-                    deps.push((bus, DepOn::Finish));
-                }
-                self.array_deps(&arrays, &mut deps);
-                let id = self.nodes.len();
-                self.nodes.push(Node {
-                    label: format!("mem#{idx}({})", m.label),
-                    duration,
-                    payload: Payload::Mem {
-                        arrays: arrays.clone(),
-                    },
-                    deps,
-                });
-                self.touch(&arrays, id);
-                self.data_node = Some(id);
-                self.bus_node = Some(id);
+                self.data = Some(id);
+                self.bus = Some(id);
                 self.prologue.push(id);
             }
             Stmt::Vector(v) => {
-                energy::accumulate_stmt(stmt, self.arch, self.energy_model, &mut self.energy);
+                self.charge(stmt);
                 let duration = model::vector_duration(v.flops);
-                self.serialized += duration;
-                let mut deps = Vec::new();
-                if let Some(d) = self.data_node {
-                    deps.push((d, DepOn::Finish));
-                }
-                if let Some(fu) = self.fu_node {
-                    deps.push((fu, DepOn::Finish));
-                }
-                let id = self.nodes.len();
-                self.nodes.push(Node {
-                    label: format!("vector#{idx}({})", v.op),
-                    duration,
-                    payload: Payload::Vector,
-                    deps,
-                });
-                self.data_node = Some(id);
-                self.fu_node = Some(id);
+                self.report.serialized_cycles += duration;
+                let mut ready = Ready::default();
+                self.wait_finish(self.data, &mut ready);
+                self.wait_finish(self.fu, &mut ready);
+                let (id, ..) = self.record(format!("vector#{idx}({})", v.op), ready, duration);
+                self.report.breakdown.vector += duration;
+                self.data = Some(id);
+                self.fu = Some(id);
                 self.prologue.push(id);
             }
-            Stmt::Parallel(body) => self.push_segment(body, idx),
-            Stmt::Compute(_) => self.push_segment(std::slice::from_ref(stmt), idx),
+            Stmt::Parallel(body) => self.push_segment(body),
+            Stmt::Compute(_) => self.push_segment(std::slice::from_ref(stmt)),
         }
     }
 
-    fn push_segment(&mut self, body: &[Stmt], _idx: usize) {
-        let seg_index = self.seg_count;
-        self.seg_count += 1;
+    fn push_segment(&mut self, body: &[Stmt]) {
+        let index = self.seg_events.len();
 
         // Energy: per statement into the flow total (same order as
         // `energy::estimate`) and into this segment's own bucket.
         let mut seg_energy = EnergyReport::default();
         for s in body {
-            energy::accumulate_stmt(s, self.arch, self.energy_model, &mut self.energy);
+            self.charge(s);
             energy::accumulate_stmt(s, self.arch, self.energy_model, &mut seg_energy);
         }
 
         let phases = model::segment_phases(body, self.arch);
-        self.serialized += phases.load_phase;
-        self.serialized += phases.exec_and_loose();
+        let exec_cycles = phases.exec_and_loose();
+        self.report.serialized_cycles += phases.load_phase;
+        self.report.serialized_cycles += exec_cycles;
 
         // Weight-load events: each op's load waits only for its own
         // arrays, so loads on arrays the previous segment is done with
         // start while that segment still runs elsewhere.
-        let mut load_nodes = Vec::new();
+        let first_load = self.events.len();
         for s in body {
             if let Stmt::LoadWeights(w) = s {
-                let duration = model::load_duration(w.arrays.len(), self.arch);
-                let mut deps = Vec::new();
-                self.array_deps(&w.arrays, &mut deps);
-                let id = self.nodes.len();
-                self.nodes.push(Node {
-                    label: format!("seg{seg_index}.load({})", w.op),
-                    duration,
-                    payload: Payload::Load {
-                        arrays: w.arrays.clone(),
-                    },
-                    deps,
-                });
-                self.touch(&w.arrays, id);
-                load_nodes.push(id);
+                self.push_load(format!("seg{index}.load({})", w.op), &w.arrays);
             }
         }
+        let exec = self.events.len();
 
-        // Lanes and memory-array occupancy.
-        let mut lanes = Vec::new();
-        let mut mem_busy: Vec<(ArrayId, f64)> = Vec::new();
-        let note_mem = |a: ArrayId, busy: f64, mem_busy: &mut Vec<(ArrayId, f64)>| {
-            match mem_busy.iter_mut().find(|(id, _)| *id == a) {
+        // Dependencies: the load barrier, every referenced array, the
+        // write-back prologue, and the data producers.
+        let mut ready = Ready::default();
+        for load in first_load..exec {
+            ready.wait(load, self.events[load].finish);
+        }
+        self.referenced.clear();
+        for s in body {
+            if matches!(s, Stmt::Compute(_) | Stmt::Mem(_)) {
+                s.for_each_array(&mut |a| self.referenced.push(a));
+            }
+        }
+        self.referenced.sort_unstable();
+        self.referenced.dedup();
+        self.wait_arrays(&self.referenced, &mut ready);
+        match &self.seg_deps {
+            Some(all) => {
+                for &event in &self.prologue {
+                    ready.wait(event, self.events[event].finish);
+                }
+                for &producer in all.get(index).into_iter().flatten() {
+                    self.wait_finish(self.seg_events.get(producer).copied(), &mut ready);
+                }
+            }
+            None => self.wait_finish(self.data, &mut ready),
+        }
+        self.prologue.clear();
+        let (id, start, finish) = self.record(format!("seg{index}.exec"), ready, exec_cycles);
+
+        // Occupancy: each lane holds its compute arrays until the lane
+        // drains; a memory-mode array is held for the longest lane (or
+        // loose memory statement) that names it.
+        let mut mem_busy = std::mem::take(&mut self.mem_busy);
+        mem_busy.clear();
+        let mut note_mem =
+            |a: ArrayId, busy: f64| match mem_busy.iter_mut().find(|(id, _)| *id == a) {
                 Some((_, b)) => *b = b.max(busy),
                 None => mem_busy.push((a, busy)),
-            }
-        };
-        let mut referenced: Vec<ArrayId> = Vec::new();
+            };
         for s in body {
             match s {
                 Stmt::Compute(c) => {
                     let lane = model::lane_duration(c, body, self.arch);
-                    lanes.push((lane, c.compute_arrays.clone()));
-                    referenced.extend(&c.compute_arrays);
+                    let (end, kind) = (start + lane, BusyKind::Compute);
+                    for &a in &c.compute_arrays {
+                        self.occupy(a, id, BusyInterval { start, end, kind }, end);
+                        self.report.breakdown.compute += lane;
+                    }
                     for &a in c.mem_in_arrays.iter().chain(&c.mem_out_arrays) {
-                        note_mem(a, lane, &mut mem_busy);
-                        referenced.push(a);
+                        note_mem(a, lane);
                     }
                 }
                 Stmt::Mem(m) => {
                     if let MemLoc::CimArrays(arrays) = &m.loc {
                         for &a in arrays {
-                            note_mem(a, phases.exec_and_loose(), &mut mem_busy);
-                            referenced.push(a);
+                            note_mem(a, exec_cycles);
                         }
                     }
                 }
                 _ => {}
             }
         }
-        referenced.sort_unstable();
-        referenced.dedup();
+        for &(a, busy) in &mem_busy {
+            let (end, kind) = (start + busy, BusyKind::MemTraffic);
+            self.occupy(a, id, BusyInterval { start, end, kind }, end);
+            self.report.breakdown.mem_traffic += busy;
+        }
+        self.mem_busy = mem_busy;
 
-        // Dependencies: the load barrier, every referenced array, the
-        // write-back prologue, and the data producers.
-        let mut deps: Vec<(usize, DepOn)> = load_nodes.iter().map(|&l| (l, DepOn::Finish)).collect();
-        self.array_deps(&referenced, &mut deps);
-        match &self.seg_deps {
-            Some(all) => {
-                for node in self.prologue.drain(..) {
-                    deps.push((node, DepOn::Finish));
-                }
-                if let Some(producers) = all.get(seg_index) {
-                    for &p in producers {
-                        if let Some(&n) = self.seg_nodes.get(p) {
-                            deps.push((n, DepOn::Finish));
-                        }
-                    }
-                }
-            }
-            None => {
-                self.prologue.clear();
-                if let Some(d) = self.data_node {
-                    deps.push((d, DepOn::Finish));
-                }
+        self.report.segments.push(SegmentWindow {
+            index,
+            start: self.events[first_load..exec]
+                .iter()
+                .fold(start, |first, load| first.min(load.start)),
+            end: finish,
+            load_cycles: phases.load_phase,
+            exec_cycles,
+            compute_ops: phases.n_ops,
+            energy_pj: seg_energy.total_pj(),
+        });
+        self.seg_events.push(id);
+        self.data = Some(id);
+    }
+
+    /// Makespan and critical path: back from the first event attaining
+    /// the latest finish, along each event's binding dependency.
+    fn finish(mut self) -> EngineReport {
+        let mut last: Option<usize> = None;
+        for (i, event) in self.events.iter().enumerate() {
+            if last.is_none() || event.finish > self.report.total_cycles {
+                self.report.total_cycles = event.finish;
+                last = Some(i);
             }
         }
-
-        let id = self.nodes.len();
-        self.nodes.push(Node {
-            label: format!("seg{seg_index}.exec"),
-            duration: phases.exec_and_loose(),
-            payload: Payload::Seg {
-                index: seg_index,
-                phases,
-                lanes,
-                mem_busy,
-                load_nodes,
-                energy_pj: seg_energy.total_pj(),
-            },
-            deps,
-        });
-        self.touch(&referenced, id);
-        self.seg_nodes.push(id);
-        self.data_node = Some(id);
+        while let Some(i) = last {
+            let event = &mut self.events[i];
+            self.report.critical_path.push(CriticalStep {
+                label: std::mem::take(&mut event.label),
+                start: event.start,
+                end: event.finish,
+            });
+            last = event.critical;
+        }
+        self.report.critical_path.reverse();
+        self.report
     }
 }
 

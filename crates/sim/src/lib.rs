@@ -6,12 +6,13 @@
 //! cross-check.
 //!
 //! * [`engine`] is the event-driven, cycle-level simulator: per-array
-//!   timelines, a binary-heap completion queue, explicit mode-switch
-//!   events, shared-bus contention and inter-segment pipelining. It
-//!   returns an enriched [`EngineReport`] (per-segment and per-mode
-//!   latency/energy breakdown, array-utilization histogram, critical
-//!   path) and is surfaced through the `Session` API by
-//!   [`SessionSimExt`].
+//!   timelines filled in one forward pass over the flow (dependencies
+//!   only point backwards, so no event queue is needed), explicit
+//!   mode-switch events, shared-bus contention and inter-segment
+//!   pipelining. It returns an enriched [`EngineReport`] (per-segment
+//!   and per-mode latency/energy breakdown, array-utilization
+//!   histogram, critical path) and is surfaced through the `Session`
+//!   API by [`SessionSimExt`].
 //! * [`timing`] is the sequential reference model ([`SequentialModel`]):
 //!   it executes a compiled meta-operator flow statement by statement
 //!   against the chip state, charging the Table 2 latencies. The event
@@ -24,8 +25,8 @@
 //!   CIM semantics (im2col + integer matmul, §2.1.2) and compares against
 //!   the f32 reference from `cmswitch-tensor` — verifying that what the
 //!   compiler schedules is what the network computes.
-//! * [`chip`] tracks per-array modes/contents and dynamically enforces
-//!   mode discipline while flows execute.
+//! * [`chip`] tracks per-array modes and dynamically enforces mode
+//!   discipline while flows execute.
 //! * [`tenancy`] co-schedules several compiled programs onto one chip
 //!   (static partitions or mode-switch-aware time-slicing) and drives
 //!   continuous-batching autoregressive decode with mid-flight

@@ -125,6 +125,18 @@ pub enum TenancyError {
         /// The verifier's findings.
         report: Box<VerifyReport>,
     },
+    /// A tenant's flow names an array the physical chip does not have
+    /// (checked on every program, verified at admission or not: flows
+    /// are public input and the arbiter indexes per-array state).
+    ArrayOutOfRange {
+        /// The offending tenant.
+        tenant: String,
+        /// The array, as the tenant's flow names it.
+        array: ArrayId,
+        /// Physical arrays from the tenant's base upward (the whole
+        /// chip when time-sliced).
+        available: usize,
+    },
     /// Carving a partition sub-chip failed.
     Arch(ArchError),
     /// A decode tenant's graph builder failed.
@@ -162,6 +174,15 @@ impl fmt::Display for TenancyError {
                 f,
                 "tenant {tenant} rejected at admission: {} deny finding(s)",
                 report.deny_count()
+            ),
+            TenancyError::ArrayOutOfRange {
+                tenant,
+                array,
+                available,
+            } => write!(
+                f,
+                "tenant {tenant} names array {array}, but the chip has only \
+                 {available} arrays from the tenant's base"
             ),
             TenancyError::Arch(e) => write!(f, "partitioning failed: {e}"),
             TenancyError::Graph { tenant, source } => {
@@ -453,11 +474,8 @@ fn arbitrate(
                 }
                 needs_flip = pending > 0;
             } else {
-                for (a, mode) in &ev.arrays {
+                for (a, _) in &ev.arrays {
                     start = start.max(array_free[a.0 as usize]);
-                    if modes[a.0 as usize] != *mode {
-                        // An injected re-switch will be needed.
-                    }
                 }
                 if ev.bus > 0.0 {
                     start = start.max(bus_free);
@@ -647,26 +665,46 @@ impl ChipScheduler {
         &self.arch
     }
 
+    /// Admits one program compiled for `arch` (the chip, or the
+    /// tenant's partition of it, which starts at physical array `base`).
     fn admit(
         &self,
         name: &str,
         program: &CompiledProgram,
         arch: &DualModeArch,
+        base: u32,
     ) -> Result<(), TenancyError> {
-        if !self.options.verify_admission {
-            return Ok(());
+        if self.options.verify_admission {
+            let verifier = Verifier::empty()
+                .with_lint(Box::new(DependenceLint))
+                .with_lint(Box::new(CapacityLint));
+            let report = verifier.run(program, arch);
+            if report.deny_count() > 0 {
+                return Err(TenancyError::Admission {
+                    tenant: name.to_string(),
+                    report: Box::new(report),
+                });
+            }
         }
-        let verifier = Verifier::empty()
-            .with_lint(Box::new(DependenceLint))
-            .with_lint(Box::new(CapacityLint));
-        let report = verifier.run(program, arch);
-        if report.deny_count() > 0 {
-            return Err(TenancyError::Admission {
-                tenant: name.to_string(),
-                report: Box::new(report),
+        // Not part of the opt-out: the arbiter indexes per-array state
+        // by every id the flow names, relocated by `base`.
+        let available = self.arch.n_arrays() - base as usize;
+        let mut stray = None;
+        for stmt in program.flow.stmts() {
+            stmt.for_each_array(&mut |a| {
+                if a.index() >= available {
+                    stray.get_or_insert(a);
+                }
             });
         }
-        Ok(())
+        match stray {
+            Some(array) => Err(TenancyError::ArrayOutOfRange {
+                tenant: name.to_string(),
+                array,
+                available,
+            }),
+            None => Ok(()),
+        }
     }
 
     /// Co-schedules the tenants and reports per-tenant and chip-level
@@ -676,8 +714,9 @@ impl ChipScheduler {
     ///
     /// [`TenancyError::NoTenants`] on an empty slice;
     /// [`TenancyError::Admission`] when a program fails the
-    /// dependence/capacity lints; share-shape errors under the
-    /// partitioned policy.
+    /// dependence/capacity lints; [`TenancyError::ArrayOutOfRange`]
+    /// when one names an array the chip lacks; share-shape errors under
+    /// the partitioned policy.
     pub fn co_simulate(&self, tenants: &[TenantProgram]) -> Result<TenancyReport, TenancyError> {
         if tenants.is_empty() {
             return Err(TenancyError::NoTenants);
@@ -689,7 +728,7 @@ impl ChipScheduler {
         match &self.options.policy {
             TenancyPolicy::TimeSliced => {
                 for t in tenants {
-                    self.admit(t.name, t.program, &self.arch)?;
+                    self.admit(t.name, t.program, &self.arch, 0)?;
                     streams.push(extract_events(&t.program.flow, &self.arch));
                     energies.push(energy::estimate(
                         &t.program.flow,
@@ -717,7 +756,7 @@ impl ChipScheduler {
                     let sub = self.arch.partition(share)?;
                     // Verify against the *shrunken* capacity: a plan
                     // that fit the whole chip may not fit its slice.
-                    self.admit(t.name, t.program, &sub)?;
+                    self.admit(t.name, t.program, &sub, base)?;
                     let relocated = offset_flow(&t.program.flow, base);
                     streams.push(extract_events(&relocated, &self.arch));
                     // Energy is schedule- and placement-invariant;

@@ -16,7 +16,8 @@
 //!
 //! And the engine must actually *earn* its keep: at least one
 //! multi-segment model must overlap strictly (`pipelined <
-//! sequential`), otherwise the event machinery is dead weight.
+//! sequential`), otherwise the engine's dependency tracking is dead
+//! weight.
 
 use cmswitch::arch::presets;
 use cmswitch::models::registry;

@@ -22,7 +22,7 @@ use cmswitch::metaop::{
 };
 use cmswitch::prelude::*;
 use cmswitch::sim::engine::latency_lower_bound;
-use cmswitch::sim::EngineReport;
+use cmswitch::sim::{ChipScheduler, EngineReport, TenancyError, TenancyPolicy};
 
 fn preset(idx: usize) -> DualModeArch {
     match idx % 3 {
@@ -256,7 +256,62 @@ fn out_of_range_array_ids_are_typed_errors_from_every_entry_point() {
                         other => panic!("{stray:?} in {flow:?}: expected a mode violation, got {other:?}"),
                     }
                 }
+                // The co-scheduler's arbiter is the fourth entry point,
+                // and skipping admission verification is a documented
+                // option — not a licence to index past the chip.
+                for policy in [
+                    TenancyPolicy::TimeSliced,
+                    TenancyPolicy::Partitioned { shares: vec![arch.n_arrays()] },
+                ] {
+                    let result = unverified(&arch, policy)
+                        .co_simulate(&[TenantProgram::new("stray", &program)]);
+                    match result {
+                        Err(TenancyError::ArrayOutOfRange { tenant, array, available: 8 }) => {
+                            assert_eq!((tenant.as_str(), array), ("stray", stray));
+                        }
+                        other => panic!("{stray:?} in {flow:?}: expected out-of-range, got {other:?}"),
+                    }
+                }
             }
         }
     }
+
+    // A program compiled for a larger chip, time-sliced onto this one …
+    let big = presets::dynaplasia();
+    let foreign = Session::builder(big).build().compile_graph(&graph).unwrap();
+    let result = unverified(&arch, TenancyPolicy::TimeSliced)
+        .co_simulate(&[TenantProgram::new("foreign", &foreign)]);
+    assert!(
+        matches!(result, Err(TenancyError::ArrayOutOfRange { available: 8, .. })),
+        "{result:?}"
+    );
+    // … and two whole-chip programs on half a chip each: relocating the
+    // second one pushes its upper arrays (and `u32::MAX`) off the chip.
+    let wide = cmswitch::models::mlp::mlp(2, &[256, 256, 256, 64]).unwrap();
+    let mut whole = Session::builder(arch.clone()).build().compile_graph(&wide).unwrap();
+    let small = Session::builder(arch.partition(4).unwrap()).build().compile_graph(&graph).unwrap();
+    let relocated = |whole: &CompiledProgram| {
+        let tenants = [TenantProgram::new("a", &small), TenantProgram::new("b", whole)];
+        let halves = TenancyPolicy::Partitioned { shares: vec![4, 4] };
+        match unverified(&arch, halves).co_simulate(&tenants) {
+            Err(TenancyError::ArrayOutOfRange { tenant, array, available: 4 }) => {
+                assert_eq!(tenant, "b");
+                assert!(array.index() >= 4, "{array:?}");
+            }
+            other => panic!("expected out-of-range for the relocated tenant, got {other:?}"),
+        }
+    };
+    relocated(&whole);
+    let mut flow = Flow::new("stray");
+    flow.push(Stmt::switch(SwitchKind::ToCompute, vec![ArrayId(u32::MAX)]));
+    whole.flow = flow;
+    relocated(&whole);
+}
+
+fn unverified(arch: &DualModeArch, policy: TenancyPolicy) -> ChipScheduler {
+    ChipScheduler::new(arch.clone()).with_options(CoSimOptions {
+        policy,
+        verify_admission: false,
+        ..CoSimOptions::default()
+    })
 }

@@ -1,5 +1,5 @@
-//! Cost guards for the flow checkers, stated as allocation counts — a
-//! count repeats exactly where a clock does not.
+//! Cost guards for the flow checkers and the event engine, stated as
+//! allocation counts — a count repeats exactly where a clock does not.
 //!
 //! `core::verify` and `metaop::validate` run on every compile and on
 //! every artifact served from the store, over flows with hundreds of
@@ -138,6 +138,19 @@ fn clean_llm_checks_allocate_per_statement_not_per_array_reference() {
         calls <= budget,
         "validate made {calls} allocations on {statements} statements \
          ({references} array references); budget {budget}"
+    );
+
+    // The event engine keeps dense per-array state too: a label per
+    // event and amortised timeline growth, but no per-event dependency
+    // list and no per-array-reference clone.
+    let budget = 5 * statements + 64;
+    let engine = EventEngine::new();
+    let (report, calls, _) = measured(|| engine.simulate_program(&program, &arch));
+    report.expect("a clean program simulates");
+    assert!(
+        calls <= budget,
+        "EventEngine::simulate_program made {calls} allocations on {statements} \
+         statements ({references} array references); budget {budget}"
     );
 }
 
