@@ -129,8 +129,11 @@ pub struct AllocatorStats {
     /// Cache lookups that missed and went to a solver (zero when the
     /// allocator runs uncached).
     pub cache_misses: AtomicU64,
-    /// MIP solves that fell back to the fast allocator's solution
-    /// (node-budget exhaustion or numerical trouble).
+    /// MIP solves that returned an error — infeasible, node budget spent
+    /// before any incumbent, or numerical trouble — so the fast
+    /// allocator's solution stood. A search that exhausts its budget
+    /// *with* an incumbent returns that incumbent and counts under
+    /// [`AllocatorStats::budget_exhausted`] instead.
     pub mip_fallbacks: AtomicU64,
     /// MIP solves whose selected warm start was feasible and seeded the
     /// branch-and-bound incumbent.
@@ -138,6 +141,19 @@ pub struct AllocatorStats {
     /// Warm-start candidates discarded: infeasible at check time, or set
     /// on a solve that then failed and fell back.
     pub warm_rejected: AtomicU64,
+    /// Branch-and-bound nodes explored by the MIP solves that returned a
+    /// solution (as are the four counters below).
+    pub bnb_nodes: AtomicU64,
+    /// LP relaxations those searches solved.
+    pub lp_solves: AtomicU64,
+    /// Simplex pivots inside those LPs.
+    pub pivots: AtomicU64,
+    /// Searches that stopped on the node budget with optimality unproven
+    /// and returned their best incumbent.
+    pub budget_exhausted: AtomicU64,
+    /// Searches that returned something other than the warm start they
+    /// were seeded with (or were not seeded at all).
+    pub improved: AtomicU64,
 }
 
 impl AllocatorStats {
@@ -169,6 +185,31 @@ impl AllocatorStats {
     /// failed solve.
     pub fn warm_rejected(&self) -> u64 {
         self.warm_rejected.load(Ordering::Relaxed)
+    }
+
+    /// Branch-and-bound nodes explored.
+    pub fn bnb_nodes(&self) -> u64 {
+        self.bnb_nodes.load(Ordering::Relaxed)
+    }
+
+    /// LP relaxations solved by branch-and-bound.
+    pub fn lp_solves(&self) -> u64 {
+        self.lp_solves.load(Ordering::Relaxed)
+    }
+
+    /// Simplex pivots inside those LPs.
+    pub fn pivots(&self) -> u64 {
+        self.pivots.load(Ordering::Relaxed)
+    }
+
+    /// MIP solves that ended on the node budget, optimality unproven.
+    pub fn budget_exhausted(&self) -> u64 {
+        self.budget_exhausted.load(Ordering::Relaxed)
+    }
+
+    /// MIP solves that returned something other than their warm start.
+    pub fn improved(&self) -> u64 {
+        self.improved.load(Ordering::Relaxed)
     }
 }
 
@@ -722,6 +763,7 @@ impl<'a> Allocator<'a> {
                 }
             }
         }
+        let start_objective = best_start.as_ref().map(|&(obj, _)| obj);
         let warm_set = if let Some((_, values)) = best_start {
             let accepted = mip.set_warm_start(values);
             debug_assert!(accepted, "warm start built against mip's own n_vars");
@@ -749,6 +791,16 @@ impl<'a> Allocator<'a> {
                 self.stats.warm_rejected.fetch_add(1, Ordering::Relaxed);
             }
         }
+        let count = |counter: &AtomicU64, n: usize| counter.fetch_add(n as u64, Ordering::Relaxed);
+        count(&self.stats.bnb_nodes, sol.nodes_explored);
+        count(&self.stats.lp_solves, sol.lp_solves);
+        count(&self.stats.pivots, sol.pivots);
+        count(&self.stats.budget_exhausted, usize::from(!sol.proven_optimal));
+        // The search displaces its incumbent only for a strictly better
+        // objective, so "returned the warm start" is "returned its
+        // objective".
+        let improved = start_objective.is_none_or(|start| sol.objective > start);
+        count(&self.stats.improved, usize::from(improved));
         let per_op: Vec<OpAllocation> = (0..ops.len())
             .map(|i| OpAllocation {
                 compute: sol.int_value(com[i]) as usize,

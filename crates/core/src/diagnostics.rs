@@ -53,9 +53,11 @@ pub enum DiagnosticEvent {
         misses: u64,
     },
     /// The MIP allocator fell back to the fast allocator's solution
-    /// `count` times (node-budget exhaustion or numerical trouble in
-    /// branch-and-bound) — the baseline fallback path of
-    /// [`crate::AllocatorKind::Mip`].
+    /// `count` times because the solve returned an error (infeasible,
+    /// node budget spent before any incumbent, or numerical trouble) —
+    /// the baseline fallback path of [`crate::AllocatorKind::Mip`]. A
+    /// search that runs out of budget *with* an incumbent is not a
+    /// fallback; [`DiagnosticEvent::SolverEffort`] counts those.
     MipFallback {
         /// Number of segments whose MIP solve fell back.
         count: u64,
@@ -70,6 +72,27 @@ pub enum DiagnosticEvent {
         accepted: u64,
         /// Warm-start candidates discarded.
         rejected: u64,
+    },
+    /// What the MIP allocator's branch-and-bound searches cost and what
+    /// they bought, over the `mip_solves` solves of this compilation
+    /// (the five other fields cover the solves that returned a
+    /// solution). Counts, not times: they repeat exactly at one solve
+    /// worker.
+    SolverEffort {
+        /// MIP solves performed.
+        mip_solves: u64,
+        /// Branch-and-bound nodes explored.
+        bnb_nodes: u64,
+        /// LP relaxations solved (one per node; no LP is solved twice).
+        lp_solves: u64,
+        /// Simplex pivots inside those LPs.
+        pivots: u64,
+        /// Searches that stopped on the node budget, optimality unproven,
+        /// and returned their best incumbent.
+        budget_exhausted: u64,
+        /// Searches that returned something other than the warm start
+        /// they were seeded with.
+        improved: u64,
     },
     /// An event-engine simulation of the compiled program completed
     /// (emitted by `cmswitch-sim`'s `Session::simulate` extension, not
@@ -163,6 +186,19 @@ impl fmt::Display for DiagnosticEvent {
             DiagnosticEvent::WarmStart { accepted, rejected } => {
                 write!(f, "MIP warm starts: {accepted} accepted, {rejected} rejected")
             }
+            DiagnosticEvent::SolverEffort {
+                mip_solves,
+                bnb_nodes,
+                lp_solves,
+                pivots,
+                budget_exhausted,
+                improved,
+            } => write!(
+                f,
+                "MIP search effort: {mip_solves} solves, {bnb_nodes} nodes, \
+                 {lp_solves} LPs, {pivots} pivots; {budget_exhausted} ended on the \
+                 node budget, {improved} improved on their warm start"
+            ),
             DiagnosticEvent::Simulated {
                 pipelined_cycles,
                 serialized_cycles,
@@ -282,6 +318,15 @@ impl Diagnostics {
         })
     }
 
+    /// The most recent [`DiagnosticEvent::SolverEffort`] event, if the
+    /// compilation solved any MIP (a compilation emits at most one).
+    pub fn solver_effort(&self) -> Option<&DiagnosticEvent> {
+        self.events
+            .iter()
+            .rev()
+            .find(|e| matches!(e, DiagnosticEvent::SolverEffort { .. }))
+    }
+
     /// The simulated `(pipelined, serialized)` cycle pair of the most
     /// recent [`DiagnosticEvent::Simulated`] event, if any.
     pub fn simulated_cycles(&self) -> Option<(f64, f64)> {
@@ -398,6 +443,26 @@ mod tests {
         assert_eq!(d.warm_start_counts(), (8, 2));
         let text = d.to_string();
         assert!(text.contains("7 accepted, 2 rejected"), "{text}");
+    }
+
+    #[test]
+    fn solver_effort_event_renders_and_is_found() {
+        let mut d = Diagnostics::new();
+        assert_eq!(d.solver_effort(), None);
+        let effort = DiagnosticEvent::SolverEffort {
+            mip_solves: 4,
+            bnb_nodes: 80,
+            lp_solves: 84,
+            pivots: 1600,
+            budget_exhausted: 2,
+            improved: 1,
+        };
+        d.push(effort.clone());
+        d.push(DiagnosticEvent::CacheTraffic { hits: 1, misses: 4 });
+        assert_eq!(d.solver_effort(), Some(&effort));
+        let text = d.to_string();
+        assert!(text.contains("4 solves, 80 nodes, 84 LPs, 1600 pivots"), "{text}");
+        assert!(text.contains("2 ended on the node budget, 1 improved"), "{text}");
     }
 
     #[test]

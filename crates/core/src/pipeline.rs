@@ -87,6 +87,11 @@ pub struct PipelineCx<'a> {
     mip_fallbacks: u64,
     warm_accepted: u64,
     warm_rejected: u64,
+    bnb_nodes: u64,
+    lp_solves: u64,
+    pivots: u64,
+    budget_exhausted: u64,
+    improved: u64,
     dp_windows_pruned: u64,
     solve_batches: u64,
 }
@@ -110,6 +115,11 @@ impl<'a> PipelineCx<'a> {
             mip_fallbacks: 0,
             warm_accepted: 0,
             warm_rejected: 0,
+            bnb_nodes: 0,
+            lp_solves: 0,
+            pivots: 0,
+            budget_exhausted: 0,
+            improved: 0,
             dp_windows_pruned: 0,
             solve_batches: 0,
         }
@@ -198,6 +208,11 @@ impl<'a> PipelineCx<'a> {
         self.mip_fallbacks += stats.fallbacks();
         self.warm_accepted += stats.warm_accepted();
         self.warm_rejected += stats.warm_rejected();
+        self.bnb_nodes += stats.bnb_nodes();
+        self.lp_solves += stats.lp_solves();
+        self.pivots += stats.pivots();
+        self.budget_exhausted += stats.budget_exhausted();
+        self.improved += stats.improved();
     }
 
     /// Folds the segmentation DP's window counters into the
@@ -266,7 +281,8 @@ impl<'a> PipelineCx<'a> {
     }
 
     /// Emits the events derived from accumulated counters (cache
-    /// traffic, MIP fallbacks) exactly once, at context teardown.
+    /// traffic, MIP fallbacks, warm starts, solver effort) exactly once,
+    /// at context teardown.
     fn flush_aggregate_events(&mut self) {
         if self.cache_hits + self.cache_misses > 0 {
             self.diags.push(DiagnosticEvent::CacheTraffic {
@@ -283,6 +299,16 @@ impl<'a> PipelineCx<'a> {
             self.diags.push(DiagnosticEvent::WarmStart {
                 accepted: self.warm_accepted,
                 rejected: self.warm_rejected,
+            });
+        }
+        if self.mip_solves > 0 {
+            self.diags.push(DiagnosticEvent::SolverEffort {
+                mip_solves: self.mip_solves,
+                bnb_nodes: self.bnb_nodes,
+                lp_solves: self.lp_solves,
+                pivots: self.pivots,
+                budget_exhausted: self.budget_exhausted,
+                improved: self.improved,
             });
         }
     }

@@ -6,9 +6,13 @@
 //! needs:
 //!
 //! * [`LinearProgram`] + a dense two-phase **simplex** solver
-//!   ([`LinearProgram::solve`]),
+//!   ([`LinearProgram::solve`]) whose kernel runs out of a reusable
+//!   workspace and does pivot work proportional to the pivot row's
+//!   non-zeros,
 //! * [`MipProblem`] — **branch-and-bound** mixed-integer programming on
-//!   top of the LP relaxation ([`MipProblem::solve`]),
+//!   top of the LP relaxation ([`MipProblem::solve`]): one workspace per
+//!   solve, no LP solved twice, and [`MipSolution`] reports the LP
+//!   solves and pivots the search cost,
 //! * [`alloc`] — an independent exact solver specialized to the
 //!   max-min-throughput allocation structure, used to cross-check the MIP
 //!   and as a fast compilation path.

@@ -4,6 +4,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::problem::{LinearProgram, LpSolution, Relation, VarId};
+use crate::simplex::Workspace;
 use crate::SolverError;
 
 const INT_TOL: f64 = 1e-6;
@@ -53,6 +54,12 @@ pub struct MipSolution {
     /// Whether a supplied warm start was feasible and seeded the initial
     /// incumbent (it may since have been displaced by a better one).
     pub used_warm_start: bool,
+    /// LP relaxations solved: the root's, then one per explored node
+    /// other than the root — `nodes_explored.max(1)`.
+    pub lp_solves: usize,
+    /// Simplex pivots (basis changes; bound flips are not pivots) over
+    /// all of those LPs.
+    pub pivots: usize,
 }
 
 impl MipSolution {
@@ -67,11 +74,27 @@ impl MipSolution {
     }
 }
 
+/// An open node: the bound it inherited from its parent's relaxation
+/// and the last bound change on its path from the root (`None`: the
+/// root itself).
 #[derive(Debug)]
 struct Node {
     bound: f64,
-    lower: Vec<f64>,
-    upper: Vec<f64>,
+    branch: Option<usize>,
+}
+
+/// One branching decision, chained to the decisions above it. A node's
+/// variable bounds are the root's with its chain applied root to leaf,
+/// so open nodes share their ancestors' decisions instead of each
+/// carrying two full bound vectors.
+#[derive(Debug, Clone, Copy)]
+struct Branch {
+    parent: Option<usize>,
+    var: usize,
+    bound: f64,
+    /// `bound` replaces the variable's upper bound (down branch) or its
+    /// lower bound (up branch).
+    is_upper: bool,
 }
 
 impl PartialEq for Node {
@@ -225,16 +248,22 @@ impl MipProblem {
     /// * [`SolverError::NodeLimit`] if the node budget is exhausted before
     ///   any incumbent is found.
     pub fn solve(&self) -> Result<MipSolution, SolverError> {
-        let root_lower = self.lp.lower.clone();
-        let root_upper = self.lp.upper.clone();
-        let root = self.lp.solve_with_bounds(&root_lower, &root_upper)?;
+        // One simplex workspace and one pair of bound buffers serve
+        // every LP of this solve.
+        let mut ws = Workspace::default();
+        let mut lower = self.lp.lower.clone();
+        let mut upper = self.lp.upper.clone();
+        let root = self.lp.solve_with_bounds(&lower, &upper, &mut ws)?;
 
+        let mut branches: Vec<Branch> = Vec::new();
+        let mut path: Vec<usize> = Vec::new();
         let mut heap = BinaryHeap::new();
         heap.push(Node {
             bound: root.objective,
-            lower: root_lower,
-            upper: root_upper,
+            branch: None,
         });
+        // Handed to the root node when it is popped, not solved again.
+        let mut root = Some(root);
 
         let mut incumbent: Option<MipSolution> = self.warm_start.as_ref().and_then(|values| {
             self.check_feasible(values).map(|objective| MipSolution {
@@ -243,21 +272,18 @@ impl MipProblem {
                 nodes_explored: 0,
                 proven_optimal: false,
                 used_warm_start: true,
+                lp_solves: 0,
+                pivots: 0,
             })
         });
         let warm_seeded = incumbent.is_some();
         let mut nodes = 0usize;
+        let mut exhausted = false;
 
         while let Some(node) = heap.pop() {
             if nodes >= self.node_limit {
-                return match incumbent {
-                    Some(mut sol) => {
-                        sol.proven_optimal = false;
-                        sol.nodes_explored = nodes;
-                        Ok(sol)
-                    }
-                    None => Err(SolverError::NodeLimit),
-                };
+                exhausted = true;
+                break;
             }
             if let Some(best) = &incumbent {
                 let margin = INT_TOL + self.relative_gap * best.objective.abs();
@@ -266,10 +292,29 @@ impl MipProblem {
                 }
             }
             nodes += 1;
-            let relax = match self.lp.solve_with_bounds(&node.lower, &node.upper) {
-                Ok(sol) => sol,
-                Err(SolverError::Infeasible) => continue,
-                Err(e) => return Err(e),
+            // The node's bounds: the root's, then its chain of branching
+            // decisions from the root down (a deeper decision on the
+            // same variable and side overrides a shallower one).
+            lower.copy_from_slice(&self.lp.lower);
+            upper.copy_from_slice(&self.lp.upper);
+            path.clear();
+            let mut at = node.branch;
+            while let Some(i) = at {
+                path.push(i);
+                at = branches[i].parent;
+            }
+            for &i in path.iter().rev() {
+                let decision = branches[i];
+                let side = if decision.is_upper { &mut upper } else { &mut lower };
+                side[decision.var] = decision.bound;
+            }
+            let relax = match node.branch {
+                None => root.take().expect("the root node is pushed once"),
+                Some(_) => match self.lp.solve_with_bounds(&lower, &upper, &mut ws) {
+                    Ok(sol) => sol,
+                    Err(SolverError::Infeasible) => continue,
+                    Err(e) => return Err(e),
+                },
             };
             if let Some(best) = &incumbent {
                 let margin = INT_TOL + self.relative_gap * best.objective.abs();
@@ -290,32 +335,34 @@ impl MipProblem {
                             nodes_explored: nodes,
                             proven_optimal: true,
                             used_warm_start: warm_seeded,
+                            lp_solves: 0,
+                            pivots: 0,
                         });
                     }
                 }
                 Some(var) => {
                     let v = relax.values[var];
-                    let floor = v.floor();
-                    // Down branch: x <= floor(v).
-                    if floor >= node.lower[var] - INT_TOL {
-                        let mut upper = node.upper.clone();
-                        upper[var] = floor;
+                    let mut push_child = |bound: f64, is_upper: bool| {
+                        branches.push(Branch {
+                            parent: node.branch,
+                            var,
+                            bound,
+                            is_upper,
+                        });
                         heap.push(Node {
                             bound: relax.objective,
-                            lower: node.lower.clone(),
-                            upper,
+                            branch: Some(branches.len() - 1),
                         });
+                    };
+                    // Down branch: x <= floor(v).
+                    let floor = v.floor();
+                    if floor >= lower[var] - INT_TOL {
+                        push_child(floor, true);
                     }
                     // Up branch: x >= ceil(v).
                     let ceil = v.ceil();
-                    if !node.upper[var].is_finite() || ceil <= node.upper[var] + INT_TOL {
-                        let mut lower = node.lower.clone();
-                        lower[var] = ceil;
-                        heap.push(Node {
-                            bound: relax.objective,
-                            lower,
-                            upper: node.upper.clone(),
-                        });
+                    if !upper[var].is_finite() || ceil <= upper[var] + INT_TOL {
+                        push_child(ceil, false);
                     }
                 }
             }
@@ -325,10 +372,14 @@ impl MipProblem {
             Some(mut sol) => {
                 sol.nodes_explored = nodes;
                 // Natural drain: every open node was pruned, so the
-                // incumbent is optimal within the configured gap.
-                sol.proven_optimal = true;
+                // incumbent is optimal within the configured gap. A
+                // search cut short by the node budget proves nothing.
+                sol.proven_optimal = !exhausted;
+                sol.lp_solves = ws.lp_solves;
+                sol.pivots = ws.pivots;
                 Ok(sol)
             }
+            None if exhausted => Err(SolverError::NodeLimit),
             None => Err(SolverError::Infeasible),
         }
     }
@@ -385,6 +436,32 @@ mod tests {
         assert_eq!(sol.int_value(x2), 1);
         assert_eq!(sol.int_value(x3), 1);
         assert!(sol.proven_optimal);
+    }
+
+    #[test]
+    fn no_lp_is_solved_twice() {
+        // The knapsack above branches: its root relaxation is fractional.
+        // Every explored node costs exactly one LP — the root's
+        // relaxation, solved up front for its bound, is handed to the
+        // root node rather than solved again when that node is popped.
+        let mut mip = MipProblem::new();
+        let x1 = mip.add_int_var(0.0, 1.0, 10.0);
+        let x2 = mip.add_int_var(0.0, 1.0, 13.0);
+        let x3 = mip.add_int_var(0.0, 1.0, 7.0);
+        mip.add_constraint(vec![(x1, 3.0), (x2, 4.0), (x3, 2.0)], Relation::Le, 6.0)
+            .unwrap();
+        let sol = mip.solve().unwrap();
+        assert!(sol.nodes_explored > 1, "the instance must branch");
+        assert_eq!(sol.lp_solves, sol.nodes_explored.max(1));
+        assert!(sol.pivots >= sol.lp_solves, "every one of these LPs pivots");
+        // A warm start that already meets the root bound prunes the root
+        // unexplored: the one LP solved is the relaxation that proved it.
+        let mut mip = MipProblem::new();
+        let x = mip.add_int_var(0.0, 5.0, 1.0);
+        mip.add_constraint(vec![(x, 2.0)], Relation::Le, 6.0).unwrap();
+        assert!(mip.set_warm_start(vec![3.0]));
+        let pruned = mip.solve().unwrap();
+        assert_eq!((pruned.nodes_explored, pruned.lp_solves), (0, 1));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-use crate::simplex;
+use crate::simplex::{self, Workspace};
 use crate::SolverError;
 
 /// Stable FNV-1a hash of a word sequence.
@@ -56,7 +56,7 @@ pub(crate) struct Constraint {
 ///
 /// Solved by a dense two-phase simplex with Bland's anti-cycling rule —
 /// ample for the compiler's per-segment allocation problems (tens of
-/// variables).
+/// variables). Each call works in a scratch workspace of its own.
 #[derive(Debug, Clone, Default)]
 pub struct LinearProgram {
     pub(crate) objective: Vec<f64>,
@@ -130,7 +130,8 @@ impl LinearProgram {
     }
 
     /// Solves the program with bounds overridden by `(lower, upper)`
-    /// (used by branch-and-bound to branch without copying constraints).
+    /// (used by branch-and-bound to branch without copying constraints),
+    /// in the caller's workspace.
     ///
     /// # Errors
     ///
@@ -139,6 +140,7 @@ impl LinearProgram {
         &self,
         lower: &[f64],
         upper: &[f64],
+        ws: &mut Workspace,
     ) -> Result<LpSolution, SolverError> {
         for (i, (&lb, &ub)) in lower.iter().zip(upper).enumerate() {
             if lb > ub || !lb.is_finite() {
@@ -149,7 +151,7 @@ impl LinearProgram {
                 });
             }
         }
-        simplex::solve(self, lower, upper)
+        simplex::solve(self, lower, upper, ws)
     }
 
     /// Solves the program.
@@ -164,7 +166,7 @@ impl LinearProgram {
     ///   bounds,
     /// * [`SolverError::IterationLimit`] on numerical breakdown.
     pub fn solve(&self) -> Result<LpSolution, SolverError> {
-        self.solve_with_bounds(&self.lower.clone(), &self.upper.clone())
+        self.solve_with_bounds(&self.lower, &self.upper, &mut Workspace::default())
     }
 }
 

@@ -1,5 +1,5 @@
 //! Dense two-phase simplex with implicit variable bounds and Bland's
-//! anti-cycling rule.
+//! anti-cycling rule, run out of a reusable [`Workspace`].
 //!
 //! Problems are converted to standard form (shifted variables `y = x -
 //! lb ≥ 0`, slack/surplus/artificial columns); phase 1 drives the
@@ -10,6 +10,61 @@
 //! MIPs bound every variable, so explicit rows would triple the row
 //! count and dominate branch-and-bound time. Sizes in this codebase are
 //! tens of variables, so a dense tableau is the right tool.
+//!
+//! # Cost contract
+//!
+//! Branch-and-bound solves hundreds of LPs that differ only in their
+//! variable bounds, so the kernel owns no memory of its own:
+//!
+//! * **One workspace per MIP solve.** Tableau, rhs, basis, column
+//!   bounds, marks, reduced costs and scratch live in a [`Workspace`]
+//!   that one `MipProblem::solve` call owns and every node LP of that
+//!   call refills. It is never shared between threads — concurrent
+//!   solves each bring their own — and `LinearProgram::solve` runs the
+//!   same kernel on a throw-away one.
+//! * **No allocation per pivot or per node LP** beyond the returned
+//!   `values`: the tableau is written straight from the program's
+//!   constraints, and once the workspace has grown to the problem's
+//!   size a solve only overwrites it.
+//! * **Pivot work proportional to the pivot row's non-zeros.** A pivot
+//!   lists the non-zero columns of the scaled pivot row once; the row
+//!   eliminations and the reduced-cost update touch only those columns.
+//!   On the allocation MIPs about 9% of a pivot row is non-zero.
+//!   Skipping a zero is exact — `x − f·0 = x` — except for the sign of a
+//!   zero result, which no comparison, division or output reads.
+//!
+//! # What must not move
+//!
+//! The allocation MIPs are degenerate max-min programs: many vertices
+//! share the optimal objective, the pivot rule decides which one the LP
+//! returns, that vertex decides where branch-and-bound branches, and the
+//! integer point it ends on *is* the compiled plan. Speeding the kernel
+//! up is therefore only safe as "the identical pivot sequence on the
+//! identical numbers" (`tests/solver_golden.rs` pins it to the bit).
+//! Four rules carry that:
+//!
+//! * **Entering column.** Dantzig's rule takes the most positive reduced
+//!   cost and, among exact ties, the *last* such column; after 64
+//!   stalled iterations Bland's rule takes the *first* improving column.
+//!   Banned columns (artificials in phase 2) never enter. Repeated
+//!   layers make exact ties the common case, so "first" versus "last"
+//!   picks a different vertex.
+//! * **Ratio test.** Rows are scanned in ascending order with the
+//!   entering column's own bound flip as the first candidate; a row
+//!   displaces a flip when `t < best + TOL`, and displaces another row
+//!   when `t < best − TOL`, or within `TOL` when its basic variable has
+//!   the smaller index. A variable leaving at its upper bound has its
+//!   column complemented and its row negated before the pivot. Which of
+//!   several tied rows leaves decides the next basis.
+//! * **Arithmetic.** Eliminations skip rows whose factor is `≤ TOL` in
+//!   magnitude, a basic value within `TOL` of zero snaps to zero, and
+//!   `TOL`, `MAX_ITERS`, the phase 1 → drive-out → ban → phase 2 order
+//!   and the value extraction are fixed: any of them changes a rounding
+//!   somewhere, and a changed low bit is enough to flip a later tie.
+//! * **Search** (in `mip.rs`). Best-first on the parent's relaxation
+//!   objective, down child pushed before up child, prune margins and the
+//!   node budget unchanged — the heap pops equal bounds in an order that
+//!   depends on the exact push sequence.
 
 use crate::problem::{LinearProgram, LpSolution, Relation};
 use crate::SolverError;
@@ -17,7 +72,13 @@ use crate::SolverError;
 const TOL: f64 = 1e-9;
 const MAX_ITERS: usize = 50_000;
 
-struct Tableau {
+/// Every buffer the kernel works in, plus the effort it has spent.
+///
+/// [`solve`] refills it from scratch (nothing carries over from one LP
+/// to the next but capacity and the two counters), so one workspace can
+/// serve any sequence of programs of any size.
+#[derive(Debug, Default)]
+pub(crate) struct Workspace {
     /// Constraint matrix, row-major `m × n_total`.
     a: Vec<f64>,
     /// Values of the basic variables (in tableau space), `0 ≤ b[r]`.
@@ -30,9 +91,27 @@ struct Tableau {
     /// Columns currently substituted as `x = u - x̂` (nonbasic at upper
     /// bound, or re-entered from it).
     complemented: Vec<bool>,
-    /// Columns that may never enter the basis (artificials in phase 2).
-    banned: Vec<bool>,
+    /// First artificial column: the layout is `[structural | slack and
+    /// surplus | artificial]`, so the artificials are `art_start..n_total`.
+    art_start: usize,
+    /// Columns `0..enterable` may enter the basis: all of them in phase
+    /// 1, `0..art_start` once phase 2 has banned the artificials.
+    enterable: usize,
+    /// Rows whose shifted rhs was negative and that were therefore
+    /// written with every sign (and the relation) reversed.
+    flipped: Vec<bool>,
+    /// Reduced costs of the phase being optimized.
+    cost: Vec<f64>,
+    /// The non-zeros of the last scaled pivot row, `(column, value)`.
+    pivot_row: Vec<(usize, f64)>,
+    /// Extraction scratch: the row each column is basic in.
+    row_of: Vec<usize>,
     n_total: usize,
+    /// LPs solved through this workspace.
+    pub(crate) lp_solves: usize,
+    /// Basis-changing pivots performed through this workspace (bound
+    /// flips are not pivots).
+    pub(crate) pivots: usize,
 }
 
 enum Step {
@@ -43,40 +122,50 @@ enum Step {
     Pivot { row: usize, at_upper: bool },
 }
 
-impl Tableau {
+/// `v` becomes `len` copies of `value`, keeping its capacity.
+fn refill<T: Clone>(v: &mut Vec<T>, len: usize, value: T) {
+    v.clear();
+    v.resize(len, value);
+}
+
+/// The relation a row is written with once a negative rhs reversed it.
+fn oriented(relation: Relation, flipped: bool) -> Relation {
+    match (relation, flipped) {
+        (Relation::Le, true) => Relation::Ge,
+        (Relation::Ge, true) => Relation::Le,
+        (relation, _) => relation,
+    }
+}
+
+impl Workspace {
     #[inline]
     fn at(&self, r: usize, j: usize) -> f64 {
         self.a[r * self.n_total + j]
     }
 
-    fn row(&self, r: usize) -> &[f64] {
-        &self.a[r * self.n_total..(r + 1) * self.n_total]
-    }
-
     fn pivot(&mut self, row: usize, col: usize) {
+        self.pivots += 1;
         let n = self.n_total;
         let scale = self.at(row, col);
-        for v in &mut self.a[row * n..(row + 1) * n] {
-            *v /= scale;
+        self.pivot_row.clear();
+        for (j, v) in self.a[row * n..(row + 1) * n].iter_mut().enumerate() {
+            if *v != 0.0 {
+                *v /= scale;
+                self.pivot_row.push((j, *v));
+            }
         }
         self.b[row] /= scale;
         for r in 0..self.b.len() {
             if r == row {
                 continue;
             }
-            let factor = self.at(r, col);
+            let target = &mut self.a[r * n..(r + 1) * n];
+            let factor = target[col];
             if factor.abs() <= TOL {
                 continue;
             }
-            let (before, from_row) = self.a.split_at_mut(row * n);
-            let (pivot_row, after) = from_row.split_at_mut(n);
-            let target = if r < row {
-                &mut before[r * n..(r + 1) * n]
-            } else {
-                &mut after[(r - row - 1) * n..(r - row) * n]
-            };
-            for (t, &p) in target.iter_mut().zip(pivot_row.iter()) {
-                *t -= factor * p;
+            for &(j, p) in &self.pivot_row {
+                target[j] -= factor * p;
             }
             self.b[r] -= factor * self.b[row];
             if self.b[r].abs() < TOL {
@@ -89,7 +178,7 @@ impl Tableau {
     /// Substitutes column `col` as `x = upper - x̂`: negates the column,
     /// shifts the basic values, and flips the reduced cost. Used when a
     /// nonbasic variable moves to (or re-enters from) its upper bound.
-    fn complement(&mut self, col: usize, c_red: &mut [f64]) {
+    fn complement(&mut self, col: usize) {
         let u = self.upper[col];
         for r in 0..self.b.len() {
             let arj = self.a[r * self.n_total + col];
@@ -103,7 +192,7 @@ impl Tableau {
                 self.a[r * self.n_total + col] = -arj;
             }
         }
-        c_red[col] = -c_red[col];
+        self.cost[col] = -self.cost[col];
         self.complemented[col] = !self.complemented[col];
     }
 
@@ -140,24 +229,26 @@ impl Tableau {
         best
     }
 
-    /// Runs simplex iterations maximizing the objective described by
-    /// reduced costs `c_red` (updated in place). Returns the objective
-    /// delta accumulated, or an error.
+    /// Runs simplex iterations maximizing the objective described by the
+    /// reduced costs in `self.cost` (updated in place), accumulating the
+    /// objective delta into `obj`.
     ///
     /// Pivoting uses Dantzig's rule (steepest reduced cost) for speed and
     /// falls back to Bland's rule once the objective stalls, which
     /// guarantees termination on degenerate problems.
-    fn optimize(&mut self, c_red: &mut [f64], obj: &mut f64) -> Result<(), SolverError> {
+    fn optimize(&mut self, obj: &mut f64) -> Result<(), SolverError> {
         let mut stall = 0usize;
         for _ in 0..MAX_ITERS {
+            let cost = &self.cost[..self.enterable];
             let entering = if stall < 64 {
-                // Dantzig: most positive reduced cost.
-                (0..self.n_total)
-                    .filter(|&j| !self.banned[j] && c_red[j] > TOL)
-                    .max_by(|&a, &b| c_red[a].partial_cmp(&c_red[b]).expect("finite costs"))
+                // Dantzig: most positive reduced cost (`max_by` keeps
+                // the last of equal maxima).
+                (0..cost.len())
+                    .filter(|&j| cost[j] > TOL)
+                    .max_by(|&a, &b| cost[a].partial_cmp(&cost[b]).expect("finite costs"))
             } else {
                 // Bland: smallest-index improving column (anti-cycling).
-                (0..self.n_total).find(|&j| !self.banned[j] && c_red[j] > TOL)
+                cost.iter().position(|&c| c > TOL)
             };
             let Some(col) = entering else {
                 return Ok(());
@@ -165,17 +256,17 @@ impl Tableau {
             let Some((step, t)) = self.ratio_test(col) else {
                 return Err(SolverError::Unbounded);
             };
-            if c_red[col] * t > TOL {
+            if self.cost[col] * t > TOL {
                 stall = 0;
             } else {
                 stall += 1;
             }
-            *obj += c_red[col] * t;
+            *obj += self.cost[col] * t;
             match step {
                 Step::BoundFlip => {
                     // The entering variable walks to its own upper bound
                     // without driving any basic variable out.
-                    self.complement(col, c_red);
+                    self.complement(col);
                 }
                 Step::Pivot { row, at_upper } => {
                     if at_upper {
@@ -195,11 +286,12 @@ impl Tableau {
                         self.complemented[leaving] = !self.complemented[leaving];
                     }
                     self.pivot(row, col);
-                    // Update reduced costs: eliminate the entering column.
-                    let factor = c_red[col];
+                    // Update reduced costs: eliminate the entering column
+                    // over the pivot row's non-zeros `pivot` just listed.
+                    let factor = self.cost[col];
                     if factor.abs() > 0.0 {
-                        for (cj, &arj) in c_red.iter_mut().zip(self.row(row)) {
-                            *cj -= factor * arj;
+                        for &(j, p) in &self.pivot_row {
+                            self.cost[j] -= factor * p;
                         }
                     }
                 }
@@ -207,171 +299,144 @@ impl Tableau {
         }
         Err(SolverError::IterationLimit)
     }
+
+    /// Expresses the objective in `self.cost` in the current basis:
+    /// subtracts multiples of the basic rows so reduced costs of basic
+    /// variables vanish.
+    fn canonicalize(&mut self, obj: &mut f64) {
+        let n = self.n_total;
+        for r in 0..self.b.len() {
+            let coef = self.cost[self.basis[r]];
+            if coef.abs() > 0.0 {
+                for (cj, &arj) in self.cost.iter_mut().zip(&self.a[r * n..(r + 1) * n]) {
+                    *cj -= coef * arj;
+                }
+                *obj += coef * self.b[r];
+            }
+        }
+    }
 }
 
-/// Solves `lp` (maximization) with the supplied bounds.
+/// Solves `lp` (maximization) with the supplied bounds, using (and
+/// overwriting) `ws`.
 pub(crate) fn solve(
     lp: &LinearProgram,
     lower: &[f64],
     upper: &[f64],
+    ws: &mut Workspace,
 ) -> Result<LpSolution, SolverError> {
+    ws.lp_solves += 1;
     let n = lp.n_vars();
+    let m = lp.constraints.len();
 
-    // Shift: y_j = x_j - lb_j in [0, ub_j - lb_j].
-    struct Row {
-        terms: Vec<(usize, f64)>,
-        relation: Relation,
-        rhs: f64,
-    }
-    let mut rows: Vec<Row> = Vec::with_capacity(lp.constraints.len());
+    // Shift: y_j = x_j - lb_j in [0, ub_j - lb_j]. A row whose shifted
+    // rhs comes out negative is written with every sign reversed.
+    ws.b.clear();
+    ws.flipped.clear();
+    // Column layout: [structural 0..n | slack/surplus | artificial].
+    let (mut n_slack, mut n_art) = (0, 0);
     for c in &lp.constraints {
         let mut rhs = c.rhs;
         for &(j, coef) in &c.terms {
             rhs -= coef * lower[j];
         }
-        rows.push(Row {
-            terms: c.terms.clone(),
-            relation: c.relation,
-            rhs,
-        });
+        let flipped = rhs < 0.0;
+        ws.b.push(if flipped { -rhs } else { rhs });
+        ws.flipped.push(flipped);
+        let relation = oriented(c.relation, flipped);
+        n_slack += usize::from(relation != Relation::Eq);
+        n_art += usize::from(relation != Relation::Le);
     }
-
-    // Normalize RHS signs.
-    for row in &mut rows {
-        if row.rhs < 0.0 {
-            row.rhs = -row.rhs;
-            for t in &mut row.terms {
-                t.1 = -t.1;
-            }
-            row.relation = match row.relation {
-                Relation::Le => Relation::Ge,
-                Relation::Ge => Relation::Le,
-                Relation::Eq => Relation::Eq,
-            };
-        }
-    }
-
-    let m = rows.len();
-    // Column layout: [structural 0..n | slack/surplus | artificial].
-    let n_slack = rows.iter().filter(|r| r.relation != Relation::Eq).count();
-    let n_art = rows.iter().filter(|r| r.relation != Relation::Le).count();
     let n_total = n + n_slack + n_art;
+    ws.n_total = n_total;
 
-    let mut a = vec![0.0; m * n_total];
-    let mut b = vec![0.0; m];
-    let mut basis = vec![0usize; m];
-    let mut is_artificial = vec![false; n_total];
-    let mut col_upper = vec![f64::INFINITY; n_total];
-    for j in 0..n {
-        col_upper[j] = upper[j] - lower[j];
-    }
+    refill(&mut ws.a, m * n_total, 0.0);
+    refill(&mut ws.basis, m, 0);
+    refill(&mut ws.complemented, n_total, false);
+    ws.art_start = n + n_slack;
+    ws.enterable = n_total;
+    ws.upper.clear();
+    ws.upper.extend(upper.iter().zip(lower).map(|(ub, lb)| ub - lb));
+    ws.upper.resize(n_total, f64::INFINITY);
     let mut slack_cursor = n;
-    let mut art_cursor = n + n_slack;
+    let mut art_cursor = ws.art_start;
 
-    for (i, row) in rows.iter().enumerate() {
-        for &(j, coef) in &row.terms {
-            a[i * n_total + j] += coef;
+    for (i, c) in lp.constraints.iter().enumerate() {
+        let row = &mut ws.a[i * n_total..(i + 1) * n_total];
+        let flipped = ws.flipped[i];
+        for &(j, coef) in &c.terms {
+            row[j] += if flipped { -coef } else { coef };
         }
-        b[i] = row.rhs;
-        match row.relation {
+        match oriented(c.relation, flipped) {
             Relation::Le => {
-                a[i * n_total + slack_cursor] = 1.0;
-                basis[i] = slack_cursor;
+                row[slack_cursor] = 1.0;
+                ws.basis[i] = slack_cursor;
                 slack_cursor += 1;
             }
             Relation::Ge => {
-                a[i * n_total + slack_cursor] = -1.0;
+                row[slack_cursor] = -1.0;
                 slack_cursor += 1;
-                a[i * n_total + art_cursor] = 1.0;
-                is_artificial[art_cursor] = true;
-                basis[i] = art_cursor;
+                row[art_cursor] = 1.0;
+                ws.basis[i] = art_cursor;
                 art_cursor += 1;
             }
             Relation::Eq => {
-                a[i * n_total + art_cursor] = 1.0;
-                is_artificial[art_cursor] = true;
-                basis[i] = art_cursor;
+                row[art_cursor] = 1.0;
+                ws.basis[i] = art_cursor;
                 art_cursor += 1;
             }
         }
     }
 
-    let mut tab = Tableau {
-        a,
-        b,
-        basis,
-        upper: col_upper,
-        complemented: vec![false; n_total],
-        banned: vec![false; n_total],
-        n_total,
-    };
-
     // Phase 1: maximize -(sum of artificials).
     if n_art > 0 {
-        let mut c1 = vec![0.0; n_total];
-        for j in 0..n_total {
-            if is_artificial[j] {
-                c1[j] = -1.0;
-            }
-        }
+        refill(&mut ws.cost, n_total, 0.0);
+        ws.cost[ws.art_start..].fill(-1.0);
         // Canonicalize: reduced costs must vanish on the basis.
         let mut obj1 = 0.0;
-        canonicalize(&tab, &mut c1, &mut obj1);
-        tab.optimize(&mut c1, &mut obj1)?;
+        ws.canonicalize(&mut obj1);
+        ws.optimize(&mut obj1)?;
         if obj1 < -1e-7 {
             return Err(SolverError::Infeasible);
         }
         // Drive remaining basic artificials out where possible.
         for r in 0..m {
-            if is_artificial[tab.basis[r]] {
-                if let Some(col) =
-                    (0..n_total).find(|&j| !is_artificial[j] && tab.at(r, j).abs() > 1e-7)
-                {
-                    tab.pivot(r, col);
+            if ws.basis[r] >= ws.art_start {
+                if let Some(col) = (0..ws.art_start).find(|&j| ws.at(r, j).abs() > 1e-7) {
+                    ws.pivot(r, col);
                 }
             }
         }
-        for (banned, &artificial) in tab.banned.iter_mut().zip(&is_artificial) {
-            if artificial {
-                *banned = true;
-            }
-        }
+        ws.enterable = ws.art_start;
     }
 
     // Phase 2: the real objective, expressed in tableau space (a
     // complemented column contributes with its sign flipped).
-    let mut c2 = vec![0.0; n_total];
-    for (j, c) in c2.iter_mut().enumerate().take(n) {
-        *c = if tab.complemented[j] {
+    refill(&mut ws.cost, n_total, 0.0);
+    for j in 0..n {
+        ws.cost[j] = if ws.complemented[j] {
             -lp.objective[j]
         } else {
             lp.objective[j]
         };
     }
     let mut obj2 = 0.0;
-    canonicalize(&tab, &mut c2, &mut obj2);
-    tab.optimize(&mut c2, &mut obj2)?;
+    ws.canonicalize(&mut obj2);
+    ws.optimize(&mut obj2)?;
 
     // Extract: nonbasic columns sit at 0 in tableau space (their upper
     // bound when complemented); basic columns carry their row's value.
-    let mut tab_values = vec![0.0; n_total];
-    for r in 0..m {
-        tab_values[tab.basis[r]] = tab.b[r];
-    }
-    let mut in_basis = vec![false; n_total];
-    for &v in &tab.basis {
-        in_basis[v] = true;
+    refill(&mut ws.row_of, n_total, usize::MAX);
+    for (r, &v) in ws.basis.iter().enumerate() {
+        ws.row_of[v] = r;
     }
     let mut values = lower.to_vec();
-    for j in 0..n {
-        let y = if tab.complemented[j] {
-            tab.upper[j] - if in_basis[j] { tab_values[j] } else { 0.0 }
-        } else if in_basis[j] {
-            tab_values[j]
-        } else {
-            0.0
+    for (j, value) in values.iter_mut().enumerate() {
+        let y = match ws.row_of[j] {
+            usize::MAX => 0.0,
+            r => ws.b[r],
         };
-        values[j] += y;
+        *value += if ws.complemented[j] { ws.upper[j] - y } else { y };
     }
     let objective = values
         .iter()
@@ -379,20 +444,6 @@ pub(crate) fn solve(
         .map(|(x, c)| x * c)
         .sum::<f64>();
     Ok(LpSolution { objective, values })
-}
-
-/// Expresses objective `c` in the current basis: subtracts multiples of the
-/// basic rows so reduced costs of basic variables vanish.
-fn canonicalize(tab: &Tableau, c: &mut [f64], obj: &mut f64) {
-    for r in 0..tab.b.len() {
-        let coef = c[tab.basis[r]];
-        if coef.abs() > 0.0 {
-            for (cj, &arj) in c.iter_mut().zip(tab.row(r)) {
-                *cj -= coef * arj;
-            }
-            *obj += coef * tab.b[r];
-        }
-    }
 }
 
 #[cfg(test)]

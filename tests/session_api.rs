@@ -245,3 +245,46 @@ fn exhaustive_override_reports_zero_pruning() {
     assert_eq!(outcome.stats().dp_windows_pruned, 0);
     assert_eq!(outcome.diagnostics.windows_pruned(), 0);
 }
+
+#[test]
+fn solver_effort_is_reported_and_repeats_exactly_at_one_solve_worker() {
+    // resnet18's wide windows are where branch-and-bound runs out of
+    // node budget: searches that end there return `Ok` with their
+    // incumbent, so `mip_fallbacks` (solves that returned `Err`) cannot
+    // see them and `SolverEffort` must.
+    let graph = cmswitch::models::registry::build("resnet18", 1, 16).unwrap();
+    let effort = || {
+        let session = Session::builder(presets::dynaplasia())
+            .options(CompilerOptions::default().with_solve_workers(1))
+            .build();
+        let outcome = session.compile(CompileRequest::new(graph.clone())).unwrap();
+        let effort = outcome.diagnostics.solver_effort().cloned();
+        (
+            effort.expect("a cold MIP compile reports its search effort"),
+            outcome.stats().mip_solves,
+            outcome.diagnostics.mip_fallbacks(),
+        )
+    };
+    let (first, stats_mip_solves, fallbacks) = effort();
+    let DiagnosticEvent::SolverEffort {
+        mip_solves,
+        bnb_nodes,
+        lp_solves,
+        pivots,
+        budget_exhausted,
+        improved,
+    } = first
+    else {
+        panic!("solver_effort() returns a SolverEffort event, got {first:?}");
+    };
+    assert_eq!(mip_solves, stats_mip_solves);
+    assert!(budget_exhausted > 0, "{first}");
+    assert_eq!(fallbacks, 0, "an exhausted search with an incumbent is not a fallback");
+    assert!(budget_exhausted <= mip_solves && improved <= mip_solves, "{first}");
+    // One LP per explored node, plus the root relaxation of every search
+    // whose root was pruned unexplored.
+    assert!(bnb_nodes <= lp_solves && lp_solves <= bnb_nodes + mip_solves, "{first}");
+    assert!(pivots > lp_solves, "{first}");
+    // Counts, not clocks: a second cold session reproduces all six.
+    assert_eq!(effort().0, first);
+}

@@ -8,9 +8,15 @@
 //! bounded by the number of *statements*, never by the number of
 //! references or by the value of an (untrusted) array id.
 //!
+//! The simplex kernel under branch-and-bound has the same kind of
+//! contract, per LP instead of per statement: one workspace per MIP
+//! solve, nothing allocated per pivot, per node LP or per branch.
+//!
 //! Own test binary: the counting `#[global_allocator]` must not tax the
 //! other suites. Counters are per thread, so the tests here may run in
 //! parallel.
+
+mod common;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -237,4 +243,27 @@ fn hostile_array_ids_are_findings_and_stay_cheap() {
             "no race-conflict on {a}\n{report}"
         );
     }
+}
+
+/// A 12-operator allocation MIP that spends its whole node budget — the
+/// kind that owns the cold compile path. The returned `values` are the
+/// one allocation an LP solve may make; the rest of the budget covers
+/// amortised growth of the heap and the branch arena, incumbents, and
+/// the one-off workspace.
+#[test]
+fn mip_solve_allocates_per_lp_solved_not_per_row_or_per_branch() {
+    let (shape, built) = common::dynaplasia_instance(79);
+    assert_eq!(shape.ops.len(), 12);
+    let (sol, calls, _) = measured(|| built.mip.solve());
+    let sol = sol.expect("instance 79 is feasible");
+    assert!(
+        !sol.proven_optimal && sol.lp_solves >= 30,
+        "instance 79 no longer exhausts its node budget: {sol:?}"
+    );
+    let budget = 4 * sol.lp_solves as u64 + 64;
+    assert!(
+        calls <= budget,
+        "MipProblem::solve made {calls} allocations over {} LP solves; budget {budget}",
+        sol.lp_solves
+    );
 }
