@@ -151,20 +151,8 @@ impl Stmt {
     /// whole subtree's footprint is wanted.
     pub fn arrays(&self) -> Vec<ArrayId> {
         match self {
-            Stmt::Switch { arrays, .. } => arrays.clone(),
-            Stmt::Compute(c) => {
-                let mut all = c.compute_arrays.clone();
-                all.extend(&c.mem_in_arrays);
-                all.extend(&c.mem_out_arrays);
-                all
-            }
-            Stmt::LoadWeights(w) => w.arrays.clone(),
-            Stmt::Mem(m) => match &m.loc {
-                MemLoc::CimArrays(a) => a.clone(),
-                _ => Vec::new(),
-            },
-            Stmt::Vector(_) => Vec::new(),
             Stmt::Parallel(_) => Vec::new(),
+            own => own.arrays_recursive(),
         }
     }
 
@@ -202,6 +190,28 @@ impl Stmt {
             Stmt::Parallel(body) => body.iter().for_each(|s| s.for_each_array(f)),
         }
     }
+
+    /// [`Stmt::for_each_array`] over mutable references, in the same
+    /// order: the one way to rewrite every array id of a statement.
+    pub fn for_each_array_mut(&mut self, f: &mut impl FnMut(&mut ArrayId)) {
+        let mut each = |arrays: &mut [ArrayId]| arrays.iter_mut().for_each(&mut *f);
+        match self {
+            Stmt::Switch { arrays, .. } => each(arrays),
+            Stmt::Compute(c) => {
+                each(&mut c.compute_arrays);
+                each(&mut c.mem_in_arrays);
+                each(&mut c.mem_out_arrays);
+            }
+            Stmt::LoadWeights(w) => each(&mut w.arrays),
+            Stmt::Mem(m) => {
+                if let MemLoc::CimArrays(arrays) = &mut m.loc {
+                    each(arrays);
+                }
+            }
+            Stmt::Vector(_) => {}
+            Stmt::Parallel(body) => body.iter_mut().for_each(|s| s.for_each_array_mut(f)),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -216,9 +226,8 @@ mod tests {
         assert_eq!(SwitchKind::ToCompute.keyword(), "TOC");
     }
 
-    #[test]
-    fn stmt_arrays_collects_all_roles() {
-        let c = ComputeStmt {
+    fn fc() -> ComputeStmt {
+        ComputeStmt {
             op: "fc".into(),
             compute_arrays: vec![ArrayId(0)],
             mem_in_arrays: vec![ArrayId(1)],
@@ -230,9 +239,46 @@ mod tests {
             in_bytes: 0,
             out_bytes: 0,
             weight_static: true,
-        };
-        let arrays = Stmt::Compute(c).arrays();
+        }
+    }
+
+    #[test]
+    fn stmt_arrays_collects_all_roles() {
+        let arrays = Stmt::Compute(fc()).arrays();
         assert_eq!(arrays, vec![ArrayId(0), ArrayId(1), ArrayId(2)]);
+    }
+
+    #[test]
+    fn mutable_walker_visits_every_reference_in_the_same_order() {
+        let mut block = Stmt::Parallel(vec![
+            Stmt::switch(SwitchKind::ToCompute, vec![ArrayId(3)]),
+            Stmt::LoadWeights(WeightLoadStmt {
+                op: "fc".into(),
+                arrays: vec![ArrayId(3), ArrayId(4)],
+                bytes: 8,
+            }),
+            Stmt::Compute(ComputeStmt {
+                compute_arrays: vec![ArrayId(4), ArrayId(3)],
+                mem_in_arrays: vec![ArrayId(1)],
+                mem_out_arrays: vec![ArrayId(2), ArrayId(1)],
+                ..fc()
+            }),
+            Stmt::Mem(MemStmt {
+                loc: MemLoc::CimArrays(vec![ArrayId(7)]),
+                direction: MemDirection::Read,
+                bytes: 64,
+                label: "ld".into(),
+            }),
+        ]);
+        let before = block.arrays_recursive();
+        let mut visited = Vec::new();
+        block.for_each_array_mut(&mut |a| {
+            visited.push(*a);
+            a.0 += 10;
+        });
+        assert_eq!(visited, before);
+        let moved: Vec<ArrayId> = before.iter().map(|a| ArrayId(a.0 + 10)).collect();
+        assert_eq!(block.arrays_recursive(), moved);
     }
 
     #[test]

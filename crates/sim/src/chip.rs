@@ -47,62 +47,60 @@ impl ChipState {
                 detail: format!("array id out of range: the chip has {n_arrays} arrays"),
             });
         }
-        match stmt {
-            Stmt::Switch { kind, arrays } => {
-                for &a in arrays {
-                    self.modes[a.index()] = kind.target_mode();
-                }
-            }
-            Stmt::LoadWeights(w) => {
-                for &a in &w.arrays {
-                    if self.modes[a.index()] != ArrayMode::Compute {
-                        return Err(MetaOpError::ModeViolation {
-                            array: a,
-                            stmt: stmt_idx,
-                            detail: format!("weight load for {} on memory-mode array", w.op),
-                        });
-                    }
-                }
-            }
-            Stmt::Compute(c) => {
-                for &a in &c.compute_arrays {
-                    if self.modes[a.index()] != ArrayMode::Compute {
-                        return Err(MetaOpError::ModeViolation {
-                            array: a,
-                            stmt: stmt_idx,
-                            detail: format!("{} computes on memory-mode array", c.op),
-                        });
-                    }
-                }
-                for &a in c.mem_in_arrays.iter().chain(&c.mem_out_arrays) {
-                    if self.modes[a.index()] != ArrayMode::Memory {
-                        return Err(MetaOpError::ModeViolation {
-                            array: a,
-                            stmt: stmt_idx,
-                            detail: format!("{} buffers on compute-mode array", c.op),
-                        });
-                    }
-                }
-            }
-            Stmt::Mem(m) => {
-                if let MemLoc::CimArrays(arrays) = &m.loc {
-                    for &a in arrays {
-                        if self.modes[a.index()] != ArrayMode::Memory {
-                            return Err(MetaOpError::ModeViolation {
-                                array: a,
-                                stmt: stmt_idx,
-                                detail: format!("`{}` on compute-mode array", m.label),
-                            });
-                        }
-                    }
-                }
-            }
-            Stmt::Vector(_) => {}
-            Stmt::Parallel(_) => {
-                // Caller iterates parallel bodies itself.
+        if let Stmt::Switch { kind, arrays } = stmt {
+            for &a in arrays {
+                self.modes[a.index()] = kind.target_mode();
             }
         }
-        Ok(())
+        let mut wrong = None;
+        for_each_required_mode(stmt, &mut |a, mode| {
+            if self.modes[a.index()] != mode {
+                wrong.get_or_insert((a, mode));
+            }
+        });
+        let Some((array, needed)) = wrong else {
+            return Ok(());
+        };
+        let detail = match (stmt, needed) {
+            (Stmt::LoadWeights(w), _) => format!("weight load for {} on memory-mode array", w.op),
+            (Stmt::Compute(c), ArrayMode::Compute) => {
+                format!("{} computes on memory-mode array", c.op)
+            }
+            (Stmt::Compute(c), ArrayMode::Memory) => {
+                format!("{} buffers on compute-mode array", c.op)
+            }
+            (Stmt::Mem(m), _) => format!("`{}` on compute-mode array", m.label),
+            _ => unreachable!("only loads, computes and memory statements require a mode"),
+        };
+        Err(MetaOpError::ModeViolation {
+            array,
+            stmt: stmt_idx,
+            detail,
+        })
+    }
+}
+
+/// Calls `f` with every array `stmt` itself uses and the mode that use
+/// needs, in [`Stmt::for_each_array`] order: weights load into and MACs
+/// run on compute-mode arrays, operator buffers and scratchpad traffic
+/// live in memory-mode arrays. A switch *sets* modes and a `parallel`
+/// block is only its body's container (callers iterate bodies
+/// themselves), so neither requires anything.
+pub(crate) fn for_each_required_mode(stmt: &Stmt, f: &mut impl FnMut(ArrayId, ArrayMode)) {
+    let mut each = |arrays: &[ArrayId], mode| arrays.iter().for_each(|&a| f(a, mode));
+    match stmt {
+        Stmt::LoadWeights(w) => each(&w.arrays, ArrayMode::Compute),
+        Stmt::Compute(c) => {
+            each(&c.compute_arrays, ArrayMode::Compute);
+            each(&c.mem_in_arrays, ArrayMode::Memory);
+            each(&c.mem_out_arrays, ArrayMode::Memory);
+        }
+        Stmt::Mem(m) => {
+            if let MemLoc::CimArrays(arrays) = &m.loc {
+                each(arrays, ArrayMode::Memory);
+            }
+        }
+        Stmt::Switch { .. } | Stmt::Vector(_) | Stmt::Parallel(_) => {}
     }
 }
 

@@ -18,7 +18,21 @@
 //! and therefore timed — earlier, so an event's start is the `max` over
 //! dense state the moment its statement is reached, and one walk over
 //! the flow yields the exact schedule a completion queue would
-//! rediscover. Three rules keep every report bit stable:
+//! rediscover.
+//!
+//! The same pass schedules **N flows on one chip** — that is all
+//! multi-tenant co-simulation ([`crate::tenancy`]) is. Array release
+//! times and modes, the bus and the vector unit are shared state of the
+//! pass; a flow keeps only its position and its data dependencies, and
+//! must pass the mode-discipline prepass *on its own*. Flows meet at
+//! mode switches: a requested `CM.switch` skips exactly the arrays
+//! another flow already left in the target mode (*amortized* — a flow's
+//! own redundant switch is still driven in full), and a statement that
+//! needs an array in a mode another flow flipped it out of is preceded
+//! by a re-switch of exactly those arrays, charged to the flow that
+//! needs them back (*injected*). Weight loads contend for their arrays
+//! only. One flow is the N = 1 case of the same code: nobody else exists
+//! to amortize or flip anything. Four rules keep every report bit stable:
 //!
 //! 1. **Binding-dependency order** — the critical-path predecessor of an
 //!    event is the *first* dependency attaining the `max`, visited in a
@@ -37,9 +51,15 @@
 //!    [`crate::energy`] in flow order, after a separate
 //!    [`ChipState`] walk, so a flow violating mode discipline is
 //!    rejected before any timeline exists.
+//! 4. **One arbitration rule** — the next top-level statement lowered is
+//!    that of the unfinished flow whose last data-producing event
+//!    finishes earliest; ties go to the flow that lowered last, then to
+//!    the lower index. Nothing is peeked at or priced twice, and an
+//!    event never starts before one lowered earlier on the same resource.
 //!
 //! `tests/golden/engine_reports.txt` pins a digest of every field of
-//! every report these rules protect.
+//! every one-flow report these rules protect, and
+//! `tests/golden/co_schedules.txt` what they make of several flows.
 //!
 //! # Event model
 //!
@@ -72,18 +92,18 @@
 //! admitted overlap only moves events earlier. `tests/sim_differential.rs`
 //! checks exactly that across the full model registry.
 
-use cmswitch_arch::{ArrayId, DualModeArch};
+use cmswitch_arch::{ArrayId, ArrayMode, DualModeArch};
 use cmswitch_core::{CompileOutcome, CompiledProgram, DiagnosticEvent, Diagnostics, Session};
 use cmswitch_metaop::{Flow, MemLoc, MetaOpError, Stmt, SwitchKind};
 
-use crate::chip::ChipState;
+use crate::chip::{self, ChipState};
 use crate::energy::{self, EnergyModel, EnergyReport};
 use crate::model;
 use crate::tenancy::{ChipScheduler, CoSimOptions, TenancyError, TenancyReport, TenantProgram};
 
 use crate::stats::{
     ArrayTimeline, BusyBreakdown, BusyInterval, BusyKind, CriticalStep, EngineReport,
-    SegmentWindow, SimReport,
+    SegmentWindow, SimReport, SwitchAmortization,
 };
 use crate::timing;
 
@@ -182,7 +202,7 @@ impl EventEngine {
     /// Returns [`MetaOpError`] if the flow violates mode discipline at
     /// runtime.
     pub fn simulate(&self, flow: &Flow, arch: &DualModeArch) -> Result<EngineReport, MetaOpError> {
-        self.run(flow, arch, None)
+        self.run((flow, None), arch)
     }
 
     /// Simulates a compiled program: segment-level data dependencies are
@@ -206,104 +226,70 @@ impl EventEngine {
         program: &CompiledProgram,
         arch: &DualModeArch,
     ) -> Result<EngineReport, MetaOpError> {
-        // Count what `push_segment` counts — `parallel` blocks AND bare
-        // top-level compute statements — so segment indices cannot
-        // silently misalign with the plan's dependency table.
-        let n_flow_segments = program
-            .flow
-            .stmts()
-            .iter()
-            .filter(|s| matches!(s, Stmt::Parallel(_) | Stmt::Compute(_)))
-            .count();
-        let seg_deps = (n_flow_segments == program.segments.len()).then(|| {
-            // Map each op to its segment, then project op deps onto
-            // segment indices.
-            let mut op_seg = vec![usize::MAX; program.ops.len()];
-            for (si, seg) in program.segments.iter().enumerate() {
-                for slot in op_seg
-                    .iter_mut()
-                    .take(seg.range.1 + 1)
-                    .skip(seg.range.0)
-                {
-                    *slot = si;
-                }
+        self.run((&program.flow, segment_deps(program).as_deref()), arch)
+    }
+
+    fn run(&self, flow: FlowInput, arch: &DualModeArch) -> Result<EngineReport, MetaOpError> {
+        match schedule(&[flow], arch, &self.energy) {
+            Ok(pass) => Ok(pass.report),
+            Err((_, violation)) => Err(violation),
+        }
+    }
+}
+
+/// Projects a plan's operator dependencies onto segment indices: per
+/// segment, the earlier segments it consumes. `None` when the flow's
+/// segment count does not match the plan.
+pub(crate) fn segment_deps(program: &CompiledProgram) -> Option<Vec<Vec<usize>>> {
+    // Count what `push_segment` counts — `parallel` blocks AND bare
+    // top-level compute statements — so segment indices cannot
+    // silently misalign with the plan's dependency table.
+    let n_flow_segments = program
+        .flow
+        .stmts()
+        .iter()
+        .filter(|s| matches!(s, Stmt::Parallel(_) | Stmt::Compute(_)))
+        .count();
+    (n_flow_segments == program.segments.len()).then(|| {
+        let mut op_seg = vec![usize::MAX; program.ops.len()];
+        for (si, seg) in program.segments.iter().enumerate() {
+            for slot in op_seg
+                .iter_mut()
+                .take(seg.range.1 + 1)
+                .skip(seg.range.0)
+            {
+                *slot = si;
             }
-            let mut deps: Vec<Vec<usize>> = vec![Vec::new(); program.segments.len()];
-            for &(p, c) in &program.op_deps {
-                let (sp, sc) = (op_seg.get(p), op_seg.get(c));
-                if let (Some(&sp), Some(&sc)) = (sp, sc) {
-                    if sp != usize::MAX && sc != usize::MAX && sp != sc {
-                        let (from, to) = if sp < sc { (sp, sc) } else { (sc, sp) };
-                        if !deps[to].contains(&from) {
-                            deps[to].push(from);
-                        }
+        }
+        let mut deps: Vec<Vec<usize>> = vec![Vec::new(); program.segments.len()];
+        for &(p, c) in &program.op_deps {
+            let (sp, sc) = (op_seg.get(p), op_seg.get(c));
+            if let (Some(&sp), Some(&sc)) = (sp, sc) {
+                if sp != usize::MAX && sc != usize::MAX && sp != sc {
+                    let (from, to) = if sp < sc { (sp, sc) } else { (sc, sp) };
+                    if !deps[to].contains(&from) {
+                        deps[to].push(from);
                     }
                 }
             }
-            deps
-        });
-        self.run(&program.flow, arch, seg_deps)
-    }
-
-    fn run(
-        &self,
-        flow: &Flow,
-        arch: &DualModeArch,
-        seg_deps: Option<Vec<Vec<usize>>>,
-    ) -> Result<EngineReport, MetaOpError> {
-        // ---- Mode-discipline prepass (same order the sequential model
-        // applies statements in, so violations surface identically). ----
-        let mut chip = ChipState::new(arch);
-        for (idx, stmt) in flow.stmts().iter().enumerate() {
-            match stmt {
-                Stmt::Parallel(body) => {
-                    for s in body {
-                        chip.apply(s, idx)?;
-                    }
-                }
-                other => chip.apply(other, idx)?,
-            }
         }
+        deps
+    })
+}
 
-        // ---- The schedule: one walk, every event timed as it is
-        // lowered. ----
-        let mut pass = ForwardPass {
-            arch,
-            energy_model: &self.energy,
-            seg_deps,
-            events: Vec::new(),
-            released: vec![None; arch.n_arrays()],
-            data: None,
-            bus: None,
-            fu: None,
-            seg_events: Vec::new(),
-            prologue: Vec::new(),
-            referenced: Vec::new(),
-            mem_busy: Vec::new(),
-            report: EngineReport {
-                total_cycles: 0.0,
-                serialized_cycles: 0.0,
-                switch_process_cycles: 0.0,
-                switches_to_compute: 0,
-                switches_to_memory: 0,
-                breakdown: BusyBreakdown::default(),
-                segments: Vec::new(),
-                energy: EnergyReport::default(),
-                timelines: (0..arch.n_arrays() as u32)
-                    .map(|i| ArrayTimeline {
-                        array: ArrayId(i),
-                        final_mode: chip.mode(ArrayId(i)),
-                        intervals: Vec::new(),
-                    })
-                    .collect(),
-                critical_path: Vec::new(),
-            },
-        };
-        for (idx, stmt) in flow.stmts().iter().enumerate() {
-            pass.push_stmt(stmt, idx);
-        }
-        Ok(pass.finish())
-    }
+/// One flow of a forward pass: its statements and, when it came from a
+/// compiled program, its [`segment_deps`].
+pub(crate) type FlowInput<'a> = (&'a Flow, Option<&'a [Vec<usize>]>);
+
+/// Schedules `flows` together on `arch` — the one scheduler of this
+/// crate. Fails with the index of the first flow that violates mode
+/// discipline on its own, before any timeline exists.
+pub(crate) fn schedule<'a>(
+    flows: &[FlowInput<'a>],
+    arch: &'a DualModeArch,
+    energy_model: &'a EnergyModel,
+) -> Result<ForwardPass<'a>, (usize, MetaOpError)> {
+    Ok(ForwardPass::run(flows, arch, energy_model)?.finish())
 }
 
 /// One timed event.
@@ -332,37 +318,154 @@ impl Ready {
     }
 }
 
-/// The forward pass: events in lowering order, dense per-array release
-/// state, and the report filled in as each event is timed.
-struct ForwardPass<'a> {
-    arch: &'a DualModeArch,
-    energy_model: &'a EnergyModel,
-    seg_deps: Option<Vec<Vec<usize>>>,
-    events: Vec<Event>,
-    /// Per array: the event that last occupied it and the cycle that
-    /// event released it (none: untouched, free from cycle 0).
-    released: Vec<Option<(usize, f64)>>,
+/// What the pass keeps per flow: its position, its data dependencies
+/// (the chip's resources are shared state of the pass) and what it cost.
+#[derive(Default)]
+pub(crate) struct FlowState<'a> {
+    stmts: &'a [Stmt],
+    seg_deps: Option<&'a [Vec<usize>]>,
+    /// Next top-level statement to lower.
+    next: usize,
     /// Last data-producing event (segment exec, bulk memory, vector).
     data: Option<usize>,
-    /// Last bulk-memory event (the shared off-chip/buffer port).
-    bus: Option<usize>,
-    /// Last top-level vector event (the single vector function unit).
-    fu: Option<usize>,
     /// Execution event of each segment, in segment order.
     seg_events: Vec<usize>,
     /// Mem/vector events since the previous segment: the next segment's
     /// prologue (its write-back/reload traffic), which gates it even
     /// when its producers lie further back.
     prologue: Vec<usize>,
-    /// Per-segment scratch, reused: the arrays a body references, and
-    /// how long it keeps each memory-mode array busy.
-    referenced: Vec<ArrayId>,
-    mem_busy: Vec<(ArrayId, f64)>,
-    report: EngineReport,
+    /// Cycle the flow's last event retired.
+    pub(crate) finish: f64,
+    /// What the flow's statements cost serialized: amortized switches
+    /// skipped, injected re-switches added.
+    pub(crate) busy: f64,
 }
 
-impl ForwardPass<'_> {
-    /// Adds `stmt`'s energy to the flow total.
+/// The forward pass: events in lowering order, dense per-array release
+/// and mode state, and the report filled in as each event is timed.
+/// [`schedule`] returns it finished: `report` (every flow's events on
+/// the one chip's timelines), `switches` and each flow's cost are final.
+pub(crate) struct ForwardPass<'a> {
+    arch: &'a DualModeArch,
+    energy_model: &'a EnergyModel,
+    /// In input order.
+    pub(crate) flows: Vec<FlowState<'a>>,
+    /// The flow whose statement is being lowered.
+    cur: usize,
+    events: Vec<Event>,
+    /// Per array: the event that last occupied it and the cycle that
+    /// event released it (none: untouched, free from cycle 0).
+    released: Vec<Option<(usize, f64)>>,
+    /// Per array: its mode and the flow whose switch set it (none: the
+    /// reset state).
+    modes: Vec<(ArrayMode, Option<usize>)>,
+    /// Last bulk-memory event (the shared off-chip/buffer port).
+    bus: Option<usize>,
+    /// Last top-level vector event (the single vector function unit).
+    fu: Option<usize>,
+    /// Per-statement scratch, reused: the arrays to drive into each
+    /// mode (indexed by it), the arrays a body references, and how long
+    /// it keeps each memory-mode array busy.
+    to_switch: [Vec<ArrayId>; 2],
+    referenced: Vec<ArrayId>,
+    mem_busy: Vec<(ArrayId, f64)>,
+    pub(crate) switches: SwitchAmortization,
+    pub(crate) report: EngineReport,
+}
+
+impl<'a> ForwardPass<'a> {
+    /// The whole schedule, every event timed, short of the summary
+    /// [`ForwardPass::finish`] draws from it.
+    fn run(
+        flows: &[FlowInput<'a>],
+        arch: &'a DualModeArch,
+        energy_model: &'a EnergyModel,
+    ) -> Result<Self, (usize, MetaOpError)> {
+        // ---- Mode-discipline prepass, each flow on a fresh chip (same
+        // order the sequential model applies statements in, so
+        // violations surface identically). ----
+        for (f, (flow, _)) in flows.iter().enumerate() {
+            let mut chip = ChipState::new(arch);
+            for (idx, stmt) in flow.stmts().iter().enumerate() {
+                let body = match stmt {
+                    Stmt::Parallel(body) => body.as_slice(),
+                    other => std::slice::from_ref(other),
+                };
+                for s in body {
+                    chip.apply(s, idx).map_err(|violation| (f, violation))?;
+                }
+            }
+        }
+
+        let mut pass = ForwardPass {
+            arch,
+            energy_model,
+            flows: flows
+                .iter()
+                .map(|&(flow, seg_deps)| FlowState {
+                    stmts: flow.stmts(),
+                    seg_deps,
+                    ..FlowState::default()
+                })
+                .collect(),
+            cur: 0,
+            events: Vec::new(),
+            released: vec![None; arch.n_arrays()],
+            modes: vec![(ArrayMode::Memory, None); arch.n_arrays()],
+            bus: None,
+            fu: None,
+            to_switch: [Vec::new(), Vec::new()],
+            referenced: Vec::new(),
+            mem_busy: Vec::new(),
+            switches: SwitchAmortization::default(),
+            report: EngineReport {
+                total_cycles: 0.0,
+                serialized_cycles: 0.0,
+                switch_process_cycles: 0.0,
+                switches_to_compute: 0,
+                switches_to_memory: 0,
+                breakdown: BusyBreakdown::default(),
+                segments: Vec::new(),
+                energy: EnergyReport::default(),
+                timelines: (0..arch.n_arrays() as u32)
+                    .map(|i| ArrayTimeline {
+                        array: ArrayId(i),
+                        final_mode: ArrayMode::Memory,
+                        intervals: Vec::new(),
+                    })
+                    .collect(),
+                critical_path: Vec::new(),
+            },
+        };
+        // ---- The schedule: one walk, every event timed as it is
+        // lowered; rule 4 picks whose statement comes next. ----
+        while let Some(f) = pass.next_flow() {
+            pass.cur = f;
+            let idx = pass.flows[f].next;
+            pass.flows[f].next += 1;
+            let stmts = pass.flows[f].stmts;
+            pass.push_stmt(&stmts[idx], idx);
+        }
+        Ok(pass)
+    }
+
+    /// Rule 4: the unfinished flow whose data is ready earliest, ties to
+    /// the flow that lowered last, then to the lower index.
+    fn next_flow(&self) -> Option<usize> {
+        let mut best: Option<(f64, bool, usize)> = None;
+        for (f, flow) in self.flows.iter().enumerate() {
+            if flow.next < flow.stmts.len() {
+                let data_ready = flow.data.map_or(0.0, |e| self.events[e].finish);
+                let key = (data_ready, f != self.cur, f);
+                if best.is_none_or(|b| key < b) {
+                    best = Some(key);
+                }
+            }
+        }
+        best.map(|(.., f)| f)
+    }
+
+    /// Adds `stmt`'s energy to the chip total.
     fn charge(&mut self, stmt: &Stmt) {
         energy::accumulate_stmt(stmt, self.arch, self.energy_model, &mut self.report.energy);
     }
@@ -381,7 +484,7 @@ impl ForwardPass<'_> {
         }
     }
 
-    /// Times one event; returns `(id, start, finish)`.
+    /// Times one event of the current flow; returns `(id, start, finish)`.
     fn record(&mut self, label: String, ready: Ready, duration: f64) -> (usize, f64, f64) {
         let (start, finish) = (ready.start, ready.start + duration);
         self.events.push(Event {
@@ -390,6 +493,8 @@ impl ForwardPass<'_> {
             finish,
             critical: ready.critical,
         });
+        let flow = &mut self.flows[self.cur];
+        flow.finish = flow.finish.max(finish);
         (self.events.len() - 1, start, finish)
     }
 
@@ -436,6 +541,45 @@ impl ForwardPass<'_> {
         duration
     }
 
+    /// A mode switch actually driven over `arrays`, requested or
+    /// injected, at the current flow's expense.
+    fn push_switch(&mut self, label: String, kind: SwitchKind, arrays: &[ArrayId]) {
+        let duration = model::switch_duration(kind, arrays.len(), self.arch);
+        self.flows[self.cur].busy += duration;
+        self.report.switch_process_cycles += duration;
+        self.switches.switch_cycles += duration;
+        let stride = model::switch_stride(kind, self.arch);
+        self.push_serial(label, arrays, duration, stride, BusyKind::Switch);
+        self.report.breakdown.switch += duration;
+    }
+
+    /// Injects a re-switch of every array `stmts` need in a mode another
+    /// flow flipped it out of. Only another flow can have: alone on the
+    /// chip `modes` retraces the prepass, and there is nothing to find.
+    fn realign(&mut self, stmts: &[Stmt], idx: usize) {
+        let by = Some(self.cur);
+        let mut to_switch = std::mem::take(&mut self.to_switch);
+        for s in stmts {
+            chip::for_each_required_mode(s, &mut |a, needed| {
+                let mode = &mut self.modes[a.index()];
+                if mode.0 != needed {
+                    *mode = (needed, by);
+                    to_switch[needed as usize].push(a);
+                }
+            });
+        }
+        for kind in [SwitchKind::ToCompute, SwitchKind::ToMemory] {
+            let arrays = &mut to_switch[kind.target_mode() as usize];
+            if !arrays.is_empty() {
+                self.switches.injected += arrays.len() as u64;
+                let label = format!("realign#{idx}({} x{})", kind.keyword(), arrays.len());
+                self.push_switch(label, kind, arrays);
+                arrays.clear();
+            }
+        }
+        self.to_switch = to_switch;
+    }
+
     fn push_stmt(&mut self, stmt: &Stmt, idx: usize) {
         match stmt {
             Stmt::Switch { kind, arrays } => {
@@ -444,31 +588,45 @@ impl ForwardPass<'_> {
                     SwitchKind::ToCompute => self.report.switches_to_compute += arrays.len() as u64,
                     SwitchKind::ToMemory => self.report.switches_to_memory += arrays.len() as u64,
                 }
-                let duration = model::switch_duration(*kind, arrays.len(), self.arch);
-                self.report.serialized_cycles += duration;
-                self.report.switch_process_cycles += duration;
-                let label = format!("switch#{idx}({} x{})", kind.keyword(), arrays.len());
-                let stride = model::switch_stride(*kind, self.arch);
-                self.push_serial(label, arrays, duration, stride, BusyKind::Switch);
-                self.report.breakdown.switch += duration;
+                // Amortized: arrays another flow already left in the
+                // target mode are not driven again.
+                let (target, by) = (kind.target_mode(), Some(self.cur));
+                let mut to_switch = std::mem::take(&mut self.to_switch);
+                let driven = &mut to_switch[target as usize];
+                for &a in arrays {
+                    let mode = &mut self.modes[a.index()];
+                    if mode.0 != target || mode.1.is_none() || mode.1 == by {
+                        *mode = (target, by);
+                        driven.push(a);
+                    }
+                }
+                self.switches.requested += arrays.len() as u64;
+                self.switches.executed += driven.len() as u64;
+                self.switches.amortized += (arrays.len() - driven.len()) as u64;
+                let label = format!("switch#{idx}({} x{})", kind.keyword(), driven.len());
+                self.push_switch(label, *kind, driven);
+                driven.clear();
+                self.to_switch = to_switch;
             }
             Stmt::LoadWeights(w) => {
                 self.charge(stmt);
+                self.realign(std::slice::from_ref(stmt), idx);
                 let duration = self.push_load(format!("load#{idx}({})", w.op), &w.arrays);
-                self.report.serialized_cycles += duration;
+                self.flows[self.cur].busy += duration;
                 self.report.switch_process_cycles += duration;
             }
             Stmt::Mem(m) => {
                 self.charge(stmt);
+                self.realign(std::slice::from_ref(stmt), idx);
                 let duration = model::mem_duration(m, self.arch);
-                self.report.serialized_cycles += duration;
+                self.flows[self.cur].busy += duration;
                 self.report.switch_process_cycles += duration;
                 let arrays: &[ArrayId] = match &m.loc {
                     MemLoc::CimArrays(a) => a,
                     _ => &[],
                 };
                 let mut ready = Ready::default();
-                self.wait_finish(self.data, &mut ready);
+                self.wait_finish(self.flows[self.cur].data, &mut ready);
                 self.wait_finish(self.bus, &mut ready);
                 self.wait_arrays(arrays, &mut ready);
                 let (id, start, end) =
@@ -478,43 +636,54 @@ impl ForwardPass<'_> {
                     self.occupy(a, id, BusyInterval { start, end, kind }, end);
                     self.report.breakdown.mem_traffic += duration;
                 }
-                self.data = Some(id);
                 self.bus = Some(id);
-                self.prologue.push(id);
+                let flow = &mut self.flows[self.cur];
+                flow.data = Some(id);
+                flow.prologue.push(id);
             }
             Stmt::Vector(v) => {
                 self.charge(stmt);
                 let duration = model::vector_duration(v.flops);
-                self.report.serialized_cycles += duration;
+                self.flows[self.cur].busy += duration;
                 let mut ready = Ready::default();
-                self.wait_finish(self.data, &mut ready);
+                self.wait_finish(self.flows[self.cur].data, &mut ready);
                 self.wait_finish(self.fu, &mut ready);
                 let (id, ..) = self.record(format!("vector#{idx}({})", v.op), ready, duration);
                 self.report.breakdown.vector += duration;
-                self.data = Some(id);
                 self.fu = Some(id);
-                self.prologue.push(id);
+                let flow = &mut self.flows[self.cur];
+                flow.data = Some(id);
+                flow.prologue.push(id);
             }
-            Stmt::Parallel(body) => self.push_segment(body),
-            Stmt::Compute(_) => self.push_segment(std::slice::from_ref(stmt)),
+            Stmt::Parallel(body) => self.push_segment(body, idx),
+            Stmt::Compute(_) => self.push_segment(std::slice::from_ref(stmt), idx),
         }
     }
 
-    fn push_segment(&mut self, body: &[Stmt]) {
-        let index = self.seg_events.len();
+    fn push_segment(&mut self, body: &[Stmt], idx: usize) {
+        let index = self.flows[self.cur].seg_events.len();
 
-        // Energy: per statement into the flow total (same order as
+        // Energy: per statement into the chip total (same order as
         // `energy::estimate`) and into this segment's own bucket.
         let mut seg_energy = EnergyReport::default();
         for s in body {
             self.charge(s);
             energy::accumulate_stmt(s, self.arch, self.energy_model, &mut seg_energy);
+            if let Stmt::Switch { kind, arrays } = s {
+                // Inside a body a switch has no event: the mode moves
+                // for free, as in the prepass.
+                for a in arrays {
+                    self.modes[a.index()] = (kind.target_mode(), Some(self.cur));
+                }
+            }
         }
 
         let phases = model::segment_phases(body, self.arch);
         let exec_cycles = phases.exec_and_loose();
-        self.report.serialized_cycles += phases.load_phase;
-        self.report.serialized_cycles += exec_cycles;
+        let flow = &mut self.flows[self.cur];
+        flow.busy += phases.load_phase;
+        flow.busy += exec_cycles;
+        self.realign(body, idx);
 
         // Weight-load events: each op's load waits only for its own
         // arrays, so loads on arrays the previous segment is done with
@@ -542,18 +711,18 @@ impl ForwardPass<'_> {
         self.referenced.sort_unstable();
         self.referenced.dedup();
         self.wait_arrays(&self.referenced, &mut ready);
-        match &self.seg_deps {
+        let flow = &self.flows[self.cur];
+        match flow.seg_deps {
             Some(all) => {
-                for &event in &self.prologue {
+                for &event in &flow.prologue {
                     ready.wait(event, self.events[event].finish);
                 }
                 for &producer in all.get(index).into_iter().flatten() {
-                    self.wait_finish(self.seg_events.get(producer).copied(), &mut ready);
+                    self.wait_finish(flow.seg_events.get(producer).copied(), &mut ready);
                 }
             }
-            None => self.wait_finish(self.data, &mut ready),
+            None => self.wait_finish(flow.data, &mut ready),
         }
-        self.prologue.clear();
         let (id, start, finish) = self.record(format!("seg{index}.exec"), ready, exec_cycles);
 
         // Occupancy: each lane holds its compute arrays until the lane
@@ -607,13 +776,15 @@ impl ForwardPass<'_> {
             compute_ops: phases.n_ops,
             energy_pj: seg_energy.total_pj(),
         });
-        self.seg_events.push(id);
-        self.data = Some(id);
+        let flow = &mut self.flows[self.cur];
+        flow.prologue.clear();
+        flow.seg_events.push(id);
+        flow.data = Some(id);
     }
 
     /// Makespan and critical path: back from the first event attaining
     /// the latest finish, along each event's binding dependency.
-    fn finish(mut self) -> EngineReport {
+    fn finish(mut self) -> Self {
         let mut last: Option<usize> = None;
         for (i, event) in self.events.iter().enumerate() {
             if last.is_none() || event.finish > self.report.total_cycles {
@@ -631,7 +802,11 @@ impl ForwardPass<'_> {
             last = event.critical;
         }
         self.report.critical_path.reverse();
-        self.report
+        for (timeline, &(mode, _)) in self.report.timelines.iter_mut().zip(&self.modes) {
+            timeline.final_mode = mode;
+        }
+        self.report.serialized_cycles = self.flows.iter().map(|f| f.busy).sum();
+        self
     }
 }
 
@@ -921,5 +1096,58 @@ mod tests {
             "every array lands in exactly one bucket"
         );
         assert_eq!(eng.segments.len(), program.segments.len());
+    }
+
+    #[test]
+    fn two_flows_share_arrays_bus_and_one_critical_path() {
+        // What `TimeSliced` co-simulation runs: `a` computes on arrays 0
+        // and 1, `b` spills through them in memory mode, so each flips
+        // arrays the other still needs.
+        let arch = presets::tiny();
+        let mem = |loc| {
+            Stmt::Mem(MemStmt {
+                loc,
+                direction: MemDirection::Write,
+                bytes: 4096,
+                label: "traffic".into(),
+            })
+        };
+        let pair = vec![ArrayId(0), ArrayId(1)];
+        let on_pair = || MemLoc::CimArrays(pair.clone());
+        let mut a = Flow::new("a");
+        a.push(Stmt::switch(SwitchKind::ToCompute, pair.clone()));
+        for op in ["a0", "a1"] {
+            let body = vec![load(op, pair.clone()), compute(op, pair.clone(), 64)];
+            a.push(Stmt::Parallel(body));
+            a.push(mem(MemLoc::Main));
+        }
+        let mut b = Flow::new("b");
+        for loc in [on_pair(), MemLoc::Main, on_pair()] {
+            b.push(mem(loc));
+        }
+        let flows = [(&a, None), (&b, None)];
+        let energy_model = EnergyModel::default();
+        let pass = ForwardPass::run(&flows, &arch, &energy_model).unwrap();
+
+        // Bulk-memory events serialize on the one port, in lowering order.
+        let on_bus = |e: &&Event| e.label.starts_with("mem#");
+        let bus: Vec<_> = pass.events.iter().filter(on_bus).collect();
+        assert_eq!(bus.len(), 5);
+        assert!(bus.windows(2).all(|w| w[0].finish <= w[1].start));
+
+        let pass = pass.finish();
+        let apart = |w: &[BusyInterval]| w[0].end <= w[1].start + 1e-9;
+        for t in &pass.report.timelines {
+            assert!(t.intervals.windows(2).all(apart), "{t:?}");
+        }
+        let (report, switches) = (&pass.report, &pass.switches);
+        assert!(switches.injected >= 4, "{switches:?}");
+        assert_eq!(switches.requested, switches.executed + switches.amortized);
+        let last = report.critical_path.last().unwrap();
+        assert_eq!(last.end, report.total_cycles);
+        let finishes = pass.flows.iter().map(|f| f.finish);
+        assert_eq!(report.total_cycles, finishes.fold(0.0, f64::max));
+        let busy: f64 = pass.flows.iter().map(|f| f.busy).sum();
+        assert_eq!(report.serialized_cycles, busy);
     }
 }

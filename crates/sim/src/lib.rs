@@ -5,10 +5,11 @@
 //! DynaPlasia, plus a functional simulator standing in for the PyTorch
 //! cross-check.
 //!
-//! * [`engine`] is the event-driven, cycle-level simulator: per-array
-//!   timelines filled in one forward pass over the flow (dependencies
-//!   only point backwards, so no event queue is needed), explicit
-//!   mode-switch events, shared-bus contention and inter-segment
+//! * [`engine`] is the event-driven, cycle-level simulator and the one
+//!   scheduler of this crate: per-array timelines filled in one forward
+//!   pass over the flow — or over several flows sharing the chip —
+//!   (dependencies only point backwards, so no event queue is needed),
+//!   explicit mode-switch events, shared-bus contention and inter-segment
 //!   pipelining. It returns an enriched [`EngineReport`] (per-segment
 //!   and per-mode latency/energy breakdown, array-utilization
 //!   histogram, critical path) and is surfaced through the `Session`
@@ -27,10 +28,11 @@
 //!   compiler schedules is what the network computes.
 //! * [`chip`] tracks per-array modes and dynamically enforces mode
 //!   discipline while flows execute.
-//! * [`tenancy`] co-schedules several compiled programs onto one chip
-//!   (static partitions or mode-switch-aware time-slicing) and drives
-//!   continuous-batching autoregressive decode with mid-flight
-//!   re-segmentation ([`ChipScheduler`], [`DecodeLoop`]).
+//! * [`tenancy`] admits several compiled programs onto one chip (static
+//!   partitions or time-slicing), runs them through the engine's forward
+//!   pass — a tenant alone costs exactly what [`EventEngine`] reports —
+//!   and drives continuous-batching autoregressive decode with
+//!   mid-flight re-segmentation ([`ChipScheduler`], [`DecodeLoop`]).
 //!
 //! # Example
 //!
@@ -67,10 +69,9 @@ pub use engine::{
 };
 pub use stats::{
     utilization_percent, ArrayTimeline, BusyBreakdown, BusyInterval, BusyKind, CriticalStep,
-    EngineReport, ModeOccupancy, SegmentTiming, SegmentWindow, SimReport,
+    EngineReport, ModeOccupancy, SegmentTiming, SegmentWindow, SimReport, SwitchAmortization,
 };
 pub use tenancy::{
     ChipScheduler, CoSimOptions, DecodeLoop, DecodeOptions, DecodeReport, DecodeTenant,
-    DecodeTenantReport, SwitchAmortization, TenancyError, TenancyPolicy, TenancyReport,
-    TenantProgram, TenantReport,
+    DecodeTenantReport, TenancyError, TenancyPolicy, TenancyReport, TenantProgram, TenantReport,
 };

@@ -322,6 +322,26 @@ impl EngineReport {
     }
 }
 
+/// How mode switches played out when several flows shared one forward
+/// pass ([`crate::engine`] defines amortized and injected);
+/// `requested == executed + amortized`.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct SwitchAmortization {
+    /// Array-switches the flows' `CM.switch` statements requested.
+    pub requested: u64,
+    /// Requested array-switches actually driven.
+    pub executed: u64,
+    /// Requested array-switches skipped because another flow had
+    /// already left the array in the target mode.
+    pub amortized: u64,
+    /// Array re-switches injected ahead of a statement because another
+    /// flow had flipped an array it needs; charged to the flow that
+    /// needs the array back.
+    pub injected: u64,
+    /// Cycles of every driven switch event, executed and injected.
+    pub switch_cycles: f64,
+}
+
 /// Converts a busy fraction into a whole utilization percentage,
 /// rounding to nearest and clamping to `0..=100`.
 ///

@@ -7,21 +7,29 @@
 //! compiled programs onto one [`DualModeArch`] under two policies:
 //!
 //! * **Time-sliced** ([`TenancyPolicy::TimeSliced`]): every tenant sees
-//!   the whole chip; a mode-switch-aware arbiter interleaves their
-//!   statement streams, amortizing `CM.switch` requests whose arrays
-//!   are already in the target mode and charging *injected* re-switches
-//!   to whichever tenant flipped a neighbour's arrays.
+//!   the whole chip and the tenants' statements interleave on its
+//!   arrays, sparing each other some `CM.switch` requests (*amortized*)
+//!   and paying to re-switch arrays a neighbour flipped (*injected*).
 //! * **Partitioned** ([`TenancyPolicy::Partitioned`]): each tenant owns
 //!   a disjoint contiguous array range. Programs are compiled against
 //!   the shrunken sub-chip ([`DualModeArch::partition`]), re-verified
 //!   against that smaller capacity, then relocated onto the physical
-//!   arrays. The off-chip link and vector function unit remain shared
-//!   and are arbitrated like any other resource.
+//!   arrays. The off-chip link and vector function unit remain shared.
+//!
+//! There is no scheduler here. Tenants are flows of the event engine's
+//! one forward pass ([`crate::engine`], which defines the arbitration
+//! rule, *amortized* and *injected*): a tenant's solo baseline is that
+//! pass over its flow alone — [`crate::EventEngine::simulate_program`]'s
+//! makespan to the bit — and the co-schedule is the same pass over all
+//! of them. This module adds admission, relocation, and the per-tenant
+//! accounting around it.
 //!
 //! Admission runs the static verifier's dependence and capacity lints
 //! on every program by default — a co-scheduler that trusts `op_deps`
 //! blindly would happily overlap tenants across a dropped edge — and
-//! rejections surface as [`TenancyError::Admission`].
+//! rejections surface as [`TenancyError::Admission`]. A flow that breaks
+//! mode discipline on its own is rejected as the simulators reject it
+//! ([`TenancyError::ModeViolation`]), never repaired.
 //!
 //! [`DecodeLoop`] drives the co-scheduler through continuous-batching
 //! autoregressive decode: each step grows every tenant's KV cache,
@@ -30,20 +38,20 @@
 //! [`Session`] sharing the parent's allocation cache and artifact
 //! store — warm re-planning is solve-free.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
-use cmswitch_arch::{ArchError, ArrayId, ArrayMode, DualModeArch};
+use cmswitch_arch::{ArchError, ArrayId, DualModeArch};
 use cmswitch_core::verify::{CapacityLint, DependenceLint};
 use cmswitch_core::{
     CompileError, CompileRequest, CompiledProgram, DiagnosticEvent, Diagnostics, Session,
     Verifier, VerifyReport,
 };
 use cmswitch_graph::{Graph, GraphError};
-use cmswitch_metaop::{Flow, MemLoc, Stmt, SwitchKind};
+use cmswitch_metaop::{Flow, MetaOpError};
 
-use crate::energy::{self, EnergyModel, EnergyReport};
-use crate::model;
+use crate::energy::{EnergyModel, EnergyReport};
+use crate::engine;
+use crate::stats::SwitchAmortization;
 
 /// One admitted tenant: a label plus its compiled program.
 #[derive(Debug, Clone, Copy)]
@@ -64,7 +72,7 @@ impl<'a> TenantProgram<'a> {
 /// How tenants divide the chip.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TenancyPolicy {
-    /// Every tenant sees the whole chip; the arbiter interleaves them.
+    /// Every tenant sees the whole chip; their statements interleave.
     TimeSliced,
     /// Tenant `i` owns a contiguous range of `shares[i]` arrays;
     /// programs must have been compiled against the matching
@@ -127,7 +135,7 @@ pub enum TenancyError {
     },
     /// A tenant's flow names an array the physical chip does not have
     /// (checked on every program, verified at admission or not: flows
-    /// are public input and the arbiter indexes per-array state).
+    /// are public input and relocation offsets every id they name).
     ArrayOutOfRange {
         /// The offending tenant.
         tenant: String,
@@ -136,6 +144,16 @@ pub enum TenancyError {
         /// Physical arrays from the tenant's base upward (the whole
         /// chip when time-sliced).
         available: usize,
+    },
+    /// A tenant's flow violates mode discipline on its own — the
+    /// error both simulators report for it (checked on every program,
+    /// verified at admission or not: co-scheduling shares arrays, it
+    /// does not repair flows).
+    ModeViolation {
+        /// The offending tenant.
+        tenant: String,
+        /// The violation, as [`crate::EventEngine`] reports it.
+        source: MetaOpError,
     },
     /// Carving a partition sub-chip failed.
     Arch(ArchError),
@@ -184,6 +202,9 @@ impl fmt::Display for TenancyError {
                 "tenant {tenant} names array {array}, but the chip has only \
                  {available} arrays from the tenant's base"
             ),
+            TenancyError::ModeViolation { tenant, source } => {
+                write!(f, "tenant {tenant} breaks mode discipline: {source}")
+            }
             TenancyError::Arch(e) => write!(f, "partitioning failed: {e}"),
             TenancyError::Graph { tenant, source } => {
                 write!(f, "tenant {tenant} graph construction failed: {source}")
@@ -198,6 +219,7 @@ impl fmt::Display for TenancyError {
 impl std::error::Error for TenancyError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            TenancyError::ModeViolation { source, .. } => Some(source),
             TenancyError::Arch(e) => Some(e),
             TenancyError::Graph { source, .. } => Some(source),
             TenancyError::Compile { source, .. } => Some(source.as_ref()),
@@ -212,23 +234,6 @@ impl From<ArchError> for TenancyError {
     }
 }
 
-/// How the arbiter's mode-switch handling played out.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct SwitchAmortization {
-    /// Array-switches the programs requested.
-    pub requested: u64,
-    /// Array-switches actually driven.
-    pub executed: u64,
-    /// Requested switches skipped because a neighbour tenant had
-    /// already left the arrays in the target mode.
-    pub amortized: u64,
-    /// Re-switches injected because a neighbour flipped arrays a
-    /// tenant still needed.
-    pub injected: u64,
-    /// Total cycles spent reconfiguring arrays.
-    pub switch_cycles: f64,
-}
-
 /// One tenant's share of a co-scheduled run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantReport {
@@ -236,11 +241,12 @@ pub struct TenantReport {
     pub name: String,
     /// Cycle at which the tenant's last event retired.
     pub finish_cycles: f64,
-    /// Cycles the tenant actively held resources (incl. injected
-    /// re-switches charged to it).
+    /// What the tenant's statements cost serialized in this run: the
+    /// sequential replay's total, less the switches it was spared
+    /// (amortized), plus the re-switches charged to it (injected).
     pub busy_cycles: f64,
-    /// Makespan the same program achieves alone on an idle chip,
-    /// under the same arbiter.
+    /// Makespan the same program achieves alone on an idle chip: the
+    /// event engine's, bit for bit.
     pub solo_cycles: f64,
     /// Energy attributed to this tenant (schedule-invariant).
     pub energy: EnergyReport,
@@ -276,302 +282,6 @@ impl TenancyReport {
     }
 }
 
-// ---------------------------------------------------------------------
-// Event extraction
-// ---------------------------------------------------------------------
-
-/// One arbitrated unit of work: a statement priced through the shared
-/// [`model`] kernel, with the resources it holds while running.
-#[derive(Debug, Clone)]
-struct Event {
-    /// Cycles the event holds its arrays (zero for switches, whose
-    /// cost depends on chip state at dispatch).
-    cycles: f64,
-    /// Arrays touched, each with the mode the event needs.
-    arrays: Vec<(ArrayId, ArrayMode)>,
-    /// Cycles of shared off-chip-link occupancy.
-    bus: f64,
-    /// Cycles of shared vector-FU occupancy.
-    fu: f64,
-    /// Mode-switch request: target kind plus addressed arrays.
-    switch: Option<(SwitchKind, Vec<ArrayId>)>,
-}
-
-impl Event {
-    fn exec(cycles: f64) -> Event {
-        Event {
-            cycles,
-            arrays: Vec::new(),
-            bus: 0.0,
-            fu: 0.0,
-            switch: None,
-        }
-    }
-}
-
-/// Collects `(array, mode)` needs from a segment body.
-fn collect_body_arrays(body: &[Stmt], out: &mut BTreeMap<u32, ArrayMode>) {
-    for stmt in body {
-        match stmt {
-            Stmt::Compute(c) => {
-                for a in &c.compute_arrays {
-                    out.insert(a.0, ArrayMode::Compute);
-                }
-                for a in c.mem_in_arrays.iter().chain(&c.mem_out_arrays) {
-                    out.entry(a.0).or_insert(ArrayMode::Memory);
-                }
-            }
-            Stmt::LoadWeights(w) => {
-                for a in &w.arrays {
-                    out.insert(a.0, ArrayMode::Compute);
-                }
-            }
-            Stmt::Mem(m) => {
-                if let MemLoc::CimArrays(arrays) = &m.loc {
-                    for a in arrays {
-                        out.entry(a.0).or_insert(ArrayMode::Memory);
-                    }
-                }
-            }
-            Stmt::Parallel(inner) => collect_body_arrays(inner, out),
-            Stmt::Switch { .. } | Stmt::Vector(_) => {}
-        }
-    }
-}
-
-fn segment_event(body: &[Stmt], arch: &DualModeArch) -> Event {
-    let phases = model::segment_phases(body, arch);
-    let mut needs = BTreeMap::new();
-    collect_body_arrays(body, &mut needs);
-    // The off-chip link streams the weight fetches of the load phase
-    // plus any loose main-memory traffic in the body.
-    let loose_main: f64 = body
-        .iter()
-        .filter_map(|s| match s {
-            Stmt::Mem(m) if matches!(m.loc, MemLoc::Main) => Some(model::mem_duration(m, arch)),
-            _ => None,
-        })
-        .sum();
-    let fu: f64 = body
-        .iter()
-        .filter_map(|s| match s {
-            Stmt::Vector(v) => Some(model::vector_duration(v.flops)),
-            _ => None,
-        })
-        .sum();
-    Event {
-        cycles: phases.total(),
-        arrays: needs
-            .into_iter()
-            .map(|(a, m)| (ArrayId(a), m))
-            .collect(),
-        bus: phases.load_phase + loose_main,
-        fu,
-        switch: None,
-    }
-}
-
-/// Lowers a compiled flow into the arbiter's event stream. Statement
-/// order is preserved; every event is priced by the same kernel both
-/// simulators use, so a solo tenant costs exactly what the sequential
-/// model would charge for the same statements.
-fn extract_events(flow: &Flow, arch: &DualModeArch) -> Vec<Event> {
-    let mut events = Vec::with_capacity(flow.stmts().len());
-    for stmt in flow.stmts() {
-        match stmt {
-            Stmt::Switch { kind, arrays } => events.push(Event {
-                cycles: 0.0,
-                arrays: Vec::new(),
-                bus: 0.0,
-                fu: 0.0,
-                switch: Some((*kind, arrays.clone())),
-            }),
-            Stmt::Mem(m) => {
-                let cycles = model::mem_duration(m, arch);
-                let mut ev = Event::exec(cycles);
-                match &m.loc {
-                    MemLoc::Main => ev.bus = cycles,
-                    MemLoc::Buffer => {}
-                    MemLoc::CimArrays(arrays) => {
-                        ev.arrays = arrays.iter().map(|a| (*a, ArrayMode::Memory)).collect();
-                    }
-                }
-                events.push(ev);
-            }
-            Stmt::LoadWeights(w) => {
-                let cycles = model::load_duration(w.arrays.len(), arch);
-                let mut ev = Event::exec(cycles);
-                ev.arrays = w.arrays.iter().map(|a| (*a, ArrayMode::Compute)).collect();
-                ev.bus = cycles;
-                events.push(ev);
-            }
-            Stmt::Vector(v) => {
-                let cycles = model::vector_duration(v.flops);
-                let mut ev = Event::exec(cycles);
-                ev.fu = cycles;
-                events.push(ev);
-            }
-            Stmt::Parallel(body) => events.push(segment_event(body, arch)),
-            Stmt::Compute(_) => events.push(segment_event(std::slice::from_ref(stmt), arch)),
-        }
-    }
-    events
-}
-
-// ---------------------------------------------------------------------
-// The arbiter
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, Copy, Default)]
-struct TenantOutcome {
-    finish: f64,
-    busy: f64,
-}
-
-/// Greedy deterministic list scheduler over per-tenant event streams.
-///
-/// Chip state is per-array mode (all arrays start in memory mode, as
-/// [`crate::chip::ChipState`] does) plus per-array, bus and FU
-/// free-times. Each round dispatches the tenant whose next event can
-/// start earliest; ties prefer the event that needs **no** mode flip
-/// (the switch-aware part — batching same-mode work before paying a
-/// reconfiguration), then the lower tenant index. One event retires
-/// per round, so the loop terminates and is bit-deterministic.
-fn arbitrate(
-    streams: &[Vec<Event>],
-    arch: &DualModeArch,
-) -> (Vec<TenantOutcome>, f64, SwitchAmortization) {
-    let n_arrays = arch.n_arrays();
-    let mut modes = vec![ArrayMode::Memory; n_arrays];
-    let mut array_free = vec![0.0f64; n_arrays];
-    let mut bus_free = 0.0f64;
-    let mut fu_free = 0.0f64;
-    let mut ready = vec![0.0f64; streams.len()];
-    let mut busy = vec![0.0f64; streams.len()];
-    let mut idx = vec![0usize; streams.len()];
-    let mut stats = SwitchAmortization::default();
-    let mut last: Option<usize> = None;
-
-    loop {
-        // Pick the dispatchable event with the earliest start. Ties
-        // prefer the tenant that ran last (batching one tenant's
-        // same-mode run instead of ping-ponging arrays between mode
-        // domains), then flip-free events, then the lower index.
-        let mut best: Option<(f64, bool, bool, usize)> = None;
-        for (t, stream) in streams.iter().enumerate() {
-            let Some(ev) = stream.get(idx[t]) else {
-                continue;
-            };
-            let mut start = ready[t];
-            let needs_flip;
-            if let Some((kind, arrays)) = &ev.switch {
-                let mut pending = 0usize;
-                for a in arrays {
-                    if modes[a.0 as usize] != kind.target_mode() {
-                        pending += 1;
-                        start = start.max(array_free[a.0 as usize]);
-                    }
-                }
-                needs_flip = pending > 0;
-            } else {
-                for (a, _) in &ev.arrays {
-                    start = start.max(array_free[a.0 as usize]);
-                }
-                if ev.bus > 0.0 {
-                    start = start.max(bus_free);
-                }
-                if ev.fu > 0.0 {
-                    start = start.max(fu_free);
-                }
-                needs_flip = ev
-                    .arrays
-                    .iter()
-                    .any(|(a, mode)| modes[a.0 as usize] != *mode);
-            }
-            let candidate = (start, last != Some(t), needs_flip, t);
-            let better = match &best {
-                None => true,
-                Some((bs, bl, bf, bt)) => {
-                    (candidate.0, candidate.1 as u8, candidate.2 as u8, candidate.3)
-                        < (*bs, *bl as u8, *bf as u8, *bt)
-                }
-            };
-            if better {
-                best = Some(candidate);
-            }
-        }
-        let Some((start, _, _, t)) = best else {
-            break;
-        };
-        last = Some(t);
-
-        let ev = &streams[t][idx[t]];
-        idx[t] += 1;
-        if let Some((kind, arrays)) = &ev.switch {
-            let pending: Vec<ArrayId> = arrays
-                .iter()
-                .copied()
-                .filter(|a| modes[a.0 as usize] != kind.target_mode())
-                .collect();
-            stats.requested += arrays.len() as u64;
-            stats.amortized += (arrays.len() - pending.len()) as u64;
-            stats.executed += pending.len() as u64;
-            let dur = model::switch_duration(*kind, pending.len(), arch);
-            let end = start + dur;
-            for a in &pending {
-                modes[a.0 as usize] = kind.target_mode();
-                array_free[a.0 as usize] = end;
-            }
-            stats.switch_cycles += dur;
-            busy[t] += dur;
-            ready[t] = end;
-        } else {
-            // Re-align arrays a neighbour left in the wrong mode; the
-            // cost is charged to *this* tenant, which is what makes
-            // fairness numbers honest under time-slicing.
-            let mut to_compute = 0usize;
-            let mut to_memory = 0usize;
-            for (a, mode) in &ev.arrays {
-                if modes[a.0 as usize] != *mode {
-                    match mode {
-                        ArrayMode::Compute => to_compute += 1,
-                        ArrayMode::Memory => to_memory += 1,
-                    }
-                }
-            }
-            let flip = model::switch_duration(SwitchKind::ToCompute, to_compute, arch)
-                + model::switch_duration(SwitchKind::ToMemory, to_memory, arch);
-            stats.injected += (to_compute + to_memory) as u64;
-            stats.switch_cycles += flip;
-            let exec_start = start + flip;
-            let end = exec_start + ev.cycles;
-            for (a, mode) in &ev.arrays {
-                modes[a.0 as usize] = *mode;
-                array_free[a.0 as usize] = end;
-            }
-            if ev.bus > 0.0 {
-                bus_free = exec_start + ev.bus;
-            }
-            if ev.fu > 0.0 {
-                fu_free = exec_start + ev.fu;
-            }
-            busy[t] += flip + ev.cycles;
-            ready[t] = end;
-        }
-    }
-
-    let outcomes: Vec<TenantOutcome> = streams
-        .iter()
-        .enumerate()
-        .map(|(t, _)| TenantOutcome {
-            finish: ready[t],
-            busy: busy[t],
-        })
-        .collect();
-    let total = outcomes.iter().map(|o| o.finish).fold(0.0, f64::max);
-    (outcomes, total, stats)
-}
-
 /// Jain's fairness index over per-tenant progress shares.
 fn jain_fairness(shares: &[f64]) -> f64 {
     let n = shares.len() as f64;
@@ -587,47 +297,10 @@ fn jain_fairness(shares: &[f64]) -> f64 {
 /// Relocates a partition-relative flow onto the physical chip by
 /// offsetting every array reference by the partition base.
 fn offset_flow(flow: &Flow, base: u32) -> Flow {
-    fn offset_stmt(stmt: &mut Stmt, base: u32) {
-        match stmt {
-            Stmt::Switch { arrays, .. } => {
-                for a in arrays {
-                    a.0 += base;
-                }
-            }
-            Stmt::Compute(c) => {
-                for a in c
-                    .compute_arrays
-                    .iter_mut()
-                    .chain(&mut c.mem_in_arrays)
-                    .chain(&mut c.mem_out_arrays)
-                {
-                    a.0 += base;
-                }
-            }
-            Stmt::LoadWeights(w) => {
-                for a in &mut w.arrays {
-                    a.0 += base;
-                }
-            }
-            Stmt::Mem(m) => {
-                if let MemLoc::CimArrays(arrays) = &mut m.loc {
-                    for a in arrays {
-                        a.0 += base;
-                    }
-                }
-            }
-            Stmt::Parallel(body) => {
-                for s in body {
-                    offset_stmt(s, base);
-                }
-            }
-            Stmt::Vector(_) => {}
-        }
-    }
     let mut out = Flow::new(flow.name());
     for stmt in flow.stmts() {
         let mut s = stmt.clone();
-        offset_stmt(&mut s, base);
+        s.for_each_array_mut(&mut |a| a.0 += base);
         out.push(s);
     }
     out
@@ -686,8 +359,8 @@ impl ChipScheduler {
                 });
             }
         }
-        // Not part of the opt-out: the arbiter indexes per-array state
-        // by every id the flow names, relocated by `base`.
+        // Not part of the opt-out: the engine indexes per-array state by
+        // every id the flow names, relocated by `base`.
         let available = self.arch.n_arrays() - base as usize;
         let mut stray = None;
         for stmt in program.flow.stmts() {
@@ -715,26 +388,21 @@ impl ChipScheduler {
     /// [`TenancyError::NoTenants`] on an empty slice;
     /// [`TenancyError::Admission`] when a program fails the
     /// dependence/capacity lints; [`TenancyError::ArrayOutOfRange`]
-    /// when one names an array the chip lacks; share-shape errors under
-    /// the partitioned policy.
+    /// when one names an array the chip lacks;
+    /// [`TenancyError::ModeViolation`] when one breaks mode discipline;
+    /// share-shape errors under the partitioned policy.
     pub fn co_simulate(&self, tenants: &[TenantProgram]) -> Result<TenancyReport, TenancyError> {
         if tenants.is_empty() {
             return Err(TenancyError::NoTenants);
         }
 
-        // Admission + event extraction, policy-dependent.
-        let mut streams = Vec::with_capacity(tenants.len());
-        let mut energies = Vec::with_capacity(tenants.len());
+        // Admission, policy-dependent; a partitioned tenant's flow is
+        // relocated onto its physical arrays.
+        let mut relocated = Vec::new();
         match &self.options.policy {
             TenancyPolicy::TimeSliced => {
                 for t in tenants {
                     self.admit(t.name, t.program, &self.arch, 0)?;
-                    streams.push(extract_events(&t.program.flow, &self.arch));
-                    energies.push(energy::estimate(
-                        &t.program.flow,
-                        &self.arch,
-                        &self.options.energy_model,
-                    ));
                 }
             }
             TenancyPolicy::Partitioned { shares } => {
@@ -757,66 +425,71 @@ impl ChipScheduler {
                     // Verify against the *shrunken* capacity: a plan
                     // that fit the whole chip may not fit its slice.
                     self.admit(t.name, t.program, &sub, base)?;
-                    let relocated = offset_flow(&t.program.flow, base);
-                    streams.push(extract_events(&relocated, &self.arch));
-                    // Energy is schedule- and placement-invariant;
-                    // price the flow against the sub-chip it was
-                    // compiled for.
-                    energies.push(energy::estimate(
-                        &t.program.flow,
-                        &sub,
-                        &self.options.energy_model,
-                    ));
+                    relocated.push(offset_flow(&t.program.flow, base));
                     base += share as u32;
                 }
             }
         }
+        let programs = tenants.iter().map(|t| t.program);
+        let seg_deps: Vec<_> = programs.map(engine::segment_deps).collect();
+        let flows: Vec<engine::FlowInput> = (0..tenants.len())
+            .map(|i| {
+                let flow = relocated.get(i).unwrap_or(&tenants[i].program.flow);
+                (flow, seg_deps[i].as_deref())
+            })
+            .collect();
 
-        // Solo baselines: the same stream alone on an idle chip.
-        let mut solos = Vec::with_capacity(streams.len());
-        for stream in &streams {
-            let (outcome, _, _) = arbitrate(std::slice::from_ref(stream), &self.arch);
-            solos.push(outcome[0].finish);
+        // One scheduler: each tenant alone on the idle chip (its solo
+        // baseline, which is also where a flow that breaks mode
+        // discipline is rejected), then all of them in one pass.
+        let energy_model = &self.options.energy_model;
+        let violation = |first: usize| {
+            move |(flow, source): (usize, MetaOpError)| TenancyError::ModeViolation {
+                tenant: tenants[first + flow].name.to_string(),
+                source,
+            }
+        };
+        let mut solos = Vec::with_capacity(flows.len());
+        for (i, flow) in flows.iter().enumerate() {
+            // Energy is schedule- and placement-invariant: what the
+            // tenant's statements cost alone is what they cost shared.
+            let solo = engine::schedule(std::slice::from_ref(flow), &self.arch, energy_model)
+                .map_err(violation(i))?
+                .report;
+            solos.push((solo.total_cycles, solo.energy));
         }
-        let serialized_cycles: f64 = solos.iter().sum();
-
-        let (outcomes, total_cycles, switches) = arbitrate(&streams, &self.arch);
+        let shared = engine::schedule(&flows, &self.arch, energy_model).map_err(violation(0))?;
 
         let mut chip_energy = EnergyReport::default();
-        for e in &energies {
-            chip_energy.absorb(e);
-        }
-        let progress: Vec<f64> = outcomes
+        let mut progress = Vec::with_capacity(tenants.len());
+        let reports = tenants
             .iter()
+            .zip(&shared.flows)
             .zip(&solos)
-            .map(|(o, solo)| {
-                if o.finish > 0.0 {
-                    solo / o.finish
+            .map(|((t, flow), &(solo_cycles, energy))| {
+                chip_energy.absorb(&energy);
+                progress.push(if flow.finish > 0.0 {
+                    solo_cycles / flow.finish
                 } else {
                     1.0
+                });
+                TenantReport {
+                    name: t.name.to_string(),
+                    finish_cycles: flow.finish,
+                    busy_cycles: flow.busy,
+                    solo_cycles,
+                    energy,
                 }
             })
             .collect();
 
         Ok(TenancyReport {
-            tenants: tenants
-                .iter()
-                .zip(&outcomes)
-                .zip(&solos)
-                .zip(&energies)
-                .map(|(((t, o), solo), e)| TenantReport {
-                    name: t.name.to_string(),
-                    finish_cycles: o.finish,
-                    busy_cycles: o.busy,
-                    solo_cycles: *solo,
-                    energy: *e,
-                })
-                .collect(),
-            total_cycles,
-            serialized_cycles,
+            tenants: reports,
+            total_cycles: shared.report.total_cycles,
+            serialized_cycles: solos.iter().map(|&(cycles, _)| cycles).sum(),
             energy: chip_energy,
             fairness: jain_fairness(&progress),
-            switches,
+            switches: shared.switches,
         })
     }
 }
@@ -1158,7 +831,7 @@ mod tests {
     fn solo_tenant_matches_its_serialized_baseline() {
         let arch = presets::tiny();
         let p = compiled(cmswitch_models::mlp::mlp(2, &[96, 128, 64]).unwrap(), &arch);
-        let report = ChipScheduler::new(arch)
+        let report = ChipScheduler::new(arch.clone())
             .co_simulate(&[TenantProgram::new("solo", &p)])
             .unwrap();
         assert_eq!(report.total_cycles, report.serialized_cycles);
@@ -1166,6 +839,10 @@ mod tests {
         assert_eq!(report.fairness, 1.0);
         assert_eq!(report.switches.injected, 0);
         assert_eq!(report.tenants[0].solo_cycles, report.total_cycles);
+        // The baseline is the event engine's makespan, to the bit.
+        let engine = crate::EventEngine::new();
+        let alone = engine.simulate_program(&p, &arch).unwrap().total_cycles;
+        assert_eq!(report.tenants[0].solo_cycles.to_bits(), alone.to_bits());
     }
 
     #[test]
@@ -1204,9 +881,16 @@ mod tests {
             })
             .co_simulate(&[TenantProgram::new("a", &a), TenantProgram::new("b", &b)])
             .unwrap();
-        // Disjoint arrays: no tenant can flip a neighbour's arrays.
+        // Disjoint arrays: no tenant can flip a neighbour's arrays, or
+        // spare it a switch — sharing the bus and the vector unit only
+        // ever delays a tenant.
         assert_eq!(report.switches.injected, 0);
+        assert_eq!(report.switches.requested, report.switches.executed);
         assert!(report.total_cycles < report.serialized_cycles);
+        for t in &report.tenants {
+            assert!(t.finish_cycles >= t.solo_cycles, "{t:?}");
+            assert!(t.solo_cycles <= report.total_cycles, "{t:?}");
+        }
     }
 
     #[test]
@@ -1286,48 +970,16 @@ mod tests {
         let sub = arch.partition(2).unwrap();
         let p = compiled(cmswitch_models::mlp::mlp(1, &[64, 32]).unwrap(), &sub);
         let shifted = offset_flow(&p.flow, 7);
-        let mut min_before = u32::MAX;
-        min_array(p.flow.stmts(), &mut min_before);
-        fn min_array(stmts: &[Stmt], min: &mut u32) {
-            for s in stmts {
-                match s {
-                    Stmt::Switch { arrays, .. } => {
-                        for a in arrays {
-                            *min = (*min).min(a.0);
-                        }
-                    }
-                    Stmt::LoadWeights(w) => {
-                        for a in &w.arrays {
-                            *min = (*min).min(a.0);
-                        }
-                    }
-                    Stmt::Compute(c) => {
-                        for a in c
-                            .compute_arrays
-                            .iter()
-                            .chain(&c.mem_in_arrays)
-                            .chain(&c.mem_out_arrays)
-                        {
-                            *min = (*min).min(a.0);
-                        }
-                    }
-                    Stmt::Mem(m) => {
-                        if let MemLoc::CimArrays(arrays) = &m.loc {
-                            for a in arrays {
-                                *min = (*min).min(a.0);
-                            }
-                        }
-                    }
-                    Stmt::Parallel(body) => min_array(body, min),
-                    Stmt::Vector(_) => {}
-                }
+        let min_array = |flow: &Flow| {
+            let mut min = u32::MAX;
+            for s in flow.stmts() {
+                s.for_each_array(&mut |a| min = min.min(a.0));
             }
-        }
-        let mut min = u32::MAX;
-        min_array(shifted.stmts(), &mut min);
+            min
+        };
         assert_eq!(
-            min,
-            min_before + 7,
+            min_array(&shifted),
+            min_array(&p.flow) + 7,
             "every reference moved up by the partition base"
         );
     }

@@ -2,7 +2,7 @@
 //! reference model, across the full model registry.
 //!
 //! Both simulators price statements through the shared
-//! `cmswitch-sim::model` kernel, so three relations must hold on every
+//! `cmswitch-sim::model` kernel, so four relations must hold on every
 //! compiled registry model:
 //!
 //! 1. **Dominance** — the pipelined makespan never exceeds the
@@ -12,7 +12,10 @@
 //!    accumulation order);
 //! 3. **Energy invariance** — energy is schedule-independent, so the
 //!    engine's energy report equals the flow oracle
-//!    (`energy::estimate`) component for component.
+//!    (`energy::estimate`) component for component;
+//! 4. **One scheduler** — the co-scheduler's solo baseline for the
+//!    program *is* the engine's makespan, bit-for-bit, under both
+//!    tenancy policies (co-simulation is the same forward pass).
 //!
 //! And the engine must actually *earn* its keep: at least one
 //! multi-segment model must overlap strictly (`pipelined <
@@ -23,6 +26,7 @@ use cmswitch::arch::presets;
 use cmswitch::models::registry;
 use cmswitch::prelude::*;
 use cmswitch::sim::energy::{estimate, EnergyModel};
+use cmswitch::sim::{ChipScheduler, TenancyPolicy};
 
 #[test]
 fn engine_dominates_sequential_across_registry() {
@@ -70,6 +74,25 @@ fn engine_dominates_sequential_across_registry() {
             "{model}: engine energy diverged from the flow oracle"
         );
         assert_eq!(eng.energy, oracle, "{model}: component mismatch");
+
+        // 4. One scheduler: a lone tenant costs what the engine says.
+        for policy in [
+            TenancyPolicy::TimeSliced,
+            TenancyPolicy::Partitioned { shares: vec![arch.n_arrays()] },
+        ] {
+            let options = CoSimOptions { policy: policy.clone(), ..CoSimOptions::default() };
+            let solo = ChipScheduler::new(arch.clone())
+                .with_options(options)
+                .co_simulate(&[TenantProgram::new(model, &program)])
+                .expect("a lone tenant is admitted");
+            assert_eq!(
+                solo.tenants[0].solo_cycles.to_bits(),
+                eng.total_cycles.to_bits(),
+                "{model} under {policy:?}: solo baseline {} is not the engine's makespan {}",
+                solo.tenants[0].solo_cycles,
+                eng.total_cycles
+            );
+        }
 
         // Switch counts agree with the sequential replay too.
         assert_eq!(eng.switches_to_compute, seq.switches_to_compute, "{model}");

@@ -15,15 +15,21 @@
 //! CMSWITCH_BLESS=1 cargo test --test sim_golden
 //! ```
 //!
-//! then review and commit the updated `tests/golden/sim_registry.txt`
-//! and `tests/golden/engine_reports.txt` (the second test: a digest of
-//! every schedule-dependent field of every report, on every backend).
+//! then review and commit the updated `tests/golden/sim_registry.txt`,
+//! `tests/golden/engine_reports.txt` (the second test: a digest of
+//! every schedule-dependent field of every report, on every backend)
+//! and `tests/golden/co_schedules.txt` (the third: what the same forward
+//! pass makes of several flows at once). A diff in the first two means
+//! the one-flow schedule moved; a diff in the third alone means the
+//! arbitration rule or the amortized / injected switch handling did.
 
 use std::fmt::Write as _;
 
 use cmswitch::arch::presets;
 use cmswitch::models::registry;
+use cmswitch::models::transformer::{decode_step, TransformerConfig};
 use cmswitch::prelude::*;
+use cmswitch::sim::{ChipScheduler, DecodeOptions, TenancyPolicy};
 
 const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -166,4 +172,116 @@ fn registry_engine_reports_match_golden_digest() {
     }
     out.push_str(&bare);
     check_golden(REPORTS_PATH, &out);
+}
+
+const CO_SCHEDULES_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/co_schedules.txt"
+);
+
+/// One co-schedule per line: the numbers a reader compares, then a
+/// digest of every bit the shared forward pass decided.
+fn co_schedule_line(out: &mut String, what: &str, report: &TenancyReport) {
+    let sw = &report.switches;
+    let mut words = vec![
+        report.total_cycles.to_bits(),
+        report.serialized_cycles.to_bits(),
+        report.fairness.to_bits(),
+        sw.requested,
+        sw.executed,
+        sw.amortized,
+        sw.injected,
+        sw.switch_cycles.to_bits(),
+    ];
+    for t in &report.tenants {
+        words.extend([t.finish_cycles, t.busy_cycles, t.solo_cycles].map(f64::to_bits));
+    }
+    writeln!(
+        out,
+        "{what} tenants={} cycles={:.9e} speedup={:.4} requested={} executed={} amortized={} \
+         injected={} digest={:016x}",
+        report.tenants.len(),
+        report.total_cycles,
+        report.speedup(),
+        sw.requested,
+        sw.executed,
+        sw.amortized,
+        sw.injected,
+        cmswitch::solver::stable_hash64(&words),
+    )
+    .expect("writing to a String cannot fail");
+}
+
+/// The multi-flow side of the engine: the two pinned decode runs of
+/// `tests/tenancy.rs` (partitioned), three time-sliced registry pairs
+/// and two MLPs on half a `tiny` chip each.
+#[test]
+fn co_schedules_match_golden_digest() {
+    let arch = presets::dynaplasia();
+    let session = Session::builder(arch.clone()).build();
+    let mut out = String::new();
+
+    for tenancy in [2usize, 4] {
+        let mut decode = DecodeLoop::new(&session).with_options(DecodeOptions {
+            steps: 4,
+            kv_headroom_bytes: 2048,
+            ..DecodeOptions::default()
+        });
+        for i in 0..tenancy {
+            let cfg = TransformerConfig {
+                name: format!("tenant{i}"),
+                layers: 1,
+                hidden: 128,
+                heads: 4,
+                ffn_hidden: 256,
+                vocab: 512,
+                gated_ffn: false,
+                lm_head: true,
+            };
+            decode = decode.tenant(DecodeTenant::new(
+                cfg.name.clone(),
+                1,
+                8 + 4 * i,
+                1024,
+                move |kv| decode_step(&cfg, 1, kv),
+            ));
+        }
+        let report = decode.run().expect("decode loop runs");
+        co_schedule_line(&mut out, &format!("decode-partitioned-{tenancy}"), &report.tenancy);
+    }
+
+    for (a, b) in [
+        ("bert-base", "resnet18"),
+        ("resnet18", "bert-base"),
+        ("resnet18", "llama2-7b"),
+    ] {
+        let [pa, pb] = [a, b].map(|model| {
+            let graph = registry::build(model, 1, 16).expect("registered model builds");
+            session.compile_graph(&graph).expect("registered model compiles")
+        });
+        let report = session
+            .co_simulate(
+                &[TenantProgram::new(a, &pa), TenantProgram::new(b, &pb)],
+                CoSimOptions::default(),
+            )
+            .expect("time-sliced co-simulation");
+        co_schedule_line(&mut out, &format!("time-sliced {a}+{b}"), &report);
+    }
+
+    let tiny = presets::tiny();
+    let half = Session::builder(tiny.partition(4).expect("half a tiny chip")).build();
+    let [pa, pb] = [&[96, 128, 64][..], &[64, 96, 32]].map(|dims| {
+        let graph = cmswitch::models::mlp::mlp(2, dims).expect("mlp builds");
+        half.compile_graph(&graph).expect("mlp compiles")
+    });
+    let report = ChipScheduler::new(tiny)
+        .with_options(CoSimOptions {
+            policy: TenancyPolicy::Partitioned { shares: vec![4, 4] },
+            ..CoSimOptions::default()
+        })
+        .co_simulate(&[TenantProgram::new("a", &pa), TenantProgram::new("b", &pb)])
+        .expect("partitioned co-simulation");
+    co_schedule_line(&mut out, "tiny-partitioned-4+4 mlp+mlp", &report);
+
+    check_golden(CO_SCHEDULES_PATH, &out);
 }

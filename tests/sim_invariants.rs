@@ -11,7 +11,11 @@
 //!   at a time — the resource constraint the engine schedules around);
 //! * on single-segment flows the engine matches the sequential
 //!   reference model bit-exactly (no overlap is legal there, so the
-//!   two models must coincide, not merely agree approximately).
+//!   two models must coincide, not merely agree approximately);
+//! * the multi-tenant co-scheduler is the same forward pass: a lone
+//!   tenant's solo baseline is the engine's makespan to the bit, and a
+//!   flow the simulators reject (out-of-range ids, broken mode
+//!   discipline) is a typed error there too, never a panic or a repair.
 
 use proptest::prelude::*;
 
@@ -101,6 +105,19 @@ proptest! {
 
         // An array serves one event at a time.
         assert_timelines_disjoint(&eng)?;
+
+        // Co-simulation is the same forward pass: a lone tenant's solo
+        // baseline is this makespan, under either policy.
+        for policy in [
+            TenancyPolicy::TimeSliced,
+            TenancyPolicy::Partitioned { shares: vec![arch.n_arrays()] },
+        ] {
+            let solo = ChipScheduler::new(arch.clone())
+                .with_options(CoSimOptions { policy, ..CoSimOptions::default() })
+                .co_simulate(&[TenantProgram::new("solo", &program)])
+                .expect("a lone tenant is admitted");
+            prop_assert_eq!(solo.tenants[0].solo_cycles.to_bits(), eng.total_cycles.to_bits());
+        }
     }
 }
 
@@ -306,6 +323,52 @@ fn out_of_range_array_ids_are_typed_errors_from_every_entry_point() {
     flow.push(Stmt::switch(SwitchKind::ToCompute, vec![ArrayId(u32::MAX)]));
     whole.flow = flow;
     relocated(&whole);
+}
+
+/// Co-scheduling shares arrays between flows; it does not repair one.
+/// A compiled flow with every `CM.switch` stripped loads weights into
+/// memory-mode arrays: both simulators reject it, and so does the
+/// co-scheduler — under either policy, admission lints on or off —
+/// naming the tenant.
+#[test]
+fn a_flow_both_simulators_reject_is_rejected_by_the_co_scheduler() {
+    let arch = presets::tiny();
+    let graph = cmswitch::models::mlp::mlp(2, &[96, 128, 64]).unwrap();
+    let mut program = Session::builder(arch.clone()).build().compile_graph(&graph).unwrap();
+    let mut stripped = Flow::new("stripped");
+    for stmt in program.flow.stmts() {
+        if !matches!(stmt, Stmt::Switch { .. }) {
+            stripped.push(stmt.clone());
+        }
+    }
+    program.flow = stripped;
+
+    let engine = EventEngine::new().simulate_program(&program, &arch).unwrap_err();
+    let sequential = SequentialModel.simulate(&program.flow, &arch).unwrap_err();
+    assert_eq!(engine, sequential);
+    assert!(engine.to_string().contains("weight load for fc0 on memory-mode array"), "{engine}");
+
+    for policy in [
+        TenancyPolicy::TimeSliced,
+        TenancyPolicy::Partitioned { shares: vec![arch.n_arrays()] },
+    ] {
+        for verify_admission in [true, false] {
+            let options = CoSimOptions {
+                policy: policy.clone(),
+                verify_admission,
+                ..CoSimOptions::default()
+            };
+            let result = ChipScheduler::new(arch.clone())
+                .with_options(options)
+                .co_simulate(&[TenantProgram::new("stripped", &program)]);
+            match result {
+                Err(TenancyError::ModeViolation { tenant, source }) => {
+                    assert_eq!((tenant.as_str(), &source), ("stripped", &engine));
+                }
+                other => panic!("{policy:?}, verify {verify_admission}: expected a mode violation, got {other:?}"),
+            }
+        }
+    }
 }
 
 fn unverified(arch: &DualModeArch, policy: TenancyPolicy) -> ChipScheduler {

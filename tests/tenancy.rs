@@ -22,12 +22,14 @@ fn tiny_llm(name: &str) -> TransformerConfig {
 }
 
 /// Time-sliced co-simulation of two registry models is bit-identical
-/// no matter how many solver workers compiled the programs — and
-/// strictly beats running the tenants back-to-back.
+/// no matter how many solver workers compiled the programs. Two
+/// whole-chip programs have little to share, so time-slicing them is
+/// worth what the pins say — about 1.00x, in either tenant order
+/// (partitions are where co-scheduling pays: see the decode pins below).
 #[test]
 fn time_sliced_cosim_is_deterministic_across_solve_workers() {
     let arch = presets::dynaplasia();
-    let reports: Vec<TenancyReport> = [1usize, 2, 4]
+    let reports: Vec<[TenancyReport; 2]> = [1usize, 2, 4]
         .into_iter()
         .map(|workers| {
             let session = Session::builder(arch.clone())
@@ -39,29 +41,26 @@ fn time_sliced_cosim_is_deterministic_across_solve_workers() {
             let resnet = session
                 .compile_graph(&registry::build("resnet18", 1, 16).unwrap())
                 .unwrap();
-            session
-                .co_simulate(
-                    &[
-                        TenantProgram::new("bert-base", &bert),
-                        TenantProgram::new("resnet18", &resnet),
-                    ],
-                    CoSimOptions::default(),
-                )
-                .unwrap()
+            let bert = TenantProgram::new("bert-base", &bert);
+            let resnet = TenantProgram::new("resnet18", &resnet);
+            [[bert, resnet], [resnet, bert]].map(|tenants| {
+                session
+                    .co_simulate(&tenants, CoSimOptions::default())
+                    .unwrap()
+            })
         })
         .collect();
 
     let reference = &reports[0];
-    // The acceptance bar: co-scheduling two tenants on one dynaplasia
-    // chip must outrun serializing them.
-    assert!(
-        reference.total_cycles < reference.serialized_cycles,
-        "co-scheduled {} must beat serialized {}",
-        reference.total_cycles,
-        reference.serialized_cycles
-    );
-    assert!(reference.speedup() > 1.0);
-    assert!(reference.fairness > 0.0 && reference.fairness <= 1.0);
+    for (order, speedup) in reference.iter().zip([1.002, 1.002]) {
+        assert!(
+            (order.speedup() - speedup).abs() <= 0.0005,
+            "{} first: speedup over serialized moved from {speedup} to {:.4}",
+            order.tenants[0].name,
+            order.speedup()
+        );
+        assert!(order.fairness > 0.0 && order.fairness <= 1.0);
+    }
     for report in &reports[1..] {
         // `TenancyReport` is PartialEq over f64 fields: bit-identity.
         assert_eq!(report, reference);
@@ -163,7 +162,7 @@ fn reseg_final_plan_matches_cold_compile_at_grown_kv() {
 #[test]
 fn co_scheduled_decode_beats_serialization_by_the_pinned_factor() {
     let session = Session::builder(presets::dynaplasia()).build();
-    for (tenancy, speedup) in [(2usize, 1.324), (4, 1.461)] {
+    for (tenancy, speedup) in [(2usize, 1.761), (4, 2.902)] {
         let run = || {
             let mut decode = DecodeLoop::new(&session).with_options(DecodeOptions {
                 steps: 4,
@@ -194,6 +193,15 @@ fn co_scheduled_decode_beats_serialization_by_the_pinned_factor() {
             cold.tenancy.total_cycles < cold.tenancy.serialized_cycles,
             "tenancy {tenancy}: co-scheduling must beat serialization"
         );
+        // Partitions are disjoint: sharing the bus and the vector unit
+        // can only delay a tenant, and nobody flips a neighbour's arrays.
+        let switches = &cold.tenancy.switches;
+        assert_eq!((switches.injected, switches.amortized), (0, 0));
+        assert_eq!(switches.requested, switches.executed);
+        for t in &cold.tenancy.tenants {
+            assert!(t.solo_cycles <= t.finish_cycles, "tenancy {tenancy}: {t:?}");
+            assert!(t.finish_cycles <= cold.tenancy.total_cycles, "tenancy {tenancy}: {t:?}");
+        }
         assert!(
             (cold.tenancy.speedup() - speedup).abs() <= 0.0005,
             "tenancy {tenancy}: speedup over serialized moved from {speedup} to {:.4}",
