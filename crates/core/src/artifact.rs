@@ -4,7 +4,7 @@
 //! explicit codec instead of a derive: every value is written in
 //! little-endian with length-prefixed sequences, wrapped in a fixed
 //! header carrying a magic, a format version, an artifact kind, the
-//! payload length and an FNV-1a checksum of the payload. Two artifact
+//! payload length and a word-wide checksum of the payload. Two artifact
 //! kinds exist:
 //!
 //! * **Program** ([`encode_program`] / [`decode_program`]) — a complete
@@ -21,12 +21,33 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic  b"CMSWART\0"
-//!      8     4  format version, u32 LE   (currently 1)
+//!      8     4  format version, u32 LE   (currently 2)
 //!     12     4  artifact kind, u32 LE    (1 = program, 2 = alloc snapshot)
 //!     16     8  payload length, u64 LE
-//!     24     8  checksum, u64 LE         (FNV-1a over the payload bytes)
+//!     24     8  checksum, u64 LE         (see "Checksum" below)
 //!     32     …  payload
 //! ```
+//!
+//! # Checksum
+//!
+//! Every read recomputes the checksum before a payload byte is
+//! interpreted, so its cost is part of every warm request. The payload
+//! is cut into 32-byte blocks of four little-endian `u64` words; word
+//! `i` of each block goes into lane `i` by `lane = rotl((lane ^ word) *
+//! P, 29)`, with the FNV-1a prime `P` and every lane starting from the
+//! FNV-1a offset basis. The last block is the 0–31 tail bytes padded
+//! with zeros (an empty tail still contributes one all-zero block); the
+//! four lanes are then folded, in order and by the same step, into the
+//! payload length — which is what tells padding from data — and the
+//! result is `h ^ (h >> 32)`. Every step is a bijection of the lane for
+//! a fixed word and of the word for a fixed lane, so a change confined
+//! to one word (any single-bit flip in particular) always changes the
+//! result. Word-wide because the byte-serial FNV-1a of format 1 is one
+//! dependent multiply per *byte* (~0.9 GB/s, 40% of a warm request);
+//! four independent lanes retire 32 bytes per multiply latency
+//! (~18 GB/s), which makes a read cost about what moving its bytes
+//! costs. It guards against rot and torn or stale files, not against an
+//! adversary.
 //!
 //! Primitive encodings inside the payload: `u8`/`u32`/`u64` are
 //! little-endian; `usize` is widened to `u64`; `bool` is one byte (0/1);
@@ -34,6 +55,13 @@
 //! `Duration` is seconds `u64` + subsecond nanos `u32`; strings and
 //! sequences are a `u64` element count followed by the elements. Enum
 //! variants are a one-byte tag in declaration order.
+//!
+//! `Parallel` blocks nest at most two deep on the wire (a block inside
+//! a block); a third level is `Malformed`. The compiler never nests
+//! them at all (`race-nested` denies it), so the bound only has to keep
+//! that finding reachable through the decoder; without one a forged
+//! file turns the recursive statement decoder into a stack overflow,
+//! which no `catch_unwind` contains.
 //!
 //! # Versioning policy
 //!
@@ -64,7 +92,7 @@ pub const MAGIC: [u8; 8] = *b"CMSWART\0";
 
 /// The current wire-format version (see the module docs for the bump
 /// policy).
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Artifact kind tag: a serialized [`CompiledProgram`].
 pub const KIND_PROGRAM: u32 = 1;
@@ -73,6 +101,10 @@ pub const KIND_PROGRAM: u32 = 1;
 pub const KIND_ALLOC_SNAPSHOT: u32 = 2;
 
 const HEADER_LEN: usize = 32;
+
+/// How deep `Parallel` blocks may nest in a decoded flow: a block inside
+/// a block, and no further (see the module docs).
+const MAX_PARALLEL_DEPTH: usize = 2;
 
 /// Why a byte slice failed to decode as an artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -135,28 +167,63 @@ impl fmt::Display for ArtifactError {
 
 impl std::error::Error for ArtifactError {}
 
-/// FNV-1a over raw bytes — the byte-level sibling of
-/// `cmswitch_solver::stable_hash64` (same constants), used for the
-/// payload checksum and for hashing strings into store keys.
-pub(crate) fn fnv1a_bytes(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// What identifies a payload once its artifact decoded: the header's
+/// length and checksum fields, which `unframe` has just recomputed
+/// and matched. Two payloads with equal stamps are the same bytes as far
+/// as any read of this format can tell.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct PayloadStamp {
+    len: u64,
+    checksum: u64,
+}
+
+/// The payload checksum of the wire format (definition and rationale in
+/// the module docs): four multiply lanes over little-endian 64-bit
+/// words, the zero-padded tail as a last block, the length folded in.
+fn payload_checksum(payload: &[u8]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    fn step(lane: u64, word: u64) -> u64 {
+        (lane ^ word).wrapping_mul(PRIME).rotate_left(29)
     }
-    h
+    fn absorb(lanes: &mut [u64; 4], block: &[u8]) {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            let word = u64::from_le_bytes(word.try_into().expect("chunks_exact(8)"));
+            *lane = step(*lane, word);
+        }
+    }
+    // The final fold is ordered, so lanes need no seeds of their own.
+    let mut lanes = [0xcbf2_9ce4_8422_2325_u64; 4];
+    let mut blocks = payload.chunks_exact(32);
+    for block in &mut blocks {
+        absorb(&mut lanes, block);
+    }
+    let tail = blocks.remainder();
+    let mut last = [0u8; 32];
+    last[..tail.len()].copy_from_slice(tail);
+    absorb(&mut lanes, &last);
+    let h = lanes.iter().fold(payload.len() as u64, |h, &lane| step(h, lane));
+    h ^ (h >> 32)
 }
 
 // ---------------------------------------------------------------------------
 // Primitive writer / reader
 // ---------------------------------------------------------------------------
 
-#[derive(Default)]
+/// Accumulates one artifact: the header's 32 bytes are reserved up
+/// front and filled in by [`frame`], so the payload is never copied.
+/// (Sizing the buffer from the program first was measured and lost: the
+/// walk costs more than the amortised growth it saves.)
 struct Writer {
     buf: Vec<u8>,
 }
 
 impl Writer {
+    fn new() -> Self {
+        Writer {
+            buf: vec![0; HEADER_LEN],
+        }
+    }
+
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -292,18 +359,20 @@ impl<'a> Reader<'a> {
 // Header framing
 // ---------------------------------------------------------------------------
 
-fn frame(kind: u32, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&kind.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a_bytes(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+fn frame(kind: u32, w: Writer) -> Vec<u8> {
+    let mut out = w.buf;
+    let (header, payload) = out.split_at_mut(HEADER_LEN);
+    header[..8].copy_from_slice(&MAGIC);
+    header[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+    header[12..16].copy_from_slice(&kind.to_le_bytes());
+    header[16..24].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    header[24..32].copy_from_slice(&payload_checksum(payload).to_le_bytes());
     out
 }
 
-fn unframe(bytes: &[u8], expected_kind: u32) -> Result<&[u8], ArtifactError> {
+/// Validates the header and the checksum; returns the payload with its
+/// stamp.
+fn unframe(bytes: &[u8], expected_kind: u32) -> Result<(&[u8], PayloadStamp), ArtifactError> {
     let mut r = Reader::new(bytes);
     let magic = r.take(8)?;
     if magic != MAGIC {
@@ -326,14 +395,18 @@ fn unframe(bytes: &[u8], expected_kind: u32) -> Result<&[u8], ArtifactError> {
     if r.remaining() != 0 {
         return Err(ArtifactError::Malformed("bytes after payload"));
     }
-    let found = fnv1a_bytes(payload);
+    let found = payload_checksum(payload);
     if found != checksum {
         return Err(ArtifactError::ChecksumMismatch {
             expected: checksum,
             found,
         });
     }
-    Ok(payload)
+    let stamp = PayloadStamp {
+        len: payload.len() as u64,
+        checksum,
+    };
+    Ok((payload, stamp))
 }
 
 // ---------------------------------------------------------------------------
@@ -375,8 +448,11 @@ fn intern_stage(name: &str) -> &'static str {
 // Domain encoders / decoders
 // ---------------------------------------------------------------------------
 
+// Array ids are most of a program artifact (about a million per
+// registry set), so both directions move a list as one run of bytes.
 fn put_array_ids(w: &mut Writer, ids: &[ArrayId]) {
     w.usize(ids.len());
+    w.buf.reserve(4 * ids.len());
     for id in ids {
         w.u32(id.0);
     }
@@ -384,11 +460,10 @@ fn put_array_ids(w: &mut Writer, ids: &[ArrayId]) {
 
 fn get_array_ids(r: &mut Reader<'_>) -> Result<Vec<ArrayId>, ArtifactError> {
     let len = r.seq_len(4)?;
-    let mut ids = Vec::with_capacity(len);
-    for _ in 0..len {
-        ids.push(ArrayId(r.u32()?));
-    }
-    Ok(ids)
+    Ok(r.take(4 * len)?
+        .chunks_exact(4)
+        .map(|b| ArrayId(u32::from_le_bytes([b[0], b[1], b[2], b[3]])))
+        .collect())
 }
 
 fn put_stmt(w: &mut Writer, stmt: &Stmt) {
@@ -453,7 +528,8 @@ fn put_stmt(w: &mut Writer, stmt: &Stmt) {
     }
 }
 
-fn get_stmt(r: &mut Reader<'_>) -> Result<Stmt, ArtifactError> {
+/// `depth` is the number of `Parallel` blocks around the statement.
+fn get_stmt(r: &mut Reader<'_>, depth: usize) -> Result<Stmt, ArtifactError> {
     Ok(match r.u8()? {
         0 => Stmt::Switch {
             kind: match r.u8()? {
@@ -501,10 +577,13 @@ fn get_stmt(r: &mut Reader<'_>) -> Result<Stmt, ArtifactError> {
             flops: r.u64()?,
         }),
         5 => {
+            if depth == MAX_PARALLEL_DEPTH {
+                return Err(ArtifactError::Malformed("parallel nesting too deep"));
+            }
             let len = r.seq_len(1)?;
             let mut body = Vec::with_capacity(len);
             for _ in 0..len {
-                body.push(get_stmt(r)?);
+                body.push(get_stmt(r, depth + 1)?);
             }
             Stmt::Parallel(body)
         }
@@ -525,7 +604,7 @@ fn get_flow(r: &mut Reader<'_>) -> Result<Flow, ArtifactError> {
     let mut flow = Flow::new(name);
     let len = r.seq_len(1)?;
     for _ in 0..len {
-        flow.push(get_stmt(r)?);
+        flow.push(get_stmt(r, 0)?);
     }
     Ok(flow)
 }
@@ -680,7 +759,7 @@ fn get_stats(r: &mut Reader<'_>) -> Result<CompileStats, ArtifactError> {
 
 /// Serializes a compiled program into a framed, checksummed artifact.
 pub fn encode_program(program: &CompiledProgram) -> Vec<u8> {
-    let mut w = Writer::default();
+    let mut w = Writer::new();
     put_flow(&mut w, &program.flow);
     w.usize(program.ops.len());
     for op in &program.ops {
@@ -697,7 +776,7 @@ pub fn encode_program(program: &CompiledProgram) -> Vec<u8> {
     }
     w.f64(program.predicted_latency);
     put_stats(&mut w, &program.stats);
-    frame(KIND_PROGRAM, &w.buf)
+    frame(KIND_PROGRAM, w)
 }
 
 /// Decodes a framed program artifact produced by [`encode_program`].
@@ -708,7 +787,15 @@ pub fn encode_program(program: &CompiledProgram) -> Vec<u8> {
 /// version from another build, a kind mismatch, a checksum failure, or
 /// a grammar violation in the payload.
 pub fn decode_program(bytes: &[u8]) -> Result<CompiledProgram, ArtifactError> {
-    let payload = unframe(bytes, KIND_PROGRAM)?;
+    decode_program_stamped(bytes).map(|(program, _)| program)
+}
+
+/// [`decode_program`], also returning the stamp of the payload it
+/// checksummed — what the store's verdict memo compares.
+pub(crate) fn decode_program_stamped(
+    bytes: &[u8],
+) -> Result<(CompiledProgram, PayloadStamp), ArtifactError> {
+    let (payload, stamp) = unframe(bytes, KIND_PROGRAM)?;
     let mut r = Reader::new(payload);
     let flow = get_flow(&mut r)?;
     let n_ops = r.seq_len(8)?;
@@ -729,20 +816,21 @@ pub fn decode_program(bytes: &[u8]) -> Result<CompiledProgram, ArtifactError> {
     let predicted_latency = r.f64()?;
     let stats = get_stats(&mut r)?;
     r.finish()?;
-    Ok(CompiledProgram {
+    let program = CompiledProgram {
         flow,
         ops,
         op_deps,
         segments,
         predicted_latency,
         stats,
-    })
+    };
+    Ok((program, stamp))
 }
 
 /// Serializes allocation-cache entries (hash, signature, result) into a
 /// framed, checksummed snapshot artifact.
 pub fn encode_alloc_entries(entries: &[AllocEntry]) -> Vec<u8> {
-    let mut w = Writer::default();
+    let mut w = Writer::new();
     w.usize(entries.len());
     for (hash, sig, value) in entries {
         w.u64(*hash);
@@ -758,7 +846,7 @@ pub fn encode_alloc_entries(entries: &[AllocEntry]) -> Vec<u8> {
             }
         }
     }
-    frame(KIND_ALLOC_SNAPSHOT, &w.buf)
+    frame(KIND_ALLOC_SNAPSHOT, w)
 }
 
 /// Decodes a snapshot artifact produced by [`encode_alloc_entries`].
@@ -767,7 +855,7 @@ pub fn encode_alloc_entries(entries: &[AllocEntry]) -> Vec<u8> {
 ///
 /// Same contract as [`decode_program`].
 pub fn decode_alloc_entries(bytes: &[u8]) -> Result<Vec<AllocEntry>, ArtifactError> {
-    let payload = unframe(bytes, KIND_ALLOC_SNAPSHOT)?;
+    let (payload, _) = unframe(bytes, KIND_ALLOC_SNAPSHOT)?;
     let mut r = Reader::new(payload);
     let n = r.seq_len(17)?;
     let mut entries = Vec::with_capacity(n);
@@ -795,12 +883,16 @@ mod tests {
     use cmswitch_arch::presets;
     use crate::session::Session;
 
-    fn program() -> CompiledProgram {
-        let graph = cmswitch_models::mlp::mlp(2, &[128, 256, 128]).unwrap();
+    fn compile_mlp(widths: &[usize]) -> CompiledProgram {
+        let graph = cmswitch_models::mlp::mlp(2, widths).unwrap();
         Session::builder(presets::tiny())
             .build()
             .compile_graph(&graph)
             .unwrap()
+    }
+
+    fn program() -> CompiledProgram {
+        compile_mlp(&[128, 256, 128])
     }
 
     #[test]
@@ -881,6 +973,48 @@ mod tests {
             decode_program(&bytes).unwrap_err(),
             ArtifactError::ChecksumMismatch { .. }
         ));
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_the_payload_fails_the_checksum() {
+        let clean = encode_program(&compile_mlp(&[128; 17]));
+        decode_program(&clean).expect("the unflipped artifact decodes");
+        let payload = HEADER_LEN..clean.len();
+        assert!(payload.len() > 4096 + 97, "sample too small: {} bytes", payload.len());
+        // Exhaustive over the first 4 KiB, every 97th byte after that.
+        let bytes = (payload.start..payload.start + 4096)
+            .chain((payload.start + 4096..payload.end).step_by(97));
+        let mut flipped = clean;
+        for i in bytes {
+            for bit in 0..8 {
+                flipped[i] ^= 1 << bit;
+                assert!(
+                    matches!(
+                        decode_program(&flipped),
+                        Err(ArtifactError::ChecksumMismatch { .. })
+                    ),
+                    "bit {bit} of byte {i} flipped unnoticed"
+                );
+                flipped[i] ^= 1 << bit;
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_tells_trailing_zeros_from_padding() {
+        // Every tail length around two 32-byte blocks: payloads that
+        // differ only by trailing zero bytes pad to the same words, so
+        // only the folded-in length separates them.
+        for fill in [0u8, 0xA7] {
+            let mut seen = std::collections::HashMap::new();
+            for len in 0..=72usize {
+                let mut payload = vec![fill; len.min(40)];
+                payload.resize(len, 0);
+                if let Some(other) = seen.insert(payload_checksum(&payload), len) {
+                    panic!("fill {fill:#x}: lengths {other} and {len} collide");
+                }
+            }
+        }
     }
 
     #[test]

@@ -55,6 +55,7 @@ use cmswitch_graph::Graph;
 use parking_lot::Mutex;
 
 use crate::allocation::AllocationCache;
+use crate::artifact::PayloadStamp;
 use crate::backend::{Backend, CmSwitch};
 use crate::compiler::CompiledProgram;
 use crate::diagnostics::{DiagnosticEvent, Diagnostics};
@@ -581,12 +582,15 @@ impl Session {
     /// One compilation through the session's backend, cache and token.
     /// Diagnostics come back even when the compilation fails.
     ///
-    /// With a store attached, the persistent L2 is probed first: a
-    /// decoded artifact that passes the static verifier replaces the
-    /// entire pipeline run (`StoreHit`); a decode failure or a `Deny`
-    /// finding degrades to a cold compile that overwrites the bad entry
-    /// (`StoreCorrupt`); a plain miss compiles cold and writes back
-    /// (`StoreMiss`).
+    /// With a store attached, the persistent L2 is probed first: every
+    /// read validates the header and recomputes the payload checksum,
+    /// and a decoded artifact that passes the static verifier — run on
+    /// the first sight of each distinct payload per store handle, its
+    /// verdict reused for the same bytes after that — replaces the
+    /// entire pipeline run (`StoreHit` + `Verified`); a decode failure
+    /// or a `Deny` finding degrades to a cold compile that overwrites
+    /// the bad entry (`StoreCorrupt`); a plain miss compiles cold and
+    /// writes back (`StoreMiss`).
     fn run_one(
         &self,
         graph: &Graph,
@@ -600,46 +604,21 @@ impl Session {
             .then(|| StoreKey::for_compile(&self.arch, self.backend.name(), options, graph));
         let mut store_events: Vec<DiagnosticEvent> = Vec::new();
         if let (Some(store), Some(key)) = (&self.store, key) {
-            match store.fetch_program(key) {
-                StoreFetch::Hit(program) => {
-                    let mut program = *program;
-                    // Never serve an unverified artifact: the checksum
-                    // catches bit rot, the verifier catches stale or
-                    // semantically unsound plans.
-                    let report = Verifier::new().run(&program, &self.arch);
-                    if report.deny_count() == 0 {
-                        let mut diagnostics = Diagnostics::new();
-                        diagnostics.push(DiagnosticEvent::StoreHit { key: key.hash() });
-                        diagnostics.push(DiagnosticEvent::Verified {
-                            deny: 0,
-                            warn: report.warn_count() as u64,
+            let (fetch, stamp) = store.fetch_program_stamped(key);
+            match fetch {
+                // Never serve an unverified artifact: the checksum
+                // catches bit rot, the verifier catches stale or
+                // semantically unsound plans.
+                StoreFetch::Hit(program) => match self.store_verdict(store, key, stamp, &program) {
+                    Ok(warn) => return served_from_store(*program, key, warn, start),
+                    Err(deny) => {
+                        store.record_corrupt();
+                        store_events.push(DiagnosticEvent::StoreCorrupt {
+                            key: key.hash(),
+                            reason: format!("verify rejected: {deny} deny finding(s)"),
                         });
-                        // The stats describe work done *this* process:
-                        // a served artifact cost no solver work, only
-                        // the fetch+decode+verify accounted as "store".
-                        program.stats.mip_solves = 0;
-                        program.stats.fast_solves = 0;
-                        program.stats.cache_hits = 0;
-                        program.stats.dp_windows_pruned = 0;
-                        program.stats.warm_accepted = 0;
-                        program.stats.warm_rejected = 0;
-                        program.stats.solve_batches = 0;
-                        program.stats.stage_wall = vec![StageWall {
-                            stage: "store",
-                            wall: start.elapsed(),
-                        }];
-                        program.stats.wall = start.elapsed();
-                        return (Ok(program), diagnostics);
                     }
-                    store.record_corrupt();
-                    store_events.push(DiagnosticEvent::StoreCorrupt {
-                        key: key.hash(),
-                        reason: format!(
-                            "verify rejected: {} deny finding(s)",
-                            report.deny_count()
-                        ),
-                    });
-                }
+                },
                 StoreFetch::Miss => {
                     store_events.push(DiagnosticEvent::StoreMiss { key: key.hash() });
                 }
@@ -686,6 +665,60 @@ impl Session {
             Err(e) => (Err(e), cx.into_diagnostics()),
         }
     }
+
+    /// The verifier's verdict on a program just fetched under `key`: its
+    /// warning count, or the number of `Deny` findings. The verdict
+    /// depends on the payload alone (the arch is in the key), so the
+    /// verifier runs once per distinct payload per store handle — the
+    /// store remembers the stamp of what passed.
+    fn store_verdict(
+        &self,
+        store: &ArtifactStore,
+        key: StoreKey,
+        stamp: PayloadStamp,
+        program: &CompiledProgram,
+    ) -> Result<u64, usize> {
+        if let Some(warn) = store.reuse_verdict(key, stamp) {
+            return Ok(warn);
+        }
+        let report = Verifier::new().run(program, &self.arch);
+        match report.deny_count() {
+            0 => {
+                let warn = report.warn_count() as u64;
+                store.remember_verdict(key, stamp, warn);
+                Ok(warn)
+            }
+            deny => Err(deny),
+        }
+    }
+}
+
+/// The outcome of a request answered from the store: the decoded program
+/// with statistics describing work done *this* process — a served
+/// artifact cost no solver work, only the fetch + decode (+ verify)
+/// accounted as "store".
+fn served_from_store(
+    mut program: CompiledProgram,
+    key: StoreKey,
+    warn: u64,
+    start: Instant,
+) -> (Result<CompiledProgram, CompileError>, Diagnostics) {
+    let mut diagnostics = Diagnostics::new();
+    diagnostics.push(DiagnosticEvent::StoreHit { key: key.hash() });
+    diagnostics.push(DiagnosticEvent::Verified { deny: 0, warn });
+    program.stats.mip_solves = 0;
+    program.stats.fast_solves = 0;
+    program.stats.cache_hits = 0;
+    program.stats.dp_windows_pruned = 0;
+    program.stats.warm_accepted = 0;
+    program.stats.warm_rejected = 0;
+    program.stats.solve_batches = 0;
+    program.stats.stage_wall = vec![StageWall {
+        stage: "store",
+        wall: start.elapsed(),
+    }];
+    program.stats.wall = start.elapsed();
+    (Ok(program), diagnostics)
 }
 
 impl fmt::Debug for Session {

@@ -14,13 +14,35 @@
 //!   compile without solver invocations.
 //!
 //! The store is a cache, never the source of truth: every read
-//! validates the checksummed wire format, and [`crate::Session`]
-//! additionally runs the static verifier over fetched programs before
-//! serving them — any failure degrades to a cold compile that
-//! overwrites the bad entry. Writes go through a temp file + atomic
-//! rename, so concurrent processes sharing a store directory never
-//! observe half-written artifacts.
+//! validates the wire format (magic, version, kind, length) and
+//! recomputes the payload checksum before a byte is interpreted, and
+//! [`crate::Session`] additionally runs the static verifier over a
+//! fetched program before serving it — once per distinct payload per
+//! store handle. Any failure degrades to a cold compile that overwrites
+//! the bad entry. Writes go through a temp file + atomic rename, so
+//! concurrent processes sharing a store directory never observe
+//! half-written artifacts.
+//!
+//! # Trust model
+//!
+//! The verifier's verdict is a function of (program, architecture); the
+//! program is a function of the payload bytes, and the architecture
+//! fingerprint is part of the [`StoreKey`]. So the handle remembers, per
+//! key, the length and checksum of the last payload that passed the
+//! verifier with no `Deny` (and its warning count), and the session
+//! skips re-verification exactly when the payload it has just read and
+//! checksummed carries the same pair ([`StoreStats::verdicts_reused`]).
+//! That trusts the checksum as far as decoding already does and no
+//! further: a payload that differs in any way is verified afresh, a
+//! `Deny` is never remembered, and a new handle starts with nothing
+//! remembered. The directory is a cache the process trusts against rot,
+//! torn writes and stale builds — not against an adversarial writer,
+//! who could always forge a checksum, and against whom the verifier
+//! (which checks a plan's structure, not that it is the plan of the
+//! requested graph) never was a defence either.
 
+use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -30,15 +52,28 @@ use std::sync::Arc;
 use cmswitch_arch::DualModeArch;
 use cmswitch_graph::Graph;
 use cmswitch_solver::stable_hash64;
+use parking_lot::Mutex;
 
 use crate::allocation::AllocationCache;
-use crate::artifact::{self, fnv1a_bytes};
+use crate::artifact::{self, PayloadStamp};
 use crate::compiler::CompiledProgram;
 use crate::{AllocatorKind, CompilerOptions, DpMode};
 
 /// Bumped whenever the key derivation below changes, so old store
 /// entries become unreachable (a silent miss) instead of wrongly hit.
 const KEY_SCHEMA_VERSION: u64 = 1;
+
+/// FNV-1a over raw bytes — the byte-level sibling of
+/// `cmswitch_solver::stable_hash64` (same constants). Hashes the backend
+/// name into a [`StoreKey`]; artifacts have their own, word-wide checksum.
+fn fnv1a_bytes(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
 
 /// Content address of a compiled program: `stable_hash64` over the
 /// architecture fingerprint, the backend name, the compiler options
@@ -114,10 +149,15 @@ pub fn graph_signature(graph: &Graph) -> u64 {
         }
     };
     mix(graph.name().as_bytes());
+    // One buffer for every node's `Debug` form: same bytes mixed, no
+    // `String` per node.
+    let mut op = String::new();
     for node in graph.nodes() {
         mix(&(node.id.0 as u64).to_le_bytes());
         mix(node.name.as_bytes());
-        mix(format!("{:?}", node.op).as_bytes());
+        op.clear();
+        write!(op, "{:?}", node.op).expect("writing to a String cannot fail");
+        mix(op.as_bytes());
         for input in &node.inputs {
             mix(&(input.0 as u64).to_le_bytes());
         }
@@ -152,6 +192,17 @@ pub struct StoreStats {
     pub corrupt: u64,
     /// Programs written.
     pub writes: u64,
+    /// Hits served without re-running the verifier, because this handle
+    /// had already verified the very same payload under the same key
+    /// (see the module docs' trust model).
+    pub verdicts_reused: u64,
+}
+
+/// The last payload under a key that passed the verifier with no `Deny`.
+#[derive(Debug, Clone, Copy)]
+struct Verdict {
+    stamp: PayloadStamp,
+    warn: u64,
 }
 
 /// A content-addressed artifact directory (see the module docs).
@@ -165,6 +216,8 @@ pub struct ArtifactStore {
     misses: AtomicU64,
     corrupt: AtomicU64,
     writes: AtomicU64,
+    verdicts_reused: AtomicU64,
+    verdicts: Mutex<HashMap<StoreKey, Verdict>>,
 }
 
 impl ArtifactStore {
@@ -182,6 +235,8 @@ impl ArtifactStore {
             misses: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
             writes: AtomicU64::new(0),
+            verdicts_reused: AtomicU64::new(0),
+            verdicts: Mutex::default(),
         }))
     }
 
@@ -204,28 +259,51 @@ impl ArtifactStore {
     /// Probes the store for the program at `key`, validating the wire
     /// format (magic, version, checksum) on the way in.
     pub fn fetch_program(&self, key: StoreKey) -> StoreFetch {
+        self.fetch_program_stamped(key).0
+    }
+
+    /// [`ArtifactStore::fetch_program`], with the stamp of the payload a
+    /// [`StoreFetch::Hit`] was decoded from (zero beside anything else).
+    pub(crate) fn fetch_program_stamped(&self, key: StoreKey) -> (StoreFetch, PayloadStamp) {
         let path = self.program_path(key);
-        let bytes = match fs::read(&path) {
-            Ok(bytes) => bytes,
+        let decoded = match fs::read(&path) {
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                return StoreFetch::Miss;
+                return (StoreFetch::Miss, PayloadStamp::default());
             }
-            Err(e) => {
-                self.corrupt.fetch_add(1, Ordering::Relaxed);
-                return StoreFetch::Corrupt(format!("read {}: {e}", path.display()));
-            }
+            Err(e) => Err(format!("read {}: {e}", path.display())),
+            Ok(bytes) => artifact::decode_program_stamped(&bytes).map_err(|e| e.to_string()),
         };
-        match artifact::decode_program(&bytes) {
-            Ok(program) => {
+        match decoded {
+            Ok((program, stamp)) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                StoreFetch::Hit(Box::new(program))
+                (StoreFetch::Hit(Box::new(program)), stamp)
             }
-            Err(e) => {
+            Err(reason) => {
                 self.corrupt.fetch_add(1, Ordering::Relaxed);
-                StoreFetch::Corrupt(e.to_string())
+                (StoreFetch::Corrupt(reason), PayloadStamp::default())
             }
         }
+    }
+
+    /// The warning count remembered for `key` if the payload stamped
+    /// `stamp` is the one this handle last verified there; counts the
+    /// reuse.
+    pub(crate) fn reuse_verdict(&self, key: StoreKey, stamp: PayloadStamp) -> Option<u64> {
+        let warn = self
+            .verdicts
+            .lock()
+            .get(&key)
+            .filter(|v| v.stamp == stamp)
+            .map(|v| v.warn)?;
+        self.verdicts_reused.fetch_add(1, Ordering::Relaxed);
+        Some(warn)
+    }
+
+    /// Remembers that the payload stamped `stamp` under `key` passed the
+    /// verifier with no `Deny` and `warn` warnings.
+    pub(crate) fn remember_verdict(&self, key: StoreKey, stamp: PayloadStamp, warn: u64) {
+        self.verdicts.lock().insert(key, Verdict { stamp, warn });
     }
 
     /// Writes (or overwrites) the program artifact at `key` via a temp
@@ -298,6 +376,7 @@ impl ArtifactStore {
             misses: self.misses.load(Ordering::Relaxed),
             corrupt: self.corrupt.load(Ordering::Relaxed),
             writes: self.writes.load(Ordering::Relaxed),
+            verdicts_reused: self.verdicts_reused.load(Ordering::Relaxed),
         }
     }
 
@@ -307,8 +386,13 @@ impl ArtifactStore {
         static WRITE_SEQ: AtomicU64 = AtomicU64::new(0);
         let seq = WRITE_SEQ.fetch_add(1, Ordering::Relaxed);
         let tmp = path.with_extension(format!("tmp.{}.{seq}", std::process::id()));
-        fs::write(&tmp, bytes)?;
-        fs::rename(&tmp, path)
+        fs::write(&tmp, bytes)
+            .and_then(|()| fs::rename(&tmp, path))
+            .inspect_err(|_| {
+                // A failed write must not leave its temp file behind:
+                // nothing else would ever remove it.
+                let _ = fs::remove_file(&tmp);
+            })
     }
 }
 
@@ -342,6 +426,26 @@ mod tests {
         // solve_workers must NOT perturb the key.
         let workers = CompilerOptions::default().with_solve_workers(7);
         assert_eq!(k1, StoreKey::for_compile(&arch, "cmswitch", &workers, &g1));
+    }
+
+    /// The values the parent commit derived: `graph_signature` may change
+    /// how it gets there, not where it lands — a moved key silently
+    /// orphans every primed store.
+    #[test]
+    fn key_values_are_pinned() {
+        let options = CompilerOptions::default();
+        let mlp = cmswitch_models::mlp::mlp(2, &[64, 64]).unwrap();
+        let tiny = StoreKey::for_compile(&presets::tiny(), "cmswitch", &options, &mlp);
+        assert_eq!(tiny.hash(), 0x7f57_e90f_b0a6_2bc2);
+        let arch = presets::dynaplasia();
+        for (model, pinned) in [
+            ("resnet18", 0x4832_ead3_31ce_08bb_u64),
+            ("llama2-7b", 0x1dcd_3869_a2e3_0110),
+        ] {
+            let graph = cmswitch_models::registry::build(model, 1, 16).unwrap();
+            let key = StoreKey::for_compile(&arch, "cmswitch", &options, &graph);
+            assert_eq!(key.hash(), pinned, "{model}: {:#018x}", key.hash());
+        }
     }
 
     #[test]
@@ -384,6 +488,30 @@ mod tests {
         fs::write(&path, bytes).unwrap();
         assert!(matches!(store.fetch_program(key), StoreFetch::Corrupt(_)));
         assert_eq!(store.stats().corrupt, 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_write_leaves_no_temp_file() {
+        let dir = tempdir("tmp-leak");
+        let store = ArtifactStore::open(&dir).unwrap();
+        let arch = presets::tiny();
+        let graph = cmswitch_models::mlp::mlp(1, &[64, 64]).unwrap();
+        let session = Session::builder(arch.clone()).build();
+        let program = session.compile_graph(&graph).unwrap();
+        let key = StoreKey::for_compile(&arch, "cmswitch", session.options(), &graph);
+        // A directory where the artifact belongs: the rename must fail.
+        fs::create_dir(store.program_path(key)).unwrap();
+        store.put_program(key, &program).unwrap_err();
+        let listing: Vec<String> = fs::read_dir(dir.join("programs"))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(
+            !listing.iter().any(|name| name.contains("tmp.")),
+            "temp file left behind: {listing:?}"
+        );
+        assert_eq!(store.stats().writes, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -9,7 +9,11 @@
 //!   one per line, replying `OK <model> …` per request. With
 //!   `--assert-zero-solves` the process exits non-zero if any request
 //!   invoked the allocator — the CI gate proving disk-warm compiles
-//!   are solve-free across a real process boundary.
+//!   are solve-free across a real process boundary. The last line on
+//!   stderr is the tally: `served=… failed=… cancelled=… rejected=…`,
+//!   and with a store `store: hits=… misses=… corrupt=…
+//!   verdicts_reused=…` (fetches whose payload this process had
+//!   already verified).
 //!
 //! ```text
 //! STORE=$(mktemp -d)
@@ -131,6 +135,7 @@ fn prime(args: &Args) -> Result<(), String> {
 /// Default mode: serve model names read from stdin.
 fn serve(args: &Args) -> Result<(), String> {
     let session = build_session(args)?;
+    let store = session.store().cloned();
     let mut options = ServerOptions::default()
         .with_workers(args.workers)
         .with_queue_capacity(args.queue);
@@ -188,10 +193,18 @@ fn serve(args: &Args) -> Result<(), String> {
         }
     }
     let stats = server.stats();
-    eprintln!(
+    let mut summary = format!(
         "served={} failed={} cancelled={} rejected={}",
         stats.served, stats.failed, stats.cancelled, stats.rejected
     );
+    if let Some(store) = store {
+        let s = store.stats();
+        summary += &format!(
+            " store: hits={} misses={} corrupt={} verdicts_reused={}",
+            s.hits, s.misses, s.corrupt, s.verdicts_reused
+        );
+    }
+    eprintln!("{summary}");
     if violations > 0 {
         return Err(format!("{violations} request(s) violated expectations"));
     }

@@ -4,8 +4,10 @@
 //! one priming run, a **fresh session over the same store directory**
 //! compiles the whole registry with *zero* allocator solves and at
 //! least 3× faster than the cold run — plus the integrity half of the
-//! story: corrupt or verifier-rejected artifacts are never served, but
-//! recompiled and overwritten in place.
+//! story: corrupt, stale-format or verifier-rejected artifacts are never
+//! served, but recompiled and overwritten in place — and the verdict a
+//! store handle remembers is a verdict on *bytes*, so it never covers a
+//! payload the verifier has not seen.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -262,4 +264,190 @@ fn concurrent_writers_of_one_key_never_tear_the_artifact() {
     let files = std::fs::read_dir(store.root().join("programs")).unwrap().count();
     assert_eq!(files, 1, "one artifact, no temp file left behind");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn solves(outcome: &CompileOutcome) -> u64 {
+    outcome.stats().mip_solves + outcome.stats().fast_solves
+}
+
+/// A file a format-1 build left behind (same payload grammar, byte-serial
+/// FNV-1a checksum) under a key this build asks for: refused by version,
+/// diagnosed, recompiled and overwritten — there is no migration and no
+/// second reader.
+#[test]
+fn format_v1_artifact_is_recompiled_and_overwritten() {
+    let dir = temp_store("format-v1");
+    let store = ArtifactStore::open(&dir).unwrap();
+    let arch = presets::tiny();
+    let graph = cmswitch::models::mlp::mlp(2, &[128, 256, 128]).unwrap();
+    let fresh_session = || Session::builder(arch.clone()).store(Arc::clone(&store)).build();
+    fresh_session().compile(CompileRequest::new(graph.clone())).unwrap();
+
+    let key = StoreKey::for_compile(&arch, "cmswitch", &CompilerOptions::default(), &graph);
+    let path = store.program_path(key);
+    let mut bytes = std::fs::read(&path).unwrap();
+    let fnv1a = bytes[32..].iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    bytes[24..32].copy_from_slice(&fnv1a.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+
+    let outcome = fresh_session().compile(CompileRequest::new(graph.clone())).unwrap();
+    assert_eq!(outcome.diagnostics.store_traffic(), (0, 0, 1));
+    assert!(
+        outcome.diagnostics.events().iter().any(|e| matches!(
+            e,
+            DiagnosticEvent::StoreCorrupt { reason, .. } if reason.contains("format version 1")
+        )),
+        "{}",
+        outcome.diagnostics
+    );
+    assert!(solves(&outcome) > 0, "a refused artifact means a cold compile");
+    assert_ne!(std::fs::read(&path).unwrap(), bytes, "the v1 file was overwritten");
+
+    let outcome = fresh_session().compile(CompileRequest::new(graph)).unwrap();
+    assert_eq!(outcome.diagnostics.store_traffic(), (1, 0, 0));
+    assert_eq!(solves(&outcome), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One store handle, one session, one key that has been compiled (miss,
+/// write-back) and then served once (hit, verified, verdict remembered).
+struct Remembered {
+    dir: std::path::PathBuf,
+    store: Arc<ArtifactStore>,
+    session: Session,
+    graph: Graph,
+    key: StoreKey,
+}
+
+impl Remembered {
+    fn new(tag: &str) -> Remembered {
+        let dir = temp_store(tag);
+        let store = ArtifactStore::open(&dir).unwrap();
+        let arch = presets::tiny();
+        let graph = cmswitch::models::mlp::mlp(2, &[128, 256, 128]).unwrap();
+        let key = StoreKey::for_compile(&arch, "cmswitch", &CompilerOptions::default(), &graph);
+        let session = Session::builder(arch).store(Arc::clone(&store)).build();
+        let this = Remembered { dir, store, session, graph, key };
+        assert_eq!(this.serve().diagnostics.store_traffic(), (0, 1, 0));
+        assert_eq!(this.serve().diagnostics.store_traffic(), (1, 0, 0));
+        assert_eq!(this.store.stats().verdicts_reused, 0, "first sight is verified");
+        this
+    }
+
+    fn serve(&self) -> CompileOutcome {
+        self.session.compile(CompileRequest::new(self.graph.clone())).unwrap()
+    }
+
+    fn corrupt_reason(outcome: &CompileOutcome) -> &str {
+        outcome
+            .diagnostics
+            .events()
+            .iter()
+            .find_map(|e| match e {
+                DiagnosticEvent::StoreCorrupt { reason, .. } => Some(reason.as_str()),
+                _ => None,
+            })
+            .unwrap_or_else(|| panic!("no StoreCorrupt event:\n{}", outcome.diagnostics))
+    }
+}
+
+impl Drop for Remembered {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+/// (a) The memo never stands in for the checksum: every read still
+/// recomputes it, so rot under a remembered key is caught before any
+/// byte is interpreted.
+#[test]
+fn remembered_verdict_does_not_cover_a_flipped_byte() {
+    let r = Remembered::new("memo-flip");
+    let path = r.store.program_path(r.key);
+    let mut bytes = std::fs::read(&path).unwrap();
+    let mid = 32 + (bytes.len() - 32) / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(&path, &bytes).unwrap();
+
+    let outcome = r.serve();
+    assert_eq!(outcome.diagnostics.store_traffic(), (0, 0, 1));
+    assert!(
+        Remembered::corrupt_reason(&outcome).contains("checksum mismatch"),
+        "{}",
+        outcome.diagnostics
+    );
+    assert!(
+        outcome.stats().stage_wall.iter().any(|t| t.stage == "segment"),
+        "the program must come from the pipeline, not the file"
+    );
+    assert_eq!(r.store.stats().verdicts_reused, 0);
+}
+
+/// (b) The memo is keyed by bytes, not by key: a *validly framed* program
+/// the verifier denies, put under a key whose previous payload passed,
+/// is verified afresh and rejected.
+#[test]
+fn remembered_verdict_does_not_cover_different_bytes_under_the_same_key() {
+    let r = Remembered::new("memo-swap");
+    let honest = r.serve().program;
+    let verifier = Verifier::new();
+    let mutant = mutate::ALL
+        .iter()
+        .filter_map(|m| m.apply(&honest))
+        .find(|p| verifier.run(p, r.session.arch()).deny_count() > 0)
+        .expect("some mutation operator produces a deny-able program");
+    r.store.put_program(r.key, &mutant).unwrap();
+    let before = r.store.stats();
+
+    let outcome = r.serve();
+    assert_eq!(outcome.diagnostics.store_traffic(), (0, 0, 1));
+    assert!(
+        Remembered::corrupt_reason(&outcome).starts_with("verify rejected: "),
+        "{}",
+        outcome.diagnostics
+    );
+    assert_eq!(verifier.run(&outcome.program, r.session.arch()).deny_count(), 0);
+    let after = r.store.stats();
+    assert_eq!(after.verdicts_reused, before.verdicts_reused, "nothing was reused");
+    assert_eq!((after.hits, after.corrupt), (before.hits, before.corrupt + 1));
+    // A Deny is never remembered, and the healed entry is new bytes:
+    // verified on first sight, reused from then on.
+    assert_eq!(r.serve().diagnostics.store_traffic(), (1, 0, 0));
+    assert_eq!(r.store.stats().verdicts_reused, before.verdicts_reused);
+    assert_eq!(r.serve().diagnostics.store_traffic(), (1, 0, 0));
+    assert_eq!(r.store.stats().verdicts_reused, before.verdicts_reused + 1);
+}
+
+/// (c) An untouched file is verified once per handle: every further fetch
+/// is still a checked read and a `StoreHit` + `Verified`, minus the
+/// verifier run. (d) A second handle on the same directory remembers
+/// nothing.
+#[test]
+fn remembered_verdict_is_reused_per_handle_only() {
+    const N: u64 = 5;
+    let r = Remembered::new("memo-reuse");
+    let first = r.serve();
+    for _ in 1..N {
+        let again = r.serve();
+        assert_eq!(again.program.flow, first.program.flow);
+        assert_eq!(again.diagnostics.store_traffic(), (1, 0, 0));
+        assert_eq!(again.diagnostics.verified_counts(), first.diagnostics.verified_counts());
+        assert_eq!(solves(&again), 0);
+    }
+    let stats = r.store.stats();
+    assert_eq!((stats.verdicts_reused, stats.corrupt), (N, 0));
+
+    let reopened = ArtifactStore::open(&r.dir).unwrap();
+    let session = Session::builder(r.session.arch().clone())
+        .store(Arc::clone(&reopened))
+        .build();
+    for reused in [0, 1] {
+        let outcome = session.compile(CompileRequest::new(r.graph.clone())).unwrap();
+        assert_eq!(outcome.diagnostics.store_traffic(), (1, 0, 0));
+        assert_eq!(reopened.stats().verdicts_reused, reused);
+    }
+    assert_eq!(r.store.stats().verdicts_reused, N, "handles do not share a memo");
 }
