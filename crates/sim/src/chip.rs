@@ -25,14 +25,21 @@ impl ChipState {
     }
 
     /// Applies one (non-parallel) statement, enforcing mode discipline.
+    /// Callers walk a top-level `parallel` body themselves and apply its
+    /// statements one by one.
     ///
     /// # Errors
     ///
     /// Returns [`MetaOpError::ModeViolation`] when a statement uses an
     /// array in the wrong mode, or names an array the chip does not have
     /// (flows are public input: parsed text, or a program compiled for a
-    /// larger chip).
+    /// larger chip), and [`MetaOpError::NestedParallel`] for a `parallel`
+    /// block — here it can only be one nested inside a body, whose work
+    /// no simulator prices.
     pub fn apply(&mut self, stmt: &Stmt, stmt_idx: usize) -> Result<(), MetaOpError> {
+        if matches!(stmt, Stmt::Parallel(_)) {
+            return Err(MetaOpError::NestedParallel { stmt: stmt_idx });
+        }
         let n_arrays = self.modes.len();
         let mut stray = None;
         stmt.for_each_array(&mut |a| {

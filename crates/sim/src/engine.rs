@@ -5,8 +5,8 @@
 //! buffering and mode-switch overheads *overlap and contend* on a real
 //! chip — the effect the paper's end-to-end evaluation rests on. This
 //! module grows the simulator into that role: statements become events
-//! on per-array timelines, and an event starts as soon as — but no
-//! sooner than — its data and resources allow.
+//! that occupy arrays, and an event starts as soon as — but no sooner
+//! than — its data and resources allow.
 //!
 //! # One forward pass
 //!
@@ -49,8 +49,9 @@
 //! 3. **Same kernel, same order** — durations, `serialized_cycles`,
 //!    `switch_process_cycles` and energy come from [`crate::model`] and
 //!    [`crate::energy`] in flow order, after a separate
-//!    [`ChipState`] walk, so a flow violating mode discipline is
-//!    rejected before any timeline exists.
+//!    [`ChipState`] walk, so a flow violating mode discipline (or
+//!    nesting a `parallel` block, whose work nothing would price) is
+//!    rejected before any event exists.
 //! 4. **One arbitration rule** — the next top-level statement lowered is
 //!    that of the unfinished flow whose last data-producing event
 //!    finishes earliest; ties go to the flow that lowered last, then to
@@ -68,10 +69,12 @@
 //! An event waits for:
 //!
 //! * **arrays** — an array serves one event at a time, so consecutive
-//!   touches of the same array serialize (per-array timelines record
-//!   the busy windows; `CM.switch` events are explicit occupants costed
-//!   from the [`DualModeArch`] switch latencies and the
-//!   [`EnergyModel`] switch energy);
+//!   touches of the same array serialize (the pass keeps each array's
+//!   last occupant and release time; the busy windows themselves are
+//!   recorded as per-array timelines only by [`EventEngine::trace`] /
+//!   [`EventEngine::trace_program`]; `CM.switch` events are explicit
+//!   occupants costed from the [`DualModeArch`] switch latencies and
+//!   the [`EnergyModel`] switch energy);
 //! * **data** — a segment's execution waits for the segments it
 //!   actually consumes (taken from [`CompiledProgram::op_deps`] when
 //!   simulating a compiled program; a plain flow conservatively chains
@@ -91,6 +94,19 @@
 //! replay — on a fully serial flow the two agree bit-for-bit, and every
 //! admitted overlap only moves events earlier. `tests/sim_differential.rs`
 //! checks exactly that across the full model registry.
+//!
+//! # Cost contract
+//!
+//! A simulation pays for what its caller reads. Work per array reference
+//! is an indexed load or store on dense per-array state (release time,
+//! mode); heap traffic is bounded by the number of *statements* — one
+//! fixed-size event each, whose label borrows the flow's strings and is
+//! rendered only for the steps of the critical path — never by the
+//! number of references. The per-array busy log (one [`BusyInterval`]
+//! per reference, megabytes on an LLM flow) exists exactly when a
+//! `trace*` entry point asked for it; `simulate*` runs the same
+//! statements without it and returns an equal report.
+//! `tests/verify_allocs.rs` pins both as allocator counts.
 
 use cmswitch_arch::{ArrayId, ArrayMode, DualModeArch};
 use cmswitch_core::{CompileOutcome, CompiledProgram, DiagnosticEvent, Diagnostics, Session};
@@ -102,7 +118,7 @@ use crate::model;
 use crate::tenancy::{ChipScheduler, CoSimOptions, TenancyError, TenancyReport, TenantProgram};
 
 use crate::stats::{
-    ArrayTimeline, BusyBreakdown, BusyInterval, BusyKind, CriticalStep, EngineReport,
+    ArrayTimeline, BusyBreakdown, BusyInterval, BusyKind, CriticalStep, EngineReport, EngineTrace,
     SegmentWindow, SimReport, SwitchAmortization,
 };
 use crate::timing;
@@ -202,7 +218,19 @@ impl EventEngine {
     /// Returns [`MetaOpError`] if the flow violates mode discipline at
     /// runtime.
     pub fn simulate(&self, flow: &Flow, arch: &DualModeArch) -> Result<EngineReport, MetaOpError> {
-        self.run((flow, None), arch)
+        Ok(self.run((flow, None), arch, None)?.report)
+    }
+
+    /// [`EventEngine::simulate`], also recording every array's busy
+    /// windows: the same schedule and an equal report, plus the
+    /// timelines (and the allocation they cost).
+    ///
+    /// # Errors
+    ///
+    /// As [`EventEngine::simulate`].
+    pub fn trace(&self, flow: &Flow, arch: &DualModeArch) -> Result<EngineTrace, MetaOpError> {
+        self.run((flow, None), arch, Some(idle_timelines(arch)))
+            .map(ForwardPass::into_trace)
     }
 
     /// Simulates a compiled program: segment-level data dependencies are
@@ -226,15 +254,52 @@ impl EventEngine {
         program: &CompiledProgram,
         arch: &DualModeArch,
     ) -> Result<EngineReport, MetaOpError> {
-        self.run((&program.flow, segment_deps(program).as_deref()), arch)
+        let deps = segment_deps(program);
+        Ok(self
+            .run((&program.flow, deps.as_deref()), arch, None)?
+            .report)
     }
 
-    fn run(&self, flow: FlowInput, arch: &DualModeArch) -> Result<EngineReport, MetaOpError> {
-        match schedule(&[flow], arch, &self.energy) {
-            Ok(pass) => Ok(pass.report),
-            Err((_, violation)) => Err(violation),
-        }
+    /// [`EventEngine::simulate_program`], also recording every array's
+    /// busy windows (see [`EventEngine::trace`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`EventEngine::simulate_program`].
+    pub fn trace_program(
+        &self,
+        program: &CompiledProgram,
+        arch: &DualModeArch,
+    ) -> Result<EngineTrace, MetaOpError> {
+        let deps = segment_deps(program);
+        self.run(
+            (&program.flow, deps.as_deref()),
+            arch,
+            Some(idle_timelines(arch)),
+        )
+        .map(ForwardPass::into_trace)
     }
+
+    fn run<'a>(
+        &'a self,
+        flow: FlowInput<'a>,
+        arch: &'a DualModeArch,
+        timelines: Option<Vec<ArrayTimeline>>,
+    ) -> Result<ForwardPass<'a>, MetaOpError> {
+        schedule(&[flow], arch, &self.energy, timelines).map_err(|(_, violation)| violation)
+    }
+}
+
+/// An empty timeline per array of `arch`: what a `trace*` entry point
+/// hands the pass to fill.
+fn idle_timelines(arch: &DualModeArch) -> Vec<ArrayTimeline> {
+    (0..arch.n_arrays() as u32)
+        .map(|i| ArrayTimeline {
+            array: ArrayId(i),
+            final_mode: ArrayMode::Memory,
+            intervals: Vec::new(),
+        })
+        .collect()
 }
 
 /// Projects a plan's operator dependencies onto segment indices: per
@@ -283,18 +348,71 @@ pub(crate) type FlowInput<'a> = (&'a Flow, Option<&'a [Vec<usize>]>);
 
 /// Schedules `flows` together on `arch` — the one scheduler of this
 /// crate. Fails with the index of the first flow that violates mode
-/// discipline on its own, before any timeline exists.
+/// discipline on its own, before any event exists. With `timelines`
+/// (one per array of `arch`) the pass also logs every busy window into
+/// them; nothing else it computes depends on whether it does.
 pub(crate) fn schedule<'a>(
     flows: &[FlowInput<'a>],
     arch: &'a DualModeArch,
     energy_model: &'a EnergyModel,
+    timelines: Option<Vec<ArrayTimeline>>,
 ) -> Result<ForwardPass<'a>, (usize, MetaOpError)> {
-    Ok(ForwardPass::run(flows, arch, energy_model)?.finish())
+    Ok(ForwardPass::run(flows, arch, energy_model, timelines)?.finish())
+}
+
+/// What an event is, borrowing the flow's strings: rendered to a
+/// [`CriticalStep::label`] only for the events on the critical path.
+/// `idx` is the top-level statement, `seg` the segment within its flow.
+#[derive(Clone, Copy)]
+enum Label<'a> {
+    Switch {
+        idx: usize,
+        kind: SwitchKind,
+        n: usize,
+    },
+    Realign {
+        idx: usize,
+        kind: SwitchKind,
+        n: usize,
+    },
+    Load {
+        idx: usize,
+        op: &'a str,
+    },
+    SegLoad {
+        seg: usize,
+        op: &'a str,
+    },
+    Mem {
+        idx: usize,
+        label: &'a str,
+    },
+    Vector {
+        idx: usize,
+        op: &'a str,
+    },
+    SegExec {
+        seg: usize,
+    },
+}
+
+impl Label<'_> {
+    fn render(self) -> String {
+        match self {
+            Label::Switch { idx, kind, n } => format!("switch#{idx}({} x{n})", kind.keyword()),
+            Label::Realign { idx, kind, n } => format!("realign#{idx}({} x{n})", kind.keyword()),
+            Label::Load { idx, op } => format!("load#{idx}({op})"),
+            Label::SegLoad { seg, op } => format!("seg{seg}.load({op})"),
+            Label::Mem { idx, label } => format!("mem#{idx}({label})"),
+            Label::Vector { idx, op } => format!("vector#{idx}({op})"),
+            Label::SegExec { seg } => format!("seg{seg}.exec"),
+        }
+    }
 }
 
 /// One timed event.
-struct Event {
-    label: String,
+struct Event<'a> {
+    label: Label<'a>,
     start: f64,
     finish: f64,
     /// The binding dependency: the critical-path predecessor.
@@ -344,7 +462,7 @@ pub(crate) struct FlowState<'a> {
 /// The forward pass: events in lowering order, dense per-array release
 /// and mode state, and the report filled in as each event is timed.
 /// [`schedule`] returns it finished: `report` (every flow's events on
-/// the one chip's timelines), `switches` and each flow's cost are final.
+/// the one chip), `switches` and each flow's cost are final.
 pub(crate) struct ForwardPass<'a> {
     arch: &'a DualModeArch,
     energy_model: &'a EnergyModel,
@@ -352,7 +470,7 @@ pub(crate) struct ForwardPass<'a> {
     pub(crate) flows: Vec<FlowState<'a>>,
     /// The flow whose statement is being lowered.
     cur: usize,
-    events: Vec<Event>,
+    events: Vec<Event<'a>>,
     /// Per array: the event that last occupied it and the cycle that
     /// event released it (none: untouched, free from cycle 0).
     released: Vec<Option<(usize, f64)>>,
@@ -371,6 +489,8 @@ pub(crate) struct ForwardPass<'a> {
     mem_busy: Vec<(ArrayId, f64)>,
     pub(crate) switches: SwitchAmortization,
     pub(crate) report: EngineReport,
+    /// The per-array busy log, when the caller asked for one.
+    timelines: Option<Vec<ArrayTimeline>>,
 }
 
 impl<'a> ForwardPass<'a> {
@@ -380,6 +500,7 @@ impl<'a> ForwardPass<'a> {
         flows: &[FlowInput<'a>],
         arch: &'a DualModeArch,
         energy_model: &'a EnergyModel,
+        timelines: Option<Vec<ArrayTimeline>>,
     ) -> Result<Self, (usize, MetaOpError)> {
         // ---- Mode-discipline prepass, each flow on a fresh chip (same
         // order the sequential model applies statements in, so
@@ -427,15 +548,9 @@ impl<'a> ForwardPass<'a> {
                 breakdown: BusyBreakdown::default(),
                 segments: Vec::new(),
                 energy: EnergyReport::default(),
-                timelines: (0..arch.n_arrays() as u32)
-                    .map(|i| ArrayTimeline {
-                        array: ArrayId(i),
-                        final_mode: ArrayMode::Memory,
-                        intervals: Vec::new(),
-                    })
-                    .collect(),
                 critical_path: Vec::new(),
             },
+            timelines,
         };
         // ---- The schedule: one walk, every event timed as it is
         // lowered; rule 4 picks whose statement comes next. ----
@@ -485,7 +600,7 @@ impl<'a> ForwardPass<'a> {
     }
 
     /// Times one event of the current flow; returns `(id, start, finish)`.
-    fn record(&mut self, label: String, ready: Ready, duration: f64) -> (usize, f64, f64) {
+    fn record(&mut self, label: Label<'a>, ready: Ready, duration: f64) -> (usize, f64, f64) {
         let (start, finish) = (ready.start, ready.start + duration);
         self.events.push(Event {
             label,
@@ -498,10 +613,13 @@ impl<'a> ForwardPass<'a> {
         (self.events.len() - 1, start, finish)
     }
 
-    /// Puts `event` on array `a`'s timeline for `start..end` and frees
-    /// the array at `free_at` — unless `event` already released it.
+    /// `event` keeps array `a` busy for `busy` (logged when timelines
+    /// are recorded) and frees it at `free_at` — unless `event` already
+    /// released it.
     fn occupy(&mut self, a: ArrayId, event: usize, busy: BusyInterval, free_at: f64) {
-        self.report.timelines[a.index()].intervals.push(busy);
+        if let Some(timelines) = &mut self.timelines {
+            timelines[a.index()].intervals.push(busy);
+        }
         let released = &mut self.released[a.index()];
         if released.is_none_or(|(user, _)| user != event) {
             *released = Some((event, free_at));
@@ -513,7 +631,7 @@ impl<'a> ForwardPass<'a> {
     /// those arrays and holds all of them until the last is done.
     fn push_serial(
         &mut self,
-        label: String,
+        label: Label<'a>,
         arrays: &[ArrayId],
         duration: f64,
         stride: f64,
@@ -533,7 +651,7 @@ impl<'a> ForwardPass<'a> {
     }
 
     /// A weight load, top-level or inside a segment; returns its cycles.
-    fn push_load(&mut self, label: String, arrays: &[ArrayId]) -> f64 {
+    fn push_load(&mut self, label: Label<'a>, arrays: &[ArrayId]) -> f64 {
         let duration = model::load_duration(arrays.len(), self.arch);
         let stride = self.arch.lat_write_array() as f64;
         self.push_serial(label, arrays, duration, stride, BusyKind::WeightLoad);
@@ -543,7 +661,7 @@ impl<'a> ForwardPass<'a> {
 
     /// A mode switch actually driven over `arrays`, requested or
     /// injected, at the current flow's expense.
-    fn push_switch(&mut self, label: String, kind: SwitchKind, arrays: &[ArrayId]) {
+    fn push_switch(&mut self, label: Label<'a>, kind: SwitchKind, arrays: &[ArrayId]) {
         let duration = model::switch_duration(kind, arrays.len(), self.arch);
         self.flows[self.cur].busy += duration;
         self.report.switch_process_cycles += duration;
@@ -572,7 +690,11 @@ impl<'a> ForwardPass<'a> {
             let arrays = &mut to_switch[kind.target_mode() as usize];
             if !arrays.is_empty() {
                 self.switches.injected += arrays.len() as u64;
-                let label = format!("realign#{idx}({} x{})", kind.keyword(), arrays.len());
+                let label = Label::Realign {
+                    idx,
+                    kind,
+                    n: arrays.len(),
+                };
                 self.push_switch(label, kind, arrays);
                 arrays.clear();
             }
@@ -580,7 +702,7 @@ impl<'a> ForwardPass<'a> {
         self.to_switch = to_switch;
     }
 
-    fn push_stmt(&mut self, stmt: &Stmt, idx: usize) {
+    fn push_stmt(&mut self, stmt: &'a Stmt, idx: usize) {
         match stmt {
             Stmt::Switch { kind, arrays } => {
                 self.charge(stmt);
@@ -603,7 +725,11 @@ impl<'a> ForwardPass<'a> {
                 self.switches.requested += arrays.len() as u64;
                 self.switches.executed += driven.len() as u64;
                 self.switches.amortized += (arrays.len() - driven.len()) as u64;
-                let label = format!("switch#{idx}({} x{})", kind.keyword(), driven.len());
+                let label = Label::Switch {
+                    idx,
+                    kind: *kind,
+                    n: driven.len(),
+                };
                 self.push_switch(label, *kind, driven);
                 driven.clear();
                 self.to_switch = to_switch;
@@ -611,7 +737,7 @@ impl<'a> ForwardPass<'a> {
             Stmt::LoadWeights(w) => {
                 self.charge(stmt);
                 self.realign(std::slice::from_ref(stmt), idx);
-                let duration = self.push_load(format!("load#{idx}({})", w.op), &w.arrays);
+                let duration = self.push_load(Label::Load { idx, op: &w.op }, &w.arrays);
                 self.flows[self.cur].busy += duration;
                 self.report.switch_process_cycles += duration;
             }
@@ -629,8 +755,11 @@ impl<'a> ForwardPass<'a> {
                 self.wait_finish(self.flows[self.cur].data, &mut ready);
                 self.wait_finish(self.bus, &mut ready);
                 self.wait_arrays(arrays, &mut ready);
-                let (id, start, end) =
-                    self.record(format!("mem#{idx}({})", m.label), ready, duration);
+                let label = Label::Mem {
+                    idx,
+                    label: &m.label,
+                };
+                let (id, start, end) = self.record(label, ready, duration);
                 let kind = BusyKind::MemTraffic;
                 for &a in arrays {
                     self.occupy(a, id, BusyInterval { start, end, kind }, end);
@@ -648,7 +777,7 @@ impl<'a> ForwardPass<'a> {
                 let mut ready = Ready::default();
                 self.wait_finish(self.flows[self.cur].data, &mut ready);
                 self.wait_finish(self.fu, &mut ready);
-                let (id, ..) = self.record(format!("vector#{idx}({})", v.op), ready, duration);
+                let (id, ..) = self.record(Label::Vector { idx, op: &v.op }, ready, duration);
                 self.report.breakdown.vector += duration;
                 self.fu = Some(id);
                 let flow = &mut self.flows[self.cur];
@@ -660,7 +789,7 @@ impl<'a> ForwardPass<'a> {
         }
     }
 
-    fn push_segment(&mut self, body: &[Stmt], idx: usize) {
+    fn push_segment(&mut self, body: &'a [Stmt], idx: usize) {
         let index = self.flows[self.cur].seg_events.len();
 
         // Energy: per statement into the chip total (same order as
@@ -691,7 +820,11 @@ impl<'a> ForwardPass<'a> {
         let first_load = self.events.len();
         for s in body {
             if let Stmt::LoadWeights(w) = s {
-                self.push_load(format!("seg{index}.load({})", w.op), &w.arrays);
+                let label = Label::SegLoad {
+                    seg: index,
+                    op: &w.op,
+                };
+                self.push_load(label, &w.arrays);
             }
         }
         let exec = self.events.len();
@@ -723,7 +856,7 @@ impl<'a> ForwardPass<'a> {
             }
             None => self.wait_finish(flow.data, &mut ready),
         }
-        let (id, start, finish) = self.record(format!("seg{index}.exec"), ready, exec_cycles);
+        let (id, start, finish) = self.record(Label::SegExec { seg: index }, ready, exec_cycles);
 
         // Occupancy: each lane holds its compute arrays until the lane
         // drains; a memory-mode array is held for the longest lane (or
@@ -793,20 +926,30 @@ impl<'a> ForwardPass<'a> {
             }
         }
         while let Some(i) = last {
-            let event = &mut self.events[i];
+            let event = &self.events[i];
             self.report.critical_path.push(CriticalStep {
-                label: std::mem::take(&mut event.label),
+                label: event.label.render(),
                 start: event.start,
                 end: event.finish,
             });
             last = event.critical;
         }
         self.report.critical_path.reverse();
-        for (timeline, &(mode, _)) in self.report.timelines.iter_mut().zip(&self.modes) {
+        for (timeline, &(mode, _)) in self.timelines.iter_mut().flatten().zip(&self.modes) {
             timeline.final_mode = mode;
         }
         self.report.serialized_cycles = self.flows.iter().map(|f| f.busy).sum();
         self
+    }
+
+    /// The finished pass of a `trace*` entry point as its result.
+    fn into_trace(self) -> EngineTrace {
+        EngineTrace {
+            report: self.report,
+            timelines: self
+                .timelines
+                .expect("trace entry points pass timelines to record into"),
+        }
     }
 }
 
@@ -976,7 +1119,8 @@ mod tests {
             compute("b", vec![ArrayId(2), ArrayId(3)], 64),
         ]));
         let seq = SequentialModel.simulate(&flow, &arch).unwrap();
-        let eng = EventEngine::new().simulate(&flow, &arch).unwrap();
+        let trace = EventEngine::new().trace(&flow, &arch).unwrap();
+        let eng = &trace.report;
         assert!(
             eng.total_cycles < seq.total_cycles,
             "engine {} vs sequential {}",
@@ -988,13 +1132,13 @@ mod tests {
         // load on arrays 2,3 completed while seg0 still ran on arrays
         // 0,1 — i.e. strictly before the write-back (which cannot even
         // *start* until seg0's data is complete) finished.
-        let seg0_end = eng.timelines[0]
+        let seg0_end = trace.timelines[0]
             .intervals
             .iter()
-            .chain(&eng.timelines[1].intervals)
+            .chain(&trace.timelines[1].intervals)
             .map(|iv| iv.end)
             .fold(0.0f64, f64::max);
-        for t in [&eng.timelines[2], &eng.timelines[3]] {
+        for t in [&trace.timelines[2], &trace.timelines[3]] {
             let prep: Vec<_> = t
                 .intervals
                 .iter()
@@ -1077,7 +1221,7 @@ mod tests {
             .build()
             .compile_graph(&g)
             .unwrap();
-        let eng = EventEngine::new().simulate_program(&program, &arch).unwrap();
+        let eng = EventEngine::new().trace_program(&program, &arch).unwrap();
         for t in &eng.timelines {
             for pair in t.intervals.windows(2) {
                 assert!(
@@ -1095,7 +1239,7 @@ mod tests {
             arch.n_arrays(),
             "every array lands in exactly one bucket"
         );
-        assert_eq!(eng.segments.len(), program.segments.len());
+        assert_eq!(eng.report.segments.len(), program.segments.len());
     }
 
     #[test]
@@ -1127,17 +1271,18 @@ mod tests {
         }
         let flows = [(&a, None), (&b, None)];
         let energy_model = EnergyModel::default();
-        let pass = ForwardPass::run(&flows, &arch, &energy_model).unwrap();
+        let timelines = Some(idle_timelines(&arch));
+        let pass = ForwardPass::run(&flows, &arch, &energy_model, timelines).unwrap();
 
         // Bulk-memory events serialize on the one port, in lowering order.
-        let on_bus = |e: &&Event| e.label.starts_with("mem#");
+        let on_bus = |e: &&Event| matches!(e.label, Label::Mem { .. });
         let bus: Vec<_> = pass.events.iter().filter(on_bus).collect();
         assert_eq!(bus.len(), 5);
         assert!(bus.windows(2).all(|w| w[0].finish <= w[1].start));
 
         let pass = pass.finish();
         let apart = |w: &[BusyInterval]| w[0].end <= w[1].start + 1e-9;
-        for t in &pass.report.timelines {
+        for t in pass.timelines.iter().flatten() {
             assert!(t.intervals.windows(2).all(apart), "{t:?}");
         }
         let (report, switches) = (&pass.report, &pass.switches);

@@ -6,14 +6,17 @@
 //! cross-check.
 //!
 //! * [`engine`] is the event-driven, cycle-level simulator and the one
-//!   scheduler of this crate: per-array timelines filled in one forward
-//!   pass over the flow — or over several flows sharing the chip —
+//!   scheduler of this crate: one forward pass over the flow — or over
+//!   several flows sharing the chip — on dense per-array state
 //!   (dependencies only point backwards, so no event queue is needed),
-//!   explicit mode-switch events, shared-bus contention and inter-segment
-//!   pipelining. It returns an enriched [`EngineReport`] (per-segment
-//!   and per-mode latency/energy breakdown, array-utilization
-//!   histogram, critical path) and is surfaced through the `Session`
-//!   API by [`SessionSimExt`].
+//!   with explicit mode-switch events, shared-bus contention and
+//!   inter-segment pipelining. `simulate*` returns an enriched
+//!   [`EngineReport`] (per-segment and per-mode latency/energy
+//!   breakdown, critical path) at a cost per *statement*; `trace*`
+//!   returns an [`EngineTrace`]: an equal report plus the per-array
+//!   busy timelines and the utilization histogram read from them — the
+//!   one thing that costs per array *reference*, recorded only when
+//!   asked for. Surfaced through the `Session` API by [`SessionSimExt`].
 //! * [`timing`] is the sequential reference model ([`SequentialModel`]):
 //!   it executes a compiled meta-operator flow statement by statement
 //!   against the chip state, charging the Table 2 latencies. The event
@@ -69,7 +72,8 @@ pub use engine::{
 };
 pub use stats::{
     utilization_percent, ArrayTimeline, BusyBreakdown, BusyInterval, BusyKind, CriticalStep,
-    EngineReport, ModeOccupancy, SegmentTiming, SegmentWindow, SimReport, SwitchAmortization,
+    EngineReport, EngineTrace, ModeOccupancy, SegmentTiming, SegmentWindow, SimReport,
+    SwitchAmortization,
 };
 pub use tenancy::{
     ChipScheduler, CoSimOptions, DecodeLoop, DecodeOptions, DecodeReport, DecodeTenant,

@@ -1,6 +1,8 @@
-//! Simulation reports: the sequential [`SimReport`] and the event
-//! engine's enriched [`EngineReport`] with per-array timelines,
-//! utilization and critical-path data.
+//! Simulation reports: the sequential [`SimReport`], the event engine's
+//! enriched [`EngineReport`] (per-segment windows, per-mode breakdown,
+//! energy, critical path) and — only from the engine's `trace*` entry
+//! points — an [`EngineTrace`]: that report plus the per-array
+//! [`ArrayTimeline`]s and the utilization figures derived from them.
 
 use cmswitch_arch::{ArrayId, ArrayMode};
 
@@ -93,7 +95,9 @@ impl BusyInterval {
     }
 }
 
-/// The per-array busy timeline the event engine builds while scheduling.
+/// One array's busy timeline, as the event engine's `trace*` entry
+/// points record it while scheduling ([`EngineTrace::timelines`]; a plain
+/// `simulate*` schedules identically and keeps no log).
 ///
 /// Intervals are appended in start order and never overlap (shared
 /// endpoints are allowed): an array serves one event at a time — that is
@@ -167,7 +171,8 @@ impl BusyBreakdown {
 /// mode-dependent static power weighs compute-mode and memory-mode
 /// residency differently, and everything not busy is idle.
 ///
-/// Produced by [`EngineReport::mode_occupancy`]; fractions are clamped to
+/// Produced by [`EngineReport::mode_occupancy`] (from the busy-kind
+/// totals — no timelines needed); fractions are clamped to
 /// `[0, 1]` and `compute + memory + switching + idle == 1` up to float
 /// rounding (idle absorbs the remainder).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -220,8 +225,9 @@ pub struct CriticalStep {
 }
 
 /// The event engine's enriched report: end-to-end makespan plus the
-/// per-segment, per-mode, per-array detail the sequential [`SimReport`]
-/// cannot express.
+/// per-segment and per-mode detail and the critical path the sequential
+/// [`SimReport`] cannot express. Everything here is accumulated per
+/// event; the per-array log is an [`EngineTrace`], recorded on request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineReport {
     /// End-to-end makespan of the event schedule (cycles).
@@ -244,8 +250,6 @@ pub struct EngineReport {
     /// Energy of the whole flow (schedule-invariant, so identical to
     /// [`crate::energy::estimate`] on the same flow).
     pub energy: EnergyReport,
-    /// Per-array busy timelines.
-    pub timelines: Vec<ArrayTimeline>,
     /// The critical path, earliest event first.
     pub critical_path: Vec<CriticalStep>,
 }
@@ -267,27 +271,10 @@ impl EngineReport {
         }
     }
 
-    /// Per-array utilization: busy cycles over the makespan, in array
-    /// order. Zero makespan yields zeros.
-    pub fn utilization(&self) -> Vec<f64> {
-        self.timelines
-            .iter()
-            .map(|t| {
-                if self.total_cycles > 0.0 {
-                    t.busy_cycles() / self.total_cycles
-                } else {
-                    0.0
-                }
-            })
-            .collect()
-    }
-
     /// The per-mode duty cycle of the whole array pool: busy-kind totals
-    /// over `n_arrays × makespan`, idle as the remainder. `n_arrays`
-    /// should be the chip's array count — timelines only exist for
-    /// arrays the schedule touched, so deriving the pool size from
-    /// `timelines.len()` would overstate occupancy on underused chips.
-    /// A zero makespan or zero `n_arrays` reports all-idle.
+    /// over `n_arrays × makespan`, idle as the remainder. `n_arrays` is
+    /// the chip's array count (the report itself holds nothing per
+    /// array). A zero makespan or zero `n_arrays` reports all-idle.
     pub fn mode_occupancy(&self, n_arrays: usize) -> ModeOccupancy {
         let denom = self.total_cycles * n_arrays as f64;
         if denom <= 0.0 {
@@ -306,6 +293,36 @@ impl EngineReport {
             switching,
             idle: (1.0 - compute - memory - switching).clamp(0.0, 1.0),
         }
+    }
+}
+
+/// What [`crate::EventEngine::trace`] and
+/// [`crate::EventEngine::trace_program`] return: the report a plain
+/// `simulate*` of the same input yields — field for field, bit for bit —
+/// plus the per-array busy log only these entry points keep.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EngineTrace {
+    /// The schedule's report.
+    pub report: EngineReport,
+    /// One timeline per array of the chip, in array order.
+    pub timelines: Vec<ArrayTimeline>,
+}
+
+impl EngineTrace {
+    /// Per-array utilization: busy cycles over the makespan, in array
+    /// order. Zero makespan yields zeros.
+    pub fn utilization(&self) -> Vec<f64> {
+        let makespan = self.report.total_cycles;
+        self.timelines
+            .iter()
+            .map(|t| {
+                if makespan > 0.0 {
+                    t.busy_cycles() / makespan
+                } else {
+                    0.0
+                }
+            })
+            .collect()
     }
 
     /// Histogram of per-array utilization percentages in 11 buckets:
@@ -436,7 +453,6 @@ mod tests {
             },
             segments: Vec::new(),
             energy: EnergyReport::default(),
-            timelines: Vec::new(),
             critical_path: Vec::new(),
         };
         assert_eq!(r.breakdown.total_array_cycles(), 200.0);
@@ -463,7 +479,7 @@ mod tests {
                 kind: BusyKind::Compute,
             }],
         };
-        let r = EngineReport {
+        let report = EngineReport {
             total_cycles: 100.0,
             serialized_cycles: 100.0,
             switch_process_cycles: 0.0,
@@ -472,10 +488,13 @@ mod tests {
             breakdown: BusyBreakdown::default(),
             segments: Vec::new(),
             energy: EnergyReport::default(),
-            timelines: vec![timeline(99.5), timeline(94.0), timeline(5.0)],
             critical_path: Vec::new(),
         };
-        let h = r.utilization_histogram();
+        let trace = EngineTrace {
+            report,
+            timelines: vec![timeline(99.5), timeline(94.0), timeline(5.0)],
+        };
+        let h = trace.utilization_histogram();
         assert_eq!(h[10], 1, "99.5% rounds to the 100% bucket");
         assert_eq!(h[9], 1);
         assert_eq!(h[0], 1);

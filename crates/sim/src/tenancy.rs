@@ -453,12 +453,13 @@ impl ChipScheduler {
         for (i, flow) in flows.iter().enumerate() {
             // Energy is schedule- and placement-invariant: what the
             // tenant's statements cost alone is what they cost shared.
-            let solo = engine::schedule(std::slice::from_ref(flow), &self.arch, energy_model)
+            let solo = engine::schedule(std::slice::from_ref(flow), &self.arch, energy_model, None)
                 .map_err(violation(i))?
                 .report;
             solos.push((solo.total_cycles, solo.energy));
         }
-        let shared = engine::schedule(&flows, &self.arch, energy_model).map_err(violation(0))?;
+        let shared =
+            engine::schedule(&flows, &self.arch, energy_model, None).map_err(violation(0))?;
 
         let mut chip_energy = EnergyReport::default();
         let mut progress = Vec::with_capacity(tenants.len());

@@ -3,7 +3,9 @@
 //! Shows the per-segment dual-mode allocation for a convolutional
 //! network — earlier high-arithmetic-intensity layers lean compute-heavy,
 //! wide later layers pick up memory-mode arrays for bandwidth, echoing
-//! the paper's Fig. 15(a) discussion.
+//! the paper's Fig. 15(a) discussion. Ends with the event engine's
+//! per-array utilization histogram, from the one entry point that records
+//! per-array timelines (`EventEngine::trace_program`).
 //!
 //! ```text
 //! cargo run --release --example cnn_pipeline
@@ -43,5 +45,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.total_cycles / 1e6,
         report.switch_process_fraction() * 100.0
     );
+
+    // Per-array detail is recorded on request: `trace_program` is
+    // `simulate_program` plus the busy timelines the histogram reads.
+    let trace = EventEngine::new().trace_program(&program, &arch)?;
+    let histogram = trace.utilization_histogram();
+    println!(
+        "event engine {:.2}M cycles; arrays by utilization (0-9% .. 90-99%, 100%): {histogram:?}",
+        trace.report.total_cycles / 1e6
+    );
+    let counted: u64 = histogram.iter().sum();
+    if counted != arch.n_arrays() as u64 {
+        return Err(format!(
+            "utilization histogram counts {counted} arrays, the chip has {}",
+            arch.n_arrays()
+        )
+        .into());
+    }
     Ok(())
 }

@@ -40,9 +40,10 @@
 //! // … plus typed diagnostics (windows pruned, cache traffic, …) …
 //! assert!(!outcome.diagnostics.is_empty());
 //!
-//! // … and the event-driven simulator executes the compiled plan on
-//! // per-array timelines (SessionSimExt). The pipelined makespan never
-//! // loses to the fully serialized replay.
+//! // … and the event-driven simulator executes the compiled plan
+//! // (SessionSimExt). The pipelined makespan never loses to the fully
+//! // serialized replay. Per-array busy timelines and utilization are
+//! // recorded on request: `sim::EventEngine::trace_program`.
 //! let sim = session.simulate(&outcome).unwrap();
 //! assert!(sim.report.total_cycles > 0.0);
 //! assert!(sim.report.total_cycles <= sim.report.serialized_cycles);

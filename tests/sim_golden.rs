@@ -29,7 +29,7 @@ use cmswitch::arch::presets;
 use cmswitch::models::registry;
 use cmswitch::models::transformer::{decode_step, TransformerConfig};
 use cmswitch::prelude::*;
-use cmswitch::sim::{ChipScheduler, DecodeOptions, TenancyPolicy};
+use cmswitch::sim::{ChipScheduler, DecodeOptions, EngineTrace, TenancyPolicy};
 
 const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -88,10 +88,12 @@ const REPORTS_PATH: &str = concat!(
     "/tests/golden/engine_reports.txt"
 );
 
-/// Every schedule-dependent bit of an [`EngineReport`], folded into one
-/// word: the three cycle totals, the busy breakdown, every segment
-/// window, every timeline interval and every critical-path step.
-fn digest(report: &EngineReport) -> u64 {
+/// Every schedule-dependent bit of an [`EngineReport`] and of the
+/// timelines recorded beside it, folded into one word: the three cycle
+/// totals, the busy breakdown, every segment window, every timeline
+/// interval and every critical-path step.
+fn digest(trace: &EngineTrace) -> u64 {
+    let report = &trace.report;
     let mut words = vec![
         report.total_cycles.to_bits(),
         report.serialized_cycles.to_bits(),
@@ -113,7 +115,7 @@ fn digest(report: &EngineReport) -> u64 {
             s.energy_pj.to_bits(),
         ]);
     }
-    for t in &report.timelines {
+    for t in &trace.timelines {
         words.extend([
             u64::from(t.array.0),
             t.final_mode as u64,
@@ -131,20 +133,22 @@ fn digest(report: &EngineReport) -> u64 {
     cmswitch::solver::stable_hash64(&words)
 }
 
-fn report_line(out: &mut String, what: &str, model: &str, report: &EngineReport) {
-    let intervals: usize = report.timelines.iter().map(|t| t.intervals.len()).sum();
+fn report_line(out: &mut String, what: &str, model: &str, trace: &EngineTrace) {
+    let intervals: usize = trace.timelines.iter().map(|t| t.intervals.len()).sum();
     writeln!(
         out,
         "{what} {model} events={} intervals={intervals} digest={:016x}",
-        report.critical_path.len(),
-        digest(report),
+        trace.report.critical_path.len(),
+        digest(trace),
     )
     .expect("writing to a String cannot fail");
 }
 
-/// One line per backend x registry model (`simulate_program`), then one
-/// per model for the CMSwitch flow simulated bare (`simulate`, no
-/// operator dependencies): the whole report, not just its summary.
+/// One line per backend x registry model (`trace_program`), then one
+/// per model for the CMSwitch flow simulated bare (`trace`, no operator
+/// dependencies): the whole report and its timelines, not just its
+/// summary. `tests/sim_invariants.rs` pins that `simulate*` returns the
+/// same report without them.
 #[test]
 fn registry_engine_reports_match_golden_digest() {
     let arch = presets::dynaplasia();
@@ -158,15 +162,15 @@ fn registry_engine_reports_match_golden_digest() {
             let program = session
                 .compile_graph(&graph)
                 .expect("registered model compiles");
-            let report = engine
-                .simulate_program(&program, &arch)
+            let trace = engine
+                .trace_program(&program, &arch)
                 .expect("compiled flow simulates");
-            report_line(&mut out, kind.name(), model, &report);
+            report_line(&mut out, kind.name(), model, &trace);
             if kind == BackendKind::CmSwitch {
-                let report = engine
-                    .simulate(&program.flow, &arch)
+                let trace = engine
+                    .trace(&program.flow, &arch)
                     .expect("bare flow simulates");
-                report_line(&mut bare, "bare-flow", model, &report);
+                report_line(&mut bare, "bare-flow", model, &trace);
             }
         }
     }

@@ -9,13 +9,16 @@
 //!   the schedule-independent flow oracle bit-for-bit;
 //! * per-array busy intervals never overlap (an array serves one event
 //!   at a time — the resource constraint the engine schedules around);
+//! * recording those intervals moves nothing: `trace*` returns the
+//!   report `simulate*` returns, field for field and bit for bit;
 //! * on single-segment flows the engine matches the sequential
 //!   reference model bit-exactly (no overlap is legal there, so the
 //!   two models must coincide, not merely agree approximately);
 //! * the multi-tenant co-scheduler is the same forward pass: a lone
 //!   tenant's solo baseline is the engine's makespan to the bit, and a
 //!   flow the simulators reject (out-of-range ids, broken mode
-//!   discipline) is a typed error there too, never a panic or a repair.
+//!   discipline, a nested `parallel` block) is a typed error there too,
+//!   never a panic, a repair or a cheaper schedule.
 
 use proptest::prelude::*;
 
@@ -25,8 +28,9 @@ use cmswitch::metaop::{
     WeightLoadStmt,
 };
 use cmswitch::prelude::*;
+use cmswitch::models::registry;
 use cmswitch::sim::engine::latency_lower_bound;
-use cmswitch::sim::{ChipScheduler, EngineReport, TenancyError, TenancyPolicy};
+use cmswitch::sim::{ChipScheduler, EngineTrace, TenancyError, TenancyPolicy};
 
 fn preset(idx: usize) -> DualModeArch {
     match idx % 3 {
@@ -36,8 +40,8 @@ fn preset(idx: usize) -> DualModeArch {
     }
 }
 
-fn assert_timelines_disjoint(report: &EngineReport) -> Result<(), TestCaseError> {
-    for t in &report.timelines {
+fn assert_timelines_disjoint(trace: &EngineTrace) -> Result<(), TestCaseError> {
+    for t in &trace.timelines {
         for pair in t.intervals.windows(2) {
             prop_assert!(
                 pair[0].end <= pair[1].start,
@@ -104,7 +108,9 @@ proptest! {
         prop_assert_eq!(eng.segments.len(), program.segments.len());
 
         // An array serves one event at a time.
-        assert_timelines_disjoint(&eng)?;
+        let trace = EventEngine::new().trace_program(&program, &arch).expect("engine");
+        assert_timelines_disjoint(&trace)?;
+        prop_assert_eq!(&trace.report, &eng);
 
         // Co-simulation is the same forward pass: a lone tenant's solo
         // baseline is this makespan, under either policy.
@@ -201,14 +207,52 @@ proptest! {
         let arch = preset(preset_idx);
         let flow = single_segment_flow(&arch, &ms, &ks, &static_flags, &aux_flags);
         let seq = SequentialModel.simulate(&flow, &arch).expect("valid flow");
-        let eng = EventEngine::new().simulate(&flow, &arch).expect("valid flow");
+        let trace = EventEngine::new().trace(&flow, &arch).expect("valid flow");
+        let eng = &trace.report;
         // Single-segment flows admit no overlap, so the two models must
         // coincide exactly, not merely agree approximately.
         prop_assert_eq!(eng.total_cycles.to_bits(), seq.total_cycles.to_bits());
         prop_assert_eq!(eng.serialized_cycles.to_bits(), seq.total_cycles.to_bits());
         prop_assert!(eng.overlap_saved() == 0.0);
         prop_assert!(eng.total_cycles >= latency_lower_bound(&flow, &arch));
-        assert_timelines_disjoint(&eng)?;
+        assert_timelines_disjoint(&trace)?;
+    }
+}
+
+/// Recording moves nothing: over the nine registry models on every
+/// backend, the report beside the timelines is the report without them —
+/// whole-report equality, and the three headline numbers to the bit —
+/// for compiled programs and for their bare flows alike.
+#[test]
+fn tracing_returns_the_report_simulating_returns() {
+    let arch = presets::dynaplasia();
+    let engine = EventEngine::new();
+    let same = |what: &str, traced: &EngineTrace, plain: &EngineReport| {
+        assert_eq!(&traced.report, plain, "{what}");
+        let bits = |r: &EngineReport| {
+            [r.total_cycles, r.serialized_cycles, r.energy.total_pj()].map(f64::to_bits)
+        };
+        assert_eq!(bits(&traced.report), bits(plain), "{what}");
+        assert_eq!(traced.timelines.len(), arch.n_arrays(), "{what}");
+        assert!(traced.timelines.iter().any(|t| !t.intervals.is_empty()), "{what}");
+    };
+    for kind in BackendKind::ALL {
+        let session = Session::builder(arch.clone()).backend_kind(kind).build();
+        for &model in registry::ALL_MODELS {
+            let graph = registry::build(model, 1, 16).expect("registered model builds");
+            let program = session.compile_graph(&graph).expect("registered model compiles");
+            let what = format!("{} {model}", kind.name());
+            same(
+                &what,
+                &engine.trace_program(&program, &arch).expect("traces"),
+                &engine.simulate_program(&program, &arch).expect("simulates"),
+            );
+            same(
+                &format!("{what} (bare flow)"),
+                &engine.trace(&program.flow, &arch).expect("traces"),
+                &engine.simulate(&program.flow, &arch).expect("simulates"),
+            );
+        }
     }
 }
 
@@ -367,6 +411,74 @@ fn a_flow_both_simulators_reject_is_rejected_by_the_co_scheduler() {
                 }
                 other => panic!("{policy:?}, verify {verify_admission}: expected a mode violation, got {other:?}"),
             }
+        }
+    }
+}
+
+/// `metaop::validate` rejects a `parallel` inside a `parallel`, but the
+/// artifact decoder keeps one nesting level decodable, so a parsed or
+/// store-served flow can carry one. The simulators price a body's
+/// statements and nothing below them: before they rejected the nesting,
+/// wrapping the slow lane in an inner block made the segment 250× cheaper
+/// with `Ok(..)` from both.
+#[test]
+fn a_nested_parallel_block_is_a_typed_error_not_a_cheaper_schedule() {
+    let arch = presets::tiny();
+    let lane = |op: &str, array: u32, m: usize| {
+        Stmt::Compute(ComputeStmt {
+            op: op.into(),
+            compute_arrays: vec![ArrayId(array)],
+            mem_in_arrays: vec![],
+            mem_out_arrays: vec![],
+            m,
+            k: 64,
+            n: 64,
+            units: 1,
+            in_bytes: (m * 64) as u64,
+            out_bytes: (m * 64) as u64,
+            weight_static: true,
+        })
+    };
+    let flow_with = |slow_lane: Stmt| {
+        let mut flow = Flow::new("lanes");
+        flow.push(Stmt::switch(SwitchKind::ToCompute, vec![ArrayId(0), ArrayId(1)]));
+        flow.push(Stmt::Parallel(vec![lane("a", 0, 16), slow_lane]));
+        flow
+    };
+    let flat = flow_with(lane("b", 1, 4096));
+    let nested = flow_with(Stmt::Parallel(vec![lane("b", 1, 4096)]));
+
+    let engine = EventEngine::new().simulate(&flat, &arch).expect("the flat flow simulates");
+    let sequential = SequentialModel.simulate(&flat, &arch).expect("the flat flow simulates");
+    assert!(engine.total_cycles > 65_000.0, "{}", engine.total_cycles);
+    assert_eq!(engine.total_cycles.to_bits(), sequential.total_cycles.to_bits());
+
+    let rejected = Err(MetaOpError::NestedParallel { stmt: 1 });
+    assert_eq!(EventEngine::new().simulate(&nested, &arch).map(drop), rejected);
+    assert_eq!(EventEngine::new().trace(&nested, &arch).map(drop), rejected);
+    assert_eq!(SequentialModel.simulate(&nested, &arch).map(drop), rejected);
+
+    let graph = cmswitch::models::mlp::mlp(2, &[64, 64]).unwrap();
+    let mut program = Session::builder(arch.clone()).build().compile_graph(&graph).unwrap();
+    program.flow = nested;
+    assert_eq!(EventEngine::new().simulate_program(&program, &arch).map(drop), rejected);
+    for policy in [
+        TenancyPolicy::TimeSliced,
+        TenancyPolicy::Partitioned { shares: vec![arch.n_arrays()] },
+    ] {
+        // Admission lints on: some typed rejection, whichever check
+        // meets the block first. Off: the simulators' own error.
+        let verified = ChipScheduler::new(arch.clone())
+            .with_options(CoSimOptions { policy: policy.clone(), ..CoSimOptions::default() })
+            .co_simulate(&[TenantProgram::new("nested", &program)]);
+        assert!(verified.is_err(), "{policy:?}: {verified:?}");
+        let result = unverified(&arch, policy.clone())
+            .co_simulate(&[TenantProgram::new("nested", &program)]);
+        match result {
+            Err(TenancyError::ModeViolation { tenant, source }) => {
+                assert_eq!((tenant.as_str(), Err(source)), ("nested", rejected.clone()));
+            }
+            other => panic!("{policy:?}: expected the simulators' error, got {other:?}"),
         }
     }
 }

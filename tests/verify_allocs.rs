@@ -1,5 +1,6 @@
 //! Cost guards for the flow checkers and the event engine, stated as
-//! allocation counts — a count repeats exactly where a clock does not.
+//! allocation counts and peak live bytes — a count repeats exactly where
+//! a clock does not.
 //!
 //! `core::verify` and `metaop::validate` run on every compile and on
 //! every distinct artifact served from the store, over flows with hundreds of
@@ -7,6 +8,12 @@
 //! state: work per reference is an indexed load, and heap traffic is
 //! bounded by the number of *statements*, never by the number of
 //! references or by the value of an (untrusted) array id.
+//!
+//! The event engine's contract is the same, with one stated exception:
+//! `simulate*` keeps one fixed-size event per statement (its label
+//! borrows the flow's strings) and nothing per array reference, in calls
+//! and in bytes; the per-array busy log — one `BusyInterval` per
+//! reference — is held exactly when a `trace*` entry point asks for it.
 //!
 //! The simplex kernel under branch-and-bound has the same kind of
 //! contract, per LP instead of per statement: one workspace per MIP
@@ -30,6 +37,7 @@ use cmswitch::compiler::CompiledProgram;
 use cmswitch::metaop::{validate, Flow, MetaOpError, Stmt, SwitchKind};
 use cmswitch::models::registry;
 use cmswitch::prelude::*;
+use cmswitch::sim::BusyInterval;
 
 thread_local! {
     // Const-initialised and destructor-free, so touching them from
@@ -149,17 +157,42 @@ fn clean_llm_checks_allocate_per_statement_not_per_array_reference() {
          ({references} array references); budget {budget}"
     );
 
-    // The event engine keeps dense per-array state too: a label per
-    // event and amortised timeline growth, but no per-event dependency
-    // list and no per-array-reference clone.
-    let budget = 5 * statements + 64;
+    // The event engine keeps dense per-array state too: a dependency
+    // row and a window per segment, amortised growth of the event list
+    // and a rendered label per critical-path step — about one call per
+    // statement (4 150 on 4 080 at this change; 7 326 with a `String`
+    // per event and an always-on timeline log) — and no per-event
+    // dependency list, no per-array-reference clone.
+    let budget = 3 * statements / 2 + 64;
     let engine = EventEngine::new();
-    let (report, calls, _) = measured(|| engine.simulate_program(&program, &arch));
-    report.expect("a clean program simulates");
+    let (report, calls, peak) = measured(|| engine.simulate_program(&program, &arch));
+    let report = report.expect("a clean program simulates");
     assert!(
         calls <= budget,
         "EventEngine::simulate_program made {calls} allocations on {statements} \
          statements ({references} array references); budget {budget}"
+    );
+    // In bytes: a 64-byte event under amortised doubling, a segment
+    // window and a dependency row — per statement. 0.53 MB here; the
+    // always-on log held 5.1 MB.
+    let byte_budget = 192 * statements as i64;
+    assert!(
+        peak <= byte_budget,
+        "EventEngine::simulate_program held {peak} bytes on {statements} statements \
+         ({references} array references); budget {byte_budget}"
+    );
+
+    // The log exists exactly when asked for: tracing the same program
+    // returns an equal report and holds at least its intervals more.
+    let (trace, _, traced_peak) = measured(|| engine.trace_program(&program, &arch));
+    let trace = trace.expect("a clean program traces");
+    assert_eq!(trace.report, report);
+    let intervals: usize = trace.timelines.iter().map(|t| t.intervals.len()).sum();
+    let logged = (std::mem::size_of::<BusyInterval>() * intervals) as i64;
+    assert!(
+        intervals as u64 > 20 * statements && traced_peak >= peak + logged,
+        "trace_program held {traced_peak} bytes against simulate_program's {peak}: \
+         {intervals} intervals ({logged} bytes) are not accounted for"
     );
 }
 
