@@ -169,16 +169,19 @@ impl DualModeArch {
     /// compilation decisions (FNV-1a over the Fig. 8 parameter set).
     ///
     /// Two architectures with equal fingerprints produce identical cost
-    /// models and therefore identical per-segment allocations, so the
-    /// fingerprint is a sound cache key component for cross-model
-    /// allocation reuse ([`crate::presets`] instances all differ). The
-    /// `name` is deliberately excluded: a renamed but otherwise identical
-    /// chip may share cached allocations.
+    /// models and therefore identical compiled programs, so this is the
+    /// key of everything that caches a *whole-chip* result: the artifact
+    /// store's `StoreKey`, the DSE record memo and
+    /// `SweepRecord::fingerprint` ([`crate::presets`] instances all
+    /// differ). The per-segment allocation cache keys on the narrower
+    /// [`DualModeArch::allocation_fingerprint`] instead. The `name` is
+    /// deliberately excluded: a renamed but otherwise identical chip may
+    /// share cached results.
     pub fn fingerprint(&self) -> u64 {
         // Exhaustive destructuring (no `..`): adding a field to
         // `DualModeArch` fails to compile here until the fingerprint
         // accounts for it, so no parameter can silently fall out of the
-        // allocation-cache key.
+        // store key.
         let &DualModeArch {
             name: _,
             n_arrays,
@@ -214,6 +217,61 @@ impl DualModeArch {
                 SwitchMethod::GlobalWordline => 0,
                 SwitchMethod::BitlineDriver => 1,
             },
+        ];
+        cmswitch_solver::stable_hash64(&words)
+    }
+
+    /// A stable 64-bit fingerprint of exactly the parameters the
+    /// per-segment allocator reads (Eqs. 6–10 and the Eq. 2 reload
+    /// trade-off) — the architecture component of the allocation-cache
+    /// key.
+    ///
+    /// Two architectures with equal allocation fingerprints return the
+    /// same allocation for every segment, even where their
+    /// [`DualModeArch::fingerprint`]s differ: the mode-switch latencies
+    /// enter only Eq. 1's `T_swc` and the buffer capacity only the Eq. 4
+    /// write-back, both costed by the segmentation DP *around* the
+    /// allocator, and the switch mechanism only the DSE area/power
+    /// model. So a design sweep over those axes solves each allocation
+    /// problem once (`tests/allocation_key.rs` checks the claim by
+    /// running it).
+    pub fn allocation_fingerprint(&self) -> u64 {
+        // Exhaustive destructuring, as in `fingerprint`: a new field
+        // fails to compile here until someone decides whether the
+        // allocator reads it.
+        let &DualModeArch {
+            name: _,
+            n_arrays,
+            // Also set lowering's `min_tiles`, which the segment
+            // signature does not carry.
+            array_rows,
+            array_cols,
+            // Eq. 4 write-back capacity only (the DP, not the allocator).
+            buffer_bytes: _,
+            internal_bw,
+            extern_bw,
+            buffer_bw,
+            compute_pass_cycles,
+            // Eq. 1 `T_swc` and the simulators only.
+            switch_m2c_cycles: _,
+            switch_c2m_cycles: _,
+            write_row_cycles,
+            write_parallelism,
+            write_cost_factor,
+            // Read by no cost model; the DSE area/power model prices it.
+            switch_method: _,
+        } = self;
+        let words = [
+            n_arrays as u64,
+            array_rows as u64,
+            array_cols as u64,
+            internal_bw,
+            extern_bw,
+            buffer_bw,
+            compute_pass_cycles,
+            write_row_cycles,
+            write_parallelism,
+            write_cost_factor,
         ];
         cmswitch_solver::stable_hash64(&words)
     }

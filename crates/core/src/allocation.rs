@@ -217,16 +217,20 @@ impl AllocatorStats {
 /// across compilations, models and threads.
 ///
 /// Entries are bucketed by a stable 64-bit hash of the full signature
-/// `(architecture fingerprint, allocator kind, segment signature)` — see
-/// [`cmswitch_arch::DualModeArch::fingerprint`] and
+/// `(ALLOC_KEY_SCHEMA, allocation fingerprint, allocator kind, segment
+/// signature)` — see
+/// [`cmswitch_arch::DualModeArch::allocation_fingerprint`] and
 /// [`cmswitch_solver::stable_hash64`] — so:
 ///
-/// * identical segments *within* one model (repeated transformer blocks)
-///   and *across* models (the same block shape in different networks)
-///   resolve to one entry and one solver invocation,
-/// * compilations for different architectures or allocator kinds never
-///   alias: a changed chip preset changes the fingerprint, which
-///   effectively invalidates every prior entry for that compiler.
+/// * identical segments *within* one model (repeated transformer blocks),
+///   *across* models (the same block shape in different networks) and
+///   *across* chips that differ only in what the allocator never reads
+///   (switch latency or mechanism, buffer capacity — a design sweep's
+///   siblings) resolve to one entry and one solver invocation,
+/// * architectures whose allocator inputs differ, and different
+///   allocator kinds, never alias: changing any parameter the allocator
+///   reads changes the allocation fingerprint, which effectively
+///   invalidates every prior entry for that compiler.
 ///
 /// The full signature word sequence is stored alongside each entry and
 /// compared on lookup, so a 64-bit hash collision costs at worst a
@@ -251,6 +255,13 @@ pub struct AllocationCache {
 /// One cache bucket: the full signature it belongs to (verified on
 /// lookup) and the allocation result (`None` = proven infeasible).
 type CacheEntry = (Vec<u64>, Option<SegmentAllocation>);
+
+/// First word of every allocation signature, naming its layout. The
+/// first layout had no schema word and began with the whole-chip
+/// fingerprint, so an entry from it can never be looked up again; the
+/// L2→L1 promotion ([`crate::ArtifactStore::load_alloc_snapshot`]) drops
+/// every entry whose first word differs rather than carry it forever.
+pub(crate) const ALLOC_KEY_SCHEMA: u64 = 2;
 
 /// One exported cache entry: `(bucket hash, full signature, result)` —
 /// the unit of the on-disk allocation snapshot
@@ -493,9 +504,9 @@ pub struct Allocator<'a> {
     cm: CostModel<'a>,
     kind: AllocatorKind,
     cache: Option<Arc<AllocationCache>>,
-    /// `(arch fingerprint, allocator kind)` prefix of every cache
-    /// signature this allocator produces.
-    sig_prefix: [u64; 2],
+    /// `(ALLOC_KEY_SCHEMA, allocation fingerprint, allocator kind)`
+    /// prefix of every cache signature this allocator produces.
+    sig_prefix: [u64; 3],
     /// Per-flow solved-window memo feeding MIP neighbor warm starts.
     warm: WarmStartCache,
     /// Solve counters.
@@ -520,7 +531,8 @@ impl<'a> Allocator<'a> {
 
     fn build(cm: CostModel<'a>, kind: AllocatorKind, cache: Option<Arc<AllocationCache>>) -> Self {
         let sig_prefix = [
-            cm.arch().fingerprint(),
+            ALLOC_KEY_SCHEMA,
+            cm.arch().allocation_fingerprint(),
             match kind {
                 AllocatorKind::Mip => 0,
                 AllocatorKind::Fast => 1,
@@ -1053,13 +1065,14 @@ fn compute_reuse(
     reuse
 }
 
-/// The full cache signature: the allocator's `(arch fingerprint, kind)`
-/// prefix followed by everything about the segment that the allocators
-/// read — per-op shapes, units, operand residency, data volumes and the
-/// local dependency structure. Op *names* are excluded on purpose — that
-/// is what lets layer 17's attention block reuse layer 3's allocation.
-fn signature(prefix: &[u64; 2], ops: &[SegOp], local_deps: &[(usize, usize, u64)]) -> Vec<u64> {
-    let mut sig = Vec::with_capacity(2 + ops.len() * 8 + local_deps.len() * 3 + 1);
+/// The full cache signature: the allocator's `(schema, allocation
+/// fingerprint, kind)` prefix followed by everything about the segment
+/// that the allocators read — per-op shapes, units, operand residency,
+/// data volumes and the local dependency structure. Op *names* are
+/// excluded on purpose — that is what lets layer 17's attention block
+/// reuse layer 3's allocation.
+fn signature(prefix: &[u64; 3], ops: &[SegOp], local_deps: &[(usize, usize, u64)]) -> Vec<u64> {
+    let mut sig = Vec::with_capacity(prefix.len() + ops.len() * 8 + local_deps.len() * 3 + 1);
     sig.extend_from_slice(prefix);
     for op in ops {
         sig.extend_from_slice(&[
@@ -1254,6 +1267,29 @@ mod tests {
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.hits() + cache.misses(), 0);
+    }
+
+    #[test]
+    fn chips_differing_only_outside_the_allocator_share_entries() {
+        // A slower switch and a smaller buffer move the whole-chip
+        // fingerprint but not one allocator input: the sibling is served
+        // the entry the base solved, and it is the one it would solve.
+        let base = cmswitch_arch::DualModeArch::builder("base").build().unwrap();
+        let sibling = cmswitch_arch::DualModeArch::builder("sibling")
+            .switch_cycles(4, 2)
+            .buffer_bytes(1024)
+            .build()
+            .unwrap();
+        assert_ne!(base.fingerprint(), sibling.fingerprint());
+        let cache = AllocationCache::new();
+        let ops = vec![seg_op("a", 64, 64, 64, true), seg_op("b", 64, 64, 64, true)];
+        let deps = vec![(0usize, 1usize, 64 * 64u64)];
+        let solved = shared(&base, &cache).allocate(&ops, &deps);
+        let served = shared(&sibling, &cache);
+        assert_eq!(served.allocate(&ops, &deps), solved);
+        assert_eq!(served.stats.snapshot(), (0, 0, 1), "no solve, one hit");
+        let alone = Allocator::new(CostModel::new(&sibling), AllocatorKind::Fast, false);
+        assert_eq!(alone.allocate(&ops, &deps), solved);
     }
 
     #[test]

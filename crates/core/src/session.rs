@@ -290,7 +290,9 @@ impl SessionBuilder {
 
     /// Shares an existing (possibly warm, possibly shared with other
     /// sessions) allocation cache instead of a fresh one. Keys embed the
-    /// architecture fingerprint, so sharing across chips is sound.
+    /// architecture's allocation fingerprint, so sharing across chips is
+    /// sound — and chips that differ only in what the allocator never
+    /// reads share entries.
     #[must_use]
     pub fn cache(mut self, cache: Arc<AllocationCache>) -> Self {
         self.cache = Some(cache);

@@ -54,7 +54,7 @@ use cmswitch_graph::Graph;
 use cmswitch_solver::stable_hash64;
 use parking_lot::Mutex;
 
-use crate::allocation::AllocationCache;
+use crate::allocation::{AllocationCache, ALLOC_KEY_SCHEMA};
 use crate::artifact::{self, PayloadStamp};
 use crate::compiler::CompiledProgram;
 use crate::{AllocatorKind, CompilerOptions, DpMode};
@@ -344,13 +344,19 @@ impl ArtifactStore {
     /// Promotes the on-disk snapshot (if any) into `cache`, returning
     /// the number of entries imported. A missing snapshot is 0; a
     /// corrupt one counts in [`StoreStats::corrupt`] and is ignored.
+    /// Entries of an older signature layout (first word other than the
+    /// current allocation-key schema) could never be looked up again, so
+    /// they are dropped here — and with them from every later snapshot.
     pub fn load_alloc_snapshot(&self, cache: &AllocationCache) -> usize {
         let bytes = match fs::read(self.alloc_path()) {
             Ok(bytes) => bytes,
             Err(_) => return 0,
         };
         match artifact::decode_alloc_entries(&bytes) {
-            Ok(entries) => cache.import_entries(entries),
+            Ok(mut entries) => {
+                entries.retain(|(_, sig, _)| sig.first() == Some(&ALLOC_KEY_SCHEMA));
+                cache.import_entries(entries)
+            }
             Err(_) => {
                 self.corrupt.fetch_add(1, Ordering::Relaxed);
                 0

@@ -16,9 +16,12 @@
 //!   explorer (the disk-warm counterpart is the `dse_warm` workload of
 //!   `BENCHMARK.json`).
 //! * **L1 — allocation cache.** Shared across points and runners; keyed
-//!   on the architecture fingerprint, so distinct points never
-//!   cross-contaminate while *new* points with repeated segments skip
-//!   their MIP solves.
+//!   on the architecture's *allocation* fingerprint
+//!   ([`cmswitch_arch::DualModeArch::allocation_fingerprint`]), so points
+//!   whose allocator inputs differ never cross-contaminate, while a point
+//!   that differs from an earlier one only in switch latency, switch
+//!   method or buffer capacity solves nothing at all, and *new* points
+//!   with repeated segments skip those MIP solves.
 //! * **L2 — artifact store.** Whole compiled programs served from disk,
 //!   across runners and processes.
 //!
@@ -103,7 +106,9 @@ pub struct SweepRecord {
     pub spec: PointSpec,
     /// The instantiated architecture's name.
     pub arch_name: String,
-    /// The architecture fingerprint (the cache/store key component).
+    /// The architecture fingerprint (the store-key and record-memo
+    /// component; the allocation cache keys on the narrower
+    /// allocation fingerprint).
     pub fingerprint: u64,
     /// Workload latency: summed event-engine makespans over all models,
     /// cycles.

@@ -23,8 +23,8 @@ pub struct PointSpec {
     pub cols: usize,
     /// Number of dual-mode arrays.
     pub n_arrays: usize,
-    /// Per-array mode-switch latency, cycles (applied symmetrically to
-    /// both directions).
+    /// Per-array mode-switch latency, cycles (the mean of the two
+    /// directions, rounded up; a swept value applies to both).
     pub switch_cycles: u64,
     /// On-chip buffer capacity, bytes.
     pub buffer_bytes: u64,
@@ -152,7 +152,9 @@ pub struct SweepSpace {
     base: DualModeArch,
     array_sizes: Vec<(usize, usize)>,
     array_counts: Vec<usize>,
-    switch_latencies: Vec<u64>,
+    /// `(m→c, c→m)` pairs: symmetric once swept, the base's own pair
+    /// while the axis is left alone.
+    switch_latencies: Vec<(u64, u64)>,
     buffer_bytes: Vec<u64>,
     bus_widths: Vec<u64>,
 }
@@ -165,7 +167,7 @@ impl SweepSpace {
         SweepSpace {
             array_sizes: vec![(spec.rows, spec.cols)],
             array_counts: vec![spec.n_arrays],
-            switch_latencies: vec![spec.switch_cycles],
+            switch_latencies: vec![(base.switch_m2c_cycles(), base.switch_c2m_cycles())],
             buffer_bytes: vec![spec.buffer_bytes],
             bus_widths: vec![spec.bus_width],
             base,
@@ -194,7 +196,7 @@ impl SweepSpace {
     /// Sets the mode-switch latency axis (cycles, both directions).
     #[must_use]
     pub fn with_switch_latencies(mut self, latencies: impl Into<Vec<u64>>) -> Self {
-        self.switch_latencies = latencies.into();
+        self.switch_latencies = latencies.into().into_iter().map(|l| (l, l)).collect();
         self
     }
 
@@ -235,18 +237,18 @@ impl SweepSpace {
         let mut grid = SweepGrid::default();
         for &(rows, cols) in &self.array_sizes {
             for &n_arrays in &self.array_counts {
-                for &switch in &self.switch_latencies {
+                for &(m2c, c2m) in &self.switch_latencies {
                     for &buffer in &self.buffer_bytes {
                         for &bus in &self.bus_widths {
                             let spec = PointSpec {
                                 rows,
                                 cols,
                                 n_arrays,
-                                switch_cycles: switch,
+                                switch_cycles: (m2c + c2m).div_ceil(2),
                                 buffer_bytes: buffer,
                                 bus_width: bus,
                             };
-                            match self.build_point(spec) {
+                            match self.build_point(spec, (m2c, c2m)) {
                                 Ok(arch) => grid.points.push(SweepPoint { spec, arch }),
                                 Err(reason) => {
                                     grid.rejected.push(RejectedPoint { spec, reason })
@@ -260,8 +262,12 @@ impl SweepSpace {
         grid
     }
 
-    fn build_point(&self, spec: PointSpec) -> Result<DualModeArch, SweepError> {
-        if spec.switch_cycles == 0 {
+    fn build_point(
+        &self,
+        spec: PointSpec,
+        (m2c, c2m): (u64, u64),
+    ) -> Result<DualModeArch, SweepError> {
+        if m2c == 0 || c2m == 0 {
             return Err(SweepError::ZeroSwitchLatency);
         }
         if spec.buffer_bytes == 0 && self.base.buffer_bw() > 0 {
@@ -270,7 +276,7 @@ impl SweepSpace {
         DualModeArch::builder(format!("{}-{}", self.base.name(), spec.label()))
             .array_size(spec.rows, spec.cols)
             .n_arrays(spec.n_arrays)
-            .switch_cycles(spec.switch_cycles, spec.switch_cycles)
+            .switch_cycles(m2c, c2m)
             .buffer_bytes(spec.buffer_bytes)
             .extern_bw(spec.bus_width)
             .internal_bw(self.base.internal_bw())
@@ -301,6 +307,38 @@ mod tests {
         // The instantiated point inherits every non-swept parameter, so
         // it is fingerprint-identical to the base chip.
         assert_eq!(p.arch.fingerprint(), base.fingerprint());
+    }
+
+    fn with_switch(m2c: u64, c2m: u64) -> DualModeArch {
+        DualModeArch::builder("asym")
+            .switch_cycles(m2c, c2m)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn degenerate_space_keeps_an_asymmetric_switch_pair() {
+        // The switch axis used to be seeded with the rounded-up mean, so
+        // a (1, 4) base came back as a (3, 3) chip.
+        let base = with_switch(1, 4);
+        let grid = SweepSpace::around(base.clone()).instantiate();
+        let p = &grid.points[0];
+        assert_eq!(p.arch.fingerprint(), base.fingerprint());
+        assert_eq!((p.arch.switch_m2c_cycles(), p.arch.switch_c2m_cycles()), (1, 4));
+        assert_eq!(p.spec, PointSpec::of(&base));
+        // Sweeping the axis stays symmetric.
+        let swept = SweepSpace::around(base).with_switch_latencies([2]).instantiate();
+        let arch = &swept.points[0].arch;
+        assert_eq!((arch.switch_m2c_cycles(), arch.switch_c2m_cycles()), (2, 2));
+    }
+
+    #[test]
+    fn zero_latency_in_either_direction_is_rejected() {
+        for (m2c, c2m) in [(0, 3), (3, 0)] {
+            let grid = SweepSpace::around(with_switch(m2c, c2m)).instantiate();
+            assert!(grid.points.is_empty());
+            assert_eq!(grid.rejected[0].reason, SweepError::ZeroSwitchLatency);
+        }
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! the real compiler and cycle-level simulator, prices each point with
 //! the analytic area/power model, and prints the per-point table, the
 //! Pareto frontier and the CSV export. Exits non-zero if any point
-//! fails compilation/verification/simulation, if the sweep is not
-//! warm-served on a re-run, or if the frontier comes out empty — those
-//! are the invariants CI holds the subsystem to.
+//! fails compilation/verification/simulation, if a point whose
+//! allocation fingerprint matches an earlier point's pays a single
+//! solve, if the sweep is not warm-served on a re-run, or if the
+//! frontier comes out empty — those are the invariants CI holds the
+//! subsystem to.
 //!
 //! ```text
 //! cargo run --release --example dse_frontier
@@ -55,6 +57,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("\ncold sweep: {}", cold.summary());
     print!("{}", cold.table());
+
+    // The L1 cache keys on what the allocator reads, so a point that
+    // differs from an earlier one only in switch latency (or buffer
+    // size, or switch method) must be served every allocation.
+    let mut classes: Vec<u64> = Vec::new();
+    for (point, record) in grid.points.iter().zip(&cold.records) {
+        let class = point.arch.allocation_fingerprint();
+        if !classes.contains(&class) {
+            classes.push(class);
+        } else if record.solves != 0 {
+            return Err(format!(
+                "{} repeats an earlier point's allocation problems but paid {} solves",
+                point.spec, record.solves
+            )
+            .into());
+        }
+    }
+    println!(
+        "{} allocation classes: {} of {} points solved nothing",
+        classes.len(),
+        grid.points.len() - classes.len(),
+        grid.points.len()
+    );
 
     // Same grid again through the same runner: every point is served
     // from the L0 record memo without recompiling or re-simulating.

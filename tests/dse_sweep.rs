@@ -145,6 +145,57 @@ fn shared_cache_warms_across_runners() {
     }
 }
 
+/// The L1 cache keys on what the allocator reads, so a point that only
+/// changes the switch latency is served every allocation by its earlier
+/// sibling — and sharing never changes what a point measures.
+#[test]
+fn switch_siblings_share_every_solve_and_measure_what_they_measure_alone() {
+    let grid = SweepSpace::around(presets::tiny())
+        .with_array_counts([4, 8])
+        .with_switch_latencies([1, 4])
+        .instantiate();
+    let report = SweepRunner::new(workload()).run(&grid);
+    assert!(report.failed.is_empty(), "{:?}", report.failed);
+    let solves: Vec<u64> = report.records.iter().map(|r| r.solves).collect();
+    let hits: Vec<u64> = report.records.iter().map(|r| r.cache_hits).collect();
+    // Grid order: (4, sw1), (4, sw4), (8, sw1), (8, sw4). Each sw4
+    // sibling is served all five of its windows by the sw1 point before
+    // it (a MIP miss counts two solver runs: its fast warm start too).
+    assert_eq!(solves, [10, 0, 10, 0], "measured solves per point");
+    assert_eq!(hits, [0, 5, 0, 5], "measured cache hits per point");
+
+    for (shared, point) in report.records.iter().zip(&grid.points) {
+        let alone = SweepRunner::new(workload()).run(&SweepGrid {
+            points: vec![point.clone()],
+            rejected: Vec::new(),
+        });
+        let alone = &alone.records[0];
+        assert!(alone.solves > 0, "{}: a fresh runner solves", point.spec);
+        assert_eq!(shared.spec, alone.spec);
+        assert_eq!(shared.fingerprint, alone.fingerprint);
+        assert_eq!(shared.latency_cycles.to_bits(), alone.latency_cycles.to_bits());
+        assert_eq!(shared.energy_pj.to_bits(), alone.energy_pj.to_bits());
+        assert_eq!(shared.cost, alone.cost);
+        assert_eq!(shared.avg_power_mw.to_bits(), alone.avg_power_mw.to_bits());
+        assert_eq!(shared.occupancy, alone.occupancy);
+        assert_eq!(shared.per_model, alone.per_model);
+    }
+}
+
+/// The bus width is an allocator input (`D_main`): bus-width siblings
+/// are distinct allocation problems and each still solves.
+#[test]
+fn bus_width_siblings_still_solve() {
+    let grid = SweepSpace::around(presets::tiny())
+        .with_bus_widths([8, 16])
+        .instantiate();
+    let report = SweepRunner::new(workload()).run(&grid);
+    assert_eq!(report.records.len(), 2);
+    for record in &report.records {
+        assert!(record.solves > 0, "{} solved nothing", record.spec);
+    }
+}
+
 #[test]
 fn empty_sweep_has_empty_frontier() {
     let report = SweepRunner::new(workload()).run(&SweepGrid::default());

@@ -217,6 +217,44 @@ fn alloc_snapshot_alone_warms_a_fresh_session() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A snapshot entry of the first signature layout (`[fingerprint, kind,
+/// segment…]`, before the schema word and the allocation fingerprint)
+/// can never be looked up again: promotion drops it, so it does not ride
+/// along into every later snapshot. Program artifacts are untouched.
+#[test]
+fn old_layout_snapshot_entries_are_dropped_on_promotion() {
+    let dir = temp_store("old-layout");
+    let arch = presets::tiny();
+    let graph = cmswitch::models::mlp::mlp(3, &[256, 256, 256]).unwrap();
+    let current = {
+        let store = ArtifactStore::open(&dir).unwrap();
+        let session = Session::builder(arch.clone()).store(Arc::clone(&store)).build();
+        session.compile(CompileRequest::new(graph.clone())).unwrap();
+        let entries = session.cache().export_entries();
+        // Rewrite one entry into the old layout and snapshot both.
+        let (_, sig, value) = entries[0].clone();
+        assert_eq!(sig[1], arch.allocation_fingerprint(), "layout [schema, key, kind, …]");
+        let old_sig: Vec<u64> =
+            [arch.fingerprint()].into_iter().chain(sig[2..].iter().copied()).collect();
+        let old = (cmswitch::solver::stable_hash64(&old_sig), old_sig, value);
+        let mixed = AllocationCache::new();
+        mixed.import_entries(entries.iter().cloned().chain([old]).collect());
+        assert_eq!(store.save_alloc_snapshot(&mixed).unwrap(), entries.len() + 1);
+        entries
+    };
+
+    let store = ArtifactStore::open(&dir).unwrap();
+    let session = Session::builder(arch).store(Arc::clone(&store)).build();
+    assert_eq!(session.cache().export_entries(), current, "only current entries promoted");
+    assert_eq!(store.stats().corrupt, 0, "an old entry is stale, not corrupt");
+    assert_eq!(session.persist_alloc_snapshot().unwrap(), current.len());
+    // The program itself is still served from disk without a solve.
+    let outcome = session.compile(CompileRequest::new(graph)).unwrap();
+    assert_eq!(outcome.diagnostics.store_traffic(), (1, 0, 0));
+    assert_eq!(solves(&outcome), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Several threads of one process writing and reading the same key —
 /// two server workers cold-compiling one request — must never tear each
 /// other's artifact: every put lands, every read is whole.
