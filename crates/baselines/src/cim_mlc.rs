@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 use cmswitch_core::allocation::SegmentAllocation;
 use cmswitch_core::cost::CostModel;
-use cmswitch_core::frontend::OpList;
+use cmswitch_core::frontend::{DepIndex, OpList};
 use cmswitch_core::pipeline::{compile_with_segmenter, Partitioned, Segmented, Stage};
 use cmswitch_core::{Backend, CancelToken, CompileError, CompiledProgram, PipelineCx};
 use cmswitch_graph::Graph;
@@ -38,6 +38,7 @@ impl CimMlcSegmentStage {
     ) -> Result<Parts, CompileError> {
         let m = list.ops.len();
         let window = self.max_segment_ops;
+        let deps = DepIndex::new(list);
         let mut allocs: HashMap<(usize, usize), Option<SegmentAllocation>> = HashMap::new();
         let mut alloc_of = |i: usize, j: usize| -> Option<SegmentAllocation> {
             if let Some(hit) = allocs.get(&(i, j)) {
@@ -57,9 +58,9 @@ impl CimMlcSegmentStage {
                 cancel.check()?;
                 let Some(alloc) = alloc_of(i, j) else { continue };
                 let intra = alloc.latency;
+                let ops = &list.ops[i..=j];
                 if i == 0 {
-                    let cost = cm.switch_cost(&SegmentAllocation::empty(), &alloc)
-                        + cm.reload_cost(&list.ops[i..=j], &alloc);
+                    let cost = cm.inter_cost(&deps, None, (i, j), ops, &alloc);
                     dp.insert((0, j), (cost + intra, usize::MAX));
                     continue;
                 }
@@ -70,14 +71,8 @@ impl CimMlcSegmentStage {
                         continue;
                     };
                     let Some(prev_alloc) = alloc_of(k, i - 1) else { continue };
-                    let inter = cm.inter_cost(
-                        list,
-                        (k, i - 1),
-                        &prev_alloc,
-                        (i, j),
-                        &list.ops[i..=j],
-                        &alloc,
-                    );
+                    let prev = Some(((k, i - 1), &prev_alloc));
+                    let inter = cm.inter_cost(&deps, prev, (i, j), ops, &alloc);
                     let total = prev_cost + inter + intra;
                     if best.is_none_or(|(b, _)| total < b) {
                         best = Some((total, k));

@@ -1,7 +1,7 @@
 //! Shared machinery for the all-compute baselines.
 
 use cmswitch_arch::DualModeArch;
-use cmswitch_core::allocation::{OpAllocation, SegmentAllocation};
+use cmswitch_core::allocation::{balance_reload, OpAllocation, SegmentAllocation};
 use cmswitch_core::cost::CostModel;
 use cmswitch_core::frontend::{OpList, SegOp};
 
@@ -21,99 +21,47 @@ pub fn all_compute_alloc(
     duplicate: bool,
 ) -> Option<SegmentAllocation> {
     let n = cm.arch().n_arrays();
-    let mut allocs: Vec<OpAllocation> = ops
-        .iter()
-        .map(|o| OpAllocation {
-            compute: o.min_tiles.max(1),
-            mem_in: 0,
-            mem_out: 0,
-        })
-        .collect();
-    let used: usize = allocs.iter().map(|a| a.compute).sum();
+    let mut alloc = SegmentAllocation {
+        ops: ops
+            .iter()
+            .map(|o| OpAllocation {
+                compute: o.min_tiles.max(1),
+                mem_in: 0,
+                mem_out: 0,
+            })
+            .collect(),
+        reuse: Vec::new(),
+        latency: 0.0,
+    };
+    let used = alloc.total_compute();
     if used > n {
         return None;
     }
     if duplicate {
         let mut leftover = n - used;
         while leftover > 0 {
-            let (worst, cur) = allocs
+            let (worst, cur) = alloc
+                .ops
                 .iter()
                 .enumerate()
                 .map(|(i, a)| (i, cm.op_latency(&ops[i], a)))
                 .max_by(|a, b| a.1.partial_cmp(&b.1).expect("comparable"))?;
-            let mut trial = allocs[worst];
+            let mut trial = alloc.ops[worst];
             trial.compute += 1;
             if cm.op_latency(&ops[worst], &trial) < cur - 1e-12 {
-                allocs[worst] = trial;
+                alloc.ops[worst] = trial;
                 leftover -= 1;
             } else {
                 break;
             }
         }
-        balance_reload(ops, cm, &mut allocs);
+        // Duplication vs reload, the same trade the dual-mode allocator
+        // makes; it also sets the latency.
+        balance_reload(cm, ops, &mut alloc);
+    } else {
+        alloc.latency = cm.intra_latency(ops, &alloc);
     }
-    let mut alloc = SegmentAllocation {
-        ops: allocs,
-        reuse: Vec::new(),
-        latency: 0.0,
-    };
-    alloc.latency = cm.intra_latency(ops, &alloc);
     Some(alloc)
-}
-
-/// Duplication-vs-reload balancing: shrink the largest static-weight
-/// compute allocations while `intra + max(Com)·Latency_write` improves —
-/// the same trade the dual-mode allocator makes, applied here so that
-/// CMSwitch-vs-baseline comparisons isolate the dual-mode dimension
-/// rather than reload awareness.
-fn balance_reload(
-    ops: &[SegOp],
-    cm: &CostModel<'_>,
-    allocs: &mut Vec<OpAllocation>,
-) {
-    let lat_write = cm.arch().lat_write_array() as f64;
-    let intra = |a: &[OpAllocation]| -> f64 {
-        ops.iter()
-            .zip(a)
-            .map(|(op, al)| cm.op_latency(op, al))
-            .fold(0.0, f64::max)
-    };
-    let reload = |a: &[OpAllocation]| -> f64 {
-        ops.iter()
-            .zip(a)
-            .filter(|(op, _)| op.weight_static)
-            .map(|(_, al)| al.compute as f64 * lat_write)
-            .fold(0.0, f64::max)
-    };
-    loop {
-        let cur = intra(allocs) + reload(allocs);
-        let max_com = ops
-            .iter()
-            .zip(allocs.iter())
-            .filter(|(op, _)| op.weight_static)
-            .map(|(_, a)| a.compute)
-            .max()
-            .unwrap_or(0);
-        if max_com == 0 {
-            break;
-        }
-        let mut trial = allocs.clone();
-        let mut changed = false;
-        for (op, a) in ops.iter().zip(trial.iter_mut()) {
-            if op.weight_static && a.compute == max_com && a.compute > op.min_tiles.max(1) {
-                a.compute -= 1;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-        if intra(&trial) + reload(&trial) < cur - 1e-9 {
-            *allocs = trial;
-        } else {
-            break;
-        }
-    }
 }
 
 /// Greedy segmentation: pack consecutive operators while their minimal

@@ -7,11 +7,11 @@
 //! single-batch LLM inference peaks at low fractions.
 
 use cmswitch_arch::DualModeArch;
-use cmswitch_baselines::common::chain_segments;
 use cmswitch_core::allocation::{OpAllocation, SegmentAllocation};
 use cmswitch_core::cost::CostModel;
 use cmswitch_core::frontend::{lower_graph, OpList};
 use cmswitch_core::partition::partition;
+use cmswitch_core::pipeline::Segmented;
 use cmswitch_graph::Graph;
 
 use crate::experiments::ExpConfig;
@@ -88,12 +88,7 @@ pub fn static_partition_cycles(
         alloc.latency = cm.intra_latency(ops, &alloc);
         parts.push((r, alloc));
     }
-    let segments = chain_segments(&list, &cm, parts);
-    let total: f64 = segments
-        .iter()
-        .map(|s| s.inter_before + s.intra)
-        .sum::<f64>()
-        + cm.final_writeback_cost(&list);
+    let total = Segmented::from_chain(graph.name(), list, &cm, parts).total_latency;
     total.is_finite().then_some(total)
 }
 

@@ -832,7 +832,7 @@ impl<'a> Allocator<'a> {
         };
         alloc.latency = self.cm.intra_latency(ops, &alloc);
         self.trim_compute(ops, &mut alloc);
-        self.balance_reload(ops, &mut alloc);
+        balance_reload(&self.cm, ops, &mut alloc);
         Some(alloc)
     }
 
@@ -883,60 +883,6 @@ impl<'a> Allocator<'a> {
         })
     }
 
-    /// Trades intra-segment latency against the weight-reload cost the
-    /// allocation will trigger at segment entry (Eq. 2,
-    /// `max_o Com_o · Latency_write`).
-    ///
-    /// The paper's Eq. 9 objective alone is reload-blind: for
-    /// weight-streaming workloads it happily buys compute arrays whose
-    /// tiny bottleneck improvement is dwarfed by the extra reload time.
-    /// This descent shrinks the largest static-weight compute allocations
-    /// while `intra + reload` keeps improving.
-    fn balance_reload(&self, ops: &[SegOp], alloc: &mut SegmentAllocation) {
-        let lat_write = self.cm.arch().lat_write_array() as f64;
-        let reload = |a: &SegmentAllocation| -> f64 {
-            ops.iter()
-                .zip(&a.ops)
-                .filter(|(op, _)| op.weight_static)
-                .map(|(_, o)| o.compute as f64 * lat_write)
-                .fold(0.0, f64::max)
-        };
-        loop {
-            let cur_total = self.cm.intra_latency(ops, alloc) + reload(alloc);
-            // Decrement every static op sitting at the current maximum
-            // compute count (ties must shrink together to reduce the max).
-            let max_com = ops
-                .iter()
-                .zip(&alloc.ops)
-                .filter(|(op, _)| op.weight_static)
-                .map(|(_, o)| o.compute)
-                .max()
-                .unwrap_or(0);
-            if max_com == 0 {
-                break;
-            }
-            let mut trial = alloc.clone();
-            let mut changed = false;
-            for (op, o) in ops.iter().zip(trial.ops.iter_mut()) {
-                if op.weight_static && o.compute == max_com && o.compute > op.min_tiles.max(1)
-                {
-                    o.compute -= 1;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-            let new_total = self.cm.intra_latency(ops, &trial) + reload(&trial);
-            if new_total < cur_total - 1e-9 {
-                *alloc = trial;
-            } else {
-                break;
-            }
-        }
-        alloc.latency = self.cm.intra_latency(ops, alloc);
-    }
-
     /// Removes compute arrays that do not help the segment bottleneck.
     ///
     /// The Eq. 9 objective is indifferent to how many arrays
@@ -969,27 +915,15 @@ impl<'a> Allocator<'a> {
     ) -> Option<SegmentAllocation> {
         self.stats.fast_solves.fetch_add(1, Ordering::Relaxed);
         let arch = self.cm.arch();
-        let chip = fast::AllocChip {
-            op_cim: arch.op_cim(),
-            d_cim: arch.d_cim(),
-            n_arrays: arch.n_arrays(),
-        };
-        let fast_ops: Vec<fast::AllocOp> = ops
-            .iter()
-            .map(|o| fast::AllocOp {
-                work: o.work,
-                min_compute: o.min_tiles.max(1),
-                ai: if o.ai().is_finite() { o.ai() } else { 1e12 },
-                d_main: arch.d_main(),
-            })
-            .collect();
+        let chip = &self.cm.chip;
+        let fast_ops: Vec<fast::AllocOp> = ops.iter().map(|o| self.cm.alloc_op(o)).collect();
         // Conservative first (no reuse credit), optimistic if that fails.
         let credit: usize = local_deps
             .iter()
             .map(|&(_, _, b)| b.div_ceil(arch.array_bytes().max(1)) as usize)
             .sum();
-        let solved = fast::solve(&fast_ops, &chip, 0)
-            .or_else(|_| fast::solve(&fast_ops, &chip, credit))
+        let solved = fast::solve(&fast_ops, chip, 0)
+            .or_else(|_| fast::solve(&fast_ops, chip, credit))
             .ok()?;
 
         // Split each op's memory arrays into output/input buffers and
@@ -1037,9 +971,57 @@ impl<'a> Allocator<'a> {
         }
         alloc.latency = self.cm.intra_latency(ops, &alloc);
         self.trim_compute(ops, &mut alloc);
-        self.balance_reload(ops, &mut alloc);
+        balance_reload(&self.cm, ops, &mut alloc);
         Some(alloc)
     }
+}
+
+/// Trades intra-segment latency against the weight-reload cost the
+/// allocation will trigger at segment entry (Eq. 2,
+/// [`CostModel::reload_cost`]), then sets `alloc.latency`.
+///
+/// The paper's Eq. 9 objective alone is reload-blind: for
+/// weight-streaming workloads it happily buys compute arrays whose tiny
+/// bottleneck improvement is dwarfed by the extra reload time. This
+/// descent shrinks the largest static-weight compute allocations while
+/// `intra + reload` keeps improving. The dual-mode allocator and the
+/// all-compute baselines (`cmswitch-baselines`) both end with it, so
+/// CMSwitch-vs-baseline comparisons isolate the dual-mode dimension
+/// rather than reload awareness.
+pub fn balance_reload(cm: &CostModel<'_>, ops: &[SegOp], alloc: &mut SegmentAllocation) {
+    loop {
+        let cur_total = cm.intra_latency(ops, alloc) + cm.reload_cost(ops, alloc);
+        // Decrement every static op sitting at the current maximum
+        // compute count (ties must shrink together to reduce the max).
+        let max_com = ops
+            .iter()
+            .zip(&alloc.ops)
+            .filter(|(op, _)| op.weight_static)
+            .map(|(_, o)| o.compute)
+            .max()
+            .unwrap_or(0);
+        if max_com == 0 {
+            break;
+        }
+        let mut trial = alloc.clone();
+        let mut changed = false;
+        for (op, o) in ops.iter().zip(trial.ops.iter_mut()) {
+            if op.weight_static && o.compute == max_com && o.compute > op.min_tiles.max(1) {
+                o.compute -= 1;
+                changed = true;
+            }
+        }
+        if !changed {
+            break;
+        }
+        let new_total = cm.intra_latency(ops, &trial) + cm.reload_cost(ops, &trial);
+        if new_total < cur_total - 1e-9 {
+            *alloc = trial;
+        } else {
+            break;
+        }
+    }
+    alloc.latency = cm.intra_latency(ops, alloc);
 }
 
 /// Greedy capacity-tracked reuse assignment: each producer's output

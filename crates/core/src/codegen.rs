@@ -47,12 +47,8 @@ pub fn generate(
         // ---- Step 1 (Fig. 10): write back spilled live data. ----
         if seg_idx > 0 {
             let prev = &segments[seg_idx - 1];
-            let next_range = Some(seg.range);
-            let spill_cycles =
-                cm.writeback_cost_indexed(&deps, prev.range, next_range, Some(&seg.alloc));
-            if spill_cycles > 0.0 {
-                let bytes =
-                    (spill_cycles * arch.extern_bw() as f64 / 2.0).round() as u64;
+            let bytes = cm.spill_bytes(&deps, prev.range, seg.range, &seg.alloc);
+            if bytes > 0 {
                 flow.push(Stmt::Mem(MemStmt {
                     loc: MemLoc::Main,
                     direction: MemDirection::Write,
@@ -196,15 +192,7 @@ pub fn generate(
     }
 
     // Final write-back of network outputs.
-    let consumed: std::collections::HashSet<usize> =
-        list.deps.iter().map(|&(p, _)| p).collect();
-    let final_out: u64 = list
-        .ops
-        .iter()
-        .enumerate()
-        .filter(|(idx, _)| !consumed.contains(idx))
-        .map(|(_, op)| op.out_bytes)
-        .sum();
+    let final_out = list.output_bytes();
     if final_out > 0 {
         flow.push(Stmt::Mem(MemStmt {
             loc: MemLoc::Main,

@@ -75,15 +75,17 @@ impl OpList {
             .unwrap_or(0)
     }
 
-    /// Iterator over deps crossing out of `range` (producer inside,
-    /// consumer outside-after).
-    pub fn crossing_deps(&self, range: (usize, usize)) -> impl Iterator<Item = (usize, usize, u64)> + '_ {
-        let (lo, hi) = range;
-        self.deps
+    /// Bytes of the network's final outputs: what the ops no other op
+    /// consumes produce.
+    pub(crate) fn output_bytes(&self) -> u64 {
+        let consumed: std::collections::HashSet<usize> =
+            self.deps.iter().map(|&(p, _)| p).collect();
+        self.ops
             .iter()
-            .zip(&self.dep_bytes)
-            .filter(move |(&(p, c), _)| p >= lo && p <= hi && c > hi)
-            .map(|(&(p, c), &b)| (p, c, b))
+            .enumerate()
+            .filter(|(idx, _)| !consumed.contains(idx))
+            .map(|(_, op)| op.out_bytes)
+            .sum()
     }
 }
 
@@ -92,8 +94,8 @@ impl OpList {
 /// full dependency list.
 ///
 /// The segmentation DP queries dependencies per window and per
-/// transition — `O(windows · window²)` times per compile — so the
-/// linear [`OpList::crossing_deps`] scan turns quadratic on deep
+/// transition — `O(windows · window²)` times per compile — so a
+/// linear scan of [`OpList::deps`] turns quadratic on deep
 /// models (a 40-block decoder carries thousands of deps). Building
 /// the index once per compile makes every query proportional to the
 /// window's own dependency count.
@@ -136,7 +138,6 @@ impl DepIndex {
     }
 
     /// Deps crossing out of `range`: producer inside, consumer after.
-    /// The indexed equivalent of [`OpList::crossing_deps`].
     pub fn crossing(&self, range: (usize, usize)) -> impl Iterator<Item = (usize, usize, u64)> + '_ {
         let hi = range.1;
         self.from_producers(range.0, hi)
@@ -212,12 +213,11 @@ mod tests {
     #[test]
     fn crossing_deps_filters_range() {
         let g = cmswitch_models::mlp::mlp(1, &[64, 64, 64, 64]).unwrap();
-        let l = lower_graph(&g, &presets::tiny()).unwrap();
+        let deps = DepIndex::new(&lower_graph(&g, &presets::tiny()).unwrap());
         // 3 ops chained; deps (0,1), (1,2).
-        let crossing: Vec<_> = l.crossing_deps((0, 0)).collect();
+        let crossing: Vec<_> = deps.crossing((0, 0)).collect();
         assert_eq!(crossing.len(), 1);
         assert_eq!((crossing[0].0, crossing[0].1), (0, 1));
-        let crossing: Vec<_> = l.crossing_deps((0, 2)).collect();
-        assert!(crossing.is_empty());
+        assert_eq!(deps.crossing((0, 2)).count(), 0);
     }
 }

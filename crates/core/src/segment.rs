@@ -158,25 +158,15 @@ pub fn chain_segments(
     // then cost O(segment deps), not O(all deps).
     let deps = DepIndex::new(list);
     let mut segments: Vec<Segment> = Vec::with_capacity(parts.len());
-    let mut prev: Option<((usize, usize), SegmentAllocation)> = None;
     for (range, alloc) in parts {
-        let ops = &list.ops[range.0..=range.1];
-        let inter_before = match &prev {
-            None => {
-                cm.switch_cost(&SegmentAllocation::empty(), &alloc)
-                    + cm.reload_cost(ops, &alloc)
-            }
-            Some((prange, palloc)) => {
-                cm.inter_cost_indexed(&deps, *prange, palloc, range, ops, &alloc)
-            }
-        };
+        let prev = segments.last().map(|p| (p.range, &p.alloc));
+        let inter_before = cm.inter_cost(&deps, prev, range, &list.ops[range.0..=range.1], &alloc);
         segments.push(Segment {
             range,
             intra: alloc.latency,
             inter_before,
-            alloc: alloc.clone(),
+            alloc,
         });
-        prev = Some((range, alloc));
     }
     segments
 }
@@ -296,7 +286,7 @@ impl Bounds {
             suffix_op_lb,
             chip_rate: cm.arch().n_arrays() as f64 * cm.arch().op_cim(),
             n_arrays: cm.arch().n_arrays() as u64,
-            lat_write: cm.arch().lat_write_array() as f64,
+            lat_write: crate::cost::load_duration(1, cm.arch()),
             final_wb: cm.final_writeback_cost(list),
             switch_aware: opts.switch_aware,
         }
@@ -361,28 +351,19 @@ fn transition_cost(
     deps: &DepIndex,
     cm: &CostModel<'_>,
     switch_aware: bool,
-    prev: Option<(&(usize, usize), &SegmentAllocation)>,
+    prev: Option<((usize, usize), &SegmentAllocation)>,
     range: (usize, usize),
     alloc: &SegmentAllocation,
 ) -> f64 {
     let ops = &list.ops[range.0..=range.1];
-    match prev {
-        None => {
-            if switch_aware {
-                cm.switch_cost(&SegmentAllocation::empty(), alloc) + cm.reload_cost(ops, alloc)
-            } else {
-                0.0
-            }
-        }
-        Some((prange, palloc)) => {
-            if switch_aware {
-                cm.inter_cost_indexed(deps, *prange, palloc, range, ops, alloc)
-            } else {
-                // Oblivious ablation: weight reloads still exist
-                // physically, but the DP ignores switch/writeback terms.
-                cm.reload_cost(ops, alloc)
-            }
-        }
+    if switch_aware {
+        cm.inter_cost(deps, prev, range, ops, alloc)
+    } else if prev.is_some() {
+        // Oblivious ablation: weight reloads still exist physically, but
+        // the DP ignores switch/writeback terms.
+        cm.reload_cost(ops, alloc)
+    } else {
+        0.0
     }
 }
 
@@ -517,7 +498,7 @@ where
             deps,
             cm,
             opts.switch_aware,
-            prev.as_ref().map(|(r, a)| (r, a)),
+            prev.as_ref().map(|(r, a)| (*r, a)),
             (start, end),
             &alloc,
         );
@@ -716,7 +697,7 @@ where
                     deps,
                     cm,
                     opts.switch_aware,
-                    Some((&(k, i - 1), prev_alloc)),
+                    Some(((k, i - 1), prev_alloc)),
                     (i, j),
                     alloc,
                 );
@@ -953,27 +934,15 @@ mod tests {
         let list = lower_graph(&g, &arch).unwrap();
         let list = partition(&list, &arch, 1.0).unwrap();
         let cm = CostModel::new(&arch);
+        let deps = DepIndex::new(&list);
         let mut real = 0.0;
-        let mut prev: Option<(&Segment, (usize, usize))> = None;
+        let mut prev: Option<&Segment> = None;
         for s in &oblivious.segments {
             real += s.intra;
-            match prev {
-                None => {
-                    real += cm.switch_cost(&SegmentAllocation::empty(), &s.alloc)
-                        + cm.reload_cost(&list.ops[s.range.0..=s.range.1], &s.alloc);
-                }
-                Some((p, prange)) => {
-                    real += cm.inter_cost(
-                        &list,
-                        prange,
-                        &p.alloc,
-                        s.range,
-                        &list.ops[s.range.0..=s.range.1],
-                        &s.alloc,
-                    );
-                }
-            }
-            prev = Some((s, s.range));
+            let ops = &list.ops[s.range.0..=s.range.1];
+            let prev_plan = prev.map(|p| (p.range, &p.alloc));
+            real += cm.inter_cost(&deps, prev_plan, s.range, ops, &s.alloc);
+            prev = Some(s);
         }
         real += cm.final_writeback_cost(&list);
         assert!(

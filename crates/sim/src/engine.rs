@@ -47,8 +47,8 @@
 //!    lane and a memory role) successors wait for the first release
 //!    recorded, so an array's free time is written once per event.
 //! 3. **Same kernel, same order** — durations, `serialized_cycles`,
-//!    `switch_process_cycles` and energy come from [`crate::model`] and
-//!    [`crate::energy`] in flow order, after a separate
+//!    `switch_process_cycles` and energy come from [`cmswitch_core::cost`]
+//!    and [`crate::energy`] in flow order, after a separate
 //!    [`ChipState`] walk, so a flow violating mode discipline (or
 //!    nesting a `parallel` block, whose work nothing would price) is
 //!    rejected before any event exists.
@@ -89,11 +89,12 @@
 //! *other* arrays, write-backs stream out while unrelated arrays
 //! reconfigure, and truly independent segments pipeline.
 //!
-//! Both simulators price statements through the shared [`crate::model`]
-//! kernel, so the event engine can never be slower than the sequential
-//! replay — on a fully serial flow the two agree bit-for-bit, and every
-//! admitted overlap only moves events earlier. `tests/sim_differential.rs`
-//! checks exactly that across the full model registry.
+//! Both simulators price statements through the compiler's price list,
+//! [`cmswitch_core::cost`], so the event engine can never be slower than
+//! the sequential replay — on a fully serial flow the two agree
+//! bit-for-bit, and every admitted overlap only moves events earlier.
+//! `tests/sim_differential.rs` checks exactly that across the full model
+//! registry.
 //!
 //! # Cost contract
 //!
@@ -109,12 +110,12 @@
 //! `tests/verify_allocs.rs` pins both as allocator counts.
 
 use cmswitch_arch::{ArrayId, ArrayMode, DualModeArch};
+use cmswitch_core::cost;
 use cmswitch_core::{CompileOutcome, CompiledProgram, DiagnosticEvent, Diagnostics, Session};
 use cmswitch_metaop::{Flow, MemLoc, MetaOpError, Stmt, SwitchKind};
 
 use crate::chip::{self, ChipState};
 use crate::energy::{self, EnergyModel, EnergyReport};
-use crate::model;
 use crate::tenancy::{ChipScheduler, CoSimOptions, TenancyError, TenancyReport, TenantProgram};
 
 use crate::stats::{
@@ -145,44 +146,23 @@ impl SequentialModel {
 
 /// Analytic lower bound on any schedule of `flow` on `arch`: the
 /// slowest compute statement priced by the Eq. 9/10 relaxation with the
-/// *whole chip* granted to it (the same solver hook the segmentation
-/// DP's pruning bound uses). No event schedule can beat it, because
-/// every compute event's own duration already exceeds its bound.
+/// *whole chip* granted to it ([`cost::lane_lower_bound`], the relaxation
+/// the segmentation DP's pruning bound starts from). No event schedule
+/// can beat it, because every compute event's own duration already
+/// exceeds its bound.
 pub fn latency_lower_bound(flow: &Flow, arch: &DualModeArch) -> f64 {
-    let chip = cmswitch_solver::alloc::AllocChip {
-        op_cim: arch.op_cim(),
-        d_cim: arch.d_cim(),
-        n_arrays: arch.n_arrays(),
-    };
-    fn visit(stmts: &[Stmt], arch: &DualModeArch, chip: &cmswitch_solver::alloc::AllocChip) -> f64 {
+    fn visit(stmts: &[Stmt], arch: &DualModeArch) -> f64 {
         let mut lb = 0.0f64;
         for stmt in stmts {
             match stmt {
-                Stmt::Parallel(body) => lb = lb.max(visit(body, arch, chip)),
-                Stmt::Compute(c) => {
-                    let work = (c.units * c.m * c.k * c.n) as f64;
-                    let ai = if c.in_bytes == 0 {
-                        1e12
-                    } else {
-                        work / c.in_bytes as f64
-                    };
-                    let op = cmswitch_solver::alloc::AllocOp {
-                        work,
-                        min_compute: 1,
-                        ai,
-                        d_main: arch.d_main(),
-                    };
-                    lb = lb.max(cmswitch_solver::alloc::latency_lower_bound(
-                        std::slice::from_ref(&op),
-                        chip,
-                    ));
-                }
+                Stmt::Parallel(body) => lb = lb.max(visit(body, arch)),
+                Stmt::Compute(c) => lb = lb.max(cost::lane_lower_bound(c, arch)),
                 _ => {}
             }
         }
         lb
     }
-    visit(flow.stmts(), arch, &chip)
+    visit(flow.stmts(), arch)
 }
 
 /// The event-driven simulator. Construct once (optionally with a custom
@@ -652,8 +632,8 @@ impl<'a> ForwardPass<'a> {
 
     /// A weight load, top-level or inside a segment; returns its cycles.
     fn push_load(&mut self, label: Label<'a>, arrays: &[ArrayId]) -> f64 {
-        let duration = model::load_duration(arrays.len(), self.arch);
-        let stride = self.arch.lat_write_array() as f64;
+        let duration = cost::load_duration(arrays.len(), self.arch);
+        let stride = cost::load_duration(1, self.arch);
         self.push_serial(label, arrays, duration, stride, BusyKind::WeightLoad);
         self.report.breakdown.weight_load += duration;
         duration
@@ -662,11 +642,11 @@ impl<'a> ForwardPass<'a> {
     /// A mode switch actually driven over `arrays`, requested or
     /// injected, at the current flow's expense.
     fn push_switch(&mut self, label: Label<'a>, kind: SwitchKind, arrays: &[ArrayId]) {
-        let duration = model::switch_duration(kind, arrays.len(), self.arch);
+        let duration = cost::switch_duration(kind, arrays.len(), self.arch);
         self.flows[self.cur].busy += duration;
         self.report.switch_process_cycles += duration;
         self.switches.switch_cycles += duration;
-        let stride = model::switch_stride(kind, self.arch);
+        let stride = cost::switch_duration(kind, 1, self.arch);
         self.push_serial(label, arrays, duration, stride, BusyKind::Switch);
         self.report.breakdown.switch += duration;
     }
@@ -744,7 +724,7 @@ impl<'a> ForwardPass<'a> {
             Stmt::Mem(m) => {
                 self.charge(stmt);
                 self.realign(std::slice::from_ref(stmt), idx);
-                let duration = model::mem_duration(m, self.arch);
+                let duration = cost::mem_duration(m.bytes, &m.loc, self.arch);
                 self.flows[self.cur].busy += duration;
                 self.report.switch_process_cycles += duration;
                 let arrays: &[ArrayId] = match &m.loc {
@@ -772,7 +752,7 @@ impl<'a> ForwardPass<'a> {
             }
             Stmt::Vector(v) => {
                 self.charge(stmt);
-                let duration = model::vector_duration(v.flops);
+                let duration = cost::vector_duration(v.flops);
                 self.flows[self.cur].busy += duration;
                 let mut ready = Ready::default();
                 self.wait_finish(self.flows[self.cur].data, &mut ready);
@@ -807,7 +787,7 @@ impl<'a> ForwardPass<'a> {
             }
         }
 
-        let phases = model::segment_phases(body, self.arch);
+        let phases = cost::segment_phases(body, self.arch);
         let exec_cycles = phases.exec_and_loose();
         let flow = &mut self.flows[self.cur];
         flow.busy += phases.load_phase;
@@ -871,7 +851,7 @@ impl<'a> ForwardPass<'a> {
         for s in body {
             match s {
                 Stmt::Compute(c) => {
-                    let lane = model::lane_duration(c, body, self.arch);
+                    let lane = cost::lane_duration(c, body, self.arch);
                     let (end, kind) = (start + lane, BusyKind::Compute);
                     for &a in &c.compute_arrays {
                         self.occupy(a, id, BusyInterval { start, end, kind }, end);

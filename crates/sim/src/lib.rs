@@ -19,10 +19,10 @@
 //!   asked for. Surfaced through the `Session` API by [`SessionSimExt`].
 //! * [`timing`] is the sequential reference model ([`SequentialModel`]):
 //!   it executes a compiled meta-operator flow statement by statement
-//!   against the chip state, charging the Table 2 latencies. The event
-//!   engine prices statements through the same [`model`] kernel and
-//!   must dominate it (equal on serial flows, faster wherever overlap
-//!   is legal).
+//!   against the chip state, charging the Table 2 latencies. Both
+//!   simulators price every statement through the compiler's own price
+//!   list, [`cmswitch_core::cost`], so the engine must dominate the
+//!   replay (equal on serial flows, faster wherever overlap is legal).
 //! * [`energy`] estimates per-component energy of a flow
 //!   (schedule-invariant, so both simulators report identical totals).
 //! * [`functional`] executes the *graph* numerically with int8-quantized
@@ -61,7 +61,6 @@ pub mod chip;
 pub mod energy;
 pub mod engine;
 pub mod functional;
-pub mod model;
 pub mod stats;
 pub mod tenancy;
 pub mod timing;

@@ -12,16 +12,16 @@
 //!
 //! Statements *between* segments execute strictly in flow order — this
 //! is the sequential reference the event-driven [`crate::engine`] must
-//! dominate. Both simulators price statements through the shared
-//! [`crate::model`] kernel and accumulate serial time in the same
-//! barrier order (segment arrival → load barrier → execution), so on a
-//! fully serial flow the two produce bit-identical totals.
+//! dominate. Both simulators price statements through the compiler's
+//! price list ([`cmswitch_core::cost`]) and accumulate serial time in the
+//! same barrier order (segment arrival → load barrier → execution), so on
+//! a fully serial flow the two produce bit-identical totals.
 
 use cmswitch_arch::DualModeArch;
+use cmswitch_core::cost;
 use cmswitch_metaop::{Flow, MetaOpError, Stmt, SwitchKind};
 
 use crate::chip::ChipState;
-use crate::model;
 use crate::stats::{SegmentTiming, SimReport};
 
 /// Simulates `flow` on `arch`.
@@ -51,13 +51,13 @@ pub fn simulate(flow: &Flow, arch: &DualModeArch) -> Result<SimReport, MetaOpErr
                         report.switches_to_memory += arrays.len() as u64;
                     }
                 }
-                let cycles = model::switch_duration(*kind, arrays.len(), arch);
+                let cycles = cost::switch_duration(*kind, arrays.len(), arch);
                 report.switch_cycles += cycles;
                 report.total_cycles += cycles;
             }
             Stmt::Mem(m) => {
                 chip.apply(stmt, idx)?;
-                let cycles = model::mem_duration(m, arch);
+                let cycles = cost::mem_duration(m.bytes, &m.loc, arch);
                 report.writeback_cycles += cycles;
                 report.total_cycles += cycles;
             }
@@ -65,12 +65,12 @@ pub fn simulate(flow: &Flow, arch: &DualModeArch) -> Result<SimReport, MetaOpErr
                 chip.apply(stmt, idx)?;
                 // Eq. 2 semantics: per-array cell-write latency,
                 // serialized across one op's arrays.
-                let cycles = model::load_duration(w.arrays.len(), arch);
+                let cycles = cost::load_duration(w.arrays.len(), arch);
                 report.writeback_cycles += cycles;
                 report.total_cycles += cycles;
             }
             Stmt::Vector(v) => {
-                let cycles = model::vector_duration(v.flops);
+                let cycles = cost::vector_duration(v.flops);
                 report.vector_cycles += cycles;
                 report.total_cycles += cycles;
             }
@@ -106,7 +106,7 @@ fn simulate_segment(
         chip.apply(stmt, seg_idx)?;
     }
 
-    let phases = model::segment_phases(body, arch);
+    let phases = cost::segment_phases(body, arch);
     report.total_cycles += phases.load_phase;
     report.total_cycles += phases.exec_and_loose();
 

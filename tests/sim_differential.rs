@@ -1,8 +1,8 @@
 //! Differential testing: the event engine against the sequential
 //! reference model, across the full model registry.
 //!
-//! Both simulators price statements through the shared
-//! `cmswitch-sim::model` kernel, so four relations must hold on every
+//! Both simulators price statements through the compiler's price list
+//! (`cmswitch-core::cost`), so four relations must hold on every
 //! compiled registry model:
 //!
 //! 1. **Dominance** — the pipelined makespan never exceeds the

@@ -14,6 +14,9 @@
 //! * on single-segment flows the engine matches the sequential
 //!   reference model bit-exactly (no overlap is legal there, so the
 //!   two models must coincide, not merely agree approximately);
+//! * the compiler and the simulators keep one price list: every compute
+//!   statement costs what the plan priced its operator at, and a
+//!   one-segment program's prediction *is* its sequential replay;
 //! * the multi-tenant co-scheduler is the same forward pass: a lone
 //!   tenant's solo baseline is the engine's makespan to the bit, and a
 //!   flow the simulators reject (out-of-range ids, broken mode
@@ -23,6 +26,7 @@
 use proptest::prelude::*;
 
 use cmswitch::arch::{presets, ArrayId, DualModeArch};
+use cmswitch::compiler::cost::{lane_duration, CostModel};
 use cmswitch::metaop::{
     ComputeStmt, Flow, MemDirection, MemLoc, MemStmt, MetaOpError, Stmt, SwitchKind, VectorStmt,
     WeightLoadStmt,
@@ -252,6 +256,90 @@ fn tracing_returns_the_report_simulating_returns() {
                 &engine.trace(&program.flow, &arch).expect("traces"),
                 &engine.simulate(&program.flow, &arch).expect("simulates"),
             );
+        }
+    }
+}
+
+/// One price list: over the nine registry models on every backend, each
+/// compute statement codegen emits costs — as a simulator lane — exactly
+/// what the plan priced its operator at, to the bit. That pins codegen
+/// to the array counts, operand bytes and fused `.aux` work the plan
+/// priced: a statement that drops an array or the vector work fails here.
+#[test]
+fn plan_prices_equal_statement_prices() {
+    let arch = presets::dynaplasia();
+    let cm = CostModel::new(&arch);
+    for kind in BackendKind::ALL {
+        let session = Session::builder(arch.clone()).backend_kind(kind).build();
+        for &model in registry::ALL_MODELS {
+            let graph = registry::build(model, 1, 16).expect("registered model builds");
+            let program = session.compile_graph(&graph).expect("registered model compiles");
+            let what = format!("{} {model}", kind.name());
+            let bodies: Vec<&[Stmt]> = program
+                .flow
+                .stmts()
+                .iter()
+                .filter_map(|s| match s {
+                    Stmt::Parallel(body) => Some(body.as_slice()),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(bodies.len(), program.segments.len(), "{what}: one body per segment");
+            for (body, seg) in bodies.into_iter().zip(&program.segments) {
+                let ops = &program.ops[seg.range.0..=seg.range.1];
+                let computes: Vec<&ComputeStmt> = body
+                    .iter()
+                    .filter_map(|s| match s {
+                        Stmt::Compute(c) => Some(c),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(computes.len(), ops.len(), "{what}: one statement per op");
+                for ((c, op), alloc) in computes.into_iter().zip(ops).zip(&seg.alloc.ops) {
+                    assert_eq!(c.op, op.name, "{what}");
+                    assert_eq!(
+                        lane_duration(c, body, &arch).to_bits(),
+                        cm.op_latency(op, alloc).to_bits(),
+                        "{what} {}: statement price vs plan price",
+                        c.op
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// With one segment nothing can overlap and every inter-segment term is
+/// the first segment's switch and load, so the DP's prediction is the
+/// sequential replay of the flow it emitted, to the bit. Each case must
+/// stay one segment: a plan change that splits it fails here loudly
+/// instead of dropping the case.
+#[test]
+fn one_segment_programs_predict_their_sequential_replay() {
+    let cases: [(DualModeArch, &[&[usize]]); 2] = [
+        (presets::tiny(), &[&[64, 64], &[128, 64], &[64, 128, 64]]),
+        (
+            presets::dynaplasia(),
+            &[&[64, 64], &[128, 64], &[64, 128, 64], &[256, 512], &[256, 512, 256]],
+        ),
+    ];
+    for (arch, all_dims) in cases {
+        let session = Session::builder(arch.clone()).build();
+        for &dims in all_dims {
+            for batch in [1, 8] {
+                let what = format!("mlp {dims:?} at batch {batch} on {}", arch.name());
+                let graph = cmswitch::models::mlp::mlp(batch, dims).expect("mlp builds");
+                let program = session.compile_graph(&graph).expect("mlp compiles");
+                assert_eq!(program.segments.len(), 1, "{what}");
+                let replay = SequentialModel.simulate(&program.flow, &arch).expect("replays");
+                assert_eq!(
+                    program.predicted_latency.to_bits(),
+                    replay.total_cycles.to_bits(),
+                    "{what}: predicted {} vs replayed {}",
+                    program.predicted_latency,
+                    replay.total_cycles
+                );
+            }
         }
     }
 }
