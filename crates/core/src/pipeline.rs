@@ -476,7 +476,7 @@ impl Stage<Segmented> for EmitStage {
 
     fn run(&self, cx: &mut PipelineCx<'_>, input: Segmented) -> Result<CompiledProgram, CompileError> {
         let flow = codegen::generate(&input.name, &input.list, &input.segments, cx.arch())?;
-        cmswitch_metaop::validate(&flow)?;
+        cmswitch_metaop::validate_on(&flow, cx.arch().n_arrays())?;
         let plans: Vec<SegmentPlan> = input
             .segments
             .iter()

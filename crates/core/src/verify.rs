@@ -430,6 +430,17 @@ impl Lint for ModeIntervalLint {
                     return Ok(());
                 };
                 let idx = pos.stmt;
+                // Uses in the wrong mode, by the mode the role needs.
+                let (mut bad_compute, mut bad_memory) = (Vec::new(), Vec::new());
+                stmt.for_each_required_mode(&mut |a, needed| {
+                    if states.get(a).mode() != needed {
+                        match needed {
+                            ArrayMode::Compute => &mut bad_compute,
+                            ArrayMode::Memory => &mut bad_memory,
+                        }
+                        .push(a);
+                    }
+                });
                 match stmt {
                     Stmt::Switch { kind, arrays } => {
                         let target = kind.target_mode();
@@ -487,15 +498,10 @@ impl Lint for ModeIntervalLint {
                         }
                     }
                     Stmt::Compute(c) => {
-                        let mut bad_compute = Vec::new();
-                        let mut bad_buffer = Vec::new();
                         let mut unloaded = Vec::new();
                         for &a in &c.compute_arrays {
                             let st = states.slot(a);
                             st.used_since_switch = true;
-                            if st.mode() != ArrayMode::Compute {
-                                bad_compute.push(a);
-                            }
                             if c.weight_static {
                                 match &mut st.load {
                                     Some(load) if load.op == c.op => load.consumed = true,
@@ -504,11 +510,7 @@ impl Lint for ModeIntervalLint {
                             }
                         }
                         for &a in c.mem_in_arrays.iter().chain(&c.mem_out_arrays) {
-                            let st = states.slot(a);
-                            st.used_since_switch = true;
-                            if st.mode() != ArrayMode::Memory {
-                                bad_buffer.push(a);
-                            }
+                            states.slot(a).used_since_switch = true;
                         }
                         if !bad_compute.is_empty() {
                             let list = fmt_arrays(&bad_compute);
@@ -520,13 +522,13 @@ impl Lint for ModeIntervalLint {
                                 format!("{} computes on memory-mode arrays: {list}", c.op),
                             );
                         }
-                        if !bad_buffer.is_empty() {
-                            let list = fmt_arrays(&bad_buffer);
+                        if !bad_memory.is_empty() {
+                            let list = fmt_arrays(&bad_memory);
                             report.push(
                                 rules::MODE_DISCIPLINE,
                                 Some(idx),
                                 None,
-                                bad_buffer,
+                                bad_memory,
                                 format!("{} buffers on compute-mode arrays: {list}", c.op),
                             );
                         }
@@ -545,13 +547,9 @@ impl Lint for ModeIntervalLint {
                         }
                     }
                     Stmt::LoadWeights(w) => {
-                        let mut wrong_mode = Vec::new();
                         for &a in &w.arrays {
                             let st = states.slot(a);
                             st.used_since_switch = true;
-                            if st.mode() != ArrayMode::Compute {
-                                wrong_mode.push(a);
-                            }
                             if let Some(prev) = st.load.replace(PendingLoad {
                                 op: &w.op,
                                 stmt: idx,
@@ -567,13 +565,13 @@ impl Lint for ModeIntervalLint {
                                 }
                             }
                         }
-                        if !wrong_mode.is_empty() {
-                            let list = fmt_arrays(&wrong_mode);
+                        if !bad_compute.is_empty() {
+                            let list = fmt_arrays(&bad_compute);
                             report.push(
                                 rules::MODE_DISCIPLINE,
                                 Some(idx),
                                 None,
-                                wrong_mode,
+                                bad_compute,
                                 format!(
                                     "weight load for {} into memory-mode arrays: {list}",
                                     w.op
@@ -583,21 +581,16 @@ impl Lint for ModeIntervalLint {
                     }
                     Stmt::Mem(m) => {
                         if let MemLoc::CimArrays(arrays) = &m.loc {
-                            let mut wrong_mode = Vec::new();
                             for &a in arrays {
-                                let st = states.slot(a);
-                                st.used_since_switch = true;
-                                if st.mode() != ArrayMode::Memory {
-                                    wrong_mode.push(a);
-                                }
+                                states.slot(a).used_since_switch = true;
                             }
-                            if !wrong_mode.is_empty() {
-                                let list = fmt_arrays(&wrong_mode);
+                            if !bad_memory.is_empty() {
+                                let list = fmt_arrays(&bad_memory);
                                 report.push(
                                     rules::MODE_DISCIPLINE,
                                     Some(idx),
                                     None,
-                                    wrong_mode,
+                                    bad_memory,
                                     format!(
                                         "scratchpad access `{}` on compute-mode arrays: {list}",
                                         m.label

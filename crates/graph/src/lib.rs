@@ -34,7 +34,6 @@ mod node;
 mod op;
 
 pub mod analysis;
-pub mod dot;
 pub mod lower;
 pub mod shape_infer;
 

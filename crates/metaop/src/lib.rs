@@ -33,7 +33,6 @@ pub mod dense;
 mod error;
 mod flow;
 mod op;
-pub mod optimize;
 mod parser;
 mod printer;
 mod validate;
@@ -42,8 +41,7 @@ pub mod walk;
 pub use error::MetaOpError;
 pub use flow::{Flow, FlowStats};
 pub use op::{ComputeStmt, MemDirection, MemLoc, MemStmt, Stmt, SwitchKind, VectorStmt, WeightLoadStmt};
-pub use optimize::{optimize, OptimizeStats};
 pub use parser::parse;
 pub use printer::print_flow;
-pub use validate::validate;
+pub use validate::{validate, validate_on};
 pub use walk::{walk_flow, FlowEvent, StmtPos};

@@ -191,6 +191,34 @@ impl Stmt {
         }
     }
 
+    /// Calls `f` with every array this statement *itself* uses and the
+    /// mode that use needs, in [`Stmt::for_each_array`] order: weights
+    /// load into and MACs run on compute-mode arrays, operator buffers
+    /// and scratchpad traffic live in memory-mode arrays. A switch *sets*
+    /// modes and a `parallel` block is only its body's container (callers
+    /// iterate bodies themselves), so neither requires anything.
+    ///
+    /// The one table of which role needs which mode: the validator, the
+    /// event engine's cross-flow re-switches and the verifier's
+    /// mode-interval lint all read it.
+    pub fn for_each_required_mode(&self, f: &mut impl FnMut(ArrayId, ArrayMode)) {
+        let mut each = |arrays: &[ArrayId], mode| arrays.iter().for_each(|&a| f(a, mode));
+        match self {
+            Stmt::LoadWeights(w) => each(&w.arrays, ArrayMode::Compute),
+            Stmt::Compute(c) => {
+                each(&c.compute_arrays, ArrayMode::Compute);
+                each(&c.mem_in_arrays, ArrayMode::Memory);
+                each(&c.mem_out_arrays, ArrayMode::Memory);
+            }
+            Stmt::Mem(m) => {
+                if let MemLoc::CimArrays(arrays) = &m.loc {
+                    each(arrays, ArrayMode::Memory);
+                }
+            }
+            Stmt::Switch { .. } | Stmt::Vector(_) | Stmt::Parallel(_) => {}
+        }
+    }
+
     /// [`Stmt::for_each_array`] over mutable references, in the same
     /// order: the one way to rewrite every array id of a statement.
     pub fn for_each_array_mut(&mut self, f: &mut impl FnMut(&mut ArrayId)) {

@@ -8,13 +8,19 @@
 //! * inside one `parallel` segment, an array serves at most one operator
 //!   per role — except the Eq. 6 reuse pattern, where one operator's
 //!   output buffer is another's input buffer,
-//! * `parallel` blocks do not nest.
+//! * `parallel` blocks do not nest,
+//! * and, checked against a chip ([`validate_on`]), every array id names
+//!   one of its arrays.
+//!
+//! Which statement role needs which mode is
+//! [`Stmt::for_each_required_mode`]; this module is the one checker of
+//! these rules, run by the compiler's emit stage and both simulators.
 
-use cmswitch_arch::{ArrayId, ArrayMode};
+use cmswitch_arch::ArrayMode;
 
 use crate::dense::{ArrayTable, BlockClaims};
 use crate::walk::{walk_flow, FlowEvent};
-use crate::{Flow, MemLoc, MetaOpError, Stmt};
+use crate::{Flow, MetaOpError, Stmt};
 
 /// How many array ids get dense state: one past the largest id the flow
 /// names, but never more than the flow has array references — so an
@@ -31,7 +37,7 @@ fn dense_len(flow: &Flow) -> usize {
     refs.min((max_id as usize).saturating_add(1))
 }
 
-/// Validates a flow.
+/// Validates a flow on its own, with no chip to check its ids against.
 ///
 /// A thin first-error wrapper over [`walk_flow`]: the shared walker
 /// delivers statements in program order and this visitor stops at the
@@ -42,7 +48,29 @@ fn dense_len(flow: &Flow) -> usize {
 ///
 /// Returns the first [`MetaOpError`] violation found.
 pub fn validate(flow: &Flow) -> Result<(), MetaOpError> {
-    let len = dense_len(flow);
+    check_flow(flow, dense_len(flow), None)
+}
+
+/// Validates a flow for a chip of `n_arrays` arrays: [`validate`]'s
+/// checks, plus every array id must name one of the chip's arrays. This
+/// is the check the compiler's emit stage and both simulators run, so a
+/// flow one of them rejects, all of them reject with the same error.
+///
+/// The tables are sized by the chip, so no pre-walk over the flow is
+/// needed, and no id ever reaches the spill path.
+///
+/// # Errors
+///
+/// Returns the first [`MetaOpError`] violation found. An id
+/// `>= n_arrays` is a [`MetaOpError::ModeViolation`], reported before
+/// the mode and claim checks of the statement that names it.
+pub fn validate_on(flow: &Flow, n_arrays: usize) -> Result<(), MetaOpError> {
+    check_flow(flow, n_arrays, Some(n_arrays))
+}
+
+/// The one walk behind [`validate`] and [`validate_on`]: tables dense
+/// for ids `0..len`, ids `>= n_arrays` rejected when a chip is given.
+fn check_flow(flow: &Flow, len: usize, n_arrays: Option<usize>) -> Result<(), MetaOpError> {
     // All arrays start in memory mode.
     let mut modes = ArrayTable::new(len, ArrayMode::Memory);
     let mut claims = BlockClaims::new(len);
@@ -62,7 +90,13 @@ pub fn validate(flow: &Flow) -> Result<(), MetaOpError> {
             if matches!(stmt, Stmt::Parallel(_)) {
                 return Err(MetaOpError::NestedParallel { stmt: pos.stmt });
             }
-            check_stmt(stmt, pos.stmt, &mut modes, in_block.then_some(&mut claims))
+            check_stmt(
+                stmt,
+                pos.stmt,
+                n_arrays,
+                &mut modes,
+                in_block.then_some(&mut claims),
+            )
         }
     })
 }
@@ -70,59 +104,71 @@ pub fn validate(flow: &Flow) -> Result<(), MetaOpError> {
 fn check_stmt<'a>(
     stmt: &'a Stmt,
     idx: usize,
+    n_arrays: Option<usize>,
     modes: &mut ArrayTable<ArrayMode>,
     claims: Option<&mut BlockClaims<'a>>,
 ) -> Result<(), MetaOpError> {
-    // The first array of `arrays` not in `mode`, as the violation to
-    // report; `detail` is only rendered for it.
-    let require = |modes: &ArrayTable<ArrayMode>,
-                   arrays: &[ArrayId],
-                   mode: ArrayMode,
-                   detail: &dyn Fn() -> String| {
-        match arrays.iter().find(|&&a| *modes.get(a) != mode) {
-            Some(&array) => Err(MetaOpError::ModeViolation {
-                array,
-                stmt: idx,
-                detail: detail(),
-            }),
-            None => Ok(()),
-        }
+    let violation = |array, detail| {
+        Err(MetaOpError::ModeViolation {
+            array,
+            stmt: idx,
+            detail,
+        })
     };
-    match stmt {
-        Stmt::Switch { kind, arrays } => {
-            for &a in arrays {
-                *modes.slot(a) = kind.target_mode();
+    if let Some(n_arrays) = n_arrays {
+        let mut stray = None;
+        stmt.for_each_array(&mut |a| {
+            if a.index() >= n_arrays {
+                stray.get_or_insert(a);
             }
+        });
+        if let Some(array) = stray {
+            return violation(
+                array,
+                format!("array id out of range: the chip has {n_arrays} arrays"),
+            );
         }
-        Stmt::Compute(c) => {
-            require(modes, &c.compute_arrays, ArrayMode::Compute, &|| {
-                format!("{} computes on a memory-mode array", c.op)
-            })?;
-            let buffers = || format!("{} buffers on a compute-mode array", c.op);
-            require(modes, &c.mem_in_arrays, ArrayMode::Memory, &buffers)?;
-            require(modes, &c.mem_out_arrays, ArrayMode::Memory, &buffers)?;
-            if let Some(claims) = claims {
-                let mut first = None;
-                claims.claim(c, |a| first = first.or(Some(a)));
-                if let Some(array) = first {
-                    return Err(MetaOpError::ArrayConflict { array, stmt: idx });
+    }
+    if let Stmt::Switch { kind, arrays } = stmt {
+        for &a in arrays {
+            *modes.slot(a) = kind.target_mode();
+        }
+        return Ok(());
+    }
+    // The first array not in the mode its role needs is the violation
+    // to report; `detail` is only rendered for it.
+    let mut wrong = None;
+    stmt.for_each_required_mode(&mut |a, needed| {
+        if wrong.is_none() && *modes.get(a) != needed {
+            wrong = Some((a, needed));
+        }
+    });
+    if let Some((array, needed)) = wrong {
+        return violation(
+            array,
+            match (stmt, needed) {
+                (Stmt::Compute(c), ArrayMode::Compute) => {
+                    format!("{} computes on a memory-mode array", c.op)
                 }
-            }
-        }
-        Stmt::LoadWeights(w) => {
-            require(modes, &w.arrays, ArrayMode::Compute, &|| {
-                format!("weight load for {} into a memory-mode array", w.op)
-            })?;
-        }
-        Stmt::Mem(m) => {
-            if let MemLoc::CimArrays(arrays) = &m.loc {
-                require(modes, arrays, ArrayMode::Memory, &|| {
+                (Stmt::Compute(c), ArrayMode::Memory) => {
+                    format!("{} buffers on a compute-mode array", c.op)
+                }
+                (Stmt::LoadWeights(w), _) => {
+                    format!("weight load for {} into a memory-mode array", w.op)
+                }
+                (Stmt::Mem(m), _) => {
                     format!("scratchpad access `{}` on a compute-mode array", m.label)
-                })?;
-            }
+                }
+                _ => unreachable!("only loads, computes and memory statements require a mode"),
+            },
+        );
+    }
+    if let (Stmt::Compute(c), Some(claims)) = (stmt, claims) {
+        let mut first = None;
+        claims.claim(c, |a| first = first.or(Some(a)));
+        if let Some(array) = first {
+            return Err(MetaOpError::ArrayConflict { array, stmt: idx });
         }
-        Stmt::Vector(_) => {}
-        Stmt::Parallel(_) => unreachable!("handled by caller"),
     }
     Ok(())
 }
@@ -131,6 +177,7 @@ fn check_stmt<'a>(
 mod tests {
     use super::*;
     use crate::{ComputeStmt, SwitchKind, WeightLoadStmt};
+    use cmswitch_arch::ArrayId;
 
     fn compute(op: &str, c: Vec<u32>, min: Vec<u32>, mout: Vec<u32>) -> Stmt {
         Stmt::Compute(ComputeStmt {
@@ -254,5 +301,64 @@ mod tests {
         f2.push(Stmt::switch(SwitchKind::ToMemory, vec![ArrayId(0)]));
         f2.push(compute("b", vec![1], vec![0], vec![]));
         assert!(validate(&f2).is_ok());
+    }
+
+    fn load(op: &str, array: u32) -> Stmt {
+        Stmt::LoadWeights(WeightLoadStmt { op: op.into(), arrays: vec![ArrayId(array)], bytes: 8 })
+    }
+
+    #[test]
+    fn starts_all_memory() {
+        // Every array of the chip buffers without a switch; none computes.
+        let mut f = Flow::new("f");
+        f.push(compute("fc", vec![], (0..8).collect(), vec![]));
+        assert_eq!(validate_on(&f, 8), Ok(()));
+        for a in 0..8 {
+            let mut g = f.clone();
+            g.push(compute("fc", vec![a], vec![], vec![]));
+            let err = validate_on(&g, 8).unwrap_err();
+            assert!(matches!(err, MetaOpError::ModeViolation { array, stmt: 1, .. } if array.0 == a));
+        }
+    }
+
+    #[test]
+    fn switch_updates_modes_and_clears_residency() {
+        let mut f = Flow::new("f");
+        f.push(Stmt::switch(SwitchKind::ToCompute, vec![ArrayId(0)]));
+        f.push(load("fc", 0));
+        f.push(Stmt::switch(SwitchKind::ToMemory, vec![ArrayId(0)]));
+        // Back in memory mode, the array buffers again and takes no load.
+        let mut buffered = f.clone();
+        buffered.push(compute("g", vec![], vec![0], vec![]));
+        assert_eq!(validate_on(&buffered, 8), Ok(()));
+        f.push(load("fc", 0));
+        assert!(matches!(validate_on(&f, 8), Err(MetaOpError::ModeViolation { stmt: 3, .. })));
+    }
+
+    #[test]
+    fn rejects_load_on_memory_array() {
+        let mut f = Flow::new("f");
+        f.push(load("fc", 3));
+        let detail = "weight load for fc into a memory-mode array".to_string();
+        let err = MetaOpError::ModeViolation { array: ArrayId(3), stmt: 0, detail };
+        assert_eq!(validate_on(&f, 8), Err(err.clone()));
+        assert_eq!(validate(&f), Err(err));
+    }
+
+    #[test]
+    fn out_of_range_ids_are_rejected_before_modes_and_claims() {
+        // A conflicting claim, a wrong-mode buffer and a stray id in one
+        // statement: the stray id is what gets reported.
+        let mut f = Flow::new("f");
+        f.push(Stmt::switch(SwitchKind::ToCompute, vec![ArrayId(0)]));
+        f.push(Stmt::Parallel(vec![
+            compute("a", vec![0], vec![], vec![]),
+            compute("b", vec![0], vec![0], vec![u32::MAX]),
+        ]));
+        let detail = "array id out of range: the chip has 8 arrays".to_string();
+        let stray = MetaOpError::ModeViolation { array: ArrayId(u32::MAX), stmt: 1, detail };
+        assert_eq!(validate_on(&f, 8), Err(stray));
+        // Without a chip the id is just another array.
+        assert!(matches!(validate(&f), Err(MetaOpError::ModeViolation { array: ArrayId(0), .. })));
     }
 }

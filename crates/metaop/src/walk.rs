@@ -1,6 +1,6 @@
 //! Shared statement iteration over flows.
 //!
-//! Both the legacy first-error validator ([`crate::validate`]) and the
+//! Both the first-error validator ([`crate::validate`]) and the
 //! collect-everything verifier in `cmswitch-core` need to walk a flow in
 //! program order while tracking whether the current statement sits inside
 //! a `parallel` segment. [`walk_flow`] is that single iteration helper:

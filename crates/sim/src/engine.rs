@@ -49,9 +49,11 @@
 //! 3. **Same kernel, same order** — durations, `serialized_cycles`,
 //!    `switch_process_cycles` and energy come from [`cmswitch_core::cost`]
 //!    and [`crate::energy`] in flow order, after a separate
-//!    [`ChipState`] walk, so a flow violating mode discipline (or
-//!    nesting a `parallel` block, whose work nothing would price) is
-//!    rejected before any event exists.
+//!    [`validate_on`] prepass per flow, so a flow violating mode
+//!    discipline (a wrong-mode use, an Eq. 6 claim conflict inside a
+//!    segment, an id the chip lacks, or a `parallel` block nested in
+//!    another, whose work nothing would price) is rejected before any
+//!    event exists, with the error the compiler's own check reports.
 //! 4. **One arbitration rule** — the next top-level statement lowered is
 //!    that of the unfinished flow whose last data-producing event
 //!    finishes earliest; ties go to the flow that lowered last, then to
@@ -112,9 +114,8 @@
 use cmswitch_arch::{ArrayId, ArrayMode, DualModeArch};
 use cmswitch_core::cost;
 use cmswitch_core::{CompileOutcome, CompiledProgram, DiagnosticEvent, Diagnostics, Session};
-use cmswitch_metaop::{Flow, MemLoc, MetaOpError, Stmt, SwitchKind};
+use cmswitch_metaop::{validate_on, Flow, MemLoc, MetaOpError, Stmt, SwitchKind};
 
-use crate::chip::{self, ChipState};
 use crate::energy::{self, EnergyModel, EnergyReport};
 use crate::tenancy::{ChipScheduler, CoSimOptions, TenancyError, TenancyReport, TenantProgram};
 
@@ -195,8 +196,8 @@ impl EventEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`MetaOpError`] if the flow violates mode discipline at
-    /// runtime.
+    /// Returns [`validate_on`]'s [`MetaOpError`] if the flow violates
+    /// mode discipline on `arch`.
     pub fn simulate(&self, flow: &Flow, arch: &DualModeArch) -> Result<EngineReport, MetaOpError> {
         Ok(self.run((flow, None), arch, None)?.report)
     }
@@ -482,20 +483,10 @@ impl<'a> ForwardPass<'a> {
         energy_model: &'a EnergyModel,
         timelines: Option<Vec<ArrayTimeline>>,
     ) -> Result<Self, (usize, MetaOpError)> {
-        // ---- Mode-discipline prepass, each flow on a fresh chip (same
-        // order the sequential model applies statements in, so
-        // violations surface identically). ----
+        // ---- Mode-discipline prepass, each flow on a fresh chip: the
+        // check the sequential model and the compiler run. ----
         for (f, (flow, _)) in flows.iter().enumerate() {
-            let mut chip = ChipState::new(arch);
-            for (idx, stmt) in flow.stmts().iter().enumerate() {
-                let body = match stmt {
-                    Stmt::Parallel(body) => body.as_slice(),
-                    other => std::slice::from_ref(other),
-                };
-                for s in body {
-                    chip.apply(s, idx).map_err(|violation| (f, violation))?;
-                }
-            }
+            validate_on(flow, arch.n_arrays()).map_err(|violation| (f, violation))?;
         }
 
         let mut pass = ForwardPass {
@@ -658,7 +649,7 @@ impl<'a> ForwardPass<'a> {
         let by = Some(self.cur);
         let mut to_switch = std::mem::take(&mut self.to_switch);
         for s in stmts {
-            chip::for_each_required_mode(s, &mut |a, needed| {
+            s.for_each_required_mode(&mut |a, needed| {
                 let mode = &mut self.modes[a.index()];
                 if mode.0 != needed {
                     *mode = (needed, by);

@@ -18,19 +18,20 @@
 //!   one thing that costs per array *reference*, recorded only when
 //!   asked for. Surfaced through the `Session` API by [`SessionSimExt`].
 //! * [`timing`] is the sequential reference model ([`SequentialModel`]):
-//!   it executes a compiled meta-operator flow statement by statement
-//!   against the chip state, charging the Table 2 latencies. Both
-//!   simulators price every statement through the compiler's own price
-//!   list, [`cmswitch_core::cost`], so the engine must dominate the
-//!   replay (equal on serial flows, faster wherever overlap is legal).
+//!   it executes a compiled meta-operator flow statement by statement,
+//!   charging the Table 2 latencies. Both simulators price every
+//!   statement through the compiler's own price list,
+//!   [`cmswitch_core::cost`], so the engine must dominate the replay
+//!   (equal on serial flows, faster wherever overlap is legal), and both
+//!   first check the flow with the compiler's own mode-discipline check,
+//!   [`cmswitch_metaop::validate_on`], so they reject what it rejects,
+//!   with the same error.
 //! * [`energy`] estimates per-component energy of a flow
 //!   (schedule-invariant, so both simulators report identical totals).
 //! * [`functional`] executes the *graph* numerically with int8-quantized
 //!   CIM semantics (im2col + integer matmul, §2.1.2) and compares against
 //!   the f32 reference from `cmswitch-tensor` — verifying that what the
 //!   compiler schedules is what the network computes.
-//! * [`chip`] tracks per-array modes and dynamically enforces mode
-//!   discipline while flows execute.
 //! * [`tenancy`] admits several compiled programs onto one chip (static
 //!   partitions or time-slicing), runs them through the engine's forward
 //!   pass — a tenant alone costs exactly what [`EventEngine`] reports —
@@ -57,7 +58,6 @@
 
 #![warn(missing_docs)]
 
-pub mod chip;
 pub mod energy;
 pub mod engine;
 pub mod functional;

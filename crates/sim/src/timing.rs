@@ -1,14 +1,15 @@
 //! Timing simulation of meta-operator flows (the sequential reference
 //! model).
 //!
-//! Executes a flow against the chip state and the Table 2 latencies. The
-//! model matches the compiler's analytic cost model (Eqs. 1, 2, 10) in
-//! its resource assumptions — each operator lane sees `D_main` plus its
-//! own memory arrays — but it executes the *actual emitted flow*: real
-//! switch statements, real write-backs, real weight loads, with dynamic
-//! mode-discipline checking. Segment bodies run pipelined: each compute
-//! operator forms a lane (weight load → operand write → streamed
-//! execution → fused vector work) and the segment takes its slowest lane.
+//! Executes a flow against the Table 2 latencies. The model matches the
+//! compiler's analytic cost model (Eqs. 1, 2, 10) in its resource
+//! assumptions — each operator lane sees `D_main` plus its own memory
+//! arrays — but it executes the *actual emitted flow*: real switch
+//! statements, real write-backs, real weight loads, after the flow has
+//! passed [`cmswitch_metaop::validate_on`] for the chip. Segment bodies
+//! run pipelined: each compute operator forms a lane (weight load →
+//! operand write → streamed execution → fused vector work) and the
+//! segment takes its slowest lane.
 //!
 //! Statements *between* segments execute strictly in flow order — this
 //! is the sequential reference the event-driven [`crate::engine`] must
@@ -19,30 +20,29 @@
 
 use cmswitch_arch::DualModeArch;
 use cmswitch_core::cost;
-use cmswitch_metaop::{Flow, MetaOpError, Stmt, SwitchKind};
+use cmswitch_metaop::{validate_on, Flow, MetaOpError, Stmt, SwitchKind};
 
-use crate::chip::ChipState;
 use crate::stats::{SegmentTiming, SimReport};
 
 /// Simulates `flow` on `arch`.
 ///
 /// # Errors
 ///
-/// Returns [`MetaOpError`] if the flow violates mode discipline at
-/// runtime (a compiler bug this simulator exists to catch).
+/// Returns [`validate_on`]'s [`MetaOpError`] if the flow violates mode
+/// discipline on this chip (a compiler bug this simulator exists to
+/// catch).
 pub fn simulate(flow: &Flow, arch: &DualModeArch) -> Result<SimReport, MetaOpError> {
-    let mut chip = ChipState::new(arch);
+    validate_on(flow, arch.n_arrays())?;
     let mut report = SimReport::default();
 
     for (idx, stmt) in flow.stmts().iter().enumerate() {
         match stmt {
             Stmt::Parallel(body) => {
-                let t = simulate_segment(body, arch, &mut chip, idx, &mut report)?;
+                let t = simulate_segment(body, arch, idx, &mut report);
                 report.segment_cycles += t.cycles;
                 report.segments.push(t);
             }
             Stmt::Switch { kind, arrays } => {
-                chip.apply(stmt, idx)?;
                 match kind {
                     SwitchKind::ToCompute => {
                         report.switches_to_compute += arrays.len() as u64;
@@ -56,13 +56,11 @@ pub fn simulate(flow: &Flow, arch: &DualModeArch) -> Result<SimReport, MetaOpErr
                 report.total_cycles += cycles;
             }
             Stmt::Mem(m) => {
-                chip.apply(stmt, idx)?;
                 let cycles = cost::mem_duration(m.bytes, &m.loc, arch);
                 report.writeback_cycles += cycles;
                 report.total_cycles += cycles;
             }
             Stmt::LoadWeights(w) => {
-                chip.apply(stmt, idx)?;
                 // Eq. 2 semantics: per-array cell-write latency,
                 // serialized across one op's arrays.
                 let cycles = cost::load_duration(w.arrays.len(), arch);
@@ -78,7 +76,7 @@ pub fn simulate(flow: &Flow, arch: &DualModeArch) -> Result<SimReport, MetaOpErr
                 // A bare compute statement outside `parallel` is a
                 // single-lane segment.
                 let body = std::slice::from_ref(stmt);
-                let t = simulate_segment(body, arch, &mut chip, idx, &mut report)?;
+                let t = simulate_segment(body, arch, idx, &mut report);
                 report.segment_cycles += t.cycles;
                 report.segments.push(t);
             }
@@ -97,25 +95,19 @@ pub fn simulate(flow: &Flow, arch: &DualModeArch) -> Result<SimReport, MetaOpErr
 fn simulate_segment(
     body: &[Stmt],
     arch: &DualModeArch,
-    chip: &mut ChipState,
     seg_idx: usize,
     report: &mut SimReport,
-) -> Result<SegmentTiming, MetaOpError> {
-    // First apply every statement to the chip for discipline checking.
-    for stmt in body {
-        chip.apply(stmt, seg_idx)?;
-    }
-
+) -> SegmentTiming {
     let phases = cost::segment_phases(body, arch);
     report.total_cycles += phases.load_phase;
     report.total_cycles += phases.exec_and_loose();
 
-    Ok(SegmentTiming {
+    SegmentTiming {
         index: seg_idx,
         cycles: phases.total(),
         weight_load_cycles: phases.load_phase,
         compute_ops: phases.n_ops,
-    })
+    }
 }
 
 #[cfg(test)]

@@ -4,9 +4,11 @@
 //! with each of the four backends (CMSwitch plus the PUMA / OCC /
 //! CIM-MLC baselines) on the paper's DynaPlasia chip, runs the
 //! `cmswitch::compiler::verify` lint suite over every compiled program
-//! via [`Session::verify`], and prints the findings. Exits non-zero if
-//! any `Deny` finding fires — CI runs this as a whole-registry
-//! soundness gate.
+//! via [`Session::verify`], and prints the findings. It also runs the
+//! mode-discipline check the simulators run,
+//! `cmswitch::metaop::validate_on`, on every program against the chip.
+//! Exits non-zero if any `Deny` finding fires or any flow fails that
+//! check — CI runs this as a whole-registry soundness gate.
 //!
 //! ```text
 //! cargo run --release --example verify_registry
@@ -31,6 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut deny = 0usize;
     let mut warn = 0usize;
     let mut checked = 0usize;
+    let mut valid = 0usize;
     for kind in BackendKind::ALL {
         let session = Session::builder(arch.clone()).backend_kind(kind).build();
         for (name, graph) in &models {
@@ -38,6 +41,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .compile(CompileRequest::new(graph.clone()).with_label(name.clone()))?;
             let report = session.verify(&outcome);
             checked += 1;
+            match cmswitch::metaop::validate_on(&outcome.program.flow, arch.n_arrays()) {
+                Ok(()) => valid += 1,
+                Err(e) => println!("{:>8} {name:<12} validate_on: {e}", kind.name()),
+            }
             deny += report.deny_count();
             warn += report.warn_count();
             let verdict = if !report.is_clean() {
@@ -61,8 +68,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\n{checked} programs verified: {deny} deny, {warn} warn findings");
+    let n_arrays = arch.n_arrays();
+    println!("{valid} of {checked} flows pass validate_on({n_arrays} arrays)");
     if deny > 0 {
         return Err(format!("{deny} deny findings across the registry").into());
+    }
+    if valid != checked {
+        return Err(format!("{} flows fail validate_on", checked - valid).into());
     }
     Ok(())
 }

@@ -102,21 +102,3 @@ fn switch_statements_reconcile_with_allocations() {
     assert!(stats.arrays_to_compute >= max_compute);
     assert!(stats.arrays_to_compute <= total_compute);
 }
-
-#[test]
-fn optimizer_preserves_compiled_flow_semantics() {
-    // The peephole pass on a real compiled flow: still validates, never
-    // adds statements, and reduces (or keeps) the switch count.
-    let graph = cmswitch::models::mlp::mlp(2, &[256, 256, 256, 64]).unwrap();
-    let program = Session::builder(presets::tiny()).build().compile_graph(&graph)
-        .unwrap();
-    let (optimized, _) = cmswitch::metaop::optimize(&program.flow);
-    cmswitch::metaop::validate(&optimized).unwrap();
-    assert!(optimized.len() <= program.flow.len());
-    let before = program.flow.stats();
-    let after = optimized.stats();
-    assert!(after.arrays_to_compute <= before.arrays_to_compute);
-    assert!(after.arrays_to_memory <= before.arrays_to_memory);
-    // Same compute work either way.
-    assert_eq!(after.compute_ops, before.compute_ops);
-}

@@ -20,8 +20,8 @@
 //! * the multi-tenant co-scheduler is the same forward pass: a lone
 //!   tenant's solo baseline is the engine's makespan to the bit, and a
 //!   flow the simulators reject (out-of-range ids, broken mode
-//!   discipline, a nested `parallel` block) is a typed error there too,
-//!   never a panic, a repair or a cheaper schedule.
+//!   discipline, a racy or nested `parallel` block) is a typed error
+//!   there too, never a panic, a repair or a cheaper schedule.
 
 use proptest::prelude::*;
 
@@ -478,7 +478,7 @@ fn a_flow_both_simulators_reject_is_rejected_by_the_co_scheduler() {
     let engine = EventEngine::new().simulate_program(&program, &arch).unwrap_err();
     let sequential = SequentialModel.simulate(&program.flow, &arch).unwrap_err();
     assert_eq!(engine, sequential);
-    assert!(engine.to_string().contains("weight load for fc0 on memory-mode array"), "{engine}");
+    assert!(engine.to_string().contains("weight load for fc0 into a memory-mode array"), "{engine}");
 
     for policy in [
         TenancyPolicy::TimeSliced,
@@ -567,6 +567,58 @@ fn a_nested_parallel_block_is_a_typed_error_not_a_cheaper_schedule() {
                 assert_eq!((tenant.as_str(), Err(source)), ("nested", rejected.clone()));
             }
             other => panic!("{policy:?}: expected the simulators' error, got {other:?}"),
+        }
+    }
+}
+
+/// `metaop::validate` rejects two operators computing on one array
+/// inside one `parallel` block (Eq. 6 allows one operator per role). A
+/// claim-blind check would let the simulators price such a block as two
+/// overlapped lanes, half the serial cost; they must return the
+/// validator's error instead.
+#[test]
+fn a_racy_parallel_block_is_a_typed_error_not_a_cheaper_schedule() {
+    let arch = presets::tiny();
+    let lane = |op: &str| {
+        Stmt::Compute(ComputeStmt {
+            op: op.into(),
+            compute_arrays: vec![ArrayId(0)],
+            mem_in_arrays: vec![],
+            mem_out_arrays: vec![],
+            m: 4096,
+            k: 64,
+            n: 64,
+            units: 1,
+            in_bytes: 4096 * 64,
+            out_bytes: 4096 * 64,
+            weight_static: true,
+        })
+    };
+    let mut racy = Flow::new("racy");
+    racy.push(Stmt::switch(SwitchKind::ToCompute, vec![ArrayId(0)]));
+    racy.push(Stmt::Parallel(vec![lane("a"), lane("b")]));
+
+    let rejected = Err(MetaOpError::ArrayConflict { array: ArrayId(0), stmt: 1 });
+    assert_eq!(cmswitch::metaop::validate(&racy), rejected);
+    assert_eq!(EventEngine::new().simulate(&racy, &arch).map(drop), rejected);
+    assert_eq!(EventEngine::new().trace(&racy, &arch).map(drop), rejected);
+    assert_eq!(SequentialModel.simulate(&racy, &arch).map(drop), rejected);
+
+    let graph = cmswitch::models::mlp::mlp(2, &[64, 64]).unwrap();
+    let mut program = Session::builder(arch.clone()).build().compile_graph(&graph).unwrap();
+    program.flow = racy;
+    assert_eq!(EventEngine::new().simulate_program(&program, &arch).map(drop), rejected);
+    for policy in [
+        TenancyPolicy::TimeSliced,
+        TenancyPolicy::Partitioned { shares: vec![arch.n_arrays()] },
+    ] {
+        let result = unverified(&arch, policy.clone())
+            .co_simulate(&[TenantProgram::new("racy", &program)]);
+        match result {
+            Err(TenancyError::ModeViolation { tenant, source }) => {
+                assert_eq!((tenant.as_str(), Err(source)), ("racy", rejected.clone()));
+            }
+            other => panic!("{policy:?}: expected the validator's error, got {other:?}"),
         }
     }
 }

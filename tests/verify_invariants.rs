@@ -149,6 +149,46 @@ fn no_mutant_survives_the_verifier() {
     );
 }
 
+/// Mode discipline has one rule book: the compiler's check sized to the
+/// chip (`validate_on`) and both simulators return the same verdict —
+/// the same `Ok`, or the same first error — on every mutant the kill
+/// suite builds and on a flow with every `CM.switch` stripped.
+#[test]
+fn every_checker_returns_one_verdict_on_every_mutant() {
+    let tiny = presets::tiny();
+    let dyna = presets::dynaplasia();
+    let mlp = cmswitch::models::mlp::mlp(2, &[256, 256, 256, 64]).unwrap();
+    let programs = [
+        ("mlp@tiny", &tiny, mlp),
+        ("bert-base@dynaplasia", &dyna, registry::build("bert-base", 1, 16).unwrap()),
+        ("resnet18@dynaplasia", &dyna, registry::build("resnet18", 1, 16).unwrap()),
+    ];
+    let mut rejected = 0usize;
+    for (label, arch, graph) in programs {
+        let program = Session::builder(arch.clone()).build().compile_graph(&graph).unwrap();
+        let stripped = with_stmts(&program, |stmts| {
+            stmts.retain(|s| !matches!(s, Stmt::Switch { .. }));
+        });
+        let mut cases: Vec<(&str, CompiledProgram)> = mutate::ALL
+            .iter()
+            .filter_map(|m| Some((m.name(), m.apply(&program)?)))
+            .collect();
+        cases.push(("stripped-switches", stripped));
+        for (case, mutant) in cases {
+            let flow = &mutant.flow;
+            let verdict = cmswitch::metaop::validate_on(flow, arch.n_arrays());
+            let engine = EventEngine::new().simulate(flow, arch).map(drop);
+            let sequential = SequentialModel.simulate(flow, arch).map(drop);
+            assert_eq!(engine, verdict, "{label}/{case}: event engine");
+            assert_eq!(sequential, verdict, "{label}/{case}: sequential model");
+            rejected += usize::from(verdict.is_err());
+        }
+    }
+    // Not vacuous: per program, the drop-switch and duplicate-claim
+    // mutants and the stripped flow are rejected.
+    assert!(rejected >= 9, "only {rejected} flows rejected");
+}
+
 /// Deny findings fail the compile when verification is enabled; the same
 /// defect sails through (into the simulator's hands) when it is not.
 #[test]
