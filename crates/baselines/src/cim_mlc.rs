@@ -2,112 +2,43 @@
 //! baseline: multi-grained pipelining and weight duplication with
 //! DP-optimized segmentation, but **all arrays fixed in compute mode**.
 //!
-//! Implemented as the same segmentation DP as CMSwitch with the
-//! allocation restricted to compute-only (minimal tiles + duplication),
-//! so CMSwitch-vs-CIM-MLC comparisons isolate exactly the dual-mode
-//! dimension the paper adds.
-
-use std::collections::HashMap;
+//! Implemented as CMSwitch's own segmentation DP
+//! ([`cmswitch_core::segment::segment`]) with a window solver that
+//! grants compute arrays only (minimal tiles + duplication), so
+//! CMSwitch-vs-CIM-MLC comparisons isolate exactly the dual-mode
+//! dimension the paper adds: pruning, batching, cancellation and the
+//! DP's statistics are the same code for both.
 
 use cmswitch_core::allocation::SegmentAllocation;
 use cmswitch_core::cost::CostModel;
 use cmswitch_core::frontend::{DepIndex, OpList};
 use cmswitch_core::pipeline::{compile_with_segmenter, Partitioned, Segmented, Stage};
-use cmswitch_core::{Backend, CancelToken, CompileError, CompiledProgram, PipelineCx};
+use cmswitch_core::segment::{self, WindowSolver};
+use cmswitch_core::{Backend, CompileError, CompiledProgram, PipelineCx};
 use cmswitch_graph::Graph;
 
 use crate::common::all_compute_alloc;
 
-/// CIM-MLC's segmentation policy as a pipeline stage: CMSwitch's Eq. 3
-/// DP over candidate windows, scored with all-compute allocations.
-#[derive(Debug, Clone, Copy)]
-pub struct CimMlcSegmentStage {
-    /// Maximum operators per DP window.
-    pub max_segment_ops: usize,
-}
+/// CIM-MLC's window solver: the all-compute allocation with weight
+/// duplication. It reads no dependencies, so it never builds the
+/// window-local lists the dual-mode allocator needs.
+struct AllCompute<'c>(&'c CostModel<'c>);
 
-/// A segment chain before inter costs: `(range, allocation)` parts.
-type Parts = Vec<((usize, usize), SegmentAllocation)>;
-
-impl CimMlcSegmentStage {
-    fn dp_parts(
+impl WindowSolver for AllCompute<'_> {
+    fn solve(
         &self,
         list: &OpList,
-        cm: &CostModel<'_>,
-        cancel: &CancelToken,
-    ) -> Result<Parts, CompileError> {
-        let m = list.ops.len();
-        let window = self.max_segment_ops;
-        let deps = DepIndex::new(list);
-        let mut allocs: HashMap<(usize, usize), Option<SegmentAllocation>> = HashMap::new();
-        let mut alloc_of = |i: usize, j: usize| -> Option<SegmentAllocation> {
-            if let Some(hit) = allocs.get(&(i, j)) {
-                return hit.clone();
-            }
-            let a = all_compute_alloc(&list.ops[i..=j], cm, true);
-            allocs.insert((i, j), a.clone());
-            a
-        };
-
-        let mut dp: HashMap<(usize, usize), (f64, usize)> = HashMap::new();
-        for j in 0..m {
-            let i_lo = j + 1 - window.min(j + 1);
-            for i in i_lo..=j {
-                // Same abort granularity as the CMSwitch DP: one poll
-                // per candidate window.
-                cancel.check()?;
-                let Some(alloc) = alloc_of(i, j) else { continue };
-                let intra = alloc.latency;
-                let ops = &list.ops[i..=j];
-                if i == 0 {
-                    let cost = cm.inter_cost(&deps, None, (i, j), ops, &alloc);
-                    dp.insert((0, j), (cost + intra, usize::MAX));
-                    continue;
-                }
-                let k_lo = i - window.min(i);
-                let mut best: Option<(f64, usize)> = None;
-                for k in k_lo..i {
-                    let Some(&(prev_cost, _)) = dp.get(&(k, i - 1)) else {
-                        continue;
-                    };
-                    let Some(prev_alloc) = alloc_of(k, i - 1) else { continue };
-                    let prev = Some(((k, i - 1), &prev_alloc));
-                    let inter = cm.inter_cost(&deps, prev, (i, j), ops, &alloc);
-                    let total = prev_cost + inter + intra;
-                    if best.is_none_or(|(b, _)| total < b) {
-                        best = Some((total, k));
-                    }
-                }
-                if let Some(b) = best {
-                    dp.insert((i, j), b);
-                }
-            }
-        }
-        let (mut i, mut j) = (0..m)
-            .filter_map(|i| dp.get(&(i, m - 1)).map(|&(c, _)| (i, c)))
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("comparable"))
-            .map(|(i, _)| (i, m - 1))
-            .ok_or(CompileError::NoFeasibleSchedule)?;
-        let mut ranges = Vec::new();
-        loop {
-            ranges.push((i, j));
-            let &(_, prev) = dp.get(&(i, j)).expect("on path");
-            if prev == usize::MAX {
-                break;
-            }
-            j = i - 1;
-            i = prev;
-        }
-        ranges.reverse();
-        Ok(ranges
-            .into_iter()
-            .map(|r| {
-                let a = alloc_of(r.0, r.1).expect("on path");
-                (r, a)
-            })
-            .collect())
+        _deps: &DepIndex,
+        (i, j): (usize, usize),
+    ) -> Option<SegmentAllocation> {
+        all_compute_alloc(&list.ops[i..=j], self.0, true)
     }
 }
+
+/// CIM-MLC's segmentation policy as a pipeline stage: CMSwitch's Eq. 3
+/// DP over candidate windows, scored with all-compute allocations.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CimMlcSegmentStage;
 
 impl Stage<Partitioned> for CimMlcSegmentStage {
     type Output = Segmented;
@@ -119,8 +50,14 @@ impl Stage<Partitioned> for CimMlcSegmentStage {
     fn run(&self, cx: &mut PipelineCx<'_>, input: Partitioned) -> Result<Segmented, CompileError> {
         let cm = cx.cost_model();
         let cancel = cx.cancel_token().clone();
-        let parts = self.dp_parts(&input.list, &cm, &cancel)?;
-        Ok(Segmented::from_chain(input.name, input.list, &cm, parts))
+        let res = segment::segment(&input.list, &AllCompute(&cm), &cm, cx.options(), &cancel)?;
+        cx.record_dp(&res.dp);
+        Ok(Segmented {
+            name: input.name,
+            list: input.list,
+            segments: res.segments,
+            total_latency: res.total_latency,
+        })
     }
 }
 
@@ -138,10 +75,7 @@ impl Backend for CimMlc {
         cx: &mut PipelineCx<'_>,
         graph: &Graph,
     ) -> Result<CompiledProgram, CompileError> {
-        let stage = CimMlcSegmentStage {
-            max_segment_ops: cx.options().max_segment_ops,
-        };
-        compile_with_segmenter(cx, &stage, graph)
+        compile_with_segmenter(cx, &CimMlcSegmentStage, graph)
     }
 }
 

@@ -1,15 +1,8 @@
 //! Shared machinery for the all-compute baselines.
 
-use cmswitch_arch::DualModeArch;
 use cmswitch_core::allocation::{balance_reload, OpAllocation, SegmentAllocation};
 use cmswitch_core::cost::CostModel;
 use cmswitch_core::frontend::{OpList, SegOp};
-
-/// Re-export of the shared segment-chaining helper (now owned by
-/// `cmswitch-core`, since the DP's backtrack materialization uses the
-/// same physics): turns `(range, allocation)` parts into
-/// [`cmswitch_core::segment::Segment`]s with Eq. 4 inter costs charged.
-pub use cmswitch_core::segment::chain_segments;
 
 /// All-compute allocation for a slice of ops: every operator gets its
 /// minimal weight tiles; with `duplicate`, leftover arrays are granted
@@ -65,15 +58,15 @@ pub fn all_compute_alloc(
 }
 
 /// Greedy segmentation: pack consecutive operators while their minimal
-/// tiles fit the chip (capped at `max_ops` per segment).
-pub fn greedy_ranges(list: &OpList, arch: &DualModeArch, max_ops: usize) -> Vec<(usize, usize)> {
-    let n = arch.n_arrays();
+/// tiles fit `cap` arrays (capped at `max_ops` per segment; 0 counts as
+/// 1). An operator wider than `cap` still gets a segment of its own.
+pub fn greedy_ranges(list: &OpList, cap: usize, max_ops: usize) -> Vec<(usize, usize)> {
     let mut ranges = Vec::new();
     let mut start = 0usize;
     let mut tiles = 0usize;
     for (i, op) in list.ops.iter().enumerate() {
         let need = op.min_tiles.max(1);
-        if i > start && (tiles + need > n || i - start >= max_ops) {
+        if i > start && (tiles + need > cap || i - start >= max_ops) {
             ranges.push((start, i - 1));
             start = i;
             tiles = 0;
@@ -91,6 +84,7 @@ mod tests {
     use super::*;
     use cmswitch_core::frontend::lower_graph;
     use cmswitch_core::partition::partition;
+    use cmswitch_core::segment::chain_segments;
     use cmswitch_arch::presets;
 
     fn list() -> (OpList, cmswitch_arch::DualModeArch) {
@@ -121,7 +115,7 @@ mod tests {
     #[test]
     fn greedy_ranges_cover_contiguously() {
         let (l, arch) = list();
-        let ranges = greedy_ranges(&l, &arch, 8);
+        let ranges = greedy_ranges(&l, arch.n_arrays(), 8);
         let mut next = 0;
         for (lo, hi) in &ranges {
             assert_eq!(*lo, next);
@@ -134,7 +128,7 @@ mod tests {
     fn chain_charges_inter_costs() {
         let (l, arch) = list();
         let cm = CostModel::new(&arch);
-        let ranges = greedy_ranges(&l, &arch, 2);
+        let ranges = greedy_ranges(&l, arch.n_arrays(), 2);
         let parts: Vec<_> = ranges
             .into_iter()
             .map(|r| {

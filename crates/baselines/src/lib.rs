@@ -14,8 +14,9 @@
 //!   greedy packing with minimal-tile mapping and *sequential* operator
 //!   execution (no cross-operator pipeline, no duplication).
 //! * [`CimMlc`] — multi-grained pipelining + duplication (Qu et al.,
-//!   ASPLOS'24), the paper's main baseline: the same segmentation DP as
-//!   CMSwitch, but restricted to compute-mode-only allocations.
+//!   ASPLOS'24), the paper's main baseline: CMSwitch's own segmentation
+//!   DP (`cmswitch_core::segment::segment`) with a window solver that
+//!   grants compute-mode arrays only.
 //!
 //! All backends implement [`cmswitch_core::Backend`], as does CMSwitch
 //! itself via [`cmswitch_core::CmSwitch`]. Every baseline is expressed
@@ -23,7 +24,8 @@
 //! (`cmswitch_core::pipeline`): it composes the
 //! shared `LowerStage` → `PartitionStage` → `EmitStage` chain and swaps
 //! in its own segmentation stage ([`PumaSegmentStage`],
-//! [`OccSegmentStage`], [`CimMlcSegmentStage`]), so backend comparisons
+//! [`OccSegmentStage`], [`CimMlcSegmentStage`]; each reads
+//! `max_segment_ops` from the session's options), so backend comparisons
 //! share the lowering, partitioning, cost physics, codegen — and the
 //! per-stage timing breakdown.
 

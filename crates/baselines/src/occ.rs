@@ -11,11 +11,8 @@ use crate::common::{all_compute_alloc, greedy_ranges};
 /// minimal-tile mapping (no duplication) and *sequential* operator
 /// execution — segment latency is the sum of op latencies, not the
 /// pipeline bottleneck.
-#[derive(Debug, Clone, Copy)]
-pub struct OccSegmentStage {
-    /// Maximum operators packed into one segment.
-    pub max_segment_ops: usize,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct OccSegmentStage;
 
 impl Stage<Partitioned> for OccSegmentStage {
     type Output = Segmented;
@@ -26,7 +23,8 @@ impl Stage<Partitioned> for OccSegmentStage {
 
     fn run(&self, cx: &mut PipelineCx<'_>, input: Partitioned) -> Result<Segmented, CompileError> {
         let cm = cx.cost_model();
-        let ranges = greedy_ranges(&input.list, cx.arch(), self.max_segment_ops);
+        let max_ops = cx.options().max_segment_ops;
+        let ranges = greedy_ranges(&input.list, cx.arch().n_arrays(), max_ops);
         let mut parts = Vec::with_capacity(ranges.len());
         for r in ranges {
             let ops = &input.list.ops[r.0..=r.1];
@@ -57,10 +55,7 @@ impl Backend for Occ {
         cx: &mut PipelineCx<'_>,
         graph: &Graph,
     ) -> Result<CompiledProgram, CompileError> {
-        let stage = OccSegmentStage {
-            max_segment_ops: cx.options().max_segment_ops,
-        };
-        compile_with_segmenter(cx, &stage, graph)
+        compile_with_segmenter(cx, &OccSegmentStage, graph)
     }
 }
 

@@ -12,11 +12,8 @@ use crate::common::{all_compute_alloc, greedy_ranges};
 /// and a coarse-synchronization penalty — PUMA pipelines at operator
 /// granularity, so each segment pays the slowest op once more as a
 /// fill/drain cost.
-#[derive(Debug, Clone, Copy)]
-pub struct PumaSegmentStage {
-    /// Maximum operators packed into one segment.
-    pub max_segment_ops: usize,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PumaSegmentStage;
 
 impl Stage<Partitioned> for PumaSegmentStage {
     type Output = Segmented;
@@ -27,7 +24,8 @@ impl Stage<Partitioned> for PumaSegmentStage {
 
     fn run(&self, cx: &mut PipelineCx<'_>, input: Partitioned) -> Result<Segmented, CompileError> {
         let cm = cx.cost_model();
-        let ranges = greedy_ranges(&input.list, cx.arch(), self.max_segment_ops);
+        let max_ops = cx.options().max_segment_ops;
+        let ranges = greedy_ranges(&input.list, cx.arch().n_arrays(), max_ops);
         let mut parts = Vec::with_capacity(ranges.len());
         for r in ranges {
             let ops = &input.list.ops[r.0..=r.1];
@@ -55,10 +53,7 @@ impl Backend for Puma {
         cx: &mut PipelineCx<'_>,
         graph: &Graph,
     ) -> Result<CompiledProgram, CompileError> {
-        let stage = PumaSegmentStage {
-            max_segment_ops: cx.options().max_segment_ops,
-        };
-        compile_with_segmenter(cx, &stage, graph)
+        compile_with_segmenter(cx, &PumaSegmentStage, graph)
     }
 }
 

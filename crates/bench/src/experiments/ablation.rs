@@ -7,7 +7,9 @@
 
 use cmswitch_arch::presets;
 use cmswitch_baselines::common::greedy_ranges;
+use cmswitch_core::frontend::DepIndex;
 use cmswitch_core::pipeline::{EmitStage, LowerStage, PartitionStage, Segmented};
+use cmswitch_core::segment::WindowSolver;
 use cmswitch_core::{AllocatorKind, CompilerOptions, PipelineCx, Session};
 use cmswitch_graph::Graph;
 use cmswitch_sim::timing::simulate;
@@ -29,19 +31,11 @@ fn greedy_dual_mode_cycles(graph: &Graph) -> Option<f64> {
     let list = partitioned.list;
     let cm = cx.cost_model();
     let allocator = cx.allocator();
-    let ranges = greedy_ranges(&list, &arch, 12);
+    // Each range is solved exactly as the DP solves a candidate window.
+    let deps = DepIndex::new(&list);
     let mut parts = Vec::new();
-    for r in ranges {
-        let ops = &list.ops[r.0..=r.1];
-        let local_deps: Vec<(usize, usize, u64)> = list
-            .deps
-            .iter()
-            .zip(&list.dep_bytes)
-            .filter(|(&(p, c), _)| p >= r.0 && c <= r.1 && p < c)
-            .map(|(&(p, c), &b)| (p - r.0, c - r.0, b))
-            .collect();
-        let alloc = allocator.allocate(ops, &local_deps)?;
-        parts.push((r, alloc));
+    for r in greedy_ranges(&list, arch.n_arrays(), 12) {
+        parts.push((r, allocator.solve(&list, &deps, r)?));
     }
     let segmented = Segmented::from_chain(partitioned.name, list, &cm, parts);
     let program = cx.run(&EmitStage, segmented).ok()?;

@@ -7,9 +7,10 @@
 //! single-batch LLM inference peaks at low fractions.
 
 use cmswitch_arch::DualModeArch;
+use cmswitch_baselines::common::greedy_ranges;
 use cmswitch_core::allocation::{OpAllocation, SegmentAllocation};
 use cmswitch_core::cost::CostModel;
-use cmswitch_core::frontend::{lower_graph, OpList};
+use cmswitch_core::frontend::lower_graph;
 use cmswitch_core::partition::partition;
 use cmswitch_core::pipeline::Segmented;
 use cmswitch_graph::Graph;
@@ -35,7 +36,7 @@ pub fn static_partition_cycles(
     let cm = CostModel::new(arch);
 
     // Greedy packing within the compute-array budget.
-    let ranges = greedy_ranges_cap(&list, compute);
+    let ranges = greedy_ranges(&list, compute, 12);
     let mut parts = Vec::with_capacity(ranges.len());
     for r in ranges {
         let ops = &list.ops[r.0..=r.1];
@@ -102,25 +103,6 @@ fn bottleneck(
         .enumerate()
         .map(|(i, a)| (i, cm.op_latency(&ops[i], a)))
         .max_by(|a, b| a.1.partial_cmp(&b.1).expect("comparable"))
-}
-
-fn greedy_ranges_cap(list: &OpList, cap: usize) -> Vec<(usize, usize)> {
-    let mut ranges = Vec::new();
-    let mut start = 0usize;
-    let mut tiles = 0usize;
-    for (i, op) in list.ops.iter().enumerate() {
-        let need = op.min_tiles.max(1);
-        if i > start && (tiles + need > cap || i - start >= 12) {
-            ranges.push((start, i - 1));
-            start = i;
-            tiles = 0;
-        }
-        tiles += need;
-    }
-    if start < list.ops.len() {
-        ranges.push((start, list.ops.len() - 1));
-    }
-    ranges
 }
 
 /// Workload-level static-partition latency (generative workloads weight

@@ -42,8 +42,11 @@ pub struct CompileStats {
     /// Candidate DP windows skipped without an allocator invocation
     /// (capacity prefilter + analytic bound, [`crate::DpMode`]).
     pub dp_windows_pruned: u64,
-    /// MIP solves whose injected warm start was accepted by the solver
-    /// (see [`crate::CompilerOptions::solve_workers`]).
+    /// MIP solves whose warm start was feasible and seeded the
+    /// branch-and-bound incumbent. Every MIP solve is offered the better
+    /// of the fast allocator's solution and the neighbor window's
+    /// extended by one op, at any worker count
+    /// ([`crate::allocation::AllocatorStats::warm_accepted`]).
     pub warm_accepted: u64,
     /// MIP warm-start candidates rejected: infeasible against the
     /// problem, or ignored by the solver in favour of a cold search.

@@ -130,6 +130,7 @@ pub enum DpMode {
 pub struct CompilerOptions {
     /// Maximum operators per segment considered by the DP (bounds the
     /// `O(m·W²)` search; the paper prunes impossible cases similarly).
+    /// Every backend reads 0 as 1.
     pub max_segment_ops: usize,
     /// Which allocator scores candidate segments.
     pub allocator: AllocatorKind,

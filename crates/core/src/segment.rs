@@ -13,19 +13,28 @@
 //! switches (Eq. 1) and weight reloads (Eq. 2). Segments that cannot fit
 //! the chip are pruned ("impossible cases are skipped", Algorithm 1 line
 //! 8), and the segment width is bounded by
-//! [`crate::CompilerOptions::max_segment_ops`].
+//! [`crate::CompilerOptions::max_segment_ops`] (0 counts as 1).
+//!
+//! # One DP, two solvers
+//!
+//! [`segment`] is the tree's only Eq. 3 recurrence. What a candidate
+//! window costs is its [`WindowSolver`]'s business: CMSwitch passes the
+//! dual-mode [`Allocator`], the CIM-MLC baseline (`cmswitch-baselines`)
+//! an all-compute solver (minimal tiles plus weight duplication). Both
+//! get the same pruning, batching, cancellation and [`DpStats`], so a
+//! CMSwitch-vs-CIM-MLC comparison isolates the allocation alone.
 //!
 //! # Bound pruning ([`crate::DpMode::BoundPruned`])
 //!
 //! The dominant compile cost is the per-candidate-window allocation solve
-//! (MIP or fast allocator). The pruned DP avoids most of them while
+//! (MIP, fast or all-compute). The pruned DP avoids most of them while
 //! provably returning the *identical* schedule:
 //!
 //! 1. **Capacity prefilter.** Incremental prefix aggregates over the op
 //!    list (work, min-tiles, output bytes) make `Σ min_tiles` of any
-//!    window an O(1) lookup. If it exceeds the chip, every allocator
-//!    (MIP and fast) is guaranteed to return infeasible — the window is
-//!    skipped without a solve.
+//!    window an O(1) lookup. If it exceeds the chip, every solver (MIP,
+//!    fast and all-compute) is guaranteed to return infeasible — the
+//!    window is skipped without a solve.
 //! 2. **Analytic bound vs. incumbent.** A greedy feasible schedule
 //!    (longest-fit packing, costed with the exact DP objective) seeds an
 //!    incumbent upper bound. For each candidate window `(i, j)` the DP
@@ -100,8 +109,8 @@ pub struct Segment {
 pub struct DpStats {
     /// Candidate windows enumerated by the DP.
     pub windows: u64,
-    /// Windows skipped by the min-tiles capacity prefilter (no allocator
-    /// invocation; the allocators would have proven them infeasible).
+    /// Windows skipped by the min-tiles capacity prefilter (no solver
+    /// invocation; every [`WindowSolver`] would return `None`).
     pub infeasible_skipped: u64,
     /// Windows skipped because their analytic lower bound already lost
     /// to the incumbent schedule.
@@ -115,7 +124,7 @@ pub struct DpStats {
 }
 
 impl DpStats {
-    /// Total windows skipped without invoking an allocator.
+    /// Total windows skipped without invoking the window solver.
     pub fn skipped(&self) -> u64 {
         self.infeasible_skipped + self.bound_pruned
     }
@@ -367,6 +376,50 @@ fn transition_cost(
     }
 }
 
+/// What the segmentation DP asks of a candidate window: its allocation
+/// (see "One DP, two solvers" in the module docs).
+///
+/// A solver must be a pure function of the window — the DP memoizes
+/// and batches its results across the solve pool. The bound-pruned DP
+/// also assumes it returns `None` for every window whose
+/// `Σ max(min_tiles, 1)` exceeds the chip, and never reports a latency
+/// below the cost model's Eq. 9/10 latency of an allocation that fits.
+pub trait WindowSolver: Sync {
+    /// The allocation for ops `window.0..=window.1` of `list`, or `None`
+    /// when the window cannot be allocated.
+    fn solve(
+        &self,
+        list: &OpList,
+        deps: &DepIndex,
+        window: (usize, usize),
+    ) -> Option<SegmentAllocation>;
+
+    /// A signature under which two windows are guaranteed the same
+    /// [`WindowSolver::solve`] result, letting one batch solve them once.
+    /// `None` (the default) solves every window of a batch separately.
+    fn key(&self, _list: &OpList, _deps: &DepIndex, _window: (usize, usize)) -> Option<u64> {
+        None
+    }
+}
+
+/// The dual-mode allocator solves a window from its operators and their
+/// window-local dependencies (caching and warm starts are
+/// signature-keyed, so any solve order yields the same memo).
+impl WindowSolver for Allocator<'_> {
+    fn solve(
+        &self,
+        list: &OpList,
+        deps: &DepIndex,
+        (i, j): (usize, usize),
+    ) -> Option<SegmentAllocation> {
+        self.allocate(&list.ops[i..=j], &deps.window_local(i, j))
+    }
+
+    fn key(&self, list: &OpList, deps: &DepIndex, (i, j): (usize, usize)) -> Option<u64> {
+        self.window_key(&list.ops[i..=j], &deps.window_local(i, j))
+    }
+}
+
 /// The per-window allocation memo plus the solve pool that fills it in
 /// batches. Results live on the DP thread; the pool only ever computes
 /// pure `(i, j) → allocation` jobs.
@@ -509,8 +562,9 @@ where
     Ok(total + bounds.final_wb)
 }
 
-/// Runs the segmentation DP ([`crate::DpMode`] selects exhaustive vs.
-/// bound-pruned; both return identical schedules).
+/// Runs the segmentation DP with `solver` allocating each candidate
+/// window ([`crate::DpMode`] selects exhaustive vs. bound-pruned; both
+/// return identical schedules).
 ///
 /// Allocation solves are fanned out across
 /// [`crate::CompilerOptions::solve_workers`] pool threads (1 = inline);
@@ -531,7 +585,7 @@ where
 /// fires.
 pub fn segment(
     list: &OpList,
-    allocator: &Allocator<'_>,
+    solver: &impl WindowSolver,
     cm: &CostModel<'_>,
     opts: &CompilerOptions,
     cancel: &CancelToken,
@@ -559,16 +613,11 @@ pub fn segment(
     // Producer-sorted dep index: window dependency lists and the DP's
     // write-back terms in time proportional to the window, not the model.
     let deps = DepIndex::new(list);
-    // The pool job: a pure function of the window (the allocator result
-    // depends only on the windowed ops + local deps — caching and warm
-    // starts are signature-keyed), so any schedule yields the same memo.
-    let solve_window = |&(i, j): &(usize, usize)| -> Option<SegmentAllocation> {
-        allocator.allocate(&list.ops[i..=j], &deps.window_local(i, j))
-    };
+    // The pool job: a pure function of the window (see
+    // [`WindowSolver`]), so any schedule yields the same memo.
+    let solve_window = |&w: &(usize, usize)| solver.solve(list, &deps, w);
     // Batch-dedup key (see [`solve_missing`]).
-    let window_key = |&(i, j): &(usize, usize)| -> Option<u64> {
-        allocator.window_key(&list.ops[i..=j], &deps.window_local(i, j))
-    };
+    let window_key = |&w: &(usize, usize)| solver.key(list, &deps, w);
     solvepool::with_pool(
         opts.effective_solve_workers(),
         cancel,

@@ -2,7 +2,9 @@
 //! reference: bit-identical `SegmentationResult` (segments and
 //! `total_latency`), strictly fewer allocator solves.
 //!
-//! Two layers of coverage:
+//! The DP is one recurrence with two window solvers — CMSwitch's
+//! dual-mode allocator and CIM-MLC's all-compute allocation — and every
+//! equivalence below is checked under both. Two layers of coverage:
 //!
 //! * the full 9-model registry on the paper's DynaPlasia chip, full op
 //!   lists (the acceptance bar: identical plans, strictly fewer solves
@@ -13,16 +15,23 @@
 //!   keeps every preset/model pair affordable while still exercising
 //!   the DP and its bounds on that pair's real shapes).
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use proptest::prelude::*;
 
 use cmswitch::arch::{presets, DualModeArch};
-use cmswitch::compiler::allocation::Allocator;
+use cmswitch::baselines::common::all_compute_alloc;
+use cmswitch::compiler::allocation::{Allocator, SegmentAllocation};
 use cmswitch::compiler::cost::CostModel;
-use cmswitch::compiler::frontend::{lower_graph, OpList};
+use cmswitch::compiler::frontend::{lower_graph, DepIndex, OpList};
 use cmswitch::compiler::partition::partition;
-use cmswitch::compiler::segment::{segment, SegmentationResult};
+use cmswitch::compiler::segment::{segment, SegmentationResult, WindowSolver};
 use cmswitch::compiler::{AllocatorKind, CancelToken, CompilerOptions, DpMode};
 use cmswitch::models::registry;
+use cmswitch::prelude::{BackendKind, CompileRequest, DiagnosticEvent, Session, SessionBackendExt};
+
+/// Reference first: every equivalence compares `[exhaustive, pruned]`.
+const MODES: [DpMode; 2] = [DpMode::Exhaustive, DpMode::BoundPruned];
 
 const TRANSFORMERS: &[&str] = &["bert-base", "bert-large", "llama2-7b", "opt-6.7b", "opt-13b"];
 
@@ -52,22 +61,61 @@ fn truncate(list: &OpList, cap: usize) -> OpList {
     }
 }
 
-/// Runs one DP mode on a partitioned list; returns the result and the
-/// allocator-solve count (MIP + fast).
+/// Runs one DP mode on a partitioned list with `solver` pricing the
+/// windows.
 fn run_dp(
     list: &OpList,
     arch: &DualModeArch,
     mode: DpMode,
-    allocator: AllocatorKind,
+    solver: &impl WindowSolver,
+) -> SegmentationResult {
+    let opts = CompilerOptions::default().with_dp_mode(mode);
+    segment(list, solver, &CostModel::new(arch), &opts, &CancelToken::new())
+        .expect("feasible schedule")
+}
+
+/// [`run_dp`] under a fresh dual-mode allocator of `kind`; also returns
+/// its solve count (MIP + fast).
+fn run_allocator(
+    list: &OpList,
+    arch: &DualModeArch,
+    mode: DpMode,
+    kind: AllocatorKind,
 ) -> (SegmentationResult, u64) {
-    let opts = CompilerOptions::default()
-        .with_dp_mode(mode)
-        .with_allocator(allocator);
-    let cm = CostModel::new(arch);
-    let alloc = Allocator::new(CostModel::new(arch), opts.allocator, opts.reuse_cache);
-    let res = segment(list, &alloc, &cm, &opts, &CancelToken::new()).expect("feasible schedule");
+    let alloc = Allocator::new(CostModel::new(arch), kind, true);
+    let res = run_dp(list, arch, mode, &alloc);
     let (mip, fast, _) = alloc.stats.snapshot();
     (res, mip + fast)
+}
+
+/// CIM-MLC's window solver (the backend keeps its own private copy):
+/// the all-compute allocation with weight duplication, counting solves.
+struct AllCompute<'a> {
+    cm: CostModel<'a>,
+    solves: AtomicU64,
+}
+
+impl WindowSolver for AllCompute<'_> {
+    fn solve(
+        &self,
+        list: &OpList,
+        _deps: &DepIndex,
+        (i, j): (usize, usize),
+    ) -> Option<SegmentAllocation> {
+        self.solves.fetch_add(1, Ordering::Relaxed);
+        all_compute_alloc(&list.ops[i..=j], &self.cm, true)
+    }
+}
+
+/// [`run_dp`] under a fresh all-compute solver; also returns its solve
+/// count.
+fn run_all_compute(list: &OpList, arch: &DualModeArch, mode: DpMode) -> (SegmentationResult, u64) {
+    let solver = AllCompute {
+        cm: CostModel::new(arch),
+        solves: AtomicU64::new(0),
+    };
+    let res = run_dp(list, arch, mode, &solver);
+    (res, solver.solves.into_inner())
 }
 
 fn assert_identical(ex: &SegmentationResult, pr: &SegmentationResult, what: &str) {
@@ -92,29 +140,57 @@ fn pruned_dp_identical_on_full_registry_with_fewer_solves() {
         // debug builds; the DP logic under test is allocator-agnostic and
         // the MIP path is covered by the prefix test below and the core
         // unit tests.
-        let (ex, s_ex) = run_dp(&list, &arch, DpMode::Exhaustive, AllocatorKind::Fast);
-        let (pr, s_pr) = run_dp(&list, &arch, DpMode::BoundPruned, AllocatorKind::Fast);
-        assert_identical(&ex, &pr, model);
-        assert!(
-            s_pr <= s_ex,
-            "{model}: pruned DP may never solve more ({s_pr} vs {s_ex})"
-        );
-        assert!(
-            pr.dp.skipped() > 0,
-            "{model}: expected some windows skipped without a solve"
-        );
-        if TRANSFORMERS.contains(&model) {
+        for (solver, [(ex, s_ex), (pr, s_pr)]) in [
+            ("fast", MODES.map(|mode| run_allocator(&list, &arch, mode, AllocatorKind::Fast))),
+            ("all-compute", MODES.map(|mode| run_all_compute(&list, &arch, mode))),
+        ] {
+            let what = format!("{model} under {solver}");
+            assert_identical(&ex, &pr, &what);
             assert!(
-                s_pr < s_ex,
-                "{model}: transformer-class models must strictly drop solves \
-                 (pruned {s_pr} vs exhaustive {s_ex})"
+                s_pr <= s_ex,
+                "{what}: pruned DP may never solve more ({s_pr} vs {s_ex})"
+            );
+            // Every 12-op window of mobilenetv2 fits the chip, and the
+            // all-compute incumbent is too loose to bound-prune one there;
+            // every other pair skips windows.
+            if solver == "fast" || model != "mobilenetv2" {
+                assert!(
+                    pr.dp.skipped() > 0,
+                    "{what}: expected some windows skipped without a solve"
+                );
+            }
+            if TRANSFORMERS.contains(&model) {
+                assert!(
+                    s_pr < s_ex,
+                    "{what}: transformer-class models must strictly drop solves \
+                     (pruned {s_pr} vs exhaustive {s_ex})"
+                );
+            }
+            println!(
+                "{what:>24}: solves {s_ex} -> {s_pr}, windows {} ({} infeasible-skipped, {} bound-pruned)",
+                pr.dp.windows, pr.dp.infeasible_skipped, pr.dp.bound_pruned
             );
         }
-        println!(
-            "{model:>12}: solves {s_ex} -> {s_pr}, windows {} ({} infeasible-skipped, {} bound-pruned)",
-            pr.dp.windows, pr.dp.infeasible_skipped, pr.dp.bound_pruned
-        );
     }
+}
+
+#[test]
+fn cim_mlc_compiles_report_the_windows_the_dp_pruned() {
+    // CIM-MLC runs the same bound-pruned DP as CMSwitch, so its compiles
+    // reconcile pruning counters and events the same way.
+    let session = Session::builder(presets::dynaplasia())
+        .backend_kind(BackendKind::CimMlc)
+        .build();
+    let graph = registry::build("llama2-7b", 1, 16).expect("registered model");
+    let outcome = session.compile(CompileRequest::new(graph)).expect("compiles");
+    let pruned = outcome.stats().dp_windows_pruned;
+    assert!(pruned > 0, "{}", outcome.diagnostics);
+    assert_eq!(outcome.diagnostics.windows_pruned(), pruned);
+    assert!(outcome
+        .diagnostics
+        .events()
+        .iter()
+        .any(|e| matches!(e, DiagnosticEvent::DpWindowsPruned { .. })));
 }
 
 #[test]
@@ -125,8 +201,8 @@ fn pruned_dp_identical_under_mip_allocator_on_transformer_prefix() {
     let graph = registry::build("bert-base", 1, 32).unwrap();
     let list = lower_graph(&graph, &arch).unwrap();
     let list = truncate(&partition(&list, &arch, 1.0).unwrap(), 24);
-    let (ex, s_ex) = run_dp(&list, &arch, DpMode::Exhaustive, AllocatorKind::Mip);
-    let (pr, s_pr) = run_dp(&list, &arch, DpMode::BoundPruned, AllocatorKind::Mip);
+    let (ex, s_ex) = run_allocator(&list, &arch, DpMode::Exhaustive, AllocatorKind::Mip);
+    let (pr, s_pr) = run_allocator(&list, &arch, DpMode::BoundPruned, AllocatorKind::Mip);
     assert_identical(&ex, &pr, "bert-base prefix under MIP");
     assert!(s_pr <= s_ex, "pruned {s_pr} vs exhaustive {s_ex}");
 }
@@ -227,10 +303,13 @@ proptest! {
         let lowered = truncate(&lowered, lowered_cap);
         let list = truncate(&partition(&lowered, &arch, 1.0).expect("partitions"), 48);
         prop_assume!(list.ops.iter().all(|o| o.min_tiles <= arch.n_arrays()));
-        let (ex, s_ex) = run_dp(&list, &arch, DpMode::Exhaustive, AllocatorKind::Fast);
-        let (pr, s_pr) = run_dp(&list, &arch, DpMode::BoundPruned, AllocatorKind::Fast);
-        prop_assert_eq!(&ex.segments, &pr.segments);
-        prop_assert_eq!(ex.total_latency.to_bits(), pr.total_latency.to_bits());
-        prop_assert!(s_pr <= s_ex, "{} on {}: {} vs {}", model, arch.name(), s_pr, s_ex);
+        for [(ex, s_ex), (pr, s_pr)] in [
+            MODES.map(|mode| run_allocator(&list, &arch, mode, AllocatorKind::Fast)),
+            MODES.map(|mode| run_all_compute(&list, &arch, mode)),
+        ] {
+            prop_assert_eq!(&ex.segments, &pr.segments);
+            prop_assert_eq!(ex.total_latency.to_bits(), pr.total_latency.to_bits());
+            prop_assert!(s_pr <= s_ex, "{} on {}: {} vs {}", model, arch.name(), s_pr, s_ex);
+        }
     }
 }

@@ -233,6 +233,27 @@ fn diagnostics_pruning_counts_match_compile_stats() {
 }
 
 #[test]
+fn zero_max_segment_ops_means_one_on_every_backend() {
+    // A zero window cap reads as one op per window everywhere: the
+    // greedy packers never pack past the first op, and the segmentation
+    // DP behind CMSwitch and CIM-MLC clamps it to 1.
+    let graph = cmswitch::models::mlp::mlp(2, &[128, 256, 128, 64]).unwrap();
+    for kind in BackendKind::ALL {
+        let session = Session::builder(presets::tiny()).backend_kind(kind).build();
+        let compile = |max_ops: usize| {
+            let options = CompilerOptions::default().with_max_segment_ops(max_ops);
+            session
+                .compile(CompileRequest::new(graph.clone()).with_options(options))
+                .unwrap_or_else(|e| panic!("{kind} at max_segment_ops={max_ops}: {e}"))
+                .program
+        };
+        let (zero, one) = (compile(0), compile(1));
+        assert_eq!(zero.flow, one.flow, "{kind}");
+        assert_eq!(zero.segments, one.segments, "{kind}");
+    }
+}
+
+#[test]
 fn exhaustive_override_reports_zero_pruning() {
     let session = Session::builder(presets::tiny()).build();
     let graph = cmswitch::models::mlp::mlp(2, &[128, 256, 128]).unwrap();

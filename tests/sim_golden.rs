@@ -17,15 +17,19 @@
 //!
 //! then review and commit the updated `tests/golden/sim_registry.txt`,
 //! `tests/golden/engine_reports.txt` (the second test: a digest of
-//! every schedule-dependent field of every report, on every backend)
-//! and `tests/golden/co_schedules.txt` (the third: what the same forward
-//! pass makes of several flows at once). A diff in the first two means
-//! the one-flow schedule moved; a diff in the third alone means the
-//! arbitration rule or the amortized / injected switch handling did.
+//! every schedule-dependent field of every report, on every backend),
+//! `tests/golden/co_schedules.txt` (the third: what the same forward
+//! pass makes of several flows at once) and
+//! `tests/golden/paper_figures.txt` (the fourth: the quick §5 reports
+//! that print no wall clock). A diff in the first two means the
+//! one-flow schedule moved; a diff in the third alone means the
+//! arbitration rule or the amortized / injected switch handling did; a
+//! diff in the fourth alone means a figure's own arithmetic did.
 
 use std::fmt::Write as _;
 
 use cmswitch::arch::presets;
+use cmswitch::bench::experiments::{run_experiment, ExpConfig};
 use cmswitch::models::registry;
 use cmswitch::models::transformer::{decode_step, TransformerConfig};
 use cmswitch::prelude::*;
@@ -288,4 +292,32 @@ fn co_schedules_match_golden_digest() {
     co_schedule_line(&mut out, "tiny-partitioned-4+4 mlp+mlp", &report);
 
     check_golden(CO_SCHEDULES_PATH, &out);
+}
+
+const PAPER_FIGURES_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/paper_figures.txt"
+);
+
+/// The §5 experiments whose quick reports print no wall clock (`fig18`
+/// and `ablation` report compile times, so they stay unpinned).
+const PINNED_FIGURES: &[&str] = &[
+    "fig1b", "fig5c", "fig6a", "fig6b", "fig14", "fig15", "fig16", "fig17", "overhead", "prime",
+];
+
+/// The paper's figures as `experiments <name> --quick` prints them: four
+/// of them are CMSwitch-over-CIM-MLC speedups, so a baseline plan that
+/// moves shows here even when no CMSwitch plan does.
+#[test]
+fn paper_figures_match_golden() {
+    let cfg = ExpConfig {
+        quick: true,
+        ..ExpConfig::default()
+    };
+    let mut out = String::new();
+    for &name in PINNED_FIGURES {
+        let report = run_experiment(name, &cfg).expect("pinned experiment is registered");
+        writeln!(out, "# {name}\n\n{report}").expect("writing to a String cannot fail");
+    }
+    check_golden(PAPER_FIGURES_PATH, &out);
 }
