@@ -252,13 +252,4 @@ mod tests {
         let last = flow.stmts().last().unwrap();
         assert!(matches!(last, Stmt::Mem(m) if m.label == "final output"));
     }
-
-    #[test]
-    fn printable_and_reparsable() {
-        let g = cmswitch_models::mlp::mlp(1, &[128, 128, 64]).unwrap();
-        let (flow, _) = flow_for(&g);
-        let text = cmswitch_metaop::print_flow(&flow);
-        let reparsed = cmswitch_metaop::parse(&text).unwrap();
-        assert_eq!(flow, reparsed);
-    }
 }

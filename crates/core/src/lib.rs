@@ -73,7 +73,7 @@ pub mod pipeline;
 pub mod segment;
 pub mod service;
 pub mod session;
-pub mod solvepool;
+mod solvepool;
 pub mod store;
 pub mod verify;
 
@@ -149,9 +149,9 @@ pub struct CompilerOptions {
     /// stage, failing the compile on any `Deny` finding.
     pub verify: bool,
     /// Worker threads the segmentation DP fans allocation solves out to
-    /// (via [`solvepool`]). `1` (the default) solves inline on the
-    /// calling thread; `0` means auto (available parallelism, capped at
-    /// 8). Plans are bit-identical at every worker count — see
+    /// (a scoped solve pool per compile). `1` (the default) solves
+    /// inline on the calling thread; `0` means auto (available
+    /// parallelism, capped at 8). Plans are bit-identical at every worker count — see
     /// [`segment`].
     pub solve_workers: usize,
 }
@@ -246,9 +246,7 @@ impl CompilerOptions {
     /// full-registry cold compile at 2 solve workers). A single
     /// oversubscribed compile wastes milliseconds; a design-space sweep
     /// fanning out hundreds of compiles compounds the waste into
-    /// minutes. Callers who really want to oversubscribe (e.g. to
-    /// measure the churn) can still size
-    /// [`crate::solvepool::SolvePool`] directly.
+    /// minutes.
     pub fn effective_solve_workers(&self) -> usize {
         let available = std::thread::available_parallelism().map_or(1, |n| n.get());
         if self.solve_workers == 0 {

@@ -69,7 +69,7 @@
 //! sequential pruning pass decides which candidate windows survive —
 //! these decisions read only prefix aggregates and `row_min` values from
 //! *earlier columns*, never thread timing; (2) the surviving windows not
-//! already memoized are batched through a [`crate::solvepool`] work
+//! already memoized are batched through the compile's solve-pool work
 //! queue (the greedy incumbent batches each step's candidate windows the
 //! same way); (3) the Eq. 3 recurrence then runs sequentially in the
 //! original window order against the completed memo. Bit-identity at
@@ -115,8 +115,8 @@ pub struct DpStats {
     /// Windows skipped because their analytic lower bound already lost
     /// to the incumbent schedule.
     pub bound_pruned: u64,
-    /// Non-empty solve batches fanned out to the
-    /// [`crate::solvepool`] work queue (greedy incumbent steps and DP
+    /// Non-empty solve batches fanned out to the solve-pool work
+    /// queue (greedy incumbent steps and DP
     /// columns with at least one unmemoized surviving window). Purely a
     /// function of the pruning decisions, so identical at every worker
     /// count.

@@ -278,16 +278,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Sets the per-compile allocation-solve worker count (shorthand
-    /// for mutating [`CompilerOptions::solve_workers`] on the
-    /// session-default options). `0` means auto; `1` (the default)
-    /// solves inline. Plans are bit-identical at every setting.
-    #[must_use]
-    pub fn solve_workers(mut self, workers: usize) -> Self {
-        self.options.solve_workers = workers;
-        self
-    }
-
     /// Shares an existing (possibly warm, possibly shared with other
     /// sessions) allocation cache instead of a fresh one. Keys embed the
     /// architecture's allocation fingerprint, so sharing across chips is

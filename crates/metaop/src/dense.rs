@@ -8,8 +8,8 @@
 //! hash probe, and [`BlockClaims`] layers the Eq. 6 claim legality both
 //! checkers share on top of it.
 //!
-//! **Untrusted ids.** Array ids arrive from decoded artifacts and parsed
-//! text, so an id can be anything up to `u32::MAX`. The dense part of a
+//! **Untrusted ids.** Array ids arrive from decoded artifacts and
+//! hand-built flows, so an id can be anything up to `u32::MAX`. The dense part of a
 //! table is sized by its creator (the chip's array count, or a bound
 //! derived from the flow itself); any id beyond it lands in an ordered
 //! spill map holding one entry per *distinct* stray id. A hostile id

@@ -2,7 +2,7 @@ use std::fmt;
 
 use cmswitch_arch::ArrayId;
 
-/// Error type for meta-operator flow validation and parsing.
+/// Error type for meta-operator flow validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MetaOpError {
     /// An array is used for computation while in memory mode (or vice
@@ -28,13 +28,6 @@ pub enum MetaOpError {
         /// Index of the offending statement.
         stmt: usize,
     },
-    /// Parse error with line number and message.
-    Parse {
-        /// 1-based line number.
-        line: usize,
-        /// What went wrong.
-        message: String,
-    },
 }
 
 impl fmt::Display for MetaOpError {
@@ -50,9 +43,6 @@ impl fmt::Display for MetaOpError {
             }
             MetaOpError::NestedParallel { stmt } => {
                 write!(f, "nested parallel block at statement {stmt}")
-            }
-            MetaOpError::Parse { line, message } => {
-                write!(f, "parse error at line {line}: {message}")
             }
         }
     }
@@ -71,10 +61,5 @@ mod tests {
             stmt: 2,
         };
         assert!(e.to_string().contains("a4"));
-        let e = MetaOpError::Parse {
-            line: 7,
-            message: "bad token".into(),
-        };
-        assert!(e.to_string().contains('7'));
     }
 }

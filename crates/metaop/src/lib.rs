@@ -11,9 +11,9 @@
 //!   execute pipelined.
 //!
 //! This crate defines the IR ([`Stmt`], [`Flow`]), a printer emitting the
-//! Fig. 13 concrete syntax, a parser for the same syntax (round-trip
-//! tested), and a validator that checks mode discipline (no array computes
-//! while in memory mode, no array is two things at once inside a segment).
+//! Fig. 13 concrete syntax, and a validator that checks mode discipline
+//! (no array computes while in memory mode, no array is two things at once
+//! inside a segment).
 //!
 //! # Example
 //!
@@ -33,7 +33,6 @@ pub mod dense;
 mod error;
 mod flow;
 mod op;
-mod parser;
 mod printer;
 mod validate;
 pub mod walk;
@@ -41,7 +40,6 @@ pub mod walk;
 pub use error::MetaOpError;
 pub use flow::{Flow, FlowStats};
 pub use op::{ComputeStmt, MemDirection, MemLoc, MemStmt, Stmt, SwitchKind, VectorStmt, WeightLoadStmt};
-pub use parser::parse;
 pub use printer::print_flow;
 pub use validate::{validate, validate_on};
 pub use walk::{walk_flow, FlowEvent, StmtPos};

@@ -6,8 +6,8 @@ use cmswitch_arch::ArrayId;
 
 use crate::{Flow, MemDirection, MemLoc, Stmt};
 
-/// Renders a flow in the Fig. 13-style concrete syntax accepted by
-/// [`crate::parse`].
+/// Renders a flow in the Fig. 13-style concrete syntax. The text is
+/// output only: flows are read back from `core::artifact`'s wire format.
 ///
 /// # Example
 ///
@@ -99,16 +99,9 @@ mod tests {
 
     #[test]
     fn prints_all_statement_kinds() {
-        let mut f = Flow::new("all");
-        f.push(Stmt::switch(SwitchKind::ToCompute, vec![ArrayId(0)]));
-        f.push(Stmt::Parallel(vec![
-            Stmt::LoadWeights(WeightLoadStmt {
-                op: "fc1".into(),
-                arrays: vec![ArrayId(0)],
-                bytes: 100,
-            }),
+        let compute = |op: &str, weight_static: bool| {
             Stmt::Compute(ComputeStmt {
-                op: "fc1".into(),
+                op: op.into(),
                 compute_arrays: vec![ArrayId(0)],
                 mem_in_arrays: vec![ArrayId(1)],
                 mem_out_arrays: vec![],
@@ -118,27 +111,60 @@ mod tests {
                 units: 1,
                 in_bytes: 6,
                 out_bytes: 8,
-                weight_static: false,
+                weight_static,
+            })
+        };
+        let mem = |loc: MemLoc, direction: MemDirection, bytes: u64, label: &str| {
+            Stmt::Mem(MemStmt {
+                loc,
+                direction,
+                bytes,
+                label: label.into(),
+            })
+        };
+        let mut f = Flow::new("all");
+        f.push(Stmt::switch(SwitchKind::ToCompute, vec![ArrayId(0)]));
+        f.push(Stmt::switch(SwitchKind::ToMemory, vec![ArrayId(1), ArrayId(2)]));
+        f.push(mem(MemLoc::Main, MemDirection::Read, 64, "input"));
+        f.push(Stmt::Parallel(vec![
+            Stmt::LoadWeights(WeightLoadStmt {
+                op: "fc1".into(),
+                arrays: vec![ArrayId(0)],
+                bytes: 100,
             }),
+            compute("fc1", true),
+            compute("attn", false),
             Stmt::Vector(VectorStmt {
                 op: "softmax".into(),
                 flops: 99,
             }),
+            mem(MemLoc::Buffer, MemDirection::Read, 5, "act"),
         ]));
-        f.push(Stmt::Mem(MemStmt {
-            loc: MemLoc::CimArrays(vec![ArrayId(1), ArrayId(2)]),
-            direction: MemDirection::Write,
-            bytes: 7,
-            label: "spill".into(),
-        }));
-        let text = print_flow(&f);
-        assert!(text.contains("CM.switch(TOC, [0])"));
-        assert!(text.contains("parallel {"));
-        assert!(text.contains("CIM.mmm(%fc1"));
-        assert!(text.contains("dynamic"));
-        assert!(text.contains("FU.vec(%softmax, 99)"));
-        assert!(text.contains("MEM.write(cim[1,2], 7, \"spill\")"));
-        // Indentation inside parallel blocks.
-        assert!(text.contains("\n  MEM.loadw"));
+        f.push(Stmt::Parallel(vec![]));
+        f.push(mem(
+            MemLoc::CimArrays(vec![ArrayId(1), ArrayId(2)]),
+            MemDirection::Write,
+            7,
+            "spill",
+        ));
+        f.push(mem(MemLoc::CimArrays(vec![]), MemDirection::Read, 0, ""));
+        let expected = "\
+# flow: all
+CM.switch(TOC, [0])
+CM.switch(TOM, [1,2])
+MEM.read(main, 64, \"input\")
+parallel {
+  MEM.loadw(%fc1, [0], 100)
+  CIM.mmm(%fc1, c=[0], min=[1], mout=[], m=2, k=3, n=4, units=1, in=6, out=8, static)
+  CIM.mmm(%attn, c=[0], min=[1], mout=[], m=2, k=3, n=4, units=1, in=6, out=8, dynamic)
+  FU.vec(%softmax, 99)
+  MEM.read(buffer, 5, \"act\")
+}
+parallel {
+}
+MEM.write(cim[1,2], 7, \"spill\")
+MEM.read(cim[], 0, \"\")
+";
+        assert_eq!(print_flow(&f), expected);
     }
 }

@@ -4,6 +4,7 @@
 use proptest::prelude::*;
 
 use cmswitch::arch::DualModeArch;
+use cmswitch::compiler::artifact::{decode_program, encode_program};
 use cmswitch::prelude::*;
 
 fn random_arch(seed: usize) -> DualModeArch {
@@ -68,15 +69,16 @@ proptest! {
     }
 
     #[test]
-    fn flows_roundtrip_through_text(seed in 0usize..300) {
+    fn programs_roundtrip_through_the_artifact(seed in 0usize..300) {
         let arch = random_arch(seed);
         let widths = [64usize, 96, 64];
         let graph = cmswitch::models::mlp::mlp(1 + seed % 3, &widths).unwrap();
         let program = Session::builder(arch).build().compile_graph(&graph)
             .unwrap();
-        let text = print_flow(&program.flow);
-        let reparsed = cmswitch::metaop::parse(&text).unwrap();
-        prop_assert_eq!(program.flow, reparsed);
+        let bytes = encode_program(&program);
+        let decoded = decode_program(&bytes).unwrap();
+        prop_assert_eq!(&decoded, &program);
+        prop_assert_eq!(encode_program(&decoded), bytes);
     }
 
     #[test]

@@ -14,7 +14,12 @@
 //!   explode the partitioner on billion-parameter models — truncation
 //!   keeps every preset/model pair affordable while still exercising
 //!   the DP and its bounds on that pair's real shapes).
+//!
+//! Both are checked against brute force as well: on lists of up to ten
+//! ops the DP's optimum must equal the cheapest of all 2^(n−1)
+//! segmentations, priced through the same window solver.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
@@ -25,6 +30,7 @@ use cmswitch::compiler::allocation::{Allocator, SegmentAllocation};
 use cmswitch::compiler::cost::CostModel;
 use cmswitch::compiler::frontend::{lower_graph, DepIndex, OpList};
 use cmswitch::compiler::partition::partition;
+use cmswitch::compiler::pipeline::Segmented;
 use cmswitch::compiler::segment::{segment, SegmentationResult, WindowSolver};
 use cmswitch::compiler::{AllocatorKind, CancelToken, CompilerOptions, DpMode};
 use cmswitch::models::registry;
@@ -205,6 +211,101 @@ fn pruned_dp_identical_under_mip_allocator_on_transformer_prefix() {
     let (pr, s_pr) = run_allocator(&list, &arch, DpMode::BoundPruned, AllocatorKind::Mip);
     assert_identical(&ex, &pr, "bert-base prefix under MIP");
     assert!(s_pr <= s_ex, "pruned {s_pr} vs exhaustive {s_ex}");
+}
+
+/// The cheapest segmentation of `list` into windows of at most `cap`
+/// ops, found by enumerating all 2^(n−1) of them and pricing each with
+/// [`Segmented::from_chain`] over `solver`'s window allocations; `None`
+/// when every segmentation has an infeasible window.
+fn brute_force_min(
+    list: &OpList,
+    arch: &DualModeArch,
+    cap: usize,
+    solver: &impl WindowSolver,
+) -> Option<f64> {
+    let n = list.ops.len();
+    let deps = DepIndex::new(list);
+    let cm = CostModel::new(arch);
+    let mut allocs: HashMap<(usize, usize), Option<SegmentAllocation>> = HashMap::new();
+    let mut best: Option<f64> = None;
+    // Bit `b` of `cuts` set: a segment ends after op `b`.
+    'cuts: for cuts in 0u32..1 << (n - 1) {
+        let mut parts = Vec::new();
+        let mut start = 0;
+        for end in 0..n {
+            if end + 1 < n && cuts >> end & 1 == 0 {
+                continue;
+            }
+            if end + 1 - start > cap {
+                continue 'cuts;
+            }
+            let alloc = allocs
+                .entry((start, end))
+                .or_insert_with(|| solver.solve(list, &deps, (start, end)));
+            let Some(alloc) = alloc.clone() else {
+                continue 'cuts;
+            };
+            parts.push(((start, end), alloc));
+            start = end + 1;
+        }
+        let total = Segmented::from_chain("brute", list.clone(), &cm, parts).total_latency;
+        best = Some(best.map_or(total, |b: f64| b.min(total)));
+    }
+    best
+}
+
+/// Runs the (bound-pruned) DP with window cap `cap`, then brute force
+/// through the same solver, so both price every window alike.
+fn assert_dp_is_optimal(
+    list: &OpList,
+    arch: &DualModeArch,
+    cap: usize,
+    solver: &impl WindowSolver,
+    at: &str,
+    solver_name: &str,
+) {
+    let what = format!("{at} under {solver_name}, window cap {cap}");
+    let opts = CompilerOptions::default().with_max_segment_ops(cap);
+    let dp = segment(list, solver, &CostModel::new(arch), &opts, &CancelToken::new());
+    match (dp, brute_force_min(list, arch, cap, solver)) {
+        (Ok(dp), Some(best)) => assert!(
+            (dp.total_latency - best).abs() <= 1e-9 * best.abs(),
+            "{what}: DP {} vs brute force {best}",
+            dp.total_latency
+        ),
+        (Err(_), None) => {}
+        (dp, best) => panic!("{what}: DP {dp:?} vs brute force {best:?}"),
+    }
+}
+
+#[test]
+fn dp_equals_brute_force_on_short_lists() {
+    let mut cases = 0;
+    for preset_idx in 0..3 {
+        let arch = preset(preset_idx);
+        for &model in registry::ALL_MODELS {
+            let graph = registry::build(model, 1, 16).expect("registered model");
+            let lowered = truncate(&lower_graph(&graph, &arch).expect("lowers"), 6);
+            let partitioned = partition(&lowered, &arch, 1.0).expect("partitions");
+            for n in [1, 3, 6, 10] {
+                let list = truncate(&partitioned, n);
+                let at = format!("{model} on {} (n = {n})", arch.name());
+                let allocator = |kind| Allocator::new(CostModel::new(&arch), kind, true);
+                let all_compute = AllCompute {
+                    cm: CostModel::new(&arch),
+                    solves: AtomicU64::new(0),
+                };
+                let (fast, mip) = (allocator(AllocatorKind::Fast), allocator(AllocatorKind::Mip));
+                let mip_cap_3 = allocator(AllocatorKind::Mip);
+                assert_dp_is_optimal(&list, &arch, 12, &fast, &at, "fast");
+                assert_dp_is_optimal(&list, &arch, 12, &mip, &at, "mip");
+                assert_dp_is_optimal(&list, &arch, 3, &mip_cap_3, &at, "mip");
+                assert_dp_is_optimal(&list, &arch, 12, &all_compute, &at, "all-compute");
+                cases += 4;
+            }
+        }
+    }
+    assert_eq!(cases, 432);
 }
 
 // --- Warm-start soundness ---------------------------------------------

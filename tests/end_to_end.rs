@@ -4,6 +4,7 @@
 use cmswitch::arch::presets;
 use cmswitch::bench::harness::run_workload;
 use cmswitch::bench::workloads::build;
+use cmswitch::compiler::artifact::{decode_program, encode_program};
 use cmswitch::prelude::*;
 
 #[test]
@@ -101,9 +102,10 @@ fn compiled_flows_always_validate_and_roundtrip() {
         let program = Session::builder(arch.clone()).build().compile_graph(&g)
             .unwrap();
         cmswitch::metaop::validate(&program.flow).unwrap();
-        let text = print_flow(&program.flow);
-        let reparsed = cmswitch::metaop::parse(&text).unwrap();
-        assert_eq!(program.flow, reparsed, "{model} flow does not roundtrip");
+        let bytes = encode_program(&program);
+        let decoded = decode_program(&bytes).unwrap();
+        assert_eq!(decoded, program, "{model} program does not roundtrip");
+        assert_eq!(encode_program(&decoded), bytes, "{model} re-encode differs");
     }
 }
 

@@ -158,7 +158,7 @@ fn short_deadline_aborts_a_parallel_compile_without_poisoning_the_session() {
     // pool lives strictly inside one compile, the *same* session must
     // compile cleanly afterwards (no poisoned pool state).
     let session = Session::builder(presets::dynaplasia())
-        .solve_workers(4)
+        .options(CompilerOptions::default().with_solve_workers(4))
         .build();
     let graph = cmswitch::models::registry::build("bert-base", 1, 32).unwrap();
     let err = session

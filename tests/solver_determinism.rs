@@ -2,7 +2,7 @@
 //! `solve_workers` setting.
 //!
 //! The segmentation DP fans allocation solves out across a worker pool
-//! ([`cmswitch::compiler::solvepool`]), but the set of windows to solve
+//! (the compiler's private `solvepool`), but the set of windows to solve
 //! and the recurrence that consumes them stay sequential, and warm
 //! starts are a pure function of the window signature — so the compiled
 //! plan may not depend on worker count, scheduling, or batch interleave.
@@ -145,13 +145,17 @@ proptest! {
             _ => presets::tiny(),
         };
         let graph = cmswitch::models::mlp::mlp(batch, &widths).expect("valid mlp");
-        let seq = Session::builder(arch.clone()).solve_workers(1).build()
+        let seq = Session::builder(arch.clone())
+            .options(CompilerOptions::default().with_solve_workers(1))
+            .build()
             .compile_graph(&graph);
         // Oversized layers on the tiny preset fail identically in both
         // modes; the determinism claim is about successful plans.
         prop_assume!(seq.is_ok());
         let base = seq.unwrap();
-        let par = Session::builder(arch).solve_workers(workers).build()
+        let par = Session::builder(arch)
+            .options(CompilerOptions::default().with_solve_workers(workers))
+            .build()
             .compile_graph(&graph)
             .expect("parallel compile succeeds where sequential did");
         assert_same_plan(&base, &par, &format!("mlp{widths:?} at {workers} workers"));
