@@ -21,7 +21,7 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic  b"CMSWART\0"
-//!      8     4  format version, u32 LE   (currently 2)
+//!      8     4  format version, u32 LE   (currently 3)
 //!     12     4  artifact kind, u32 LE    (1 = program, 2 = alloc snapshot)
 //!     16     8  payload length, u64 LE
 //!     24     8  checksum, u64 LE         (see "Checksum" below)
@@ -56,6 +56,40 @@
 //! sequences are a `u64` element count followed by the elements. Enum
 //! variants are a one-byte tag in declaration order.
 //!
+//! # Array lists
+//!
+//! The allocator hands each operator contiguous blocks of arrays, so
+//! every array list of a flow — a switch's arrays, a compute's three
+//! lists, a weight load's arrays, a scratchpad location — is written as
+//! the canonical runs of its [`ArraySet`], not id by id:
+//!
+//! ```text
+//! list := u32 run count, run*
+//! run  := u32 first id, u32 len, u8 step   (0 = +1, 1 = -1)
+//! ```
+//!
+//! A run holds the `len` ids `first`, `first ± 1`, …; a list is the
+//! concatenation of its runs, in order, duplicates kept. The decoder
+//! accepts only the canonical form, so decoding and encoding are
+//! inverse bijections: a run count whose runs would not fit in the
+//! payload, a zero-length run, a run stepping past `0` or `u32::MAX`, a
+//! descending one-id run, and a run that continues the one before it
+//! (two runs the encoder would have written as one) are all
+//! [`ArtifactError::Malformed`]. Decoding writes runs straight into the
+//! set's inline storage — a list of at most three runs costs no
+//! allocation — and nothing in the decoder scales with a run's length:
+//! a forged run of four billion ids is nine bytes in and eight bytes
+//! out, and the checkers downstream walk it clipped to the chip
+//! ([`cmswitch_metaop::ArraySet::clipped_runs`]).
+//!
+//! # Stage names
+//!
+//! [`StageWall::stage`] is a `&'static str`, so a stage name the build
+//! does not know is leaked once and reused. The checksum is no
+//! authentication, so the table of such names is capped at 16 per
+//! process; a name beyond it is `Malformed`, and forged artifacts cannot
+//! grow the process without bound.
+//!
 //! `Parallel` blocks nest at most two deep on the wire (a block inside
 //! a block); a third level is `Malformed`. The compiler never nests
 //! them at all (`race-nested` denies it), so the bound only has to keep
@@ -78,8 +112,8 @@ use std::time::Duration;
 
 use cmswitch_arch::ArrayId;
 use cmswitch_metaop::{
-    ComputeStmt, Flow, MemDirection, MemLoc, MemStmt, Stmt, SwitchKind, VectorStmt,
-    WeightLoadStmt,
+    ArrayRun, ArraySet, ComputeStmt, Flow, MemDirection, MemLoc, MemStmt, Stmt, SwitchKind,
+    VectorStmt, WeightLoadStmt,
 };
 
 use crate::allocation::{AllocEntry, OpAllocation, SegmentAllocation};
@@ -92,7 +126,7 @@ pub const MAGIC: [u8; 8] = *b"CMSWART\0";
 
 /// The current wire-format version (see the module docs for the bump
 /// policy).
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Artifact kind tag: a serialized [`CompiledProgram`].
 pub const KIND_PROGRAM: u32 = 1;
@@ -105,6 +139,13 @@ const HEADER_LEN: usize = 32;
 /// How deep `Parallel` blocks may nest in a decoded flow: a block inside
 /// a block, and no further (see the module docs).
 const MAX_PARALLEL_DEPTH: usize = 2;
+
+/// Encoded size of one array run: first id, length, step.
+const RUN_BYTES: usize = 9;
+
+/// How many stage names outside [`KNOWN_STAGES`] one process interns
+/// (see the module docs); a decoded name past them is `Malformed`.
+const MAX_FOREIGN_STAGES: usize = 16;
 
 /// Why a byte slice failed to decode as an artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -317,10 +358,13 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    fn string(&mut self) -> Result<String, ArtifactError> {
+    fn str(&mut self) -> Result<&'a str, ArtifactError> {
         let len = self.usize()?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ArtifactError::Malformed("utf-8 string"))
+        std::str::from_utf8(self.take(len)?).map_err(|_| ArtifactError::Malformed("utf-8 string"))
+    }
+
+    fn string(&mut self) -> Result<String, ArtifactError> {
+        self.str().map(str::to_owned)
     }
 
     fn duration(&mut self) -> Result<Duration, ArtifactError> {
@@ -427,43 +471,67 @@ const KNOWN_STAGES: &[&str] = &[
     "segment:cim-mlc-dp",
 ];
 
+/// Stage names outside [`KNOWN_STAGES`] interned so far, at most
+/// [`MAX_FOREIGN_STAGES`] of them.
+static FOREIGN_STAGES: std::sync::Mutex<Vec<&'static str>> = std::sync::Mutex::new(Vec::new());
+
 /// Interns a decoded stage name as `&'static str`: known names resolve
 /// to their compile-time constant; unknown names (a stage added by a
-/// newer build, say) are leaked exactly once and reused thereafter.
-fn intern_stage(name: &str) -> &'static str {
+/// newer build, say) are leaked exactly once and reused thereafter, up
+/// to [`MAX_FOREIGN_STAGES`] of them per process.
+fn intern_stage(name: &str) -> Result<&'static str, ArtifactError> {
     if let Some(s) = KNOWN_STAGES.iter().find(|s| **s == name) {
-        return s;
+        return Ok(s);
     }
-    static EXTRA: std::sync::Mutex<Vec<&'static str>> = std::sync::Mutex::new(Vec::new());
-    let mut extra = EXTRA.lock().expect("stage intern table poisoned");
-    if let Some(s) = extra.iter().find(|s| **s == name) {
-        return s;
+    let mut foreign = FOREIGN_STAGES.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(s) = foreign.iter().find(|s| **s == name) {
+        return Ok(s);
+    }
+    if foreign.len() == MAX_FOREIGN_STAGES {
+        return Err(ArtifactError::Malformed("too many unknown stage names"));
     }
     let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
-    extra.push(leaked);
-    leaked
+    foreign.push(leaked);
+    Ok(leaked)
 }
 
 // ---------------------------------------------------------------------------
 // Domain encoders / decoders
 // ---------------------------------------------------------------------------
 
-// Array ids are most of a program artifact (about a million per
-// registry set), so both directions move a list as one run of bytes.
-fn put_array_ids(w: &mut Writer, ids: &[ArrayId]) {
-    w.usize(ids.len());
-    w.buf.reserve(4 * ids.len());
-    for id in ids {
-        w.u32(id.0);
+// Array lists as runs (grammar in the module docs).
+fn put_array_set(w: &mut Writer, set: &ArraySet) {
+    let runs = set.runs();
+    // A list of 2^32 runs would be 32 GiB in memory.
+    w.u32(u32::try_from(runs.len()).expect("fewer than 2^32 runs per list"));
+    for run in runs {
+        w.u32(run.first().0);
+        w.u32(run.count());
+        w.u8(u8::from(!run.ascending()));
     }
 }
 
-fn get_array_ids(r: &mut Reader<'_>) -> Result<Vec<ArrayId>, ArtifactError> {
-    let len = r.seq_len(4)?;
-    Ok(r.take(4 * len)?
-        .chunks_exact(4)
-        .map(|b| ArrayId(u32::from_le_bytes([b[0], b[1], b[2], b[3]])))
-        .collect())
+fn get_array_set(r: &mut Reader<'_>) -> Result<ArraySet, ArtifactError> {
+    let n_runs = r.u32()? as usize;
+    if n_runs.saturating_mul(RUN_BYTES) > r.remaining() {
+        return Err(ArtifactError::Malformed("array run count past the payload"));
+    }
+    let mut set = ArraySet::new();
+    for run in r.take(n_runs * RUN_BYTES)?.chunks_exact(RUN_BYTES) {
+        let first = u32::from_le_bytes([run[0], run[1], run[2], run[3]]);
+        let len = u32::from_le_bytes([run[4], run[5], run[6], run[7]]);
+        let ascending = match run[8] {
+            0 => true,
+            1 if len > 1 => false,
+            _ => return Err(ArtifactError::Malformed("array run step")),
+        };
+        let run = ArrayRun::new(ArrayId(first), len, ascending)
+            .ok_or(ArtifactError::Malformed("array run empty or past the id range"))?;
+        if !set.push_run(run) {
+            return Err(ArtifactError::Malformed("array runs not canonical"));
+        }
+    }
+    Ok(set)
 }
 
 fn put_stmt(w: &mut Writer, stmt: &Stmt) {
@@ -474,14 +542,14 @@ fn put_stmt(w: &mut Writer, stmt: &Stmt) {
                 SwitchKind::ToMemory => 0,
                 SwitchKind::ToCompute => 1,
             });
-            put_array_ids(w, arrays);
+            put_array_set(w, arrays);
         }
         Stmt::Compute(c) => {
             w.u8(1);
             w.str(&c.op);
-            put_array_ids(w, &c.compute_arrays);
-            put_array_ids(w, &c.mem_in_arrays);
-            put_array_ids(w, &c.mem_out_arrays);
+            put_array_set(w, &c.compute_arrays);
+            put_array_set(w, &c.mem_in_arrays);
+            put_array_set(w, &c.mem_out_arrays);
             w.usize(c.m);
             w.usize(c.k);
             w.usize(c.n);
@@ -493,7 +561,7 @@ fn put_stmt(w: &mut Writer, stmt: &Stmt) {
         Stmt::LoadWeights(l) => {
             w.u8(2);
             w.str(&l.op);
-            put_array_ids(w, &l.arrays);
+            put_array_set(w, &l.arrays);
             w.u64(l.bytes);
         }
         Stmt::Mem(m) => {
@@ -503,7 +571,7 @@ fn put_stmt(w: &mut Writer, stmt: &Stmt) {
                 MemLoc::Buffer => w.u8(1),
                 MemLoc::CimArrays(ids) => {
                     w.u8(2);
-                    put_array_ids(w, ids);
+                    put_array_set(w, ids);
                 }
             }
             w.u8(match m.direction {
@@ -537,13 +605,13 @@ fn get_stmt(r: &mut Reader<'_>, depth: usize) -> Result<Stmt, ArtifactError> {
                 1 => SwitchKind::ToCompute,
                 _ => return Err(ArtifactError::Malformed("switch kind tag")),
             },
-            arrays: get_array_ids(r)?,
+            arrays: get_array_set(r)?,
         },
         1 => Stmt::Compute(ComputeStmt {
             op: r.string()?,
-            compute_arrays: get_array_ids(r)?,
-            mem_in_arrays: get_array_ids(r)?,
-            mem_out_arrays: get_array_ids(r)?,
+            compute_arrays: get_array_set(r)?,
+            mem_in_arrays: get_array_set(r)?,
+            mem_out_arrays: get_array_set(r)?,
             m: r.usize()?,
             k: r.usize()?,
             n: r.usize()?,
@@ -554,14 +622,14 @@ fn get_stmt(r: &mut Reader<'_>, depth: usize) -> Result<Stmt, ArtifactError> {
         }),
         2 => Stmt::LoadWeights(WeightLoadStmt {
             op: r.string()?,
-            arrays: get_array_ids(r)?,
+            arrays: get_array_set(r)?,
             bytes: r.u64()?,
         }),
         3 => Stmt::Mem(MemStmt {
             loc: match r.u8()? {
                 0 => MemLoc::Main,
                 1 => MemLoc::Buffer,
-                2 => MemLoc::CimArrays(get_array_ids(r)?),
+                2 => MemLoc::CimArrays(get_array_set(r)?),
                 _ => return Err(ArtifactError::Malformed("mem loc tag")),
             },
             direction: match r.u8()? {
@@ -732,9 +800,9 @@ fn get_stats(r: &mut Reader<'_>) -> Result<CompileStats, ArtifactError> {
     let n_stages = r.seq_len(20)?;
     let mut stage_wall = Vec::with_capacity(n_stages);
     for _ in 0..n_stages {
-        let name = r.string()?;
+        let name = r.str()?;
         stage_wall.push(StageWall {
-            stage: intern_stage(&name),
+            stage: intern_stage(name)?,
             wall: r.duration()?,
         });
     }
@@ -1029,9 +1097,45 @@ mod tests {
 
     #[test]
     fn stage_interning_resolves_known_and_unknown_names() {
-        assert_eq!(intern_stage("segment"), "segment");
-        let a = intern_stage("totally-new-stage");
-        let b = intern_stage("totally-new-stage");
+        assert_eq!(intern_stage("segment"), Ok("segment"));
+        let a = intern_stage("totally-new-stage").unwrap();
+        let b = intern_stage("totally-new-stage").unwrap();
         assert!(std::ptr::eq(a.as_ptr(), b.as_ptr()), "leak exactly once");
+        // The table is one per process, so the cap is checked here, after
+        // the names above, rather than in a test racing this one.
+        forged_stage_names_leak_at_most_the_cap();
+    }
+
+    /// Forged artifacts, each naming a stage of its own: the checksum
+    /// is no authentication, so without a cap every one of them would
+    /// leak its name for the life of the process.
+    fn forged_stage_names_leak_at_most_the_cap() {
+        let mut p = program();
+        p.stats.stage_wall = vec![StageWall {
+            stage: "forged-0000",
+            wall: Duration::from_nanos(7),
+        }];
+        let clean = encode_program(&p);
+        let at = clean
+            .windows(11)
+            .position(|w| w == b"forged-0000")
+            .expect("the stage name is in the payload");
+        let (mut served, mut refused) = (0, 0);
+        for i in 0..1_000u32 {
+            let mut bytes = clean.clone();
+            bytes[at + 7..at + 11].copy_from_slice(format!("{i:04}").as_bytes());
+            let sum = payload_checksum(&bytes[HEADER_LEN..]);
+            bytes[24..32].copy_from_slice(&sum.to_le_bytes());
+            match decode_program(&bytes) {
+                Ok(_) => served += 1,
+                Err(ArtifactError::Malformed("too many unknown stage names")) => refused += 1,
+                Err(other) => panic!("forged name {i}: {other:?}"),
+            }
+        }
+        let table = FOREIGN_STAGES.lock().unwrap().len();
+        assert!(table <= MAX_FOREIGN_STAGES, "{table} names interned");
+        assert!(served <= MAX_FOREIGN_STAGES && served + refused == 1_000);
+        // Names already interned keep decoding once the table is full.
+        assert_eq!(decode_program(&clean).map(|d| d.stats.stage_wall[0].stage), Ok("forged-0000"));
     }
 }

@@ -164,15 +164,15 @@ pub fn generate(
             if op.weight_static && !per_op_compute[oi].is_empty() {
                 body.push(Stmt::LoadWeights(WeightLoadStmt {
                     op: op.name.clone(),
-                    arrays: per_op_compute[oi].clone(),
+                    arrays: per_op_compute[oi].as_slice().into(),
                     bytes: per_op_compute[oi].len() as u64 * arch.array_bytes(),
                 }));
             }
             body.push(Stmt::Compute(ComputeStmt {
                 op: op.name.clone(),
-                compute_arrays: per_op_compute[oi].clone(),
-                mem_in_arrays: per_op_mem_in[oi].clone(),
-                mem_out_arrays: per_op_mem_out[oi].clone(),
+                compute_arrays: per_op_compute[oi].as_slice().into(),
+                mem_in_arrays: per_op_mem_in[oi].as_slice().into(),
+                mem_out_arrays: per_op_mem_out[oi].as_slice().into(),
                 m: op.m,
                 k: op.k,
                 n: op.n,

@@ -434,9 +434,9 @@ mod tests {
     fn compute(op: &str, arrays: Vec<ArrayId>, m: usize) -> Stmt {
         Stmt::Compute(ComputeStmt {
             op: op.into(),
-            compute_arrays: arrays,
-            mem_in_arrays: vec![],
-            mem_out_arrays: vec![],
+            compute_arrays: arrays.into(),
+            mem_in_arrays: vec![].into(),
+            mem_out_arrays: vec![].into(),
             m,
             k: 64,
             n: 64,
@@ -463,7 +463,7 @@ mod tests {
         let buffer = mem_duration(1024, &MemLoc::Buffer, &arch);
         let cim = mem_duration(
             1024,
-            &MemLoc::CimArrays(vec![ArrayId(0), ArrayId(1)]),
+            &MemLoc::CimArrays(vec![ArrayId(0), ArrayId(1)].into()),
             &arch,
         );
         assert_eq!(main, 1024.0 / arch.extern_bw() as f64);
@@ -477,12 +477,12 @@ mod tests {
         let body = vec![
             Stmt::LoadWeights(WeightLoadStmt {
                 op: "a".into(),
-                arrays: vec![ArrayId(0)],
+                arrays: vec![ArrayId(0)].into(),
                 bytes: 64,
             }),
             Stmt::LoadWeights(WeightLoadStmt {
                 op: "b".into(),
-                arrays: vec![ArrayId(1), ArrayId(2)],
+                arrays: vec![ArrayId(1), ArrayId(2)].into(),
                 bytes: 128,
             }),
             compute("a", vec![ArrayId(0)], 8),

@@ -23,6 +23,21 @@
 //! concurrent processes sharing a store directory never observe
 //! half-written artifacts.
 //!
+//! # Keys
+//!
+//! A [`StoreKey`] is `stable_hash64` over eleven words: the key schema
+//! (currently 2), the architecture fingerprint, the backend name, the
+//! six compiler options that shape a plan, whether the pipeline
+//! verifies, and [`graph_signature`]. The signature hashes the graph's
+//! fields directly — name, then per node its id, name, operator tag and
+//! every operator parameter, inputs and shape — through
+//! [`Graph::hash_fields`], which destructures every type exhaustively,
+//! so a field or variant added to the IR cannot compile without entering
+//! the key, and hashing words costs a warm request almost nothing. Any
+//! change to the derivation bumps the schema: keys of the old schema are
+//! then never probed again, and their files are dead weight that a
+//! `--prime` of the new build does not read.
+//!
 //! # Trust model
 //!
 //! The verifier's verdict is a function of (program, architecture); the
@@ -42,8 +57,8 @@
 //! requested graph) never was a defence either.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::fs;
+use std::hash::Hasher as _;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,7 +76,7 @@ use crate::{AllocatorKind, CompilerOptions, DpMode};
 
 /// Bumped whenever the key derivation below changes, so old store
 /// entries become unreachable (a silent miss) instead of wrongly hit.
-const KEY_SCHEMA_VERSION: u64 = 1;
+const KEY_SCHEMA_VERSION: u64 = 2;
 
 /// FNV-1a over raw bytes — the byte-level sibling of
 /// `cmswitch_solver::stable_hash64` (same constants). Hashes the backend
@@ -131,41 +146,60 @@ impl StoreKey {
     }
 }
 
-/// Structural signature of a graph: FNV-1a over the graph name and
-/// every node's id, name, operator (via its stable `Debug` form),
-/// inputs and shape. Two graphs share a signature iff they describe
-/// the same computation.
+/// Structural signature of a graph: every field of the graph, its nodes
+/// and their operators ([`Graph::hash_fields`], exhaustive by
+/// construction), run through a word-wide stable hash. Two graphs share
+/// a signature iff they describe the same computation (up to 64-bit
+/// collisions).
 pub fn graph_signature(graph: &Graph) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |bytes: &[u8]| {
-        // Length-prefix each field so concatenations can't collide.
-        for &b in (bytes.len() as u64)
-            .to_le_bytes()
-            .iter()
-            .chain(bytes.iter())
-        {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    mix(graph.name().as_bytes());
-    // One buffer for every node's `Debug` form: same bytes mixed, no
-    // `String` per node.
-    let mut op = String::new();
-    for node in graph.nodes() {
-        mix(&(node.id.0 as u64).to_le_bytes());
-        mix(node.name.as_bytes());
-        op.clear();
-        write!(op, "{:?}", node.op).expect("writing to a String cannot fail");
-        mix(op.as_bytes());
-        for input in &node.inputs {
-            mix(&(input.0 as u64).to_le_bytes());
-        }
-        for &dim in &node.shape {
-            mix(&(dim as u64).to_le_bytes());
+    let mut h = SignatureHasher::default();
+    graph.hash_fields(&mut h);
+    h.finish()
+}
+
+/// The stable hash behind [`graph_signature`]: one multiply-rotate step
+/// per 64-bit word (`h = rotl((h ^ word) * P, 29)`, the FNV-1a prime,
+/// from the FNV-1a offset basis) and a final `h ^ (h >> 32)`. Bytes are
+/// taken as little-endian words, the last one zero-padded; the graph
+/// length-prefixes every byte string it feeds, so padding is
+/// unambiguous. Every step is a bijection of `h` for a fixed word, so
+/// the state never collapses, and it costs one multiply per word where
+/// byte-serial FNV-1a costs eight.
+struct SignatureHasher {
+    h: u64,
+}
+
+impl Default for SignatureHasher {
+    fn default() -> Self {
+        SignatureHasher {
+            h: 0xcbf2_9ce4_8422_2325,
         }
     }
-    h
+}
+
+impl std::hash::Hasher for SignatureHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_le_bytes(word.try_into().expect("chunks_exact(8)")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut last = [0u8; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            self.write_u64(u64::from_le_bytes(last));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.h = (self.h ^ word)
+            .wrapping_mul(0x0000_0100_0000_01b3)
+            .rotate_left(29);
+    }
+
+    fn finish(&self) -> u64 {
+        self.h ^ (self.h >> 32)
+    }
 }
 
 /// Result of probing the store for a program.
@@ -407,6 +441,7 @@ mod tests {
     use super::*;
     use crate::session::Session;
     use cmswitch_arch::presets;
+    use std::collections::HashSet;
 
     fn tempdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -434,24 +469,97 @@ mod tests {
         assert_eq!(k1, StoreKey::for_compile(&arch, "cmswitch", &workers, &g1));
     }
 
-    /// The values the parent commit derived: `graph_signature` may change
-    /// how it gets there, not where it lands — a moved key silently
-    /// orphans every primed store.
+    /// The values key schema 2 derives: `graph_signature` may change how
+    /// it gets there, not where it lands — a moved key silently orphans
+    /// every primed store, so moving one takes a schema bump.
     #[test]
     fn key_values_are_pinned() {
         let options = CompilerOptions::default();
         let mlp = cmswitch_models::mlp::mlp(2, &[64, 64]).unwrap();
         let tiny = StoreKey::for_compile(&presets::tiny(), "cmswitch", &options, &mlp);
-        assert_eq!(tiny.hash(), 0x7f57_e90f_b0a6_2bc2);
+        assert_eq!(tiny.hash(), 0xc768_4a97_7ad5_133a, "tiny: {:#018x}", tiny.hash());
         let arch = presets::dynaplasia();
         for (model, pinned) in [
-            ("resnet18", 0x4832_ead3_31ce_08bb_u64),
-            ("llama2-7b", 0x1dcd_3869_a2e3_0110),
+            ("resnet18", 0x9b2b_e8c5_a353_27a2_u64),
+            ("llama2-7b", 0xdd02_9e52_e735_9e6d),
         ] {
             let graph = cmswitch_models::registry::build(model, 1, 16).unwrap();
             let key = StoreKey::for_compile(&arch, "cmswitch", &options, &graph);
             assert_eq!(key.hash(), pinned, "{model}: {:#018x}", key.hash());
         }
+    }
+
+    /// Every operator parameter, and every node field, is part of the
+    /// key: two graphs that differ in one number must never share a plan.
+    #[test]
+    fn every_operator_parameter_moves_the_key() {
+        use cmswitch_graph::{Activation, Node, NodeId, OpKind};
+        let (arch, options) = (presets::tiny(), CompilerOptions::default());
+        let key = |name: &str, op: &OpKind, inputs: &[usize], shape: &[usize]| {
+            let node = Node {
+                id: NodeId(inputs.len()),
+                name: name.into(),
+                op: op.clone(),
+                inputs: inputs.iter().map(|&i| NodeId(i)).collect(),
+                shape: shape.to_vec(),
+            };
+            let graph = Graph::from_nodes("g", vec![node]);
+            StoreKey::for_compile(&arch, "cmswitch", &options, &graph)
+        };
+        let conv = |out_channels, kernel, stride, padding, groups| OpKind::Conv2d {
+            out_channels,
+            kernel,
+            stride,
+            padding,
+            groups,
+        };
+        let max_pool = |kernel, stride| OpKind::MaxPool2d { kernel, stride };
+        let avg_pool = |kernel, stride| OpKind::AvgPool2d { kernel, stride };
+        let base = conv(8, 3, 1, 1, 1);
+        let pairs = [
+            (base.clone(), conv(16, 3, 1, 1, 1)),
+            (base.clone(), conv(8, 5, 1, 1, 1)),
+            (base.clone(), conv(8, 3, 2, 1, 1)),
+            (base.clone(), conv(8, 3, 1, 0, 1)),
+            (base.clone(), conv(8, 3, 1, 1, 8)),
+            // Parameters trading places must not cancel out.
+            (conv(8, 3, 1, 2, 1), conv(8, 3, 2, 1, 1)),
+            (
+                OpKind::BatchMatMul { transpose_rhs: true },
+                OpKind::BatchMatMul { transpose_rhs: false },
+            ),
+            (OpKind::Linear { out_features: 64 }, OpKind::Linear { out_features: 65 }),
+            (OpKind::Input { shape: vec![1, 8] }, OpKind::Input { shape: vec![1, 8, 1] }),
+            (OpKind::Reshape { shape: vec![8, 2] }, OpKind::Reshape { shape: vec![2, 8] }),
+            (OpKind::Act(Activation::Relu), OpKind::Act(Activation::Gelu)),
+            (OpKind::Act(Activation::Gelu), OpKind::Act(Activation::Silu)),
+            (max_pool(2, 2), max_pool(2, 1)),
+            (max_pool(2, 2), max_pool(3, 2)),
+            (avg_pool(2, 2), avg_pool(2, 1)),
+            (avg_pool(2, 2), max_pool(2, 2)),
+            (OpKind::Embedding { vocab: 100, dim: 8 }, OpKind::Embedding { vocab: 101, dim: 8 }),
+            (OpKind::Embedding { vocab: 100, dim: 8 }, OpKind::Embedding { vocab: 100, dim: 9 }),
+        ];
+        for (a, b) in &pairs {
+            assert_ne!(key("n", a, &[], &[4]), key("n", b, &[], &[4]), "{a:?} vs {b:?}");
+        }
+        // Every parameterless operator is its own tag.
+        let bare = [
+            OpKind::Softmax,
+            OpKind::LayerNorm,
+            OpKind::Add,
+            OpKind::Mul,
+            OpKind::GlobalAvgPool,
+            OpKind::Flatten,
+        ];
+        let keys: HashSet<StoreKey> = bare.iter().map(|op| key("n", op, &[], &[4])).collect();
+        assert_eq!(keys.len(), bare.len());
+        // And the node's own fields.
+        let reference = key("n", &base, &[0], &[4]);
+        assert_ne!(reference, key("m", &base, &[0], &[4]));
+        assert_ne!(reference, key("n", &base, &[1], &[4]));
+        assert_ne!(reference, key("n", &base, &[0], &[4, 1]));
+        assert_ne!(reference, key("n", &base, &[0, 0], &[4]));
     }
 
     #[test]

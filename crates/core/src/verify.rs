@@ -34,7 +34,12 @@
 //! messages are only built for findings — a clean program allocates a
 //! few dozen times whatever its size. Array ids are untrusted (they come
 //! from decoded artifacts): ids beyond the chip are findings, never
-//! panics, and cost nothing proportional to their value.
+//! panics, and cost nothing proportional to their value. Array lists are
+//! runs, and every lint walks a run clipped to the chip
+//! ([`cmswitch_metaop::ArraySet::clipped_runs`]): its ids on the chip one by
+//! one, its part beyond the chip as that part's first id. So work is per
+//! reference on the chip and per *run* beyond it — a forged run of four
+//! billion ids is one `capacity-arrays` finding, not four billion.
 //!
 //! The [`mutate`] submodule injects known defect classes into valid
 //! programs; the test suite uses it to prove every rule actually fires
@@ -47,7 +52,7 @@ use std::ops::Range;
 use cmswitch_arch::{ArrayId, ArrayMode, DualModeArch};
 use cmswitch_metaop::dense::{ArrayTable, BlockClaims};
 use cmswitch_metaop::walk::{walk_flow, FlowEvent};
-use cmswitch_metaop::{ComputeStmt, Flow, MemLoc, Stmt, WeightLoadStmt};
+use cmswitch_metaop::{ArrayRun, ArraySet, ComputeStmt, Flow, MemLoc, Stmt, WeightLoadStmt};
 
 use crate::compiler::{CompiledProgram, SegmentPlan};
 use crate::diagnostics::DiagnosticEvent;
@@ -350,6 +355,12 @@ impl<'a> BlockIndex<'a> {
     }
 }
 
+/// The ids of `arrays` a finding names: the list walked clipped to the
+/// chip, so a run reaching past it is named by its first stray id.
+fn listed(arrays: &ArraySet, n_arrays: usize) -> Vec<ArrayId> {
+    arrays.clipped(n_arrays).collect()
+}
+
 /// Formats a short array list for messages.
 fn fmt_arrays(arrays: &[ArrayId]) -> String {
     let mut s = String::new();
@@ -423,7 +434,8 @@ impl Lint for ModeIntervalLint {
     }
 
     fn check(&self, cx: &VerifyCx<'_>, report: &mut VerifyReport) {
-        let mut states = ArrayTable::new(cx.arch.n_arrays(), ArrayState::default());
+        let n_arrays = cx.arch.n_arrays();
+        let mut states = ArrayTable::new(n_arrays, ArrayState::default());
         let _: Result<(), std::convert::Infallible> =
             walk_flow(&cx.program.flow, |event| {
                 let FlowEvent::Stmt { pos, stmt } = event else {
@@ -432,13 +444,17 @@ impl Lint for ModeIntervalLint {
                 let idx = pos.stmt;
                 // Uses in the wrong mode, by the mode the role needs.
                 let (mut bad_compute, mut bad_memory) = (Vec::new(), Vec::new());
-                stmt.for_each_required_mode(&mut |a, needed| {
-                    if states.get(a).mode() != needed {
-                        match needed {
-                            ArrayMode::Compute => &mut bad_compute,
-                            ArrayMode::Memory => &mut bad_memory,
+                stmt.for_each_required_mode(&mut |arrays, needed| {
+                    for run in arrays.clipped_runs(n_arrays) {
+                        for a in run.iter() {
+                            if states.get(a).mode() != needed {
+                                match needed {
+                                    ArrayMode::Compute => &mut bad_compute,
+                                    ArrayMode::Memory => &mut bad_memory,
+                                }
+                                .push(a);
+                            }
                         }
-                        .push(a);
                     }
                 });
                 match stmt {
@@ -446,28 +462,30 @@ impl Lint for ModeIntervalLint {
                         let target = kind.target_mode();
                         let mut same_mode = Vec::new();
                         let mut unused = Vec::new();
-                        for &a in arrays {
-                            let st = states.slot(a);
-                            if st.mode() == target {
-                                same_mode.push(a);
-                            } else if st.switched_at.is_some() && !st.used_since_switch {
-                                unused.push(a);
-                            }
-                            if st.mode() != target {
-                                if let Some(load) = st.load.take() {
-                                    if !load.consumed {
-                                        Self::flag_dead_load(
-                                            report,
-                                            a,
-                                            &load,
-                                            "mode-switched away before any compute uses them",
-                                        );
+                        for run in arrays.clipped_runs(n_arrays) {
+                            for a in run.iter() {
+                                let st = states.slot(a);
+                                if st.mode() == target {
+                                    same_mode.push(a);
+                                } else if st.switched_at.is_some() && !st.used_since_switch {
+                                    unused.push(a);
+                                }
+                                if st.mode() != target {
+                                    if let Some(load) = st.load.take() {
+                                        if !load.consumed {
+                                            Self::flag_dead_load(
+                                                report,
+                                                a,
+                                                &load,
+                                                "mode-switched away before any compute uses them",
+                                            );
+                                        }
                                     }
                                 }
+                                st.mode = Some(target);
+                                st.switched_at = Some(idx);
+                                st.used_since_switch = false;
                             }
-                            st.mode = Some(target);
-                            st.switched_at = Some(idx);
-                            st.used_since_switch = false;
                         }
                         if !same_mode.is_empty() {
                             let list = fmt_arrays(&same_mode);
@@ -499,18 +517,24 @@ impl Lint for ModeIntervalLint {
                     }
                     Stmt::Compute(c) => {
                         let mut unloaded = Vec::new();
-                        for &a in &c.compute_arrays {
-                            let st = states.slot(a);
-                            st.used_since_switch = true;
-                            if c.weight_static {
-                                match &mut st.load {
-                                    Some(load) if load.op == c.op => load.consumed = true,
-                                    _ => unloaded.push(a),
+                        for run in c.compute_arrays.clipped_runs(n_arrays) {
+                            for a in run.iter() {
+                                let st = states.slot(a);
+                                st.used_since_switch = true;
+                                if c.weight_static {
+                                    match &mut st.load {
+                                        Some(load) if load.op == c.op => load.consumed = true,
+                                        _ => unloaded.push(a),
+                                    }
                                 }
                             }
                         }
-                        for &a in c.mem_in_arrays.iter().chain(&c.mem_out_arrays) {
-                            states.slot(a).used_since_switch = true;
+                        for buffers in [&c.mem_in_arrays, &c.mem_out_arrays] {
+                            for run in buffers.clipped_runs(n_arrays) {
+                                for a in run.iter() {
+                                    states.slot(a).used_since_switch = true;
+                                }
+                            }
                         }
                         if !bad_compute.is_empty() {
                             let list = fmt_arrays(&bad_compute);
@@ -547,21 +571,23 @@ impl Lint for ModeIntervalLint {
                         }
                     }
                     Stmt::LoadWeights(w) => {
-                        for &a in &w.arrays {
-                            let st = states.slot(a);
-                            st.used_since_switch = true;
-                            if let Some(prev) = st.load.replace(PendingLoad {
-                                op: &w.op,
-                                stmt: idx,
-                                consumed: false,
-                            }) {
-                                if !prev.consumed {
-                                    Self::flag_dead_load(
-                                        report,
-                                        a,
-                                        &prev,
-                                        "overwritten before any compute uses them",
-                                    );
+                        for run in w.arrays.clipped_runs(n_arrays) {
+                            for a in run.iter() {
+                                let st = states.slot(a);
+                                st.used_since_switch = true;
+                                if let Some(prev) = st.load.replace(PendingLoad {
+                                    op: &w.op,
+                                    stmt: idx,
+                                    consumed: false,
+                                }) {
+                                    if !prev.consumed {
+                                        Self::flag_dead_load(
+                                            report,
+                                            a,
+                                            &prev,
+                                            "overwritten before any compute uses them",
+                                        );
+                                    }
                                 }
                             }
                         }
@@ -581,8 +607,10 @@ impl Lint for ModeIntervalLint {
                     }
                     Stmt::Mem(m) => {
                         if let MemLoc::CimArrays(arrays) = &m.loc {
-                            for &a in arrays {
-                                states.slot(a).used_since_switch = true;
+                            for run in arrays.clipped_runs(n_arrays) {
+                                for a in run.iter() {
+                                    states.slot(a).used_since_switch = true;
+                                }
                             }
                             if !bad_memory.is_empty() {
                                 let list = fmt_arrays(&bad_memory);
@@ -686,23 +714,29 @@ impl Lint for CapacityLint {
             let mut distinct = 0usize;
             let mut out_of_range: Vec<ArrayId> = Vec::new();
             for s in block.body {
-                s.for_each_array(&mut |a| match touched_in.get_mut(a.0 as usize) {
-                    Some(seg) if *seg == si + 1 => {}
-                    Some(seg) => {
-                        *seg = si + 1;
-                        distinct += 1;
+                s.for_each_array_set(&mut |arrays| {
+                    for run in arrays.clipped_runs(n_arrays) {
+                        for a in run.iter() {
+                            match touched_in.get_mut(a.index()) {
+                                Some(seg) if *seg == si + 1 => {}
+                                Some(seg) => {
+                                    *seg = si + 1;
+                                    distinct += 1;
+                                }
+                                None if out_of_range.contains(&a) => {}
+                                None => out_of_range.push(a),
+                            }
+                        }
                     }
-                    None if out_of_range.contains(&a) => {}
-                    None => out_of_range.push(a),
                 });
                 if let Stmt::LoadWeights(w) = s {
-                    let capacity = w.arrays.len() as u64 * cx.arch.array_bytes();
+                    let capacity = (w.arrays.len() as u64).saturating_mul(cx.arch.array_bytes());
                     if w.bytes > capacity {
                         report.push(
                             rules::CAPACITY_LOAD_BYTES,
                             Some(block.stmt),
                             None,
-                            w.arrays.clone(),
+                            listed(&w.arrays, n_arrays),
                             format!(
                                 "weight load for {} writes {} bytes into {} arrays \
                                  holding {capacity}",
@@ -747,9 +781,11 @@ impl Lint for CapacityLint {
                 continue;
             }
             let mut out_of_range: Vec<ArrayId> = Vec::new();
-            s.for_each_array(&mut |a| {
-                if a.0 as usize >= n_arrays && !out_of_range.contains(&a) {
-                    out_of_range.push(a);
+            s.for_each_array_set(&mut |arrays| {
+                for a in arrays.runs().iter().filter_map(|r| r.first_beyond(n_arrays)) {
+                    if !out_of_range.contains(&a) {
+                        out_of_range.push(a);
+                    }
                 }
             });
             if !out_of_range.is_empty() {
@@ -901,7 +937,8 @@ impl Lint for DependenceLint {
         if blocks.len() == program.segments.len() {
             // The producer (numbered across the whole flow) whose output
             // buffer each array last was.
-            let mut out_of = ArrayTable::new(cx.arch.n_arrays(), 0usize);
+            let n_arrays = cx.arch.n_arrays();
+            let mut out_of = ArrayTable::new(n_arrays, 0usize);
             let mut producer = 0usize;
             for (plan, block) in program.segments.iter().zip(blocks) {
                 let computes = cx.computes(block);
@@ -915,11 +952,14 @@ impl Lint for DependenceLint {
                         continue;
                     }
                     producer += 1;
-                    for &a in &prod.mem_out_arrays {
-                        *out_of.slot(a) = producer;
+                    for run in prod.mem_out_arrays.clipped_runs(n_arrays) {
+                        for a in run.iter() {
+                            *out_of.slot(a) = producer;
+                        }
                     }
                     for (j, cons) in computes.iter().enumerate().skip(i + 1) {
-                        if cons.mem_in_arrays.iter().any(|&a| *out_of.get(a) == producer) {
+                        let reads = |run: ArrayRun| run.iter().any(|a| *out_of.get(a) == producer);
+                        if cons.mem_in_arrays.clipped_runs(n_arrays).any(reads) {
                             // In range: the block's ops fit the plan.
                             require(
                                 plan.range.0 + i,
@@ -954,7 +994,8 @@ impl Lint for ParallelRaceLint {
     }
 
     fn check(&self, cx: &VerifyCx<'_>, report: &mut VerifyReport) {
-        let mut claims = BlockClaims::new(cx.arch.n_arrays());
+        let n_arrays = cx.arch.n_arrays();
+        let mut claims = BlockClaims::new(n_arrays);
         for (idx, stmt) in cx.program.flow.stmts().iter().enumerate() {
             let Stmt::Parallel(body) = stmt else { continue };
             claims.enter_block();
@@ -970,7 +1011,7 @@ impl Lint for ParallelRaceLint {
                         Vec::new(),
                         "parallel block nested inside another parallel block",
                     ),
-                    Stmt::Compute(c) => claims.claim(c, |a| contested.push(a)),
+                    Stmt::Compute(c) => claims.claim(c, n_arrays, |a| contested.push(a)),
                     _ => {}
                 }
             }
@@ -996,7 +1037,7 @@ impl ParallelRaceLint {
                 (&mut outs, &c.mem_out_arrays),
             ];
             for (ops, arrays) in roles {
-                if arrays.contains(&a) && !ops.contains(&c.op.as_str()) {
+                if arrays.contains(a) && !ops.contains(&c.op.as_str()) {
                     ops.push(c.op.as_str());
                 }
             }
@@ -1139,6 +1180,7 @@ impl FlowPlanLint {
         report: &mut VerifyReport,
     ) {
         let program = cx.program;
+        let n_arrays = cx.arch.n_arrays();
         let (lo, hi) = plan.range;
         let computes = cx.computes(block);
         if computes.len() != hi - lo + 1 {
@@ -1232,30 +1274,33 @@ impl FlowPlanLint {
                     rules::PLAN_WEIGHT_LOADS,
                     Some(block.stmt),
                     Some(gi),
-                    c.compute_arrays.clone(),
+                    listed(&c.compute_arrays, n_arrays),
                     format!("{} has static weights but segment {si} loads none", op.name),
                 ),
                 (Some(w), 1) => {
                     if w.arrays != c.compute_arrays {
-                        report.push(
-                            rules::PLAN_WEIGHT_LOADS,
-                            Some(block.stmt),
-                            Some(gi),
-                            w.arrays.clone(),
-                            format!(
-                                "weight load for {} targets [{}], its compute arrays \
-                                 are [{}]",
-                                op.name,
-                                fmt_arrays(&w.arrays),
-                                fmt_arrays(&c.compute_arrays)
-                            ),
+                        let loaded = listed(&w.arrays, n_arrays);
+                        let message = format!(
+                            "weight load for {} targets [{}], its compute arrays are [{}]",
+                            op.name,
+                            fmt_arrays(&loaded),
+                            fmt_arrays(&listed(&c.compute_arrays, n_arrays))
                         );
-                    } else if w.bytes != w.arrays.len() as u64 * cx.arch.array_bytes() {
                         report.push(
                             rules::PLAN_WEIGHT_LOADS,
                             Some(block.stmt),
                             Some(gi),
-                            w.arrays.clone(),
+                            loaded,
+                            message,
+                        );
+                    } else if w.bytes
+                        != (w.arrays.len() as u64).saturating_mul(cx.arch.array_bytes())
+                    {
+                        report.push(
+                            rules::PLAN_WEIGHT_LOADS,
+                            Some(block.stmt),
+                            Some(gi),
+                            listed(&w.arrays, n_arrays),
                             format!(
                                 "weight load for {} writes {} bytes into {} arrays of \
                                  {} bytes each",
@@ -1548,7 +1593,7 @@ pub mod mutate {
                         Stmt::Compute(c) if !c.compute_arrays.is_empty() => Some(c),
                         _ => None,
                     })?;
-                    let stolen = c.compute_arrays[0];
+                    let stolen = c.compute_arrays.first()?;
                     c.mem_in_arrays.push(stolen);
                     Some(())
                 }),

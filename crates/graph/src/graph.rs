@@ -1,5 +1,6 @@
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::hash::Hasher;
 
 use crate::{GraphError, Node, NodeId};
 
@@ -150,6 +151,48 @@ impl Graph {
     /// Whether the graph has no nodes.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
+    }
+
+    /// Feeds every field of the graph to `state`: its name, then per
+    /// node its id, name, operator with all parameters, inputs and
+    /// shape. Strings and lists are length-prefixed, so no two graphs
+    /// feed the same sequence. The walk destructures [`Graph`], [`Node`]
+    /// and [`crate::OpKind`] exhaustively: a new field or variant does not
+    /// compile until it is hashed here — which is what keeps a content
+    /// address (the artifact store's key) from serving one graph's plan
+    /// for another.
+    pub fn hash_fields<H: Hasher>(&self, state: &mut H) {
+        let Graph { name, nodes } = self;
+        hash_str(state, name);
+        state.write_u64(nodes.len() as u64);
+        for node in nodes {
+            let Node {
+                id,
+                name,
+                op,
+                inputs,
+                shape,
+            } = node;
+            state.write_u64(id.0 as u64);
+            hash_str(state, name);
+            op.hash_fields(state);
+            hash_dims(state, inputs.iter().map(|i| i.0));
+            hash_dims(state, shape.iter().copied());
+        }
+    }
+}
+
+/// A string as its byte length, then its bytes.
+fn hash_str<H: Hasher>(state: &mut H, s: &str) {
+    state.write_u64(s.len() as u64);
+    state.write(s.as_bytes());
+}
+
+/// A list of sizes as its length, then each size widened to `u64`.
+pub(crate) fn hash_dims<H: Hasher>(state: &mut H, dims: impl ExactSizeIterator<Item = usize>) {
+    state.write_u64(dims.len() as u64);
+    for d in dims {
+        state.write_u64(d as u64);
     }
 }
 

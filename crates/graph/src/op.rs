@@ -1,5 +1,8 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::hash::Hasher;
+
+use crate::graph::hash_dims;
 
 /// Nonlinear activation functions executed on the chip's vector function
 /// unit (not on CIM arrays).
@@ -111,6 +114,72 @@ pub enum OpKind {
 }
 
 impl OpKind {
+    /// Feeds the variant (a tag in declaration order) and every one of
+    /// its parameters to `state`; part of [`crate::Graph::hash_fields`],
+    /// and exhaustive for the same reason.
+    pub fn hash_fields<H: Hasher>(&self, state: &mut H) {
+        let mut tag = |t: u64| state.write_u64(t);
+        match self {
+            OpKind::Input { shape } => {
+                tag(0);
+                hash_dims(state, shape.iter().copied());
+            }
+            OpKind::Linear { out_features } => {
+                tag(1);
+                state.write_u64(*out_features as u64);
+            }
+            OpKind::Conv2d {
+                out_channels,
+                kernel,
+                stride,
+                padding,
+                groups,
+            } => {
+                tag(2);
+                for p in [out_channels, kernel, stride, padding, groups] {
+                    state.write_u64(*p as u64);
+                }
+            }
+            OpKind::BatchMatMul { transpose_rhs } => {
+                tag(3);
+                state.write_u64(u64::from(*transpose_rhs));
+            }
+            OpKind::Softmax => tag(4),
+            OpKind::LayerNorm => tag(5),
+            OpKind::Add => tag(6),
+            OpKind::Mul => tag(7),
+            OpKind::Act(act) => {
+                tag(8);
+                state.write_u64(match act {
+                    Activation::Relu => 0,
+                    Activation::Gelu => 1,
+                    Activation::Silu => 2,
+                });
+            }
+            OpKind::MaxPool2d { kernel, stride } => {
+                tag(9);
+                state.write_u64(*kernel as u64);
+                state.write_u64(*stride as u64);
+            }
+            OpKind::AvgPool2d { kernel, stride } => {
+                tag(10);
+                state.write_u64(*kernel as u64);
+                state.write_u64(*stride as u64);
+            }
+            OpKind::GlobalAvgPool => tag(11),
+            OpKind::Embedding { vocab, dim } => {
+                tag(12);
+                state.write_u64(*vocab as u64);
+                state.write_u64(*dim as u64);
+            }
+            OpKind::Flatten => tag(13),
+            OpKind::Reshape { shape } => {
+                tag(14);
+                hash_dims(state, shape.iter().copied());
+            }
+        }
+    }
+
     /// Number of inputs the operator requires.
     pub fn arity(&self) -> usize {
         match self {

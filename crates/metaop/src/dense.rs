@@ -124,17 +124,27 @@ impl<'a> BlockClaims<'a> {
     /// Records every claim of compute statement `c` — its compute
     /// arrays, then its input buffers, then its output buffers — and
     /// calls `conflict` with each array whose claim conflicts with the
-    /// segment's earlier ones (itself included), in that order.
-    pub fn claim(&mut self, c: &'a ComputeStmt, mut conflict: impl FnMut(ArrayId)) {
+    /// segment's earlier ones (itself included), in that order. Lists
+    /// are walked [`clipped`](crate::ArraySet::clipped_runs) to a chip of
+    /// `n_arrays` arrays (`usize::MAX` walks every id), so a forged run
+    /// costs the chip, not its length.
+    pub fn claim(
+        &mut self,
+        c: &'a ComputeStmt,
+        n_arrays: usize,
+        mut conflict: impl FnMut(ArrayId),
+    ) {
         let roles = [
             (Role::Compute, &c.compute_arrays),
             (Role::MemIn, &c.mem_in_arrays),
             (Role::MemOut, &c.mem_out_arrays),
         ];
         for (role, arrays) in roles {
-            for &a in arrays {
-                if self.claim_one(a, role, &c.op) {
-                    conflict(a);
+            for run in arrays.clipped_runs(n_arrays) {
+                for a in run.iter() {
+                    if self.claim_one(a, role, &c.op) {
+                        conflict(a);
+                    }
                 }
             }
         }

@@ -110,26 +110,26 @@ impl Flow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ComputeStmt, MemDirection, MemLoc, MemStmt, WeightLoadStmt};
+    use crate::{ArraySet, ComputeStmt, MemDirection, MemLoc, MemStmt, WeightLoadStmt};
     use cmswitch_arch::ArrayId;
 
     fn sample_flow() -> Flow {
         let mut f = Flow::new("sample");
         f.push(Stmt::switch(
             SwitchKind::ToCompute,
-            vec![ArrayId(0), ArrayId(1)],
+            [ArrayId(0), ArrayId(1)],
         ));
         f.push(Stmt::Parallel(vec![
             Stmt::LoadWeights(WeightLoadStmt {
                 op: "fc".into(),
-                arrays: vec![ArrayId(0), ArrayId(1)],
+                arrays: [ArrayId(0), ArrayId(1)].into(),
                 bytes: 1000,
             }),
             Stmt::Compute(ComputeStmt {
                 op: "fc".into(),
-                compute_arrays: vec![ArrayId(0), ArrayId(1)],
-                mem_in_arrays: vec![],
-                mem_out_arrays: vec![],
+                compute_arrays: [ArrayId(0), ArrayId(1)].into(),
+                mem_in_arrays: ArraySet::new(),
+                mem_out_arrays: ArraySet::new(),
                 m: 8,
                 k: 64,
                 n: 64,
@@ -139,7 +139,7 @@ mod tests {
                 weight_static: true,
             }),
         ]));
-        f.push(Stmt::switch(SwitchKind::ToMemory, vec![ArrayId(0)]));
+        f.push(Stmt::switch(SwitchKind::ToMemory, [ArrayId(0)]));
         f.push(Stmt::Mem(MemStmt {
             loc: MemLoc::Main,
             direction: MemDirection::Write,

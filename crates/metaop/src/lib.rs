@@ -15,6 +15,13 @@
 //! (no array computes while in memory mode, no array is two things at once
 //! inside a segment).
 //!
+//! Every array list a statement carries is an [`ArraySet`]: an ordered
+//! sequence of ids (duplicates kept) stored as maximal runs of step ±1,
+//! three of them inline. The allocator grants each operator contiguous
+//! blocks, so a list of dozens of ids is usually one run; consumers walk
+//! lists through [`Stmt::for_each_array_set`] and the id-level walkers
+//! built on it, never through a `Vec` of ids.
+//!
 //! # Example
 //!
 //! ```
@@ -29,6 +36,7 @@
 
 #![warn(clippy::needless_pass_by_value, clippy::redundant_clone)]
 
+mod arrays;
 pub mod dense;
 mod error;
 mod flow;
@@ -37,6 +45,7 @@ mod printer;
 mod validate;
 pub mod walk;
 
+pub use arrays::{ArrayRun, ArraySet};
 pub use error::MetaOpError;
 pub use flow::{Flow, FlowStats};
 pub use op::{ComputeStmt, MemDirection, MemLoc, MemStmt, Stmt, SwitchKind, VectorStmt, WeightLoadStmt};

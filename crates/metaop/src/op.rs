@@ -2,6 +2,8 @@ use serde::{Deserialize, Serialize};
 
 use cmswitch_arch::{ArrayId, ArrayMode};
 
+use crate::ArraySet;
+
 /// Direction of the two `CM.switch` types (Fig. 13): `TOM` switches arrays
 /// to memory mode, `TOC` to compute mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -38,7 +40,7 @@ pub enum MemLoc {
     /// The chip's original (non-CIM) buffer.
     Buffer,
     /// Memory-mode CIM arrays.
-    CimArrays(Vec<ArrayId>),
+    CimArrays(ArraySet),
 }
 
 /// Direction of a memory access relative to the chip.
@@ -57,11 +59,11 @@ pub struct ComputeStmt {
     /// Operator name (graph layer).
     pub op: String,
     /// Compute-mode arrays executing the MMM.
-    pub compute_arrays: Vec<ArrayId>,
+    pub compute_arrays: ArraySet,
     /// Memory-mode arrays buffering this operator's inputs.
-    pub mem_in_arrays: Vec<ArrayId>,
+    pub mem_in_arrays: ArraySet,
     /// Memory-mode arrays buffering this operator's outputs.
-    pub mem_out_arrays: Vec<ArrayId>,
+    pub mem_out_arrays: ArraySet,
     /// Streamed rows per unit.
     pub m: usize,
     /// Reduction dim per unit.
@@ -85,7 +87,7 @@ pub struct WeightLoadStmt {
     /// Operator whose weights are loaded.
     pub op: String,
     /// Destination compute arrays.
-    pub arrays: Vec<ArrayId>,
+    pub arrays: ArraySet,
     /// Bytes written.
     pub bytes: u64,
 }
@@ -122,7 +124,7 @@ pub enum Stmt {
         /// TOM or TOC.
         kind: SwitchKind,
         /// Arrays being switched.
-        arrays: Vec<ArrayId>,
+        arrays: ArraySet,
     },
     /// A CIM compute operator.
     Compute(ComputeStmt),
@@ -139,105 +141,98 @@ pub enum Stmt {
 
 impl Stmt {
     /// Convenience constructor for a switch statement.
-    pub fn switch(kind: SwitchKind, arrays: Vec<ArrayId>) -> Stmt {
-        Stmt::Switch { kind, arrays }
-    }
-
-    /// Arrays referenced by this statement *itself*.
-    ///
-    /// Deliberately returns nothing for `Parallel` blocks so that a
-    /// caller iterating a block's body and its container does not count
-    /// the same arrays twice; use [`Stmt::arrays_recursive`] when the
-    /// whole subtree's footprint is wanted.
-    pub fn arrays(&self) -> Vec<ArrayId> {
-        match self {
-            Stmt::Parallel(_) => Vec::new(),
-            own => own.arrays_recursive(),
+    pub fn switch(kind: SwitchKind, arrays: impl Into<ArraySet>) -> Stmt {
+        Stmt::Switch {
+            kind,
+            arrays: arrays.into(),
         }
     }
 
-    /// Arrays referenced by this statement and, for `Parallel` blocks,
-    /// every statement in the subtree.
-    ///
-    /// Duplicates are preserved: an array claimed by two statements of a
-    /// block appears twice, so callers can both count distinct arrays
-    /// (`collect::<HashSet<_>>`) and detect double-claims.
-    pub fn arrays_recursive(&self) -> Vec<ArrayId> {
-        let mut all = Vec::new();
-        self.for_each_array(&mut |a| all.push(a));
-        all
-    }
-
-    /// Calls `f` with every array reference of
-    /// [`Stmt::arrays_recursive`], in the same order, without building
-    /// the list.
-    pub fn for_each_array(&self, f: &mut impl FnMut(ArrayId)) {
-        let mut each = |arrays: &[ArrayId]| arrays.iter().copied().for_each(&mut *f);
+    /// Calls `f` with every array list of this statement and, for
+    /// `Parallel` blocks, of every statement in the subtree: a switch's
+    /// arrays, a compute's compute / input-buffer / output-buffer
+    /// arrays, a weight load's arrays, a scratchpad location's arrays.
+    /// The one walker the id-level ones below are built on; a caller
+    /// that can work a run at a time walks [`ArraySet::runs`] from here.
+    pub fn for_each_array_set(&self, f: &mut impl FnMut(&ArraySet)) {
         match self {
-            Stmt::Switch { arrays, .. } => each(arrays),
+            Stmt::Switch { arrays, .. } => f(arrays),
             Stmt::Compute(c) => {
-                each(&c.compute_arrays);
-                each(&c.mem_in_arrays);
-                each(&c.mem_out_arrays);
+                f(&c.compute_arrays);
+                f(&c.mem_in_arrays);
+                f(&c.mem_out_arrays);
             }
-            Stmt::LoadWeights(w) => each(&w.arrays),
+            Stmt::LoadWeights(w) => f(&w.arrays),
             Stmt::Mem(m) => {
                 if let MemLoc::CimArrays(arrays) = &m.loc {
-                    each(arrays);
+                    f(arrays);
                 }
             }
             Stmt::Vector(_) => {}
-            Stmt::Parallel(body) => body.iter().for_each(|s| s.for_each_array(f)),
+            Stmt::Parallel(body) => body.iter().for_each(|s| s.for_each_array_set(f)),
         }
     }
 
-    /// Calls `f` with every array this statement *itself* uses and the
-    /// mode that use needs, in [`Stmt::for_each_array`] order: weights
-    /// load into and MACs run on compute-mode arrays, operator buffers
-    /// and scratchpad traffic live in memory-mode arrays. A switch *sets*
-    /// modes and a `parallel` block is only its body's container (callers
-    /// iterate bodies themselves), so neither requires anything.
+    /// Calls `f` with every array reference of
+    /// [`Stmt::for_each_array_set`], id by id and in the same order.
+    /// Duplicates are preserved: an array claimed by two statements of a
+    /// block is visited twice.
+    pub fn for_each_array(&self, f: &mut impl FnMut(ArrayId)) {
+        self.for_each_array_set(&mut |arrays| {
+            for run in arrays.runs() {
+                for a in run.iter() {
+                    f(a);
+                }
+            }
+        });
+    }
+
+    /// Calls `f` with every array list this statement *itself* uses and
+    /// the mode that use needs, in [`Stmt::for_each_array_set`] order:
+    /// weights load into and MACs run on compute-mode arrays, operator
+    /// buffers and scratchpad traffic live in memory-mode arrays. A
+    /// switch *sets* modes and a `parallel` block is only its body's
+    /// container (callers iterate bodies themselves), so neither
+    /// requires anything.
     ///
     /// The one table of which role needs which mode: the validator, the
     /// event engine's cross-flow re-switches and the verifier's
     /// mode-interval lint all read it.
-    pub fn for_each_required_mode(&self, f: &mut impl FnMut(ArrayId, ArrayMode)) {
-        let mut each = |arrays: &[ArrayId], mode| arrays.iter().for_each(|&a| f(a, mode));
+    pub fn for_each_required_mode(&self, f: &mut impl FnMut(&ArraySet, ArrayMode)) {
         match self {
-            Stmt::LoadWeights(w) => each(&w.arrays, ArrayMode::Compute),
+            Stmt::LoadWeights(w) => f(&w.arrays, ArrayMode::Compute),
             Stmt::Compute(c) => {
-                each(&c.compute_arrays, ArrayMode::Compute);
-                each(&c.mem_in_arrays, ArrayMode::Memory);
-                each(&c.mem_out_arrays, ArrayMode::Memory);
+                f(&c.compute_arrays, ArrayMode::Compute);
+                f(&c.mem_in_arrays, ArrayMode::Memory);
+                f(&c.mem_out_arrays, ArrayMode::Memory);
             }
             Stmt::Mem(m) => {
                 if let MemLoc::CimArrays(arrays) = &m.loc {
-                    each(arrays, ArrayMode::Memory);
+                    f(arrays, ArrayMode::Memory);
                 }
             }
             Stmt::Switch { .. } | Stmt::Vector(_) | Stmt::Parallel(_) => {}
         }
     }
 
-    /// [`Stmt::for_each_array`] over mutable references, in the same
-    /// order: the one way to rewrite every array id of a statement.
-    pub fn for_each_array_mut(&mut self, f: &mut impl FnMut(&mut ArrayId)) {
-        let mut each = |arrays: &mut [ArrayId]| arrays.iter_mut().for_each(&mut *f);
+    /// [`Stmt::for_each_array_set`] over mutable lists, in the same
+    /// order: the one way to rewrite the array lists of a statement.
+    pub fn for_each_array_set_mut(&mut self, f: &mut impl FnMut(&mut ArraySet)) {
         match self {
-            Stmt::Switch { arrays, .. } => each(arrays),
+            Stmt::Switch { arrays, .. } => f(arrays),
             Stmt::Compute(c) => {
-                each(&mut c.compute_arrays);
-                each(&mut c.mem_in_arrays);
-                each(&mut c.mem_out_arrays);
+                f(&mut c.compute_arrays);
+                f(&mut c.mem_in_arrays);
+                f(&mut c.mem_out_arrays);
             }
-            Stmt::LoadWeights(w) => each(&mut w.arrays),
+            Stmt::LoadWeights(w) => f(&mut w.arrays),
             Stmt::Mem(m) => {
                 if let MemLoc::CimArrays(arrays) = &mut m.loc {
-                    each(arrays);
+                    f(arrays);
                 }
             }
             Stmt::Vector(_) => {}
-            Stmt::Parallel(body) => body.iter_mut().for_each(|s| s.for_each_array_mut(f)),
+            Stmt::Parallel(body) => body.iter_mut().for_each(|s| s.for_each_array_set_mut(f)),
         }
     }
 }
@@ -254,12 +249,16 @@ mod tests {
         assert_eq!(SwitchKind::ToCompute.keyword(), "TOC");
     }
 
+    fn ids(ids: &[u32]) -> ArraySet {
+        ids.iter().map(|&a| ArrayId(a)).collect()
+    }
+
     fn fc() -> ComputeStmt {
         ComputeStmt {
             op: "fc".into(),
-            compute_arrays: vec![ArrayId(0)],
-            mem_in_arrays: vec![ArrayId(1)],
-            mem_out_arrays: vec![ArrayId(2)],
+            compute_arrays: ids(&[0]),
+            mem_in_arrays: ids(&[1]),
+            mem_out_arrays: ids(&[2]),
             m: 1,
             k: 1,
             n: 1,
@@ -270,62 +269,65 @@ mod tests {
         }
     }
 
+    fn references(s: &Stmt) -> Vec<u32> {
+        let mut all = Vec::new();
+        s.for_each_array(&mut |a| all.push(a.0));
+        all
+    }
+
     #[test]
     fn stmt_arrays_collects_all_roles() {
-        let arrays = Stmt::Compute(fc()).arrays();
-        assert_eq!(arrays, vec![ArrayId(0), ArrayId(1), ArrayId(2)]);
+        assert_eq!(references(&Stmt::Compute(fc())), [0, 1, 2]);
     }
 
     #[test]
     fn mutable_walker_visits_every_reference_in_the_same_order() {
         let mut block = Stmt::Parallel(vec![
-            Stmt::switch(SwitchKind::ToCompute, vec![ArrayId(3)]),
+            Stmt::switch(SwitchKind::ToCompute, [ArrayId(3)]),
             Stmt::LoadWeights(WeightLoadStmt {
                 op: "fc".into(),
-                arrays: vec![ArrayId(3), ArrayId(4)],
+                arrays: ids(&[3, 4]),
                 bytes: 8,
             }),
             Stmt::Compute(ComputeStmt {
-                compute_arrays: vec![ArrayId(4), ArrayId(3)],
-                mem_in_arrays: vec![ArrayId(1)],
-                mem_out_arrays: vec![ArrayId(2), ArrayId(1)],
+                compute_arrays: ids(&[4, 3]),
+                mem_in_arrays: ids(&[1]),
+                mem_out_arrays: ids(&[2, 1]),
                 ..fc()
             }),
             Stmt::Mem(MemStmt {
-                loc: MemLoc::CimArrays(vec![ArrayId(7)]),
+                loc: MemLoc::CimArrays(ids(&[7])),
                 direction: MemDirection::Read,
                 bytes: 64,
                 label: "ld".into(),
             }),
         ]);
-        let before = block.arrays_recursive();
+        let before = references(&block);
         let mut visited = Vec::new();
-        block.for_each_array_mut(&mut |a| {
-            visited.push(*a);
-            a.0 += 10;
+        block.for_each_array_set_mut(&mut |arrays| {
+            visited.extend(arrays.iter().map(|a| a.0));
+            *arrays = arrays.iter().map(|a| ArrayId(a.0 + 10)).collect();
         });
         assert_eq!(visited, before);
-        let moved: Vec<ArrayId> = before.iter().map(|a| ArrayId(a.0 + 10)).collect();
-        assert_eq!(block.arrays_recursive(), moved);
+        let moved: Vec<u32> = before.iter().map(|a| a + 10).collect();
+        assert_eq!(references(&block), moved);
     }
 
     #[test]
     fn parallel_arrays_require_recursion() {
         let block = Stmt::Parallel(vec![
-            Stmt::switch(SwitchKind::ToCompute, vec![ArrayId(3)]),
+            Stmt::switch(SwitchKind::ToCompute, [ArrayId(3)]),
             Stmt::LoadWeights(WeightLoadStmt {
                 op: "fc".into(),
-                arrays: vec![ArrayId(3), ArrayId(4)],
+                arrays: ids(&[3, 4]),
                 bytes: 8,
             }),
         ]);
-        // Non-recursive: a block claims nothing itself.
-        assert!(block.arrays().is_empty());
-        // Recursive: the subtree's full footprint, duplicates kept.
-        assert_eq!(
-            block.arrays_recursive(),
-            vec![ArrayId(3), ArrayId(3), ArrayId(4)]
-        );
+        assert_eq!(references(&block), [3, 3, 4]);
+        // A block requires no mode itself; its body's statements do.
+        let mut required = 0;
+        block.for_each_required_mode(&mut |_, _| required += 1);
+        assert_eq!(required, 0);
     }
 
     #[test]
@@ -336,13 +338,13 @@ mod tests {
             bytes: 64,
             label: "wb".into(),
         });
-        assert!(m.arrays().is_empty());
+        assert!(references(&m).is_empty());
         let m = Stmt::Mem(MemStmt {
-            loc: MemLoc::CimArrays(vec![ArrayId(7)]),
+            loc: MemLoc::CimArrays(ids(&[7])),
             direction: MemDirection::Read,
             bytes: 64,
             label: "ld".into(),
         });
-        assert_eq!(m.arrays(), vec![ArrayId(7)]);
+        assert_eq!(references(&m), [7]);
     }
 }

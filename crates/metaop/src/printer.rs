@@ -1,10 +1,8 @@
 //! Concrete-syntax printer for meta-operator flows (Fig. 13 style).
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
-use cmswitch_arch::ArrayId;
-
-use crate::{Flow, MemDirection, MemLoc, Stmt};
+use crate::{ArraySet, Flow, MemDirection, MemLoc, Stmt};
 
 /// Renders a flow in the Fig. 13-style concrete syntax. The text is
 /// output only: flows are read back from `core::artifact`'s wire format.
@@ -35,25 +33,36 @@ fn indent(out: &mut String, depth: usize) {
     }
 }
 
-fn ids(arrays: &[ArrayId]) -> String {
-    let inner: Vec<String> = arrays.iter().map(|a| a.0.to_string()).collect();
-    format!("[{}]", inner.join(","))
+/// An array list as `[a,b,c]`, written id by id.
+struct Ids<'a>(&'a ArraySet);
+
+impl fmt::Display for Ids<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_char('[')?;
+        for (i, a) in self.0.iter().enumerate() {
+            if i > 0 {
+                f.write_char(',')?;
+            }
+            write!(f, "{}", a.0)?;
+        }
+        f.write_char(']')
+    }
 }
 
 fn print_stmt(out: &mut String, stmt: &Stmt, depth: usize) {
     indent(out, depth);
     match stmt {
         Stmt::Switch { kind, arrays } => {
-            let _ = writeln!(out, "CM.switch({}, {})", kind.keyword(), ids(arrays));
+            let _ = writeln!(out, "CM.switch({}, {})", kind.keyword(), Ids(arrays));
         }
         Stmt::Compute(c) => {
             let _ = writeln!(
                 out,
                 "CIM.mmm(%{}, c={}, min={}, mout={}, m={}, k={}, n={}, units={}, in={}, out={}, {})",
                 c.op,
-                ids(&c.compute_arrays),
-                ids(&c.mem_in_arrays),
-                ids(&c.mem_out_arrays),
+                Ids(&c.compute_arrays),
+                Ids(&c.mem_in_arrays),
+                Ids(&c.mem_out_arrays),
                 c.m,
                 c.k,
                 c.n,
@@ -64,7 +73,7 @@ fn print_stmt(out: &mut String, stmt: &Stmt, depth: usize) {
             );
         }
         Stmt::LoadWeights(w) => {
-            let _ = writeln!(out, "MEM.loadw(%{}, {}, {})", w.op, ids(&w.arrays), w.bytes);
+            let _ = writeln!(out, "MEM.loadw(%{}, {}, {})", w.op, Ids(&w.arrays), w.bytes);
         }
         Stmt::Mem(m) => {
             let verb = match m.direction {
@@ -74,7 +83,7 @@ fn print_stmt(out: &mut String, stmt: &Stmt, depth: usize) {
             let loc = match &m.loc {
                 MemLoc::Main => "main".to_string(),
                 MemLoc::Buffer => "buffer".to_string(),
-                MemLoc::CimArrays(a) => format!("cim{}", ids(a)),
+                MemLoc::CimArrays(a) => format!("cim{}", Ids(a)),
             };
             let _ = writeln!(out, "MEM.{verb}({loc}, {}, \"{}\")", m.bytes, m.label);
         }
@@ -96,15 +105,16 @@ fn print_stmt(out: &mut String, stmt: &Stmt, depth: usize) {
 mod tests {
     use super::*;
     use crate::{ComputeStmt, MemStmt, SwitchKind, VectorStmt, WeightLoadStmt};
+    use cmswitch_arch::ArrayId;
 
     #[test]
     fn prints_all_statement_kinds() {
         let compute = |op: &str, weight_static: bool| {
             Stmt::Compute(ComputeStmt {
                 op: op.into(),
-                compute_arrays: vec![ArrayId(0)],
-                mem_in_arrays: vec![ArrayId(1)],
-                mem_out_arrays: vec![],
+                compute_arrays: [ArrayId(0)].into(),
+                mem_in_arrays: [ArrayId(1)].into(),
+                mem_out_arrays: ArraySet::new(),
                 m: 2,
                 k: 3,
                 n: 4,
@@ -129,7 +139,7 @@ mod tests {
         f.push(Stmt::Parallel(vec![
             Stmt::LoadWeights(WeightLoadStmt {
                 op: "fc1".into(),
-                arrays: vec![ArrayId(0)],
+                arrays: [ArrayId(0)].into(),
                 bytes: 100,
             }),
             compute("fc1", true),
@@ -142,12 +152,12 @@ mod tests {
         ]));
         f.push(Stmt::Parallel(vec![]));
         f.push(mem(
-            MemLoc::CimArrays(vec![ArrayId(1), ArrayId(2)]),
+            MemLoc::CimArrays([ArrayId(1), ArrayId(2)].into()),
             MemDirection::Write,
             7,
             "spill",
         ));
-        f.push(mem(MemLoc::CimArrays(vec![]), MemDirection::Read, 0, ""));
+        f.push(mem(MemLoc::CimArrays(ArraySet::new()), MemDirection::Read, 0, ""));
         let expected = "\
 # flow: all
 CM.switch(TOC, [0])

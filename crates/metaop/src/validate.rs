@@ -25,13 +25,15 @@ use crate::{Flow, MetaOpError, Stmt};
 /// How many array ids get dense state: one past the largest id the flow
 /// names, but never more than the flow has array references — so an
 /// absurd id in an untrusted flow cannot size the tables (ids beyond
-/// the bound take [`ArrayTable`]'s spill path).
+/// the bound take [`ArrayTable`]'s spill path). Counted run by run.
 fn dense_len(flow: &Flow) -> usize {
     let (mut refs, mut max_id) = (0usize, 0u32);
     for stmt in flow.stmts() {
-        stmt.for_each_array(&mut |a| {
-            refs += 1;
-            max_id = max_id.max(a.0);
+        stmt.for_each_array_set(&mut |arrays| {
+            for run in arrays.runs() {
+                refs = refs.saturating_add(run.count() as usize);
+                max_id = max_id.max(run.max().0);
+            }
         });
     }
     refs.min((max_id as usize).saturating_add(1))
@@ -43,6 +45,10 @@ fn dense_len(flow: &Flow) -> usize {
 /// delivers statements in program order and this visitor stops at the
 /// first violation. The collect-everything verifier in `cmswitch-core`
 /// rides the same walker but never stops.
+///
+/// With no chip to bound them, every id of every run is checked, so the
+/// cost is linear in array references: a flow from an untrusted source,
+/// whose runs may claim billions of ids, goes through [`validate_on`].
 ///
 /// # Errors
 ///
@@ -57,7 +63,10 @@ pub fn validate(flow: &Flow) -> Result<(), MetaOpError> {
 /// flow one of them rejects, all of them reject with the same error.
 ///
 /// The tables are sized by the chip, so no pre-walk over the flow is
-/// needed, and no id ever reaches the spill path.
+/// needed, and no id ever reaches the spill path. Ids are range-checked
+/// a run at a time before any is walked, so a run reaching past the chip
+/// costs one comparison however long it claims to be, and every run
+/// walked afterwards holds at most `n_arrays` ids.
 ///
 /// # Errors
 ///
@@ -117,9 +126,9 @@ fn check_stmt<'a>(
     };
     if let Some(n_arrays) = n_arrays {
         let mut stray = None;
-        stmt.for_each_array(&mut |a| {
-            if a.index() >= n_arrays {
-                stray.get_or_insert(a);
+        stmt.for_each_array_set(&mut |arrays| {
+            if stray.is_none() {
+                stray = arrays.runs().iter().find_map(|r| r.first_beyond(n_arrays));
             }
         });
         if let Some(array) = stray {
@@ -130,17 +139,23 @@ fn check_stmt<'a>(
         }
     }
     if let Stmt::Switch { kind, arrays } = stmt {
-        for &a in arrays {
-            *modes.slot(a) = kind.target_mode();
+        for run in arrays.runs() {
+            for a in run.iter() {
+                *modes.slot(a) = kind.target_mode();
+            }
         }
         return Ok(());
     }
     // The first array not in the mode its role needs is the violation
     // to report; `detail` is only rendered for it.
     let mut wrong = None;
-    stmt.for_each_required_mode(&mut |a, needed| {
-        if wrong.is_none() && *modes.get(a) != needed {
-            wrong = Some((a, needed));
+    stmt.for_each_required_mode(&mut |arrays, needed| {
+        for run in arrays.runs() {
+            for a in run.iter() {
+                if wrong.is_none() && *modes.get(a) != needed {
+                    wrong = Some((a, needed));
+                }
+            }
         }
     });
     if let Some((array, needed)) = wrong {
@@ -165,7 +180,7 @@ fn check_stmt<'a>(
     }
     if let (Stmt::Compute(c), Some(claims)) = (stmt, claims) {
         let mut first = None;
-        claims.claim(c, |a| first = first.or(Some(a)));
+        claims.claim(c, usize::MAX, |a| first = first.or(Some(a)));
         if let Some(array) = first {
             return Err(MetaOpError::ArrayConflict { array, stmt: idx });
         }
@@ -225,7 +240,7 @@ mod tests {
         let mut f = Flow::new("f");
         f.push(Stmt::LoadWeights(WeightLoadStmt {
             op: "fc".into(),
-            arrays: vec![ArrayId(2)],
+            arrays: [ArrayId(2)].into(),
             bytes: 10,
         }));
         assert!(matches!(
@@ -304,7 +319,11 @@ mod tests {
     }
 
     fn load(op: &str, array: u32) -> Stmt {
-        Stmt::LoadWeights(WeightLoadStmt { op: op.into(), arrays: vec![ArrayId(array)], bytes: 8 })
+        Stmt::LoadWeights(WeightLoadStmt {
+            op: op.into(),
+            arrays: [ArrayId(array)].into(),
+            bytes: 8,
+        })
     }
 
     #[test]

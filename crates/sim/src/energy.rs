@@ -219,9 +219,9 @@ mod tests {
             f.push(Stmt::switch(SwitchKind::ToCompute, vec![ArrayId(0)]));
             f.push(Stmt::Compute(ComputeStmt {
                 op: "fc".into(),
-                compute_arrays: vec![ArrayId(0)],
-                mem_in_arrays: mem,
-                mem_out_arrays: vec![],
+                compute_arrays: vec![ArrayId(0)].into(),
+                mem_in_arrays: mem.into(),
+                mem_out_arrays: vec![].into(),
                 m: 64,
                 k: 64,
                 n: 64,

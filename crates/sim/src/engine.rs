@@ -100,9 +100,12 @@
 //!
 //! # Cost contract
 //!
-//! A simulation pays for what its caller reads. Work per array reference
-//! is an indexed load or store on dense per-array state (release time,
-//! mode); heap traffic is bounded by the number of *statements* — one
+//! A simulation pays for what its caller reads. The flow is range-checked
+//! once per array run (`validate_on`), so a forged run costs one
+//! comparison; after that, work per array reference is an indexed load
+//! or store on dense per-array state (release time, mode), walked off
+//! each list's runs without building an id list. Heap traffic is
+//! bounded by the number of *statements* — one
 //! fixed-size event each, whose label borrows the flow's strings and is
 //! rendered only for the steps of the critical path — never by the
 //! number of references. The per-array busy log (one [`BusyInterval`]
@@ -114,7 +117,9 @@
 use cmswitch_arch::{ArrayId, ArrayMode, DualModeArch};
 use cmswitch_core::cost;
 use cmswitch_core::{CompileOutcome, CompiledProgram, DiagnosticEvent, Diagnostics, Session};
-use cmswitch_metaop::{validate_on, Flow, MemLoc, MetaOpError, Stmt, SwitchKind};
+use cmswitch_metaop::{
+    validate_on, ArrayRun, ArraySet, Flow, MemLoc, MetaOpError, Stmt, SwitchKind,
+};
 
 use crate::energy::{self, EnergyModel, EnergyReport};
 use crate::tenancy::{ChipScheduler, CoSimOptions, TenancyError, TenancyReport, TenantProgram};
@@ -124,6 +129,9 @@ use crate::stats::{
     SegmentWindow, SimReport, SwitchAmortization,
 };
 use crate::timing;
+
+/// What a memory statement outside the CIM arrays occupies.
+static NO_ARRAYS: ArraySet = ArraySet::new();
 
 /// The sequential reference model: the event engine must never report a
 /// longer makespan than this replay, and on single-segment flows the
@@ -463,9 +471,10 @@ pub(crate) struct ForwardPass<'a> {
     /// Last top-level vector event (the single vector function unit).
     fu: Option<usize>,
     /// Per-statement scratch, reused: the arrays to drive into each
-    /// mode (indexed by it), the arrays a body references, and how long
+    /// mode (indexed by it, as one-id runs, the form `push_serial`
+    /// walks), the arrays a body references, and how long
     /// it keeps each memory-mode array busy.
-    to_switch: [Vec<ArrayId>; 2],
+    to_switch: [Vec<ArrayRun>; 2],
     referenced: Vec<ArrayId>,
     mem_busy: Vec<(ArrayId, f64)>,
     pub(crate) switches: SwitchAmortization,
@@ -562,8 +571,8 @@ impl<'a> ForwardPass<'a> {
         }
     }
 
-    fn wait_arrays(&self, arrays: &[ArrayId], ready: &mut Ready) {
-        for &a in arrays {
+    fn wait_arrays(&self, arrays: impl IntoIterator<Item = ArrayId>, ready: &mut Ready) {
+        for a in arrays {
             if let Some((user, free_at)) = self.released[a.index()] {
                 ready.wait(user, free_at);
             }
@@ -603,37 +612,44 @@ impl<'a> ForwardPass<'a> {
     fn push_serial(
         &mut self,
         label: Label<'a>,
-        arrays: &[ArrayId],
+        runs: &[ArrayRun],
         duration: f64,
         stride: f64,
         kind: BusyKind,
     ) {
         let mut ready = Ready::default();
-        self.wait_arrays(arrays, &mut ready);
+        for run in runs {
+            self.wait_arrays(run.iter(), &mut ready);
+        }
         let (id, start, finish) = self.record(label, ready, duration);
-        for (i, &a) in arrays.iter().enumerate() {
-            let busy = BusyInterval {
-                start: start + stride * i as f64,
-                end: start + stride * (i + 1) as f64,
-                kind,
-            };
-            self.occupy(a, id, busy, finish);
+        let mut i = 0;
+        for run in runs {
+            for a in run.iter() {
+                let busy = BusyInterval {
+                    start: start + stride * i as f64,
+                    end: start + stride * (i + 1) as f64,
+                    kind,
+                };
+                self.occupy(a, id, busy, finish);
+                i += 1;
+            }
         }
     }
 
     /// A weight load, top-level or inside a segment; returns its cycles.
-    fn push_load(&mut self, label: Label<'a>, arrays: &[ArrayId]) -> f64 {
+    fn push_load(&mut self, label: Label<'a>, arrays: &ArraySet) -> f64 {
         let duration = cost::load_duration(arrays.len(), self.arch);
         let stride = cost::load_duration(1, self.arch);
-        self.push_serial(label, arrays, duration, stride, BusyKind::WeightLoad);
+        self.push_serial(label, arrays.runs(), duration, stride, BusyKind::WeightLoad);
         self.report.breakdown.weight_load += duration;
         duration
     }
 
     /// A mode switch actually driven over `arrays`, requested or
     /// injected, at the current flow's expense.
-    fn push_switch(&mut self, label: Label<'a>, kind: SwitchKind, arrays: &[ArrayId]) {
-        let duration = cost::switch_duration(kind, arrays.len(), self.arch);
+    fn push_switch(&mut self, label: Label<'a>, kind: SwitchKind, arrays: &[ArrayRun]) {
+        let n: usize = arrays.iter().map(|r| r.count() as usize).sum();
+        let duration = cost::switch_duration(kind, n, self.arch);
         self.flows[self.cur].busy += duration;
         self.report.switch_process_cycles += duration;
         self.switches.switch_cycles += duration;
@@ -649,11 +665,15 @@ impl<'a> ForwardPass<'a> {
         let by = Some(self.cur);
         let mut to_switch = std::mem::take(&mut self.to_switch);
         for s in stmts {
-            s.for_each_required_mode(&mut |a, needed| {
-                let mode = &mut self.modes[a.index()];
-                if mode.0 != needed {
-                    *mode = (needed, by);
-                    to_switch[needed as usize].push(a);
+            s.for_each_required_mode(&mut |arrays, needed| {
+                for run in arrays.runs() {
+                    for a in run.iter() {
+                        let mode = &mut self.modes[a.index()];
+                        if mode.0 != needed {
+                            *mode = (needed, by);
+                            to_switch[needed as usize].push(ArrayRun::single(a));
+                        }
+                    }
                 }
             });
         }
@@ -686,11 +706,13 @@ impl<'a> ForwardPass<'a> {
                 let (target, by) = (kind.target_mode(), Some(self.cur));
                 let mut to_switch = std::mem::take(&mut self.to_switch);
                 let driven = &mut to_switch[target as usize];
-                for &a in arrays {
-                    let mode = &mut self.modes[a.index()];
-                    if mode.0 != target || mode.1.is_none() || mode.1 == by {
-                        *mode = (target, by);
-                        driven.push(a);
+                for run in arrays.runs() {
+                    for a in run.iter() {
+                        let mode = &mut self.modes[a.index()];
+                        if mode.0 != target || mode.1.is_none() || mode.1 == by {
+                            *mode = (target, by);
+                            driven.push(ArrayRun::single(a));
+                        }
                     }
                 }
                 self.switches.requested += arrays.len() as u64;
@@ -718,23 +740,25 @@ impl<'a> ForwardPass<'a> {
                 let duration = cost::mem_duration(m.bytes, &m.loc, self.arch);
                 self.flows[self.cur].busy += duration;
                 self.report.switch_process_cycles += duration;
-                let arrays: &[ArrayId] = match &m.loc {
+                let arrays = match &m.loc {
                     MemLoc::CimArrays(a) => a,
-                    _ => &[],
+                    _ => &NO_ARRAYS,
                 };
                 let mut ready = Ready::default();
                 self.wait_finish(self.flows[self.cur].data, &mut ready);
                 self.wait_finish(self.bus, &mut ready);
-                self.wait_arrays(arrays, &mut ready);
+                self.wait_arrays(arrays.iter(), &mut ready);
                 let label = Label::Mem {
                     idx,
                     label: &m.label,
                 };
                 let (id, start, end) = self.record(label, ready, duration);
                 let kind = BusyKind::MemTraffic;
-                for &a in arrays {
-                    self.occupy(a, id, BusyInterval { start, end, kind }, end);
-                    self.report.breakdown.mem_traffic += duration;
+                for run in arrays.runs() {
+                    for a in run.iter() {
+                        self.occupy(a, id, BusyInterval { start, end, kind }, end);
+                        self.report.breakdown.mem_traffic += duration;
+                    }
                 }
                 self.bus = Some(id);
                 let flow = &mut self.flows[self.cur];
@@ -772,8 +796,11 @@ impl<'a> ForwardPass<'a> {
             if let Stmt::Switch { kind, arrays } = s {
                 // Inside a body a switch has no event: the mode moves
                 // for free, as in the prepass.
-                for a in arrays {
-                    self.modes[a.index()] = (kind.target_mode(), Some(self.cur));
+                let set = (kind.target_mode(), Some(self.cur));
+                for run in arrays.runs() {
+                    for a in run.iter() {
+                        self.modes[a.index()] = set;
+                    }
                 }
             }
         }
@@ -814,7 +841,7 @@ impl<'a> ForwardPass<'a> {
         }
         self.referenced.sort_unstable();
         self.referenced.dedup();
-        self.wait_arrays(&self.referenced, &mut ready);
+        self.wait_arrays(self.referenced.iter().copied(), &mut ready);
         let flow = &self.flows[self.cur];
         match flow.seg_deps {
             Some(all) => {
@@ -844,18 +871,29 @@ impl<'a> ForwardPass<'a> {
                 Stmt::Compute(c) => {
                     let lane = cost::lane_duration(c, body, self.arch);
                     let (end, kind) = (start + lane, BusyKind::Compute);
-                    for &a in &c.compute_arrays {
-                        self.occupy(a, id, BusyInterval { start, end, kind }, end);
-                        self.report.breakdown.compute += lane;
+                    for run in c.compute_arrays.runs() {
+                        for a in run.iter() {
+                            self.occupy(a, id, BusyInterval { start, end, kind }, end);
+                            self.report.breakdown.compute += lane;
+                        }
                     }
-                    for &a in c.mem_in_arrays.iter().chain(&c.mem_out_arrays) {
-                        note_mem(a, lane);
+                    for run in c.mem_in_arrays.runs() {
+                        for a in run.iter() {
+                            note_mem(a, lane);
+                        }
+                    }
+                    for run in c.mem_out_arrays.runs() {
+                        for a in run.iter() {
+                            note_mem(a, lane);
+                        }
                     }
                 }
                 Stmt::Mem(m) => {
                     if let MemLoc::CimArrays(arrays) = &m.loc {
-                        for &a in arrays {
-                            note_mem(a, exec_cycles);
+                        for run in arrays.runs() {
+                            for a in run.iter() {
+                                note_mem(a, exec_cycles);
+                            }
                         }
                     }
                 }
@@ -1011,9 +1049,9 @@ mod tests {
     fn compute(op: &str, arrays: Vec<ArrayId>, m: usize) -> Stmt {
         Stmt::Compute(ComputeStmt {
             op: op.into(),
-            compute_arrays: arrays,
-            mem_in_arrays: vec![],
-            mem_out_arrays: vec![],
+            compute_arrays: arrays.into(),
+            mem_in_arrays: vec![].into(),
+            mem_out_arrays: vec![].into(),
             m,
             k: 64,
             n: 64,
@@ -1028,7 +1066,7 @@ mod tests {
         let bytes = arrays.len() as u64 * 64;
         Stmt::LoadWeights(WeightLoadStmt {
             op: op.into(),
-            arrays,
+            arrays: arrays.into(),
             bytes,
         })
     }
@@ -1228,7 +1266,7 @@ mod tests {
             })
         };
         let pair = vec![ArrayId(0), ArrayId(1)];
-        let on_pair = || MemLoc::CimArrays(pair.clone());
+        let on_pair = || MemLoc::CimArrays(pair.clone().into());
         let mut a = Flow::new("a");
         a.push(Stmt::switch(SwitchKind::ToCompute, pair.clone()));
         for op in ["a0", "a1"] {

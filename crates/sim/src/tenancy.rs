@@ -300,7 +300,9 @@ fn offset_flow(flow: &Flow, base: u32) -> Flow {
     let mut out = Flow::new(flow.name());
     for stmt in flow.stmts() {
         let mut s = stmt.clone();
-        s.for_each_array_mut(&mut |a| a.0 += base);
+        s.for_each_array_set_mut(&mut |arrays| {
+            *arrays = arrays.iter().map(|a| ArrayId(a.0 + base)).collect();
+        });
         out.push(s);
     }
     out

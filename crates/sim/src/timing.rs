@@ -161,9 +161,9 @@ mod tests {
         let mk = |op: &str, arrays: Vec<ArrayId>, m: usize| {
             Stmt::Compute(ComputeStmt {
                 op: op.into(),
-                compute_arrays: arrays,
-                mem_in_arrays: vec![],
-                mem_out_arrays: vec![],
+                compute_arrays: arrays.into(),
+                mem_in_arrays: vec![].into(),
+                mem_out_arrays: vec![].into(),
                 m,
                 k: 64,
                 n: 64,
@@ -194,9 +194,9 @@ mod tests {
         let mut flow = Flow::new("bad");
         flow.push(Stmt::Parallel(vec![Stmt::Compute(ComputeStmt {
             op: "fc".into(),
-            compute_arrays: vec![ArrayId(0)], // still memory mode!
-            mem_in_arrays: vec![],
-            mem_out_arrays: vec![],
+            compute_arrays: vec![ArrayId(0)].into(), // still memory mode!
+            mem_in_arrays: vec![].into(),
+            mem_out_arrays: vec![].into(),
             m: 1,
             k: 1,
             n: 1,

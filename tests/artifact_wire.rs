@@ -10,10 +10,11 @@
 //! * **Property sampling** — proptest-driven MLP shapes across the
 //!   architecture presets round-trip and re-encode deterministically.
 //! * **Error paths** — truncation at every framing boundary, a wrong
-//!   version header, a corrupted payload, kind confusion and forged
-//!   `parallel` nesting all fail with the precise typed
-//!   [`ArtifactError`] — never a panic, never a stack overflow, never a
-//!   silently wrong program.
+//!   version header, a corrupted payload, kind confusion, forged
+//!   `parallel` nesting and forged array runs all fail with the precise
+//!   typed [`ArtifactError`] — never a panic, never a stack overflow,
+//!   never an allocation the size of a forged length, never a silently
+//!   wrong program.
 
 use proptest::prelude::*;
 
@@ -138,6 +139,12 @@ fn wrong_version_header_is_rejected_up_front() {
         decode_program(&bytes).unwrap_err(),
         ArtifactError::UnsupportedVersion(1)
     );
+    // Nor does format 2, whose array lists were one `u32` per id.
+    bytes[8] = 2;
+    assert_eq!(
+        decode_program(&bytes).unwrap_err(),
+        ArtifactError::UnsupportedVersion(2)
+    );
 }
 
 #[test]
@@ -239,4 +246,99 @@ fn one_nested_block_round_trips() {
             .any(|f| f.rule == cmswitch::compiler::verify::rules::RACE_NESTED),
         "race-nested must stay reachable through the decoder"
     );
+}
+
+/// One forged array list (version-3 grammar: a `u32` run count, then per
+/// run a `u32` first id, a `u32` length and a step byte).
+fn runs(count: u32, runs: &[(u32, u32, u8)]) -> Vec<u8> {
+    let mut list = count.to_le_bytes().to_vec();
+    for &(first, len, step) in runs {
+        list.extend_from_slice(&first.to_le_bytes());
+        list.extend_from_slice(&len.to_le_bytes());
+        list.push(step);
+    }
+    list
+}
+
+/// A program artifact whose flow is one `CM.switch(TOC, list)` and whose
+/// plan is empty, with a valid header and checksum — so the array-list
+/// decoder is what meets `list`.
+fn forged_switch(list: &[u8]) -> Vec<u8> {
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&0u64.to_le_bytes()); // flow name: ""
+    payload.extend_from_slice(&1u64.to_le_bytes()); // one statement
+    payload.extend_from_slice(&[0, 1]); // Stmt::Switch, ToCompute
+    payload.extend_from_slice(list);
+    // ops, op_deps, segments: none; predicted latency 0.0; stats: a zero
+    // wall clock, no stages, then nine zero counters.
+    payload.extend_from_slice(&[0; 8 * 4]);
+    payload.extend_from_slice(&[0; 8 + 4]);
+    payload.extend_from_slice(&[0; 8 * 10]);
+
+    let mut bytes = MAGIC.to_vec();
+    bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    bytes.extend_from_slice(&KIND_PROGRAM.to_le_bytes());
+    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(&0u64.to_le_bytes());
+    bytes.extend_from_slice(&payload);
+    let Err(ArtifactError::ChecksumMismatch { found, .. }) = decode_program(&bytes) else {
+        panic!("a zero checksum matched the forged payload");
+    };
+    bytes[24..32].copy_from_slice(&found.to_le_bytes());
+    bytes
+}
+
+/// Run lists a version-3 encoder never writes are grammar violations:
+/// counts the payload cannot hold, runs that are empty or leave the id
+/// space, and lists that are not the canonical runs of their ids (which
+/// would break `encode(decode(b)) == b`). None of them allocates by the
+/// forged field: the count is checked against the bytes left before a
+/// run is read, and a run decodes into the list's inline storage.
+#[test]
+fn hostile_array_runs_are_malformed() {
+    let malformed = |what: &str, list: Vec<u8>| match decode_program(&forged_switch(&list)) {
+        Err(ArtifactError::Malformed(_)) => {}
+        other => panic!("{what}: expected Malformed, got {other:?}"),
+    };
+    // Counts inflated past the payload.
+    malformed("count past the payload", runs(2, &[(5, 1, 0)]));
+    malformed("count of u32::MAX", runs(u32::MAX, &[(5, 1, 0)]));
+    // Lengths that step past either end of the id space.
+    malformed("ascending past u32::MAX", runs(1, &[(10, u32::MAX, 0)]));
+    malformed("ascending by one too many", runs(1, &[(u32::MAX - 3, 5, 0)]));
+    malformed("descending past 0", runs(1, &[(3, 5, 1)]));
+    malformed("zero-length run", runs(1, &[(7, 0, 0)]));
+    // Not canonical: one run written as two, either way round, and a
+    // one-id run claiming a descending step.
+    malformed("mergeable ascending runs", runs(2, &[(5, 2, 0), (7, 3, 0)]));
+    malformed("mergeable descending runs", runs(2, &[(9, 2, 1), (7, 1, 0)]));
+    malformed("one-id run continued down", runs(2, &[(4, 1, 0), (3, 2, 1)]));
+    malformed("descending one-id run", runs(1, &[(4, 1, 1)]));
+    malformed("unknown step", runs(1, &[(4, 2, 2)]));
+
+    // The same shapes, canonical, decode — including a run of u32::MAX
+    // ids, which is nine bytes on the wire and, once decoded, one
+    // capacity finding rather than four billion.
+    for (what, list, ids) in [
+        ("adjacent runs of opposite steps", runs(2, &[(5, 2, 0), (5, 2, 1)]), 4),
+        ("a run after a full one", runs(2, &[(0, u32::MAX, 0), (u32::MAX, 1, 0)]), 1 << 32),
+        ("the longest run", runs(1, &[(u32::MAX, u32::MAX, 1)]), u32::MAX as usize),
+    ] {
+        let bytes = forged_switch(&list);
+        let program = decode_program(&bytes).unwrap_or_else(|e| panic!("{what}: {e}"));
+        let Stmt::Switch { arrays, .. } = &program.flow.stmts()[0] else {
+            panic!("{what}: not a switch");
+        };
+        assert_eq!(arrays.len(), ids, "{what}");
+        assert_eq!(encode_program(&program), bytes, "{what}: not canonical");
+        let arch = presets::tiny();
+        let report = Verifier::new().run(&program, &arch);
+        let beyond = report
+            .findings()
+            .iter()
+            .filter(|f| f.rule == cmswitch::compiler::verify::rules::CAPACITY_ARRAYS)
+            .count();
+        let reaches_past = arrays.runs().iter().any(|r| r.max().index() >= arch.n_arrays());
+        assert_eq!(beyond, usize::from(reaches_past), "{what}:\n{report}");
+    }
 }

@@ -164,15 +164,15 @@ fn single_segment_flow(
         if weight_static {
             body.push(Stmt::LoadWeights(WeightLoadStmt {
                 op: op.clone(),
-                arrays: arrays.clone(),
+                arrays: arrays.clone().into(),
                 bytes: (arrays.len() as u64) * arch.array_bytes(),
             }));
         }
         body.push(Stmt::Compute(ComputeStmt {
             op: op.clone(),
-            compute_arrays: arrays,
-            mem_in_arrays: if o == 0 { mem_arrays.clone() } else { Vec::new() },
-            mem_out_arrays: Vec::new(),
+            compute_arrays: arrays.into(),
+            mem_in_arrays: if o == 0 { mem_arrays.clone().into() } else { Default::default() },
+            mem_out_arrays: Default::default(),
             m,
             k,
             n: 64,
@@ -349,9 +349,9 @@ fn statements_naming(stray: ArrayId) -> Vec<Stmt> {
     let compute = |compute: &[ArrayId], mem_in: &[ArrayId], mem_out: &[ArrayId]| {
         Stmt::Compute(ComputeStmt {
             op: "fc".into(),
-            compute_arrays: compute.to_vec(),
-            mem_in_arrays: mem_in.to_vec(),
-            mem_out_arrays: mem_out.to_vec(),
+            compute_arrays: compute.into(),
+            mem_in_arrays: mem_in.into(),
+            mem_out_arrays: mem_out.into(),
             m: 4,
             k: 4,
             n: 4,
@@ -364,12 +364,16 @@ fn statements_naming(stray: ArrayId) -> Vec<Stmt> {
     vec![
         Stmt::switch(SwitchKind::ToCompute, vec![stray]),
         Stmt::switch(SwitchKind::ToMemory, vec![stray]),
-        Stmt::LoadWeights(WeightLoadStmt { op: "fc".into(), arrays: vec![stray], bytes: 16 }),
+        Stmt::LoadWeights(WeightLoadStmt {
+            op: "fc".into(),
+            arrays: vec![stray].into(),
+            bytes: 16,
+        }),
         compute(&[stray], &[], &[]),
         compute(&[], &[stray], &[]),
         compute(&[], &[], &[stray]),
         Stmt::Mem(MemStmt {
-            loc: MemLoc::CimArrays(vec![stray]),
+            loc: MemLoc::CimArrays(vec![stray].into()),
             direction: MemDirection::Write,
             bytes: 16,
             label: "spill".into(),
@@ -515,9 +519,9 @@ fn a_nested_parallel_block_is_a_typed_error_not_a_cheaper_schedule() {
     let lane = |op: &str, array: u32, m: usize| {
         Stmt::Compute(ComputeStmt {
             op: op.into(),
-            compute_arrays: vec![ArrayId(array)],
-            mem_in_arrays: vec![],
-            mem_out_arrays: vec![],
+            compute_arrays: vec![ArrayId(array)].into(),
+            mem_in_arrays: vec![].into(),
+            mem_out_arrays: vec![].into(),
             m,
             k: 64,
             n: 64,
@@ -582,9 +586,9 @@ fn a_racy_parallel_block_is_a_typed_error_not_a_cheaper_schedule() {
     let lane = |op: &str| {
         Stmt::Compute(ComputeStmt {
             op: op.into(),
-            compute_arrays: vec![ArrayId(0)],
-            mem_in_arrays: vec![],
-            mem_out_arrays: vec![],
+            compute_arrays: vec![ArrayId(0)].into(),
+            mem_in_arrays: vec![].into(),
+            mem_out_arrays: vec![].into(),
             m: 4096,
             k: 64,
             n: 64,

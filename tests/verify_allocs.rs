@@ -7,7 +7,8 @@
 //! thousands of array references. Their contract is dense per-array
 //! state: work per reference is an indexed load, and heap traffic is
 //! bounded by the number of *statements*, never by the number of
-//! references or by the value of an (untrusted) array id.
+//! references, by the value of an (untrusted) array id, or by the
+//! length an (untrusted) run of ids claims.
 //!
 //! The event engine's contract is the same, with one stated exception:
 //! `simulate*` keeps one fixed-size event per statement (its label
@@ -34,7 +35,10 @@ use std::cell::Cell;
 use cmswitch::arch::{presets, ArrayId};
 use cmswitch::compiler::verify::{rules, Verifier};
 use cmswitch::compiler::CompiledProgram;
-use cmswitch::metaop::{validate, Flow, MetaOpError, Stmt, SwitchKind};
+use cmswitch::compiler::artifact::{decode_program, encode_program};
+use cmswitch::metaop::{
+    validate, validate_on, ArrayRun, ArraySet, Flow, MetaOpError, Stmt, SwitchKind,
+};
 use cmswitch::models::registry;
 use cmswitch::prelude::*;
 use cmswitch::sim::BusyInterval;
@@ -279,6 +283,84 @@ fn hostile_array_ids_are_findings_and_stay_cheap() {
             "no race-conflict on {a}\n{report}"
         );
     }
+
+    // A run of u32::MAX - 1 ids from u32::MAX down: all but the chip's
+    // own ids lie beyond it. However long a run says it is, the checkers
+    // walk it clipped to the chip, so it is one finding (or one error)
+    // at the cost of the chip, and round-trips the wire as nine bytes.
+    let forged = ArrayRun::new(far, u32::MAX - 1, false).expect("stays above 0");
+    let mut long = ArraySet::new();
+    assert!(long.push_run(forged));
+    let mut long_load = long.clone();
+    long_load.push(ArrayId(0));
+    let top_level = with_stmts(&program, |stmts| {
+        stmts.insert(0, Stmt::switch(SwitchKind::ToCompute, long.clone()));
+    });
+    let in_block = with_stmts(&program, |stmts| {
+        let body = stmts
+            .iter_mut()
+            .find_map(|s| match s {
+                Stmt::Parallel(body) => Some(body),
+                _ => None,
+            })
+            .expect("the mlp has a parallel block");
+        let load = body
+            .iter_mut()
+            .find_map(|s| match s {
+                Stmt::LoadWeights(w) => Some(w),
+                _ => None,
+            })
+            .expect("the mlp loads weights");
+        load.arrays = long_load;
+    });
+    for (what, hostile) in [("long top-level", &top_level), ("long in-block", &in_block)] {
+        let (bytes, _, peak) = measured(|| encode_program(hostile));
+        assert!(peak < MIB, "{what}: encode held {peak} bytes");
+        let (decoded, calls, peak) = measured(|| decode_program(&bytes));
+        assert_eq!(decoded.as_ref(), Ok(hostile), "{what}");
+        assert!(
+            peak < MIB && calls < 1_000,
+            "{what}: decode made {calls} calls, held {peak} bytes"
+        );
+
+        let (report, calls, peak) = measured(|| verifier.run(hostile, &arch));
+        assert!(
+            peak < MIB && calls < 1_000,
+            "{what}: verify made {calls} calls, held {peak} bytes"
+        );
+        let beyond: Vec<&[ArrayId]> = report
+            .findings()
+            .iter()
+            .filter(|f| f.rule == rules::CAPACITY_ARRAYS)
+            .map(|f| f.arrays.as_slice())
+            .collect();
+        assert_eq!(beyond, [[far].as_slice()], "{what}:\n{report}");
+
+        let (verdict, calls, _) = measured(|| validate_on(&hostile.flow, arch.n_arrays()));
+        assert!(calls < 64, "{what}: validate_on made {calls} calls");
+        assert!(
+            matches!(verdict, Err(MetaOpError::ModeViolation { array, .. }) if array == far),
+            "{what}: {verdict:?}"
+        );
+    }
+}
+
+/// Up to three runs live inside the list itself; the fourth moves them
+/// all to one heap block — and nothing else ever allocates, however many
+/// ids the runs hold.
+#[test]
+fn array_sets_spill_to_the_heap_at_the_fourth_run() {
+    let ids = |ids: &[u32]| ids.iter().map(|&a| ArrayId(a)).collect::<Vec<_>>();
+    let three = ids(&[40, 39, 38, 37, 12, 13, 14, 3]);
+    let four = ids(&[40, 39, 38, 37, 12, 13, 14, 3, 90]);
+    let (set, calls, _) = measured(|| ArraySet::from_iter(three.iter().copied()));
+    assert_eq!((set.runs().len(), calls), (3, 0));
+    let (copy, calls, _) = measured(|| set.clone());
+    assert_eq!((copy == set, calls), (true, 0));
+    let (set, calls, _) = measured(|| ArraySet::from_iter(four.iter().copied()));
+    assert_eq!((set.runs().len(), calls), (4, 1));
+    let (set, calls, _) = measured(|| ArraySet::from_iter((0..100_000).rev().map(ArrayId)));
+    assert_eq!((set.runs().len(), set.len(), calls), (1, 100_000, 0));
 }
 
 /// A 12-operator allocation MIP that spends its whole node budget — the
@@ -308,12 +390,19 @@ fn mip_solve_allocates_per_lp_solved_not_per_row_or_per_branch() {
 /// the first sight of a payload only. Stated in allocator calls: the
 /// second store-served compile of the largest registry artifact makes
 /// the first one's minus the verifier's, and stays near what decoding
-/// its strings and id lists takes.
+/// its strings and spilled run lists takes. Stated in bytes: the
+/// artifact stays under a ceiling that one id per array reference would
+/// blow through.
 #[test]
 fn second_store_served_compile_skips_the_verifiers_allocations() {
-    // Measured at this change: 10 235 calls for the first served compile
-    // (decode + ~30 in the verifier's dense tables), 10 204 for the second.
-    const MEASURED: u64 = 10_204;
+    // Measured at this change: 7 460 calls for the first served compile
+    // (decode + ~30 in the verifier's dense tables), 7 429 for the second
+    // — 10 204 when every array list was a `Vec` of ids; a list of up to
+    // three runs now decodes into the statement itself.
+    const MEASURED: u64 = 7_429;
+    // The artifact itself: 484 220 bytes with array lists as runs,
+    // 1 032 998 with one `u32` per id.
+    const ARTIFACT_BYTES: usize = 500_000;
     let dir = std::env::temp_dir().join(format!("cmswitch-allocs-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = ArtifactStore::open(&dir).unwrap();
@@ -336,5 +425,10 @@ fn second_store_served_compile_skips_the_verifiers_allocations() {
     assert!(
         second_calls <= MEASURED + MEASURED / 10,
         "a store-served llama2-7b made {second_calls} allocator calls; measured {MEASURED}"
+    );
+    let bytes = encode_program(&second).len();
+    assert!(
+        bytes <= ARTIFACT_BYTES,
+        "the llama2-7b artifact is {bytes} bytes; ceiling {ARTIFACT_BYTES}"
     );
 }

@@ -281,14 +281,14 @@ fn out_of_range_ids_outside_segment_blocks_are_denied() {
     let intruders = [
         Stmt::switch(SwitchKind::ToMemory, vec![far]),
         Stmt::Mem(MemStmt {
-            loc: MemLoc::CimArrays(vec![edge]),
+            loc: MemLoc::CimArrays(vec![edge].into()),
             direction: MemDirection::Read,
             bytes: 8,
             label: "stray".into(),
         }),
         Stmt::LoadWeights(WeightLoadStmt {
             op: "nobody".into(),
-            arrays: vec![edge, far],
+            arrays: vec![edge, far].into(),
             bytes: 8,
         }),
     ];
@@ -495,7 +495,7 @@ fn perturb(program: &CompiledProgram, n_arrays: usize, seed: u64) -> CompiledPro
                 },
                 Stmt::Mem(m) => match &mut m.loc {
                     MemLoc::CimArrays(arrays) => arrays.push(id),
-                    loc => *loc = MemLoc::CimArrays(vec![id]),
+                    loc => *loc = MemLoc::CimArrays(vec![id].into()),
                 },
                 Stmt::Vector(_) | Stmt::Parallel(_) => {}
             }
