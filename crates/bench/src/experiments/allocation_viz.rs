@@ -16,15 +16,16 @@ fn viz(graph: &Graph, title: &str) -> String {
     };
     let mut t = Table::new(&["segment", "operators", "compute arrays", "memory arrays", "memory %"]);
     for (i, seg) in program.segments.iter().enumerate() {
-        let names = if seg.op_names.len() > 4 {
+        let ops = &program.ops[seg.range.0..=seg.range.1];
+        let names = if ops.len() > 4 {
             format!(
                 "{} … {} ({} ops)",
-                seg.op_names.first().expect("nonempty"),
-                seg.op_names.last().expect("nonempty"),
-                seg.op_names.len()
+                ops[0].name,
+                ops[ops.len() - 1].name,
+                ops.len()
             )
         } else {
-            seg.op_names.join(", ")
+            ops.iter().map(|o| o.name.as_str()).collect::<Vec<_>>().join(", ")
         };
         t.row(vec![
             i.to_string(),

@@ -78,7 +78,7 @@ pub fn run_workload(session: &Session, workload: &Workload) -> Result<RunResult,
         r.predicted += program.predicted_latency * steps;
         r.compile_time += program.stats.wall;
         if i == 0 {
-            r.segments = program.stats.n_segments;
+            r.segments = program.segments.len();
         }
         r.memory_ratio += program.average_memory_ratio() * step_cycles;
         r.switch_fraction += report.switch_process_fraction() * step_cycles;

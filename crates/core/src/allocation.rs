@@ -70,21 +70,29 @@ impl SegmentAllocation {
         }
     }
 
+    // The totals below saturate: a decoded allocation may claim any
+    // count, and the verifier must report it, not overflow on it.
+
     /// Total compute arrays.
     pub fn total_compute(&self) -> usize {
-        self.ops.iter().map(|o| o.compute).sum()
+        self.ops.iter().fold(0, |n, o| n.saturating_add(o.compute))
     }
 
     /// Total memory arrays (input + output buffers, reuse counted once).
     pub fn total_memory(&self) -> usize {
-        let raw: usize = self.ops.iter().map(|o| o.mem_in + o.mem_out).sum();
-        let shared: usize = self.reuse.iter().map(|&(_, r)| r).sum();
+        let raw = self.ops.iter().fold(0, |n: usize, o| {
+            n.saturating_add(o.mem_in).saturating_add(o.mem_out)
+        });
+        let shared = self
+            .reuse
+            .iter()
+            .fold(0, |n: usize, &(_, r)| n.saturating_add(r));
         raw.saturating_sub(shared)
     }
 
     /// Physical arrays used (Eq. 8 left-hand side).
     pub fn arrays_used(&self) -> usize {
-        self.total_compute() + self.total_memory()
+        self.total_compute().saturating_add(self.total_memory())
     }
 
     /// Fraction of used arrays that are in memory mode (the Fig. 16

@@ -7,10 +7,13 @@
 //! payload length and a word-wide checksum of the payload. Two artifact
 //! kinds exist:
 //!
-//! * **Program** ([`encode_program`] / [`decode_program`]) — a complete
-//!   [`CompiledProgram`]: flow, operators, dependencies, segment plans
-//!   and compile statistics, bit-identical through a round trip
-//!   (`decode(encode(p)) == p`, and re-encoding yields the same bytes).
+//! * **Program** ([`encode_program`] / [`decode_program`]) — the plan
+//!   of a [`CompiledProgram`]: flow, operators, dependencies, segments
+//!   and predicted latency, bit-identical through a round trip
+//!   (`decode(encode(p))` equals `p` with its `stats` cleared, and
+//!   re-encoding yields the same bytes). Run history — the wall clock,
+//!   stage timings and solver counters of [`crate::CompileStats`] — is
+//!   never persisted: a decoded program's stats are the default.
 //! * **Allocation snapshot** ([`encode_alloc_entries`] /
 //!   [`decode_alloc_entries`]) — the entries of an
 //!   [`crate::AllocationCache`], each carrying its precomputed bucket
@@ -21,7 +24,7 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic  b"CMSWART\0"
-//!      8     4  format version, u32 LE   (currently 3)
+//!      8     4  format version, u32 LE   (currently 4)
 //!     12     4  artifact kind, u32 LE    (1 = program, 2 = alloc snapshot)
 //!     16     8  payload length, u64 LE
 //!     24     8  checksum, u64 LE         (see "Checksum" below)
@@ -52,9 +55,31 @@
 //! Primitive encodings inside the payload: `u8`/`u32`/`u64` are
 //! little-endian; `usize` is widened to `u64`; `bool` is one byte (0/1);
 //! `f64` is its IEEE-754 bit pattern as `u64` (NaN-safe, bit-exact);
-//! `Duration` is seconds `u64` + subsecond nanos `u32`; strings and
-//! sequences are a `u64` element count followed by the elements. Enum
-//! variants are a one-byte tag in declaration order.
+//! strings and sequences are a `u64` element count followed by the
+//! elements. Enum variants are a one-byte tag in declaration order.
+//!
+//! # Program payload
+//!
+//! Fields in declaration order; `x*` is a `u64` count, then that many
+//! `x`:
+//!
+//! ```text
+//! program := flow, seg_op*, (usize producer, usize consumer)*,
+//!            segment*, f64 predicted_latency
+//! flow    := str name, stmt*
+//! seg_op  := usize source, str name, usize m, k, n, units,
+//!            bool weight_static, f64 work,
+//!            u64 in_bytes, out_bytes, weight_bytes, aux_flops,
+//!            usize min_tiles
+//! segment := usize first, usize last, alloc, f64 inter_before
+//! alloc   := (usize compute, mem_in, mem_out)*,
+//!            (usize producer, usize consumer, usize arrays)*,
+//!            f64 latency
+//! ```
+//!
+//! A statement is its tag and its fields; its array lists follow the
+//! grammar below. An allocation snapshot is `(u64 hash, u64 word*,
+//! u8 tag, alloc if the tag is 1)*`.
 //!
 //! # Array lists
 //!
@@ -82,13 +107,7 @@
 //! out, and the checkers downstream walk it clipped to the chip
 //! ([`cmswitch_metaop::ArraySet::clipped_runs`]).
 //!
-//! # Stage names
-//!
-//! [`StageWall::stage`] is a `&'static str`, so a stage name the build
-//! does not know is leaked once and reused. The checksum is no
-//! authentication, so the table of such names is capped at 16 per
-//! process; a name beyond it is `Malformed`, and forged artifacts cannot
-//! grow the process without bound.
+//! # Nesting
 //!
 //! `Parallel` blocks nest at most two deep on the wire (a block inside
 //! a block); a third level is `Malformed`. The compiler never nests
@@ -108,7 +127,6 @@
 //! truth.
 
 use std::fmt;
-use std::time::Duration;
 
 use cmswitch_arch::ArrayId;
 use cmswitch_metaop::{
@@ -117,16 +135,16 @@ use cmswitch_metaop::{
 };
 
 use crate::allocation::{AllocEntry, OpAllocation, SegmentAllocation};
-use crate::compiler::{CompiledProgram, CompileStats, SegmentPlan};
+use crate::compiler::{CompiledProgram, CompileStats};
 use crate::frontend::SegOp;
-use crate::pipeline::StageWall;
+use crate::segment::Segment;
 
 /// The 8-byte artifact magic.
 pub const MAGIC: [u8; 8] = *b"CMSWART\0";
 
 /// The current wire-format version (see the module docs for the bump
 /// policy).
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Artifact kind tag: a serialized [`CompiledProgram`].
 pub const KIND_PROGRAM: u32 = 1;
@@ -143,9 +161,10 @@ const MAX_PARALLEL_DEPTH: usize = 2;
 /// Encoded size of one array run: first id, length, step.
 const RUN_BYTES: usize = 9;
 
-/// How many stage names outside [`KNOWN_STAGES`] one process interns
-/// (see the module docs); a decoded name past them is `Malformed`.
-const MAX_FOREIGN_STAGES: usize = 16;
+/// The shortest encoded statement: a switch of an empty list (tag,
+/// kind, run count). Statement counts are checked against it, so a
+/// forged count reserves at most the statements the payload can hold.
+const MIN_STMT_BYTES: usize = 6;
 
 /// Why a byte slice failed to decode as an artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -293,11 +312,6 @@ impl Writer {
         self.u64(s.len() as u64);
         self.buf.extend_from_slice(s.as_bytes());
     }
-
-    fn duration(&mut self, d: Duration) {
-        self.u64(d.as_secs());
-        self.u32(d.subsec_nanos());
-    }
 }
 
 struct Reader<'a> {
@@ -358,22 +372,11 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    fn str(&mut self) -> Result<&'a str, ArtifactError> {
-        let len = self.usize()?;
-        std::str::from_utf8(self.take(len)?).map_err(|_| ArtifactError::Malformed("utf-8 string"))
-    }
-
     fn string(&mut self) -> Result<String, ArtifactError> {
-        self.str().map(str::to_owned)
-    }
-
-    fn duration(&mut self) -> Result<Duration, ArtifactError> {
-        let secs = self.u64()?;
-        let nanos = self.u32()?;
-        if nanos >= 1_000_000_000 {
-            return Err(ArtifactError::Malformed("duration nanos"));
-        }
-        Ok(Duration::new(secs, nanos))
+        let len = self.usize()?;
+        std::str::from_utf8(self.take(len)?)
+            .map(str::to_owned)
+            .map_err(|_| ArtifactError::Malformed("utf-8 string"))
     }
 
     /// Reads a sequence length and guards it against the bytes actually
@@ -451,48 +454,6 @@ fn unframe(bytes: &[u8], expected_kind: u32) -> Result<(&[u8], PayloadStamp), Ar
         checksum,
     };
     Ok((payload, stamp))
-}
-
-// ---------------------------------------------------------------------------
-// Stage-name interning
-// ---------------------------------------------------------------------------
-
-/// Stage names known at compile time ([`StageWall::stage`] is a
-/// `&'static str`, so decoding must produce one).
-const KNOWN_STAGES: &[&str] = &[
-    "lower",
-    "partition",
-    "segment",
-    "emit",
-    "verify",
-    "store",
-    "segment:puma-greedy",
-    "segment:occ-sequential",
-    "segment:cim-mlc-dp",
-];
-
-/// Stage names outside [`KNOWN_STAGES`] interned so far, at most
-/// [`MAX_FOREIGN_STAGES`] of them.
-static FOREIGN_STAGES: std::sync::Mutex<Vec<&'static str>> = std::sync::Mutex::new(Vec::new());
-
-/// Interns a decoded stage name as `&'static str`: known names resolve
-/// to their compile-time constant; unknown names (a stage added by a
-/// newer build, say) are leaked exactly once and reused thereafter, up
-/// to [`MAX_FOREIGN_STAGES`] of them per process.
-fn intern_stage(name: &str) -> Result<&'static str, ArtifactError> {
-    if let Some(s) = KNOWN_STAGES.iter().find(|s| **s == name) {
-        return Ok(s);
-    }
-    let mut foreign = FOREIGN_STAGES.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(s) = foreign.iter().find(|s| **s == name) {
-        return Ok(s);
-    }
-    if foreign.len() == MAX_FOREIGN_STAGES {
-        return Err(ArtifactError::Malformed("too many unknown stage names"));
-    }
-    let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
-    foreign.push(leaked);
-    Ok(leaked)
 }
 
 // ---------------------------------------------------------------------------
@@ -648,7 +609,7 @@ fn get_stmt(r: &mut Reader<'_>, depth: usize) -> Result<Stmt, ArtifactError> {
             if depth == MAX_PARALLEL_DEPTH {
                 return Err(ArtifactError::Malformed("parallel nesting too deep"));
             }
-            let len = r.seq_len(1)?;
+            let len = r.seq_len(MIN_STMT_BYTES)?;
             let mut body = Vec::with_capacity(len);
             for _ in 0..len {
                 body.push(get_stmt(r, depth + 1)?);
@@ -670,7 +631,7 @@ fn put_flow(w: &mut Writer, flow: &Flow) {
 fn get_flow(r: &mut Reader<'_>) -> Result<Flow, ArtifactError> {
     let name = r.string()?;
     let mut flow = Flow::new(name);
-    let len = r.seq_len(1)?;
+    let len = r.seq_len(MIN_STMT_BYTES)?;
     for _ in 0..len {
         flow.push(get_stmt(r, 0)?);
     }
@@ -749,75 +710,18 @@ fn get_alloc(r: &mut Reader<'_>) -> Result<SegmentAllocation, ArtifactError> {
     })
 }
 
-fn put_segment_plan(w: &mut Writer, plan: &SegmentPlan) {
-    w.usize(plan.range.0);
-    w.usize(plan.range.1);
-    w.usize(plan.op_names.len());
-    for name in &plan.op_names {
-        w.str(name);
-    }
-    put_alloc(w, &plan.alloc);
-    w.f64(plan.intra);
-    w.f64(plan.inter_before);
+fn put_segment(w: &mut Writer, segment: &Segment) {
+    w.usize(segment.range.0);
+    w.usize(segment.range.1);
+    put_alloc(w, &segment.alloc);
+    w.f64(segment.inter_before);
 }
 
-fn get_segment_plan(r: &mut Reader<'_>) -> Result<SegmentPlan, ArtifactError> {
-    let range = (r.usize()?, r.usize()?);
-    let n_names = r.seq_len(8)?;
-    let mut op_names = Vec::with_capacity(n_names);
-    for _ in 0..n_names {
-        op_names.push(r.string()?);
-    }
-    Ok(SegmentPlan {
-        range,
-        op_names,
+fn get_segment(r: &mut Reader<'_>) -> Result<Segment, ArtifactError> {
+    Ok(Segment {
+        range: (r.usize()?, r.usize()?),
         alloc: get_alloc(r)?,
-        intra: r.f64()?,
         inter_before: r.f64()?,
-    })
-}
-
-fn put_stats(w: &mut Writer, stats: &CompileStats) {
-    w.duration(stats.wall);
-    w.usize(stats.stage_wall.len());
-    for t in &stats.stage_wall {
-        w.str(t.stage);
-        w.duration(t.wall);
-    }
-    w.usize(stats.n_ops);
-    w.usize(stats.n_segments);
-    w.u64(stats.mip_solves);
-    w.u64(stats.fast_solves);
-    w.u64(stats.cache_hits);
-    w.u64(stats.dp_windows_pruned);
-    w.u64(stats.warm_accepted);
-    w.u64(stats.warm_rejected);
-    w.u64(stats.solve_batches);
-}
-
-fn get_stats(r: &mut Reader<'_>) -> Result<CompileStats, ArtifactError> {
-    let wall = r.duration()?;
-    let n_stages = r.seq_len(20)?;
-    let mut stage_wall = Vec::with_capacity(n_stages);
-    for _ in 0..n_stages {
-        let name = r.str()?;
-        stage_wall.push(StageWall {
-            stage: intern_stage(name)?,
-            wall: r.duration()?,
-        });
-    }
-    Ok(CompileStats {
-        wall,
-        stage_wall,
-        n_ops: r.usize()?,
-        n_segments: r.usize()?,
-        mip_solves: r.u64()?,
-        fast_solves: r.u64()?,
-        cache_hits: r.u64()?,
-        dp_windows_pruned: r.u64()?,
-        warm_accepted: r.u64()?,
-        warm_rejected: r.u64()?,
-        solve_batches: r.u64()?,
     })
 }
 
@@ -825,7 +729,8 @@ fn get_stats(r: &mut Reader<'_>) -> Result<CompileStats, ArtifactError> {
 // Public entry points
 // ---------------------------------------------------------------------------
 
-/// Serializes a compiled program into a framed, checksummed artifact.
+/// Serializes a compiled program's plan (everything but its `stats`)
+/// into a framed, checksummed artifact.
 pub fn encode_program(program: &CompiledProgram) -> Vec<u8> {
     let mut w = Writer::new();
     put_flow(&mut w, &program.flow);
@@ -839,15 +744,15 @@ pub fn encode_program(program: &CompiledProgram) -> Vec<u8> {
         w.usize(c);
     }
     w.usize(program.segments.len());
-    for plan in &program.segments {
-        put_segment_plan(&mut w, plan);
+    for segment in &program.segments {
+        put_segment(&mut w, segment);
     }
     w.f64(program.predicted_latency);
-    put_stats(&mut w, &program.stats);
     frame(KIND_PROGRAM, w)
 }
 
-/// Decodes a framed program artifact produced by [`encode_program`].
+/// Decodes a framed program artifact produced by [`encode_program`],
+/// with [`CompileStats::default`] for the run history it does not hold.
 ///
 /// # Errors
 ///
@@ -879,10 +784,9 @@ pub(crate) fn decode_program_stamped(
     let n_segments = r.seq_len(8)?;
     let mut segments = Vec::with_capacity(n_segments);
     for _ in 0..n_segments {
-        segments.push(get_segment_plan(&mut r)?);
+        segments.push(get_segment(&mut r)?);
     }
     let predicted_latency = r.f64()?;
-    let stats = get_stats(&mut r)?;
     r.finish()?;
     let program = CompiledProgram {
         flow,
@@ -890,7 +794,7 @@ pub(crate) fn decode_program_stamped(
         op_deps,
         segments,
         predicted_latency,
-        stats,
+        stats: CompileStats::default(),
     };
     Ok((program, stamp))
 }
@@ -965,9 +869,12 @@ mod tests {
 
     #[test]
     fn program_roundtrip_is_bit_identical() {
-        let p = program();
+        let mut p = program();
         let bytes = encode_program(&p);
         let decoded = decode_program(&bytes).unwrap();
+        // The plan survives; the run history is not persisted.
+        assert_eq!(decoded.stats, CompileStats::default());
+        p.stats = CompileStats::default();
         assert_eq!(decoded, p);
         // Canonical form: re-encoding reproduces the same bytes.
         assert_eq!(encode_program(&decoded), bytes);
@@ -1093,49 +1000,5 @@ mod tests {
             decode_program(&bytes).unwrap_err(),
             ArtifactError::Malformed(_)
         ));
-    }
-
-    #[test]
-    fn stage_interning_resolves_known_and_unknown_names() {
-        assert_eq!(intern_stage("segment"), Ok("segment"));
-        let a = intern_stage("totally-new-stage").unwrap();
-        let b = intern_stage("totally-new-stage").unwrap();
-        assert!(std::ptr::eq(a.as_ptr(), b.as_ptr()), "leak exactly once");
-        // The table is one per process, so the cap is checked here, after
-        // the names above, rather than in a test racing this one.
-        forged_stage_names_leak_at_most_the_cap();
-    }
-
-    /// Forged artifacts, each naming a stage of its own: the checksum
-    /// is no authentication, so without a cap every one of them would
-    /// leak its name for the life of the process.
-    fn forged_stage_names_leak_at_most_the_cap() {
-        let mut p = program();
-        p.stats.stage_wall = vec![StageWall {
-            stage: "forged-0000",
-            wall: Duration::from_nanos(7),
-        }];
-        let clean = encode_program(&p);
-        let at = clean
-            .windows(11)
-            .position(|w| w == b"forged-0000")
-            .expect("the stage name is in the payload");
-        let (mut served, mut refused) = (0, 0);
-        for i in 0..1_000u32 {
-            let mut bytes = clean.clone();
-            bytes[at + 7..at + 11].copy_from_slice(format!("{i:04}").as_bytes());
-            let sum = payload_checksum(&bytes[HEADER_LEN..]);
-            bytes[24..32].copy_from_slice(&sum.to_le_bytes());
-            match decode_program(&bytes) {
-                Ok(_) => served += 1,
-                Err(ArtifactError::Malformed("too many unknown stage names")) => refused += 1,
-                Err(other) => panic!("forged name {i}: {other:?}"),
-            }
-        }
-        let table = FOREIGN_STAGES.lock().unwrap().len();
-        assert!(table <= MAX_FOREIGN_STAGES, "{table} names interned");
-        assert!(served <= MAX_FOREIGN_STAGES && served + refused == 1_000);
-        // Names already interned keep decoding once the table is full.
-        assert_eq!(decode_program(&clean).map(|d| d.stats.stage_wall[0].stage), Ok("forged-0000"));
     }
 }

@@ -2,26 +2,14 @@ use std::time::Duration;
 
 use cmswitch_metaop::Flow;
 
-use crate::allocation::SegmentAllocation;
 use crate::frontend::SegOp;
 use crate::pipeline::StageWall;
+use crate::segment::Segment;
 
-/// One segment of the compiled plan, for reports and experiments.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SegmentPlan {
-    /// Inclusive op range into [`CompiledProgram::ops`].
-    pub range: (usize, usize),
-    /// Names of the operators in the segment.
-    pub op_names: Vec<String>,
-    /// The dual-mode allocation.
-    pub alloc: SegmentAllocation,
-    /// Intra-segment pipeline latency (cycles).
-    pub intra: f64,
-    /// Inter-segment overhead paid before the segment (cycles).
-    pub inter_before: f64,
-}
-
-/// Compilation statistics.
+/// What one compile did: wall clock, per-stage walls and solver
+/// counters. This is run history, not plan: it is never persisted, so a
+/// program served from the store carries one `store` stage, its wall
+/// time and zero counters.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CompileStats {
     /// Wall-clock compilation time.
@@ -29,10 +17,6 @@ pub struct CompileStats {
     /// Wall-clock time per pipeline stage, in execution order (see
     /// [`crate::pipeline`]).
     pub stage_wall: Vec<StageWall>,
-    /// Operators after partitioning.
-    pub n_ops: usize,
-    /// Segments in the final plan.
-    pub n_segments: usize,
     /// MIP solves performed.
     pub mip_solves: u64,
     /// Fast-allocator solves performed.
@@ -74,6 +58,11 @@ impl CompileStats {
 }
 
 /// The compiler's output: meta-operator flow plus the plan behind it.
+///
+/// Everything but [`CompiledProgram::stats`] is the plan, and exactly
+/// the plan is what [`crate::artifact`] persists. Operator and segment
+/// counts are `ops.len()` and `segments.len()`; a segment's operators
+/// are `ops[range.0..=range.1]`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledProgram {
     /// The meta-operator flow (validated).
@@ -86,11 +75,12 @@ pub struct CompiledProgram {
     /// truly dependent segments apart from segments that merely sit next
     /// to each other in the flow and may therefore overlap.
     pub op_deps: Vec<(usize, usize)>,
-    /// The segment plans in execution order.
-    pub segments: Vec<SegmentPlan>,
+    /// The segments in execution order, as the segmentation stage chose
+    /// them.
+    pub segments: Vec<Segment>,
     /// The DP's predicted end-to-end latency (cycles).
     pub predicted_latency: f64,
-    /// Compilation statistics.
+    /// What this compile did (not part of the plan).
     pub stats: CompileStats,
 }
 
@@ -122,8 +112,8 @@ mod tests {
         let g = cmswitch_models::mlp::mlp(4, &[256, 512, 128]).unwrap();
         let p = compile(CompilerOptions::default(), &g).unwrap();
         assert!(p.predicted_latency > 0.0);
-        assert_eq!(p.stats.n_segments, p.segments.len());
-        assert!(p.stats.n_ops >= 2);
+        assert!(!p.segments.is_empty());
+        assert!(p.ops.len() >= 2);
         assert!(!p.flow.is_empty());
         cmswitch_metaop::validate(&p.flow).unwrap();
     }

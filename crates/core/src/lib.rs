@@ -80,7 +80,7 @@ pub mod verify;
 pub use allocation::AllocationCache;
 pub use artifact::ArtifactError;
 pub use backend::{Backend, BackendKind, CmSwitch, UnknownBackend};
-pub use compiler::{CompiledProgram, CompileStats, SegmentPlan};
+pub use compiler::{CompiledProgram, CompileStats};
 pub use diagnostics::{DiagnosticEvent, Diagnostics};
 pub use error::CompileError;
 pub use pipeline::{

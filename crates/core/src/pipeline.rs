@@ -31,7 +31,7 @@ use cmswitch_arch::DualModeArch;
 use cmswitch_graph::Graph;
 
 use crate::allocation::{AllocationCache, Allocator, AllocatorStats};
-use crate::compiler::{CompiledProgram, CompileStats, SegmentPlan};
+use crate::compiler::{CompiledProgram, CompileStats};
 use crate::cost::CostModel;
 use crate::diagnostics::{DiagnosticEvent, Diagnostics};
 use crate::frontend::{lower_graph, OpList};
@@ -363,7 +363,7 @@ impl Segmented {
         let segments = chain_segments(&list, cm, parts);
         let total_latency = segments
             .iter()
-            .map(|s| s.inter_before + s.intra)
+            .map(|s| s.inter_before + s.alloc.latency)
             .sum::<f64>()
             + cm.final_writeback_cost(&list);
         Segmented {
@@ -459,11 +459,11 @@ impl Stage<Partitioned> for SegmentStage {
 
 /// Code generation and packaging (`[`Segmented`] →
 /// [`CompiledProgram`]`): physical array assignment, `CM.switch`
-/// insertion, flow validation and the segment-plan report.
+/// insertion and flow validation. The segments, operators and
+/// dependencies move into the program as they are.
 ///
-/// The produced program's `stats` holds the op/segment counts; the
-/// driver stamps wall times and solver counters via
-/// [`PipelineCx::finalize`].
+/// The produced program's `stats` are empty; whoever owns the context
+/// stamps wall times and solver counters via [`PipelineCx::finalize`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EmitStage;
 
@@ -477,31 +477,13 @@ impl Stage<Segmented> for EmitStage {
     fn run(&self, cx: &mut PipelineCx<'_>, input: Segmented) -> Result<CompiledProgram, CompileError> {
         let flow = codegen::generate(&input.name, &input.list, &input.segments, cx.arch())?;
         cmswitch_metaop::validate_on(&flow, cx.arch().n_arrays())?;
-        let plans: Vec<SegmentPlan> = input
-            .segments
-            .iter()
-            .map(|s| SegmentPlan {
-                range: s.range,
-                op_names: input.list.ops[s.range.0..=s.range.1]
-                    .iter()
-                    .map(|o| o.name.clone())
-                    .collect(),
-                alloc: s.alloc.clone(),
-                intra: s.intra,
-                inter_before: s.inter_before,
-            })
-            .collect();
         Ok(CompiledProgram {
             flow,
-            predicted_latency: input.total_latency,
-            stats: CompileStats {
-                n_ops: input.list.ops.len(),
-                n_segments: plans.len(),
-                ..CompileStats::default()
-            },
             ops: input.list.ops,
             op_deps: input.list.deps,
-            segments: plans,
+            segments: input.segments,
+            predicted_latency: input.total_latency,
+            stats: CompileStats::default(),
         })
     }
 }
@@ -588,7 +570,7 @@ mod tests {
         let expect: f64 = segmented
             .segments
             .iter()
-            .map(|s| s.inter_before + s.intra)
+            .map(|s| s.inter_before + s.alloc.latency)
             .sum::<f64>()
             + cm.final_writeback_cost(&segmented.list);
         assert_eq!(segmented.total_latency.to_bits(), expect.to_bits());

@@ -89,15 +89,16 @@ use crate::session::CancelToken;
 use crate::solvepool::{self, SolvePool};
 use crate::{CompileError, CompilerOptions, DpMode};
 
-/// One scheduled segment.
+/// One scheduled segment: the one segment record from the DP through
+/// codegen to [`crate::CompiledProgram::segments`] and the artifact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Segment {
     /// Inclusive op-index range `(first, last)` into the op list.
     pub range: (usize, usize),
-    /// The dual-mode allocation for the segment.
+    /// The dual-mode allocation for the segment; its
+    /// [`SegmentAllocation::latency`] is the intra-segment pipeline
+    /// latency (cycles).
     pub alloc: SegmentAllocation,
-    /// Intra-segment pipeline latency (cycles).
-    pub intra: f64,
     /// Inter-segment cost paid before this segment starts (cycles):
     /// write-backs, mode switches and weight reloads.
     pub inter_before: f64,
@@ -172,9 +173,8 @@ pub fn chain_segments(
         let inter_before = cm.inter_cost(&deps, prev, range, &list.ops[range.0..=range.1], &alloc);
         segments.push(Segment {
             range,
-            intra: alloc.latency,
-            inter_before,
             alloc,
+            inter_before,
         });
     }
     segments
@@ -987,7 +987,7 @@ mod tests {
         let mut real = 0.0;
         let mut prev: Option<&Segment> = None;
         for s in &oblivious.segments {
-            real += s.intra;
+            real += s.alloc.latency;
             let ops = &list.ops[s.range.0..=s.range.1];
             let prev_plan = prev.map(|p| (p.range, &p.alloc));
             real += cm.inter_cost(&deps, prev_plan, s.range, ops, &s.alloc);

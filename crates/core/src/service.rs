@@ -176,7 +176,7 @@ impl BatchReport {
                     let _ = writeln!(
                         out,
                         "{:>14}  {:>9.1?}  {:>4} segments  {:>5} solves  {:>5} hits",
-                        o.name, o.wall, p.stats.n_segments, p.stats.mip_solves + p.stats.fast_solves, p.stats.cache_hits,
+                        o.name, o.wall, p.segments.len(), p.stats.mip_solves + p.stats.fast_solves, p.stats.cache_hits,
                     );
                 }
                 Err(e) => {

@@ -569,12 +569,14 @@ mod tests {
         let arch = presets::tiny();
         let graph = cmswitch_models::mlp::mlp(2, &[64, 128, 64]).unwrap();
         let session = Session::builder(arch.clone()).build();
-        let program = session.compile_graph(&graph).unwrap();
+        let mut program = session.compile_graph(&graph).unwrap();
         let key = StoreKey::for_compile(&arch, "cmswitch", session.options(), &graph);
 
         assert!(matches!(store.fetch_program(key), StoreFetch::Miss));
         store.put_program(key, &program).unwrap();
         assert_eq!(store.program_count(), 1);
+        // A read returns the plan; the run history is not persisted.
+        program.stats = crate::CompileStats::default();
         match store.fetch_program(key) {
             StoreFetch::Hit(found) => assert_eq!(*found, program),
             other => panic!("expected hit, got {other:?}"),

@@ -1,5 +1,5 @@
 //! Static verification of compiled programs: a lint framework over
-//! [`CompiledProgram`] + [`cmswitch_metaop::Flow`] + [`SegmentPlan`].
+//! [`CompiledProgram`] + [`cmswitch_metaop::Flow`] + [`Segment`].
 //!
 //! `metaop::validate` enforces mode discipline but stops at the first
 //! error, and nothing cross-checks the emitted flow against the segment
@@ -54,9 +54,10 @@ use cmswitch_metaop::dense::{ArrayTable, BlockClaims};
 use cmswitch_metaop::walk::{walk_flow, FlowEvent};
 use cmswitch_metaop::{ArrayRun, ArraySet, ComputeStmt, Flow, MemLoc, Stmt, WeightLoadStmt};
 
-use crate::compiler::{CompiledProgram, SegmentPlan};
+use crate::compiler::CompiledProgram;
 use crate::diagnostics::DiagnosticEvent;
 use crate::pipeline::{PipelineCx, Stage};
+use crate::segment::Segment;
 use crate::session::{CompileOutcome, Session};
 use crate::CompileError;
 
@@ -1174,7 +1175,7 @@ impl FlowPlanLint {
     fn check_segment<'a>(
         cx: &VerifyCx<'a>,
         si: usize,
-        plan: &SegmentPlan,
+        plan: &Segment,
         block: &SegmentBlock<'a>,
         loads: &mut Vec<(&'a WeightLoadStmt, bool)>,
         report: &mut VerifyReport,

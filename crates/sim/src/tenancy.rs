@@ -362,13 +362,14 @@ impl ChipScheduler {
             }
         }
         // Not part of the opt-out: the engine indexes per-array state by
-        // every id the flow names, relocated by `base`.
+        // every id the flow names, relocated by `base`. One check per
+        // run, however many ids it claims.
         let available = self.arch.n_arrays() - base as usize;
         let mut stray = None;
         for stmt in program.flow.stmts() {
-            stmt.for_each_array(&mut |a| {
-                if a.index() >= available {
-                    stray.get_or_insert(a);
+            stmt.for_each_array_set(&mut |arrays| {
+                if stray.is_none() {
+                    stray = arrays.runs().iter().find_map(|r| r.first_beyond(available));
                 }
             });
         }

@@ -21,21 +21,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let program = session.compile_graph(&graph)?;
     println!(
         "resnet18: {} CIM ops -> {} segments, predicted {:.2}M cycles, compiled in {:?}",
-        program.stats.n_ops,
-        program.stats.n_segments,
+        program.ops.len(),
+        program.segments.len(),
         program.predicted_latency / 1e6,
         program.stats.wall
     );
     println!("\nper-segment allocation (compute | memory arrays):");
     for (i, seg) in program.segments.iter().enumerate() {
-        let first = seg.op_names.first().map(String::as_str).unwrap_or("-");
-        let last = seg.op_names.last().map(String::as_str).unwrap_or("-");
+        let ops = &program.ops[seg.range.0..=seg.range.1];
+        let (first, last) = (&ops[0].name, &ops[ops.len() - 1].name);
         let c = seg.alloc.total_compute();
         let m = seg.alloc.total_memory();
         let bar: String = "#".repeat(c / 2) + &"=".repeat(m / 2);
         println!(
             "  seg {i:>2} [{first} .. {last}] ({} ops)  C={c:<3} M={m:<3} {bar}",
-            seg.op_names.len()
+            ops.len()
         );
     }
 

@@ -39,12 +39,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let program = &outcome.program;
     println!(
         "\ncompiled {} ops into {} segments, predicted latency {:.0} cycles",
-        program.stats.n_ops, program.stats.n_segments, program.predicted_latency
+        program.ops.len(),
+        program.segments.len(),
+        program.predicted_latency
     );
     for (i, seg) in program.segments.iter().enumerate() {
+        let names: Vec<_> = program.ops[seg.range.0..=seg.range.1]
+            .iter()
+            .map(|o| &o.name)
+            .collect();
         println!(
-            "  segment {i}: ops {:?}  compute={} memory={} ({}% memory)",
-            seg.op_names,
+            "  segment {i}: ops {names:?}  compute={} memory={} ({}% memory)",
             seg.alloc.total_compute(),
             seg.alloc.total_memory(),
             (seg.alloc.memory_ratio() * 100.0).round()

@@ -109,12 +109,18 @@ fn flow_with(set: &ArraySet) -> Flow {
     flow
 }
 
+/// A compiled program without its run history, which the wire does not
+/// carry.
 fn sample_program() -> CompiledProgram {
     let graph = cmswitch::models::mlp::mlp(1, &[64, 64]).unwrap();
-    Session::builder(presets::tiny())
+    let program = Session::builder(presets::tiny())
         .build()
         .compile_graph(&graph)
-        .unwrap()
+        .unwrap();
+    CompiledProgram {
+        stats: CompileStats::default(),
+        ..program
+    }
 }
 
 proptest! {

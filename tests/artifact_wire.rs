@@ -36,13 +36,21 @@ fn compile(kind: BackendKind, arch: &DualModeArch, graph: &Graph) -> CompiledPro
         .expect("model compiles")
 }
 
+/// `program` as the wire carries it: the plan, without the run history.
+fn plan_of(program: &CompiledProgram) -> CompiledProgram {
+    CompiledProgram {
+        stats: CompileStats::default(),
+        ..program.clone()
+    }
+}
+
 /// Round-trip `program` and check every equivalence we can observe:
-/// structural equality, byte-stable re-encode, verifier parity and
-/// simulator parity.
+/// structural equality of the plan, byte-stable re-encode, verifier
+/// parity and simulator parity.
 fn assert_roundtrip(program: &CompiledProgram, arch: &DualModeArch, what: &str) {
     let bytes = encode_program(program);
     let decoded = decode_program(&bytes).unwrap_or_else(|e| panic!("{what}: decode failed: {e}"));
-    assert_eq!(&decoded, program, "{what}: decoded program differs");
+    assert_eq!(decoded, plan_of(program), "{what}: decoded program differs");
     assert_eq!(
         encode_program(&decoded),
         bytes,
@@ -96,7 +104,7 @@ proptest! {
         let program = compile(BackendKind::CmSwitch, &arch, &graph);
         let bytes = encode_program(&program);
         let decoded = decode_program(&bytes).unwrap();
-        prop_assert_eq!(&decoded, &program);
+        prop_assert_eq!(&decoded, &plan_of(&program));
         prop_assert_eq!(encode_program(&decoded), bytes);
     }
 }
@@ -139,12 +147,15 @@ fn wrong_version_header_is_rejected_up_front() {
         decode_program(&bytes).unwrap_err(),
         ArtifactError::UnsupportedVersion(1)
     );
-    // Nor does format 2, whose array lists were one `u32` per id.
-    bytes[8] = 2;
-    assert_eq!(
-        decode_program(&bytes).unwrap_err(),
-        ArtifactError::UnsupportedVersion(2)
-    );
+    // Nor does format 2, whose array lists were one `u32` per id, nor
+    // format 3, which also persisted each compile's run history.
+    for old in [2, 3] {
+        bytes[8] = old;
+        assert_eq!(
+            decode_program(&bytes).unwrap_err(),
+            ArtifactError::UnsupportedVersion(old.into())
+        );
+    }
 }
 
 #[test]
@@ -237,7 +248,7 @@ fn one_nested_block_round_trips() {
         "the sample has no block to nest"
     );
     let decoded = decode_program(&encode_program(&nested)).expect("depth 2 decodes");
-    assert_eq!(decoded, nested);
+    assert_eq!(decoded, plan_of(&nested));
     assert!(
         Verifier::new()
             .run(&decoded, &arch)
@@ -248,7 +259,7 @@ fn one_nested_block_round_trips() {
     );
 }
 
-/// One forged array list (version-3 grammar: a `u32` run count, then per
+/// One forged array list (the wire grammar: a `u32` run count, then per
 /// run a `u32` first id, a `u32` length and a step byte).
 fn runs(count: u32, runs: &[(u32, u32, u8)]) -> Vec<u8> {
     let mut list = count.to_le_bytes().to_vec();
@@ -269,11 +280,8 @@ fn forged_switch(list: &[u8]) -> Vec<u8> {
     payload.extend_from_slice(&1u64.to_le_bytes()); // one statement
     payload.extend_from_slice(&[0, 1]); // Stmt::Switch, ToCompute
     payload.extend_from_slice(list);
-    // ops, op_deps, segments: none; predicted latency 0.0; stats: a zero
-    // wall clock, no stages, then nine zero counters.
+    // ops, op_deps, segments: none; predicted latency 0.0.
     payload.extend_from_slice(&[0; 8 * 4]);
-    payload.extend_from_slice(&[0; 8 + 4]);
-    payload.extend_from_slice(&[0; 8 * 10]);
 
     let mut bytes = MAGIC.to_vec();
     bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
@@ -288,7 +296,7 @@ fn forged_switch(list: &[u8]) -> Vec<u8> {
     bytes
 }
 
-/// Run lists a version-3 encoder never writes are grammar violations:
+/// Run lists the encoder never writes are grammar violations:
 /// counts the payload cannot hold, runs that are empty or leave the id
 /// space, and lists that are not the canonical runs of their ids (which
 /// would break `encode(decode(b)) == b`). None of them allocates by the

@@ -69,7 +69,8 @@ fn per_op_allocation_matches_emitted_arrays() {
     let by_name: HashMap<&str, &cmswitch::metaop::ComputeStmt> =
         stmts.iter().map(|c| (c.op.as_str(), c)).collect();
     for seg in &program.segments {
-        for (name, alloc) in seg.op_names.iter().zip(&seg.alloc.ops) {
+        let ops = &program.ops[seg.range.0..=seg.range.1];
+        for (name, alloc) in ops.iter().map(|o| &o.name).zip(&seg.alloc.ops) {
             let stmt = by_name[name.as_str()];
             assert_eq!(stmt.compute_arrays.len(), alloc.compute, "{name} compute");
             assert_eq!(stmt.mem_in_arrays.len(), alloc.mem_in, "{name} mem_in");

@@ -255,6 +255,45 @@ fn old_layout_snapshot_entries_are_dropped_on_promotion() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A store-served program carries the cold compile's plan, exactly, and
+/// the run history of its own request only: one `store` stage, its wall
+/// time, and zero solver counters — the artifact holds no history to
+/// carry over.
+#[test]
+fn served_program_has_the_cold_plan_and_store_only_stats() {
+    let dir = temp_store("served-stats");
+    let store = ArtifactStore::open(&dir).unwrap();
+    let session = Session::builder(presets::tiny())
+        .store(Arc::clone(&store))
+        .build();
+    let graph = cmswitch::models::mlp::mlp(2, &[128, 256, 128]).unwrap();
+    let cold = session.compile_graph(&graph).unwrap();
+    let served = session.compile_graph(&graph).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!((store.stats().misses, store.stats().hits), (1, 1));
+    assert!(
+        cold.stats.mip_solves + cold.stats.fast_solves > 0,
+        "{:?}",
+        cold.stats
+    );
+
+    let stages: Vec<_> = served.stats.stage_wall.iter().map(|t| t.stage).collect();
+    assert_eq!(stages, ["store"]);
+    assert!(served.stats.stage_wall[0].wall <= served.stats.wall);
+    let history = CompileStats {
+        wall: served.stats.wall,
+        stage_wall: served.stats.stage_wall.clone(),
+        ..CompileStats::default()
+    };
+    assert_eq!(served.stats, history, "a served program did no solver work");
+
+    let plan = |p: CompiledProgram| CompiledProgram {
+        stats: CompileStats::default(),
+        ..p
+    };
+    assert_eq!(plan(served), plan(cold));
+}
+
 /// Several threads of one process writing and reading the same key —
 /// two server workers cold-compiling one request — must never tear each
 /// other's artifact: every put lands, every read is whole.
@@ -268,6 +307,11 @@ fn concurrent_writers_of_one_key_never_tear_the_artifact() {
     let graph = registry::build("bert-base", 1, 16).unwrap();
     let options = CompilerOptions::default();
     let program = Session::builder(arch.clone()).build().compile_graph(&graph).unwrap();
+    // What a read returns: the plan, without the run history.
+    let program = CompiledProgram {
+        stats: CompileStats::default(),
+        ..program
+    };
     let key = StoreKey::for_compile(&arch, "cmswitch", &options, &graph);
 
     let start = std::sync::Barrier::new(THREADS);
@@ -451,12 +495,13 @@ fn remembered_verdict_does_not_cover_different_bytes_under_the_same_key() {
     let after = r.store.stats();
     assert_eq!(after.verdicts_reused, before.verdicts_reused, "nothing was reused");
     assert_eq!((after.hits, after.corrupt), (before.hits, before.corrupt + 1));
-    // A Deny is never remembered, and the healed entry is new bytes:
-    // verified on first sight, reused from then on.
-    assert_eq!(r.serve().diagnostics.store_traffic(), (1, 0, 0));
-    assert_eq!(r.store.stats().verdicts_reused, before.verdicts_reused);
+    // A Deny is never remembered. The healed entry is the honest plan
+    // again, byte for byte (an artifact holds no run history), so the
+    // verdict remembered for those bytes covers it from the first read.
     assert_eq!(r.serve().diagnostics.store_traffic(), (1, 0, 0));
     assert_eq!(r.store.stats().verdicts_reused, before.verdicts_reused + 1);
+    assert_eq!(r.serve().diagnostics.store_traffic(), (1, 0, 0));
+    assert_eq!(r.store.stats().verdicts_reused, before.verdicts_reused + 2);
 }
 
 /// (c) An untouched file is verified once per handle: every further fetch

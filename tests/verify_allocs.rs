@@ -23,14 +23,12 @@
 //! And the warm path: a store-served compile pays for the verifier on
 //! the first sight of a payload only, and for decoding otherwise.
 //!
-//! Own test binary: the counting `#[global_allocator]` must not tax the
-//! other suites. Counters are per thread, so the tests here may run in
-//! parallel.
+//! Own test binary: the counting `#[global_allocator]` (`counting`)
+//! must not tax the other suites. Counters are per thread, so the tests
+//! here may run in parallel.
 
 mod common;
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod counting;
 
 use cmswitch::arch::{presets, ArrayId};
 use cmswitch::compiler::verify::{rules, Verifier};
@@ -41,71 +39,8 @@ use cmswitch::metaop::{
 };
 use cmswitch::models::registry;
 use cmswitch::prelude::*;
-use cmswitch::sim::BusyInterval;
-
-thread_local! {
-    // Const-initialised and destructor-free, so touching them from
-    // inside the allocator cannot itself allocate.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-    static LIVE: Cell<i64> = const { Cell::new(0) };
-    static PEAK: Cell<i64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-fn grew(bytes: usize) {
-    ALLOCS.with(|c| c.set(c.get() + 1));
-    let live = LIVE.with(|c| {
-        c.set(c.get() + bytes as i64);
-        c.get()
-    });
-    PEAK.with(|c| c.set(c.get().max(live)));
-}
-
-fn shrank(bytes: usize) {
-    LIVE.with(|c| c.set(c.get() - bytes as i64));
-}
-
-// SAFETY: every call forwards to `System` with the caller's own layout
-// and pointer; the bookkeeping around it touches only thread-local
-// `Cell`s.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size());
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        shrank(layout.size());
-        // SAFETY: `ptr` came from `System` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        shrank(layout.size());
-        grew(new_size);
-        // SAFETY: `ptr` came from `System` with this layout.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static COUNTING: Counting = Counting;
-
-/// Runs `f` and returns its result with the number of allocator calls it
-/// made and the most bytes it held live beyond what was live before.
-fn measured<R>(f: impl FnOnce() -> R) -> (R, u64, i64) {
-    let calls = ALLOCS.with(Cell::get);
-    let live = LIVE.with(Cell::get);
-    PEAK.with(|c| c.set(live));
-    let out = f();
-    (
-        out,
-        ALLOCS.with(Cell::get) - calls,
-        PEAK.with(Cell::get) - live,
-    )
-}
+use cmswitch::sim::{BusyInterval, ChipScheduler, TenancyError, TenancyPolicy};
+use counting::measured;
 
 fn with_stmts(program: &CompiledProgram, edit: impl FnOnce(&mut Vec<Stmt>)) -> CompiledProgram {
     let mut stmts = program.flow.stmts().to_vec();
@@ -317,7 +252,11 @@ fn hostile_array_ids_are_findings_and_stay_cheap() {
         let (bytes, _, peak) = measured(|| encode_program(hostile));
         assert!(peak < MIB, "{what}: encode held {peak} bytes");
         let (decoded, calls, peak) = measured(|| decode_program(&bytes));
-        assert_eq!(decoded.as_ref(), Ok(hostile), "{what}");
+        let plan = CompiledProgram {
+            stats: CompileStats::default(),
+            ..hostile.clone()
+        };
+        assert_eq!(decoded, Ok(plan), "{what}");
         assert!(
             peak < MIB && calls < 1_000,
             "{what}: decode made {calls} calls, held {peak} bytes"
@@ -341,6 +280,63 @@ fn hostile_array_ids_are_findings_and_stay_cheap() {
         assert!(
             matches!(verdict, Err(MetaOpError::ModeViolation { array, .. }) if array == far),
             "{what}: {verdict:?}"
+        );
+    }
+}
+
+/// The co-scheduler's admission range check is not part of the
+/// `verify_admission` opt-out, and sees the same forged run: it checks
+/// each run once, so a run of `u32::MAX - 1` ids costs what a short one
+/// does under either policy — time-sliced, and partitioned behind a
+/// tenant that sits at the chip's base.
+#[test]
+fn admission_checks_a_forged_run_once() {
+    let arch = presets::dynaplasia();
+    let graph = cmswitch::models::mlp::mlp(2, &[128, 256, 128]).unwrap();
+    let half = arch.n_arrays() / 2;
+    let sub = arch.partition(half).unwrap();
+    let honest = Session::builder(sub).build().compile_graph(&graph).unwrap();
+    let far = ArrayId(u32::MAX);
+    let mut forged_set = ArraySet::new();
+    assert!(forged_set.push_run(ArrayRun::new(far, u32::MAX - 1, false).unwrap()));
+    let mut flow = Flow::new("forged");
+    flow.push(Stmt::switch(SwitchKind::ToCompute, forged_set));
+    let forged = CompiledProgram {
+        flow,
+        ..honest.clone()
+    };
+    for (policy, tenants) in [
+        (
+            TenancyPolicy::TimeSliced,
+            vec![TenantProgram::new("forged", &forged)],
+        ),
+        (
+            TenancyPolicy::Partitioned {
+                shares: vec![half, half],
+            },
+            vec![
+                TenantProgram::new("honest", &honest),
+                TenantProgram::new("forged", &forged),
+            ],
+        ),
+    ] {
+        let what = format!("{policy:?}");
+        let scheduler = ChipScheduler::new(arch.clone()).with_options(CoSimOptions {
+            policy,
+            verify_admission: false,
+            ..CoSimOptions::default()
+        });
+        let (result, calls, _) = measured(|| scheduler.co_simulate(&tenants));
+        let err = result.expect_err("a run past the chip is refused");
+        assert!(
+            matches!(&err, TenancyError::ArrayOutOfRange { tenant, array, .. }
+                if tenant == "forged" && *array == far),
+            "{what}: {err:?}"
+        );
+        assert!(err.to_string().contains("a4294967295"), "{what}: {err}");
+        assert!(
+            calls < 1_000,
+            "{what}: admission made {calls} allocator calls"
         );
     }
 }
@@ -395,14 +391,17 @@ fn mip_solve_allocates_per_lp_solved_not_per_row_or_per_branch() {
 /// blow through.
 #[test]
 fn second_store_served_compile_skips_the_verifiers_allocations() {
-    // Measured at this change: 7 460 calls for the first served compile
-    // (decode + ~30 in the verifier's dense tables), 7 429 for the second
-    // — 10 204 when every array list was a `Vec` of ids; a list of up to
-    // three runs now decodes into the statement itself.
-    const MEASURED: u64 = 7_429;
-    // The artifact itself: 484 220 bytes with array lists as runs,
-    // 1 032 998 with one `u32` per id.
-    const ARTIFACT_BYTES: usize = 500_000;
+    // Measured: 5 765 calls for the first served compile (decode + ~30
+    // in the verifier's dense tables), 5 734 for the second. 10 204 when
+    // every array list was a `Vec` of ids (a list of up to three runs now
+    // decodes into the statement itself); 7 429 while the artifact also
+    // carried per-segment op-name lists (879 names in 815 `Vec`s) and a
+    // stage list.
+    const MEASURED: u64 = 5_734;
+    // The artifact itself: 450 196 bytes of plan; 484 220 with the
+    // name lists, intra latencies and compile stats; 1 032 998 with one
+    // `u32` per array id.
+    const ARTIFACT_BYTES: usize = 465_000;
     let dir = std::env::temp_dir().join(format!("cmswitch-allocs-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = ArtifactStore::open(&dir).unwrap();
