@@ -24,7 +24,7 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic  b"CMSWART\0"
-//!      8     4  format version, u32 LE   (currently 4)
+//!      8     4  format version, u32 LE   (currently 5)
 //!     12     4  artifact kind, u32 LE    (1 = program, 2 = alloc snapshot)
 //!     16     8  payload length, u64 LE
 //!     24     8  checksum, u64 LE         (see "Checksum" below)
@@ -76,6 +76,12 @@
 //!            (usize producer, usize consumer, usize arrays)*,
 //!            f64 latency
 //! ```
+//!
+//! A dependency's producer and consumer are `source` values, not op
+//! positions. The first op's `source` is 0 and each next one repeats
+//! it or adds 1, so every source is one span of ops; any other step is
+//! [`ArtifactError::Malformed`]. An edge naming a source no op has
+//! decodes, and is the verifier's `dep-order` finding.
 //!
 //! A statement is its tag and its fields; its array lists follow the
 //! grammar below. An allocation snapshot is `(u64 hash, u64 word*,
@@ -144,7 +150,7 @@ pub const MAGIC: [u8; 8] = *b"CMSWART\0";
 
 /// The current wire-format version (see the module docs for the bump
 /// policy).
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Artifact kind tag: a serialized [`CompiledProgram`].
 pub const KIND_PROGRAM: u32 = 1;
@@ -772,9 +778,17 @@ pub(crate) fn decode_program_stamped(
     let mut r = Reader::new(payload);
     let flow = get_flow(&mut r)?;
     let n_ops = r.seq_len(8)?;
-    let mut ops = Vec::with_capacity(n_ops);
+    let mut ops: Vec<SegOp> = Vec::with_capacity(n_ops);
     for _ in 0..n_ops {
-        ops.push(get_seg_op(&mut r)?);
+        let op = get_seg_op(&mut r)?;
+        // Every `op_deps` reader relies on one span of ops per source.
+        let next = ops
+            .last()
+            .map_or(0..=0, |prev| prev.source..=prev.source + 1);
+        if !next.contains(&op.source) {
+            return Err(ArtifactError::Malformed("op sources not contiguous from 0"));
+        }
+        ops.push(op);
     }
     let n_deps = r.seq_len(16)?;
     let mut op_deps = Vec::with_capacity(n_deps);

@@ -69,11 +69,12 @@ pub struct CompiledProgram {
     pub flow: Flow,
     /// The scheduled operators (after partitioning), in order.
     pub ops: Vec<SegOp>,
-    /// `(producer, consumer)` dependencies among [`CompiledProgram::ops`]
-    /// (indices into `ops`, producer first). Downstream consumers — the
-    /// event-driven simulator in `cmswitch-sim` — use these to tell
-    /// truly dependent segments apart from segments that merely sit next
-    /// to each other in the flow and may therefore overlap.
+    /// `(producer, consumer)` dependencies as [`SegOp::source`] indices
+    /// (every op of the producer feeds every op of the consumer).
+    /// Downstream consumers — the event-driven simulator in
+    /// `cmswitch-sim` — use these to tell truly dependent segments apart
+    /// from segments that merely sit next to each other in the flow and
+    /// may therefore overlap.
     pub op_deps: Vec<(usize, usize)>,
     /// The segments in execution order, as the segmentation stage chose
     /// them.

@@ -4,6 +4,8 @@
 //! operators of §4.3.1 (`O_1 … O_m`) together with their dependency
 //! relation `W` — annotated with everything the cost model needs.
 
+use std::ops::Range;
+
 use cmswitch_arch::DualModeArch;
 use cmswitch_graph::{lower, Graph};
 
@@ -12,8 +14,9 @@ use crate::CompileError;
 /// One schedulable operator (or sub-operator after partitioning).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SegOp {
-    /// Index of the originating op in the lowered graph (sub-operators of
-    /// one op share this).
+    /// Index of the originating op in the lowered graph, which every
+    /// dependency edge uses (sub-operators of one op share it and sit
+    /// next to each other, so sources ascend from 0 in steps of 0 or 1).
     pub source: usize,
     /// Name (sub-operators get a `#part` suffix).
     pub name: String,
@@ -59,22 +62,14 @@ impl SegOp {
 pub struct OpList {
     /// Operators in topological order.
     pub ops: Vec<SegOp>,
-    /// `(producer, consumer)` pairs (`w_{i,j} ∈ W`).
+    /// `(producer, consumer)` pairs (`w_{i,j} ∈ W`, a set) of
+    /// [`SegOp::source`] indices.
     pub deps: Vec<(usize, usize)>,
     /// Bytes flowing along each dep.
     pub dep_bytes: Vec<u64>,
 }
 
 impl OpList {
-    /// Bytes flowing from op `p` to op `c` (0 if independent).
-    pub fn bytes_between(&self, p: usize, c: usize) -> u64 {
-        self.deps
-            .iter()
-            .position(|&d| d == (p, c))
-            .map(|i| self.dep_bytes[i])
-            .unwrap_or(0)
-    }
-
     /// Bytes of the network's final outputs: what the ops no other op
     /// consumes produce.
     pub(crate) fn output_bytes(&self) -> u64 {
@@ -82,79 +77,106 @@ impl OpList {
             self.deps.iter().map(|&(p, _)| p).collect();
         self.ops
             .iter()
-            .enumerate()
-            .filter(|(idx, _)| !consumed.contains(idx))
-            .map(|(_, op)| op.out_bytes)
+            .filter(|op| !consumed.contains(&op.source))
+            .map(|op| op.out_bytes)
             .sum()
     }
 }
 
+/// `first[s]..first[s + 1]` are the ops split from lowered op `s`:
+/// partitioning keeps each source's ops contiguous and sources
+/// ascending from 0 (the artifact decoder refuses anything else).
+pub fn source_spans(ops: &[SegOp]) -> Vec<usize> {
+    let mut first = Vec::new();
+    for (i, op) in ops.iter().enumerate() {
+        while first.len() <= op.source {
+            first.push(i);
+        }
+    }
+    first.push(ops.len());
+    first
+}
+
 /// Producer-sorted dependency index: answers "all deps produced inside
-/// op range `lo..=hi`" as one slice lookup instead of a scan over the
-/// full dependency list.
+/// op range `lo..=hi`" without a scan over the full dependency list.
 ///
-/// The segmentation DP queries dependencies per window and per
-/// transition — `O(windows · window²)` times per compile — so a
-/// linear scan of [`OpList::deps`] turns quadratic on deep
-/// models (a 40-block decoder carries thousands of deps). Building
-/// the index once per compile makes every query proportional to the
-/// window's own dependency count.
+/// [`OpList::deps`] relates sources: every op of a producer feeds every
+/// op of its consumer, each pair carrying `bytes / (pn · cn)`. A query
+/// expands only the pairs whose producer it covers, so its cost is the
+/// window's own dependency count, and a model split into `10^5` ops
+/// never holds the `10^9` pairs of the full expansion.
 ///
-/// Deps are ordered by `(producer, consumer, bytes)`, a pure function
-/// of the dependency *set* — so every construction order yields the
-/// same index and downstream iteration order stays deterministic.
+/// Pairs come out ordered by `(producer, consumer, bytes)`, a pure
+/// function of the dependency *set* — so every construction order
+/// yields the same index and downstream iteration order stays
+/// deterministic.
 #[derive(Debug)]
 pub struct DepIndex {
-    /// `(producer, consumer, bytes)`, sorted ascending.
-    sorted: Vec<(usize, usize, u64)>,
-    /// `start[p]..start[p + 1]` spans the deps with producer `p`.
-    start: Vec<usize>,
+    /// Each op's [`SegOp::source`].
+    source: Vec<usize>,
+    /// Per edge: producer source, the consumer's op span and the bytes
+    /// of each pair, sorted ascending.
+    edges: Vec<(usize, usize, usize, u64)>,
+    /// `out[s]..out[s + 1]` spans the edges out of source `s`.
+    out: Vec<usize>,
 }
 
 impl DepIndex {
-    /// Builds the index for `list` (O(D log D) once per compile).
+    /// Builds the index for `list` (O(ops + D log D) once per compile).
     pub fn new(list: &OpList) -> Self {
-        let n = list.ops.len();
-        let mut sorted: Vec<(usize, usize, u64)> = list
+        let first = source_spans(&list.ops);
+        let mut edges: Vec<(usize, usize, usize, u64)> = list
             .deps
             .iter()
             .zip(&list.dep_bytes)
-            .map(|(&(p, c), &b)| (p, c, b))
+            .map(|(&(p, c), &b)| {
+                let pairs = (first[p + 1] - first[p]) * (first[c + 1] - first[c]);
+                (p, first[c], first[c + 1], b / pairs as u64)
+            })
             .collect();
-        sorted.sort_unstable();
-        let mut start = vec![0usize; n + 1];
-        for &(p, _, _) in &sorted {
-            start[p + 1] += 1;
+        edges.sort_unstable();
+        let mut out = vec![0usize; first.len()];
+        for &(p, ..) in &edges {
+            out[p + 1] += 1;
         }
-        for i in 1..=n {
-            start[i] += start[i - 1];
+        for s in 1..out.len() {
+            out[s] += out[s - 1];
         }
-        DepIndex { sorted, start }
+        let source = list.ops.iter().map(|op| op.source).collect();
+        DepIndex { source, edges, out }
     }
 
-    /// All deps whose producer lies in `lo..=hi`, producer-ascending.
-    pub fn from_producers(&self, lo: usize, hi: usize) -> &[(usize, usize, u64)] {
-        &self.sorted[self.start[lo]..self.start[(hi + 1).min(self.start.len() - 1)]]
+    /// Every pair whose producer lies in `lo..=hi`, each consumer span
+    /// narrowed by `clip(producer, span)`.
+    fn pairs<'a>(
+        &'a self,
+        lo: usize,
+        hi: usize,
+        clip: impl Fn(usize, Range<usize>) -> Range<usize> + Copy + 'a,
+    ) -> impl Iterator<Item = (usize, usize, u64)> + 'a {
+        (lo..hi.saturating_add(1).min(self.source.len())).flat_map(move |p| {
+            let s = self.source[p];
+            self.edges[self.out[s]..self.out[s + 1]].iter().flat_map(
+                move |&(_, first, end, bytes)| clip(p, first..end).map(move |c| (p, c, bytes)),
+            )
+        })
     }
 
     /// Deps crossing out of `range`: producer inside, consumer after.
     pub fn crossing(&self, range: (usize, usize)) -> impl Iterator<Item = (usize, usize, u64)> + '_ {
         let hi = range.1;
-        self.from_producers(range.0, hi)
-            .iter()
-            .copied()
-            .filter(move |&(_, c, _)| c > hi)
+        self.pairs(range.0, hi, move |_, span| span.start.max(hi + 1)..span.end)
     }
 
     /// The window's dependency list (`producer < consumer`, both inside
     /// `lo..=hi`), re-indexed to window-local op positions — the
     /// `local_deps` input of the allocators.
     pub fn window_local(&self, lo: usize, hi: usize) -> Vec<(usize, usize, u64)> {
-        self.from_producers(lo, hi)
-            .iter()
-            .filter(|&&(p, c, _)| c <= hi && p < c)
-            .map(|&(p, c, b)| (p - lo, c - lo, b))
-            .collect()
+        self.pairs(lo, hi, move |p, span| {
+            span.start.max(p + 1)..span.end.min(hi + 1)
+        })
+        .map(|(p, c, b)| (p - lo, c - lo, b))
+        .collect()
     }
 }
 
@@ -207,7 +229,8 @@ mod tests {
         assert_eq!(l.ops[0].min_tiles, 4 * 8);
         assert_eq!(l.ops[1].min_tiles, 8);
         assert!(l.ops[0].ai() > 0.0);
-        assert_eq!(l.bytes_between(0, 1), 2 * 512);
+        assert_eq!(l.deps, [(0, 1)]);
+        assert_eq!(l.dep_bytes, [2 * 512]);
     }
 
     #[test]

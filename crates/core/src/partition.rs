@@ -27,8 +27,8 @@ pub fn effective_budget(arch: &DualModeArch, budget_fraction: f64) -> usize {
 }
 
 /// Splits every operator whose weight tiles exceed
-/// [`effective_budget`]`(arch, budget_fraction)`, rewriting the op list
-/// and remapping dependencies.
+/// [`effective_budget`]`(arch, budget_fraction)`. Chunks keep their
+/// operator's [`SegOp::source`], and the dependencies pass through.
 ///
 /// # Errors
 ///
@@ -40,45 +40,23 @@ pub fn partition(
     budget_fraction: f64,
 ) -> Result<OpList, CompileError> {
     let budget = effective_budget(arch, budget_fraction);
-    let mut new_ops: Vec<SegOp> = Vec::with_capacity(list.ops.len());
-    // Maps old op index -> (first chunk index, number of chunks).
-    let mut spans: Vec<(usize, usize)> = Vec::with_capacity(list.ops.len());
-
+    let mut ops: Vec<SegOp> = Vec::with_capacity(list.ops.len());
     for op in &list.ops {
-        let start = new_ops.len();
         if op.min_tiles <= budget {
-            new_ops.push(op.clone());
-            spans.push((start, 1));
-            continue;
-        }
-        let chunks = split_op(op, arch, budget)?;
-        let count = chunks.len();
-        new_ops.extend(chunks);
-        spans.push((start, count));
-    }
-
-    // Remap dependencies: every chunk of the producer feeds every chunk of
-    // the consumer; sibling chunks of one k-split accumulate independently
-    // (no intra-op dependency is needed for scheduling purposes — they may
-    // run in the same segment or consecutive ones).
-    let mut deps = Vec::new();
-    let mut dep_bytes = Vec::new();
-    for (&(p, c), &bytes) in list.deps.iter().zip(&list.dep_bytes) {
-        let (ps, pn) = spans[p];
-        let (cs, cn) = spans[c];
-        for pi in ps..ps + pn {
-            for ci in cs..cs + cn {
-                deps.push((pi, ci));
-                // Split the flow volume across the fan-out.
-                dep_bytes.push(bytes / (pn * cn) as u64);
-            }
+            ops.push(op.clone());
+        } else {
+            ops.extend(split_op(op, arch, budget)?);
         }
     }
-
+    // `W` stays at source granularity: every chunk of a producer feeds
+    // every chunk of its consumer, and `DepIndex` expands those pairs
+    // only where a query looks. Sibling chunks of one k-split accumulate
+    // independently (no intra-op dependency is needed for scheduling —
+    // they may run in the same segment or consecutive ones).
     Ok(OpList {
-        ops: new_ops,
-        deps,
-        dep_bytes,
+        ops,
+        deps: list.deps.clone(),
+        dep_bytes: list.dep_bytes.clone(),
     })
 }
 
@@ -184,15 +162,15 @@ mod tests {
     fn deps_remapped_to_chunks() {
         let (list, arch) = big_fc_list();
         let parts = partition(&list, &arch, 1.0).unwrap();
-        // Last op (fc1, unsplit) must depend on every chunk of fc0.
+        // `W` is unchanged; the chunks of fc0 carry its source, so the
+        // last op (fc1, unsplit) depends on every one of them.
+        assert_eq!(
+            (&parts.deps, &parts.dep_bytes),
+            (&list.deps, &list.dep_bytes)
+        );
         let fc1_idx = parts.ops.len() - 1;
-        let preds: Vec<usize> = parts
-            .deps
-            .iter()
-            .filter(|&&(_, c)| c == fc1_idx)
-            .map(|&(p, _)| p)
-            .collect();
-        assert_eq!(preds.len(), parts.ops.len() - 1);
+        assert!(parts.ops[..fc1_idx].iter().all(|o| o.source == 0));
+        assert_eq!(parts.ops[fc1_idx].source, 1);
     }
 
     #[test]

@@ -56,6 +56,7 @@ use cmswitch_metaop::{ArrayRun, ArraySet, ComputeStmt, Flow, MemLoc, Stmt, Weigh
 
 use crate::compiler::CompiledProgram;
 use crate::diagnostics::DiagnosticEvent;
+use crate::frontend::source_spans;
 use crate::pipeline::{PipelineCx, Stage};
 use crate::segment::Segment;
 use crate::session::{CompileOutcome, Session};
@@ -114,8 +115,8 @@ pub mod rules {
     /// arrays its [`SegmentAllocation`](crate::allocation::SegmentAllocation)
     /// claims.
     pub const CAPACITY_CLAIM_MISMATCH: &str = "capacity-claim-mismatch";
-    /// An `op_deps` edge runs backwards (producer at or after its
-    /// consumer) or out of range.
+    /// An `op_deps` edge runs backwards (producer source at or after its
+    /// consumer source) or names a source no op has.
     pub const DEP_ORDER: &str = "dep-order";
     /// `op_deps` contains a cycle.
     pub const DEP_CYCLE: &str = "dep-cycle";
@@ -809,7 +810,8 @@ impl Lint for CapacityLint {
 
 /// Checks that `op_deps` is acyclic, respects flow order, and covers
 /// every dependence implied by shared buffer arrays or planned reuse —
-/// the edges the event engine trusts when overlapping segments.
+/// the edges the event engine trusts when overlapping segments. All
+/// three run over sources, the granularity `op_deps` is written at.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DependenceLint;
 
@@ -824,7 +826,10 @@ impl Lint for DependenceLint {
 
     fn check(&self, cx: &VerifyCx<'_>, report: &mut VerifyReport) {
         let program = cx.program;
-        let n = program.ops.len();
+        // `op_deps` relates sources, each named by its first op.
+        let first = source_spans(&program.ops);
+        let n = first.len() - 1;
+        let name = |s: usize| &program.ops[first[s]].name;
         let mut valid_edges: Vec<(usize, usize)> = Vec::with_capacity(program.op_deps.len());
         for (i, &(p, c)) in program.op_deps.iter().enumerate() {
             if p >= n || c >= n {
@@ -833,7 +838,7 @@ impl Lint for DependenceLint {
                     None,
                     None,
                     Vec::new(),
-                    format!("op_deps[{i}] = ({p}, {c}) indexes past the {n} ops"),
+                    format!("op_deps[{i}] = ({p}, {c}) indexes past the {n} sources"),
                 );
                 continue;
             }
@@ -841,12 +846,13 @@ impl Lint for DependenceLint {
                 report.push(
                     rules::DEP_ORDER,
                     None,
-                    Some(p),
+                    Some(first[p]),
                     Vec::new(),
                     format!(
                         "op_deps[{i}] = ({p}, {c}) runs backwards: {} is scheduled \
                          at or after {}",
-                        program.ops[p].name, program.ops[c].name
+                        name(p),
+                        name(c)
                     ),
                 );
             }
@@ -880,8 +886,8 @@ impl Lint for DependenceLint {
             }
         }
         if visited < n {
-            let stuck: Vec<usize> =
-                (0..n).filter(|&i| indegree[i] > 0).take(8).collect();
+            let stuck = (0..n).filter(|&s| indegree[s] > 0).take(8);
+            let stuck: Vec<usize> = stuck.map(|s| first[s]).collect();
             report.push(
                 rules::DEP_CYCLE,
                 None,
@@ -892,13 +898,11 @@ impl Lint for DependenceLint {
         }
 
         // Coverage: every dependence the program implies must have an
-        // edge, else the engine may overlap dependent segments.
-        let has_edge = |p: usize, c: usize| {
-            if p < n && c < n {
-                valid_edges.binary_search(&(p, c)).is_ok()
-            } else {
-                program.op_deps.contains(&(p, c))
-            }
+        // edge between the two ops' sources, else the engine may overlap
+        // dependent segments. An op index past the list has no source.
+        let has_edge = |p: usize, c: usize| match (program.ops.get(p), program.ops.get(c)) {
+            (Some(p), Some(c)) => valid_edges.binary_search(&(p.source, c.source)).is_ok(),
+            _ => false,
         };
         let mut reported: HashSet<(usize, usize)> = HashSet::new();
         let mut require = |p: usize, c: usize, why: &str| {
@@ -1497,7 +1501,7 @@ pub mod mutate {
         DuplicateClaim,
         /// Inflate a planned compute allocation far past any chip.
         OversubscribeAlloc,
-        /// Reverse the first `op_deps` edge.
+        /// Reverse the first `op_deps` edge (a source pair).
         FlipDepEdge,
         /// Append the reverse of the first `op_deps` edge, closing a
         /// two-op cycle.
@@ -1621,11 +1625,12 @@ pub mod mutate {
                 }
                 Mutation::DropReuseDepEdge => {
                     let mut out = program.clone();
-                    let edge = out.segments.iter().find_map(|seg| {
-                        seg.alloc.reuse.iter().find_map(|&((lp, lc), r)| {
-                            (r > 0).then(|| (seg.range.0 + lp, seg.range.0 + lc))
-                        })
+                    let (lo, (lp, lc)) = out.segments.iter().find_map(|seg| {
+                        let mut reuse = seg.alloc.reuse.iter();
+                        reuse.find_map(|&(pair, r)| (r > 0).then_some((seg.range.0, pair)))
                     })?;
+                    let source = |l: usize| out.ops.get(lo + l).map(|o| o.source);
+                    let edge = (source(lp)?, source(lc)?);
                     let i = out.op_deps.iter().position(|&e| e == edge)?;
                     out.op_deps.remove(i);
                     Some(out)

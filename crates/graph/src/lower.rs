@@ -82,22 +82,6 @@ pub struct LoweredGraph {
     pub dep_bytes: Vec<u64>,
 }
 
-impl LoweredGraph {
-    /// Whether `ops[i]`'s output feeds `ops[j]`.
-    pub fn depends(&self, producer: usize, consumer: usize) -> bool {
-        self.deps.contains(&(producer, consumer))
-    }
-
-    /// Bytes flowing from `ops[i]` to `ops[j]`, 0 if independent.
-    pub fn bytes_between(&self, producer: usize, consumer: usize) -> u64 {
-        self.deps
-            .iter()
-            .position(|&d| d == (producer, consumer))
-            .map(|idx| self.dep_bytes[idx])
-            .unwrap_or(0)
-    }
-}
-
 /// Lowers a graph to its CIM operator list.
 ///
 /// # Errors
@@ -265,8 +249,8 @@ mod tests {
         assert_eq!(l.ops.len(), 2);
         assert_eq!((l.ops[0].m, l.ops[0].k, l.ops[0].n), (4, 64, 128));
         assert_eq!((l.ops[1].m, l.ops[1].k, l.ops[1].n), (4, 128, 10));
-        assert!(l.depends(0, 1));
-        assert_eq!(l.bytes_between(0, 1), 4 * 128);
+        assert_eq!(l.deps, [(0, 1)]);
+        assert_eq!(l.dep_bytes, [4 * 128]);
         // The relu's flops are attached to fc1.
         assert_eq!(l.ops[0].aux_flops, 4 * 128);
     }
@@ -318,7 +302,7 @@ mod tests {
         assert_eq!((l.ops[0].m, l.ops[0].k, l.ops[0].n), (64, 96, 64));
         // softmax flops attach to the QK^T op; SV depends on QK^T.
         assert!(l.ops[0].aux_flops > 0);
-        assert!(l.depends(0, 1));
+        assert!(l.deps.contains(&(0, 1)));
     }
 
     #[test]
@@ -334,10 +318,10 @@ mod tests {
         let g = b.finish().unwrap();
         let l = lower(&g).unwrap();
         assert_eq!(l.ops.len(), 3);
-        assert!(l.depends(0, 1));
-        assert!(l.depends(1, 2));
+        assert!(l.deps.contains(&(0, 1)));
+        assert!(l.deps.contains(&(1, 2)));
         // The merge records fc1's liveness into fc2's range.
-        assert!(l.depends(0, 1) || l.depends(0, 2));
+        assert!(l.deps.contains(&(0, 1)) || l.deps.contains(&(0, 2)));
     }
 
     #[test]

@@ -116,6 +116,7 @@
 
 use cmswitch_arch::{ArrayId, ArrayMode, DualModeArch};
 use cmswitch_core::cost;
+use cmswitch_core::frontend::source_spans;
 use cmswitch_core::{CompileOutcome, CompiledProgram, DiagnosticEvent, Diagnostics, Session};
 use cmswitch_metaop::{
     validate_on, ArrayRun, ArraySet, Flow, MemLoc, MetaOpError, Stmt, SwitchKind,
@@ -292,8 +293,10 @@ fn idle_timelines(arch: &DualModeArch) -> Vec<ArrayTimeline> {
 }
 
 /// Projects a plan's operator dependencies onto segment indices: per
-/// segment, the earlier segments it consumes. `None` when the flow's
-/// segment count does not match the plan.
+/// segment, the earlier segments it consumes, in the order the
+/// expanded op pairs first name them (the tie-break of
+/// `Ready::wait`). `None` when the flow's segment count does not match
+/// the plan.
 pub(crate) fn segment_deps(program: &CompiledProgram) -> Option<Vec<Vec<usize>>> {
     // Count what `push_segment` counts — `parallel` blocks AND bare
     // top-level compute statements — so segment indices cannot
@@ -315,14 +318,24 @@ pub(crate) fn segment_deps(program: &CompiledProgram) -> Option<Vec<Vec<usize>>>
                 *slot = si;
             }
         }
+        // A source's segments in op order; a run of ops in one segment
+        // names nothing its first op did not.
+        let first = source_spans(&program.ops);
+        let segs_of = |s: usize| {
+            let ops = first
+                .get(s..s.saturating_add(2))
+                .map_or(&[][..], |w| &op_seg[w[0]..w[1]]);
+            ops.chunk_by(|a, b| a == b).map(|run| run[0])
+        };
         let mut deps: Vec<Vec<usize>> = vec![Vec::new(); program.segments.len()];
         for &(p, c) in &program.op_deps {
-            let (sp, sc) = (op_seg.get(p), op_seg.get(c));
-            if let (Some(&sp), Some(&sc)) = (sp, sc) {
-                if sp != usize::MAX && sc != usize::MAX && sp != sc {
-                    let (from, to) = if sp < sc { (sp, sc) } else { (sc, sp) };
-                    if !deps[to].contains(&from) {
-                        deps[to].push(from);
+            for sp in segs_of(p) {
+                for sc in segs_of(c) {
+                    if sp != usize::MAX && sc != usize::MAX && sp != sc {
+                        let (from, to) = if sp < sc { (sp, sc) } else { (sc, sp) };
+                        if !deps[to].contains(&from) {
+                            deps[to].push(from);
+                        }
                     }
                 }
             }
@@ -1163,6 +1176,43 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn segment_deps_name_predecessors_in_op_pair_order() {
+        // `Ready::wait` breaks ties by predecessor order, so the source
+        // projection must list segments as the expanded op pairs
+        // (every op of the producer, then every op of the consumer)
+        // first name them.
+        let arch = presets::tiny();
+        let g = cmswitch_models::mlp::mlp(2, &[256, 256, 256, 64]).unwrap();
+        let program = Session::builder(arch).build().compile_graph(&g).unwrap();
+        let seg_of = |i: usize| {
+            let mut segs = program.segments.iter();
+            segs.position(|s| (s.range.0..=s.range.1).contains(&i))
+                .unwrap()
+        };
+        let ops_of = |s: usize| -> Vec<usize> {
+            (0..program.ops.len())
+                .filter(|&i| program.ops[i].source == s)
+                .collect()
+        };
+        let mut expected: Vec<Vec<usize>> = vec![Vec::new(); program.segments.len()];
+        for &(p, c) in &program.op_deps {
+            for pi in ops_of(p) {
+                for ci in ops_of(c) {
+                    let (from, to) = (seg_of(pi).min(seg_of(ci)), seg_of(pi).max(seg_of(ci)));
+                    if from != to && !expected[to].contains(&from) {
+                        expected[to].push(from);
+                    }
+                }
+            }
+        }
+        assert!(
+            expected.iter().any(|d| d.len() > 1),
+            "no segment waits on two"
+        );
+        assert_eq!(segment_deps(&program), Some(expected));
     }
 
     #[test]

@@ -1,12 +1,14 @@
-//! Static verification sweep: every registry model, every backend.
+//! Static verification sweep: every registry model, every backend, two
+//! chips.
 //!
 //! Compiles the full benchmark registry (`cmswitch::models::registry`)
 //! with each of the four backends (CMSwitch plus the PUMA / OCC /
-//! CIM-MLC baselines) on the paper's DynaPlasia chip, runs the
+//! CIM-MLC baselines) on the paper's DynaPlasia chip and on PRIME,
+//! which splits the large transformers along other seams, runs the
 //! `cmswitch::compiler::verify` lint suite over every compiled program
 //! via [`Session::verify`], and prints the findings. It also runs the
 //! mode-discipline check the simulators run,
-//! `cmswitch::metaop::validate_on`, on every program against the chip.
+//! `cmswitch::metaop::validate_on`, on every program against its chip.
 //! Exits non-zero if any `Deny` finding fires or any flow fails that
 //! check — CI runs this as a whole-registry soundness gate.
 //!
@@ -20,56 +22,62 @@ use cmswitch::compiler::{BackendKind, CompileRequest, Session};
 use cmswitch::models::registry;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let arch = presets::dynaplasia();
     let (batch, seq) = (1, 64);
     let models = registry::build_all(batch, seq)?;
+    let chips = [presets::dynaplasia(), presets::prime()];
     println!(
-        "verifying {} models x {} backends on {}\n",
+        "verifying {} models x {} backends on {} chips\n",
         models.len(),
         BackendKind::ALL.len(),
-        arch.name()
+        chips.len()
     );
 
     let mut deny = 0usize;
     let mut warn = 0usize;
     let mut checked = 0usize;
     let mut valid = 0usize;
-    for kind in BackendKind::ALL {
-        let session = Session::builder(arch.clone()).backend_kind(kind).build();
-        for (name, graph) in &models {
-            let outcome = session
-                .compile(CompileRequest::new(graph.clone()).with_label(name.clone()))?;
-            let report = session.verify(&outcome);
-            checked += 1;
-            match cmswitch::metaop::validate_on(&outcome.program.flow, arch.n_arrays()) {
-                Ok(()) => valid += 1,
-                Err(e) => println!("{:>8} {name:<12} validate_on: {e}", kind.name()),
-            }
-            deny += report.deny_count();
-            warn += report.warn_count();
-            let verdict = if !report.is_clean() {
-                "DENY"
-            } else if report.warn_count() > 0 {
-                "warn"
-            } else {
-                "ok"
-            };
-            println!(
-                "{:>8} {:<12} {:>3} segments  {:>2} findings  {verdict}",
-                kind.name(),
-                name,
-                outcome.program.segments.len(),
-                report.findings().len()
-            );
-            for finding in report.findings() {
-                println!("           {finding}");
+    for arch in &chips {
+        for kind in BackendKind::ALL {
+            let session = Session::builder(arch.clone()).backend_kind(kind).build();
+            for (name, graph) in &models {
+                let outcome =
+                    session.compile(CompileRequest::new(graph.clone()).with_label(name.clone()))?;
+                let report = session.verify(&outcome);
+                checked += 1;
+                match cmswitch::metaop::validate_on(&outcome.program.flow, arch.n_arrays()) {
+                    Ok(()) => valid += 1,
+                    Err(e) => println!(
+                        "{:>10} {:>8} {name:<12} validate_on: {e}",
+                        arch.name(),
+                        kind.name()
+                    ),
+                }
+                deny += report.deny_count();
+                warn += report.warn_count();
+                let verdict = if !report.is_clean() {
+                    "DENY"
+                } else if report.warn_count() > 0 {
+                    "warn"
+                } else {
+                    "ok"
+                };
+                println!(
+                    "{:>10} {:>8} {:<12} {:>4} segments  {:>2} findings  {verdict}",
+                    arch.name(),
+                    kind.name(),
+                    name,
+                    outcome.program.segments.len(),
+                    report.findings().len()
+                );
+                for finding in report.findings() {
+                    println!("           {finding}");
+                }
             }
         }
     }
 
     println!("\n{checked} programs verified: {deny} deny, {warn} warn findings");
-    let n_arrays = arch.n_arrays();
-    println!("{valid} of {checked} flows pass validate_on({n_arrays} arrays)");
+    println!("{valid} of {checked} flows pass validate_on (each chip's arrays)");
     if deny > 0 {
         return Err(format!("{deny} deny findings across the registry").into());
     }

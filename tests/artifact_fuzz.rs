@@ -11,7 +11,8 @@
 //! Each mutant must decode to a typed [`ArtifactError`], or to a program
 //! that `Verifier::run` and `validate_on` check without a panic; and no
 //! decode may hold more than a fixed multiple of its input's bytes,
-//! whatever a forged count claims.
+//! whatever a forged count claims. Forged op `source` sequences and
+//! dependency edges naming sources no op has meet the same checks.
 //!
 //! Own test binary: the counting `#[global_allocator]` (`counting`)
 //! must not tax the other suites.
@@ -351,4 +352,85 @@ fn an_allocation_claiming_usize_max_arrays_is_a_capacity_finding() {
         ),
         "{report}"
     );
+}
+
+/// `op_deps` names sources, and every reader finds a source's ops as one
+/// span: the decoder refuses a `source` sequence that does not start at
+/// 0 and step by 0 or +1, and an edge naming a source no op has decodes
+/// into a `dep-order` finding, not a panic.
+#[test]
+fn forged_sources_are_refused_and_foreign_source_edges_are_findings() {
+    let arch = presets::tiny();
+    let graph = cmswitch::models::mlp::mlp(2, &[256, 256, 256, 64]).unwrap();
+    let program = Session::builder(arch.clone())
+        .build()
+        .compile_graph(&graph)
+        .unwrap();
+    let sources = program.ops.last().unwrap().source + 1;
+    assert!(
+        sources < program.ops.len(),
+        "the mlp must split on the tiny chip"
+    );
+    let mut tally = Tally::default();
+    // (op, forged source): not starting at 0, stepping +2, +3 and -1.
+    let last = program.ops.len() - 1;
+    let forged_sources = [
+        (0, 1),
+        (0, usize::MAX),
+        (1, program.ops[0].source + 2),
+        (last, program.ops[last - 1].source + 3),
+        (last, program.ops[last - 1].source - 1),
+    ];
+    for (at, source) in forged_sources {
+        let mut forged = program.clone();
+        forged.ops[at].source = source;
+        let what = format!("op {at} with source {source}");
+        check(
+            Kind::Program,
+            &encode_program(&forged),
+            &arch,
+            &what,
+            &mut tally,
+        );
+    }
+    assert_eq!(tally.malformed, forged_sources.len(), "{tally:?}");
+
+    for edge in [
+        (0, sources),
+        (sources, 0),
+        (usize::MAX, usize::MAX),
+        (0, usize::MAX),
+    ] {
+        let mut forged = program.clone();
+        forged.op_deps.push(edge);
+        let bytes = encode_program(&forged);
+        check(
+            Kind::Program,
+            &bytes,
+            &arch,
+            &format!("edge {edge:?}"),
+            &mut tally,
+        );
+        let decoded = decode_program(&bytes).unwrap();
+        let report = Verifier::new().run(&decoded, &arch);
+        assert!(
+            report
+                .findings()
+                .iter()
+                .any(|f| f.rule == rules::DEP_ORDER && f.message.contains("indexes past")),
+            "{edge:?}: {report}"
+        );
+        let engine = EventEngine::new()
+            .simulate_program(&decoded, &arch)
+            .unwrap();
+        let clean = EventEngine::new()
+            .simulate_program(&program, &arch)
+            .unwrap();
+        assert_eq!(
+            engine.total_cycles.to_bits(),
+            clean.total_cycles.to_bits(),
+            "{edge:?}"
+        );
+    }
+    assert_eq!(tally.decoded, 4, "{tally:?}");
 }

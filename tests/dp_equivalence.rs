@@ -18,6 +18,12 @@
 //! Both are checked against brute force as well: on lists of up to ten
 //! ops the DP's optimum must equal the cheapest of all 2^(n−1)
 //! segmentations, priced through the same window solver.
+//!
+//! Underneath both, the dependency queries the DP prices windows and
+//! transitions with: `DepIndex` expands `W` per query, and must answer
+//! exactly what the full all-pairs expansion does, for every window of
+//! every registry model on DynaPlasia and PRIME at three partition
+//! budgets.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,22 +55,43 @@ fn preset(idx: usize) -> DualModeArch {
     }
 }
 
-/// Keeps the first `cap` ops and the dependencies among them.
+/// Keeps the first `cap` ops and the dependencies whose two sources
+/// both keep an op.
 fn truncate(list: &OpList, cap: usize) -> OpList {
-    let cap = cap.min(list.ops.len());
-    let mut deps = Vec::new();
-    let mut dep_bytes = Vec::new();
-    for (&(p, c), &b) in list.deps.iter().zip(&list.dep_bytes) {
-        if p < cap && c < cap {
-            deps.push((p, c));
-            dep_bytes.push(b);
-        }
-    }
+    let ops = list.ops[..cap.min(list.ops.len())].to_vec();
+    let sources = ops.last().map_or(0, |op| op.source + 1);
+    let (deps, dep_bytes) = list
+        .deps
+        .iter()
+        .zip(&list.dep_bytes)
+        .filter(|&(&(p, c), _)| p < sources && c < sources)
+        .unzip();
     OpList {
-        ops: list.ops[..cap].to_vec(),
+        ops,
         deps,
         dep_bytes,
     }
+}
+
+/// The reference [`DepIndex`] answers from: `W` expanded into every
+/// (producer op, consumer op) pair of its two sources, each carrying
+/// `bytes / (pn · cn)`, sorted by `(producer, consumer, bytes)`.
+fn all_pairs(list: &OpList) -> Vec<(usize, usize, u64)> {
+    let mut ops_of: HashMap<usize, Vec<usize>> = HashMap::new();
+    for (i, op) in list.ops.iter().enumerate() {
+        ops_of.entry(op.source).or_default().push(i);
+    }
+    let mut pairs = Vec::new();
+    for (&(p, c), &bytes) in list.deps.iter().zip(&list.dep_bytes) {
+        let (ps, cs) = (&ops_of[&p], &ops_of[&c]);
+        for &pi in ps {
+            for &ci in cs {
+                pairs.push((pi, ci, bytes / (ps.len() * cs.len()) as u64));
+            }
+        }
+    }
+    pairs.sort_unstable();
+    pairs
 }
 
 /// Runs one DP mode on a partitioned list with `solver` pricing the
@@ -211,6 +238,51 @@ fn pruned_dp_identical_under_mip_allocator_on_transformer_prefix() {
     let (pr, s_pr) = run_allocator(&list, &arch, DpMode::BoundPruned, AllocatorKind::Mip);
     assert_identical(&ex, &pr, "bert-base prefix under MIP");
     assert!(s_pr <= s_ex, "pruned {s_pr} vs exhaustive {s_ex}");
+}
+
+#[test]
+fn dep_index_answers_equal_the_all_pairs_expansion() {
+    // `DepIndex` keeps `W` at source granularity and expands pairs per
+    // query; the DP, the allocation-cache keys and the spill bytes must
+    // see exactly what the full expansion gives, element for element.
+    let window = CompilerOptions::default().max_segment_ops;
+    for arch in [presets::dynaplasia(), presets::prime()] {
+        for &model in registry::ALL_MODELS {
+            let graph = registry::build(model, 1, 16).expect("registered model");
+            let lowered = lower_graph(&graph, &arch).expect("lowers");
+            for budget in [1.0, 0.5, 0.25] {
+                let list = partition(&lowered, &arch, budget).expect("partitions");
+                let what = format!("{model} on {} at budget {budget}", arch.name());
+                assert_eq!(list.deps, lowered.deps, "{what}: W must pass through");
+                let (pairs, index) = (all_pairs(&list), DepIndex::new(&list));
+                let from = |lo: usize, hi: usize| {
+                    &pairs
+                        [pairs.partition_point(|e| e.0 < lo)..pairs.partition_point(|e| e.0 <= hi)]
+                };
+                for lo in 0..list.ops.len() {
+                    for hi in lo..(lo + window).min(list.ops.len()) {
+                        let local: Vec<_> = from(lo, hi)
+                            .iter()
+                            .filter(|&&(p, c, _)| c <= hi && p < c)
+                            .map(|&(p, c, b)| (p - lo, c - lo, b))
+                            .collect();
+                        assert_eq!(
+                            index.window_local(lo, hi),
+                            local,
+                            "{what}: window {lo}..={hi}"
+                        );
+                        let crossing: Vec<_> = from(lo, hi)
+                            .iter()
+                            .copied()
+                            .filter(|&(_, c, _)| c > hi)
+                            .collect();
+                        let got: Vec<_> = index.crossing((lo, hi)).collect();
+                        assert_eq!(got, crossing, "{what}: crossing {lo}..={hi}");
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// The cheapest segmentation of `list` into windows of at most `cap`

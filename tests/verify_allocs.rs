@@ -23,6 +23,9 @@
 //! And the warm path: a store-served compile pays for the verifier on
 //! the first sight of a payload only, and for decoding otherwise.
 //!
+//! Partitioning keeps the dependency relation at operator granularity:
+//! its cost is the split ops, never the pairs between them.
+//!
 //! Own test binary: the counting `#[global_allocator]` (`counting`)
 //! must not tax the other suites. Counters are per thread, so the tests
 //! here may run in parallel.
@@ -34,6 +37,8 @@ use cmswitch::arch::{presets, ArrayId};
 use cmswitch::compiler::verify::{rules, Verifier};
 use cmswitch::compiler::CompiledProgram;
 use cmswitch::compiler::artifact::{decode_program, encode_program};
+use cmswitch::compiler::frontend::{lower_graph, DepIndex};
+use cmswitch::compiler::partition::partition;
 use cmswitch::metaop::{
     validate, validate_on, ArrayRun, ArraySet, Flow, MetaOpError, Stmt, SwitchKind,
 };
@@ -391,17 +396,18 @@ fn mip_solve_allocates_per_lp_solved_not_per_row_or_per_branch() {
 /// blow through.
 #[test]
 fn second_store_served_compile_skips_the_verifiers_allocations() {
-    // Measured: 5 765 calls for the first served compile (decode + ~30
+    // Measured: 5 771 calls for the first served compile (decode + ~37
     // in the verifier's dense tables), 5 734 for the second. 10 204 when
     // every array list was a `Vec` of ids (a list of up to three runs now
     // decodes into the statement itself); 7 429 while the artifact also
     // carried per-segment op-name lists (879 names in 815 `Vec`s) and a
     // stage list.
     const MEASURED: u64 = 5_734;
-    // The artifact itself: 450 196 bytes of plan; 484 220 with the
-    // name lists, intra latencies and compile stats; 1 032 998 with one
-    // `u32` per array id.
-    const ARTIFACT_BYTES: usize = 465_000;
+    // The artifact itself: 375 124 bytes of plan; 450 196 with a
+    // dependency edge per pair of split ops (5 137 edges for 445);
+    // 484 220 with the name lists, intra latencies and compile stats;
+    // 1 032 998 with one `u32` per array id.
+    const ARTIFACT_BYTES: usize = 390_000;
     let dir = std::env::temp_dir().join(format!("cmswitch-allocs-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = ArtifactStore::open(&dir).unwrap();
@@ -430,4 +436,36 @@ fn second_store_served_compile_skips_the_verifiers_allocations() {
         bytes <= ARTIFACT_BYTES,
         "the llama2-7b artifact is {bytes} bytes; ceiling {ARTIFACT_BYTES}"
     );
+}
+
+/// On the 8-array tiny chip llama2-7b splits into 202 720 ops and
+/// opt-13b into 391 940; expanding `W` into every pair of split ops
+/// would make 285.8 M and 1.04 B edges of them (6.9 GB and 25 GB of
+/// pairs and bytes), more than a server holds. Partition and
+/// `DepIndex::new` keep the lowered edges and hold the ops alone.
+#[test]
+fn partition_keeps_the_lowered_dependencies_on_a_tiny_chip() {
+    let arch = presets::tiny();
+    // Measured peaks: 41 664 788 and 60 895 524 bytes (about 205 and
+    // 155 bytes per op).
+    for (model, edges, peak_bytes) in [("llama2-7b", 445, 45_000_000), ("opt-13b", 477, 65_000_000)]
+    {
+        let graph = registry::build(model, 1, 16).unwrap();
+        let lowered = lower_graph(&graph, &arch).unwrap();
+        let (list, _, peak) = measured(|| {
+            let list = partition(&lowered, &arch, 1.0).unwrap();
+            drop(DepIndex::new(&list));
+            list
+        });
+        assert_eq!(
+            (lowered.deps.len(), list.deps.len()),
+            (edges, edges),
+            "{model}"
+        );
+        assert!(
+            peak <= peak_bytes,
+            "{model}: {} ops held {peak} bytes; ceiling {peak_bytes}",
+            list.ops.len()
+        );
+    }
 }
