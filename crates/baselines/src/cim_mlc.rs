@@ -50,14 +50,10 @@ impl Stage<Partitioned> for CimMlcSegmentStage {
     fn run(&self, cx: &mut PipelineCx<'_>, input: Partitioned) -> Result<Segmented, CompileError> {
         let cm = cx.cost_model();
         let cancel = cx.cancel_token().clone();
-        let res = segment::segment(&input.list, &AllCompute(&cm), &cm, cx.options(), &cancel)?;
-        cx.record_dp(&res.dp);
-        Ok(Segmented {
-            name: input.name,
-            list: input.list,
-            segments: res.segments,
-            total_latency: res.total_latency,
-        })
+        let (segmented, dp) =
+            segment::segment(input, &AllCompute(&cm), &cm, cx.options(), &cancel)?;
+        cx.record_dp(&dp);
+        Ok(segmented)
     }
 }
 

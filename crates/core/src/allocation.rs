@@ -30,6 +30,7 @@ use parking_lot::{Mutex, RwLock};
 
 use cmswitch_solver::{alloc as fast, stable_hash64, MipProblem, Relation};
 
+use crate::compiler::CompileStats;
 use crate::cost::CostModel;
 use crate::frontend::SegOp;
 use crate::AllocatorKind;
@@ -112,7 +113,6 @@ impl SegmentAllocation {
 /// metric.
 ///
 /// The one shared definition behind
-/// [`crate::segment::SegmentationResult::average_memory_ratio`] and
 /// [`crate::CompiledProgram::average_memory_ratio`].
 pub fn mean_memory_ratio<'a, I>(allocs: I) -> f64
 where
@@ -125,99 +125,43 @@ where
     allocs.map(|a| a.memory_ratio()).sum::<f64>() / n as f64
 }
 
-/// Solver statistics accumulated over a compilation.
+/// The allocator's solver counters while it runs: one relaxed atomic
+/// per allocator counter of [`CompileStats`], named and documented
+/// there (solve-pool threads share one allocator).
+/// [`AllocatorStats::add_to`] is the only reader.
 #[derive(Debug, Default)]
 pub struct AllocatorStats {
-    /// MIP solves performed.
-    pub mip_solves: AtomicU64,
-    /// Fast-path solves performed (including MIP fallbacks).
-    pub fast_solves: AtomicU64,
-    /// Cache hits.
-    pub cache_hits: AtomicU64,
-    /// Cache lookups that missed and went to a solver (zero when the
-    /// allocator runs uncached).
-    pub cache_misses: AtomicU64,
-    /// MIP solves that returned an error — infeasible, node budget spent
-    /// before any incumbent, or numerical trouble — so the fast
-    /// allocator's solution stood. A search that exhausts its budget
-    /// *with* an incumbent returns that incumbent and counts under
-    /// [`AllocatorStats::budget_exhausted`] instead.
-    pub mip_fallbacks: AtomicU64,
-    /// MIP solves whose selected warm start was feasible and seeded the
-    /// branch-and-bound incumbent.
-    pub warm_accepted: AtomicU64,
-    /// Warm-start candidates discarded: infeasible at check time, or set
-    /// on a solve that then failed and fell back.
-    pub warm_rejected: AtomicU64,
-    /// Branch-and-bound nodes explored by the MIP solves that returned a
-    /// solution (as are the four counters below).
-    pub bnb_nodes: AtomicU64,
-    /// LP relaxations those searches solved.
-    pub lp_solves: AtomicU64,
-    /// Simplex pivots inside those LPs.
-    pub pivots: AtomicU64,
-    /// Searches that stopped on the node budget with optimality unproven
-    /// and returned their best incumbent.
-    pub budget_exhausted: AtomicU64,
-    /// Searches that returned something other than the warm start they
-    /// were seeded with (or were not seeded at all).
-    pub improved: AtomicU64,
+    mip_solves: AtomicU64,
+    fast_solves: AtomicU64,
+    cache_hits: AtomicU64,
+    cache_misses: AtomicU64,
+    mip_fallbacks: AtomicU64,
+    warm_accepted: AtomicU64,
+    warm_rejected: AtomicU64,
+    bnb_nodes: AtomicU64,
+    lp_solves: AtomicU64,
+    pivots: AtomicU64,
+    budget_exhausted: AtomicU64,
+    improved: AtomicU64,
 }
 
 impl AllocatorStats {
-    /// Snapshot as plain counters `(mip, fast, cache_hits)`.
-    pub fn snapshot(&self) -> (u64, u64, u64) {
-        (
-            self.mip_solves.load(Ordering::Relaxed),
-            self.fast_solves.load(Ordering::Relaxed),
-            self.cache_hits.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Cache lookups that missed and went to a solver.
-    pub fn misses(&self) -> u64 {
-        self.cache_misses.load(Ordering::Relaxed)
-    }
-
-    /// MIP solves that fell back to the fast allocator's solution.
-    pub fn fallbacks(&self) -> u64 {
-        self.mip_fallbacks.load(Ordering::Relaxed)
-    }
-
-    /// Warm starts that seeded a branch-and-bound incumbent.
-    pub fn warm_accepted(&self) -> u64 {
-        self.warm_accepted.load(Ordering::Relaxed)
-    }
-
-    /// Warm-start candidates discarded as infeasible or wasted on a
-    /// failed solve.
-    pub fn warm_rejected(&self) -> u64 {
-        self.warm_rejected.load(Ordering::Relaxed)
-    }
-
-    /// Branch-and-bound nodes explored.
-    pub fn bnb_nodes(&self) -> u64 {
-        self.bnb_nodes.load(Ordering::Relaxed)
-    }
-
-    /// LP relaxations solved by branch-and-bound.
-    pub fn lp_solves(&self) -> u64 {
-        self.lp_solves.load(Ordering::Relaxed)
-    }
-
-    /// Simplex pivots inside those LPs.
-    pub fn pivots(&self) -> u64 {
-        self.pivots.load(Ordering::Relaxed)
-    }
-
-    /// MIP solves that ended on the node budget, optimality unproven.
-    pub fn budget_exhausted(&self) -> u64 {
-        self.budget_exhausted.load(Ordering::Relaxed)
-    }
-
-    /// MIP solves that returned something other than their warm start.
-    pub fn improved(&self) -> u64 {
-        self.improved.load(Ordering::Relaxed)
+    /// Adds these counters into `stats`, the compile's one counter
+    /// record (call once per allocator, after its last use).
+    pub fn add_to(&self, stats: &mut CompileStats) {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        stats.mip_solves += load(&self.mip_solves);
+        stats.fast_solves += load(&self.fast_solves);
+        stats.cache_hits += load(&self.cache_hits);
+        stats.cache_misses += load(&self.cache_misses);
+        stats.mip_fallbacks += load(&self.mip_fallbacks);
+        stats.warm_accepted += load(&self.warm_accepted);
+        stats.warm_rejected += load(&self.warm_rejected);
+        stats.bnb_nodes += load(&self.bnb_nodes);
+        stats.lp_solves += load(&self.lp_solves);
+        stats.pivots += load(&self.pivots);
+        stats.budget_exhausted += load(&self.budget_exhausted);
+        stats.improved += load(&self.improved);
     }
 }
 
@@ -1088,6 +1032,13 @@ mod tests {
     use super::*;
     use cmswitch_arch::presets;
 
+    /// What `alloc` counted, as the compile's counter record.
+    fn counted(alloc: &Allocator<'_>) -> CompileStats {
+        let mut stats = CompileStats::default();
+        alloc.stats.add_to(&mut stats);
+        stats
+    }
+
     fn shared<'a>(
         arch: &'a cmswitch_arch::DualModeArch,
         cache: &Arc<AllocationCache>,
@@ -1203,9 +1154,9 @@ mod tests {
         let ops = vec![seg_op("a", 64, 64, 64, true)];
         let _ = alloc.allocate(&ops, &[]);
         let _ = alloc.allocate(&ops, &[]);
-        let (_, fast, hits) = alloc.stats.snapshot();
-        assert_eq!(fast, 1);
-        assert_eq!(hits, 1);
+        let stats = counted(&alloc);
+        assert_eq!(stats.fast_solves, 1);
+        assert_eq!(stats.cache_hits, 1);
     }
 
     #[test]
@@ -1221,9 +1172,8 @@ mod tests {
         let r1 = a1.allocate(&ops, &[]).unwrap();
         let r2 = a2.allocate(&ops, &[]).unwrap();
         assert_eq!(r1, r2);
-        let (_, fast1, _) = a1.stats.snapshot();
-        let (_, fast2, _) = a2.stats.snapshot();
-        assert_eq!(fast1 + fast2, 1, "exactly one solver invocation");
+        let fast = counted(&a1).fast_solves + counted(&a2).fast_solves;
+        assert_eq!(fast, 1, "exactly one solver invocation");
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.len(), 1);
@@ -1244,10 +1194,12 @@ mod tests {
         let a_dyna = shared(&dyna, &cache);
         let _ = a_tiny.allocate(&ops, &[]).unwrap();
         let _ = a_dyna.allocate(&ops, &[]).unwrap();
-        let (_, f1, _) = a_tiny.stats.snapshot();
-        let (_, f2, _) = a_dyna.stats.snapshot();
-        assert_eq!(f1, 1);
-        assert_eq!(f2, 1, "different arch must not hit the other's entry");
+        assert_eq!(counted(&a_tiny).fast_solves, 1);
+        assert_eq!(
+            counted(&a_dyna).fast_solves,
+            1,
+            "different arch must not hit the other's entry"
+        );
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.len(), 2);
         // Re-running on either arch now hits.
@@ -1277,7 +1229,12 @@ mod tests {
         let solved = shared(&base, &cache).allocate(&ops, &deps);
         let served = shared(&sibling, &cache);
         assert_eq!(served.allocate(&ops, &deps), solved);
-        assert_eq!(served.stats.snapshot(), (0, 0, 1), "no solve, one hit");
+        let stats = counted(&served);
+        assert_eq!(
+            (stats.mip_solves, stats.fast_solves, stats.cache_hits),
+            (0, 0, 1),
+            "no solve, one hit"
+        );
         let alone = Allocator::new(CostModel::new(&sibling), AllocatorKind::Fast, false);
         assert_eq!(alone.allocate(&ops, &deps), solved);
     }
@@ -1369,9 +1326,12 @@ mod tests {
         let a2 = shared(&arch, &fresh);
         let r = a2.allocate(&ops, &[]).unwrap();
         assert_eq!(r, a1.allocate(&ops, &[]).unwrap());
-        let (_, fast2, hits2) = a2.stats.snapshot();
-        assert_eq!(fast2, 0, "imported entry must satisfy the lookup");
-        assert_eq!(hits2, 1);
+        let stats = counted(&a2);
+        assert_eq!(
+            stats.fast_solves, 0,
+            "imported entry must satisfy the lookup"
+        );
+        assert_eq!(stats.cache_hits, 1);
     }
 
     #[test]

@@ -210,6 +210,7 @@ mod tests {
     use crate::allocation::Allocator;
     use crate::frontend::lower_graph;
     use crate::partition::partition;
+    use crate::pipeline::Partitioned;
     use crate::{segment::segment, AllocatorKind, CompilerOptions};
     use cmswitch_arch::presets;
 
@@ -217,13 +218,16 @@ mod tests {
         let arch = presets::tiny();
         let opts = CompilerOptions::default();
         let list = lower_graph(graph, &arch).unwrap();
-        let list = partition(&list, &arch, 1.0).unwrap();
+        let input = Partitioned {
+            name: graph.name().to_string(),
+            list: partition(&list, &arch, 1.0).unwrap(),
+        };
         let cm = CostModel::new(&arch);
         let allocator = Allocator::new(CostModel::new(&arch), AllocatorKind::Mip, true);
-        let segres =
-            segment(&list, &allocator, &cm, &opts, &crate::CancelToken::new()).unwrap();
-        let flow = generate(graph.name(), &list, &segres.segments, &arch).unwrap();
-        (flow, segres.segments.len())
+        let (segmented, _) =
+            segment(input, &allocator, &cm, &opts, &crate::CancelToken::new()).unwrap();
+        let flow = generate(graph.name(), &segmented.list, &segmented.segments, &arch).unwrap();
+        (flow, segmented.segments.len())
     }
 
     #[test]

@@ -6,10 +6,16 @@ use crate::frontend::SegOp;
 use crate::pipeline::StageWall;
 use crate::segment::Segment;
 
-/// What one compile did: wall clock, per-stage walls and solver
-/// counters. This is run history, not plan: it is never persisted, so a
-/// program served from the store carries one `store` stage, its wall
-/// time and zero counters.
+/// What one compile did: wall clock, per-stage walls and every solver
+/// and DP counter — the one counter record of the compiler. The
+/// allocator's atomics add into it ([`crate::allocation::AllocatorStats::add_to`]),
+/// [`crate::PipelineCx`] accumulates it and renders the aggregate
+/// diagnostic events from it, [`crate::BatchStats::programs`] sums it
+/// over a batch ([`CompileStats::absorb`]).
+///
+/// This is run history, not plan: it is never persisted, so a program
+/// served from the store carries one `store` stage, its wall time and
+/// zero counters.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CompileStats {
     /// Wall-clock compilation time.
@@ -19,22 +25,46 @@ pub struct CompileStats {
     pub stage_wall: Vec<StageWall>,
     /// MIP solves performed.
     pub mip_solves: u64,
-    /// Fast-allocator solves performed.
+    /// Fast-allocator solves performed (including MIP fallbacks). Every
+    /// MIP solve also runs one embedded fast solve as its warm start,
+    /// so under [`crate::AllocatorKind::Mip`] one cache miss counts
+    /// here and in `mip_solves`.
     pub fast_solves: u64,
     /// Allocation cache hits.
     pub cache_hits: u64,
+    /// Allocation cache lookups that missed and went to a solver (zero
+    /// when the allocator runs uncached).
+    pub cache_misses: u64,
+    /// MIP solves that returned an error — infeasible, node budget spent
+    /// before any incumbent, or numerical trouble — so the fast
+    /// allocator's solution stood. A search that exhausts its budget
+    /// *with* an incumbent counts under `budget_exhausted` instead.
+    pub mip_fallbacks: u64,
     /// Candidate DP windows skipped without an allocator invocation
     /// (capacity prefilter + analytic bound, [`crate::DpMode`]).
     pub dp_windows_pruned: u64,
     /// MIP solves whose warm start was feasible and seeded the
     /// branch-and-bound incumbent. Every MIP solve is offered the better
     /// of the fast allocator's solution and the neighbor window's
-    /// extended by one op, at any worker count
-    /// ([`crate::allocation::AllocatorStats::warm_accepted`]).
+    /// extended by one op, at any worker count.
     pub warm_accepted: u64,
     /// MIP warm-start candidates rejected: infeasible against the
-    /// problem, or ignored by the solver in favour of a cold search.
+    /// problem, wasted on a solve that then failed and fell back, or
+    /// ignored by the solver in favour of a cold search.
     pub warm_rejected: u64,
+    /// Branch-and-bound nodes explored by the MIP solves that returned a
+    /// solution (as are the four counters below).
+    pub bnb_nodes: u64,
+    /// LP relaxations those searches solved.
+    pub lp_solves: u64,
+    /// Simplex pivots inside those LPs.
+    pub pivots: u64,
+    /// Searches that stopped on the node budget with optimality unproven
+    /// and returned their best incumbent.
+    pub budget_exhausted: u64,
+    /// Searches that returned something other than the warm start they
+    /// were seeded with (or were not seeded at all).
+    pub improved: u64,
     /// Allocation batches fanned out by the segmentation DP. A pure
     /// function of pruning decisions — identical at every
     /// [`crate::CompilerOptions::solve_workers`] setting.
@@ -42,6 +72,12 @@ pub struct CompileStats {
 }
 
 impl CompileStats {
+    /// Solver invocations performed (MIP + fast, counting a MIP solve
+    /// and its embedded warm-start fast solve separately).
+    pub fn solver_invocations(&self) -> u64 {
+        self.mip_solves + self.fast_solves
+    }
+
     /// The wall-clock time recorded for stage `name`, if it ran
     /// (summed, should a pipeline run a stage more than once).
     pub fn stage_wall(&self, name: &str) -> Option<Duration> {
@@ -54,6 +90,51 @@ impl CompileStats {
             }
         }
         seen.then_some(total)
+    }
+
+    /// Adds `other` into `self`: every counter and the wall are summed,
+    /// and stage walls merge by name in first-seen order (so a sum over
+    /// compiles run on several workers is CPU time, not wall clock).
+    pub fn absorb(&mut self, other: &CompileStats) {
+        let CompileStats {
+            wall,
+            stage_wall,
+            mip_solves,
+            fast_solves,
+            cache_hits,
+            cache_misses,
+            mip_fallbacks,
+            dp_windows_pruned,
+            warm_accepted,
+            warm_rejected,
+            bnb_nodes,
+            lp_solves,
+            pivots,
+            budget_exhausted,
+            improved,
+            solve_batches,
+        } = other;
+        self.wall += *wall;
+        for t in stage_wall {
+            match self.stage_wall.iter_mut().find(|s| s.stage == t.stage) {
+                Some(s) => s.wall += t.wall,
+                None => self.stage_wall.push(t.clone()),
+            }
+        }
+        self.mip_solves += mip_solves;
+        self.fast_solves += fast_solves;
+        self.cache_hits += cache_hits;
+        self.cache_misses += cache_misses;
+        self.mip_fallbacks += mip_fallbacks;
+        self.dp_windows_pruned += dp_windows_pruned;
+        self.warm_accepted += warm_accepted;
+        self.warm_rejected += warm_rejected;
+        self.bnb_nodes += bnb_nodes;
+        self.lp_solves += lp_solves;
+        self.pivots += pivots;
+        self.budget_exhausted += budget_exhausted;
+        self.improved += improved;
+        self.solve_batches += solve_batches;
     }
 }
 
@@ -140,10 +221,7 @@ mod tests {
         let cached = compile(exhaustive.clone(), &g).unwrap();
         let uncached = compile(exhaustive.with_reuse_cache(false), &g).unwrap();
         assert!(cached.stats.cache_hits > 0);
-        assert!(
-            cached.stats.mip_solves + cached.stats.fast_solves
-                < uncached.stats.mip_solves + uncached.stats.fast_solves
-        );
+        assert!(cached.stats.solver_invocations() < uncached.stats.solver_invocations());
         // Same schedule quality.
         assert!(
             (cached.predicted_latency - uncached.predicted_latency).abs()
@@ -178,10 +256,7 @@ mod tests {
         );
         assert_eq!(pruned.flow, exhaustive.flow);
         assert_eq!(exhaustive.stats.dp_windows_pruned, 0);
-        assert!(
-            pruned.stats.mip_solves + pruned.stats.fast_solves
-                <= exhaustive.stats.mip_solves + exhaustive.stats.fast_solves
-        );
+        assert!(pruned.stats.solver_invocations() <= exhaustive.stats.solver_invocations());
     }
 
     #[test]

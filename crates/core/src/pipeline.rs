@@ -70,8 +70,8 @@ pub struct StageWall {
 }
 
 /// Shared state threaded through every stage of one compilation:
-/// architecture, options, allocation cache, per-stage timings and
-/// solver counters.
+/// architecture, options, allocation cache, diagnostics and the run's
+/// [`CompileStats`] (per-stage timings and solver counters).
 #[derive(Debug)]
 pub struct PipelineCx<'a> {
     arch: &'a DualModeArch,
@@ -79,21 +79,7 @@ pub struct PipelineCx<'a> {
     shared_cache: Option<Arc<AllocationCache>>,
     cancel: CancelToken,
     diags: Diagnostics,
-    timings: Vec<StageWall>,
-    mip_solves: u64,
-    fast_solves: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    mip_fallbacks: u64,
-    warm_accepted: u64,
-    warm_rejected: u64,
-    bnb_nodes: u64,
-    lp_solves: u64,
-    pivots: u64,
-    budget_exhausted: u64,
-    improved: u64,
-    dp_windows_pruned: u64,
-    solve_batches: u64,
+    stats: CompileStats,
 }
 
 impl<'a> PipelineCx<'a> {
@@ -107,21 +93,7 @@ impl<'a> PipelineCx<'a> {
             shared_cache: None,
             cancel: CancelToken::new(),
             diags: Diagnostics::new(),
-            timings: Vec::new(),
-            mip_solves: 0,
-            fast_solves: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            mip_fallbacks: 0,
-            warm_accepted: 0,
-            warm_rejected: 0,
-            bnb_nodes: 0,
-            lp_solves: 0,
-            pivots: 0,
-            budget_exhausted: 0,
-            improved: 0,
-            dp_windows_pruned: 0,
-            solve_batches: 0,
+            stats: CompileStats::default(),
         }
     }
 
@@ -200,27 +172,15 @@ impl<'a> PipelineCx<'a> {
     /// Folds an allocator's solve counters into the compilation's
     /// statistics (call once per allocator, after its last use).
     pub fn record_allocator(&mut self, stats: &AllocatorStats) {
-        let (mip, fast, hits) = stats.snapshot();
-        self.mip_solves += mip;
-        self.fast_solves += fast;
-        self.cache_hits += hits;
-        self.cache_misses += stats.misses();
-        self.mip_fallbacks += stats.fallbacks();
-        self.warm_accepted += stats.warm_accepted();
-        self.warm_rejected += stats.warm_rejected();
-        self.bnb_nodes += stats.bnb_nodes();
-        self.lp_solves += stats.lp_solves();
-        self.pivots += stats.pivots();
-        self.budget_exhausted += stats.budget_exhausted();
-        self.improved += stats.improved();
+        stats.add_to(&mut self.stats);
     }
 
     /// Folds the segmentation DP's window counters into the
     /// compilation's statistics and emits the matching
     /// [`DiagnosticEvent::DpWindowsPruned`] event.
     pub fn record_dp(&mut self, dp: &DpStats) {
-        self.dp_windows_pruned += dp.skipped();
-        self.solve_batches += dp.solve_batches;
+        self.stats.dp_windows_pruned += dp.skipped();
+        self.stats.solve_batches += dp.solve_batches;
         self.diags.push(DiagnosticEvent::DpWindowsPruned {
             windows: dp.windows,
             infeasible: dp.infeasible_skipped,
@@ -245,7 +205,7 @@ impl<'a> PipelineCx<'a> {
         self.cancel.check()?;
         let start = Instant::now();
         let result = stage.run(self, input);
-        self.timings.push(StageWall {
+        self.stats.stage_wall.push(StageWall {
             stage: stage.name(),
             wall: start.elapsed(),
         });
@@ -254,22 +214,19 @@ impl<'a> PipelineCx<'a> {
 
     /// The per-stage timings recorded so far, in execution order.
     pub fn timings(&self) -> &[StageWall] {
-        &self.timings
+        &self.stats.stage_wall
     }
 
-    /// Consumes the context, stamping its timings and solver counters
-    /// into `stats` (the driver sets `stats.wall` itself, so the total
-    /// covers driver overhead too), and returns the run's diagnostics.
+    /// Consumes the context, moving its timings and solver counters into
+    /// `stats` (all but `stats.wall`: the caller sets that itself, so
+    /// the total covers the caller's own overhead too), and returns the
+    /// run's diagnostics.
     pub fn finalize(mut self, stats: &mut CompileStats) -> Diagnostics {
         self.flush_aggregate_events();
-        stats.stage_wall = self.timings;
-        stats.mip_solves = self.mip_solves;
-        stats.fast_solves = self.fast_solves;
-        stats.cache_hits = self.cache_hits;
-        stats.dp_windows_pruned = self.dp_windows_pruned;
-        stats.warm_accepted = self.warm_accepted;
-        stats.warm_rejected = self.warm_rejected;
-        stats.solve_batches = self.solve_batches;
+        *stats = CompileStats {
+            wall: stats.wall,
+            ..self.stats
+        };
         self.diags
     }
 
@@ -284,31 +241,32 @@ impl<'a> PipelineCx<'a> {
     /// traffic, MIP fallbacks, warm starts, solver effort) exactly once,
     /// at context teardown.
     fn flush_aggregate_events(&mut self) {
-        if self.cache_hits + self.cache_misses > 0 {
+        let s = &self.stats;
+        if s.cache_hits + s.cache_misses > 0 {
             self.diags.push(DiagnosticEvent::CacheTraffic {
-                hits: self.cache_hits,
-                misses: self.cache_misses,
+                hits: s.cache_hits,
+                misses: s.cache_misses,
             });
         }
-        if self.mip_fallbacks > 0 {
+        if s.mip_fallbacks > 0 {
             self.diags.push(DiagnosticEvent::MipFallback {
-                count: self.mip_fallbacks,
+                count: s.mip_fallbacks,
             });
         }
-        if self.warm_accepted + self.warm_rejected > 0 {
+        if s.warm_accepted + s.warm_rejected > 0 {
             self.diags.push(DiagnosticEvent::WarmStart {
-                accepted: self.warm_accepted,
-                rejected: self.warm_rejected,
+                accepted: s.warm_accepted,
+                rejected: s.warm_rejected,
             });
         }
-        if self.mip_solves > 0 {
+        if s.mip_solves > 0 {
             self.diags.push(DiagnosticEvent::SolverEffort {
-                mip_solves: self.mip_solves,
-                bnb_nodes: self.bnb_nodes,
-                lp_solves: self.lp_solves,
-                pivots: self.pivots,
-                budget_exhausted: self.budget_exhausted,
-                improved: self.improved,
+                mip_solves: s.mip_solves,
+                bnb_nodes: s.bnb_nodes,
+                lp_solves: s.lp_solves,
+                pivots: s.pivots,
+                budget_exhausted: s.budget_exhausted,
+                improved: s.improved,
             });
         }
     }
@@ -443,17 +401,12 @@ impl Stage<Partitioned> for SegmentStage {
         let allocator = cx.allocator();
         let cm = cx.cost_model();
         let cancel = cx.cancel_token().clone();
-        let res = segment::segment(&input.list, &allocator, &cm, cx.options(), &cancel);
+        let res = segment::segment(input, &allocator, &cm, cx.options(), &cancel);
         // Solver counters are real work even when the DP aborts.
         cx.record_allocator(&allocator.stats);
-        let res = res?;
-        cx.record_dp(&res.dp);
-        Ok(Segmented {
-            name: input.name,
-            list: input.list,
-            segments: res.segments,
-            total_latency: res.total_latency,
-        })
+        let (segmented, dp) = res?;
+        cx.record_dp(&dp);
+        Ok(segmented)
     }
 }
 
@@ -541,7 +494,7 @@ mod tests {
         assert_eq!(names, ["lower", "partition", "segment", "emit"]);
         cx.finalize(&mut program.stats);
         assert_eq!(program.stats.stage_wall.len(), 4);
-        assert!(program.stats.mip_solves + program.stats.fast_solves > 0);
+        assert!(program.stats.solver_invocations() > 0);
         assert!(program.predicted_latency > 0.0);
         cmswitch_metaop::validate(&program.flow).unwrap();
     }

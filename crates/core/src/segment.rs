@@ -85,6 +85,7 @@ use std::collections::HashMap;
 use crate::allocation::{Allocator, SegmentAllocation};
 use crate::cost::CostModel;
 use crate::frontend::{DepIndex, OpList};
+use crate::pipeline::{Partitioned, Segmented};
 use crate::session::CancelToken;
 use crate::solvepool::{self, SolvePool};
 use crate::{CompileError, CompilerOptions, DpMode};
@@ -128,26 +129,6 @@ impl DpStats {
     /// Total windows skipped without invoking the window solver.
     pub fn skipped(&self) -> u64 {
         self.infeasible_skipped + self.bound_pruned
-    }
-}
-
-/// The segmentation decision for a whole network.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SegmentationResult {
-    /// Segments in execution order.
-    pub segments: Vec<Segment>,
-    /// Total predicted latency (cycles), including the final write-back of
-    /// network outputs.
-    pub total_latency: f64,
-    /// DP work counters (windows enumerated / skipped).
-    pub dp: DpStats,
-}
-
-impl SegmentationResult {
-    /// Average fraction of used arrays in memory mode across segments
-    /// (Fig. 16 bottom row).
-    pub fn average_memory_ratio(&self) -> f64 {
-        crate::allocation::mean_memory_ratio(self.segments.iter().map(|s| &s.alloc))
     }
 }
 
@@ -562,9 +543,10 @@ where
     Ok(total + bounds.final_wb)
 }
 
-/// Runs the segmentation DP with `solver` allocating each candidate
-/// window ([`crate::DpMode`] selects exhaustive vs. bound-pruned; both
-/// return identical schedules).
+/// Runs the segmentation DP over `input`'s operators with `solver`
+/// allocating each candidate window ([`crate::DpMode`] selects
+/// exhaustive vs. bound-pruned; both return identical schedules), and
+/// returns the [`Segmented`] artifact plus the DP's work counters.
 ///
 /// Allocation solves are fanned out across
 /// [`crate::CompilerOptions::solve_workers`] pool threads (1 = inline);
@@ -584,18 +566,33 @@ where
 /// segmentation exists, or [`CompileError::Cancelled`] when `cancel`
 /// fires.
 pub fn segment(
+    input: Partitioned,
+    solver: &impl WindowSolver,
+    cm: &CostModel<'_>,
+    opts: &CompilerOptions,
+    cancel: &CancelToken,
+) -> Result<(Segmented, DpStats), CompileError> {
+    let (segments, total_latency, dp) = segment_list(&input.list, solver, cm, opts, cancel)?;
+    let segmented = Segmented {
+        name: input.name,
+        list: input.list,
+        segments,
+        total_latency,
+    };
+    Ok((segmented, dp))
+}
+
+/// The body of [`segment`] on a borrowed list: the segments, their total
+/// latency and the DP's counters.
+fn segment_list(
     list: &OpList,
     solver: &impl WindowSolver,
     cm: &CostModel<'_>,
     opts: &CompilerOptions,
     cancel: &CancelToken,
-) -> Result<SegmentationResult, CompileError> {
+) -> Result<(Vec<Segment>, f64, DpStats), CompileError> {
     if list.ops.is_empty() {
-        return Ok(SegmentationResult {
-            segments: Vec::new(),
-            total_latency: 0.0,
-            dp: DpStats::default(),
-        });
+        return Ok((Vec::new(), 0.0, DpStats::default()));
     }
 
     // Single-op feasibility: every op must fit alone, otherwise no
@@ -636,7 +633,7 @@ fn run_dp<F, K>(
     cancel: &CancelToken,
     pool: &WindowPool<'_, '_, F>,
     key: &K,
-) -> Result<SegmentationResult, CompileError>
+) -> Result<(Vec<Segment>, f64, DpStats), CompileError>
 where
     F: Fn(&(usize, usize)) -> Option<SegmentAllocation> + Sync,
     K: Fn(&(usize, usize)) -> Option<u64>,
@@ -803,69 +800,63 @@ where
             ((i, j), alloc)
         })
         .collect();
-    let segments = chain_segments(list, cm, parts);
-
-    Ok(SegmentationResult {
-        segments,
-        total_latency,
-        dp: dp_stats,
-    })
+    Ok((chain_segments(list, cm, parts), total_latency, dp_stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::allocation::Allocator;
+    use crate::allocation::{mean_memory_ratio, Allocator};
     use crate::frontend::lower_graph;
     use crate::partition::partition;
     use crate::AllocatorKind;
     use cmswitch_arch::presets;
 
+    /// Lowers and partitions `graph` into the segmentation DP's input.
+    fn partitioned(
+        graph: &cmswitch_graph::Graph,
+        arch: &cmswitch_arch::DualModeArch,
+        opts: &CompilerOptions,
+    ) -> Partitioned {
+        let list = lower_graph(graph, arch).unwrap();
+        Partitioned {
+            name: graph.name().to_string(),
+            list: partition(&list, arch, opts.partition_budget).unwrap(),
+        }
+    }
+
+    /// Segments `graph` under a fresh allocator; also returns its solver
+    /// invocations.
     fn run(
         graph: &cmswitch_graph::Graph,
         arch: &cmswitch_arch::DualModeArch,
         opts: &CompilerOptions,
-    ) -> SegmentationResult {
-        let list = lower_graph(graph, arch).unwrap();
-        let list = partition(&list, arch, opts.partition_budget).unwrap();
+    ) -> (Segmented, DpStats, u64) {
         let cm = CostModel::new(arch);
         let allocator = Allocator::new(CostModel::new(arch), opts.allocator, opts.reuse_cache);
-        segment(&list, &allocator, &cm, opts, &CancelToken::new()).unwrap()
+        let input = partitioned(graph, arch, opts);
+        let (r, dp) = segment(input, &allocator, &cm, opts, &CancelToken::new()).unwrap();
+        let mut stats = crate::CompileStats::default();
+        allocator.stats.add_to(&mut stats);
+        (r, dp, stats.solver_invocations())
     }
 
-    /// Runs both DP modes on the same list and returns
-    /// `(exhaustive, pruned, exhaustive_solves, pruned_solves)`.
+    /// Runs both DP modes on the same graph: `[exhaustive, pruned]`,
+    /// each with its DP counters and solver invocations.
     fn run_both(
         graph: &cmswitch_graph::Graph,
         arch: &cmswitch_arch::DualModeArch,
         base: &CompilerOptions,
-    ) -> (SegmentationResult, SegmentationResult, u64, u64) {
-        let list = lower_graph(graph, arch).unwrap();
-        let list = partition(&list, arch, base.partition_budget).unwrap();
-        let cm = CostModel::new(arch);
-        let mut results = Vec::new();
-        let mut solves = Vec::new();
-        for mode in [DpMode::Exhaustive, DpMode::BoundPruned] {
-            let opts = CompilerOptions {
-                dp_mode: mode,
-                ..base.clone()
-            };
-            let allocator =
-                Allocator::new(CostModel::new(arch), opts.allocator, opts.reuse_cache);
-            results.push(segment(&list, &allocator, &cm, &opts, &CancelToken::new()).unwrap());
-            let (mip, fast, _) = allocator.stats.snapshot();
-            solves.push(mip + fast);
-        }
-        let pruned = results.pop().unwrap();
-        let exhaustive = results.pop().unwrap();
-        (exhaustive, pruned, solves[0], solves[1])
+    ) -> [(Segmented, DpStats, u64); 2] {
+        [DpMode::Exhaustive, DpMode::BoundPruned]
+            .map(|mode| run(graph, arch, &base.clone().with_dp_mode(mode)))
     }
 
     #[test]
     fn covers_all_ops_contiguously() {
         let g = cmswitch_models::mlp::mlp(4, &[64, 128, 128, 64, 32]).unwrap();
         let arch = presets::tiny();
-        let r = run(&g, &arch, &CompilerOptions::default());
+        let (r, ..) = run(&g, &arch, &CompilerOptions::default());
         // Segments tile [0, m) contiguously.
         let mut next = 0;
         for s in &r.segments {
@@ -881,7 +872,7 @@ mod tests {
         // ~>100 KiB of weights, so it cannot be a single segment.
         let g = cmswitch_models::mlp::mlp(1, &[256, 256, 256, 256, 256]).unwrap();
         let arch = presets::tiny();
-        let r = run(&g, &arch, &CompilerOptions::default());
+        let (r, ..) = run(&g, &arch, &CompilerOptions::default());
         assert!(r.segments.len() >= 2, "{} segments", r.segments.len());
     }
 
@@ -889,7 +880,7 @@ mod tests {
     fn small_model_single_segment() {
         let g = cmswitch_models::mlp::mlp(1, &[64, 64]).unwrap();
         let arch = presets::tiny();
-        let r = run(&g, &arch, &CompilerOptions::default());
+        let (r, ..) = run(&g, &arch, &CompilerOptions::default());
         assert_eq!(r.segments.len(), 1);
     }
 
@@ -903,7 +894,7 @@ mod tests {
         ] {
             let g = cmswitch_models::mlp::mlp(2, &widths).unwrap();
             for arch in [presets::tiny(), presets::dynaplasia()] {
-                let (ex, pr, s_ex, s_pr) =
+                let [(ex, _, s_ex), (pr, dp, s_pr)] =
                     run_both(&g, &arch, &CompilerOptions::default());
                 assert_eq!(ex.segments, pr.segments, "{widths:?} on {}", arch.name());
                 assert_eq!(
@@ -913,7 +904,7 @@ mod tests {
                     arch.name()
                 );
                 assert!(s_pr <= s_ex, "pruned may never solve more: {s_pr} vs {s_ex}");
-                assert!(pr.dp.windows >= pr.dp.skipped());
+                assert!(dp.windows >= dp.skipped());
             }
         }
     }
@@ -926,7 +917,7 @@ mod tests {
             switch_aware: false,
             ..CompilerOptions::default()
         };
-        let (ex, pr, s_ex, s_pr) = run_both(&g, &arch, &base);
+        let [(ex, _, s_ex), (pr, _, s_pr)] = run_both(&g, &arch, &base);
         assert_eq!(ex.segments, pr.segments);
         assert_eq!(ex.total_latency.to_bits(), pr.total_latency.to_bits());
         assert!(s_pr <= s_ex);
@@ -939,9 +930,9 @@ mod tests {
         // skipped by the prefilter and solves drop strictly.
         let g = cmswitch_models::mlp::mlp(1, &[256, 256, 256, 256, 256]).unwrap();
         let arch = presets::tiny();
-        let (ex, pr, s_ex, s_pr) = run_both(&g, &arch, &CompilerOptions::default());
+        let [(ex, _, s_ex), (pr, dp, s_pr)] = run_both(&g, &arch, &CompilerOptions::default());
         assert_eq!(ex.segments, pr.segments);
-        assert!(pr.dp.infeasible_skipped > 0);
+        assert!(dp.infeasible_skipped > 0);
         assert!(
             s_pr < s_ex,
             "expected strictly fewer solves: pruned {s_pr} vs exhaustive {s_ex}"
@@ -952,7 +943,7 @@ mod tests {
     fn exhaustive_mode_reports_no_skips() {
         let g = cmswitch_models::mlp::mlp(2, &[128, 128, 64]).unwrap();
         let arch = presets::tiny();
-        let r = run(
+        let (_, dp, _) = run(
             &g,
             &arch,
             &CompilerOptions {
@@ -960,16 +951,16 @@ mod tests {
                 ..CompilerOptions::default()
             },
         );
-        assert_eq!(r.dp.skipped(), 0);
-        assert!(r.dp.windows > 0);
+        assert_eq!(dp.skipped(), 0);
+        assert!(dp.windows > 0);
     }
 
     #[test]
     fn switch_aware_never_worse() {
         let g = cmswitch_models::mlp::mlp(2, &[256, 512, 256, 128, 64]).unwrap();
         let arch = presets::tiny();
-        let aware = run(&g, &arch, &CompilerOptions::default());
-        let oblivious = run(
+        let (aware, ..) = run(&g, &arch, &CompilerOptions::default());
+        let (oblivious, ..) = run(
             &g,
             &arch,
             &CompilerOptions {
@@ -1010,33 +1001,46 @@ mod tests {
         let g = cmswitch_models::mlp::mlp(2, &[256, 512, 256, 128, 64]).unwrap();
         let arch = presets::tiny();
         let opts = CompilerOptions::default();
-        let list = lower_graph(&g, &arch).unwrap();
-        let list = partition(&list, &arch, 1.0).unwrap();
         let cm = CostModel::new(&arch);
         let allocator = Allocator::new(CostModel::new(&arch), opts.allocator, opts.reuse_cache);
         let token = CancelToken::new();
         token.cancel();
-        match segment(&list, &allocator, &cm, &opts, &token) {
+        match segment(
+            partitioned(&g, &arch, &opts),
+            &allocator,
+            &cm,
+            &opts,
+            &token,
+        ) {
             Err(CompileError::Cancelled) => {}
             other => panic!("expected Cancelled, got {other:?}"),
         }
-        let (mip, fast, _) = allocator.stats.snapshot();
-        assert_eq!(mip + fast, 0, "no allocator solve after cancellation");
+        let mut stats = crate::CompileStats::default();
+        allocator.stats.add_to(&mut stats);
+        assert_eq!(
+            stats.solver_invocations(),
+            0,
+            "no allocator solve after cancellation"
+        );
     }
 
     #[test]
     fn solve_workers_do_not_change_the_plan_or_the_dp_stats() {
-        // Full SegmentationResult equality — including DpStats, so the
-        // batch count itself must be worker-invariant.
+        // Full artifact equality — including DpStats, so the batch count
+        // itself must be worker-invariant.
         let g = cmswitch_models::mlp::mlp(2, &[256, 512, 256, 128, 64]).unwrap();
         let arch = presets::tiny();
         for mode in [DpMode::Exhaustive, DpMode::BoundPruned] {
             let base_opts = CompilerOptions::default().with_dp_mode(mode);
-            let base = run(&g, &arch, &base_opts);
+            let (base, base_dp, _) = run(&g, &arch, &base_opts);
             for workers in [0, 2, 4, 8] {
                 let opts = base_opts.clone().with_solve_workers(workers);
-                let r = run(&g, &arch, &opts);
-                assert_eq!(base, r, "workers={workers} mode={mode:?}");
+                let (r, dp, _) = run(&g, &arch, &opts);
+                assert_eq!(
+                    (&base, base_dp),
+                    (&r, dp),
+                    "workers={workers} mode={mode:?}"
+                );
             }
         }
     }
@@ -1045,8 +1049,8 @@ mod tests {
     fn memory_ratio_reported() {
         let g = cmswitch_models::mlp::mlp(4, &[64, 128, 64]).unwrap();
         let arch = presets::tiny();
-        let r = run(&g, &arch, &CompilerOptions::default());
-        let ratio = r.average_memory_ratio();
+        let (r, ..) = run(&g, &arch, &CompilerOptions::default());
+        let ratio = mean_memory_ratio(r.segments.iter().map(|s| &s.alloc));
         assert!((0.0..=1.0).contains(&ratio));
     }
 
@@ -1058,7 +1062,7 @@ mod tests {
             allocator: AllocatorKind::Fast,
             ..CompilerOptions::default()
         };
-        let (ex, pr, s_ex, s_pr) = run_both(&g, &arch, &base);
+        let [(ex, _, s_ex), (pr, _, s_pr)] = run_both(&g, &arch, &base);
         assert_eq!(ex.segments, pr.segments);
         assert_eq!(ex.total_latency.to_bits(), pr.total_latency.to_bits());
         assert!(s_pr <= s_ex);

@@ -43,7 +43,7 @@
 use std::time::Duration;
 
 use crate::diagnostics::Diagnostics;
-use crate::{CompileError, CompiledProgram};
+use crate::{CompileError, CompileStats, CompiledProgram};
 
 /// Result of one request in a batch.
 #[non_exhaustive]
@@ -80,45 +80,22 @@ pub struct BatchStats {
     /// so if the cache is concurrently shared with *another* running
     /// session, that session's traffic is attributed here too.)
     pub cache_misses: u64,
-    /// MIP solves performed by the batch's *successfully compiled*
-    /// models (a model that errors mid-compilation drops its per-model
-    /// counters; its lookups still appear in the cache deltas above).
-    pub mip_solves: u64,
-    /// Fast-allocator solves performed by the batch's successfully
-    /// compiled models. Note every MIP solve also runs one embedded
-    /// fast solve as its warm start, so under
-    /// [`crate::AllocatorKind::Mip`] a single cache miss increments
-    /// both counters.
-    pub fast_solves: u64,
-    /// Segmentation-DP windows the batch's successfully compiled models
-    /// skipped without an allocator invocation ([`crate::DpMode`]).
-    pub dp_windows_pruned: u64,
-    /// MIP warm starts accepted by the batch's successfully compiled
-    /// models (solves whose seeded incumbent held).
-    pub warm_accepted: u64,
-    /// MIP warm-start candidates rejected (infeasible or wasted on a
-    /// failed solve) by the batch's successfully compiled models.
-    pub warm_rejected: u64,
     /// Persistent-store probes answered from disk during the batch
     /// (zero without an attached [`crate::ArtifactStore`]). Measured as
     /// the store's counter delta, like the cache fields.
     pub store_hits: u64,
     /// Persistent-store probes that found no artifact during the batch.
     pub store_misses: u64,
-    /// Per-stage wall-clock time summed across the batch's successfully
-    /// compiled models, in first-seen stage order (CPU time across
-    /// workers, so it can exceed the batch wall).
-    pub stage_wall: Vec<crate::StageWall>,
+    /// The [`CompileStats`] of the batch's *successfully compiled*
+    /// programs, summed ([`CompileStats::absorb`]): walls and stage
+    /// walls are CPU time across workers, so they can exceed the batch
+    /// wall. A model that errors mid-compilation is left out; its
+    /// lookups still appear in the cache deltas above, and its counters
+    /// in its outcome's diagnostics.
+    pub programs: CompileStats,
 }
 
 impl BatchStats {
-    /// Solver invocations performed by successfully compiled models
-    /// (MIP + fast, counting a MIP solve and its embedded warm-start
-    /// fast solve separately).
-    pub fn solver_invocations(&self) -> u64 {
-        self.mip_solves + self.fast_solves
-    }
-
     /// Allocation solves the cache saved (one per hit; under the MIP
     /// allocator each would have cost a MIP *and* its warm-start fast
     /// solve).
@@ -141,7 +118,8 @@ impl BatchStats {
     /// compiled), e.g. `lower 1.2ms · partition 0.3ms · segment 840ms ·
     /// emit 12ms`.
     pub fn stage_breakdown(&self) -> String {
-        self.stage_wall
+        self.programs
+            .stage_wall
             .iter()
             .map(|t| format!("{} {:.1?}", t.stage, t.wall))
             .collect::<Vec<_>>()
@@ -176,7 +154,11 @@ impl BatchReport {
                     let _ = writeln!(
                         out,
                         "{:>14}  {:>9.1?}  {:>4} segments  {:>5} solves  {:>5} hits",
-                        o.name, o.wall, p.segments.len(), p.stats.mip_solves + p.stats.fast_solves, p.stats.cache_hits,
+                        o.name,
+                        o.wall,
+                        p.segments.len(),
+                        p.stats.solver_invocations(),
+                        p.stats.cache_hits,
                     );
                 }
                 Err(e) => {
@@ -192,10 +174,10 @@ impl BatchReport {
             s.compiled + s.failed,
             s.wall,
             s.workers,
-            s.solver_invocations(),
+            s.programs.solver_invocations(),
             s.solves_saved(),
             s.hit_rate() * 100.0,
-            s.dp_windows_pruned,
+            s.programs.dp_windows_pruned,
         );
         if s.store_hits + s.store_misses > 0 {
             let _ = writeln!(
@@ -204,14 +186,14 @@ impl BatchReport {
                 s.store_hits, s.store_misses,
             );
         }
-        if s.warm_accepted + s.warm_rejected > 0 {
+        if s.programs.warm_accepted + s.programs.warm_rejected > 0 {
             let _ = writeln!(
                 out,
                 "warm starts: {} accepted, {} rejected",
-                s.warm_accepted, s.warm_rejected,
+                s.programs.warm_accepted, s.programs.warm_rejected,
             );
         }
-        if !s.stage_wall.is_empty() {
+        if !s.programs.stage_wall.is_empty() {
             let _ = writeln!(out, "stages (CPU time across workers): {}", s.stage_breakdown());
         }
         out
@@ -257,7 +239,7 @@ mod tests {
         let report = session(1).compile_batch(&fleet());
         let a = report.get("mlp-a").unwrap().result.as_ref().unwrap();
         let b = report.get("mlp-b").unwrap().result.as_ref().unwrap();
-        assert!(b.stats.mip_solves + b.stats.fast_solves < a.stats.mip_solves + a.stats.fast_solves);
+        assert!(b.stats.solver_invocations() < a.stats.solver_invocations());
         assert_eq!(a.predicted_latency, b.predicted_latency);
         assert!(report.stats.hit_rate() > 0.0);
         assert_eq!(report.stats.solves_saved(), report.stats.cache_hits);
@@ -268,11 +250,13 @@ mod tests {
         let session = session(2);
         let cold = session.compile_batch(&fleet());
         let warm = session.compile_batch(&fleet());
+        let (warm_solves, cold_solves) = (
+            warm.stats.programs.solver_invocations(),
+            cold.stats.programs.solver_invocations(),
+        );
         assert!(
-            warm.stats.solver_invocations() < cold.stats.solver_invocations(),
-            "warm {} vs cold {}",
-            warm.stats.solver_invocations(),
-            cold.stats.solver_invocations()
+            warm_solves < cold_solves,
+            "warm {warm_solves} vs cold {cold_solves}"
         );
         // Determinism: cached results are exactly what fresh solves give.
         for (c, w) in cold.outcomes.iter().zip(&warm.outcomes) {
@@ -303,23 +287,32 @@ mod tests {
         // would under-report by up to 2x on the default options.
         let report = session(1).compile_batch(&fleet());
         let s = &report.stats;
-        assert!(s.mip_solves > 0);
+        let p = &s.programs;
+        assert!(p.mip_solves > 0);
         // Every model compiles, so per-model solve sums line up exactly
         // with the batch's cache-miss delta.
-        assert_eq!(s.cache_misses, s.mip_solves, "one MIP-path solve per miss");
-        assert_eq!(s.fast_solves, s.mip_solves, "one embedded warm start per MIP solve");
+        assert_eq!(s.cache_misses, p.mip_solves, "one MIP-path solve per miss");
+        assert_eq!(
+            p.fast_solves, p.mip_solves,
+            "one embedded warm start per MIP solve"
+        );
         assert!(s.cache_hits > 0);
         let over_lookups = s.cache_hits as f64 / (s.cache_hits + s.cache_misses) as f64;
         assert!((s.hit_rate() - over_lookups).abs() < 1e-12);
-        let over_solver_runs =
-            s.cache_hits as f64 / (s.cache_hits + s.solver_invocations()) as f64;
+        let over_solver_runs = s.cache_hits as f64 / (s.cache_hits + p.solver_invocations()) as f64;
         assert!(s.hit_rate() > over_solver_runs);
     }
 
     #[test]
     fn batch_aggregates_stage_timings() {
         let report = session(2).compile_batch(&fleet());
-        let names: Vec<_> = report.stats.stage_wall.iter().map(|t| t.stage).collect();
+        let names: Vec<_> = report
+            .stats
+            .programs
+            .stage_wall
+            .iter()
+            .map(|t| t.stage)
+            .collect();
         assert_eq!(names, ["lower", "partition", "segment", "emit"]);
         // Aggregated per-stage CPU time equals the sum over models.
         let per_model: std::time::Duration = report
@@ -330,13 +323,7 @@ mod tests {
             .filter(|t| t.stage == "segment")
             .map(|t| t.wall)
             .sum();
-        let aggregated = report
-            .stats
-            .stage_wall
-            .iter()
-            .find(|t| t.stage == "segment")
-            .unwrap()
-            .wall;
+        let aggregated = report.stats.programs.stage_wall("segment").unwrap();
         assert_eq!(per_model, aggregated);
         let breakdown = report.stats.stage_breakdown();
         assert!(breakdown.contains("segment"), "{breakdown}");
@@ -376,7 +363,7 @@ mod tests {
             .cache(Arc::clone(first.cache()))
             .build();
         let report = second.compile_batch(&fleet());
-        assert_eq!(report.stats.mip_solves + report.stats.fast_solves, 0);
+        assert_eq!(report.stats.programs.solver_invocations(), 0);
         assert_eq!(report.stats.hit_rate(), 1.0);
     }
 
@@ -398,7 +385,7 @@ mod tests {
         assert_eq!(cold.stats.store_misses, 2);
         assert_eq!(cold.stats.store_hits, 1);
         assert!(
-            cold.stats.warm_accepted + cold.stats.warm_rejected > 0,
+            cold.stats.programs.warm_accepted + cold.stats.programs.warm_rejected > 0,
             "default MIP allocator attempts warm starts"
         );
         let summary = cold.summary();
@@ -409,7 +396,7 @@ mod tests {
         // miniature: every model serves from disk, zero solver work.
         let warm = store_session().compile_batch(&fleet());
         assert_eq!(warm.stats.store_hits, 3);
-        assert_eq!(warm.stats.solver_invocations(), 0);
+        assert_eq!(warm.stats.programs.solver_invocations(), 0);
         assert!(warm.summary().contains("served from disk"), "{}", warm.summary());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -420,7 +407,7 @@ mod tests {
         let g = mlp(1, &[64, 64, 64]).unwrap();
         let p1 = session.compile_graph(&g).unwrap();
         let p2 = session.compile_graph(&g).unwrap();
-        assert!(p2.stats.mip_solves + p2.stats.fast_solves < p1.stats.mip_solves + p1.stats.fast_solves);
+        assert!(p2.stats.solver_invocations() < p1.stats.solver_invocations());
         assert_eq!(p1.predicted_latency, p2.predicted_latency);
     }
 }

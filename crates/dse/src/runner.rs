@@ -39,8 +39,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use cmswitch_core::{
-    AllocationCache, ArtifactStore, CompileError, CompileRequest, CompilerOptions, Session,
-    Verifier,
+    AllocationCache, ArtifactStore, BatchReport, BatchStats, CompileError, CompileRequest,
+    CompilerOptions, Session, Verifier,
 };
 use cmswitch_graph::Graph;
 use cmswitch_metaop::MetaOpError;
@@ -384,12 +384,12 @@ impl SweepRunner {
                 continue;
             }
             match self.run_point(point) {
-                Ok((record, counters)) => {
+                Ok((record, batch)) => {
                     report.solves += record.solves;
-                    report.cache_hits += counters.cache_hits;
-                    report.cache_misses += counters.cache_misses;
-                    report.store_hits += counters.store_hits;
-                    report.store_misses += counters.store_misses;
+                    report.cache_hits += batch.cache_hits;
+                    report.cache_misses += batch.cache_misses;
+                    report.store_hits += batch.store_hits;
+                    report.store_misses += batch.store_misses;
                     self.memo
                         .lock()
                         .unwrap()
@@ -419,7 +419,9 @@ impl SweepRunner {
         self.run(&grid)
     }
 
-    fn run_point(&self, point: &SweepPoint) -> Result<(SweepRecord, Counters), FailedPoint> {
+    /// Compiles, verifies and simulates every model on `point`; returns
+    /// the point's record and its batch's [`BatchStats`].
+    fn run_point(&self, point: &SweepPoint) -> Result<(SweepRecord, BatchStats), FailedPoint> {
         let started = Instant::now();
         let mut builder = Session::builder(point.arch.clone())
             .options(self.options.clone())
@@ -435,7 +437,7 @@ impl SweepRunner {
             .iter()
             .map(|(name, graph)| CompileRequest::new(graph.clone()).with_label(name.clone()))
             .collect();
-        let batch = session.compile_batch(&requests);
+        let BatchReport { outcomes, stats } = session.compile_batch(&requests);
 
         let fail = |model: &str, failure: SweepFailure| FailedPoint {
             spec: point.spec,
@@ -450,8 +452,8 @@ impl SweepRunner {
         let mut energy = EnergyReport::default();
         let mut warnings = 0usize;
         let mut occ_sum = ModeOccupancy::default();
-        let mut per_model = Vec::with_capacity(batch.outcomes.len());
-        for outcome in batch.outcomes {
+        let mut per_model = Vec::with_capacity(outcomes.len());
+        for outcome in outcomes {
             let program = match outcome.result {
                 Ok(p) => p,
                 Err(e) => return Err(fail(&outcome.name, SweepFailure::Compile(e))),
@@ -520,27 +522,15 @@ impl SweepRunner {
                 avg_power_mw,
                 occupancy,
                 verify_warnings: warnings,
-                solves: batch.stats.solver_invocations(),
-                cache_hits: batch.stats.cache_hits,
-                store_hits: batch.stats.store_hits,
+                solves: stats.programs.solver_invocations(),
+                cache_hits: stats.cache_hits,
+                store_hits: stats.store_hits,
                 wall: started.elapsed(),
                 per_model,
             },
-            Counters {
-                cache_hits: batch.stats.cache_hits,
-                cache_misses: batch.stats.cache_misses,
-                store_hits: batch.stats.store_hits,
-                store_misses: batch.stats.store_misses,
-            },
+            stats,
         ))
     }
-}
-
-struct Counters {
-    cache_hits: u64,
-    cache_misses: u64,
-    store_hits: u64,
-    store_misses: u64,
 }
 
 #[cfg(test)]

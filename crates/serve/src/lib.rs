@@ -187,7 +187,7 @@ impl ServeReply {
     pub fn solver_invocations(&self) -> u64 {
         self.outcome
             .as_ref()
-            .map(|o| o.stats().mip_solves + o.stats().fast_solves)
+            .map(|o| o.stats().solver_invocations())
             .unwrap_or(0)
     }
 

@@ -700,7 +700,7 @@ impl<'a> DecodeLoop<'a> {
                     tenant: t.name.clone(),
                     source: Box::new(source),
                 })?;
-            let solves = outcome.stats().mip_solves + outcome.stats().fast_solves;
+            let solves = outcome.stats().solver_invocations();
             states.push(TenantState {
                 session: psession,
                 program: outcome.program,
@@ -759,7 +759,7 @@ impl<'a> DecodeLoop<'a> {
                             tenant: t.name.clone(),
                             source: Box::new(source),
                         })?;
-                    let solves = outcome.stats().mip_solves + outcome.stats().fast_solves;
+                    let solves = outcome.stats().solver_invocations();
                     diagnostics.push(DiagnosticEvent::Resegmented {
                         tenant: t.name.clone(),
                         kv_len: state.kv,

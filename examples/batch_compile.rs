@@ -13,13 +13,16 @@
 //!
 //! The batch summaries print per-model compile times, solver
 //! invocations, warm-start acceptance and the store hit/miss traffic.
+//! The example exits non-zero unless the cold batch's program totals
+//! equal the sum of its outcomes' stats, the cold batch paid solves,
+//! the warm batch paid fewer and the disk-warm batch paid none.
 //!
 //! ```text
 //! cargo run --release --example batch_compile
 //! ```
 
 use cmswitch::arch::presets;
-use cmswitch::compiler::{ArtifactStore, CompileRequest, Session};
+use cmswitch::compiler::{ArtifactStore, CompileRequest, CompileStats, Session};
 use cmswitch::models::registry;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -54,15 +57,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!(
         "\nwarm vs cold: {} → {} solver invocations ({:.1}x fewer), {:.2?} → {:.2?} wall",
-        cold.stats.solver_invocations(),
-        warm.stats.solver_invocations(),
-        cold.stats.solver_invocations() as f64 / warm.stats.solver_invocations().max(1) as f64,
+        cold.stats.programs.solver_invocations(),
+        warm.stats.programs.solver_invocations(),
+        cold.stats.programs.solver_invocations() as f64
+            / warm.stats.programs.solver_invocations().max(1) as f64,
         cold.stats.wall,
         warm.stats.wall,
     );
     println!(
         "warm starts: cold {} accepted / {} rejected",
-        cold.stats.warm_accepted, cold.stats.warm_rejected
+        cold.stats.programs.warm_accepted, cold.stats.programs.warm_rejected
     );
     println!(
         "stage breakdown (cold, CPU time across workers): {}",
@@ -74,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "DP windows pruned without a solve: cold {}, warm {}",
-        cold.stats.dp_windows_pruned, warm.stats.dp_windows_pruned
+        cold.stats.programs.dp_windows_pruned, warm.stats.programs.dp_windows_pruned
     );
     println!(
         "cache: {} entries, lifetime hit rate {:.0}%",
@@ -82,6 +86,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         session.cache().hit_rate() * 100.0
     );
     session.persist_alloc_snapshot()?;
+
+    // The batch totals are the outcomes' own counter records, summed.
+    let mut summed = CompileStats::default();
+    for p in cold.outcomes.iter().filter_map(|o| o.result.as_ref().ok()) {
+        summed.absorb(&p.stats);
+    }
+    if summed != cold.stats.programs {
+        return Err(format!(
+            "cold program totals {:?} differ from the sum of the outcomes' stats {summed:?}",
+            cold.stats.programs
+        )
+        .into());
+    }
+    let (cold_solves, warm_solves) = (
+        cold.stats.programs.solver_invocations(),
+        warm.stats.programs.solver_invocations(),
+    );
+    if cold_solves == 0 || warm_solves >= cold_solves {
+        return Err(format!(
+            "expected a cold batch that solves and a warm one that solves less: \
+             cold {cold_solves}, warm {warm_solves}"
+        )
+        .into());
+    }
 
     // The restart: a fresh session, nothing shared but the directory.
     println!("\n── fresh process over the same store (disk-warm) ──");
@@ -94,17 +122,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\ndisk-warm: {} solver invocations, {} of {} served from the store, {:.2?} wall \
          ({:.1}x faster than cold)",
-        disk.stats.solver_invocations(),
+        disk.stats.programs.solver_invocations(),
         disk.stats.store_hits,
         requests.len(),
         disk.stats.wall,
         cold.stats.wall.as_secs_f64() / disk.stats.wall.as_secs_f64().max(1e-9),
     );
-    assert_eq!(
-        disk.stats.solver_invocations(),
-        0,
-        "a primed store must serve the registry without solving"
-    );
+    if disk.stats.programs.solver_invocations() > 0 {
+        return Err("a primed store must serve the registry without solving".into());
+    }
 
     let _ = std::fs::remove_dir_all(&store_dir);
     Ok(())

@@ -37,20 +37,20 @@ fn warm_registry_batch_strictly_reduces_solver_invocations() {
     let cold = session.compile_batch(&jobs);
     assert_eq!(cold.stats.compiled, jobs.len(), "{}", cold.summary());
     assert_eq!(cold.stats.failed, 0);
-    assert!(cold.stats.solver_invocations() > 0);
+    assert!(cold.stats.programs.solver_invocations() > 0);
     // Even cold, intra-model block repetition hits the shared cache.
     assert!(cold.stats.cache_hits > 0);
 
     let warm = session.compile_batch(&jobs);
     assert_eq!(warm.stats.compiled, jobs.len());
     assert!(
-        warm.stats.solver_invocations() < cold.stats.solver_invocations(),
+        warm.stats.programs.solver_invocations() < cold.stats.programs.solver_invocations(),
         "warm batch must perform strictly fewer solves: warm {} vs cold {}",
-        warm.stats.solver_invocations(),
-        cold.stats.solver_invocations()
+        warm.stats.programs.solver_invocations(),
+        cold.stats.programs.solver_invocations()
     );
     // Everything the DP asks for was cached by the cold pass.
-    assert_eq!(warm.stats.solver_invocations(), 0);
+    assert_eq!(warm.stats.programs.solver_invocations(), 0);
     assert!(warm.stats.hit_rate() > cold.stats.hit_rate());
 
     // Cache hits are exact: warm results are bit-identical to cold ones.
@@ -73,19 +73,19 @@ fn shared_cache_transfers_between_services_but_not_architectures() {
 
     let donor = fast_session(presets::dynaplasia(), 1, AllocationCache::new());
     let cold = donor.compile_batch(&jobs);
-    assert!(cold.stats.solver_invocations() > 0);
+    assert!(cold.stats.programs.solver_invocations() > 0);
 
     // Same arch, warm cache handed over: zero solves.
     let same_arch = fast_session(presets::dynaplasia(), 1, Arc::clone(donor.cache()));
     let transferred = same_arch.compile_batch(&jobs);
-    assert_eq!(transferred.stats.solver_invocations(), 0);
+    assert_eq!(transferred.stats.programs.solver_invocations(), 0);
 
     // Different arch, same cache object: fingerprints differ, so every
     // prior entry is effectively invalidated and real solves happen.
     let other_arch = fast_session(presets::prime(), 1, Arc::clone(donor.cache()));
     let foreign = other_arch.compile_batch(&jobs);
     assert!(
-        foreign.stats.solver_invocations() > 0,
+        foreign.stats.programs.solver_invocations() > 0,
         "a different chip must not reuse allocations sized for another"
     );
 }

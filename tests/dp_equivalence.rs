@@ -1,5 +1,5 @@
 //! Equivalence of the bound-pruned segmentation DP with the exhaustive
-//! reference: bit-identical `SegmentationResult` (segments and
+//! reference: bit-identical `Segmented` artifacts (segments and
 //! `total_latency`), strictly fewer allocator solves.
 //!
 //! The DP is one recurrence with two window solvers — CMSwitch's
@@ -36,9 +36,9 @@ use cmswitch::compiler::allocation::{Allocator, SegmentAllocation};
 use cmswitch::compiler::cost::CostModel;
 use cmswitch::compiler::frontend::{lower_graph, DepIndex, OpList};
 use cmswitch::compiler::partition::partition;
-use cmswitch::compiler::pipeline::Segmented;
-use cmswitch::compiler::segment::{segment, SegmentationResult, WindowSolver};
-use cmswitch::compiler::{AllocatorKind, CancelToken, CompilerOptions, DpMode};
+use cmswitch::compiler::pipeline::{Partitioned, Segmented};
+use cmswitch::compiler::segment::{segment, DpStats, WindowSolver};
+use cmswitch::compiler::{AllocatorKind, CancelToken, CompileStats, CompilerOptions, DpMode};
 use cmswitch::models::registry;
 use cmswitch::prelude::{BackendKind, CompileRequest, DiagnosticEvent, Session, SessionBackendExt};
 
@@ -101,10 +101,24 @@ fn run_dp(
     arch: &DualModeArch,
     mode: DpMode,
     solver: &impl WindowSolver,
-) -> SegmentationResult {
+) -> (Segmented, DpStats) {
     let opts = CompilerOptions::default().with_dp_mode(mode);
-    segment(list, solver, &CostModel::new(arch), &opts, &CancelToken::new())
-        .expect("feasible schedule")
+    segment(
+        partitioned(list),
+        solver,
+        &CostModel::new(arch),
+        &opts,
+        &CancelToken::new(),
+    )
+    .expect("feasible schedule")
+}
+
+/// `list` as the segmentation DP's input artifact.
+fn partitioned(list: &OpList) -> Partitioned {
+    Partitioned {
+        name: "dp".into(),
+        list: list.clone(),
+    }
 }
 
 /// [`run_dp`] under a fresh dual-mode allocator of `kind`; also returns
@@ -114,11 +128,12 @@ fn run_allocator(
     arch: &DualModeArch,
     mode: DpMode,
     kind: AllocatorKind,
-) -> (SegmentationResult, u64) {
+) -> (Segmented, DpStats, u64) {
     let alloc = Allocator::new(CostModel::new(arch), kind, true);
-    let res = run_dp(list, arch, mode, &alloc);
-    let (mip, fast, _) = alloc.stats.snapshot();
-    (res, mip + fast)
+    let (res, dp) = run_dp(list, arch, mode, &alloc);
+    let mut stats = CompileStats::default();
+    alloc.stats.add_to(&mut stats);
+    (res, dp, stats.solver_invocations())
 }
 
 /// CIM-MLC's window solver (the backend keeps its own private copy):
@@ -142,16 +157,16 @@ impl WindowSolver for AllCompute<'_> {
 
 /// [`run_dp`] under a fresh all-compute solver; also returns its solve
 /// count.
-fn run_all_compute(list: &OpList, arch: &DualModeArch, mode: DpMode) -> (SegmentationResult, u64) {
+fn run_all_compute(list: &OpList, arch: &DualModeArch, mode: DpMode) -> (Segmented, DpStats, u64) {
     let solver = AllCompute {
         cm: CostModel::new(arch),
         solves: AtomicU64::new(0),
     };
-    let res = run_dp(list, arch, mode, &solver);
-    (res, solver.solves.into_inner())
+    let (res, dp) = run_dp(list, arch, mode, &solver);
+    (res, dp, solver.solves.into_inner())
 }
 
-fn assert_identical(ex: &SegmentationResult, pr: &SegmentationResult, what: &str) {
+fn assert_identical(ex: &Segmented, pr: &Segmented, what: &str) {
     assert_eq!(ex.segments, pr.segments, "segments differ: {what}");
     assert_eq!(
         ex.total_latency.to_bits(),
@@ -173,7 +188,7 @@ fn pruned_dp_identical_on_full_registry_with_fewer_solves() {
         // debug builds; the DP logic under test is allocator-agnostic and
         // the MIP path is covered by the prefix test below and the core
         // unit tests.
-        for (solver, [(ex, s_ex), (pr, s_pr)]) in [
+        for (solver, [(ex, _, s_ex), (pr, dp, s_pr)]) in [
             ("fast", MODES.map(|mode| run_allocator(&list, &arch, mode, AllocatorKind::Fast))),
             ("all-compute", MODES.map(|mode| run_all_compute(&list, &arch, mode))),
         ] {
@@ -188,7 +203,7 @@ fn pruned_dp_identical_on_full_registry_with_fewer_solves() {
             // every other pair skips windows.
             if solver == "fast" || model != "mobilenetv2" {
                 assert!(
-                    pr.dp.skipped() > 0,
+                    dp.skipped() > 0,
                     "{what}: expected some windows skipped without a solve"
                 );
             }
@@ -201,7 +216,7 @@ fn pruned_dp_identical_on_full_registry_with_fewer_solves() {
             }
             println!(
                 "{what:>24}: solves {s_ex} -> {s_pr}, windows {} ({} infeasible-skipped, {} bound-pruned)",
-                pr.dp.windows, pr.dp.infeasible_skipped, pr.dp.bound_pruned
+                dp.windows, dp.infeasible_skipped, dp.bound_pruned
             );
         }
     }
@@ -234,8 +249,8 @@ fn pruned_dp_identical_under_mip_allocator_on_transformer_prefix() {
     let graph = registry::build("bert-base", 1, 32).unwrap();
     let list = lower_graph(&graph, &arch).unwrap();
     let list = truncate(&partition(&list, &arch, 1.0).unwrap(), 24);
-    let (ex, s_ex) = run_allocator(&list, &arch, DpMode::Exhaustive, AllocatorKind::Mip);
-    let (pr, s_pr) = run_allocator(&list, &arch, DpMode::BoundPruned, AllocatorKind::Mip);
+    let (ex, _, s_ex) = run_allocator(&list, &arch, DpMode::Exhaustive, AllocatorKind::Mip);
+    let (pr, _, s_pr) = run_allocator(&list, &arch, DpMode::BoundPruned, AllocatorKind::Mip);
     assert_identical(&ex, &pr, "bert-base prefix under MIP");
     assert!(s_pr <= s_ex, "pruned {s_pr} vs exhaustive {s_ex}");
 }
@@ -338,8 +353,17 @@ fn assert_dp_is_optimal(
 ) {
     let what = format!("{at} under {solver_name}, window cap {cap}");
     let opts = CompilerOptions::default().with_max_segment_ops(cap);
-    let dp = segment(list, solver, &CostModel::new(arch), &opts, &CancelToken::new());
-    match (dp, brute_force_min(list, arch, cap, solver)) {
+    let dp = segment(
+        partitioned(list),
+        solver,
+        &CostModel::new(arch),
+        &opts,
+        &CancelToken::new(),
+    );
+    match (
+        dp.map(|(dp, _)| dp),
+        brute_force_min(list, arch, cap, solver),
+    ) {
         (Ok(dp), Some(best)) => assert!(
             (dp.total_latency - best).abs() <= 1e-9 * best.abs(),
             "{what}: DP {} vs brute force {best}",
@@ -476,7 +500,7 @@ proptest! {
         let lowered = truncate(&lowered, lowered_cap);
         let list = truncate(&partition(&lowered, &arch, 1.0).expect("partitions"), 48);
         prop_assume!(list.ops.iter().all(|o| o.min_tiles <= arch.n_arrays()));
-        for [(ex, s_ex), (pr, s_pr)] in [
+        for [(ex, _, s_ex), (pr, _, s_pr)] in [
             MODES.map(|mode| run_allocator(&list, &arch, mode, AllocatorKind::Fast)),
             MODES.map(|mode| run_all_compute(&list, &arch, mode)),
         ] {

@@ -214,15 +214,8 @@ fn diagnostics_pruning_counts_match_compile_stats() {
     let graph = cmswitch::models::mlp::mlp(1, &[256, 256, 256, 256, 256]).unwrap();
     let outcome = session.compile(CompileRequest::new(graph)).unwrap();
     assert!(outcome.stats().dp_windows_pruned > 0);
-    assert_eq!(
-        outcome.diagnostics.windows_pruned(),
-        outcome.stats().dp_windows_pruned,
-        "typed events must reconcile with CompileStats: {}",
-        outcome.diagnostics
-    );
-    // Cache traffic reconciles too.
-    let (hits, misses) = outcome.diagnostics.cache_traffic();
-    assert_eq!(hits, outcome.stats().cache_hits);
+    assert_events_match_stats(&outcome);
+    let (_, misses) = outcome.diagnostics.cache_traffic();
     assert!(misses > 0, "a cold compile must miss");
     // And the events are matchable (the typed replacement for prose).
     assert!(outcome
@@ -230,6 +223,122 @@ fn diagnostics_pruning_counts_match_compile_stats() {
         .events()
         .iter()
         .any(|e| matches!(e, DiagnosticEvent::DpWindowsPruned { infeasible, .. } if *infeasible > 0)));
+
+    // A transformer, where warm starts and branch-and-bound do real work.
+    let session = Session::builder(presets::dynaplasia()).build();
+    let bert = cmswitch::models::registry::build("bert-base", 1, 16).unwrap();
+    let outcome = session.compile(CompileRequest::new(bert)).unwrap();
+    let stats = outcome.stats();
+    assert!(
+        stats.mip_solves > 0 && stats.warm_accepted > 0 && stats.pivots > 0,
+        "{stats:?}"
+    );
+    assert_events_match_stats(&outcome);
+}
+
+/// Every counter the aggregate diagnostic events carry equals its
+/// `CompileStats` field: DP windows, cache traffic, MIP fallbacks, warm
+/// starts and all six solver-effort counts.
+fn assert_events_match_stats(outcome: &CompileOutcome) {
+    let (stats, diags) = (outcome.stats(), &outcome.diagnostics);
+    assert_eq!(diags.windows_pruned(), stats.dp_windows_pruned, "{diags}");
+    assert_eq!(
+        diags.cache_traffic(),
+        (stats.cache_hits, stats.cache_misses),
+        "{diags}"
+    );
+    assert_eq!(diags.mip_fallbacks(), stats.mip_fallbacks, "{diags}");
+    assert_eq!(
+        diags.warm_start_counts(),
+        (stats.warm_accepted, stats.warm_rejected),
+        "{diags}"
+    );
+    let effort = (stats.mip_solves > 0).then_some(DiagnosticEvent::SolverEffort {
+        mip_solves: stats.mip_solves,
+        bnb_nodes: stats.bnb_nodes,
+        lp_solves: stats.lp_solves,
+        pivots: stats.pivots,
+        budget_exhausted: stats.budget_exhausted,
+        improved: stats.improved,
+    });
+    assert_eq!(diags.solver_effort(), effort.as_ref(), "{diags}");
+}
+
+/// CMSwitch, except that a graph named `doomed` fails right after its
+/// segmentation DP ran: its allocator did real work, but the outcome has
+/// no program.
+struct FailsAfterSegment;
+
+impl Backend for FailsAfterSegment {
+    fn name(&self) -> &str {
+        "fails-after-segment"
+    }
+
+    fn compile_in(
+        &self,
+        cx: &mut PipelineCx<'_>,
+        graph: &Graph,
+    ) -> Result<CompiledProgram, CompileError> {
+        if graph.name() != "doomed" {
+            return cmswitch::compiler::compile_with_segmenter(cx, &SegmentStage, graph);
+        }
+        let lowered = cx.run(&LowerStage, graph)?;
+        let partitioned = cx.run(&PartitionStage, lowered)?;
+        cx.run(&SegmentStage, partitioned)?;
+        Err(CompileError::NoFeasibleSchedule)
+    }
+}
+
+#[test]
+fn failed_outcome_keeps_its_solver_counters_out_of_the_program_totals() {
+    let options = CompilerOptions::default().with_solve_workers(1);
+    let mlp = cmswitch::models::mlp::mlp(2, &[128, 256, 128, 64]).unwrap();
+    let doomed = Graph::from_nodes("doomed", mlp.nodes().to_vec());
+    // What the allocator counts on that graph in a cold cache.
+    let reference = Session::builder(presets::tiny())
+        .options(options.clone())
+        .build()
+        .compile(CompileRequest::new(mlp))
+        .unwrap();
+    let survivor = cmswitch::models::mlp::mlp(1, &[64, 64, 64]).unwrap();
+    // One worker: the doomed request runs first, against a cold cache.
+    let session = Session::builder(presets::tiny())
+        .backend(Box::new(FailsAfterSegment))
+        .options(options)
+        .workers(1)
+        .build();
+    let report =
+        session.compile_batch(&[CompileRequest::new(doomed), CompileRequest::new(survivor)]);
+    assert_eq!((report.stats.compiled, report.stats.failed), (1, 1));
+    let [failed, ok] = &report.outcomes[..] else {
+        panic!("two outcomes");
+    };
+    assert!(matches!(
+        failed.result,
+        Err(CompileError::NoFeasibleSchedule)
+    ));
+    let ok = ok.result.as_ref().unwrap();
+
+    // The failed outcome's diagnostics carry what its allocator counted.
+    let (hits, misses) = failed.diagnostics.cache_traffic();
+    let expected = reference.stats();
+    assert!(
+        misses > 0 && expected.mip_solves > 0,
+        "{}",
+        failed.diagnostics
+    );
+    assert_eq!((hits, misses), (expected.cache_hits, expected.cache_misses));
+    assert_eq!(
+        failed.diagnostics.solver_effort(),
+        reference.diagnostics.solver_effort()
+    );
+    // The program totals are the survivor's record alone ...
+    assert_eq!(report.stats.programs, ok.stats);
+    // ... while the batch's cache deltas count both requests' lookups.
+    assert_eq!(
+        (report.stats.cache_hits, report.stats.cache_misses),
+        (hits + ok.stats.cache_hits, misses + ok.stats.cache_misses)
+    );
 }
 
 #[test]

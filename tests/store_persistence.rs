@@ -36,7 +36,7 @@ fn solver_invocations(report: &BatchReport) -> u64 {
         .outcomes
         .iter()
         .filter_map(|o| o.result.as_ref().ok())
-        .map(|p| p.stats.mip_solves + p.stats.fast_solves)
+        .map(|p| p.stats.solver_invocations())
         .sum()
 }
 
@@ -125,7 +125,7 @@ fn corrupt_artifact_is_recompiled_and_healed() {
     let session = Session::builder(presets::tiny()).store(store).build();
     let outcome = session.compile(CompileRequest::new(graph)).unwrap();
     assert_eq!(outcome.diagnostics.store_traffic().0, 1);
-    assert_eq!(outcome.stats().mip_solves + outcome.stats().fast_solves, 0);
+    assert_eq!(outcome.stats().solver_invocations(), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -172,7 +172,7 @@ fn verifier_rejected_artifact_is_never_served() {
         "{}",
         outcome.diagnostics
     );
-    assert!(outcome.stats().mip_solves + outcome.stats().fast_solves > 0, "cold recompile");
+    assert!(outcome.stats().solver_invocations() > 0, "cold recompile");
     assert_eq!(verifier.run(&outcome.program, &arch).deny_count(), 0);
     // One probe, one count: the store's own counters agree.
     let stats = store.stats();
@@ -183,7 +183,7 @@ fn verifier_rejected_artifact_is_never_served() {
     let session = Session::builder(arch).store(store).build();
     let outcome = session.compile(CompileRequest::new(graph)).unwrap();
     assert_eq!(outcome.diagnostics.store_traffic(), (1, 0, 0));
-    assert_eq!(outcome.stats().mip_solves + outcome.stats().fast_solves, 0);
+    assert_eq!(outcome.stats().solver_invocations(), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -209,7 +209,7 @@ fn alloc_snapshot_alone_warms_a_fresh_session() {
     let graph = cmswitch::models::mlp::mlp(3, &[256, 256, 256]).unwrap();
     let outcome = session.compile(CompileRequest::new(graph)).unwrap();
     assert_eq!(
-        outcome.stats().mip_solves + outcome.stats().fast_solves,
+        outcome.stats().solver_invocations(),
         0,
         "snapshot-promoted cache entries must satisfy every allocation"
     );
@@ -271,11 +271,7 @@ fn served_program_has_the_cold_plan_and_store_only_stats() {
     let served = session.compile_graph(&graph).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!((store.stats().misses, store.stats().hits), (1, 1));
-    assert!(
-        cold.stats.mip_solves + cold.stats.fast_solves > 0,
-        "{:?}",
-        cold.stats
-    );
+    assert!(cold.stats.solver_invocations() > 0, "{:?}", cold.stats);
 
     let stages: Vec<_> = served.stats.stage_wall.iter().map(|t| t.stage).collect();
     assert_eq!(stages, ["store"]);
@@ -349,7 +345,7 @@ fn concurrent_writers_of_one_key_never_tear_the_artifact() {
 }
 
 fn solves(outcome: &CompileOutcome) -> u64 {
-    outcome.stats().mip_solves + outcome.stats().fast_solves
+    outcome.stats().solver_invocations()
 }
 
 /// A file a format-1 build left behind (same payload grammar, byte-serial
