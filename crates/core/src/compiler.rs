@@ -30,10 +30,15 @@ pub struct CompileStats {
     /// so under [`crate::AllocatorKind::Mip`] one cache miss counts
     /// here and in `mip_solves`.
     pub fast_solves: u64,
-    /// Allocation cache hits.
+    /// Allocation cache lookups answered without a solve: the DP's
+    /// windows and the MIP's neighbour warm-start windows alike. Each
+    /// lookup is counted once, by the allocator that made it, so the
+    /// count does not depend on
+    /// [`crate::CompilerOptions::solve_workers`].
     pub cache_hits: u64,
-    /// Allocation cache lookups that missed and went to a solver (zero
-    /// when the allocator runs uncached).
+    /// Allocation cache lookups that missed and went to a solver (zero,
+    /// like `cache_hits`, when the allocator runs without
+    /// [`crate::CompilerOptions::reuse_cache`]).
     pub cache_misses: u64,
     /// MIP solves that returned an error — infeasible, node budget spent
     /// before any incumbent, or numerical trouble — so the fast

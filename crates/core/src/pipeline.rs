@@ -152,8 +152,10 @@ impl<'a> PipelineCx<'a> {
     }
 
     /// Builds the dual-mode allocator the options call for: allocator
-    /// kind from the options, backed by the shared cache when one was
-    /// provided (and caching is enabled), else a private one.
+    /// kind from the options, reading and writing the shared cache when
+    /// one was provided and caching is enabled, else a private cache
+    /// that only serves its MIP warm starts (or, with caching on and no
+    /// shared cache, this compile's repeats).
     pub fn allocator(&self) -> Allocator<'a> {
         match &self.shared_cache {
             Some(cache) if self.options.reuse_cache => Allocator::with_cache(

@@ -374,18 +374,13 @@ pub trait WindowSolver: Sync {
         deps: &DepIndex,
         window: (usize, usize),
     ) -> Option<SegmentAllocation>;
-
-    /// A signature under which two windows are guaranteed the same
-    /// [`WindowSolver::solve`] result, letting one batch solve them once.
-    /// `None` (the default) solves every window of a batch separately.
-    fn key(&self, _list: &OpList, _deps: &DepIndex, _window: (usize, usize)) -> Option<u64> {
-        None
-    }
 }
 
 /// The dual-mode allocator solves a window from its operators and their
-/// window-local dependencies (caching and warm starts are
-/// signature-keyed, so any solve order yields the same memo).
+/// window-local dependencies (its cache and warm starts are
+/// signature-keyed, so any solve order yields the same results, and its
+/// single-flight cache keeps two same-shaped windows of one batch from
+/// both paying a solve when reuse is on).
 impl WindowSolver for Allocator<'_> {
     fn solve(
         &self,
@@ -394,10 +389,6 @@ impl WindowSolver for Allocator<'_> {
         (i, j): (usize, usize),
     ) -> Option<SegmentAllocation> {
         self.allocate(&list.ops[i..=j], &deps.window_local(i, j))
-    }
-
-    fn key(&self, list: &OpList, deps: &DepIndex, (i, j): (usize, usize)) -> Option<u64> {
-        self.window_key(&list.ops[i..=j], &deps.window_local(i, j))
     }
 }
 
@@ -411,65 +402,27 @@ type AllocMemo = HashMap<(usize, usize), Option<SegmentAllocation>>;
 /// and memoizes the results. The batch composition depends only on the
 /// (sequentially decided) `wanted` set and the memo contents, so
 /// [`DpStats::solve_batches`] is identical at every worker count.
-fn solve_missing<F, K>(
+/// `wanted` holds distinct windows: one column's starts, or one start's
+/// ends.
+fn solve_missing<F>(
     pool: &WindowPool<'_, '_, F>,
-    key: &K,
     allocs: &mut AllocMemo,
     stats: &mut DpStats,
     wanted: impl IntoIterator<Item = (usize, usize)>,
 ) -> Result<(), CompileError>
 where
     F: Fn(&(usize, usize)) -> Option<SegmentAllocation> + Sync,
-    K: Fn(&(usize, usize)) -> Option<u64>,
 {
-    // Jobs are deduplicated by allocation *signature*, not just window
-    // index: two same-shaped windows in one batch (transformer blocks,
-    // repeated CNN stages) would otherwise both miss the shared cache
-    // while in flight and pay two identical solves. One representative
-    // per signature solves; every member shares its result — exactly
-    // what the sequential walk gets from the cache, decided before the
-    // fan-out so the batch is identical at every worker count. Batches
-    // of one window (the common transformer case: one fresh window per
-    // DP column) skip the key entirely — computing a signature to dedup
-    // a singleton would only add a second dependency scan per window.
-    let missing: Vec<(usize, usize)> = {
-        let mut seen: Vec<(usize, usize)> = Vec::new();
-        for w in wanted {
-            if !allocs.contains_key(&w) && !seen.contains(&w) {
-                seen.push(w);
-            }
-        }
-        seen
-    };
+    let missing: Vec<(usize, usize)> = wanted
+        .into_iter()
+        .filter(|w| !allocs.contains_key(w))
+        .collect();
     if missing.is_empty() {
         return Ok(());
     }
-    let mut jobs: Vec<(usize, usize)> = Vec::new();
-    let mut members: Vec<((usize, usize), usize)> = Vec::new();
-    if missing.len() == 1 {
-        jobs.push(missing[0]);
-        members.push((missing[0], 0));
-    } else {
-        let mut by_sig: HashMap<u64, usize> = HashMap::new();
-        for w in missing {
-            let slot = match key(&w) {
-                Some(sig) => *by_sig.entry(sig).or_insert_with(|| {
-                    jobs.push(w);
-                    jobs.len() - 1
-                }),
-                None => {
-                    jobs.push(w);
-                    jobs.len() - 1
-                }
-            };
-            members.push((w, slot));
-        }
-    }
     stats.solve_batches += 1;
-    let results = pool.run_batch(jobs)?;
-    for (w, slot) in members {
-        allocs.insert(w, results[slot].clone());
-    }
+    let results = pool.run_batch(missing.clone())?;
+    allocs.extend(missing.into_iter().zip(results));
     Ok(())
 }
 
@@ -484,7 +437,7 @@ where
 /// allocation happens here that the exhaustive DP would not also
 /// perform.
 #[allow(clippy::too_many_arguments)]
-fn greedy_incumbent<F, K>(
+fn greedy_incumbent<F>(
     list: &OpList,
     deps: &DepIndex,
     cm: &CostModel<'_>,
@@ -493,13 +446,11 @@ fn greedy_incumbent<F, K>(
     bounds: &Bounds,
     cancel: &CancelToken,
     pool: &WindowPool<'_, '_, F>,
-    key: &K,
     allocs: &mut AllocMemo,
     stats: &mut DpStats,
 ) -> Result<f64, CompileError>
 where
     F: Fn(&(usize, usize)) -> Option<SegmentAllocation> + Sync,
-    K: Fn(&(usize, usize)) -> Option<u64>,
 {
     let m = list.ops.len();
     let mut total = 0.0f64;
@@ -516,7 +467,7 @@ where
             cand.push((start, j));
             j += 1;
         }
-        solve_missing(pool, key, allocs, stats, cand.iter().copied())?;
+        solve_missing(pool, allocs, stats, cand.iter().copied())?;
         let mut best: Option<(usize, SegmentAllocation)> = None;
         for &(s, e) in &cand {
             match allocs.get(&(s, e)).expect("window solved by this batch") {
@@ -613,30 +564,26 @@ fn segment_list(
     // The pool job: a pure function of the window (see
     // [`WindowSolver`]), so any schedule yields the same memo.
     let solve_window = |&w: &(usize, usize)| solver.solve(list, &deps, w);
-    // Batch-dedup key (see [`solve_missing`]).
-    let window_key = |&w: &(usize, usize)| solver.key(list, &deps, w);
     solvepool::with_pool(
         opts.effective_solve_workers(),
         cancel,
         solve_window,
-        |pool| run_dp(list, &deps, cm, opts, cancel, pool, &window_key),
+        |pool| run_dp(list, &deps, cm, opts, cancel, pool),
     )
 }
 
 /// The sequential DP body behind [`segment`]: prune → batch-solve →
 /// recur, one column at a time.
-fn run_dp<F, K>(
+fn run_dp<F>(
     list: &OpList,
     deps: &DepIndex,
     cm: &CostModel<'_>,
     opts: &CompilerOptions,
     cancel: &CancelToken,
     pool: &WindowPool<'_, '_, F>,
-    key: &K,
 ) -> Result<(Vec<Segment>, f64, DpStats), CompileError>
 where
     F: Fn(&(usize, usize)) -> Option<SegmentAllocation> + Sync,
-    K: Fn(&(usize, usize)) -> Option<u64>,
 {
     let m = list.ops.len();
     let window = opts.max_segment_ops.max(1);
@@ -652,7 +599,16 @@ where
     };
     let incumbent = match &bounds {
         Some(b) => greedy_incumbent(
-            list, deps, cm, opts, window, b, cancel, pool, key, &mut allocs, &mut dp_stats,
+            list,
+            deps,
+            cm,
+            opts,
+            window,
+            b,
+            cancel,
+            pool,
+            &mut allocs,
+            &mut dp_stats,
         )?,
         None => f64::INFINITY,
     };
@@ -704,7 +660,6 @@ where
         // survivors.
         solve_missing(
             pool,
-            key,
             &mut allocs,
             &mut dp_stats,
             survivors.iter().map(|&i| (i, j)),

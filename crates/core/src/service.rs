@@ -72,26 +72,30 @@ pub struct BatchStats {
     pub compiled: usize,
     /// Models that failed to compile.
     pub failed: usize,
-    /// Allocation-cache hits during the batch — each one an allocation
-    /// solve the cache saved.
+    /// Allocation-cache hits of the batch's requests — each one an
+    /// allocation solve the cache saved. Like every traffic field
+    /// below, this is the sum of the outcomes' own diagnostics
+    /// ([`Diagnostics::cache_traffic`], [`Diagnostics::store_traffic`]):
+    /// each lookup is counted once, by the allocator that made it, so
+    /// the count does not depend on the worker count, failed requests'
+    /// lookups are in it, and another batch sharing the cache adds
+    /// nothing. A request whose backend panicked reports no counters,
+    /// so its lookups are not in it.
     pub cache_hits: u64,
-    /// Allocation-cache misses during the batch — each one went to a
-    /// solver. (Measured as the cache's hit/miss delta over the batch,
-    /// so if the cache is concurrently shared with *another* running
-    /// session, that session's traffic is attributed here too.)
+    /// Allocation-cache lookups of the batch's requests that went to a
+    /// solver.
     pub cache_misses: u64,
-    /// Persistent-store probes answered from disk during the batch
-    /// (zero without an attached [`crate::ArtifactStore`]). Measured as
-    /// the store's counter delta, like the cache fields.
+    /// Persistent-store probes answered from disk (zero without an
+    /// attached [`crate::ArtifactStore`]).
     pub store_hits: u64,
-    /// Persistent-store probes that found no artifact during the batch.
+    /// Persistent-store probes that found no artifact.
     pub store_misses: u64,
     /// The [`CompileStats`] of the batch's *successfully compiled*
     /// programs, summed ([`CompileStats::absorb`]): walls and stage
     /// walls are CPU time across workers, so they can exceed the batch
     /// wall. A model that errors mid-compilation is left out; its
-    /// lookups still appear in the cache deltas above, and its counters
-    /// in its outcome's diagnostics.
+    /// lookups still appear in the traffic fields above, and its
+    /// counters in its outcome's diagnostics.
     pub programs: CompileStats,
 }
 
@@ -290,7 +294,7 @@ mod tests {
         let p = &s.programs;
         assert!(p.mip_solves > 0);
         // Every model compiles, so per-model solve sums line up exactly
-        // with the batch's cache-miss delta.
+        // with the batch's cache misses.
         assert_eq!(s.cache_misses, p.mip_solves, "one MIP-path solve per miss");
         assert_eq!(
             p.fast_solves, p.mip_solves,

@@ -491,8 +491,6 @@ impl Session {
             };
         }
         let start = Instant::now();
-        let (hits_before, misses_before) = (self.cache.hits(), self.cache.misses());
-        let store_before = self.store.as_ref().map(|s| s.stats());
         let workers = self.workers.clamp(1, requests.len());
         // Deadlines are armed here, before any worker starts.
         let cancels: Vec<CancelToken> =
@@ -530,15 +528,17 @@ impl Session {
         let mut stats = BatchStats {
             wall: start.elapsed(),
             workers,
-            // Cache deltas rather than per-program sums: they also count
-            // the lookups of models that failed mid-compilation.
-            // Saturating: a concurrent `AllocationCache::clear` resets
-            // the counters, which must skew stats toward zero, not wrap.
-            cache_hits: self.cache.hits().saturating_sub(hits_before),
-            cache_misses: self.cache.misses().saturating_sub(misses_before),
             ..BatchStats::default()
         };
         for o in &outcomes {
+            // Traffic comes from each outcome's own diagnostics, so a
+            // failed model's lookups count and another batch's never do.
+            let (hits, misses) = o.diagnostics.cache_traffic();
+            let (store_hits, store_misses, _) = o.diagnostics.store_traffic();
+            stats.cache_hits += hits;
+            stats.cache_misses += misses;
+            stats.store_hits += store_hits;
+            stats.store_misses += store_misses;
             match &o.result {
                 Ok(p) => {
                     stats.compiled += 1;
@@ -547,16 +547,11 @@ impl Session {
                 Err(_) => stats.failed += 1,
             }
         }
-        if let (Some(store), Some(before)) = (&self.store, store_before) {
-            let now = store.stats();
-            stats.store_hits = now.hits.saturating_sub(before.hits);
-            stats.store_misses = now.misses.saturating_sub(before.misses);
-            // New solver work happened → refresh the on-disk snapshot
-            // so the next process inherits it. Best-effort, like the
-            // program write-back.
-            if stats.cache_misses > 0 {
-                let _ = store.save_alloc_snapshot(&self.cache);
-            }
+        // New solver work happened → refresh the on-disk snapshot so the
+        // next process inherits it. Best-effort, like the program
+        // write-back.
+        if let Some(store) = self.store.as_ref().filter(|_| stats.cache_misses > 0) {
+            let _ = store.save_alloc_snapshot(&self.cache);
         }
         BatchReport { outcomes, stats }
     }
@@ -748,7 +743,7 @@ mod tests {
         let p2 = session.compile_graph(&graph()).unwrap();
         assert!(p2.stats.solver_invocations() < p1.stats.solver_invocations());
         assert_eq!(p1.predicted_latency, p2.predicted_latency);
-        assert!(session.cache().hits() > 0);
+        assert!(p2.stats.cache_hits > 0);
     }
 
     #[test]

@@ -356,7 +356,9 @@ impl ArtifactStore {
     /// Reclassifies the probe that just returned [`StoreFetch::Hit`] as
     /// corrupt: the artifact decoded cleanly but was rejected downstream
     /// (the session's verify-before-serve gate), so nothing was served.
-    pub fn record_corrupt(&self) {
+    /// Crate-private: any other caller would take back a hit that was
+    /// never counted and wrap `hits`.
+    pub(crate) fn record_corrupt(&self) {
         self.hits.fetch_sub(1, Ordering::Relaxed);
         self.corrupt.fetch_add(1, Ordering::Relaxed);
     }

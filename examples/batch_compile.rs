@@ -13,16 +13,23 @@
 //!
 //! The batch summaries print per-model compile times, solver
 //! invocations, warm-start acceptance and the store hit/miss traffic.
+//! Last, the cold registry is compiled again on one batch worker at 1
+//! and at 2 solve workers.
+//!
 //! The example exits non-zero unless the cold batch's program totals
 //! equal the sum of its outcomes' stats, the cold batch paid solves,
-//! the warm batch paid fewer and the disk-warm batch paid none.
+//! the warm batch paid fewer, the disk-warm batch paid none, and every
+//! program's counters (all of `CompileStats` but the walls) are the same
+//! at 1 and 2 solve workers.
 //!
 //! ```text
 //! cargo run --release --example batch_compile
 //! ```
 
 use cmswitch::arch::presets;
-use cmswitch::compiler::{ArtifactStore, CompileRequest, CompileStats, Session};
+use std::time::Duration;
+
+use cmswitch::compiler::{ArtifactStore, CompileRequest, CompileStats, CompilerOptions, Session};
 use cmswitch::models::registry;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -81,9 +88,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cold.stats.programs.dp_windows_pruned, warm.stats.programs.dp_windows_pruned
     );
     println!(
-        "cache: {} entries, lifetime hit rate {:.0}%",
+        "cache: {} entries; hit rate cold {:.0}%, warm {:.0}%",
         session.cache().len(),
-        session.cache().hit_rate() * 100.0
+        cold.stats.hit_rate() * 100.0,
+        warm.stats.hit_rate() * 100.0
     );
     session.persist_alloc_snapshot()?;
 
@@ -113,7 +121,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The restart: a fresh session, nothing shared but the directory.
     println!("\n── fresh process over the same store (disk-warm) ──");
-    let fresh = Session::builder(arch)
+    let fresh = Session::builder(arch.clone())
         .store(ArtifactStore::open(&store_dir)?)
         .workers(4)
         .build();
@@ -133,5 +141,44 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let _ = std::fs::remove_dir_all(&store_dir);
+
+    // Every lookup is counted once, by the allocator that made it, and
+    // every window is solved once: a program's counters do not depend
+    // on the solve workers. One batch worker, so the models meet the
+    // cold cache in a fixed order.
+    let cold_at = |solve_workers: usize| {
+        Session::builder(arch.clone())
+            .options(CompilerOptions::default().with_solve_workers(solve_workers))
+            .workers(1)
+            .build()
+            .compile_batch(&requests)
+    };
+    let (one, two) = (cold_at(1), cold_at(2));
+    let counters = |stats: &CompileStats| CompileStats {
+        wall: Duration::ZERO,
+        stage_wall: Vec::new(),
+        ..stats.clone()
+    };
+    for (a, b) in one.outcomes.iter().zip(&two.outcomes) {
+        let (Ok(pa), Ok(pb)) = (&a.result, &b.result) else {
+            return Err(format!("{} failed to compile cold", a.name).into());
+        };
+        if counters(&pa.stats) != counters(&pb.stats) {
+            return Err(format!(
+                "{}: counters differ between 1 and 2 solve workers: {:?} vs {:?}",
+                a.name,
+                counters(&pa.stats),
+                counters(&pb.stats)
+            )
+            .into());
+        }
+    }
+    println!(
+        "\nsolve workers 1 vs 2: {} programs count the same ({} solves, {} cache hits, {} misses)",
+        one.outcomes.len(),
+        one.stats.programs.solver_invocations(),
+        one.stats.cache_hits,
+        one.stats.cache_misses,
+    );
     Ok(())
 }

@@ -161,8 +161,10 @@ fn switch_siblings_share_every_solve_and_measure_what_they_measure_alone() {
     // Grid order: (4, sw1), (4, sw4), (8, sw1), (8, sw4). Each sw4
     // sibling is served all five of its windows by the sw1 point before
     // it (a MIP miss counts two solver runs: its fast warm start too).
+    // The 8-array sw1 point's MIP solves also ask for three neighbour
+    // windows (their warm starts) that are already cached: three hits.
     assert_eq!(solves, [10, 0, 10, 0], "measured solves per point");
-    assert_eq!(hits, [0, 5, 0, 5], "measured cache hits per point");
+    assert_eq!(hits, [0, 5, 3, 5], "measured cache hits per point");
 
     for (shared, point) in report.records.iter().zip(&grid.points) {
         let alone = SweepRunner::new(workload()).run(&SweepGrid {

@@ -4,7 +4,7 @@
 //! reaching into the segmentation DP, and typed diagnostics that
 //! reconcile with `CompileStats`.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use cmswitch::prelude::*;
@@ -22,6 +22,7 @@ fn one_session_entry_point_serves_all_four_backends() {
     // The acceptance bar: one Session surface compiles via puma, occ,
     // cim-mlc and cmswitch, with a shared cache and a worker pool.
     let shared_cache = AllocationCache::new();
+    let mut cmswitch_hits = 0;
     for kind in BackendKind::ALL {
         let session = Session::builder(presets::tiny())
             .backend_kind(kind)
@@ -37,9 +38,13 @@ fn one_session_entry_point_serves_all_four_backends() {
         let report = session.compile_batch(&requests);
         assert_eq!(report.stats.compiled, 3, "{kind}: {}", report.summary());
         assert_eq!(report.stats.failed, 0);
+        if kind == BackendKind::CmSwitch {
+            cmswitch_hits = report.stats.cache_hits;
+        }
     }
     // The dual-mode backend went through the shared cache.
-    assert!(shared_cache.hits() > 0);
+    assert!(cmswitch_hits > 0);
+    assert!(!shared_cache.is_empty());
 }
 
 #[test]
@@ -334,11 +339,97 @@ fn failed_outcome_keeps_its_solver_counters_out_of_the_program_totals() {
     );
     // The program totals are the survivor's record alone ...
     assert_eq!(report.stats.programs, ok.stats);
-    // ... while the batch's cache deltas count both requests' lookups.
+    // ... while the batch's traffic counts both requests' lookups.
     assert_eq!(
         (report.stats.cache_hits, report.stats.cache_misses),
         (hits + ok.stats.cache_hits, misses + ok.stats.cache_misses)
     );
+}
+
+/// CMSwitch, except that a graph named `held` reports on `started` and
+/// then waits for a message on `release` before it compiles.
+struct HeldUntilReleased {
+    started: Mutex<mpsc::Sender<()>>,
+    release: Mutex<mpsc::Receiver<()>>,
+}
+
+impl Backend for HeldUntilReleased {
+    fn name(&self) -> &str {
+        "held-until-released"
+    }
+
+    fn compile_in(
+        &self,
+        cx: &mut PipelineCx<'_>,
+        graph: &Graph,
+    ) -> Result<CompiledProgram, CompileError> {
+        if graph.name() == "held" {
+            self.started.lock().unwrap().send(()).unwrap();
+            self.release.lock().unwrap().recv().unwrap();
+        }
+        cmswitch::compiler::compile_with_segmenter(cx, &SegmentStage, graph)
+    }
+}
+
+#[test]
+fn overlapping_batches_on_one_session_each_count_only_their_own_traffic() {
+    // The first batch's only request probes the store, then is held
+    // until a second batch on the same session (same cache, same store)
+    // has run to completion. Each batch's traffic totals must still be
+    // the sum of its own outcomes' diagnostics.
+    let (started_tx, started) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel();
+    let dir = std::env::temp_dir().join(format!("cmswitch-overlap-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let session = Session::builder(presets::tiny())
+        .backend(Box::new(HeldUntilReleased {
+            started: Mutex::new(started_tx),
+            release: Mutex::new(release_rx),
+        }))
+        .store(ArtifactStore::open(&dir).unwrap())
+        .workers(1)
+        .build();
+    let mlp = cmswitch::models::mlp::mlp(2, &[128, 256, 128, 64]).unwrap();
+    let held = [CompileRequest::new(Graph::from_nodes(
+        "held",
+        mlp.nodes().to_vec(),
+    ))];
+    let others: Vec<CompileRequest> = small_graphs()
+        .into_iter()
+        .map(|(name, g)| CompileRequest::new(g).with_label(name))
+        .collect();
+    let (first, second) = std::thread::scope(|s| {
+        let first = s.spawn(|| session.compile_batch(&held));
+        started.recv().unwrap();
+        let second = session.compile_batch(&others);
+        release.send(()).unwrap();
+        (first.join().unwrap(), second)
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+
+    for report in [&first, &second] {
+        assert_eq!(report.stats.failed, 0, "{}", report.summary());
+        let mut own = [0u64; 4];
+        for o in &report.outcomes {
+            let (hits, misses) = o.diagnostics.cache_traffic();
+            let (store_hits, store_misses, _) = o.diagnostics.store_traffic();
+            for (sum, n) in own.iter_mut().zip([hits, misses, store_hits, store_misses]) {
+                *sum += n;
+            }
+        }
+        let s = &report.stats;
+        assert_eq!(
+            [s.cache_hits, s.cache_misses, s.store_hits, s.store_misses],
+            own,
+            "{}",
+            report.summary()
+        );
+    }
+    // Both batches did traffic of their own for the other to absorb
+    // (`mlp-b` is `mlp-a`'s graph, so the store serves it).
+    assert!(first.stats.cache_misses > 0 && second.stats.cache_misses > 0);
+    assert_eq!((first.stats.store_hits, first.stats.store_misses), (0, 1));
+    assert_eq!((second.stats.store_hits, second.stats.store_misses), (1, 2));
 }
 
 #[test]

@@ -10,8 +10,8 @@
 //!
 //! * the full 9-model registry × all 4 backends, compiled at
 //!   `solve_workers` ∈ {1, 2, 4, 8}, must produce bit-identical
-//!   [`CompiledProgram`]s (everything except wall-clock/concurrency
-//!   counters in `stats`) against the sequential baseline;
+//!   [`CompiledProgram`]s (everything except the wall-clock fields of
+//!   `stats`) against the sequential baseline;
 //! * a property test over random MLP graphs × the 3 arch presets does
 //!   the same for shapes the registry does not cover.
 
@@ -37,10 +37,11 @@ fn session(kind: BackendKind, workers: usize, model: &str) -> Session {
         .build()
 }
 
-/// Everything except `stats` must match bit-for-bit. Wall-clock times
-/// and solver-invocation counters may legitimately vary with worker
-/// count (duplicate in-flight solves are idempotent but counted); the
-/// plan-shaped stats may not.
+/// The plan must match bit-for-bit, and so must every `CompileStats`
+/// counter: pruning decisions and batch composition are made
+/// sequentially, each window's allocation is solved once (the cache's
+/// single-flight), and each lookup is counted once, by the allocator.
+/// Only the wall-clock fields may differ.
 fn assert_same_plan(base: &CompiledProgram, other: &CompiledProgram, what: &str) {
     assert_eq!(base.flow, other.flow, "flow differs: {what}");
     assert_eq!(base.ops, other.ops, "ops differ: {what}");
@@ -53,16 +54,50 @@ fn assert_same_plan(base: &CompiledProgram, other: &CompiledProgram, what: &str)
         base.predicted_latency,
         other.predicted_latency
     );
-    // Pruning decisions and batch composition are made sequentially, so
-    // these counters are worker-invariant by construction.
     assert_eq!(
-        base.stats.dp_windows_pruned, other.stats.dp_windows_pruned,
-        "dp_windows_pruned differs: {what}"
+        counters(&base.stats),
+        counters(&other.stats),
+        "counters differ: {what}"
     );
-    assert_eq!(
-        base.stats.solve_batches, other.stats.solve_batches,
-        "solve_batches differ: {what}"
-    );
+}
+
+/// Every counter of `stats`, by name. The destructure names each field,
+/// so a counter added to `CompileStats` cannot be skipped here.
+fn counters(stats: &CompileStats) -> Vec<(&'static str, u64)> {
+    let CompileStats {
+        wall: _,
+        stage_wall: _,
+        mip_solves,
+        fast_solves,
+        cache_hits,
+        cache_misses,
+        mip_fallbacks,
+        dp_windows_pruned,
+        warm_accepted,
+        warm_rejected,
+        bnb_nodes,
+        lp_solves,
+        pivots,
+        budget_exhausted,
+        improved,
+        solve_batches,
+    } = *stats;
+    vec![
+        ("mip_solves", mip_solves),
+        ("fast_solves", fast_solves),
+        ("cache_hits", cache_hits),
+        ("cache_misses", cache_misses),
+        ("mip_fallbacks", mip_fallbacks),
+        ("dp_windows_pruned", dp_windows_pruned),
+        ("warm_accepted", warm_accepted),
+        ("warm_rejected", warm_rejected),
+        ("bnb_nodes", bnb_nodes),
+        ("lp_solves", lp_solves),
+        ("pivots", pivots),
+        ("budget_exhausted", budget_exhausted),
+        ("improved", improved),
+        ("solve_batches", solve_batches),
+    ]
 }
 
 #[test]
