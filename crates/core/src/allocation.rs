@@ -19,7 +19,9 @@
 //! paper's §5.6 observation that "compilation results of a single block
 //! are reused across all layers.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 // `Condvar` comes from std: the vendored `parking_lot` stand-in hands
 // out plain `std::sync` guards, which is exactly what std's Condvar
@@ -197,6 +199,16 @@ impl AllocatorStats {
 /// deduplicate (single-flight does), and MIP neighbour warm starts are
 /// looked up here too. The cache keeps no counters; each
 /// [`Allocator`] counts its own lookups.
+///
+/// # Cost contract
+///
+/// A hit — almost every lookup of a long plan — hashes the signature
+/// once (built in the looking thread's reused buffer), takes the map's
+/// read lock once, compares the stored signature and clones the
+/// allocation it returns: no in-flight mutex, no write lock, no other
+/// allocation. Only a miss takes the in-flight mutex (re-checking the
+/// map under it), copies the signature out and, if it owns the solve,
+/// takes the write lock to publish.
 #[derive(Debug, Default)]
 pub struct AllocationCache {
     map: RwLock<HashMap<u64, CacheEntry>>,
@@ -276,7 +288,9 @@ impl AllocationCache {
     }
 
     /// Single-flight lookup: either answers from the cache, or hands the
-    /// caller exclusive responsibility for solving this signature. While
+    /// caller exclusive responsibility for solving this signature. A hit
+    /// takes only the map's read lock; a miss re-checks under the
+    /// in-flight mutex before claiming the solve. While
     /// the returned [`FlightGuard`] lives, every concurrent probe of the
     /// same bucket blocks — when the owner inserts (or unwinds without
     /// inserting), waiters re-check the map, so two workers compiling
@@ -288,17 +302,24 @@ impl AllocationCache {
     /// waits on a strictly shorter window, so the waits-on relation is
     /// acyclic.
     fn probe_or_begin(&self, hash: u64, sig: &[u64]) -> Flight<'_> {
+        let cached = || match self.map.read().get(&hash) {
+            Some((stored, value)) if stored == sig => Some(value.clone()),
+            // Empty bucket, or a collision with a different signature:
+            // solve (last writer owns the bucket).
+            _ => None,
+        };
+        // A hit — almost every lookup of a long plan — needs only the
+        // map's read lock, never the in-flight mutex.
+        if let Some(hit) = cached() {
+            return Flight::Hit(hit);
+        }
         let mut inflight = self.inflight.lock();
         loop {
-            // Check the map while holding the in-flight lock: an owner
-            // publishes its result to the map *before* clearing its
-            // mark, so this check can never miss a completed solve.
-            if let Some((stored, value)) = self.map.read().get(&hash) {
-                if stored == sig {
-                    return Flight::Hit(value.clone());
-                }
-                // Bucket collision with a different signature: fall
-                // through and solve (last writer owns the bucket).
+            // Check the map again while holding the in-flight lock: an
+            // owner publishes its result to the map *before* clearing
+            // its mark, so this check can never miss a completed solve.
+            if let Some(hit) = cached() {
+                return Flight::Hit(hit);
             }
             if inflight.insert(hash) {
                 return Flight::Solve(FlightGuard { cache: self, hash });
@@ -427,31 +448,40 @@ impl<'a> Allocator<'a> {
     /// result. Every solve is published. Under `reuse` each probe counts
     /// as one hit or one miss, so the counts are a function of the
     /// windows asked for, never of which worker asked first.
+    ///
+    /// The signature is built into this thread's reused buffer and
+    /// copied out only for a solve (the cache keeps it). The buffer is
+    /// released before the solve, whose neighbour lookup reuses it.
     fn lookup(
         &self,
         ops: &[SegOp],
         local_deps: &[(usize, usize, u64)],
         probe: bool,
     ) -> Option<SegmentAllocation> {
-        let sig = signature(&self.sig_prefix, ops, local_deps);
-        let hash = stable_hash64(&sig);
-        let mut flight = None;
-        if probe {
-            let traffic = |counter: &AtomicU64| {
-                if self.reuse {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                }
-            };
-            match self.cache.probe_or_begin(hash, &sig) {
-                Flight::Hit(hit) => {
-                    traffic(&self.stats.cache_hits);
-                    return hit;
-                }
-                Flight::Solve(guard) => {
-                    traffic(&self.stats.cache_misses);
-                    flight = Some(guard);
-                }
+        let traffic = |counter: &AtomicU64| {
+            if self.reuse {
+                counter.fetch_add(1, Ordering::Relaxed);
             }
+        };
+        let probed = SIGNATURE.with_borrow_mut(|sig| {
+            write_signature(sig, &self.sig_prefix, ops, local_deps);
+            let hash = stable_hash64(sig);
+            let flight = match probe.then(|| self.cache.probe_or_begin(hash, sig)) {
+                Some(Flight::Hit(hit)) => return ControlFlow::Break(hit),
+                Some(Flight::Solve(guard)) => Some(guard),
+                None => None,
+            };
+            ControlFlow::Continue((hash, sig.clone(), flight))
+        });
+        let (hash, sig, flight) = match probed {
+            ControlFlow::Break(hit) => {
+                traffic(&self.stats.cache_hits);
+                return hit;
+            }
+            ControlFlow::Continue(solve) => solve,
+        };
+        if flight.is_some() {
+            traffic(&self.stats.cache_misses);
         }
         let result = match self.kind {
             AllocatorKind::Mip => self.solve_mip(ops, local_deps),
@@ -894,14 +924,26 @@ fn compute_reuse(
     reuse
 }
 
-/// The full cache signature: the allocator's `(schema, allocation
-/// fingerprint, kind)` prefix followed by everything about the segment
-/// that the allocators read — per-op shapes, units, operand residency,
-/// data volumes and the local dependency structure. Op *names* are
-/// excluded on purpose — that is what lets layer 17's attention block
-/// reuse layer 3's allocation.
-fn signature(prefix: &[u64; 3], ops: &[SegOp], local_deps: &[(usize, usize, u64)]) -> Vec<u64> {
-    let mut sig = Vec::with_capacity(prefix.len() + ops.len() * 8 + local_deps.len() * 3 + 1);
+thread_local! {
+    /// [`Allocator::lookup`]'s signature buffer: one per thread, grown to
+    /// the longest window signature it has built and then reused.
+    static SIGNATURE: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Writes the full cache signature into `sig` (replacing its contents):
+/// the allocator's `(schema, allocation fingerprint, kind)` prefix
+/// followed by everything about the segment that the allocators read —
+/// per-op shapes, units, operand residency, data volumes and the local
+/// dependency structure. Op *names* are excluded on purpose — that is
+/// what lets layer 17's attention block reuse layer 3's allocation.
+fn write_signature(
+    sig: &mut Vec<u64>,
+    prefix: &[u64; 3],
+    ops: &[SegOp],
+    local_deps: &[(usize, usize, u64)],
+) {
+    sig.clear();
+    sig.reserve(prefix.len() + ops.len() * 8 + local_deps.len() * 3 + 1);
     sig.extend_from_slice(prefix);
     for op in ops {
         sig.extend_from_slice(&[
@@ -919,7 +961,6 @@ fn signature(prefix: &[u64; 3], ops: &[SegOp], local_deps: &[(usize, usize, u64)
     for &(p, c, b) in local_deps {
         sig.extend_from_slice(&[p as u64, c as u64, b]);
     }
-    sig
 }
 
 #[cfg(test)]

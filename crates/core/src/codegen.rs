@@ -7,10 +7,23 @@
 //! Eq. 1 switch counts the DP assumed. Between segments it emits the
 //! Fig. 10 three-step sequence: write back spilled live data, switch
 //! modes, load the next segment's weights.
+//!
+//! # Cost contract
+//!
+//! Binding is block-wise: each op's compute, input and output arrays are
+//! one drain off the end of the preferred mode pool (highest id first),
+//! continued from the other pool when it runs dry — the ids, and their
+//! order, that popping one id at a time would give. The two pools (one
+//! pass over the mode table per segment), the segment's bound ids and
+//! their per-op spans are buffers kept across segments and refilled in
+//! place; what a segment allocates is what its statements own (names,
+//! array lists, the `parallel` body).
+
+use std::ops::Range;
 
 use cmswitch_arch::{ArrayId, ArrayMode, DualModeArch};
 use cmswitch_metaop::{
-    ComputeStmt, Flow, MemDirection, MemLoc, MemStmt, Stmt, SwitchKind, VectorStmt,
+    ArraySet, ComputeStmt, Flow, MemDirection, MemLoc, MemStmt, Stmt, SwitchKind, VectorStmt,
     WeightLoadStmt,
 };
 
@@ -18,6 +31,31 @@ use crate::cost::CostModel;
 use crate::frontend::{DepIndex, OpList};
 use crate::segment::Segment;
 use crate::CompileError;
+
+/// Where one op's arrays sit in the segment's bound ids: its compute
+/// arrays, its fresh (not borrowed) input buffers and its output buffers.
+struct OpSpans {
+    compute: Range<usize>,
+    mem_in: Range<usize>,
+    mem_out: Range<usize>,
+}
+
+/// Binds up to `count` ids: drains them off the end of `first` (the
+/// pool in the wanted mode) onto `out`, highest id first, then the rest
+/// off the end of `second`. Returns the span of `out` they fill.
+fn take(
+    out: &mut Vec<ArrayId>,
+    count: usize,
+    first: &mut Vec<ArrayId>,
+    second: &mut Vec<ArrayId>,
+) -> Range<usize> {
+    let start = out.len();
+    for pool in [first, second] {
+        let k = (count - (out.len() - start)).min(pool.len());
+        out.extend(pool.drain(pool.len() - k..).rev());
+    }
+    start..out.len()
+}
 
 /// Emits the meta-operator flow for a segmentation plan.
 ///
@@ -40,6 +78,19 @@ pub fn generate(
     // rescan the full dep list for every segment.
     let deps = DepIndex::new(list);
 
+    // Buffers kept across segments (see "Cost contract").
+    let mut compute_pool: Vec<ArrayId> = Vec::with_capacity(n);
+    let mut memory_pool: Vec<ArrayId> = Vec::with_capacity(n);
+    let mut bound: Vec<ArrayId> = Vec::with_capacity(n);
+    let mut spans: Vec<OpSpans> = Vec::new();
+    let mut reused_in: Vec<usize> = Vec::new();
+    let mut out_cursor: Vec<usize> = Vec::new();
+    // Per reuse entry: the consumer and the lent span of `bound`.
+    let mut lent: Vec<(usize, Range<usize>)> = Vec::new();
+    let mut mem_in_ids: Vec<ArrayId> = Vec::new();
+    let mut to_compute: Vec<ArrayId> = Vec::with_capacity(n);
+    let mut to_memory: Vec<ArrayId> = Vec::with_capacity(n);
+
     for (seg_idx, seg) in segments.iter().enumerate() {
         let (lo, hi) = seg.range;
         let ops = &list.ops[lo..=hi];
@@ -60,87 +111,66 @@ pub fn generate(
 
         // ---- Physical assignment. ----
         // Demands per op: compute, fresh mem_in (minus reused), mem_out.
-        let mut reused_in = vec![0usize; ops.len()];
+        reused_in.clear();
+        reused_in.resize(ops.len(), 0);
         for &((_, c), r) in &seg.alloc.reuse {
             reused_in[c] += r;
         }
-        // Pools of array ids by current mode.
-        let mut compute_pool: Vec<ArrayId> = Vec::new();
-        let mut memory_pool: Vec<ArrayId> = Vec::new();
+        // Pools of array ids by current mode, ascending.
+        compute_pool.clear();
+        memory_pool.clear();
         for (i, &mode) in modes.iter().enumerate() {
             match mode {
                 ArrayMode::Compute => compute_pool.push(ArrayId(i as u32)),
                 ArrayMode::Memory => memory_pool.push(ArrayId(i as u32)),
             }
         }
-        let take = |want_mode: ArrayMode,
-                        count: usize,
-                        compute_pool: &mut Vec<ArrayId>,
-                        memory_pool: &mut Vec<ArrayId>|
-         -> Vec<ArrayId> {
-            let mut out = Vec::with_capacity(count);
-            for _ in 0..count {
-                let preferred = match want_mode {
-                    ArrayMode::Compute => compute_pool.pop().or_else(|| memory_pool.pop()),
-                    ArrayMode::Memory => memory_pool.pop().or_else(|| compute_pool.pop()),
-                };
-                match preferred {
-                    Some(id) => out.push(id),
-                    None => break,
-                }
-            }
-            out
-        };
-
-        let mut per_op_compute: Vec<Vec<ArrayId>> = Vec::with_capacity(ops.len());
-        let mut per_op_mem_out: Vec<Vec<ArrayId>> = Vec::with_capacity(ops.len());
-        let mut per_op_mem_in_fresh: Vec<Vec<ArrayId>> = Vec::with_capacity(ops.len());
+        bound.clear();
+        spans.clear();
         for (oi, a) in seg.alloc.ops.iter().enumerate() {
-            let comp = take(
-                ArrayMode::Compute,
-                a.compute,
-                &mut compute_pool,
-                &mut memory_pool,
-            );
-            if comp.len() < a.compute {
+            let compute = take(&mut bound, a.compute, &mut compute_pool, &mut memory_pool);
+            if compute.len() < a.compute {
                 return Err(CompileError::NoFeasibleSchedule);
             }
             let fresh_in = a.mem_in.saturating_sub(reused_in[oi]);
-            let mem_in =
-                take(ArrayMode::Memory, fresh_in, &mut compute_pool, &mut memory_pool);
-            let mem_out = take(
-                ArrayMode::Memory,
-                a.mem_out,
-                &mut compute_pool,
-                &mut memory_pool,
-            );
-            per_op_compute.push(comp);
-            per_op_mem_in_fresh.push(mem_in);
-            per_op_mem_out.push(mem_out);
+            let mem_in = take(&mut bound, fresh_in, &mut memory_pool, &mut compute_pool);
+            let mem_out = take(&mut bound, a.mem_out, &mut memory_pool, &mut compute_pool);
+            spans.push(OpSpans {
+                compute,
+                mem_in,
+                mem_out,
+            });
         }
         // Wire reused arrays: consumer's mem_in borrows producer's
         // mem_out. A per-producer cursor guarantees each physical array is
         // lent to exactly one consumer.
-        let mut per_op_mem_in: Vec<Vec<ArrayId>> = per_op_mem_in_fresh;
-        let mut out_cursor = vec![0usize; ops.len()];
+        out_cursor.clear();
+        out_cursor.resize(ops.len(), 0);
+        lent.clear();
         for &((p, c), r) in &seg.alloc.reuse {
+            let out = &spans[p].mem_out;
             let start = out_cursor[p];
-            let end = (start + r).min(per_op_mem_out[p].len());
-            per_op_mem_in[c].extend_from_slice(&per_op_mem_out[p][start..end]);
+            let end = (start + r).min(out.len());
+            lent.push((c, out.start + start..out.start + end));
             out_cursor[p] = end;
         }
 
         // ---- Step 2 (Fig. 10): mode switches. ----
-        let mut to_compute = Vec::new();
-        let mut to_memory = Vec::new();
-        for (oi, comp) in per_op_compute.iter().enumerate() {
-            for &id in comp {
+        // Every bound id is bound once; borrowed inputs are some op's
+        // outputs, already counted there.
+        to_compute.clear();
+        to_memory.clear();
+        for span in &spans {
+            for &id in &bound[span.compute.clone()] {
                 if modes[id.index()] != ArrayMode::Compute {
                     to_compute.push(id);
                     modes[id.index()] = ArrayMode::Compute;
                 }
             }
-            for &id in per_op_mem_in[oi].iter().chain(&per_op_mem_out[oi]) {
+            for &id in bound[span.mem_in.clone()]
+                .iter()
+                .chain(&bound[span.mem_out.clone()])
+            {
                 if modes[id.index()] != ArrayMode::Memory {
                     to_memory.push(id);
                     modes[id.index()] = ArrayMode::Memory;
@@ -148,31 +178,41 @@ pub fn generate(
             }
         }
         to_compute.sort_unstable();
-        to_compute.dedup();
         to_memory.sort_unstable();
-        to_memory.dedup();
         if !to_memory.is_empty() {
-            flow.push(Stmt::switch(SwitchKind::ToMemory, to_memory));
+            flow.push(Stmt::switch(SwitchKind::ToMemory, to_memory.as_slice()));
         }
         if !to_compute.is_empty() {
-            flow.push(Stmt::switch(SwitchKind::ToCompute, to_compute));
+            flow.push(Stmt::switch(SwitchKind::ToCompute, to_compute.as_slice()));
         }
 
         // ---- Step 3 (Fig. 10) + segment body. ----
-        let mut body: Vec<Stmt> = Vec::new();
+        let mut body: Vec<Stmt> = Vec::with_capacity(3 * ops.len());
         for (oi, op) in ops.iter().enumerate() {
-            if op.weight_static && !per_op_compute[oi].is_empty() {
+            let span = &spans[oi];
+            let compute = &bound[span.compute.clone()];
+            let mem_in_arrays: ArraySet = if lent.iter().any(|&(c, _)| c == oi) {
+                mem_in_ids.clear();
+                mem_in_ids.extend_from_slice(&bound[span.mem_in.clone()]);
+                for (_, ids) in lent.iter().filter(|&&(c, _)| c == oi) {
+                    mem_in_ids.extend_from_slice(&bound[ids.clone()]);
+                }
+                mem_in_ids.as_slice().into()
+            } else {
+                bound[span.mem_in.clone()].into()
+            };
+            if op.weight_static && !compute.is_empty() {
                 body.push(Stmt::LoadWeights(WeightLoadStmt {
                     op: op.name.clone(),
-                    arrays: per_op_compute[oi].as_slice().into(),
-                    bytes: per_op_compute[oi].len() as u64 * arch.array_bytes(),
+                    arrays: compute.into(),
+                    bytes: compute.len() as u64 * arch.array_bytes(),
                 }));
             }
             body.push(Stmt::Compute(ComputeStmt {
                 op: op.name.clone(),
-                compute_arrays: per_op_compute[oi].as_slice().into(),
-                mem_in_arrays: per_op_mem_in[oi].as_slice().into(),
-                mem_out_arrays: per_op_mem_out[oi].as_slice().into(),
+                compute_arrays: compute.into(),
+                mem_in_arrays,
+                mem_out_arrays: bound[span.mem_out.clone()].into(),
                 m: op.m,
                 k: op.k,
                 n: op.n,

@@ -23,12 +23,17 @@ pub struct CompileStats {
     /// Wall-clock time per pipeline stage, in execution order (see
     /// [`crate::pipeline`]).
     pub stage_wall: Vec<StageWall>,
-    /// MIP solves performed.
+    /// MIP solves performed. Independent of
+    /// [`crate::CompilerOptions::solve_workers`] under
+    /// [`crate::CompilerOptions::reuse_cache`]; without it, and with two
+    /// or more solve workers, it depends on the solve schedule (see
+    /// `reuse_cache`), while the plan does not.
     pub mip_solves: u64,
     /// Fast-allocator solves performed (including MIP fallbacks). Every
     /// MIP solve also runs one embedded fast solve as its warm start,
     /// so under [`crate::AllocatorKind::Mip`] one cache miss counts
-    /// here and in `mip_solves`.
+    /// here and in `mip_solves`. Schedule-dependent exactly when
+    /// `mip_solves` is.
     pub fast_solves: u64,
     /// Allocation cache lookups answered without a solve: the DP's
     /// windows and the MIP's neighbour warm-start windows alike. Each

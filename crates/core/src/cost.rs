@@ -325,15 +325,7 @@ impl<'a> CostModel<'a> {
         next_range: (usize, usize),
         next_alloc: &SegmentAllocation,
     ) -> u64 {
-        let mut to_next = 0u64;
-        let mut beyond = 0u64;
-        for (_, c, bytes) in deps.crossing(prev_range) {
-            if (next_range.0..=next_range.1).contains(&c) {
-                to_next += bytes;
-            } else {
-                beyond += bytes;
-            }
-        }
+        let (to_next, beyond) = deps.crossing_bytes(prev_range, next_range);
         // Capacity the next segment offers for carried-over data.
         let carry_capacity =
             self.arch.mem_capacity(next_alloc.total_memory()) + self.arch.buffer_bytes();

@@ -101,10 +101,11 @@ pub fn source_spans(ops: &[SegOp]) -> Vec<usize> {
 /// op range `lo..=hi`" without a scan over the full dependency list.
 ///
 /// [`OpList::deps`] relates sources: every op of a producer feeds every
-/// op of its consumer, each pair carrying `bytes / (pn · cn)`. A query
-/// expands only the pairs whose producer it covers, so its cost is the
-/// window's own dependency count, and a model split into `10^5` ops
-/// never holds the `10^9` pairs of the full expansion.
+/// op of its consumer, each pair carrying `bytes / (pn · cn)`. A window
+/// query expands only the pairs whose producer it covers, so its cost is
+/// the window's own dependency count, and a model split into `10^5` ops
+/// never holds the `10^9` pairs of the full expansion; a crossing query
+/// sums each edge's consumer span without expanding it.
 ///
 /// Pairs come out ordered by `(producer, consumer, bytes)`, a pure
 /// function of the dependency *set* — so every construction order
@@ -162,10 +163,30 @@ impl DepIndex {
         })
     }
 
-    /// Deps crossing out of `range`: producer inside, consumer after.
-    pub fn crossing(&self, range: (usize, usize)) -> impl Iterator<Item = (usize, usize, u64)> + '_ {
-        let hi = range.1;
-        self.pairs(range.0, hi, move |_, span| span.start.max(hi + 1)..span.end)
+    /// The bytes of the deps crossing out of `range` (producer inside,
+    /// consumer after it), split into those whose consumer lies in `next`
+    /// and the rest. Summed a consumer span at a time — `pairs × bytes`
+    /// per edge, the same `u64` total as adding the pairs one by one —
+    /// so a segment transition costs the edges out of `range`, not the
+    /// chunk pairs they expand to.
+    pub fn crossing_bytes(&self, range: (usize, usize), next: (usize, usize)) -> (u64, u64) {
+        let (lo, hi) = range;
+        let (mut to_next, mut beyond) = (0u64, 0u64);
+        for p in lo..hi.saturating_add(1).min(self.source.len()) {
+            let s = self.source[p];
+            for &(_, first, end, bytes) in &self.edges[self.out[s]..self.out[s + 1]] {
+                let start = first.max(hi + 1);
+                if start >= end {
+                    continue;
+                }
+                let inside = end
+                    .min(next.1.saturating_add(1))
+                    .saturating_sub(start.max(next.0));
+                to_next += inside as u64 * bytes;
+                beyond += (end - start - inside) as u64 * bytes;
+            }
+        }
+        (to_next, beyond)
     }
 
     /// The window's dependency list (`producer < consumer`, both inside
@@ -236,11 +257,12 @@ mod tests {
     #[test]
     fn crossing_deps_filters_range() {
         let g = cmswitch_models::mlp::mlp(1, &[64, 64, 64, 64]).unwrap();
-        let deps = DepIndex::new(&lower_graph(&g, &presets::tiny()).unwrap());
+        let list = lower_graph(&g, &presets::tiny()).unwrap();
+        let deps = DepIndex::new(&list);
         // 3 ops chained; deps (0,1), (1,2).
-        let crossing: Vec<_> = deps.crossing((0, 0)).collect();
-        assert_eq!(crossing.len(), 1);
-        assert_eq!((crossing[0].0, crossing[0].1), (0, 1));
-        assert_eq!(deps.crossing((0, 2)).count(), 0);
+        let b01 = list.dep_bytes[0];
+        assert_eq!(deps.crossing_bytes((0, 0), (1, 2)), (b01, 0));
+        assert_eq!(deps.crossing_bytes((0, 0), (2, 2)), (0, b01));
+        assert_eq!(deps.crossing_bytes((0, 2), (3, 3)), (0, 0));
     }
 }

@@ -136,6 +136,18 @@ pub struct CompilerOptions {
     pub allocator: AllocatorKind,
     /// Whether identical segment shapes share one allocation result (the
     /// paper's transformer block-reuse observation, §5.6).
+    ///
+    /// Plans never depend on it or on `solve_workers`, and with it on
+    /// every [`CompileStats`] counter but the walls is the same at any
+    /// worker count. With it off and two or more solve workers the
+    /// solver counts depend on the solve schedule: a top-level solve
+    /// takes no in-flight mark, so a window solved at top level while a
+    /// concurrent solve asks for it as a MIP warm-start neighbour is
+    /// solved twice (bert-base at seq 32 on DynaPlasia pays 1 252 solver
+    /// invocations with one worker and about 1 300 with two). Marking
+    /// the top-level solve alone would not make the count
+    /// schedule-free: which of the two asks comes first still decides
+    /// whether the second finds the result.
     pub reuse_cache: bool,
     /// Whether inter-segment switch overheads (Eqs. 1, 2, 4) are charged
     /// in the DP (ablation: overhead-oblivious segmentation).

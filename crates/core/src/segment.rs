@@ -69,18 +69,49 @@
 //! sequential pruning pass decides which candidate windows survive —
 //! these decisions read only prefix aggregates and `row_min` values from
 //! *earlier columns*, never thread timing; (2) the surviving windows not
-//! already memoized are batched through the compile's solve-pool work
-//! queue (the greedy incumbent batches each step's candidate windows the
-//! same way); (3) the Eq. 3 recurrence then runs sequentially in the
-//! original window order against the completed memo. Bit-identity at
-//! every worker count follows because each window's allocation is a pure
-//! function of the window's operator signature (see
-//! [`crate::allocation`]: caching, and warm starts sourced from the
-//! signature-determined *neighbor* window, keep results independent of
-//! solve order), so the only thing the schedule can change is timing —
-//! never a result the recurrence consumes.
+//! already memoized are batched through the compile's solve pool (the
+//! greedy incumbent batches each step's candidate windows the same way);
+//! (3) the Eq. 3 recurrence then runs sequentially in the original
+//! window order against the completed memo. With one solve worker a
+//! batch is a plain loop on the DP thread, with no lock and no result
+//! slots; with more it is a shared work queue the DP thread drains
+//! alongside its workers. Bit-identity at every worker count follows
+//! because each window's allocation is a pure function of the window's
+//! operator signature (see [`crate::allocation`]: caching, and warm
+//! starts sourced from the signature-determined *neighbor* window, keep
+//! results independent of solve order), so the only thing the schedule
+//! can change is timing — never a result the recurrence consumes.
+//!
+//! # Cost contract
+//!
+//! A long plan (thousands of mostly one-op segments) must compile at the
+//! pace of its solves, so the DP's own bookkeeping per column, window
+//! and transition is bounded:
+//!
+//! * **Memo and table.** The allocation memo and the DP table are keyed
+//!   by the packed window `j·W + (j − i)` (`W` the width bound, at most
+//!   the op count) under a one-multiply hasher — no SipHash, no tuple
+//!   keys — and hold only the windows the DP touched, never an `m × W`
+//!   table.
+//! * **One column** makes a few memo and table probes per surviving
+//!   window and two per Eq. 3 transition, each one multiply; it
+//!   allocates nothing of its own (the survivor and batch lists are
+//!   buffers reused across columns) beyond the batch's result list and
+//!   the entries it adds, and takes no lock with one solve worker.
+//! * **One transition** sums the bytes crossing into the next segment
+//!   per dependency edge ([`DepIndex::crossing_bytes`]), not per pair of
+//!   split ops.
+//! * **One greedy step** reads its winner back from the memo instead of
+//!   cloning a candidate's allocation.
+//! * **One window lookup** ([`WindowSolver::solve`] on the
+//!   [`Allocator`]) allocates the window's local dependency list; the
+//!   rest is the cache's contract
+//!   ([`crate::allocation::AllocationCache`]).
+//! * **The backtrack** moves the optimal path's allocations out of the
+//!   memo rather than cloning them.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::allocation::{Allocator, SegmentAllocation};
 use crate::cost::CostModel;
@@ -392,38 +423,132 @@ impl WindowSolver for Allocator<'_> {
     }
 }
 
-/// The per-window allocation memo plus the solve pool that fills it in
-/// batches. Results live on the DP thread; the pool only ever computes
-/// pure `(i, j) → allocation` jobs.
+/// The solve pool the DP fans window solves out to: pure
+/// `(i, j) → allocation` jobs; results live on the DP thread.
 type WindowPool<'p, 'e, F> = SolvePool<'p, 'e, (usize, usize), Option<SegmentAllocation>, F>;
-type AllocMemo = HashMap<(usize, usize), Option<SegmentAllocation>>;
 
-/// Fans the not-yet-memoized windows of `wanted` out as one solve batch
-/// and memoizes the results. The batch composition depends only on the
-/// (sequentially decided) `wanted` set and the memo contents, so
-/// [`DpStats::solve_batches`] is identical at every worker count.
-/// `wanted` holds distinct windows: one column's starts, or one start's
-/// ends.
-fn solve_missing<F>(
-    pool: &WindowPool<'_, '_, F>,
-    allocs: &mut AllocMemo,
-    stats: &mut DpStats,
-    wanted: impl IntoIterator<Item = (usize, usize)>,
-) -> Result<(), CompileError>
-where
-    F: Fn(&(usize, usize)) -> Option<SegmentAllocation> + Sync,
-{
-    let missing: Vec<(usize, usize)> = wanted
-        .into_iter()
-        .filter(|w| !allocs.contains_key(w))
-        .collect();
-    if missing.is_empty() {
-        return Ok(());
+/// Hashes the DP's packed window keys ([`WindowTable`]) with one
+/// multiply by the 64-bit golden ratio: the keys are distinct integers
+/// the DP makes itself, so SipHash's flooding resistance buys nothing,
+/// and the odd multiplier maps every run of consecutive keys onto
+/// distinct low bits (the bucket index) while mixing the high bits
+/// (the map's tag byte).
+#[derive(Default)]
+struct WindowHasher(u64);
+
+impl Hasher for WindowHasher {
+    fn finish(&self) -> u64 {
+        self.0
     }
-    stats.solve_batches += 1;
-    let results = pool.run_batch(missing.clone())?;
-    allocs.extend(missing.into_iter().zip(results));
-    Ok(())
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = (self.0 ^ key).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// Per-window DP state keyed by the packed window `j·W + (j − i)`, where
+/// `W` is the segment-width bound: every window the DP names has
+/// `j − i < W`, so the key is unique. A map rather than an `m × W`
+/// table, because the DP only ever touches the windows that survive
+/// pruning (a dense table would cost ~260 MB on opt-13b's 391 940 ops
+/// on the tiny chip).
+struct WindowTable<V> {
+    width: usize,
+    map: HashMap<u64, V, BuildHasherDefault<WindowHasher>>,
+}
+
+impl<V> WindowTable<V> {
+    fn new(width: usize) -> Self {
+        WindowTable {
+            width,
+            map: HashMap::default(),
+        }
+    }
+
+    fn key(&self, (i, j): (usize, usize)) -> u64 {
+        debug_assert!(
+            i <= j && j - i < self.width,
+            "window ({i}, {j}) wider than {}",
+            self.width
+        );
+        (j * self.width + (j - i)) as u64
+    }
+
+    fn get(&self, window: (usize, usize)) -> Option<&V> {
+        self.map.get(&self.key(window))
+    }
+
+    fn contains(&self, window: (usize, usize)) -> bool {
+        self.map.contains_key(&self.key(window))
+    }
+
+    fn insert(&mut self, window: (usize, usize), value: V) {
+        let key = self.key(window);
+        self.map.insert(key, value);
+    }
+
+    fn remove(&mut self, window: (usize, usize)) -> Option<V> {
+        let key = self.key(window);
+        self.map.remove(&key)
+    }
+}
+
+/// The per-window allocation memo (`None` = the window cannot be
+/// allocated) plus the reused list of one batch's unsolved windows.
+struct AllocMemo {
+    allocs: WindowTable<Option<SegmentAllocation>>,
+    missing: Vec<(usize, usize)>,
+}
+
+impl AllocMemo {
+    fn new(width: usize) -> Self {
+        AllocMemo {
+            allocs: WindowTable::new(width),
+            missing: Vec::new(),
+        }
+    }
+
+    /// The memoized allocation of `window`: `Some(None)` when it is
+    /// known not to fit, `None` when it was never solved.
+    fn get(&self, window: (usize, usize)) -> Option<Option<&SegmentAllocation>> {
+        self.allocs.get(window).map(Option::as_ref)
+    }
+
+    /// Fans the not-yet-memoized windows of `wanted` out as one solve
+    /// batch and memoizes the results. The batch composition depends
+    /// only on the (sequentially decided) `wanted` set and the memo
+    /// contents, so [`DpStats::solve_batches`] is identical at every
+    /// worker count. `wanted` holds distinct windows: one column's
+    /// starts, or one start's ends.
+    fn solve_missing<F>(
+        &mut self,
+        pool: &WindowPool<'_, '_, F>,
+        stats: &mut DpStats,
+        wanted: impl IntoIterator<Item = (usize, usize)>,
+    ) -> Result<(), CompileError>
+    where
+        F: Fn(&(usize, usize)) -> Option<SegmentAllocation> + Sync,
+    {
+        let allocs = &self.allocs;
+        self.missing.clear();
+        self.missing
+            .extend(wanted.into_iter().filter(|&w| !allocs.contains(w)));
+        if self.missing.is_empty() {
+            return Ok(());
+        }
+        stats.solve_batches += 1;
+        let results = pool.run_batch(&self.missing)?;
+        for (&w, result) in self.missing.iter().zip(results) {
+            self.allocs.insert(w, result);
+        }
+        Ok(())
+    }
 }
 
 /// A feasible schedule's exact DP-objective cost, built by longest-fit
@@ -432,10 +557,10 @@ where
 ///
 /// Each step batches its candidate windows (up to the capacity wall)
 /// through the pool, then picks the longest prefix of allocatable
-/// windows — the same choice the sequential walk makes. Only windows of
-/// DP-legal width are allocated, all through the shared memo, so no
-/// allocation happens here that the exhaustive DP would not also
-/// perform.
+/// windows — the same choice the sequential walk makes — and reads the
+/// winner back from the memo. Only windows of DP-legal width are
+/// allocated, all through the shared memo, so no allocation happens here
+/// that the exhaustive DP would not also perform.
 #[allow(clippy::too_many_arguments)]
 fn greedy_incumbent<F>(
     list: &OpList,
@@ -446,7 +571,7 @@ fn greedy_incumbent<F>(
     bounds: &Bounds,
     cancel: &CancelToken,
     pool: &WindowPool<'_, '_, F>,
-    allocs: &mut AllocMemo,
+    memo: &mut AllocMemo,
     stats: &mut DpStats,
 ) -> Result<f64, CompileError>
 where
@@ -454,41 +579,34 @@ where
 {
     let m = list.ops.len();
     let mut total = 0.0f64;
-    let mut prev: Option<((usize, usize), SegmentAllocation)> = None;
+    let mut prev: Option<(usize, usize)> = None;
     let mut start = 0usize;
     while start < m {
         cancel.check()?;
-        let mut cand: Vec<(usize, usize)> = Vec::new();
-        let mut j = start;
-        while j < m && j - start < window {
-            if bounds.window_infeasible(start, j) {
-                break;
-            }
-            cand.push((start, j));
-            j += 1;
+        let mut wall = start;
+        while wall < m && wall - start < window && !bounds.window_infeasible(start, wall) {
+            wall += 1;
         }
-        solve_missing(pool, allocs, stats, cand.iter().copied())?;
-        let mut best: Option<(usize, SegmentAllocation)> = None;
-        for &(s, e) in &cand {
-            match allocs.get(&(s, e)).expect("window solved by this batch") {
-                Some(a) => best = Some((e, a.clone())),
-                None => break,
-            }
-        }
-        let Some((end, alloc)) = best else {
+        memo.solve_missing(pool, stats, (start..wall).map(|e| (start, e)))?;
+        let Some(end) = (start..wall)
+            .take_while(|&e| matches!(memo.get((start, e)), Some(Some(_))))
+            .last()
+        else {
             return Ok(f64::INFINITY);
         };
+        let feasible = |w| memo.get(w).flatten().expect("window solved by a batch");
+        let alloc = feasible((start, end));
         let inter = transition_cost(
             list,
             deps,
             cm,
             opts.switch_aware,
-            prev.as_ref().map(|(r, a)| (*r, a)),
+            prev.map(|r| (r, feasible(r))),
             (start, end),
-            &alloc,
+            alloc,
         );
         total += inter + alloc.latency;
-        prev = Some(((start, end), alloc));
+        prev = Some((start, end));
         start = end + 1;
     }
     Ok(total + bounds.final_wb)
@@ -586,11 +704,14 @@ where
     F: Fn(&(usize, usize)) -> Option<SegmentAllocation> + Sync,
 {
     let m = list.ops.len();
-    let window = opts.max_segment_ops.max(1);
+    // No window is wider than the op list, so the clamp changes no plan;
+    // it keeps the packed window keys and the survivor buffer sized by
+    // the model, whatever width bound the options carry.
+    let window = opts.max_segment_ops.clamp(1, m);
 
     // Per-range allocations, memoized on the DP thread and filled in
     // batches by the pool.
-    let mut allocs: AllocMemo = HashMap::new();
+    let mut memo = AllocMemo::new(window);
 
     let mut dp_stats = DpStats::default();
     let bounds = match opts.dp_mode {
@@ -607,7 +728,7 @@ where
             b,
             cancel,
             pool,
-            &mut allocs,
+            &mut memo,
             &mut dp_stats,
         )?,
         None => f64::INFINITY,
@@ -615,10 +736,12 @@ where
 
     // dp[(i, j)] = (total cost of ops 0..=j with last segment (i..=j),
     //               previous segment start or usize::MAX for none).
-    let mut dp: HashMap<(usize, usize), (f64, usize)> = HashMap::new();
+    let mut dp: WindowTable<(f64, usize)> = WindowTable::new(window);
     // row_min[e] = min over starts k of dp[(k, e)]: the cheapest way to
     // schedule the prefix 0..=e (used by the pruning bound as L_min).
     let mut row_min: Vec<f64> = vec![f64::INFINITY; m];
+    // One column's surviving starts, reused across columns.
+    let mut survivors: Vec<usize> = Vec::with_capacity(window);
 
     for j in 0..m {
         let i_lo = j + 1 - window.min(j + 1);
@@ -626,7 +749,7 @@ where
         // Pass 1 (sequential): pruning decisions. These read only
         // prefix aggregates and `row_min` of earlier columns, so the
         // surviving set is independent of any solve scheduling.
-        let mut survivors: Vec<usize> = Vec::new();
+        survivors.clear();
         for i in i_lo..=j {
             // Poll per window: each surviving window costs an allocator
             // solve, so this is the finest useful abort granularity.
@@ -658,17 +781,15 @@ where
 
         // Pass 2 (parallel): one batch for the column's unsolved
         // survivors.
-        solve_missing(
-            pool,
-            &mut allocs,
-            &mut dp_stats,
-            survivors.iter().map(|&i| (i, j)),
-        )?;
+        memo.solve_missing(pool, &mut dp_stats, survivors.iter().map(|&i| (i, j)))?;
 
         // Pass 3 (sequential): the Eq. 3 recurrence in original window
         // order — every allocation it reads is a memo hit.
         for &i in &survivors {
-            let Some(alloc) = allocs[&(i, j)].as_ref() else {
+            let Some(alloc) = memo
+                .get((i, j))
+                .expect("survivor solved by its column's batch")
+            else {
                 continue;
             };
             let intra = alloc.latency;
@@ -686,12 +807,12 @@ where
             let k_lo = i - window.min(i);
             let mut best: Option<(f64, usize)> = None;
             for k in k_lo..i {
-                let Some(&(prev_cost, _)) = dp.get(&(k, i - 1)) else {
+                let Some(&(prev_cost, _)) = dp.get((k, i - 1)) else {
                     continue;
                 };
-                let prev_alloc = allocs
-                    .get(&(k, i - 1))
-                    .and_then(|a| a.as_ref())
+                let prev_alloc = memo
+                    .get((k, i - 1))
+                    .flatten()
                     .expect("dp state implies a memoized allocation");
                 let inter = transition_cost(
                     list,
@@ -719,8 +840,8 @@ where
     let final_wb = cm.final_writeback_cost(list);
 
     let mut best_end: Option<((usize, usize), f64)> = None;
-    for i in 0..m {
-        if let Some(&(cost, _)) = dp.get(&(i, m - 1)) {
+    for i in (m - window)..m {
+        if let Some(&(cost, _)) = dp.get((i, m - 1)) {
             let total = cost + final_wb;
             if best_end.is_none_or(|(_, b)| total < b) {
                 best_end = Some(((i, m - 1), total));
@@ -733,7 +854,7 @@ where
     let mut ranges = Vec::new();
     loop {
         ranges.push((i, j));
-        let &(_, prev_start) = dp.get(&(i, j)).expect("state on optimal path");
+        let &(_, prev_start) = dp.get((i, j)).expect("state on optimal path");
         if prev_start == usize::MAX {
             break;
         }
@@ -743,16 +864,17 @@ where
     ranges.reverse();
 
     // Materialize segments with their (always switch-aware, i.e.
-    // physically real) inter costs.
+    // physically real) inter costs. The path's windows are distinct, so
+    // each allocation moves out of the memo.
     let parts: Vec<((usize, usize), SegmentAllocation)> = ranges
         .iter()
-        .map(|&(i, j)| {
-            let alloc = allocs
-                .get(&(i, j))
-                .cloned()
+        .map(|&w| {
+            let alloc = memo
+                .allocs
+                .remove(w)
                 .flatten()
                 .expect("allocation on optimal path");
-            ((i, j), alloc)
+            (w, alloc)
         })
         .collect();
     Ok((chain_segments(list, cm, parts), total_latency, dp_stats))
@@ -997,6 +1119,21 @@ mod tests {
                     "workers={workers} mode={mode:?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn unbounded_width_plans_as_the_op_count() {
+        // A width bound past the op list ("no limit") must plan exactly
+        // as a bound of the op count itself.
+        let g = cmswitch_models::mlp::mlp(2, &[256, 512, 256, 128, 64]).unwrap();
+        let arch = presets::tiny();
+        let m = partitioned(&g, &arch, &CompilerOptions::default()).list.ops.len();
+        for mode in [DpMode::Exhaustive, DpMode::BoundPruned] {
+            let base = CompilerOptions::default().with_dp_mode(mode);
+            let (at_m, at_m_dp, _) = run(&g, &arch, &base.clone().with_max_segment_ops(m));
+            let (r, dp, _) = run(&g, &arch, &base.with_max_segment_ops(usize::MAX));
+            assert_eq!((&at_m, at_m_dp), (&r, dp), "mode={mode:?} m={m}");
         }
     }
 

@@ -16,8 +16,9 @@
 //! results in job order. Workers poll the [`CancelToken`] before every
 //! job, so a fired deadline aborts mid-batch with
 //! [`CompileError::Cancelled`] instead of finishing the fan-out. With
-//! `workers <= 1` no thread is spawned and batches run inline — the
-//! exact sequential path.
+//! `workers <= 1` no thread is spawned and a batch is a plain loop over
+//! its jobs on the calling thread — the token polled before each job, no
+//! lock taken and no result slot allocated — the exact sequential path.
 //!
 //! The pool lives strictly inside one [`with_pool`] call (scoped
 //! threads), so no state outlives a compilation: a cancelled batch
@@ -32,6 +33,10 @@ use crate::CompileError;
 /// [`SolvePool::run_batch`].
 pub struct SolvePool<'pool, 'env, J, O, F> {
     shared: &'pool Shared<'env, J, O, F>,
+    /// No worker threads: [`SolvePool::run_batch`] runs its jobs in a
+    /// plain loop on the calling thread, with no lock and no result
+    /// slots.
+    inline: bool,
 }
 
 struct Shared<'env, J, O, F> {
@@ -90,14 +95,19 @@ where
         done_cv: Condvar::new(),
     };
     if workers <= 1 {
-        // Inline mode: the submitting thread drains every batch itself.
-        return body(&SolvePool { shared: &shared });
+        return body(&SolvePool {
+            shared: &shared,
+            inline: true,
+        });
     }
     std::thread::scope(|scope| {
         for _ in 1..workers {
             scope.spawn(|| shared.worker_loop());
         }
-        let result = body(&SolvePool { shared: &shared });
+        let result = body(&SolvePool {
+            shared: &shared,
+            inline: false,
+        });
         {
             let mut st = shared.lock();
             st.shutdown = true;
@@ -114,15 +124,26 @@ where
     F: Fn(&J) -> O + Sync,
 {
     /// Executes `jobs` across the pool (the calling thread participates)
-    /// and returns the results in job order.
+    /// and returns the results in job order. Without worker threads the
+    /// jobs run in order on the calling thread, the token polled before
+    /// each.
     ///
     /// # Errors
     ///
     /// Returns [`CompileError::Cancelled`] when the pool's token fires
     /// before or during the batch; already-claimed jobs may still finish
     /// on their workers, but their results are discarded.
-    pub fn run_batch(&self, jobs: Vec<J>) -> Result<Vec<O>, CompileError> {
+    pub fn run_batch(&self, jobs: &[J]) -> Result<Vec<O>, CompileError> {
         self.shared.cancel.check()?;
+        if self.inline {
+            return jobs
+                .iter()
+                .map(|job| {
+                    self.shared.cancel.check()?;
+                    Ok((self.shared.work)(job))
+                })
+                .collect();
+        }
         if jobs.is_empty() {
             return Ok(Vec::new());
         }
@@ -133,7 +154,7 @@ where
                 return Err(CompileError::Cancelled);
             }
             debug_assert_eq!(st.done, st.jobs.len(), "previous batch still in flight");
-            st.jobs = jobs;
+            st.jobs = jobs.to_vec();
             st.next = 0;
             st.done = 0;
             st.results = (0..n).map(|_| None).collect();
@@ -251,13 +272,14 @@ mod tests {
 
     #[test]
     fn batches_return_results_in_job_order() {
-        for workers in [1, 2, 4] {
+        // The shared queue; the inline loop has its own test below.
+        for workers in [2, 4] {
             let cancel = CancelToken::new();
             let out = with_pool(workers, &cancel, |&j: &u64| j * j, |pool| {
                 let mut all = Vec::new();
                 for batch in 0..5u64 {
                     let jobs: Vec<u64> = (0..17).map(|i| batch * 100 + i).collect();
-                    all.push(pool.run_batch(jobs.clone()).unwrap());
+                    all.push(pool.run_batch(&jobs).unwrap());
                     let expect: Vec<u64> = jobs.iter().map(|j| j * j).collect();
                     assert_eq!(all.last().unwrap(), &expect, "workers={workers}");
                 }
@@ -269,22 +291,31 @@ mod tests {
 
     #[test]
     fn empty_batch_is_a_noop() {
-        let cancel = CancelToken::new();
-        with_pool(4, &cancel, |&j: &u64| j, |pool| {
-            assert_eq!(pool.run_batch(Vec::new()).unwrap(), Vec::<u64>::new());
-        });
+        for workers in [1, 4] {
+            let cancel = CancelToken::new();
+            with_pool(workers, &cancel, |&j: &u64| j, |pool| {
+                assert_eq!(pool.run_batch(&[]).unwrap(), Vec::<u64>::new());
+            });
+        }
     }
 
     #[test]
     fn fired_token_aborts_before_the_batch() {
-        let cancel = CancelToken::new();
-        cancel.cancel();
-        with_pool(4, &cancel, |&j: &u64| j, |pool| {
-            assert_eq!(
-                pool.run_batch(vec![1, 2, 3]),
-                Err(CompileError::Cancelled)
-            );
-        });
+        // Empty batches too: the inline loop and the shared queue give
+        // the same verdict on a token fired before the batch.
+        for workers in [1, 4] {
+            let cancel = CancelToken::new();
+            cancel.cancel();
+            with_pool(workers, &cancel, |&j: &u64| j, |pool| {
+                for jobs in [&[1, 2, 3][..], &[]] {
+                    assert_eq!(
+                        pool.run_batch(jobs),
+                        Err(CompileError::Cancelled),
+                        "workers={workers} jobs={jobs:?}"
+                    );
+                }
+            });
+        }
     }
 
     #[test]
@@ -302,7 +333,7 @@ mod tests {
                 }
                 j
             },
-            |pool| pool.run_batch((0..1000).collect()),
+            |pool| pool.run_batch(&(0..1000).collect::<Vec<_>>()),
         );
         assert_eq!(r, Err(CompileError::Cancelled));
     }
@@ -310,8 +341,43 @@ mod tests {
     #[test]
     fn inline_mode_spawns_no_threads_and_matches() {
         let cancel = CancelToken::new();
-        let a = with_pool(1, &cancel, |&j: &u64| j + 1, |p| p.run_batch(vec![1, 2, 3]).unwrap());
-        let b = with_pool(3, &cancel, |&j: &u64| j + 1, |p| p.run_batch(vec![1, 2, 3]).unwrap());
+        let a = with_pool(1, &cancel, |&j: &u64| j + 1, |p| p.run_batch(&[1, 2, 3]).unwrap());
+        let b = with_pool(3, &cancel, |&j: &u64| j + 1, |p| p.run_batch(&[1, 2, 3]).unwrap());
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn inline_batch_returns_results_in_job_order() {
+        let cancel = CancelToken::new();
+        let jobs: Vec<u64> = (0..33).rev().collect();
+        let out = with_pool(1, &cancel, |&j: &u64| j * 3 + 1, |pool| pool.run_batch(&jobs));
+        let expect: Vec<u64> = jobs.iter().map(|j| j * 3 + 1).collect();
+        assert_eq!(out, Ok(expect));
+    }
+
+    #[test]
+    fn token_fired_by_job_k_stops_an_inline_batch_before_job_k_plus_one() {
+        // Inline batches poll the token before every job: the job that
+        // fires it is the last one to run.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for k in [0u64, 3, 8] {
+            let cancel = CancelToken::new();
+            let fire = cancel.clone();
+            let ran = AtomicUsize::new(0);
+            let r = with_pool(
+                1,
+                &cancel,
+                |&j: &u64| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    if j == k {
+                        fire.cancel();
+                    }
+                    j
+                },
+                |pool| pool.run_batch(&(0..10).collect::<Vec<_>>()),
+            );
+            assert_eq!(r, Err(CompileError::Cancelled), "k={k}");
+            assert_eq!(ran.load(Ordering::Relaxed), k as usize + 1, "k={k}");
+        }
     }
 }

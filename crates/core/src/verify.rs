@@ -519,15 +519,35 @@ impl Lint for ModeIntervalLint {
                     }
                     Stmt::Compute(c) => {
                         let mut unloaded = Vec::new();
+                        // The last pending load's name (as the flow holds
+                        // it) and whether it is this op's: an op's arrays
+                        // mostly share one load statement, so the names
+                        // are compared once per load, not once per array.
+                        let mut last_load: Option<(&str, bool)> = None;
                         for run in c.compute_arrays.clipped_runs(n_arrays) {
                             for a in run.iter() {
                                 let st = states.slot(a);
                                 st.used_since_switch = true;
-                                if c.weight_static {
-                                    match &mut st.load {
-                                        Some(load) if load.op == c.op => load.consumed = true,
-                                        _ => unloaded.push(a),
+                                if !c.weight_static {
+                                    continue;
+                                }
+                                match &mut st.load {
+                                    Some(load) => {
+                                        let holds = match last_load {
+                                            Some((op, holds)) if std::ptr::eq(op, load.op) => holds,
+                                            _ => {
+                                                let holds = load.op == c.op;
+                                                last_load = Some((load.op, holds));
+                                                holds
+                                            }
+                                        };
+                                        if holds {
+                                            load.consumed = true;
+                                        } else {
+                                            unloaded.push(a);
+                                        }
                                     }
+                                    None => unloaded.push(a),
                                 }
                             }
                         }

@@ -258,8 +258,9 @@ fn pruned_dp_identical_under_mip_allocator_on_transformer_prefix() {
 #[test]
 fn dep_index_answers_equal_the_all_pairs_expansion() {
     // `DepIndex` keeps `W` at source granularity and expands pairs per
-    // query; the DP, the allocation-cache keys and the spill bytes must
-    // see exactly what the full expansion gives, element for element.
+    // query; the DP and the allocation-cache keys must see exactly what
+    // the full expansion gives, element for element, and the spill bytes
+    // its sums.
     let window = CompilerOptions::default().max_segment_ops;
     for arch in [presets::dynaplasia(), presets::prime()] {
         for &model in registry::ALL_MODELS {
@@ -286,13 +287,20 @@ fn dep_index_answers_equal_the_all_pairs_expansion() {
                             local,
                             "{what}: window {lo}..={hi}"
                         );
-                        let crossing: Vec<_> = from(lo, hi)
-                            .iter()
-                            .copied()
-                            .filter(|&(_, c, _)| c > hi)
-                            .collect();
-                        let got: Vec<_> = index.crossing((lo, hi)).collect();
-                        assert_eq!(got, crossing, "{what}: crossing {lo}..={hi}");
+                        let next = (hi + 1, hi + window);
+                        let crossing = from(lo, hi).iter().filter(|&&(_, c, _)| c > hi);
+                        let sum = |in_next: bool| {
+                            crossing
+                                .clone()
+                                .filter(|&&(_, c, _)| (c <= next.1) == in_next)
+                                .map(|&(_, _, b)| b)
+                                .sum::<u64>()
+                        };
+                        assert_eq!(
+                            index.crossing_bytes((lo, hi), next),
+                            (sum(true), sum(false)),
+                            "{what}: crossing {lo}..={hi} into {next:?}"
+                        );
                     }
                 }
             }

@@ -26,6 +26,10 @@
 //! Partitioning keeps the dependency relation at operator granularity:
 //! its cost is the split ops, never the pairs between them.
 //!
+//! And the cold path: the segmentation DP allocates per memoized window
+//! and per solve, an allocation-cache hit allocates only the allocation
+//! it returns, and codegen only what its statements own.
+//!
 //! Own test binary: the counting `#[global_allocator]` (`counting`)
 //! must not tax the other suites. Counters are per thread, so the tests
 //! here may run in parallel.
@@ -35,7 +39,11 @@ mod counting;
 
 use cmswitch::arch::{presets, ArrayId};
 use cmswitch::compiler::verify::{rules, Verifier};
-use cmswitch::compiler::CompiledProgram;
+use cmswitch::compiler::allocation::Allocator;
+use cmswitch::compiler::cost::CostModel;
+use cmswitch::compiler::pipeline::Partitioned;
+use cmswitch::compiler::segment::segment;
+use cmswitch::compiler::{AllocatorKind, CompiledProgram};
 use cmswitch::compiler::artifact::{decode_program, encode_program};
 use cmswitch::compiler::frontend::{lower_graph, DepIndex};
 use cmswitch::compiler::partition::partition;
@@ -468,4 +476,99 @@ fn partition_keeps_the_lowered_dependencies_on_a_tiny_chip() {
             list.ops.len()
         );
     }
+}
+
+/// A cold compile pays per segment and per solve, never per DP window,
+/// per Eq. 3 transition or per bound array: llama2-7b at seq 32 on
+/// DynaPlasia (one solve worker, so every allocation is on this thread).
+#[test]
+fn cold_llama_compile_allocates_per_segment_not_per_window() {
+    // Measured: 13 477 calls for 879 ops in 815 segments. 32 765 while
+    // the greedy incumbent cloned every allocatable candidate, each cache
+    // hit allocated its signature, each solve batch its job list and
+    // result slots, and codegen three `Vec`s per op and two pools per
+    // segment.
+    const MEASURED: u64 = 13_477;
+    let session = Session::builder(presets::dynaplasia()).build();
+    let graph = registry::build("llama2-7b", 1, 32).unwrap();
+    let (program, calls, _) = measured(|| session.compile_graph(&graph).unwrap());
+    assert_eq!(program.segments.len(), 815);
+    assert!(
+        calls <= MEASURED + MEASURED / 10,
+        "a cold llama2-7b compile made {calls} allocator calls; measured {MEASURED}"
+    );
+}
+
+/// An allocation-cache hit builds its signature in a reused buffer and
+/// answers under the cache map's read lock: its only heap traffic is the
+/// `SegmentAllocation` it hands back.
+#[test]
+fn allocator_cache_hit_allocates_only_the_allocation_it_returns() {
+    let arch = presets::dynaplasia();
+    let graph = registry::build("bert-base", 1, 16).unwrap();
+    let list = partition(&lower_graph(&graph, &arch).unwrap(), &arch, 1.0).unwrap();
+    let deps = DepIndex::new(&list);
+    let allocator = Allocator::new(CostModel::new(&arch), AllocatorKind::Mip, true);
+    // The first 4-op window that fits, with local dependencies.
+    let (window, local) = (0..list.ops.len() - 3)
+        .map(|lo| ((lo, lo + 3), deps.window_local(lo, lo + 3)))
+        .find(|((lo, hi), local)| {
+            !local.is_empty() && allocator.allocate(&list.ops[*lo..=*hi], local).is_some()
+        })
+        .expect("bert-base has a feasible 4-op window");
+    let ops = &list.ops[window.0..=window.1];
+    let solved = allocator.allocate(ops, &local).unwrap();
+    let (hit, calls, bytes) = measured(|| allocator.allocate(ops, &local));
+    let hit = hit.unwrap();
+    assert_eq!(hit, solved);
+    let owned = [hit.ops.len(), hit.reuse.len()];
+    let expected_calls = owned.iter().filter(|&&n| n > 0).count() as u64;
+    let expected_bytes =
+        std::mem::size_of_val(hit.ops.as_slice()) + std::mem::size_of_val(hit.reuse.as_slice());
+    assert_eq!(
+        (calls, bytes),
+        (expected_calls, expected_bytes as i64),
+        "a hit on {window:?} allocated beyond the {owned:?} entries it returns"
+    );
+    let mut stats = CompileStats::default();
+    allocator.stats.add_to(&mut stats);
+    assert!(stats.cache_hits >= 2, "{stats:?}");
+}
+
+/// The DP memo and table are keyed by the windows the DP solves, not laid
+/// out as an `ops × max_segment_ops` table: with a 1 000-op width bound on
+/// a chip that fits a few ops per segment, a dense table of 16-byte DP
+/// states alone would hold `ops × 1 000 × 16` bytes.
+#[test]
+fn dp_peak_grows_with_memoized_windows_not_ops_times_width() {
+    // Measured: 570 636 bytes for 879 ops (815 segments); a dense DP
+    // table would be 14 064 000 bytes.
+    const MEASURED_PEAK: i64 = 570_636;
+    let arch = presets::dynaplasia();
+    let opts = CompilerOptions::default().with_max_segment_ops(1_000);
+    let graph = registry::build("llama2-7b", 1, 32).unwrap();
+    let list = partition(&lower_graph(&graph, &arch).unwrap(), &arch, 1.0).unwrap();
+    let m = list.ops.len();
+    let cm = CostModel::new(&arch);
+    let allocator = Allocator::new(CostModel::new(&arch), opts.allocator, opts.reuse_cache);
+    let input = Partitioned {
+        name: graph.name().to_string(),
+        list,
+    };
+    let ((segmented, dp), _, peak) =
+        measured(|| segment(input, &allocator, &cm, &opts, &CancelToken::new()).unwrap());
+    assert_eq!((m, segmented.segments.len()), (879, 815));
+    assert_eq!(
+        dp.infeasible_skipped, 385_721,
+        "the width bound must reach the capacity wall"
+    );
+    let dense = (m * opts.max_segment_ops * 16) as i64;
+    assert!(
+        peak < dense / 10,
+        "{peak} bytes peak; a dense table alone is {dense}"
+    );
+    assert!(
+        peak <= MEASURED_PEAK + MEASURED_PEAK / 10,
+        "the DP held {peak} bytes at peak; measured {MEASURED_PEAK}"
+    );
 }
