@@ -1,27 +1,7 @@
-//! Backend selection and session glue for the baseline strategies.
-//!
-//! The [`Backend`] trait and the native [`CmSwitch`] strategy live in
-//! `cmswitch-core`; this module adds what only the baselines crate can
-//! provide — instantiating *any* [`BackendKind`] ([`backend_for`]) and
-//! the [`SessionBackendExt`] sugar that lets a `SessionBuilder` select a
-//! backend by kind or name.
+//! The [`SessionBackendExt`] sugar: a `SessionBuilder` selects a
+//! [`BackendKind`] by value or by wire name.
 
-use cmswitch_core::{Backend, BackendKind, CmSwitch, SessionBuilder, UnknownBackend};
-
-use crate::{CimMlc, Occ, Puma};
-
-/// Instantiates the backend strategy `kind`.
-///
-/// To go from a name, parse it with [`BackendKind::from_name`] (whose
-/// error lists the known backends), then instantiate here.
-pub fn backend_for(kind: BackendKind) -> Box<dyn Backend> {
-    match kind {
-        BackendKind::Puma => Box::new(Puma),
-        BackendKind::Occ => Box::new(Occ),
-        BackendKind::CimMlc => Box::new(CimMlc),
-        BackendKind::CmSwitch => Box::new(CmSwitch),
-    }
-}
+use cmswitch_core::{BackendKind, SessionBuilder, UnknownBackend};
 
 /// Backend selection sugar for `SessionBuilder`: pick any published
 /// strategy by [`BackendKind`] or by wire name.
@@ -52,7 +32,7 @@ pub trait SessionBackendExt: Sized {
 
 impl SessionBackendExt for SessionBuilder {
     fn backend_kind(self, kind: BackendKind) -> Self {
-        self.backend(backend_for(kind))
+        self.backend(Box::new(kind))
     }
 
     fn backend_name(self, name: &str) -> Result<Self, UnknownBackend> {
@@ -64,12 +44,13 @@ impl SessionBackendExt for SessionBuilder {
 mod tests {
     use super::*;
     use cmswitch_arch::presets;
-    use cmswitch_core::Session;
+    use cmswitch_core::{Backend, Session};
 
     #[test]
     fn backend_for_resolves_every_kind() {
         for kind in BackendKind::ALL {
-            assert_eq!(backend_for(kind).name(), kind.name());
+            let backend: Box<dyn Backend> = Box::new(kind);
+            assert_eq!(backend.name(), kind.name());
         }
     }
 

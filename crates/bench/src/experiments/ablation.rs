@@ -6,10 +6,8 @@
 //! 4. allocation-cache (block reuse) on vs off — compile time.
 
 use cmswitch_arch::presets;
-use cmswitch_baselines::common::greedy_ranges;
-use cmswitch_core::frontend::DepIndex;
-use cmswitch_core::pipeline::{EmitStage, LowerStage, PartitionStage, Segmented};
-use cmswitch_core::segment::WindowSolver;
+use cmswitch_core::pipeline::{EmitStage, LowerStage, PartitionStage};
+use cmswitch_core::segment;
 use cmswitch_core::{AllocatorKind, CompilerOptions, PipelineCx, Session};
 use cmswitch_graph::Graph;
 use cmswitch_sim::timing::simulate;
@@ -19,8 +17,7 @@ use crate::table::{ratio, Table};
 use crate::workloads::{build, Workload};
 
 /// Greedy-segmentation variant of CMSwitch: same dual-mode allocator,
-/// largest-fit packing instead of the DP. Composed from the shared
-/// pipeline stages, with the segmentation step done ad hoc between
+/// largest-fit packing ([`segment::greedy`]) instead of the DP, between
 /// [`PartitionStage`] and [`EmitStage`].
 fn greedy_dual_mode_cycles(graph: &Graph) -> Option<f64> {
     let arch = presets::dynaplasia();
@@ -28,16 +25,7 @@ fn greedy_dual_mode_cycles(graph: &Graph) -> Option<f64> {
     let mut cx = PipelineCx::new(&arch, &opts);
     let lowered = cx.run(&LowerStage, graph).ok()?;
     let partitioned = cx.run(&PartitionStage, lowered).ok()?;
-    let list = partitioned.list;
-    let cm = cx.cost_model();
-    let allocator = cx.allocator();
-    // Each range is solved exactly as the DP solves a candidate window.
-    let deps = DepIndex::new(&list);
-    let mut parts = Vec::new();
-    for r in greedy_ranges(&list, arch.n_arrays(), 12) {
-        parts.push((r, allocator.solve(&list, &deps, r)?));
-    }
-    let segmented = Segmented::from_chain(partitioned.name, list, &cm, parts);
+    let segmented = segment::greedy(partitioned, &cx.allocator(), &cx.cost_model(), &opts).ok()?;
     let program = cx.run(&EmitStage, segmented).ok()?;
     simulate(&program.flow, &arch).ok().map(|r| r.total_cycles)
 }

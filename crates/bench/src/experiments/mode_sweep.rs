@@ -7,12 +7,12 @@
 //! single-batch LLM inference peaks at low fractions.
 
 use cmswitch_arch::DualModeArch;
-use cmswitch_baselines::common::greedy_ranges;
 use cmswitch_core::allocation::{OpAllocation, SegmentAllocation};
 use cmswitch_core::cost::CostModel;
 use cmswitch_core::frontend::lower_graph;
 use cmswitch_core::partition::partition;
 use cmswitch_core::pipeline::Segmented;
+use cmswitch_core::segment::greedy_ranges;
 use cmswitch_graph::Graph;
 
 use crate::experiments::ExpConfig;

@@ -3,7 +3,7 @@
 //!
 //! The harness glues the stack together: build a benchmark workload
 //! ([`workloads`]), compile it with one of the four backends
-//! (`cmswitch-baselines`), execute the flow on the timing simulator
+//! (`cmswitch_core::BackendKind`), execute the flow on the timing simulator
 //! (`cmswitch-sim`) and aggregate [`RunResult`]s into the paper's
 //! tables. Each `experiments::fig*` module regenerates one figure; the
 //! `experiments` binary drives them

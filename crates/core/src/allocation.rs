@@ -861,11 +861,11 @@ impl<'a> Allocator<'a> {
 /// weight-streaming workloads it happily buys compute arrays whose tiny
 /// bottleneck improvement is dwarfed by the extra reload time. This
 /// descent shrinks the largest static-weight compute allocations while
-/// `intra + reload` keeps improving. The dual-mode allocator and the
-/// all-compute baselines (`cmswitch-baselines`) both end with it, so
-/// CMSwitch-vs-baseline comparisons isolate the dual-mode dimension
-/// rather than reload awareness.
-pub fn balance_reload(cm: &CostModel<'_>, ops: &[SegOp], alloc: &mut SegmentAllocation) {
+/// `intra + reload` keeps improving. The dual-mode allocator and
+/// [`all_compute_alloc`] both end with it, so CMSwitch-vs-baseline
+/// comparisons isolate the dual-mode dimension rather than reload
+/// awareness.
+fn balance_reload(cm: &CostModel<'_>, ops: &[SegOp], alloc: &mut SegmentAllocation) {
     loop {
         let cur_total = cm.intra_latency(ops, alloc) + cm.reload_cost(ops, alloc);
         // Decrement every static op sitting at the current maximum
@@ -899,6 +899,58 @@ pub fn balance_reload(cm: &CostModel<'_>, ops: &[SegOp], alloc: &mut SegmentAllo
         }
     }
     alloc.latency = cm.intra_latency(ops, alloc);
+}
+
+/// The all-compute baselines' allocation for a slice of ops: every
+/// operator gets its minimal weight tiles and no memory arrays. With
+/// `duplicate`, leftover arrays go one at a time to the slowest operator
+/// (weight duplication) and `balance_reload` trades them against
+/// reload time. `None` when the minimal tiles overflow the chip.
+pub fn all_compute_alloc(
+    ops: &[SegOp],
+    cm: &CostModel<'_>,
+    duplicate: bool,
+) -> Option<SegmentAllocation> {
+    let n = cm.arch().n_arrays();
+    let mut alloc = SegmentAllocation {
+        ops: ops
+            .iter()
+            .map(|o| OpAllocation {
+                compute: o.min_tiles.max(1),
+                mem_in: 0,
+                mem_out: 0,
+            })
+            .collect(),
+        reuse: Vec::new(),
+        latency: 0.0,
+    };
+    let used = alloc.total_compute();
+    if used > n {
+        return None;
+    }
+    if duplicate {
+        let mut leftover = n - used;
+        while leftover > 0 {
+            let (worst, cur) = alloc
+                .ops
+                .iter()
+                .enumerate()
+                .map(|(i, a)| (i, cm.op_latency(&ops[i], a)))
+                .max_by(|a, b| a.1.partial_cmp(&b.1).expect("comparable"))?;
+            let mut trial = alloc.ops[worst];
+            trial.compute += 1;
+            if cm.op_latency(&ops[worst], &trial) < cur - 1e-12 {
+                alloc.ops[worst] = trial;
+                leftover -= 1;
+            } else {
+                break;
+            }
+        }
+        balance_reload(cm, ops, &mut alloc);
+    } else {
+        alloc.latency = cm.intra_latency(ops, &alloc);
+    }
+    Some(alloc)
 }
 
 /// Greedy capacity-tracked reuse assignment: each producer's output
@@ -1355,5 +1407,32 @@ mod tests {
         assert_eq!(a.total_memory(), 2);
         assert_eq!(a.arrays_used(), 6);
         assert!((a.memory_ratio() - 2.0 / 6.0).abs() < 1e-9);
+    }
+
+    /// A small MLP's partitioned op list on the tiny chip.
+    fn mlp_ops(arch: &cmswitch_arch::DualModeArch) -> Vec<SegOp> {
+        let g = cmswitch_models::mlp::mlp(2, &[128, 256, 128, 64]).unwrap();
+        let l = crate::frontend::lower_graph(&g, arch).unwrap();
+        crate::partition::partition(&l, arch, 1.0).unwrap().ops
+    }
+
+    #[test]
+    fn all_compute_has_no_memory_arrays() {
+        let arch = presets::tiny();
+        let ops = mlp_ops(&arch);
+        let cm = CostModel::new(&arch);
+        let a = all_compute_alloc(&ops[0..1], &cm, true).unwrap();
+        assert_eq!(a.total_memory(), 0);
+        assert!(a.total_compute() >= 1);
+    }
+
+    #[test]
+    fn duplication_improves_or_matches() {
+        let arch = presets::tiny();
+        let ops = mlp_ops(&arch);
+        let cm = CostModel::new(&arch);
+        let base = all_compute_alloc(&ops[0..1], &cm, false).unwrap();
+        let dup = all_compute_alloc(&ops[0..1], &cm, true).unwrap();
+        assert!(dup.latency <= base.latency + 1e-9);
     }
 }

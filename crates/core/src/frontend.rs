@@ -193,11 +193,24 @@ impl DepIndex {
     /// `lo..=hi`), re-indexed to window-local op positions — the
     /// `local_deps` input of the allocators.
     pub fn window_local(&self, lo: usize, hi: usize) -> Vec<(usize, usize, u64)> {
-        self.pairs(lo, hi, move |p, span| {
-            span.start.max(p + 1)..span.end.min(hi + 1)
-        })
-        .map(|(p, c, b)| (p - lo, c - lo, b))
-        .collect()
+        let mut out = Vec::new();
+        self.window_local_into(lo, hi, &mut out);
+        out
+    }
+
+    /// [`DepIndex::window_local`] written into `out` (replacing its
+    /// contents), so a caller that keeps `out` allocates only when a
+    /// window has more dependencies than any before it.
+    pub(crate) fn window_local_into(
+        &self,
+        lo: usize,
+        hi: usize,
+        out: &mut Vec<(usize, usize, u64)>,
+    ) {
+        let clip = move |p: usize, span: Range<usize>| span.start.max(p + 1)..span.end.min(hi + 1);
+        let pairs = self.pairs(lo, hi, clip);
+        out.clear();
+        out.extend(pairs.map(|(p, c, b)| (p - lo, c - lo, b)));
     }
 }
 

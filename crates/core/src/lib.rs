@@ -25,15 +25,15 @@
 //! ([`LowerStage`] → [`PartitionStage`] → [`SegmentStage`] →
 //! [`EmitStage`]) driven through a shared [`PipelineCx`], which carries
 //! the architecture, options, allocation cache, cancellation token,
-//! diagnostics sink and per-stage wall timings. Every [`Backend`]
-//! strategy composes exactly those stages — [`CmSwitch`] natively, the
-//! baseline backends (`cmswitch-baselines`) by swapping only the
-//! segmentation stage.
+//! diagnostics sink and per-stage wall timings. Every [`BackendKind`]
+//! composes exactly those stages: CMSwitch with [`SegmentStage`], the
+//! PUMA / OCC / CIM-MLC baselines by swapping only the segmentation rule
+//! and its window solver ([`backend`]).
 //!
 //! The public surface is the [`session`] module: a [`Session`] (built
 //! via [`Session::builder`]) serves typed [`CompileRequest`]s through
-//! any [`Backend`] strategy — CMSwitch itself or the baselines from
-//! `cmswitch-baselines` — with a shared cross-model
+//! any [`Backend`] strategy — any [`BackendKind`], CMSwitch by default,
+//! or a custom one — with a shared cross-model
 //! [`AllocationCache`], a worker pool for batches
 //! ([`Session::compile_batch`]), deadline/token cancellation
 //! ([`CancelToken`]) and structured [`Diagnostics`] in every
@@ -79,7 +79,7 @@ pub mod verify;
 
 pub use allocation::AllocationCache;
 pub use artifact::ArtifactError;
-pub use backend::{Backend, BackendKind, CmSwitch, UnknownBackend};
+pub use backend::{Backend, BackendKind, UnknownBackend};
 pub use compiler::{CompiledProgram, CompileStats};
 pub use diagnostics::{DiagnosticEvent, Diagnostics};
 pub use error::CompileError;

@@ -13,16 +13,17 @@
 //! Every stage runs through a [`PipelineCx`], which carries the target
 //! architecture, the [`CompilerOptions`], the (optionally shared)
 //! [`AllocationCache`], per-stage wall-clock timings and the solver
-//! counters. [`crate::CmSwitch`] composes exactly these stages; the
-//! baseline backends (`cmswitch-baselines`) compose the same lower /
+//! counters. CMSwitch ([`crate::BackendKind::CmSwitch`]) composes
+//! exactly these stages; the baseline kinds compose the same lower /
 //! partition / emit stages and swap only the segmentation stage, so
 //! every backend pays the same physics and reports the same per-stage
 //! timing breakdown.
 //!
-//! Custom composers (e.g. an ablation that produces its own segment
+//! Custom composers (e.g. an experiment that produces its own segment
 //! chain) can skip [`SegmentStage`] and build a [`Segmented`] artifact
-//! directly — [`Segmented::from_chain`] charges the Eq. 4 inter costs
-//! for an arbitrary `(range, allocation)` chain.
+//! directly — [`crate::segment::greedy`] packs and solves one, and
+//! [`Segmented::from_chain`] charges the Eq. 4 inter costs for an
+//! arbitrary `(range, allocation)` chain.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -313,7 +314,7 @@ impl Segmented {
     /// Builds the artifact from an externally produced `(range,
     /// allocation)` chain: charges the Eq. 4 inter costs via
     /// [`chain_segments`] and totals `Σ (inter + intra)` plus the final
-    /// write-back. Used by the baseline backends and ad-hoc composers.
+    /// write-back. Used by the greedy packer and ad-hoc composers.
     pub fn from_chain(
         name: impl Into<String>,
         list: OpList,
@@ -448,7 +449,7 @@ impl Stage<Segmented> for EmitStage {
 /// [`EmitStage`], all through `cx`.
 ///
 /// This is the one compose-point every [`crate::Backend`] shares —
-/// CMSwitch passes [`SegmentStage`], the baselines pass theirs — so
+/// CMSwitch passes [`SegmentStage`], each baseline kind its own — so
 /// stage timings, cancellation checks and diagnostics are uniform
 /// across backends. The caller still owns `cx` afterwards (to
 /// [`PipelineCx::finalize`] it into the program's stats).

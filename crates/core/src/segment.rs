@@ -15,14 +15,17 @@
 //! 8), and the segment width is bounded by
 //! [`crate::CompilerOptions::max_segment_ops`] (0 counts as 1).
 //!
-//! # One DP, two solvers
+//! # One DP and one greedy packer
 //!
-//! [`segment`] is the tree's only Eq. 3 recurrence. What a candidate
-//! window costs is its [`WindowSolver`]'s business: CMSwitch passes the
-//! dual-mode [`Allocator`], the CIM-MLC baseline (`cmswitch-baselines`)
-//! an all-compute solver (minimal tiles plus weight duplication). Both
-//! get the same pruning, batching, cancellation and [`DpStats`], so a
-//! CMSwitch-vs-CIM-MLC comparison isolates the allocation alone.
+//! [`segment`] is the tree's only Eq. 3 recurrence, and [`greedy`] its
+//! only greedy packer: it cuts the list at the capacity wall
+//! ([`greedy_ranges`]) and solves each range once. What a window costs
+//! is its [`WindowSolver`]'s business: CMSwitch passes the dual-mode
+//! [`Allocator`] to the DP, CIM-MLC the all-compute solver
+//! ([`crate::allocation::all_compute_alloc`]) to the DP, PUMA and OCC
+//! that solver to the packer (see [`crate::BackendKind`]). Every DP
+//! user gets the same pruning, batching, cancellation and [`DpStats`],
+//! so a CMSwitch-vs-CIM-MLC comparison isolates the allocation alone.
 //!
 //! # Bound pruning ([`crate::DpMode::BoundPruned`])
 //!
@@ -104,12 +107,17 @@
 //! * **One greedy step** reads its winner back from the memo instead of
 //!   cloning a candidate's allocation.
 //! * **One window lookup** ([`WindowSolver::solve`] on the
-//!   [`Allocator`]) allocates the window's local dependency list; the
-//!   rest is the cache's contract
+//!   [`Allocator`]) builds the window's local dependency list into a
+//!   per-thread buffer reused across lookups and allocates nothing of
+//!   its own; the rest is the cache's contract
 //!   ([`crate::allocation::AllocationCache`]).
+//! * **Pass 1** of a column visits only the starts at or after the
+//!   column's first capacity-feasible one (a two-pointer that never
+//!   moves back) and counts the windows before it in one addition.
 //! * **The backtrack** moves the optimal path's allocations out of the
 //!   memo rather than cloning them.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -168,9 +176,9 @@ impl DpStats {
 /// the all-arrays-start-in-memory-mode switch plus the initial weight
 /// load, every later one the full `T_wb + T_swc + T_rw`.
 ///
-/// Shared by the DP's backtrack materialization, the baselines'
-/// segmentation stages (`cmswitch-baselines`) and ad-hoc composers such
-/// as the bench ablations — everyone pays the same physics.
+/// Shared by the DP's backtrack materialization, the greedy packer
+/// ([`greedy`]) and ad-hoc composers such as the bench experiments —
+/// everyone pays the same physics.
 pub fn chain_segments(
     list: &OpList,
     cm: &CostModel<'_>,
@@ -407,6 +415,12 @@ pub trait WindowSolver: Sync {
     ) -> Option<SegmentAllocation>;
 }
 
+thread_local! {
+    /// The [`Allocator`] lookup's window-local dependency list, reused
+    /// per thread; taken for the lookup and put back after it.
+    static WINDOW_DEPS: Cell<Vec<(usize, usize, u64)>> = const { Cell::new(Vec::new()) };
+}
+
 /// The dual-mode allocator solves a window from its operators and their
 /// window-local dependencies (its cache and warm starts are
 /// signature-keyed, so any solve order yields the same results, and its
@@ -419,8 +433,59 @@ impl WindowSolver for Allocator<'_> {
         deps: &DepIndex,
         (i, j): (usize, usize),
     ) -> Option<SegmentAllocation> {
-        self.allocate(&list.ops[i..=j], &deps.window_local(i, j))
+        let mut local = WINDOW_DEPS.take();
+        deps.window_local_into(i, j, &mut local);
+        let alloc = self.allocate(&list.ops[i..=j], &local);
+        WINDOW_DEPS.set(local);
+        alloc
     }
+}
+
+/// Greedy segmentation: packs consecutive operators while their minimal
+/// tiles `Σ max(min_tiles, 1)` fit `cap` arrays, at most `max_ops` per
+/// range (0 counts as 1). An operator wider than `cap` still gets a
+/// range of its own. With `cap` the chip's arrays this is the capacity
+/// wall the bound-pruned DP skips windows by.
+pub fn greedy_ranges(list: &OpList, cap: usize, max_ops: usize) -> Vec<(usize, usize)> {
+    let mut ranges = Vec::new();
+    let mut start = 0usize;
+    let mut tiles = 0usize;
+    for (i, op) in list.ops.iter().enumerate() {
+        let need = op.min_tiles.max(1);
+        if i > start && (tiles + need > cap || i - start >= max_ops) {
+            ranges.push((start, i - 1));
+            start = i;
+            tiles = 0;
+        }
+        tiles += need;
+    }
+    if start < list.ops.len() {
+        ranges.push((start, list.ops.len() - 1));
+    }
+    ranges
+}
+
+/// The greedy packer: cuts `input` into [`greedy_ranges`] at the chip's
+/// arrays and the options' width bound, solves each range once with
+/// `solver` and chains the parts ([`Segmented::from_chain`]).
+///
+/// # Errors
+///
+/// [`CompileError::NoFeasibleSchedule`] when `solver` cannot allocate a
+/// range (an operator wider than the chip, say).
+pub fn greedy(
+    input: Partitioned,
+    solver: &impl WindowSolver,
+    cm: &CostModel<'_>,
+    opts: &CompilerOptions,
+) -> Result<Segmented, CompileError> {
+    let deps = DepIndex::new(&input.list);
+    let mut parts = Vec::new();
+    for r in greedy_ranges(&input.list, cm.arch().n_arrays(), opts.max_segment_ops) {
+        let alloc = solver.solve(&input.list, &deps, r);
+        parts.push((r, alloc.ok_or(CompileError::NoFeasibleSchedule)?));
+    }
+    Ok(Segmented::from_chain(input.name, input.list, cm, parts))
 }
 
 /// The solve pool the DP fans window solves out to: pure
@@ -742,24 +807,33 @@ where
     let mut row_min: Vec<f64> = vec![f64::INFINITY; m];
     // One column's surviving starts, reused across columns.
     let mut survivors: Vec<usize> = Vec::with_capacity(window);
+    // The first start whose window to column `j` fits the chip: every
+    // earlier start's window is wider, so infeasible too, and a later
+    // column only adds tiles, so it never moves back.
+    let mut feasible_from = 0usize;
 
     for j in 0..m {
-        let i_lo = j + 1 - window.min(j + 1);
+        let mut i_lo = j + 1 - window.min(j + 1);
 
         // Pass 1 (sequential): pruning decisions. These read only
         // prefix aggregates and `row_min` of earlier columns, so the
         // surviving set is independent of any solve scheduling.
         survivors.clear();
+        if let Some(b) = &bounds {
+            while feasible_from <= j && b.window_infeasible(feasible_from, j) {
+                feasible_from += 1;
+            }
+            let walled = feasible_from.saturating_sub(i_lo) as u64;
+            dp_stats.windows += walled;
+            dp_stats.infeasible_skipped += walled;
+            i_lo = i_lo.max(feasible_from);
+        }
         for i in i_lo..=j {
             // Poll per window: each surviving window costs an allocator
             // solve, so this is the finest useful abort granularity.
             cancel.check()?;
             dp_stats.windows += 1;
             if let Some(b) = &bounds {
-                if b.window_infeasible(i, j) {
-                    dp_stats.infeasible_skipped += 1;
-                    continue;
-                }
                 let base = if i == 0 { 0.0 } else { row_min[i - 1] };
                 if base.is_infinite() {
                     // No feasible predecessor: the exhaustive DP would
@@ -883,7 +957,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::allocation::{mean_memory_ratio, Allocator};
+    use crate::allocation::{all_compute_alloc, mean_memory_ratio, Allocator};
     use crate::frontend::lower_graph;
     use crate::partition::partition;
     use crate::AllocatorKind;
@@ -1144,6 +1218,96 @@ mod tests {
         let (r, ..) = run(&g, &arch, &CompilerOptions::default());
         let ratio = mean_memory_ratio(r.segments.iter().map(|s| &s.alloc));
         assert!((0.0..=1.0).contains(&ratio));
+    }
+
+    /// A four-layer MLP's partitioned op list on the tiny chip.
+    fn tiny_list() -> (OpList, cmswitch_arch::DualModeArch) {
+        let g = cmswitch_models::mlp::mlp(2, &[128, 256, 128, 64]).unwrap();
+        let arch = presets::tiny();
+        let opts = CompilerOptions::default();
+        (partitioned(&g, &arch, &opts).list, arch)
+    }
+
+    #[test]
+    fn greedy_ranges_cover_contiguously() {
+        let (l, arch) = tiny_list();
+        let ranges = greedy_ranges(&l, arch.n_arrays(), 8);
+        let mut next = 0;
+        for (lo, hi) in &ranges {
+            assert_eq!(*lo, next);
+            next = hi + 1;
+        }
+        assert_eq!(next, l.ops.len());
+    }
+
+    #[test]
+    fn chain_charges_inter_costs() {
+        let (l, arch) = tiny_list();
+        let cm = CostModel::new(&arch);
+        let ranges = greedy_ranges(&l, arch.n_arrays(), 2);
+        let parts: Vec<_> = ranges
+            .into_iter()
+            .map(|r| {
+                let a = all_compute_alloc(&l.ops[r.0..=r.1], &cm, true).unwrap();
+                (r, a)
+            })
+            .collect();
+        let segments = chain_segments(&l, &cm, parts);
+        assert!(segments[0].inter_before > 0.0); // initial switch + load
+        if segments.len() > 1 {
+            assert!(segments[1].inter_before > 0.0); // reload at least
+        }
+    }
+
+    #[test]
+    fn greedy_width_zero_packs_one_op_per_range() {
+        let (l, arch) = tiny_list();
+        let singles: Vec<_> = (0..l.ops.len()).map(|i| (i, i)).collect();
+        assert_eq!(greedy_ranges(&l, arch.n_arrays(), 0), singles);
+        assert_eq!(greedy_ranges(&l, arch.n_arrays(), 1), singles);
+        let cm = CostModel::new(&arch);
+        let opts = CompilerOptions::default().with_max_segment_ops(0);
+        let allocator = Allocator::new(CostModel::new(&arch), opts.allocator, opts.reuse_cache);
+        let input = Partitioned {
+            name: "mlp".into(),
+            list: l,
+        };
+        let ranges: Vec<_> = greedy(input, &allocator, &cm, &opts)
+            .unwrap()
+            .segments
+            .iter()
+            .map(|s| s.range)
+            .collect();
+        assert_eq!(ranges, singles);
+    }
+
+    #[test]
+    fn greedy_gives_a_chip_filling_op_a_range_of_its_own() {
+        let (mut l, arch) = tiny_list();
+        let n = arch.n_arrays();
+        assert!(l.ops.len() >= 3);
+        l.ops[1].min_tiles = n;
+        let ranges = greedy_ranges(&l, n, 12);
+        assert!(ranges.contains(&(1, 1)), "{ranges:?}");
+        let cm = CostModel::new(&arch);
+        let opts = CompilerOptions::default();
+        let allocator = Allocator::new(CostModel::new(&arch), opts.allocator, opts.reuse_cache);
+        let input = |list: &OpList| Partitioned {
+            name: "mlp".into(),
+            list: list.clone(),
+        };
+        let segmented = greedy(input(&l), &allocator, &cm, &opts).unwrap();
+        let alone = segmented.segments.iter().find(|s| s.range == (1, 1));
+        assert_eq!(alone.unwrap().alloc.arrays_used(), n);
+        // One tile more and no solver can place it (a fresh allocator:
+        // the cache keys on shapes, which imply the tiles).
+        l.ops[1].min_tiles = n + 1;
+        assert!(greedy_ranges(&l, n, 12).contains(&(1, 1)));
+        let allocator = Allocator::new(CostModel::new(&arch), opts.allocator, opts.reuse_cache);
+        match greedy(input(&l), &allocator, &cm, &opts) {
+            Err(CompileError::NoFeasibleSchedule) => {}
+            other => panic!("expected NoFeasibleSchedule, got {other:?}"),
+        }
     }
 
     #[test]

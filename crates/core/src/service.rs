@@ -206,7 +206,7 @@ impl BatchReport {
 
 #[cfg(test)]
 mod tests {
-    use crate::{ArtifactStore, CmSwitch, CompileRequest, Session};
+    use crate::{ArtifactStore, BackendKind, CompileRequest, Session};
     use cmswitch_arch::presets;
     use cmswitch_models::mlp::mlp;
     use std::sync::Arc;
@@ -340,7 +340,7 @@ mod tests {
         // explicitly (here CMSwitch through the generic path) gets the
         // same pool + cache + report machinery as the default one.
         let session = Session::builder(presets::tiny())
-            .backend(Box::new(CmSwitch))
+            .backend(Box::new(BackendKind::CmSwitch))
             .workers(2)
             .build();
         assert_eq!(session.backend_name(), "cmswitch");

@@ -7,7 +7,8 @@
 //! * targets one [`DualModeArch`] with one [`CompilerOptions`] default
 //!   (overridable per request),
 //! * compiles through **any** [`Backend`] strategy (CMSwitch by default;
-//!   select a baseline via `cmswitch-baselines::backend_for` or its
+//!   select a baseline with [`SessionBuilder::backend`] and a boxed
+//!   [`crate::BackendKind`], or `cmswitch-baselines`'
 //!   `SessionBackendExt::backend_kind`),
 //! * shares one cross-model [`AllocationCache`] across every request and
 //!   batch (warm recompiles of repeated segment shapes skip the solver;
@@ -56,7 +57,7 @@ use parking_lot::Mutex;
 
 use crate::allocation::AllocationCache;
 use crate::artifact::PayloadStamp;
-use crate::backend::{Backend, CmSwitch};
+use crate::backend::{Backend, BackendKind};
 use crate::compiler::CompiledProgram;
 use crate::diagnostics::{DiagnosticEvent, Diagnostics};
 use crate::pipeline::{PipelineCx, StageWall};
@@ -261,9 +262,8 @@ impl SessionBuilder {
         self
     }
 
-    /// Selects the backend strategy (any `cmswitch-baselines::backend_for`
-    /// kind, or that crate's `SessionBackendExt` sugar). Defaults to
-    /// [`CmSwitch`].
+    /// Selects the backend strategy (any boxed [`BackendKind`], or a
+    /// custom [`Backend`]). Defaults to [`BackendKind::CmSwitch`].
     #[must_use]
     pub fn backend(mut self, backend: Box<dyn Backend>) -> Self {
         self.backend = Some(backend);
@@ -305,7 +305,7 @@ impl SessionBuilder {
     pub fn build(self) -> Session {
         let backend: Arc<dyn Backend> = match self.backend {
             Some(backend) => Arc::from(backend),
-            None => Arc::new(CmSwitch),
+            None => Arc::new(BackendKind::CmSwitch),
         };
         let workers = if self.workers == 0 {
             thread::available_parallelism().map_or(1, |n| n.get().min(8))

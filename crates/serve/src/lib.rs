@@ -605,7 +605,7 @@ mod tests {
     use std::sync::mpsc;
 
     use cmswitch_arch::presets;
-    use cmswitch_core::{ArtifactStore, Backend, CmSwitch, CompiledProgram, PipelineCx};
+    use cmswitch_core::{ArtifactStore, Backend, BackendKind, CompiledProgram, PipelineCx};
     use cmswitch_models::mlp::mlp;
 
     fn graph() -> Graph {
@@ -719,7 +719,7 @@ mod tests {
         ) -> Result<CompiledProgram, CompileError> {
             // `recv` returns (with `Err`) once the sender is gone.
             let _ = self.0.lock().unwrap().recv();
-            CmSwitch.compile_in(cx, graph)
+            BackendKind::CmSwitch.compile_in(cx, graph)
         }
     }
 

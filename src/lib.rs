@@ -11,7 +11,7 @@
 //! | [`solver`] | `cmswitch-solver` | LP/MIP solver (Gurobi substitute) |
 //! | [`metaop`] | `cmswitch-metaop` | meta-operator flow with `CM.switch` (§4.4) |
 //! | [`compiler`] | `cmswitch-core` | the DACO compiler (§4.3) |
-//! | [`baselines`] | `cmswitch-baselines` | PUMA / OCC / CIM-MLC backends |
+//! | [`baselines`] | `cmswitch-baselines` | backend selection by kind or name |
 //! | [`sim`] | `cmswitch-sim` | dual-mode chip simulator |
 //! | [`dse`] | `cmswitch-dse` | architecture design-space exploration |
 //! | [`serve`] | `cmswitch-serve` | long-running compile server |
@@ -89,7 +89,7 @@ pub use cmswitch_tensor as tensor;
 /// The items most programs need.
 pub mod prelude {
     pub use cmswitch_arch::{presets, ArrayMode, DualModeArch};
-    pub use cmswitch_baselines::{backend_for, SessionBackendExt};
+    pub use cmswitch_baselines::SessionBackendExt;
     pub use cmswitch_core::{
         AllocationCache, ArtifactStore, Backend, BackendKind, BatchReport, CancelToken,
         CompileError, CompileOutcome, CompileRequest, CompileStats, CompiledProgram,

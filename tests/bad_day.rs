@@ -5,7 +5,6 @@
 use std::sync::mpsc;
 use std::time::Duration;
 
-use cmswitch::compiler::CmSwitch;
 use cmswitch::prelude::*;
 
 /// CMSwitch, except that a graph named `"boom"` panics.
@@ -22,7 +21,7 @@ impl Backend for Tripwire {
         graph: &Graph,
     ) -> Result<CompiledProgram, CompileError> {
         assert!(graph.name() != "boom", "tripped on {}", graph.name());
-        CmSwitch.compile_in(cx, graph)
+        BackendKind::CmSwitch.compile_in(cx, graph)
     }
 }
 

@@ -31,8 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use proptest::prelude::*;
 
 use cmswitch::arch::{presets, DualModeArch};
-use cmswitch::baselines::common::all_compute_alloc;
-use cmswitch::compiler::allocation::{Allocator, SegmentAllocation};
+use cmswitch::compiler::allocation::{all_compute_alloc, Allocator, SegmentAllocation};
 use cmswitch::compiler::cost::CostModel;
 use cmswitch::compiler::frontend::{lower_graph, DepIndex, OpList};
 use cmswitch::compiler::partition::partition;

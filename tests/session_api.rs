@@ -87,7 +87,7 @@ fn explicit_backend_gets_the_same_batch_machinery() {
     // A baseline handed to the builder as a boxed `Backend` gets the
     // same pool + cache + BatchReport as CMSwitch.
     let session = Session::builder(presets::tiny())
-        .backend(backend_for(BackendKind::CimMlc))
+        .backend(Box::new(BackendKind::CimMlc))
         .workers(2)
         .build();
     assert_eq!(session.backend_name(), "cim-mlc");
@@ -98,7 +98,7 @@ fn explicit_backend_gets_the_same_batch_machinery() {
     let report = session.compile_batch(&requests);
     assert_eq!(report.stats.compiled, 3, "{}", report.summary());
     let solo = Session::builder(presets::tiny())
-        .backend(backend_for(BackendKind::CimMlc))
+        .backend(Box::new(BackendKind::CimMlc))
         .workers(1)
         .build()
         .compile_graph(&small_graphs()[2].1)

@@ -25,6 +25,12 @@
 //! one-flow schedule moved; a diff in the third alone means the
 //! arbitration rule or the amortized / injected switch handling did; a
 //! diff in the fourth alone means a figure's own arithmetic did.
+//! `tests/golden/plans.txt` is written beside the second: every
+//! backend's plan (stage names, segment ranges, allocations, inter
+//! costs and predicted latency, folded into one digest per model) plus
+//! the greedy packer over the dual-mode allocator. A diff there with
+//! none in `engine_reports.txt` means a plan or a prediction moved
+//! without moving the flow the engine runs.
 
 use std::fmt::Write as _;
 
@@ -34,6 +40,8 @@ use cmswitch::models::registry;
 use cmswitch::models::transformer::{decode_step, TransformerConfig};
 use cmswitch::prelude::*;
 use cmswitch::sim::{ChipScheduler, DecodeOptions, EngineTrace, TenancyPolicy};
+use cmswitch::compiler::pipeline::Segmented;
+use cmswitch::compiler::segment::{self, Segment};
 
 const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -148,17 +156,68 @@ fn report_line(out: &mut String, what: &str, model: &str, trace: &EngineTrace) {
     .expect("writing to a String cannot fail");
 }
 
+const PLANS_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/plans.txt");
+
+/// One plan line: the stages that ran, the segment count, and a digest
+/// of every segment's range, allocation and inter cost plus the total
+/// predicted latency, all as exact bits.
+fn plan_line(
+    out: &mut String,
+    what: &str,
+    model: &str,
+    stages: &[&str],
+    segments: &[Segment],
+    predicted_latency: f64,
+) {
+    let mut words = vec![predicted_latency.to_bits(), segments.len() as u64];
+    for s in segments {
+        let a = &s.alloc;
+        words.extend([s.range.0, s.range.1, a.ops.len(), a.reuse.len()].map(|n| n as u64));
+        words.extend([s.inter_before.to_bits(), a.latency.to_bits()]);
+        for op in &a.ops {
+            words.extend([op.compute, op.mem_in, op.mem_out].map(|n| n as u64));
+        }
+        for &((p, c), r) in &a.reuse {
+            words.extend([p, c, r].map(|n| n as u64));
+        }
+    }
+    writeln!(
+        out,
+        "{what} {model} stages={} segments={} digest={:016x}",
+        stages.join(","),
+        segments.len(),
+        cmswitch::solver::stable_hash64(&words),
+    )
+    .expect("writing to a String cannot fail");
+}
+
+/// The ablation's greedy path: [`segment::greedy`] with the dual-mode
+/// allocator.
+fn greedy_plan_line(out: &mut String, arch: &DualModeArch, model: &str, graph: &Graph) {
+    let opts = CompilerOptions::default();
+    let mut cx = PipelineCx::new(arch, &opts);
+    let lowered = cx.run(&LowerStage, graph).expect("registered model lowers");
+    let partitioned = cx.run(&PartitionStage, lowered).expect("registered model partitions");
+    let segmented = segment::greedy(partitioned, &cx.allocator(), &cx.cost_model(), &opts)
+        .expect("every range allocates");
+    let stages: Vec<_> = cx.timings().iter().map(|t| t.stage).collect();
+    let Segmented { segments, total_latency, .. } = segmented;
+    plan_line(out, "greedy-dual-mode", model, &stages, &segments, total_latency);
+}
+
 /// One line per backend x registry model (`trace_program`), then one
 /// per model for the CMSwitch flow simulated bare (`trace`, no operator
 /// dependencies): the whole report and its timelines, not just its
 /// summary. `tests/sim_invariants.rs` pins that `simulate*` returns the
-/// same report without them.
+/// same report without them. The same compiles fill the plan golden.
 #[test]
 fn registry_engine_reports_match_golden_digest() {
     let arch = presets::dynaplasia();
     let engine = EventEngine::new();
     let mut out = String::new();
     let mut bare = String::new();
+    let mut plans = String::new();
+    let mut greedy = String::new();
     for kind in BackendKind::ALL {
         let session = Session::builder(arch.clone()).backend_kind(kind).build();
         for &model in registry::ALL_MODELS {
@@ -170,16 +229,28 @@ fn registry_engine_reports_match_golden_digest() {
                 .trace_program(&program, &arch)
                 .expect("compiled flow simulates");
             report_line(&mut out, kind.name(), model, &trace);
+            let stages: Vec<_> = program.stats.stage_wall.iter().map(|t| t.stage).collect();
+            plan_line(
+                &mut plans,
+                kind.name(),
+                model,
+                &stages,
+                &program.segments,
+                program.predicted_latency,
+            );
             if kind == BackendKind::CmSwitch {
                 let trace = engine
                     .trace(&program.flow, &arch)
                     .expect("bare flow simulates");
                 report_line(&mut bare, "bare-flow", model, &trace);
+                greedy_plan_line(&mut greedy, &arch, model, &graph);
             }
         }
     }
     out.push_str(&bare);
+    plans.push_str(&greedy);
     check_golden(REPORTS_PATH, &out);
+    check_golden(PLANS_PATH, &plans);
 }
 
 const CO_SCHEDULES_PATH: &str = concat!(
