@@ -9,7 +9,7 @@
 use cmswitch_arch::DualModeArch;
 use cmswitch_core::allocation::{OpAllocation, SegmentAllocation};
 use cmswitch_core::cost::CostModel;
-use cmswitch_core::frontend::lower_graph;
+use cmswitch_core::frontend::{lower_graph, DepIndex};
 use cmswitch_core::partition::partition;
 use cmswitch_core::pipeline::Segmented;
 use cmswitch_core::segment::greedy_ranges;
@@ -89,7 +89,8 @@ pub fn static_partition_cycles(
         alloc.latency = cm.intra_latency(ops, &alloc);
         parts.push((r, alloc));
     }
-    let total = Segmented::from_chain(graph.name(), list, &cm, parts).total_latency;
+    let deps = DepIndex::new(&list);
+    let total = Segmented::from_chain(graph.name(), list, &deps, &cm, parts).total_latency;
     total.is_finite().then_some(total)
 }
 

@@ -32,6 +32,7 @@ use parking_lot::{Mutex, RwLock};
 
 use cmswitch_solver::{alloc as fast, stable_hash64, MipProblem, Relation};
 
+use crate::artifact::PayloadStamp;
 use crate::compiler::CompileStats;
 use crate::cost::CostModel;
 use crate::frontend::SegOp;
@@ -217,6 +218,9 @@ pub struct AllocationCache {
     /// `inflight_done` instead of paying a redundant solve.
     inflight: Mutex<HashSet<u64>>,
     inflight_done: Condvar,
+    /// Stamps of the allocation snapshots imported so far: importing
+    /// one again would only re-insert what is already here.
+    imported: Mutex<Vec<PayloadStamp>>,
 }
 
 /// One cache bucket: the full signature it belongs to (verified on
@@ -282,9 +286,10 @@ impl AllocationCache {
         self.map.read().is_empty()
     }
 
-    /// Drops every entry.
+    /// Drops every entry (and with them every snapshot imported).
     pub fn clear(&self) {
         self.map.write().clear();
+        self.imported.lock().clear();
     }
 
     /// Single-flight lookup: either answers from the cache, or hands the
@@ -297,12 +302,18 @@ impl AllocationCache {
     /// identical graphs pay exactly one solve between them instead of
     /// racing miss/miss.
     ///
+    /// Without `read`, the map is not asked: the caller owns the solve
+    /// once no one else is solving the bucket — the in-flight mark alone,
+    /// which a top-level solve without cache reuse takes so that a
+    /// concurrent neighbour lookup of the same signature waits for it
+    /// rather than solving it a second time.
+    ///
     /// Deadlock safety: a solve that probes *nested* signatures (the
     /// MIP warm-start probing its window minus the trailing op) always
     /// waits on a strictly shorter window, so the waits-on relation is
     /// acyclic.
-    fn probe_or_begin(&self, hash: u64, sig: &[u64]) -> Flight<'_> {
-        let cached = || match self.map.read().get(&hash) {
+    fn probe_or_begin(&self, hash: u64, sig: &[u64], read: bool) -> Flight<'_> {
+        let cached = || match read.then(|| self.map.read()).as_ref()?.get(&hash) {
             Some((stored, value)) if stored == sig => Some(value.clone()),
             // Empty bucket, or a collision with a different signature:
             // solve (last writer owns the bucket).
@@ -364,6 +375,20 @@ impl AllocationCache {
             map.insert(hash, (sig, value));
             inserted += 1;
         }
+        inserted
+    }
+
+    /// Whether the snapshot stamped `stamp` was imported here before.
+    pub(crate) fn imported(&self, stamp: PayloadStamp) -> bool {
+        self.imported.lock().contains(&stamp)
+    }
+
+    /// [`AllocationCache::import_entries`] for the snapshot stamped
+    /// `stamp`, remembered so that [`AllocationCache::imported`] skips it
+    /// next time.
+    pub(crate) fn import_snapshot(&self, stamp: PayloadStamp, entries: Vec<AllocEntry>) -> usize {
+        let inserted = self.import_entries(entries);
+        self.imported.lock().push(stamp);
         inserted
     }
 }
@@ -445,7 +470,8 @@ impl<'a> Allocator<'a> {
     /// asked first — single-flight: it answers (possibly after waiting
     /// out a concurrent solver of the same signature), or this call owns
     /// the solve and holds the in-flight mark until it has published the
-    /// result. Every solve is published. Under `reuse` each probe counts
+    /// result. Without it the call solves, but still under the in-flight
+    /// mark. Every solve is published. Under `reuse` each probe counts
     /// as one hit or one miss, so the counts are a function of the
     /// windows asked for, never of which worker asked first.
     ///
@@ -466,10 +492,9 @@ impl<'a> Allocator<'a> {
         let probed = SIGNATURE.with_borrow_mut(|sig| {
             write_signature(sig, &self.sig_prefix, ops, local_deps);
             let hash = stable_hash64(sig);
-            let flight = match probe.then(|| self.cache.probe_or_begin(hash, sig)) {
-                Some(Flight::Hit(hit)) => return ControlFlow::Break(hit),
-                Some(Flight::Solve(guard)) => Some(guard),
-                None => None,
+            let flight = match self.cache.probe_or_begin(hash, sig, probe) {
+                Flight::Hit(hit) => return ControlFlow::Break(hit),
+                Flight::Solve(guard) => guard,
             };
             ControlFlow::Continue((hash, sig.clone(), flight))
         });
@@ -480,7 +505,7 @@ impl<'a> Allocator<'a> {
             }
             ControlFlow::Continue(solve) => solve,
         };
-        if flight.is_some() {
+        if probe {
             traffic(&self.stats.cache_misses);
         }
         let result = match self.kind {
@@ -1030,7 +1055,7 @@ mod tests {
     /// What `cache` answers for `sig` without solving: the cached
     /// result, or `None` when the probe would own the solve.
     fn probe(cache: &AllocationCache, sig: &[u64]) -> Option<Option<SegmentAllocation>> {
-        match cache.probe_or_begin(stable_hash64(sig), sig) {
+        match cache.probe_or_begin(stable_hash64(sig), sig, true) {
             Flight::Hit(hit) => Some(hit),
             Flight::Solve(_) => None,
         }
@@ -1113,6 +1138,32 @@ mod tests {
         assert_eq!(total.fast_solves, 1);
         assert_eq!(total.cache_hits, 3, "every other thread is served a hit");
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn a_solve_without_reuse_holds_the_mark_a_lookup_waits_on() {
+        // A top-level solve without cache reuse never reads the map, but
+        // marks its signature in flight: a neighbour lookup of it waits
+        // for the result instead of solving it a second time.
+        let cache = AllocationCache::new();
+        let sig = [ALLOC_KEY_SCHEMA, 7, 11];
+        let hash = stable_hash64(&sig);
+        let Flight::Solve(guard) = cache.probe_or_begin(hash, &sig, false) else {
+            panic!("an empty cache has nothing to answer");
+        };
+        std::thread::scope(|s| {
+            let lookup = s.spawn(|| probe(&cache, &sig));
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            assert!(!lookup.is_finished(), "the lookup must wait for the mark");
+            cache.insert_prehashed(hash, sig.to_vec(), None);
+            drop(guard);
+            assert_eq!(lookup.join().unwrap(), Some(None), "served the result");
+        });
+        // Present in the map or not, a solve without reuse owns its solve.
+        assert!(matches!(
+            cache.probe_or_begin(hash, &sig, false),
+            Flight::Solve(_)
+        ));
     }
 
     #[test]

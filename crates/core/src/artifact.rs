@@ -841,7 +841,18 @@ pub fn encode_alloc_entries(entries: &[AllocEntry]) -> Vec<u8> {
 ///
 /// Same contract as [`decode_program`].
 pub fn decode_alloc_entries(bytes: &[u8]) -> Result<Vec<AllocEntry>, ArtifactError> {
-    let (payload, _) = unframe(bytes, KIND_ALLOC_SNAPSHOT)?;
+    decode_alloc_payload(alloc_snapshot_frame(bytes)?.0)
+}
+
+/// The checked payload of an allocation snapshot and its stamp — what
+/// tells a cache whether it imported these entries before, without
+/// decoding them.
+pub(crate) fn alloc_snapshot_frame(bytes: &[u8]) -> Result<(&[u8], PayloadStamp), ArtifactError> {
+    unframe(bytes, KIND_ALLOC_SNAPSHOT)
+}
+
+/// The entries of an allocation snapshot's payload.
+pub(crate) fn decode_alloc_payload(payload: &[u8]) -> Result<Vec<AllocEntry>, ArtifactError> {
     let mut r = Reader::new(payload);
     let n = r.seq_len(17)?;
     let mut entries = Vec::with_capacity(n);

@@ -25,9 +25,9 @@ pub struct CompileStats {
     pub stage_wall: Vec<StageWall>,
     /// MIP solves performed. Independent of
     /// [`crate::CompilerOptions::solve_workers`] under
-    /// [`crate::CompilerOptions::reuse_cache`]; without it, and with two
-    /// or more solve workers, it depends on the solve schedule (see
-    /// `reuse_cache`), while the plan does not.
+    /// [`crate::CompilerOptions::reuse_cache`]; without it, the same on
+    /// the registry at 1, 2 and 4 workers but not schedule-free by
+    /// construction (see `reuse_cache`), while the plan always is.
     pub mip_solves: u64,
     /// Fast-allocator solves performed (including MIP fallbacks). Every
     /// MIP solve also runs one embedded fast solve as its warm start,

@@ -139,15 +139,17 @@ pub struct CompilerOptions {
     ///
     /// Plans never depend on it or on `solve_workers`, and with it on
     /// every [`CompileStats`] counter but the walls is the same at any
-    /// worker count. With it off and two or more solve workers the
-    /// solver counts depend on the solve schedule: a top-level solve
-    /// takes no in-flight mark, so a window solved at top level while a
-    /// concurrent solve asks for it as a MIP warm-start neighbour is
-    /// solved twice (bert-base at seq 32 on DynaPlasia pays 1 252 solver
-    /// invocations with one worker and about 1 300 with two). Marking
-    /// the top-level solve alone would not make the count
-    /// schedule-free: which of the two asks comes first still decides
-    /// whether the second finds the result.
+    /// worker count. With it off, every window the DP asks for is
+    /// solved, under the same in-flight mark a MIP warm-start neighbour
+    /// lookup takes: a lookup of a signature a top-level solve is
+    /// working on waits for it and finds the result, as it would one
+    /// worker later (bert-base at seq 32 on DynaPlasia pays 1 252 solver
+    /// invocations at one, two and four workers).
+    /// `tests/solver_determinism.rs` holds every counter equal at 1, 2
+    /// and 4 workers on the registry.
+    /// That is not schedule-free by construction: a lookup that reaches
+    /// a signature before the top-level solve that runs first on one
+    /// worker has marked it would solve it too.
     pub reuse_cache: bool,
     /// Whether inter-segment switch overheads (Eqs. 1, 2, 4) are charged
     /// in the DP (ablation: overhead-oblivious segmentation).

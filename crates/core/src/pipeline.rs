@@ -35,7 +35,7 @@ use crate::allocation::{AllocationCache, Allocator, AllocatorStats};
 use crate::compiler::{CompiledProgram, CompileStats};
 use crate::cost::CostModel;
 use crate::diagnostics::{DiagnosticEvent, Diagnostics};
-use crate::frontend::{lower_graph, OpList};
+use crate::frontend::{lower_graph, DepIndex, OpList};
 use crate::partition::{effective_budget, partition};
 use crate::segment::{self, chain_segments, DpStats, Segment};
 use crate::session::CancelToken;
@@ -313,15 +313,17 @@ pub struct Segmented {
 impl Segmented {
     /// Builds the artifact from an externally produced `(range,
     /// allocation)` chain: charges the Eq. 4 inter costs via
-    /// [`chain_segments`] and totals `Σ (inter + intra)` plus the final
-    /// write-back. Used by the greedy packer and ad-hoc composers.
+    /// [`chain_segments`] (over `deps`, `list`'s index) and totals
+    /// `Σ (inter + intra)` plus the final write-back. Used by the greedy
+    /// packer and ad-hoc composers.
     pub fn from_chain(
         name: impl Into<String>,
         list: OpList,
+        deps: &DepIndex,
         cm: &CostModel<'_>,
         parts: Vec<((usize, usize), crate::allocation::SegmentAllocation)>,
     ) -> Self {
-        let segments = chain_segments(&list, cm, parts);
+        let segments = chain_segments(&list, deps, cm, parts);
         let total_latency = segments
             .iter()
             .map(|s| s.inter_before + s.alloc.latency)
@@ -521,7 +523,8 @@ mod tests {
                 ((i, i), a)
             })
             .collect();
-        let segmented = Segmented::from_chain("chain", list, &cm, parts);
+        let deps = DepIndex::new(&list);
+        let segmented = Segmented::from_chain("chain", list, &deps, &cm, parts);
         assert_eq!(segmented.segments.len(), m);
         let expect: f64 = segmented
             .segments

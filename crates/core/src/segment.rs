@@ -178,19 +178,19 @@ impl DpStats {
 ///
 /// Shared by the DP's backtrack materialization, the greedy packer
 /// ([`greedy`]) and ad-hoc composers such as the bench experiments —
-/// everyone pays the same physics.
+/// everyone pays the same physics. `deps` is `list`'s index, the one
+/// the parts were solved against: per-boundary write-back queries then
+/// cost O(segment deps), not O(all deps).
 pub fn chain_segments(
     list: &OpList,
+    deps: &DepIndex,
     cm: &CostModel<'_>,
     parts: Vec<((usize, usize), SegmentAllocation)>,
 ) -> Vec<Segment> {
-    // One index for the whole chain: per-boundary write-back queries
-    // then cost O(segment deps), not O(all deps).
-    let deps = DepIndex::new(list);
     let mut segments: Vec<Segment> = Vec::with_capacity(parts.len());
     for (range, alloc) in parts {
         let prev = segments.last().map(|p| (p.range, &p.alloc));
-        let inter_before = cm.inter_cost(&deps, prev, range, &list.ops[range.0..=range.1], &alloc);
+        let inter_before = cm.inter_cost(deps, prev, range, &list.ops[range.0..=range.1], &alloc);
         segments.push(Segment {
             range,
             alloc,
@@ -485,7 +485,9 @@ pub fn greedy(
         let alloc = solver.solve(&input.list, &deps, r);
         parts.push((r, alloc.ok_or(CompileError::NoFeasibleSchedule)?));
     }
-    Ok(Segmented::from_chain(input.name, input.list, cm, parts))
+    Ok(Segmented::from_chain(
+        input.name, input.list, &deps, cm, parts,
+    ))
 }
 
 /// The solve pool the DP fans window solves out to: pure
@@ -951,7 +953,11 @@ where
             (w, alloc)
         })
         .collect();
-    Ok((chain_segments(list, cm, parts), total_latency, dp_stats))
+    Ok((
+        chain_segments(list, deps, cm, parts),
+        total_latency,
+        dp_stats,
+    ))
 }
 
 #[cfg(test)]
@@ -1252,7 +1258,7 @@ mod tests {
                 (r, a)
             })
             .collect();
-        let segments = chain_segments(&l, &cm, parts);
+        let segments = chain_segments(&l, &DepIndex::new(&l), &cm, parts);
         assert!(segments[0].inter_before > 0.0); // initial switch + load
         if segments.len() > 1 {
             assert!(segments[1].inter_before > 0.0); // reload at least

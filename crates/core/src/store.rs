@@ -379,7 +379,9 @@ impl ArtifactStore {
 
     /// Promotes the on-disk snapshot (if any) into `cache`, returning
     /// the number of entries imported. A missing snapshot is 0; a
-    /// corrupt one counts in [`StoreStats::corrupt`] and is ignored.
+    /// corrupt one counts in [`StoreStats::corrupt`] and is ignored. So
+    /// is a snapshot `cache` already imported (the same payload, by its
+    /// stamp): it is read and checksummed, but not decoded again.
     /// Entries of an older signature layout (first word other than the
     /// current allocation-key schema) could never be looked up again, so
     /// they are dropped here — and with them from every later snapshot.
@@ -388,10 +390,17 @@ impl ArtifactStore {
             Ok(bytes) => bytes,
             Err(_) => return 0,
         };
-        match artifact::decode_alloc_entries(&bytes) {
-            Ok(mut entries) => {
+        let decoded = artifact::alloc_snapshot_frame(&bytes).and_then(|(payload, stamp)| {
+            if cache.imported(stamp) {
+                return Ok(None);
+            }
+            Ok(Some((artifact::decode_alloc_payload(payload)?, stamp)))
+        });
+        match decoded {
+            Ok(None) => 0,
+            Ok(Some((mut entries, stamp))) => {
                 entries.retain(|(_, sig, _)| sig.first() == Some(&ALLOC_KEY_SCHEMA));
-                cache.import_entries(entries)
+                cache.import_snapshot(stamp, entries)
             }
             Err(_) => {
                 self.corrupt.fetch_add(1, Ordering::Relaxed);
@@ -651,6 +660,46 @@ mod tests {
         assert_eq!(store.load_alloc_snapshot(&fresh), written);
         assert_eq!(fresh.len(), cache.len());
         assert_eq!(fresh.export_entries(), cache.export_entries());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_cache_imports_each_snapshot_once() {
+        let dir = tempdir("snapshot-once");
+        let store = ArtifactStore::open(&dir).unwrap();
+        let cache = AllocationCache::new();
+        let graph = |dims: &[usize]| cmswitch_models::mlp::mlp(2, dims).unwrap();
+        let session = |cache: &Arc<AllocationCache>| {
+            Session::builder(presets::tiny())
+                .cache(Arc::clone(cache))
+                .store(Arc::clone(&store))
+                .build()
+        };
+        session(&cache)
+            .compile_graph(&graph(&[64, 128, 64]))
+            .unwrap();
+        let written = store.save_alloc_snapshot(&cache).unwrap();
+
+        // Sessions built over the cache the snapshot was imported into
+        // find its stamp and import nothing; a fresh cache imports all.
+        let shared = AllocationCache::new();
+        assert_eq!(store.load_alloc_snapshot(&shared), written);
+        for _ in 0..3 {
+            let _ = session(&shared);
+        }
+        assert_eq!(store.load_alloc_snapshot(&shared), 0);
+        assert_eq!(shared.export_entries(), cache.export_entries());
+        assert_eq!(store.load_alloc_snapshot(&AllocationCache::new()), written);
+
+        // A new snapshot is a new stamp: imported once more.
+        session(&cache)
+            .compile_graph(&graph(&[64, 256, 32]))
+            .unwrap();
+        let grown = store.save_alloc_snapshot(&cache).unwrap();
+        assert!(grown > written);
+        assert_eq!(store.load_alloc_snapshot(&shared), grown);
+        assert_eq!(store.load_alloc_snapshot(&shared), 0);
+        assert_eq!(store.stats().corrupt, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -28,18 +28,20 @@
 //! `Deny` finding), or a hand-built [`Verifier`] for custom lint sets.
 //!
 //! The verifier gates every artifact served from the store, so it is
-//! built to cost a linear pass: per-array state lives in tables indexed
-//! by array id ([`cmswitch_metaop::dense`]), the flow's segment blocks
-//! are indexed once per [`Verifier::run`], and names, array lists and
+//! built to cost a linear pass: per-array state is kept by the run
+//! ([`cmswitch_metaop::dense::RunTable`]), the flow's segment blocks are
+//! indexed once per [`Verifier::run`], and names, array lists and
 //! messages are only built for findings — a clean program allocates a
 //! few dozen times whatever its size. Array ids are untrusted (they come
 //! from decoded artifacts): ids beyond the chip are findings, never
 //! panics, and cost nothing proportional to their value. Array lists are
 //! runs, and every lint walks a run clipped to the chip
-//! ([`cmswitch_metaop::ArraySet::clipped_runs`]): its ids on the chip one by
-//! one, its part beyond the chip as that part's first id. So work is per
-//! reference on the chip and per *run* beyond it — a forged run of four
-//! billion ids is one `capacity-arrays` finding, not four billion.
+//! ([`cmswitch_metaop::ArraySet::clipped_runs`]): its part on the chip as
+//! one run, its part beyond the chip as that part's first id. A lint
+//! reads and updates its table a piece of equal state at a time, so work
+//! is per run and per piece, not per reference; only a finding lists its
+//! arrays id by id — a forged run of four billion ids is one
+//! `capacity-arrays` finding, not four billion.
 //!
 //! The [`mutate`] submodule injects known defect classes into valid
 //! programs; the test suite uses it to prove every rule actually fires
@@ -50,7 +52,7 @@ use std::fmt;
 use std::ops::Range;
 
 use cmswitch_arch::{ArrayId, ArrayMode, DualModeArch};
-use cmswitch_metaop::dense::{ArrayTable, BlockClaims};
+use cmswitch_metaop::dense::{BlockClaims, RunTable};
 use cmswitch_metaop::walk::{walk_flow, FlowEvent};
 use cmswitch_metaop::{ArrayRun, ArraySet, ComputeStmt, Flow, MemLoc, Stmt, WeightLoadStmt};
 
@@ -388,7 +390,7 @@ fn fmt_arrays(arrays: &[ArrayId]) -> String {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ModeIntervalLint;
 
-#[derive(Clone, Default)]
+#[derive(Clone, Default, PartialEq)]
 struct ArrayState<'a> {
     mode: Option<ArrayMode>, // None = initial memory mode
     load: Option<PendingLoad<'a>>,
@@ -396,7 +398,7 @@ struct ArrayState<'a> {
     used_since_switch: bool,
 }
 
-#[derive(Clone)]
+#[derive(Clone, PartialEq)]
 struct PendingLoad<'a> {
     op: &'a str,
     stmt: usize,
@@ -437,7 +439,7 @@ impl Lint for ModeIntervalLint {
 
     fn check(&self, cx: &VerifyCx<'_>, report: &mut VerifyReport) {
         let n_arrays = cx.arch.n_arrays();
-        let mut states = ArrayTable::new(n_arrays, ArrayState::default());
+        let mut states = RunTable::new(ArrayState::default());
         let _: Result<(), std::convert::Infallible> =
             walk_flow(&cx.program.flow, |event| {
                 let FlowEvent::Stmt { pos, stmt } = event else {
@@ -447,16 +449,16 @@ impl Lint for ModeIntervalLint {
                 // Uses in the wrong mode, by the mode the role needs.
                 let (mut bad_compute, mut bad_memory) = (Vec::new(), Vec::new());
                 stmt.for_each_required_mode(&mut |arrays, needed| {
+                    let bad = match needed {
+                        ArrayMode::Compute => &mut bad_compute,
+                        ArrayMode::Memory => &mut bad_memory,
+                    };
                     for run in arrays.clipped_runs(n_arrays) {
-                        for a in run.iter() {
-                            if states.get(a).mode() != needed {
-                                match needed {
-                                    ArrayMode::Compute => &mut bad_compute,
-                                    ArrayMode::Memory => &mut bad_memory,
-                                }
-                                .push(a);
+                        states.read(run, |piece, st| {
+                            if st.mode() != needed {
+                                bad.extend(piece.iter());
                             }
-                        }
+                        });
                     }
                 });
                 match stmt {
@@ -465,16 +467,15 @@ impl Lint for ModeIntervalLint {
                         let mut same_mode = Vec::new();
                         let mut unused = Vec::new();
                         for run in arrays.clipped_runs(n_arrays) {
-                            for a in run.iter() {
-                                let st = states.slot(a);
+                            states.update(run, |piece, st| {
                                 if st.mode() == target {
-                                    same_mode.push(a);
+                                    same_mode.extend(piece.iter());
                                 } else if st.switched_at.is_some() && !st.used_since_switch {
-                                    unused.push(a);
+                                    unused.extend(piece.iter());
                                 }
                                 if st.mode() != target {
-                                    if let Some(load) = st.load.take() {
-                                        if !load.consumed {
+                                    if let Some(load) = st.load.take().filter(|l| !l.consumed) {
+                                        for a in piece.iter() {
                                             Self::flag_dead_load(
                                                 report,
                                                 a,
@@ -487,7 +488,7 @@ impl Lint for ModeIntervalLint {
                                 st.mode = Some(target);
                                 st.switched_at = Some(idx);
                                 st.used_since_switch = false;
-                            }
+                            });
                         }
                         if !same_mode.is_empty() {
                             let list = fmt_arrays(&same_mode);
@@ -519,43 +520,21 @@ impl Lint for ModeIntervalLint {
                     }
                     Stmt::Compute(c) => {
                         let mut unloaded = Vec::new();
-                        // The last pending load's name (as the flow holds
-                        // it) and whether it is this op's: an op's arrays
-                        // mostly share one load statement, so the names
-                        // are compared once per load, not once per array.
-                        let mut last_load: Option<(&str, bool)> = None;
                         for run in c.compute_arrays.clipped_runs(n_arrays) {
-                            for a in run.iter() {
-                                let st = states.slot(a);
+                            states.update(run, |piece, st| {
                                 st.used_since_switch = true;
                                 if !c.weight_static {
-                                    continue;
+                                    return;
                                 }
                                 match &mut st.load {
-                                    Some(load) => {
-                                        let holds = match last_load {
-                                            Some((op, holds)) if std::ptr::eq(op, load.op) => holds,
-                                            _ => {
-                                                let holds = load.op == c.op;
-                                                last_load = Some((load.op, holds));
-                                                holds
-                                            }
-                                        };
-                                        if holds {
-                                            load.consumed = true;
-                                        } else {
-                                            unloaded.push(a);
-                                        }
-                                    }
-                                    None => unloaded.push(a),
+                                    Some(load) if load.op == c.op => load.consumed = true,
+                                    _ => unloaded.extend(piece.iter()),
                                 }
-                            }
+                            });
                         }
                         for buffers in [&c.mem_in_arrays, &c.mem_out_arrays] {
                             for run in buffers.clipped_runs(n_arrays) {
-                                for a in run.iter() {
-                                    states.slot(a).used_since_switch = true;
-                                }
+                                states.update(run, |_, st| st.used_since_switch = true);
                             }
                         }
                         if !bad_compute.is_empty() {
@@ -594,15 +573,15 @@ impl Lint for ModeIntervalLint {
                     }
                     Stmt::LoadWeights(w) => {
                         for run in w.arrays.clipped_runs(n_arrays) {
-                            for a in run.iter() {
-                                let st = states.slot(a);
+                            states.update(run, |piece, st| {
                                 st.used_since_switch = true;
-                                if let Some(prev) = st.load.replace(PendingLoad {
+                                let load = PendingLoad {
                                     op: &w.op,
                                     stmt: idx,
                                     consumed: false,
-                                }) {
-                                    if !prev.consumed {
+                                };
+                                if let Some(prev) = st.load.replace(load).filter(|l| !l.consumed) {
+                                    for a in piece.iter() {
                                         Self::flag_dead_load(
                                             report,
                                             a,
@@ -611,7 +590,7 @@ impl Lint for ModeIntervalLint {
                                         );
                                     }
                                 }
-                            }
+                            });
                         }
                         if !bad_compute.is_empty() {
                             let list = fmt_arrays(&bad_compute);
@@ -630,9 +609,7 @@ impl Lint for ModeIntervalLint {
                     Stmt::Mem(m) => {
                         if let MemLoc::CimArrays(arrays) = &m.loc {
                             for run in arrays.clipped_runs(n_arrays) {
-                                for a in run.iter() {
-                                    states.slot(a).used_since_switch = true;
-                                }
+                                states.update(run, |_, st| st.used_since_switch = true);
                             }
                             if !bad_memory.is_empty() {
                                 let list = fmt_arrays(&bad_memory);
@@ -655,9 +632,13 @@ impl Lint for ModeIntervalLint {
                 Ok(())
             });
         // Loads never consumed by the end of the flow, in array order.
-        for (a, st) in states.iter() {
+        // Only ids a clipped walk reached hold a load, so these pieces
+        // are on the chip or one stray id each.
+        for (first, last, st) in states.iter() {
             if let Some(load) = st.load.as_ref().filter(|l| !l.consumed) {
-                Self::flag_dead_load(report, a, load, "never consumed by any compute");
+                for a in first.0..=last.0 {
+                    Self::flag_dead_load(report, ArrayId(a), load, "never consumed by any compute");
+                }
             }
         }
     }
@@ -692,9 +673,9 @@ impl Lint for CapacityLint {
         let n_arrays = cx.arch.n_arrays();
         let blocks = cx.blocks();
         let aligned = blocks.len() == program.segments.len();
-        // The segment (1-based) that last touched each array: counts
-        // distinct arrays per block without a set.
-        let mut touched_in = vec![0usize; n_arrays];
+        // Whether the block at hand touched each array: counts distinct
+        // arrays per block without a set.
+        let mut touched = RunTable::new(false);
 
         for (si, plan) in program.segments.iter().enumerate() {
             let block_stmt = aligned.then(|| blocks[si].stmt);
@@ -733,22 +714,25 @@ impl Lint for CapacityLint {
             }
             // Flow-side cross-checks against the aligned block.
             let block = &blocks[si];
+            touched.reset(false);
             let mut distinct = 0usize;
             let mut out_of_range: Vec<ArrayId> = Vec::new();
             for s in block.body {
                 s.for_each_array_set(&mut |arrays| {
                     for run in arrays.clipped_runs(n_arrays) {
-                        for a in run.iter() {
-                            match touched_in.get_mut(a.index()) {
-                                Some(seg) if *seg == si + 1 => {}
-                                Some(seg) => {
-                                    *seg = si + 1;
-                                    distinct += 1;
-                                }
-                                None if out_of_range.contains(&a) => {}
-                                None => out_of_range.push(a),
+                        // A clipped piece past the chip is one stray id.
+                        if let Some(a) = run.first_beyond(n_arrays) {
+                            if !out_of_range.contains(&a) {
+                                out_of_range.push(a);
                             }
+                            continue;
                         }
+                        touched.update(run, |piece, seen| {
+                            if !*seen {
+                                *seen = true;
+                                distinct += piece.count() as usize;
+                            }
+                        });
                     }
                 });
                 if let Stmt::LoadWeights(w) = s {
@@ -960,11 +944,10 @@ impl Lint for DependenceLint {
         // (producer's mem_out feeding a later op's mem_in).
         let blocks = cx.blocks();
         if blocks.len() == program.segments.len() {
-            // The producer (numbered across the whole flow) whose output
-            // buffer each array last was.
+            // Whether each array is the output buffer of the producer at
+            // hand.
             let n_arrays = cx.arch.n_arrays();
-            let mut out_of = ArrayTable::new(n_arrays, 0usize);
-            let mut producer = 0usize;
+            let mut written = RunTable::new(false);
             for (plan, block) in program.segments.iter().zip(blocks) {
                 let computes = cx.computes(block);
                 // Checked: a decoded plan's range may be inverted.
@@ -976,14 +959,16 @@ impl Lint for DependenceLint {
                     if prod.mem_out_arrays.is_empty() {
                         continue;
                     }
-                    producer += 1;
+                    written.reset(false);
                     for run in prod.mem_out_arrays.clipped_runs(n_arrays) {
-                        for a in run.iter() {
-                            *out_of.slot(a) = producer;
-                        }
+                        written.assign(run, &true);
                     }
                     for (j, cons) in computes.iter().enumerate().skip(i + 1) {
-                        let reads = |run: ArrayRun| run.iter().any(|a| *out_of.get(a) == producer);
+                        let reads = |run: ArrayRun| {
+                            let mut hit = false;
+                            written.read(run, |_, &w| hit |= w);
+                            hit
+                        };
                         if cons.mem_in_arrays.clipped_runs(n_arrays).any(reads) {
                             // In range: the block's ops fit the plan.
                             require(
@@ -1020,7 +1005,7 @@ impl Lint for ParallelRaceLint {
 
     fn check(&self, cx: &VerifyCx<'_>, report: &mut VerifyReport) {
         let n_arrays = cx.arch.n_arrays();
-        let mut claims = BlockClaims::new(n_arrays);
+        let mut claims = BlockClaims::new();
         for (idx, stmt) in cx.program.flow.stmts().iter().enumerate() {
             let Stmt::Parallel(body) = stmt else { continue };
             claims.enter_block();
@@ -1036,7 +1021,9 @@ impl Lint for ParallelRaceLint {
                         Vec::new(),
                         "parallel block nested inside another parallel block",
                     ),
-                    Stmt::Compute(c) => claims.claim(c, n_arrays, |a| contested.push(a)),
+                    Stmt::Compute(c) => {
+                        claims.claim(c, n_arrays, |piece| contested.extend(piece.iter()));
+                    }
                     _ => {}
                 }
             }

@@ -86,10 +86,48 @@ impl ArrayRun {
         self.first <= self.last
     }
 
+    /// The run's last id.
+    #[inline]
+    pub fn last(self) -> ArrayId {
+        ArrayId(self.last)
+    }
+
+    /// The smallest id of the run.
+    #[inline]
+    pub fn min(self) -> ArrayId {
+        ArrayId(self.first.min(self.last))
+    }
+
     /// The largest id of the run.
     #[inline]
     pub fn max(self) -> ArrayId {
         ArrayId(self.first.max(self.last))
+    }
+
+    /// The run of the ids from `first` to `last`, stepping toward `last`
+    /// — `None` if that would be more than `u32::MAX` ids (only
+    /// `0..=u32::MAX`, either way, is).
+    #[inline]
+    pub fn between(first: ArrayId, last: ArrayId) -> Option<ArrayRun> {
+        (first.0.abs_diff(last.0) != u32::MAX).then_some(ArrayRun {
+            first: first.0,
+            last: last.0,
+        })
+    }
+
+    /// `self` and then `next` as one run, if `next` carries on where
+    /// `self` stops, in one direction, and the two fit in one run.
+    #[inline]
+    pub fn joined(self, next: ArrayRun) -> Option<ArrayRun> {
+        let grown = self.extended(next.first)?;
+        if next.first != next.last && next.ascending() != grown.ascending() {
+            return None;
+        }
+        self.count().checked_add(next.count())?;
+        Some(ArrayRun {
+            first: self.first,
+            last: next.last,
+        })
     }
 
     /// Whether `a` is one of the run's ids.
@@ -144,6 +182,14 @@ impl ArrayRun {
             // `first` stands for first..=bound, then bound-1 down to last.
             [stray, Some(ArrayRun { first: bound - 1, last: self.last })]
         }
+    }
+
+    /// The run from `first` to `last`, which the caller knows are fewer
+    /// than 2³² ids apart.
+    #[inline]
+    pub(crate) fn from_ends(first: u32, last: u32) -> ArrayRun {
+        debug_assert!(first.abs_diff(last) != u32::MAX);
+        ArrayRun { first, last }
     }
 
     /// The run extended by `a`, if `a` is its next id and it has room.

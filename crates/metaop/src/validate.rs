@@ -18,26 +18,9 @@
 
 use cmswitch_arch::ArrayMode;
 
-use crate::dense::{ArrayTable, BlockClaims};
+use crate::dense::{BlockClaims, RunTable};
 use crate::walk::{walk_flow, FlowEvent};
 use crate::{Flow, MetaOpError, Stmt};
-
-/// How many array ids get dense state: one past the largest id the flow
-/// names, but never more than the flow has array references — so an
-/// absurd id in an untrusted flow cannot size the tables (ids beyond
-/// the bound take [`ArrayTable`]'s spill path). Counted run by run.
-fn dense_len(flow: &Flow) -> usize {
-    let (mut refs, mut max_id) = (0usize, 0u32);
-    for stmt in flow.stmts() {
-        stmt.for_each_array_set(&mut |arrays| {
-            for run in arrays.runs() {
-                refs = refs.saturating_add(run.count() as usize);
-                max_id = max_id.max(run.max().0);
-            }
-        });
-    }
-    refs.min((max_id as usize).saturating_add(1))
-}
 
 /// Validates a flow on its own, with no chip to check its ids against.
 ///
@@ -46,15 +29,16 @@ fn dense_len(flow: &Flow) -> usize {
 /// first violation. The collect-everything verifier in `cmswitch-core`
 /// rides the same walker but never stops.
 ///
-/// With no chip to bound them, every id of every run is checked, so the
-/// cost is linear in array references: a flow from an untrusted source,
-/// whose runs may claim billions of ids, goes through [`validate_on`].
+/// Modes and claims are kept by the run ([`RunTable`]), so the cost is
+/// per run and per piece of equal state it covers, however many ids a
+/// run claims; a flow meant for a chip goes through [`validate_on`],
+/// which also rejects the ids the chip lacks.
 ///
 /// # Errors
 ///
 /// Returns the first [`MetaOpError`] violation found.
 pub fn validate(flow: &Flow) -> Result<(), MetaOpError> {
-    check_flow(flow, dense_len(flow), None)
+    check_flow(flow, None)
 }
 
 /// Validates a flow for a chip of `n_arrays` arrays: [`validate`]'s
@@ -62,11 +46,9 @@ pub fn validate(flow: &Flow) -> Result<(), MetaOpError> {
 /// is the check the compiler's emit stage and both simulators run, so a
 /// flow one of them rejects, all of them reject with the same error.
 ///
-/// The tables are sized by the chip, so no pre-walk over the flow is
-/// needed, and no id ever reaches the spill path. Ids are range-checked
-/// a run at a time before any is walked, so a run reaching past the chip
-/// costs one comparison however long it claims to be, and every run
-/// walked afterwards holds at most `n_arrays` ids.
+/// Ids are range-checked a run at a time before any is walked, so a run
+/// reaching past the chip costs one comparison however long it claims
+/// to be.
 ///
 /// # Errors
 ///
@@ -74,15 +56,15 @@ pub fn validate(flow: &Flow) -> Result<(), MetaOpError> {
 /// `>= n_arrays` is a [`MetaOpError::ModeViolation`], reported before
 /// the mode and claim checks of the statement that names it.
 pub fn validate_on(flow: &Flow, n_arrays: usize) -> Result<(), MetaOpError> {
-    check_flow(flow, n_arrays, Some(n_arrays))
+    check_flow(flow, Some(n_arrays))
 }
 
-/// The one walk behind [`validate`] and [`validate_on`]: tables dense
-/// for ids `0..len`, ids `>= n_arrays` rejected when a chip is given.
-fn check_flow(flow: &Flow, len: usize, n_arrays: Option<usize>) -> Result<(), MetaOpError> {
+/// The one walk behind [`validate`] and [`validate_on`]: ids
+/// `>= n_arrays` rejected when a chip is given.
+fn check_flow(flow: &Flow, n_arrays: Option<usize>) -> Result<(), MetaOpError> {
     // All arrays start in memory mode.
-    let mut modes = ArrayTable::new(len, ArrayMode::Memory);
-    let mut claims = BlockClaims::new(len);
+    let mut modes = RunTable::new(ArrayMode::Memory);
+    let mut claims = BlockClaims::new();
     let mut in_block = false;
 
     walk_flow(flow, |event| match event {
@@ -114,7 +96,7 @@ fn check_stmt<'a>(
     stmt: &'a Stmt,
     idx: usize,
     n_arrays: Option<usize>,
-    modes: &mut ArrayTable<ArrayMode>,
+    modes: &mut RunTable<ArrayMode>,
     claims: Option<&mut BlockClaims<'a>>,
 ) -> Result<(), MetaOpError> {
     let violation = |array, detail| {
@@ -139,10 +121,8 @@ fn check_stmt<'a>(
         }
     }
     if let Stmt::Switch { kind, arrays } = stmt {
-        for run in arrays.runs() {
-            for a in run.iter() {
-                *modes.slot(a) = kind.target_mode();
-            }
+        for &run in arrays.runs() {
+            modes.assign(run, &kind.target_mode());
         }
         return Ok(());
     }
@@ -150,12 +130,15 @@ fn check_stmt<'a>(
     // to report; `detail` is only rendered for it.
     let mut wrong = None;
     stmt.for_each_required_mode(&mut |arrays, needed| {
-        for run in arrays.runs() {
-            for a in run.iter() {
-                if wrong.is_none() && *modes.get(a) != needed {
-                    wrong = Some((a, needed));
-                }
+        for &run in arrays.runs() {
+            if wrong.is_some() {
+                return;
             }
+            modes.read(run, |piece, &mode| {
+                if wrong.is_none() && mode != needed {
+                    wrong = Some((piece.first(), needed));
+                }
+            });
         }
     });
     if let Some((array, needed)) = wrong {
@@ -180,7 +163,7 @@ fn check_stmt<'a>(
     }
     if let (Stmt::Compute(c), Some(claims)) = (stmt, claims) {
         let mut first = None;
-        claims.claim(c, usize::MAX, |a| first = first.or(Some(a)));
+        claims.claim(c, usize::MAX, |piece| first = first.or(Some(piece.first())));
         if let Some(array) = first {
             return Err(MetaOpError::ArrayConflict { array, stmt: idx });
         }

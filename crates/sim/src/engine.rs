@@ -41,7 +41,9 @@
 //!    execution: its weight loads in body order, the arrays it
 //!    references ascending by id, the write-back prologue in flow order,
 //!    then its producer segments — or the last data event when there is
-//!    no plan). Ties keep the earlier dependency.
+//!    no plan). Ties keep the earlier dependency. Arrays are waited on a
+//!    piece of equal release state at a time, in that order: the same
+//!    as id by id, because a repeated `(event, time)` moves nothing.
 //! 2. **First release wins** — a segment releases each lane's arrays as
 //!    the lane drains; when it names an array twice (two lanes, or a
 //!    lane and a memory role) successors wait for the first release
@@ -102,9 +104,16 @@
 //!
 //! A simulation pays for what its caller reads. The flow is range-checked
 //! once per array run (`validate_on`), so a forged run costs one
-//! comparison; after that, work per array reference is an indexed load
-//! or store on dense per-array state (release time, mode), walked off
-//! each list's runs without building an id list. Heap traffic is
+//! comparison. After that, per-array state (release time, mode) is kept
+//! by the run ([`RunTable`]), and every statement works on its lists a
+//! run at a time: a run is waited on, released and mode-switched one
+//! piece of equal state at a time, a body's referenced set is its runs
+//! sorted and merged, and its memory-mode occupancy is a list of runs.
+//! So work is per run and per piece, not per array reference. Only the
+//! per-id float sums (`breakdown.compute`, `breakdown.mem_traffic`) stay
+//! per id — each adds its term once per id, in the per-id order, so the
+//! report's rounding does not move — and the realignment of modes
+//! between flows is skipped outright for one flow. Heap traffic is
 //! bounded by the number of *statements* — one
 //! fixed-size event each, whose label borrows the flow's strings and is
 //! rendered only for the steps of the critical path — never by the
@@ -118,6 +127,7 @@ use cmswitch_arch::{ArrayId, ArrayMode, DualModeArch};
 use cmswitch_core::cost;
 use cmswitch_core::frontend::source_spans;
 use cmswitch_core::{CompileOutcome, CompiledProgram, DiagnosticEvent, Diagnostics, Session};
+use cmswitch_metaop::dense::RunTable;
 use cmswitch_metaop::{
     validate_on, ArrayRun, ArraySet, Flow, MemLoc, MetaOpError, Stmt, SwitchKind,
 };
@@ -461,8 +471,9 @@ pub(crate) struct FlowState<'a> {
     pub(crate) busy: f64,
 }
 
-/// The forward pass: events in lowering order, dense per-array release
-/// and mode state, and the report filled in as each event is timed.
+/// The forward pass: events in lowering order, per-array release and
+/// mode state kept by the run, and the report filled in as each event
+/// is timed.
 /// [`schedule`] returns it finished: `report` (every flow's events on
 /// the one chip), `switches` and each flow's cost are final.
 pub(crate) struct ForwardPass<'a> {
@@ -475,21 +486,21 @@ pub(crate) struct ForwardPass<'a> {
     events: Vec<Event<'a>>,
     /// Per array: the event that last occupied it and the cycle that
     /// event released it (none: untouched, free from cycle 0).
-    released: Vec<Option<(usize, f64)>>,
+    released: RunTable<Option<(usize, f64)>>,
     /// Per array: its mode and the flow whose switch set it (none: the
     /// reset state).
-    modes: Vec<(ArrayMode, Option<usize>)>,
+    modes: RunTable<(ArrayMode, Option<usize>)>,
     /// Last bulk-memory event (the shared off-chip/buffer port).
     bus: Option<usize>,
     /// Last top-level vector event (the single vector function unit).
     fu: Option<usize>,
     /// Per-statement scratch, reused: the arrays to drive into each
-    /// mode (indexed by it, as one-id runs, the form `push_serial`
-    /// walks), the arrays a body references, and how long
+    /// mode (indexed by it, as runs in the order they are driven), the
+    /// arrays a body references (as `(first, last)` spans), and how long
     /// it keeps each memory-mode array busy.
     to_switch: [Vec<ArrayRun>; 2],
-    referenced: Vec<ArrayId>,
-    mem_busy: Vec<(ArrayId, f64)>,
+    referenced: Vec<(u32, u32)>,
+    mem_busy: MemBusy,
     pub(crate) switches: SwitchAmortization,
     pub(crate) report: EngineReport,
     /// The per-array busy log, when the caller asked for one.
@@ -524,13 +535,13 @@ impl<'a> ForwardPass<'a> {
                 .collect(),
             cur: 0,
             events: Vec::new(),
-            released: vec![None; arch.n_arrays()],
-            modes: vec![(ArrayMode::Memory, None); arch.n_arrays()],
+            released: RunTable::new(None),
+            modes: RunTable::new((ArrayMode::Memory, None)),
             bus: None,
             fu: None,
             to_switch: [Vec::new(), Vec::new()],
             referenced: Vec::new(),
-            mem_busy: Vec::new(),
+            mem_busy: MemBusy::default(),
             switches: SwitchAmortization::default(),
             report: EngineReport {
                 total_cycles: 0.0,
@@ -584,12 +595,15 @@ impl<'a> ForwardPass<'a> {
         }
     }
 
-    fn wait_arrays(&self, arrays: impl IntoIterator<Item = ArrayId>, ready: &mut Ready) {
-        for a in arrays {
-            if let Some((user, free_at)) = self.released[a.index()] {
+    /// Waits for the arrays of `run`, in its order: once per piece of
+    /// equal release state, which is a wait per id (rule 1) because a
+    /// repeated `(event, time)` moves nothing.
+    fn wait_arrays(&self, run: ArrayRun, ready: &mut Ready) {
+        self.released.read(run, |_, released| {
+            if let Some((user, free_at)) = *released {
                 ready.wait(user, free_at);
             }
-        }
+        });
     }
 
     /// Times one event of the current flow; returns `(id, start, finish)`.
@@ -606,17 +620,26 @@ impl<'a> ForwardPass<'a> {
         (self.events.len() - 1, start, finish)
     }
 
-    /// `event` keeps array `a` busy for `busy` (logged when timelines
-    /// are recorded) and frees it at `free_at` — unless `event` already
-    /// released it.
-    fn occupy(&mut self, a: ArrayId, event: usize, busy: BusyInterval, free_at: f64) {
+    /// `event` keeps the arrays of `run` busy for `busy` (logged when
+    /// timelines are recorded) and frees them at its end — except the
+    /// ones `event` already released (rule 2).
+    fn occupy(&mut self, run: ArrayRun, event: usize, busy: BusyInterval) {
         if let Some(timelines) = &mut self.timelines {
-            timelines[a.index()].intervals.push(busy);
+            for a in run.iter() {
+                timelines[a.index()].intervals.push(busy);
+            }
         }
-        let released = &mut self.released[a.index()];
-        if released.is_none_or(|(user, _)| user != event) {
-            *released = Some((event, free_at));
-        }
+        self.release(run, event, busy.end);
+    }
+
+    /// Rule 2 over a run: `event` frees its arrays at `free_at`, except
+    /// those it already released.
+    fn release(&mut self, run: ArrayRun, event: usize, free_at: f64) {
+        self.released.update(run, |_, released| {
+            if released.is_none_or(|(user, _)| user != event) {
+                *released = Some((event, free_at));
+            }
+        });
     }
 
     /// An event that drives `arrays` one after another at `stride`
@@ -631,21 +654,23 @@ impl<'a> ForwardPass<'a> {
         kind: BusyKind,
     ) {
         let mut ready = Ready::default();
-        for run in runs {
-            self.wait_arrays(run.iter(), &mut ready);
+        for &run in runs {
+            self.wait_arrays(run, &mut ready);
         }
         let (id, start, finish) = self.record(label, ready, duration);
         let mut i = 0;
-        for run in runs {
-            for a in run.iter() {
-                let busy = BusyInterval {
-                    start: start + stride * i as f64,
-                    end: start + stride * (i + 1) as f64,
-                    kind,
-                };
-                self.occupy(a, id, busy, finish);
-                i += 1;
+        for &run in runs {
+            if let Some(timelines) = &mut self.timelines {
+                for a in run.iter() {
+                    timelines[a.index()].intervals.push(BusyInterval {
+                        start: start + stride * i as f64,
+                        end: start + stride * (i + 1) as f64,
+                        kind,
+                    });
+                    i += 1;
+                }
             }
+            self.release(run, id, finish);
         }
     }
 
@@ -675,30 +700,29 @@ impl<'a> ForwardPass<'a> {
     /// flow flipped it out of. Only another flow can have: alone on the
     /// chip `modes` retraces the prepass, and there is nothing to find.
     fn realign(&mut self, stmts: &[Stmt], idx: usize) {
+        if self.flows.len() == 1 {
+            return;
+        }
         let by = Some(self.cur);
         let mut to_switch = std::mem::take(&mut self.to_switch);
         for s in stmts {
             s.for_each_required_mode(&mut |arrays, needed| {
-                for run in arrays.runs() {
-                    for a in run.iter() {
-                        let mode = &mut self.modes[a.index()];
+                for &run in arrays.runs() {
+                    self.modes.update(run, |piece, mode| {
                         if mode.0 != needed {
                             *mode = (needed, by);
-                            to_switch[needed as usize].push(ArrayRun::single(a));
+                            push_joined(&mut to_switch[needed as usize], piece);
                         }
-                    }
+                    });
                 }
             });
         }
         for kind in [SwitchKind::ToCompute, SwitchKind::ToMemory] {
             let arrays = &mut to_switch[kind.target_mode() as usize];
             if !arrays.is_empty() {
-                self.switches.injected += arrays.len() as u64;
-                let label = Label::Realign {
-                    idx,
-                    kind,
-                    n: arrays.len(),
-                };
+                let n = ids_in(arrays);
+                self.switches.injected += n as u64;
+                let label = Label::Realign { idx, kind, n };
                 self.push_switch(label, kind, arrays);
                 arrays.clear();
             }
@@ -719,22 +743,22 @@ impl<'a> ForwardPass<'a> {
                 let (target, by) = (kind.target_mode(), Some(self.cur));
                 let mut to_switch = std::mem::take(&mut self.to_switch);
                 let driven = &mut to_switch[target as usize];
-                for run in arrays.runs() {
-                    for a in run.iter() {
-                        let mode = &mut self.modes[a.index()];
+                for &run in arrays.runs() {
+                    self.modes.update(run, |piece, mode| {
                         if mode.0 != target || mode.1.is_none() || mode.1 == by {
                             *mode = (target, by);
-                            driven.push(ArrayRun::single(a));
+                            push_joined(driven, piece);
                         }
-                    }
+                    });
                 }
+                let n = ids_in(driven);
                 self.switches.requested += arrays.len() as u64;
-                self.switches.executed += driven.len() as u64;
-                self.switches.amortized += (arrays.len() - driven.len()) as u64;
+                self.switches.executed += n as u64;
+                self.switches.amortized += (arrays.len() - n) as u64;
                 let label = Label::Switch {
                     idx,
                     kind: *kind,
-                    n: driven.len(),
+                    n,
                 };
                 self.push_switch(label, *kind, driven);
                 driven.clear();
@@ -760,18 +784,18 @@ impl<'a> ForwardPass<'a> {
                 let mut ready = Ready::default();
                 self.wait_finish(self.flows[self.cur].data, &mut ready);
                 self.wait_finish(self.bus, &mut ready);
-                self.wait_arrays(arrays.iter(), &mut ready);
+                for &run in arrays.runs() {
+                    self.wait_arrays(run, &mut ready);
+                }
                 let label = Label::Mem {
                     idx,
                     label: &m.label,
                 };
                 let (id, start, end) = self.record(label, ready, duration);
                 let kind = BusyKind::MemTraffic;
-                for run in arrays.runs() {
-                    for a in run.iter() {
-                        self.occupy(a, id, BusyInterval { start, end, kind }, end);
-                        self.report.breakdown.mem_traffic += duration;
-                    }
+                for &run in arrays.runs() {
+                    self.occupy(run, id, BusyInterval { start, end, kind });
+                    add_per_id(&mut self.report.breakdown.mem_traffic, duration, run);
                 }
                 self.bus = Some(id);
                 let flow = &mut self.flows[self.cur];
@@ -810,10 +834,8 @@ impl<'a> ForwardPass<'a> {
                 // Inside a body a switch has no event: the mode moves
                 // for free, as in the prepass.
                 let set = (kind.target_mode(), Some(self.cur));
-                for run in arrays.runs() {
-                    for a in run.iter() {
-                        self.modes[a.index()] = set;
-                    }
+                for &run in arrays.runs() {
+                    self.modes.assign(run, &set);
                 }
             }
         }
@@ -846,15 +868,32 @@ impl<'a> ForwardPass<'a> {
         for load in first_load..exec {
             ready.wait(load, self.events[load].finish);
         }
-        self.referenced.clear();
+        // Ascending by id: the spans the body's runs cover, sorted and
+        // merged, each walked upwards.
+        let mut referenced = std::mem::take(&mut self.referenced);
+        referenced.clear();
         for s in body {
             if matches!(s, Stmt::Compute(_) | Stmt::Mem(_)) {
-                s.for_each_array(&mut |a| self.referenced.push(a));
+                s.for_each_array_set(&mut |arrays| {
+                    let spans = arrays.runs().iter().map(|r| (r.min().0, r.max().0));
+                    referenced.extend(spans);
+                });
             }
         }
-        self.referenced.sort_unstable();
-        self.referenced.dedup();
-        self.wait_arrays(self.referenced.iter().copied(), &mut ready);
+        referenced.sort_unstable();
+        let mut spans = referenced.iter().copied();
+        if let Some(mut open) = spans.next() {
+            for (lo, hi) in spans {
+                if lo <= open.1.saturating_add(1) {
+                    open.1 = open.1.max(hi);
+                } else {
+                    self.wait_arrays(span(open.0, open.1), &mut ready);
+                    open = (lo, hi);
+                }
+            }
+            self.wait_arrays(span(open.0, open.1), &mut ready);
+        }
+        self.referenced = referenced;
         let flow = &self.flows[self.cur];
         match flow.seg_deps {
             Some(all) => {
@@ -873,50 +912,36 @@ impl<'a> ForwardPass<'a> {
         // drains; a memory-mode array is held for the longest lane (or
         // loose memory statement) that names it.
         let mut mem_busy = std::mem::take(&mut self.mem_busy);
-        mem_busy.clear();
-        let mut note_mem =
-            |a: ArrayId, busy: f64| match mem_busy.iter_mut().find(|(id, _)| *id == a) {
-                Some((_, b)) => *b = b.max(busy),
-                None => mem_busy.push((a, busy)),
-            };
+        mem_busy.pieces.clear();
         for s in body {
             match s {
                 Stmt::Compute(c) => {
                     let lane = cost::lane_duration(c, body, self.arch);
                     let (end, kind) = (start + lane, BusyKind::Compute);
-                    for run in c.compute_arrays.runs() {
-                        for a in run.iter() {
-                            self.occupy(a, id, BusyInterval { start, end, kind }, end);
-                            self.report.breakdown.compute += lane;
-                        }
+                    for &run in c.compute_arrays.runs() {
+                        self.occupy(run, id, BusyInterval { start, end, kind });
+                        add_per_id(&mut self.report.breakdown.compute, lane, run);
                     }
-                    for run in c.mem_in_arrays.runs() {
-                        for a in run.iter() {
-                            note_mem(a, lane);
-                        }
-                    }
-                    for run in c.mem_out_arrays.runs() {
-                        for a in run.iter() {
-                            note_mem(a, lane);
+                    for buffers in [&c.mem_in_arrays, &c.mem_out_arrays] {
+                        for &run in buffers.runs() {
+                            mem_busy.note(run, lane);
                         }
                     }
                 }
                 Stmt::Mem(m) => {
                     if let MemLoc::CimArrays(arrays) = &m.loc {
-                        for run in arrays.runs() {
-                            for a in run.iter() {
-                                note_mem(a, exec_cycles);
-                            }
+                        for &run in arrays.runs() {
+                            mem_busy.note(run, exec_cycles);
                         }
                     }
                 }
                 _ => {}
             }
         }
-        for &(a, busy) in &mem_busy {
+        for &(run, busy) in &mem_busy.pieces {
             let (end, kind) = (start + busy, BusyKind::MemTraffic);
-            self.occupy(a, id, BusyInterval { start, end, kind }, end);
-            self.report.breakdown.mem_traffic += busy;
+            self.occupy(run, id, BusyInterval { start, end, kind });
+            add_per_id(&mut self.report.breakdown.mem_traffic, busy, run);
         }
         self.mem_busy = mem_busy;
 
@@ -957,8 +982,8 @@ impl<'a> ForwardPass<'a> {
             last = event.critical;
         }
         self.report.critical_path.reverse();
-        for (timeline, &(mode, _)) in self.timelines.iter_mut().flatten().zip(&self.modes) {
-            timeline.final_mode = mode;
+        for timeline in self.timelines.iter_mut().flatten() {
+            timeline.final_mode = self.modes.get(timeline.array).0;
         }
         self.report.serialized_cycles = self.flows.iter().map(|f| f.busy).sum();
         self
@@ -971,6 +996,131 @@ impl<'a> ForwardPass<'a> {
             timelines: self
                 .timelines
                 .expect("trace entry points pass timelines to record into"),
+        }
+    }
+}
+
+/// Adds `term` to `sum` once per id of `run`, as a walk over the ids
+/// would: repeated addition rounds differently from one multiplication,
+/// and the report must not move.
+fn add_per_id(sum: &mut f64, term: f64, run: ArrayRun) {
+    for _ in 0..run.count() {
+        *sum += term;
+    }
+}
+
+/// The ascending run `first..=last` of arrays a chip has.
+fn span(first: u32, last: u32) -> ArrayRun {
+    ArrayRun::between(ArrayId(first), ArrayId(last)).expect("a chip's ids are fewer than 2^32")
+}
+
+/// The run over `lo..=hi` of arrays a chip has, upwards or downwards.
+fn span_toward(lo: u32, hi: u32, ascending: bool) -> ArrayRun {
+    if ascending {
+        span(lo, hi)
+    } else {
+        span(hi, lo)
+    }
+}
+
+/// Appends `piece` to `runs`, as part of the last run if it carries on
+/// from it.
+fn push_joined(runs: &mut Vec<ArrayRun>, piece: ArrayRun) {
+    match runs
+        .last_mut()
+        .and_then(|last| Some((last.joined(piece)?, last)))
+    {
+        Some((joined, last)) => *last = joined,
+        None => runs.push(piece),
+    }
+}
+
+/// How many ids `runs` hold.
+fn ids_in(runs: &[ArrayRun]) -> usize {
+    runs.iter().map(|r| r.count() as usize).sum()
+}
+
+/// How long one segment keeps each memory-mode array busy: disjoint
+/// runs, each with the longest lane (or loose memory statement) that
+/// names its arrays, in the order the ids were first named — the order
+/// their busy time is summed in.
+#[derive(Default)]
+struct MemBusy {
+    pieces: Vec<(ArrayRun, f64)>,
+}
+
+impl MemBusy {
+    /// Notes that the arrays of `run` are busy for `busy`: ids noted
+    /// before keep the longer time, new ids join the end in run order.
+    fn note(&mut self, run: ArrayRun, busy: f64) {
+        let ascending = run.ascending();
+        let oriented = |lo, hi| span_toward(lo, hi, ascending);
+        // The ids of `run` not yet walked, as `from..=to`.
+        let (mut from, mut to) = (run.min().0, run.max().0);
+        loop {
+            // The noted piece the rest of the run meets first, and the
+            // ids the two share.
+            let mut met: Option<(usize, u32, u32)> = None;
+            for (i, &(piece, _)) in self.pieces.iter().enumerate() {
+                let (lo, hi) = (piece.min().0.max(from), piece.max().0.min(to));
+                let first = match met {
+                    None => true,
+                    Some((_, l, h)) => {
+                        if ascending {
+                            lo < l
+                        } else {
+                            hi > h
+                        }
+                    }
+                };
+                if lo <= hi && first {
+                    met = Some((i, lo, hi));
+                }
+            }
+            let Some((i, lo, hi)) = met else {
+                self.pieces.push((oriented(from, to), busy));
+                return;
+            };
+            // New ids before the shared ones, in run order.
+            if ascending && from < lo {
+                self.pieces.push((oriented(from, lo - 1), busy));
+            } else if !ascending && hi < to {
+                self.pieces.push((oriented(hi + 1, to), busy));
+            }
+            if busy > self.pieces[i].1 {
+                self.raise(i, lo, hi, busy);
+            }
+            if ascending && hi < to {
+                from = hi + 1;
+            } else if !ascending && from < lo {
+                to = lo - 1;
+            } else {
+                return;
+            }
+        }
+    }
+
+    /// Raises ids `lo..=hi` of piece `i` to `busy`, cutting the piece
+    /// in its own order so the ids keep their places.
+    fn raise(&mut self, i: usize, lo: u32, hi: u32, busy: f64) {
+        let (piece, was) = self.pieces[i];
+        let (min, max) = (piece.min().0, piece.max().0);
+        let oriented = |lo, hi| span_toward(lo, hi, piece.ascending());
+        let (below, above) = (
+            (min < lo).then(|| oriented(min, lo - 1)),
+            (hi < max).then(|| oriented(hi + 1, max)),
+        );
+        let (before, after) = if piece.ascending() {
+            (below, above)
+        } else {
+            (above, below)
+        };
+        self.pieces[i] = (oriented(lo, hi), busy);
+        if let Some(after) = after {
+            self.pieces.insert(i + 1, (after, was));
+        }
+        if let Some(before) = before {
+            self.pieces.insert(i, (before, was));
         }
     }
 }
@@ -1299,6 +1449,193 @@ mod tests {
             "every array lands in exactly one bucket"
         );
         assert_eq!(eng.report.segments.len(), program.segments.len());
+    }
+
+    fn ids(ids: std::ops::RangeInclusive<u32>) -> Vec<ArrayId> {
+        ids.map(ArrayId).collect()
+    }
+
+    /// A compute statement with buffers.
+    fn lane(op: &str, arrays: [Vec<ArrayId>; 3], m: usize) -> Stmt {
+        let [compute_arrays, mem_in, mem_out] = arrays;
+        let Stmt::Compute(mut c) = compute(op, compute_arrays, m) else {
+            unreachable!("`compute` builds a compute statement")
+        };
+        c.mem_in_arrays = mem_in.into();
+        c.mem_out_arrays = mem_out.into();
+        Stmt::Compute(c)
+    }
+
+    /// Every event of `flows` timed, with timelines.
+    fn pass<'a>(
+        flows: &[FlowInput<'a>],
+        arch: &'a DualModeArch,
+        energy: &'a EnergyModel,
+    ) -> ForwardPass<'a> {
+        ForwardPass::run(flows, arch, energy, Some(idle_timelines(arch))).unwrap()
+    }
+
+    fn lane_cycles(s: &Stmt, body: &[Stmt], arch: &DualModeArch) -> f64 {
+        let Stmt::Compute(c) = s else { unreachable!() };
+        cost::lane_duration(c, body, arch)
+    }
+
+    #[test]
+    fn an_array_named_twice_in_a_segment_is_freed_by_its_first_lane() {
+        // Rule 2: op `a` runs two lanes over array 0; successors wait for
+        // the first lane's release, not the later one.
+        let arch = presets::tiny();
+        let body = vec![
+            compute("a", vec![ArrayId(0)], 16),
+            compute("a", ids(0..=1), 256),
+        ];
+        let mut flow = Flow::new("twice");
+        flow.push(Stmt::switch(SwitchKind::ToCompute, ids(0..=1)));
+        flow.push(Stmt::Parallel(body.clone()));
+        flow.push(load("b", vec![ArrayId(0)]));
+        flow.push(load("c", vec![ArrayId(1)]));
+        let energy = EnergyModel::default();
+        let pass = pass(&[(&flow, None)], &arch, &energy);
+        let short = lane_cycles(&body[0], &body, &arch);
+        let long = lane_cycles(&body[1], &body, &arch);
+        assert!(short < long);
+        let exec = pass
+            .events
+            .iter()
+            .find(|e| matches!(e.label, Label::SegExec { .. }));
+        let exec = exec.unwrap();
+        let load_start = |name: &str| {
+            let load = |e: &&Event| matches!(e.label, Label::Load { op, .. } if op == name);
+            pass.events.iter().find(load).unwrap().start
+        };
+        assert_eq!(load_start("b"), exec.start + short);
+        assert_eq!(load_start("c"), exec.start + long);
+        // Both lanes log their window on array 0.
+        let timeline = &pass.timelines.as_ref().unwrap()[0];
+        let lanes = timeline
+            .intervals
+            .iter()
+            .filter(|i| i.kind == BusyKind::Compute);
+        assert_eq!(lanes.count(), 2);
+    }
+
+    #[test]
+    fn lanes_ending_at_different_cycles_split_one_run() {
+        // `a` writes arrays 6, 5, 4 (one descending run), `b` reads 5..=7
+        // (Eq. 6 reuse): arrays both name stay busy for the longer lane,
+        // and the busy time is summed id by id in first-named order.
+        let arch = presets::tiny();
+        let body = vec![
+            lane(
+                "a",
+                [ids(0..=1), vec![], ids(4..=6).into_iter().rev().collect()],
+                16,
+            ),
+            lane("b", [ids(2..=3), ids(5..=7), vec![]], 256),
+        ];
+        let mut flow = Flow::new("lanes");
+        flow.push(Stmt::switch(SwitchKind::ToCompute, ids(0..=3)));
+        flow.push(Stmt::Parallel(body.clone()));
+        flow.push(Stmt::switch(SwitchKind::ToMemory, ids(0..=3)));
+        let energy = EnergyModel::default();
+        let pass = pass(&[(&flow, None)], &arch, &energy);
+        let la = lane_cycles(&body[0], &body, &arch);
+        let lb = lane_cycles(&body[1], &body, &arch);
+        assert!(la < lb);
+        let (exec_id, exec) = pass
+            .events
+            .iter()
+            .enumerate()
+            .find(|(_, e)| matches!(e.label, Label::SegExec { .. }))
+            .unwrap();
+        let freed = |a: u32| *pass.released.get(ArrayId(a));
+        for (a, busy) in [(4, la), (5, lb), (6, lb), (7, lb)] {
+            assert_eq!(freed(a), Some((exec_id, exec.start + busy)), "array {a}");
+        }
+        for (a, busy) in [(0, la), (1, la)] {
+            let last = pass.timelines.as_ref().unwrap()[a].intervals.iter().rev();
+            let compute = last.clone().find(|i| i.kind == BusyKind::Compute).unwrap();
+            assert_eq!(compute.end, exec.start + busy, "array {a}");
+        }
+        let mut mem_traffic = 0.0;
+        for busy in [lb, lb, la, lb] {
+            mem_traffic += busy;
+        }
+        assert_eq!(
+            pass.report.breakdown.mem_traffic.to_bits(),
+            mem_traffic.to_bits()
+        );
+        // The switch over the whole run 0..=3 waits for its slowest piece.
+        let back = pass.events.last().unwrap();
+        assert_eq!(back.start, exec.start + lb);
+        assert_eq!(back.critical, Some(exec_id));
+    }
+
+    #[test]
+    fn one_flow_re_switches_nothing_a_body_switches_after_use() {
+        // The prepass checks a body statement by statement, so array 0
+        // computes before the body switches it away. Alone on the chip
+        // nothing is injected: the engine's serial cost is the
+        // sequential replay's, where a re-switch would add a cycle.
+        let arch = presets::tiny();
+        let mut flow = Flow::new("after-use");
+        flow.push(Stmt::switch(SwitchKind::ToCompute, vec![ArrayId(0)]));
+        flow.push(Stmt::Parallel(vec![
+            load("a", vec![ArrayId(0)]),
+            compute("a", vec![ArrayId(0)], 16),
+            Stmt::switch(SwitchKind::ToMemory, vec![ArrayId(0)]),
+        ]));
+        let seq = SequentialModel.simulate(&flow, &arch).unwrap();
+        let eng = EventEngine::new().simulate(&flow, &arch).unwrap();
+        assert_eq!(eng.serialized_cycles.to_bits(), seq.total_cycles.to_bits());
+        assert_eq!(eng.total_cycles.to_bits(), seq.total_cycles.to_bits());
+    }
+
+    #[test]
+    fn a_flipped_run_is_re_switched_once_per_flow_that_needs_it() {
+        // `a` computes on arrays 0..=3; `b` buffers on 2..=5 in between.
+        // `b` re-switches 2, 3 to memory, then `a` re-switches them back.
+        let arch = presets::tiny();
+        let quad = ids(0..=3);
+        let mut a = Flow::new("a");
+        a.push(Stmt::switch(SwitchKind::ToCompute, quad.clone()));
+        for op in ["a0", "a1"] {
+            let body = vec![load(op, quad.clone()), compute(op, quad.clone(), 64)];
+            a.push(Stmt::Parallel(body));
+        }
+        let mut b = Flow::new("b");
+        b.push(Stmt::Mem(MemStmt {
+            loc: MemLoc::CimArrays(ids(2..=5).into()),
+            direction: MemDirection::Write,
+            bytes: 4096,
+            label: "spill".into(),
+        }));
+        let energy = EnergyModel::default();
+        let pass = pass(&[(&a, None), (&b, None)], &arch, &energy);
+        let realigns: Vec<(SwitchKind, usize)> = pass
+            .events
+            .iter()
+            .filter_map(|e| match e.label {
+                Label::Realign { kind, n, .. } => Some((kind, n)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            realigns,
+            [(SwitchKind::ToMemory, 2), (SwitchKind::ToCompute, 2)]
+        );
+        assert_eq!(pass.switches.injected, 4);
+        assert_eq!(*pass.modes.get(ArrayId(2)), (ArrayMode::Compute, Some(0)));
+        assert_eq!(*pass.modes.get(ArrayId(4)), (ArrayMode::Memory, None));
+        // Each re-switched array logs both injected switches.
+        for t in &pass.timelines.as_ref().unwrap()[2..=3] {
+            let switches = t
+                .intervals
+                .iter()
+                .filter(|i| i.kind == BusyKind::Switch)
+                .count();
+            assert_eq!(switches, 3, "{t:?}");
+        }
     }
 
     #[test]

@@ -342,7 +342,7 @@ fn brute_force_min(
             parts.push(((start, end), alloc));
             start = end + 1;
         }
-        let total = Segmented::from_chain("brute", list.clone(), &cm, parts).total_latency;
+        let total = Segmented::from_chain("brute", list.clone(), &deps, &cm, parts).total_latency;
         best = Some(best.map_or(total, |b: f64| b.min(total)));
     }
     best

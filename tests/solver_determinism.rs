@@ -13,7 +13,9 @@
 //!   [`CompiledProgram`]s (everything except the wall-clock fields of
 //!   `stats`) against the sequential baseline;
 //! * a property test over random MLP graphs × the 3 arch presets does
-//!   the same for shapes the registry does not cover.
+//!   the same for shapes the registry does not cover;
+//! * with `reuse_cache` off, every counter still repeats at 1, 2 and 4
+//!   workers.
 
 use proptest::prelude::*;
 
@@ -26,7 +28,12 @@ use cmswitch::prelude::*;
 /// bit-identity property under test is independent of the window cap —
 /// it only has to be the *same* cap at every worker count.
 fn session(kind: BackendKind, workers: usize, model: &str) -> Session {
-    let mut options = CompilerOptions::default();
+    session_with(kind, workers, model, true)
+}
+
+/// [`session`], with cache reuse on or off.
+fn session_with(kind: BackendKind, workers: usize, model: &str, reuse: bool) -> Session {
+    let mut options = CompilerOptions::default().with_reuse_cache(reuse);
     if ["mobilenetv2", "resnet18", "resnet50", "vgg16"].contains(&model) {
         options.max_segment_ops = 4;
     }
@@ -142,6 +149,29 @@ fn registry_plans_identical_at_every_worker_count_on_all_backends() {
                 assert!(warm_accepted > 0, "no warm start accepted at {workers} workers");
                 assert!(pruned > 0, "DP pruned no windows at {workers} workers");
             }
+        }
+    }
+}
+
+/// Without cache reuse every window the DP asks for is solved, and a
+/// window solved at top level while a neighbour lookup wants the same
+/// signature is still solved once: the top-level solve holds the
+/// in-flight mark the lookup waits on. So every counter repeats at any
+/// worker count.
+#[test]
+fn counters_repeat_at_every_worker_count_without_cache_reuse() {
+    for model in ["bert-base", "resnet18", "llama2-7b"] {
+        let graph = registry::build(model, 1, 8).expect("registered model");
+        let compile = |workers| {
+            session_with(BackendKind::CmSwitch, workers, model, false)
+                .compile_graph(&graph)
+                .expect("compiles")
+        };
+        let base = compile(1);
+        assert_eq!(base.stats.cache_hits + base.stats.cache_misses, 0);
+        for workers in [2, 4] {
+            let what = format!("{model} without cache reuse at {workers} workers");
+            assert_same_plan(&base, &compile(workers), &what);
         }
     }
 }

@@ -4,11 +4,12 @@
 //!
 //! `core::verify` and `metaop::validate` run on every compile and on
 //! every distinct artifact served from the store, over flows with hundreds of
-//! thousands of array references. Their contract is dense per-array
-//! state: work per reference is an indexed load, and heap traffic is
-//! bounded by the number of *statements*, never by the number of
-//! references, by the value of an (untrusted) array id, or by the
-//! length an (untrusted) run of ids claims.
+//! thousands of array references. Their contract is per-array state
+//! kept by the run (`metaop::dense::RunTable`): work is per run and per
+//! piece of equal state it covers, and heap traffic is bounded by the
+//! number of *statements*, never by the number of references, by the
+//! value of an (untrusted) array id, or by the length an (untrusted) run
+//! of ids claims.
 //!
 //! The event engine's contract is the same, with one stated exception:
 //! `simulate*` keeps one fixed-size event per statement (its label
@@ -109,12 +110,13 @@ fn clean_llm_checks_allocate_per_statement_not_per_array_reference() {
          ({references} array references); budget {budget}"
     );
 
-    // The event engine keeps dense per-array state too: a dependency
-    // row and a window per segment, amortised growth of the event list
-    // and a rendered label per critical-path step — about one call per
-    // statement (4 150 on 4 080 at this change; 7 326 with a `String`
-    // per event and an always-on timeline log) — and no per-event
-    // dependency list, no per-array-reference clone.
+    // The event engine keeps its per-array state by the run too: a
+    // dependency row and a window per segment, amortised growth of the
+    // event list and a rendered label per critical-path step — about one
+    // call per statement (4 144 on 4 080 now, 4 159 with dense per-array
+    // `Vec`s; 7 326 with a `String` per event and an always-on timeline
+    // log) — and no per-event dependency list, no per-array-reference
+    // clone.
     let budget = 3 * statements / 2 + 64;
     let engine = EventEngine::new();
     let (report, calls, peak) = measured(|| engine.simulate_program(&program, &arch));
@@ -483,14 +485,16 @@ fn partition_keeps_the_lowered_dependencies_on_a_tiny_chip() {
 /// DynaPlasia (one solve worker, so every allocation is on this thread).
 #[test]
 fn cold_llama_compile_allocates_per_segment_not_per_window() {
-    // Measured: 13 350 calls for 879 ops in 815 segments. 13 477 while
+    // Measured: 13 339 calls for 879 ops in 815 segments. 13 350 while
+    // the DP and the chain it materialises each built a `DepIndex`, and
+    // the validator's tables were `Vec`s a chip long; 13 477 while
     // each window lookup collected a fresh window-local dependency list
     // (only windows with dependencies inside allocate one); 32 765 while
     // the greedy incumbent cloned every allocatable candidate, each cache
     // hit allocated its signature, each solve batch its job list and
     // result slots, and codegen three `Vec`s per op and two pools per
     // segment.
-    const MEASURED: u64 = 13_350;
+    const MEASURED: u64 = 13_339;
     let session = Session::builder(presets::dynaplasia()).build();
     let graph = registry::build("llama2-7b", 1, 32).unwrap();
     let (program, calls, _) = measured(|| session.compile_graph(&graph).unwrap());
@@ -543,9 +547,10 @@ fn allocator_cache_hit_allocates_only_the_allocation_it_returns() {
 /// states alone would hold `ops × 1 000 × 16` bytes.
 #[test]
 fn dp_peak_grows_with_memoized_windows_not_ops_times_width() {
-    // Measured: 570 636 bytes for 879 ops (815 segments); a dense DP
-    // table would be 14 064 000 bytes.
-    const MEASURED_PEAK: i64 = 570_636;
+    // Measured: 545 692 bytes for 879 ops (815 segments); 570 636 while
+    // the chain of the optimal path built a second `DepIndex`. A dense
+    // DP table would be 14 064 000 bytes.
+    const MEASURED_PEAK: i64 = 545_692;
     let arch = presets::dynaplasia();
     let opts = CompilerOptions::default().with_max_segment_ops(1_000);
     let graph = registry::build("llama2-7b", 1, 32).unwrap();
