@@ -944,10 +944,8 @@ impl Lint for DependenceLint {
         // (producer's mem_out feeding a later op's mem_in).
         let blocks = cx.blocks();
         if blocks.len() == program.segments.len() {
-            // Whether each array is the output buffer of the producer at
-            // hand.
             let n_arrays = cx.arch.n_arrays();
-            let mut written = RunTable::new(false);
+            let meet = |a: ArrayRun, b: ArrayRun| a.min().0 <= b.max().0 && b.min().0 <= a.max().0;
             for (plan, block) in program.segments.iter().zip(blocks) {
                 let computes = cx.computes(block);
                 // Checked: a decoded plan's range may be inverted.
@@ -959,16 +957,10 @@ impl Lint for DependenceLint {
                     if prod.mem_out_arrays.is_empty() {
                         continue;
                     }
-                    written.reset(false);
-                    for run in prod.mem_out_arrays.clipped_runs(n_arrays) {
-                        written.assign(run, &true);
-                    }
+                    // The producer's output buffers, as clipped runs.
+                    let written = prod.mem_out_arrays.clipped_runs(n_arrays);
                     for (j, cons) in computes.iter().enumerate().skip(i + 1) {
-                        let reads = |run: ArrayRun| {
-                            let mut hit = false;
-                            written.read(run, |_, &w| hit |= w);
-                            hit
-                        };
+                        let reads = |run: ArrayRun| written.clone().any(|w| meet(w, run));
                         if cons.mem_in_arrays.clipped_runs(n_arrays).any(reads) {
                             // In range: the block's ops fit the plan.
                             require(
