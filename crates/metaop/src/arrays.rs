@@ -86,12 +86,6 @@ impl ArrayRun {
         self.first <= self.last
     }
 
-    /// The run's last id.
-    #[inline]
-    pub fn last(self) -> ArrayId {
-        ArrayId(self.last)
-    }
-
     /// The smallest id of the run.
     #[inline]
     pub fn min(self) -> ArrayId {
