@@ -28,6 +28,8 @@
 //! assert_eq!(chip.weight_tiles(640, 700), 2 * 3);
 //! ```
 
+#![warn(missing_docs)]
+
 mod deha;
 mod error;
 mod mode;

@@ -6,6 +6,8 @@
 //! code generator (`cmswitch_core::backend`). This crate adds only
 //! [`SessionBackendExt`]: select a kind by value or by wire name.
 
+#![warn(missing_docs)]
+
 mod backend;
 
 pub use backend::SessionBackendExt;

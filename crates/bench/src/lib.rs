@@ -9,6 +9,8 @@
 //! `experiments` binary drives them
 //! (`cargo run -p cmswitch-bench --release --bin experiments -- <name>`).
 
+#![warn(missing_docs)]
+
 pub mod experiments;
 pub mod harness;
 pub mod table;

@@ -75,24 +75,21 @@ pub fn vector_duration(flops: u64) -> f64 {
 /// Execution-lane time of one compute statement — Eq. 10 over the
 /// arrays it names, plus the vector statements named `<op>.aux` in the
 /// same body, which fuse into the operator's lane. Weight loads are a
-/// separate phase (Eq. 2), accounted by [`segment_phases`].
+/// separate phase (Eq. 2), accounted by [`segment_phases`], which prices
+/// every lane of a body at once, to the same bits.
 pub fn lane_duration(c: &ComputeStmt, body: &[Stmt], arch: &DualModeArch) -> f64 {
-    let aux_cycles: f64 = body
-        .iter()
-        .filter_map(|s| match s {
-            Stmt::Vector(v) if v.op.strip_suffix(".aux") == Some(&c.op) => {
-                Some(vector_duration(v.flops))
-            }
-            _ => None,
-        })
-        .sum();
-    let (work, ai) = lane_work_ai(c);
-    let arrays = OpAlloc {
-        compute: c.compute_arrays.len(),
-        memory: c.mem_in_arrays.len() + c.mem_out_arrays.len(),
-    };
-    let dynamic_operand = (!c.weight_static).then_some((c.units * c.k * c.n) as u64);
-    CostModel::new(arch).eq10_latency(work, ai, arrays, dynamic_operand, aux_cycles)
+    let aux = body.iter().filter_map(aux_work).filter(|&(op, _)| op == c.op);
+    let aux_cycles = aux.fold(0.0, |sum, (_, cycles)| sum + cycles);
+    CostModel::new(arch).lane_latency(c, aux_cycles)
+}
+
+/// The op a fused `<op>.aux` vector statement belongs to, and its
+/// cycles.
+fn aux_work(s: &Stmt) -> Option<(&str, f64)> {
+    match s {
+        Stmt::Vector(v) => Some((v.op.strip_suffix(".aux")?, vector_duration(v.flops))),
+        _ => None,
+    }
 }
 
 /// Analytic lower bound on [`lane_duration`] wherever the statement is
@@ -150,14 +147,38 @@ impl SegmentPhases {
     }
 }
 
-/// Computes the phase timings of one segment body.
-pub fn segment_phases(body: &[Stmt], arch: &DualModeArch) -> SegmentPhases {
+/// Computes the phase timings of one segment body, and the price of each
+/// of its lanes: `lanes` is cleared and receives [`lane_duration`] of
+/// every compute statement, in body order.
+pub fn segment_phases(body: &[Stmt], arch: &DualModeArch, lanes: &mut Vec<f64>) -> SegmentPhases {
+    let computes = || {
+        body.iter().filter_map(|s| match s {
+            Stmt::Compute(c) => Some(c),
+            _ => None,
+        })
+    };
+    // The fused vector cycles per lane, gathered in one pass over the
+    // body: each `.aux` statement adds into the lanes of its op, so every
+    // lane sums them in body order, as `lane_duration` does.
+    lanes.clear();
+    lanes.extend(computes().map(|_| 0.0));
+    for (op, cycles) in body.iter().filter_map(aux_work) {
+        for (aux, c) in lanes.iter_mut().zip(computes()) {
+            if c.op == op {
+                *aux += cycles;
+            }
+        }
+    }
+    let cm = CostModel::new(arch);
     let mut phases = SegmentPhases::default();
+    let mut lane = lanes.iter_mut();
     for stmt in body {
         match stmt {
             Stmt::Compute(c) => {
+                let price = lane.next().expect("one lane per compute statement");
+                *price = cm.lane_latency(c, *price);
                 phases.n_ops += 1;
-                phases.exec_phase = phases.exec_phase.max(lane_duration(c, body, arch));
+                phases.exec_phase = phases.exec_phase.max(*price);
             }
             Stmt::LoadWeights(w) => {
                 phases.load_phase = phases.load_phase.max(load_duration(w.arrays.len(), arch));
@@ -244,6 +265,18 @@ impl<'a> CostModel<'a> {
         alloc::op_latency(&op, arrays, &self.chip)
             + dynamic_operand.map_or(0.0, |bytes| self.operand_write(bytes, arrays.memory))
             + aux_cycles
+    }
+
+    /// Eq. 10 for one emitted compute statement, given the cycles of its
+    /// fused `.aux` vector work.
+    fn lane_latency(&self, c: &ComputeStmt, aux_cycles: f64) -> f64 {
+        let (work, ai) = lane_work_ai(c);
+        let arrays = OpAlloc {
+            compute: c.compute_arrays.len(),
+            memory: c.mem_in_arrays.len() + c.mem_out_arrays.len(),
+        };
+        let dynamic_operand = (!c.weight_static).then_some((c.units * c.k * c.n) as u64);
+        self.eq10_latency(work, ai, arrays, dynamic_operand, aux_cycles)
     }
 
     /// Operator latency under an allocation — Eq. 10, the price
@@ -395,7 +428,7 @@ mod tests {
     use super::*;
     use crate::allocation::{OpAllocation, SegmentAllocation};
     use cmswitch_arch::{presets, ArrayId};
-    use cmswitch_metaop::WeightLoadStmt;
+    use cmswitch_metaop::{VectorStmt, WeightLoadStmt};
 
     fn op(work: f64, in_bytes: u64, weight_static: bool) -> SegOp {
         SegOp {
@@ -480,7 +513,8 @@ mod tests {
             compute("a", vec![ArrayId(0)], 8),
             compute("b", vec![ArrayId(1), ArrayId(2)], 512),
         ];
-        let p = segment_phases(&body, &arch);
+        let mut lanes = Vec::new();
+        let p = segment_phases(&body, &arch, &mut lanes);
         assert_eq!(p.n_ops, 2);
         assert_eq!(p.load_phase, load_duration(2, &arch));
         assert_eq!(
@@ -495,6 +529,38 @@ mod tests {
             )
         );
         assert_eq!(p.total(), p.load_phase + p.exec_phase.max(p.loose_cycles));
+    }
+
+    #[test]
+    fn segment_phases_price_every_lane_as_lane_duration() {
+        // `.aux` work before and after its op, an op with two lanes, and
+        // an `.aux` statement naming no op in the body.
+        let arch = presets::tiny();
+        let aux = |op: &str, flops| Stmt::Vector(VectorStmt { op: op.into(), flops });
+        let body = vec![
+            aux("a.aux", 100),
+            compute("a", vec![ArrayId(0)], 8),
+            compute("b", vec![ArrayId(1)], 64),
+            aux("a.aux", 37),
+            compute("a", vec![ArrayId(2)], 16),
+            aux("c.aux", 1000),
+            aux("b", 50),
+        ];
+        let mut lanes = vec![1.0; 9];
+        let p = segment_phases(&body, &arch, &mut lanes);
+        let expected: Vec<u64> = body
+            .iter()
+            .filter_map(|s| match s {
+                Stmt::Compute(c) => Some(lane_duration(c, &body, &arch).to_bits()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(lanes.iter().map(|l| l.to_bits()).collect::<Vec<_>>(), expected);
+        assert_eq!(p.exec_phase, lanes.iter().copied().fold(0.0, f64::max));
+        // Both `a.aux` statements fuse into `a`, in body order.
+        let Stmt::Compute(a0) = &body[1] else { unreachable!() };
+        let aux = vector_duration(100) + vector_duration(37);
+        assert_eq!(lanes[0], lane_duration(a0, &[], &arch) + aux);
     }
 
     #[test]

@@ -90,9 +90,7 @@ pub use pipeline::{
 pub use service::{BatchOutcome, BatchReport, BatchStats};
 pub use session::{CancelToken, CompileOutcome, CompileRequest, Session, SessionBuilder};
 pub use store::{ArtifactStore, StoreFetch, StoreKey, StoreStats};
-pub use verify::{
-    Lint, Severity, Verifier, VerifyCx, VerifyFinding, VerifyReport, VerifyStage,
-};
+pub use verify::{Severity, Verifier, VerifyFinding, VerifyReport, VerifyStage};
 
 /// Which per-segment allocator the compiler uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

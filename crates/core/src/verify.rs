@@ -1,18 +1,16 @@
-//! Static verification of compiled programs: a lint framework over
+//! Static verification of compiled programs: one fixed rule book over
 //! [`CompiledProgram`] + [`cmswitch_metaop::Flow`] + [`Segment`].
 //!
 //! `metaop::validate` enforces mode discipline but stops at the first
 //! error, and nothing cross-checks the emitted flow against the segment
 //! plans or the `op_deps` relation that the event-driven simulator
 //! trusts to decide which segments may legally overlap. This module is
-//! the collect-everything counterpart: each [`Lint`] walks the program
-//! and records **all** its findings in one [`VerifyReport`], so a
-//! defective artifact produces a complete defect list instead of one
-//! error.
+//! the collect-everything counterpart: [`Verifier::run`] runs five
+//! analyses over the program, in a fixed order, and records **all**
+//! their findings in one [`VerifyReport`], so a defective artifact
+//! produces a complete defect list instead of one error.
 //!
-//! Five analyses ship by default (see [`Verifier::new`]):
-//!
-//! | lint | rules |
+//! | analysis, in run order | rules |
 //! |---|---|
 //! | mode-interval dataflow | `mode-discipline`, `use-before-load`, `dead-weight-load`, `redundant-switch` |
 //! | capacity | `capacity-arrays`, `capacity-weights`, `capacity-load-bytes`, `capacity-claim-mismatch` |
@@ -25,7 +23,9 @@
 //! ([`VerifyStage`], enabled via
 //! [`CompilerOptions::with_verify`](crate::CompilerOptions::with_verify),
 //! which fails the compile with [`CompileError::VerifyRejected`] on any
-//! `Deny` finding), or a hand-built [`Verifier`] for custom lint sets.
+//! `Deny` finding), or [`Verifier::run`] directly. Co-scheduler admission
+//! runs two of the analyses through [`admission`]. A new rule is one more
+//! function and one more call in [`Verifier::run`].
 //!
 //! The verifier gates every artifact served from the store, so it is
 //! built to cost a linear pass: per-array state is kept by the run
@@ -35,9 +35,9 @@
 //! few dozen times whatever its size. Array ids are untrusted (they come
 //! from decoded artifacts): ids beyond the chip are findings, never
 //! panics, and cost nothing proportional to their value. Array lists are
-//! runs, and every lint walks a run clipped to the chip
+//! runs, and every analysis walks a run clipped to the chip
 //! ([`cmswitch_metaop::ArraySet::clipped_runs`]): its part on the chip as
-//! one run, its part beyond the chip as that part's first id. A lint
+//! one run, its part beyond the chip as that part's first id. An analysis
 //! reads and updates its table a piece of equal state at a time, so work
 //! is per run and per piece, not per reference; only a finding lists its
 //! arrays id by id — a forged run of four billion ids is one
@@ -84,10 +84,10 @@ impl fmt::Display for Severity {
     }
 }
 
-/// Rule identifiers of the built-in lints, and the severity policy.
+/// Rule identifiers of the verifier's analyses, and the severity policy.
 ///
 /// Findings carry one of these ids; the severity of a rule is fixed by
-/// [`rules::severity`] so reports stay consistent across lints.
+/// [`rules::severity`] so reports stay consistent across analyses.
 pub mod rules {
     use super::Severity;
 
@@ -146,7 +146,7 @@ pub mod rules {
     pub const PLAN_WEIGHT_LOADS: &str = "plan-weight-loads";
 
     /// The fixed severity of a rule id (unknown ids are `Deny`, the
-    /// conservative default for custom lints).
+    /// conservative default).
     pub fn severity(rule: &str) -> Severity {
         match rule {
             DEAD_WEIGHT_LOAD | REDUNDANT_SWITCH => Severity::Warn,
@@ -186,7 +186,7 @@ impl fmt::Display for VerifyFinding {
     }
 }
 
-/// Everything the lints found, in emission order.
+/// Everything the analyses found, in emission order.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct VerifyReport {
     findings: Vec<VerifyFinding>,
@@ -276,45 +276,32 @@ impl fmt::Display for VerifyReport {
     }
 }
 
-/// What a [`Lint`] sees: the program under verification and the chip it
-/// was compiled for.
-#[derive(Debug, Clone, Copy)]
-pub struct VerifyCx<'a> {
-    /// The program under verification.
-    pub program: &'a CompiledProgram,
-    /// The target architecture.
-    pub arch: &'a DualModeArch,
-    /// The flow's segment blocks, indexed once per [`Verifier::run`].
-    index: &'a BlockIndex<'a>,
+/// What every analysis sees: the program under verification, the chip it
+/// was compiled for, and the flow's segment blocks, indexed once.
+struct VerifyCx<'a> {
+    program: &'a CompiledProgram,
+    arch: &'a DualModeArch,
+    index: BlockIndex<'a>,
 }
 
 impl<'a> VerifyCx<'a> {
+    fn new(program: &'a CompiledProgram, arch: &'a DualModeArch) -> Self {
+        VerifyCx {
+            program,
+            arch,
+            index: BlockIndex::of(&program.flow),
+        }
+    }
+
     /// The flow's segments, in order.
-    fn blocks(&self) -> &'a [SegmentBlock<'a>] {
+    fn blocks(&self) -> &[SegmentBlock<'a>] {
         &self.index.blocks
     }
 
     /// The compute statements of `block`, in order.
-    fn computes(&self, block: &SegmentBlock<'a>) -> &'a [&'a ComputeStmt] {
+    fn computes(&self, block: &SegmentBlock<'a>) -> &[&'a ComputeStmt] {
         &self.index.computes[block.computes.clone()]
     }
-}
-
-/// One static analysis over a compiled program.
-///
-/// A lint never stops at the first problem: it pushes every finding it
-/// can justify into the report (with rule ids from [`rules`], or its
-/// own `&'static` ids for custom lints — unknown ids default to
-/// [`Severity::Deny`]).
-pub trait Lint {
-    /// Stable analysis name (used in reports and docs).
-    fn id(&self) -> &'static str;
-
-    /// The rule ids this lint can emit.
-    fn rules(&self) -> &'static [&'static str];
-
-    /// Runs the analysis, appending findings to `report`.
-    fn check(&self, cx: &VerifyCx<'_>, report: &mut VerifyReport);
 }
 
 /// One segment of the flow, in the same counting the event engine uses:
@@ -328,7 +315,7 @@ struct SegmentBlock<'a> {
 }
 
 /// Every segment block of a flow and, flattened behind them, their
-/// compute statements — built once per run and shared by the lints.
+/// compute statements — built once per run and shared by the analyses.
 #[derive(Debug, Default)]
 struct BlockIndex<'a> {
     blocks: Vec<SegmentBlock<'a>>,
@@ -381,14 +368,8 @@ fn fmt_arrays(arrays: &[ArrayId]) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Lint 1: mode-interval dataflow.
+// Analysis 1: mode-interval dataflow.
 // ---------------------------------------------------------------------
-
-/// Reconstructs per-array mode timelines and flags wrong-mode uses,
-/// computes running before their weights are loaded, dead weight loads
-/// and redundant switches.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ModeIntervalLint;
 
 #[derive(Clone, Default, PartialEq)]
 struct ArrayState<'a> {
@@ -411,564 +392,515 @@ impl ArrayState<'_> {
     }
 }
 
-impl ModeIntervalLint {
-    fn flag_dead_load(report: &mut VerifyReport, a: ArrayId, load: &PendingLoad<'_>, why: &str) {
-        report.push(
-            rules::DEAD_WEIGHT_LOAD,
-            Some(load.stmt),
-            None,
-            vec![a],
-            format!("weights for {} loaded into a{} are {why}", load.op, a.0),
-        );
-    }
+fn flag_dead_load(report: &mut VerifyReport, a: ArrayId, load: &PendingLoad<'_>, why: &str) {
+    report.push(
+        rules::DEAD_WEIGHT_LOAD,
+        Some(load.stmt),
+        None,
+        vec![a],
+        format!("weights for {} loaded into a{} are {why}", load.op, a.0),
+    );
 }
 
-impl Lint for ModeIntervalLint {
-    fn id(&self) -> &'static str {
-        "mode-interval"
-    }
-
-    fn rules(&self) -> &'static [&'static str] {
-        &[
-            rules::MODE_DISCIPLINE,
-            rules::USE_BEFORE_LOAD,
-            rules::DEAD_WEIGHT_LOAD,
-            rules::REDUNDANT_SWITCH,
-        ]
-    }
-
-    fn check(&self, cx: &VerifyCx<'_>, report: &mut VerifyReport) {
-        let n_arrays = cx.arch.n_arrays();
-        let mut states = RunTable::new(ArrayState::default());
-        let _: Result<(), std::convert::Infallible> =
-            walk_flow(&cx.program.flow, |event| {
-                let FlowEvent::Stmt { pos, stmt } = event else {
-                    return Ok(());
-                };
-                let idx = pos.stmt;
-                // Uses in the wrong mode, by the mode the role needs.
-                let (mut bad_compute, mut bad_memory) = (Vec::new(), Vec::new());
-                stmt.for_each_required_mode(&mut |arrays, needed| {
-                    let bad = match needed {
-                        ArrayMode::Compute => &mut bad_compute,
-                        ArrayMode::Memory => &mut bad_memory,
-                    };
-                    for run in arrays.clipped_runs(n_arrays) {
-                        states.read(run, |piece, st| {
-                            if st.mode() != needed {
-                                bad.extend(piece.iter());
-                            }
-                        });
+/// Reconstructs per-array mode timelines and flags wrong-mode uses,
+/// computes running before their weights are loaded, dead weight loads
+/// and redundant switches.
+fn mode_intervals(cx: &VerifyCx<'_>, report: &mut VerifyReport) {
+    let n_arrays = cx.arch.n_arrays();
+    let mut states = RunTable::new(ArrayState::default());
+    let _: Result<(), std::convert::Infallible> = walk_flow(&cx.program.flow, |event| {
+        let FlowEvent::Stmt { pos, stmt } = event else {
+            return Ok(());
+        };
+        let idx = pos.stmt;
+        // Uses in the wrong mode, by the mode the role needs.
+        let (mut bad_compute, mut bad_memory) = (Vec::new(), Vec::new());
+        stmt.for_each_required_mode(&mut |arrays, needed| {
+            let bad = match needed {
+                ArrayMode::Compute => &mut bad_compute,
+                ArrayMode::Memory => &mut bad_memory,
+            };
+            for run in arrays.clipped_runs(n_arrays) {
+                states.read(run, |piece, st| {
+                    if st.mode() != needed {
+                        bad.extend(piece.iter());
                     }
                 });
-                match stmt {
-                    Stmt::Switch { kind, arrays } => {
-                        let target = kind.target_mode();
-                        let mut same_mode = Vec::new();
-                        let mut unused = Vec::new();
-                        for run in arrays.clipped_runs(n_arrays) {
-                            states.update(run, |piece, st| {
-                                if st.mode() == target {
-                                    same_mode.extend(piece.iter());
-                                } else if st.switched_at.is_some() && !st.used_since_switch {
-                                    unused.extend(piece.iter());
-                                }
-                                if st.mode() != target {
-                                    if let Some(load) = st.load.take().filter(|l| !l.consumed) {
-                                        for a in piece.iter() {
-                                            Self::flag_dead_load(
-                                                report,
-                                                a,
-                                                &load,
-                                                "mode-switched away before any compute uses them",
-                                            );
-                                        }
-                                    }
-                                }
-                                st.mode = Some(target);
-                                st.switched_at = Some(idx);
-                                st.used_since_switch = false;
-                            });
-                        }
-                        if !same_mode.is_empty() {
-                            let list = fmt_arrays(&same_mode);
-                            report.push(
-                                rules::REDUNDANT_SWITCH,
-                                Some(idx),
-                                None,
-                                same_mode,
-                                format!(
-                                    "{} switches arrays already in {:?} mode: {list}",
-                                    kind.keyword(),
-                                    target
-                                ),
-                            );
-                        }
-                        if !unused.is_empty() {
-                            let list = fmt_arrays(&unused);
-                            report.push(
-                                rules::REDUNDANT_SWITCH,
-                                Some(idx),
-                                None,
-                                unused,
-                                format!(
-                                    "back-to-back switch: arrays untouched since their \
-                                     previous switch: {list}"
-                                ),
-                            );
-                        }
-                    }
-                    Stmt::Compute(c) => {
-                        let mut unloaded = Vec::new();
-                        for run in c.compute_arrays.clipped_runs(n_arrays) {
-                            states.update(run, |piece, st| {
-                                st.used_since_switch = true;
-                                if !c.weight_static {
-                                    return;
-                                }
-                                match &mut st.load {
-                                    Some(load) if load.op == c.op => load.consumed = true,
-                                    _ => unloaded.extend(piece.iter()),
-                                }
-                            });
-                        }
-                        for buffers in [&c.mem_in_arrays, &c.mem_out_arrays] {
-                            for run in buffers.clipped_runs(n_arrays) {
-                                states.update(run, |_, st| st.used_since_switch = true);
-                            }
-                        }
-                        if !bad_compute.is_empty() {
-                            let list = fmt_arrays(&bad_compute);
-                            report.push(
-                                rules::MODE_DISCIPLINE,
-                                Some(idx),
-                                None,
-                                bad_compute,
-                                format!("{} computes on memory-mode arrays: {list}", c.op),
-                            );
-                        }
-                        if !bad_memory.is_empty() {
-                            let list = fmt_arrays(&bad_memory);
-                            report.push(
-                                rules::MODE_DISCIPLINE,
-                                Some(idx),
-                                None,
-                                bad_memory,
-                                format!("{} buffers on compute-mode arrays: {list}", c.op),
-                            );
-                        }
-                        if !unloaded.is_empty() {
-                            let list = fmt_arrays(&unloaded);
-                            report.push(
-                                rules::USE_BEFORE_LOAD,
-                                Some(idx),
-                                None,
-                                unloaded,
-                                format!(
-                                    "{} computes on arrays that do not hold its weights: {list}",
-                                    c.op
-                                ),
-                            );
-                        }
-                    }
-                    Stmt::LoadWeights(w) => {
-                        for run in w.arrays.clipped_runs(n_arrays) {
-                            states.update(run, |piece, st| {
-                                st.used_since_switch = true;
-                                let load = PendingLoad {
-                                    op: &w.op,
-                                    stmt: idx,
-                                    consumed: false,
-                                };
-                                if let Some(prev) = st.load.replace(load).filter(|l| !l.consumed) {
-                                    for a in piece.iter() {
-                                        Self::flag_dead_load(
-                                            report,
-                                            a,
-                                            &prev,
-                                            "overwritten before any compute uses them",
-                                        );
-                                    }
-                                }
-                            });
-                        }
-                        if !bad_compute.is_empty() {
-                            let list = fmt_arrays(&bad_compute);
-                            report.push(
-                                rules::MODE_DISCIPLINE,
-                                Some(idx),
-                                None,
-                                bad_compute,
-                                format!(
-                                    "weight load for {} into memory-mode arrays: {list}",
-                                    w.op
-                                ),
-                            );
-                        }
-                    }
-                    Stmt::Mem(m) => {
-                        if let MemLoc::CimArrays(arrays) = &m.loc {
-                            for run in arrays.clipped_runs(n_arrays) {
-                                states.update(run, |_, st| st.used_since_switch = true);
-                            }
-                            if !bad_memory.is_empty() {
-                                let list = fmt_arrays(&bad_memory);
-                                report.push(
-                                    rules::MODE_DISCIPLINE,
-                                    Some(idx),
-                                    None,
-                                    bad_memory,
-                                    format!(
-                                        "scratchpad access `{}` on compute-mode arrays: {list}",
-                                        m.label
-                                    ),
-                                );
-                            }
-                        }
-                    }
-                    // Nested blocks are the race lint's business.
-                    Stmt::Vector(_) | Stmt::Parallel(_) => {}
-                }
-                Ok(())
-            });
-        // Loads never consumed by the end of the flow, in array order.
-        // Only ids a clipped walk reached hold a load, so these pieces
-        // are on the chip or one stray id each.
-        for (first, last, st) in states.iter() {
-            if let Some(load) = st.load.as_ref().filter(|l| !l.consumed) {
-                for a in first.0..=last.0 {
-                    Self::flag_dead_load(report, ArrayId(a), load, "never consumed by any compute");
-                }
             }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Lint 2: capacity.
-// ---------------------------------------------------------------------
-
-/// Checks claimed arrays and loaded bytes against the chip's limits,
-/// cross-checking the flow's claims against each
-/// [`SegmentAllocation`](crate::allocation::SegmentAllocation).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CapacityLint;
-
-impl Lint for CapacityLint {
-    fn id(&self) -> &'static str {
-        "capacity"
-    }
-
-    fn rules(&self) -> &'static [&'static str] {
-        &[
-            rules::CAPACITY_ARRAYS,
-            rules::CAPACITY_WEIGHTS,
-            rules::CAPACITY_LOAD_BYTES,
-            rules::CAPACITY_CLAIM_MISMATCH,
-        ]
-    }
-
-    fn check(&self, cx: &VerifyCx<'_>, report: &mut VerifyReport) {
-        let program = cx.program;
-        let n_arrays = cx.arch.n_arrays();
-        let blocks = cx.blocks();
-        let aligned = blocks.len() == program.segments.len();
-        // Whether the block at hand touched each array: counts distinct
-        // arrays per block without a set.
-        let mut touched = RunTable::new(false);
-
-        for (si, plan) in program.segments.iter().enumerate() {
-            let block_stmt = aligned.then(|| blocks[si].stmt);
-            // Plan-side capacity: Eq. 8.
-            let used = plan.alloc.arrays_used();
-            if used > n_arrays {
-                report.push(
-                    rules::CAPACITY_ARRAYS,
-                    block_stmt,
-                    None,
-                    Vec::new(),
-                    format!("segment {si} claims {used} arrays, chip has {n_arrays}"),
-                );
-            }
-            // Plan-side weight capacity: every static op needs at least
-            // its min-tiles worth of compute arrays to hold the [K,N]
-            // operand.
-            for (oi, a) in plan.alloc.ops.iter().enumerate() {
-                let Some(gi) = plan.range.0.checked_add(oi) else { break };
-                let Some(op) = program.ops.get(gi) else { continue };
-                if op.weight_static && a.compute < op.min_tiles {
+        });
+        match stmt {
+            Stmt::Switch { kind, arrays } => {
+                let target = kind.target_mode();
+                let mut same_mode = Vec::new();
+                let mut unused = Vec::new();
+                for run in arrays.clipped_runs(n_arrays) {
+                    states.update(run, |piece, st| {
+                        if st.mode() == target {
+                            same_mode.extend(piece.iter());
+                        } else if st.switched_at.is_some() && !st.used_since_switch {
+                            unused.extend(piece.iter());
+                        }
+                        if st.mode() != target {
+                            if let Some(load) = st.load.take().filter(|l| !l.consumed) {
+                                for a in piece.iter() {
+                                    flag_dead_load(
+                                        report,
+                                        a,
+                                        &load,
+                                        "mode-switched away before any compute uses them",
+                                    );
+                                }
+                            }
+                        }
+                        st.mode = Some(target);
+                        st.switched_at = Some(idx);
+                        st.used_since_switch = false;
+                    });
+                }
+                if !same_mode.is_empty() {
+                    let list = fmt_arrays(&same_mode);
                     report.push(
-                        rules::CAPACITY_WEIGHTS,
-                        block_stmt,
-                        Some(gi),
-                        Vec::new(),
+                        rules::REDUNDANT_SWITCH,
+                        Some(idx),
+                        None,
+                        same_mode,
                         format!(
-                            "{} gets {} compute arrays but needs {} to hold its weights",
-                            op.name, a.compute, op.min_tiles
+                            "{} switches arrays already in {:?} mode: {list}",
+                            kind.keyword(),
+                            target
+                        ),
+                    );
+                }
+                if !unused.is_empty() {
+                    let list = fmt_arrays(&unused);
+                    report.push(
+                        rules::REDUNDANT_SWITCH,
+                        Some(idx),
+                        None,
+                        unused,
+                        format!(
+                            "back-to-back switch: arrays untouched since their \
+                             previous switch: {list}"
                         ),
                     );
                 }
             }
-            if !aligned {
-                continue;
-            }
-            // Flow-side cross-checks against the aligned block.
-            let block = &blocks[si];
-            touched.reset(false);
-            let mut distinct = 0usize;
-            let mut out_of_range: Vec<ArrayId> = Vec::new();
-            for s in block.body {
-                s.for_each_array_set(&mut |arrays| {
-                    for run in arrays.clipped_runs(n_arrays) {
-                        // A clipped piece past the chip is one stray id.
-                        if let Some(a) = run.first_beyond(n_arrays) {
-                            if !out_of_range.contains(&a) {
-                                out_of_range.push(a);
-                            }
-                            continue;
+            Stmt::Compute(c) => {
+                let mut unloaded = Vec::new();
+                for run in c.compute_arrays.clipped_runs(n_arrays) {
+                    states.update(run, |piece, st| {
+                        st.used_since_switch = true;
+                        if !c.weight_static {
+                            return;
                         }
-                        touched.update(run, |piece, seen| {
-                            if !*seen {
-                                *seen = true;
-                                distinct += piece.count() as usize;
-                            }
-                        });
+                        match &mut st.load {
+                            Some(load) if load.op == c.op => load.consumed = true,
+                            _ => unloaded.extend(piece.iter()),
+                        }
+                    });
+                }
+                for buffers in [&c.mem_in_arrays, &c.mem_out_arrays] {
+                    for run in buffers.clipped_runs(n_arrays) {
+                        states.update(run, |_, st| st.used_since_switch = true);
                     }
-                });
-                if let Stmt::LoadWeights(w) = s {
-                    let capacity = (w.arrays.len() as u64).saturating_mul(cx.arch.array_bytes());
-                    if w.bytes > capacity {
+                }
+                if !bad_compute.is_empty() {
+                    let list = fmt_arrays(&bad_compute);
+                    report.push(
+                        rules::MODE_DISCIPLINE,
+                        Some(idx),
+                        None,
+                        bad_compute,
+                        format!("{} computes on memory-mode arrays: {list}", c.op),
+                    );
+                }
+                if !bad_memory.is_empty() {
+                    let list = fmt_arrays(&bad_memory);
+                    report.push(
+                        rules::MODE_DISCIPLINE,
+                        Some(idx),
+                        None,
+                        bad_memory,
+                        format!("{} buffers on compute-mode arrays: {list}", c.op),
+                    );
+                }
+                if !unloaded.is_empty() {
+                    let list = fmt_arrays(&unloaded);
+                    report.push(
+                        rules::USE_BEFORE_LOAD,
+                        Some(idx),
+                        None,
+                        unloaded,
+                        format!(
+                            "{} computes on arrays that do not hold its weights: {list}",
+                            c.op
+                        ),
+                    );
+                }
+            }
+            Stmt::LoadWeights(w) => {
+                for run in w.arrays.clipped_runs(n_arrays) {
+                    states.update(run, |piece, st| {
+                        st.used_since_switch = true;
+                        let load = PendingLoad {
+                            op: &w.op,
+                            stmt: idx,
+                            consumed: false,
+                        };
+                        if let Some(prev) = st.load.replace(load).filter(|l| !l.consumed) {
+                            for a in piece.iter() {
+                                flag_dead_load(
+                                    report,
+                                    a,
+                                    &prev,
+                                    "overwritten before any compute uses them",
+                                );
+                            }
+                        }
+                    });
+                }
+                if !bad_compute.is_empty() {
+                    let list = fmt_arrays(&bad_compute);
+                    report.push(
+                        rules::MODE_DISCIPLINE,
+                        Some(idx),
+                        None,
+                        bad_compute,
+                        format!("weight load for {} into memory-mode arrays: {list}", w.op),
+                    );
+                }
+            }
+            Stmt::Mem(m) => {
+                if let MemLoc::CimArrays(arrays) = &m.loc {
+                    for run in arrays.clipped_runs(n_arrays) {
+                        states.update(run, |_, st| st.used_since_switch = true);
+                    }
+                    if !bad_memory.is_empty() {
+                        let list = fmt_arrays(&bad_memory);
                         report.push(
-                            rules::CAPACITY_LOAD_BYTES,
-                            Some(block.stmt),
+                            rules::MODE_DISCIPLINE,
+                            Some(idx),
                             None,
-                            listed(&w.arrays, n_arrays),
+                            bad_memory,
                             format!(
-                                "weight load for {} writes {} bytes into {} arrays \
-                                 holding {capacity}",
-                                w.op,
-                                w.bytes,
-                                w.arrays.len()
+                                "scratchpad access `{}` on compute-mode arrays: {list}",
+                                m.label
                             ),
                         );
                     }
                 }
             }
-            distinct += out_of_range.len();
-            if !out_of_range.is_empty() {
-                let list = fmt_arrays(&out_of_range);
-                report.push(
-                    rules::CAPACITY_ARRAYS,
-                    Some(block.stmt),
-                    None,
-                    out_of_range,
-                    format!("segment {si} references arrays beyond the chip: {list}"),
-                );
-            }
-            if distinct != used {
-                report.push(
-                    rules::CAPACITY_CLAIM_MISMATCH,
-                    Some(block.stmt),
-                    None,
-                    Vec::new(),
-                    format!(
-                        "segment {si} touches {distinct} distinct arrays but its allocation \
-                         claims {used}"
-                    ),
-                );
-            }
+            // Nested blocks are the race analysis's business.
+            Stmt::Vector(_) | Stmt::Parallel(_) => {}
         }
-
-        // Statements the aligned blocks above do not cover address the
-        // chip too: the simulator indexes its array state by every id it
-        // meets, wherever the statement sits.
-        for (idx, s) in program.flow.stmts().iter().enumerate() {
-            if aligned && matches!(s, Stmt::Parallel(_) | Stmt::Compute(_)) {
-                continue;
-            }
-            let mut out_of_range: Vec<ArrayId> = Vec::new();
-            s.for_each_array_set(&mut |arrays| {
-                for a in arrays.runs().iter().filter_map(|r| r.first_beyond(n_arrays)) {
-                    if !out_of_range.contains(&a) {
-                        out_of_range.push(a);
-                    }
-                }
-            });
-            if !out_of_range.is_empty() {
-                let list = fmt_arrays(&out_of_range);
-                report.push(
-                    rules::CAPACITY_ARRAYS,
-                    Some(idx),
-                    None,
-                    out_of_range,
-                    format!("statement {idx} references arrays beyond the chip: {list}"),
-                );
+        Ok(())
+    });
+    // Loads never consumed by the end of the flow, in array order.
+    // Only ids a clipped walk reached hold a load, so these pieces
+    // are on the chip or one stray id each.
+    for (first, last, st) in states.iter() {
+        if let Some(load) = st.load.as_ref().filter(|l| !l.consumed) {
+            for a in first.0..=last.0 {
+                flag_dead_load(report, ArrayId(a), load, "never consumed by any compute");
             }
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// Lint 3: dependence soundness.
+// Analysis 2: capacity.
+// ---------------------------------------------------------------------
+
+/// Checks claimed arrays and loaded bytes against the chip's limits,
+/// cross-checking the flow's claims against each
+/// [`SegmentAllocation`](crate::allocation::SegmentAllocation).
+fn capacity(cx: &VerifyCx<'_>, report: &mut VerifyReport) {
+    let program = cx.program;
+    let n_arrays = cx.arch.n_arrays();
+    let blocks = cx.blocks();
+    let aligned = blocks.len() == program.segments.len();
+    // Whether the block at hand touched each array: counts distinct
+    // arrays per block without a set.
+    let mut touched = RunTable::new(false);
+
+    for (si, plan) in program.segments.iter().enumerate() {
+        let block_stmt = aligned.then(|| blocks[si].stmt);
+        // Plan-side capacity: Eq. 8.
+        let used = plan.alloc.arrays_used();
+        if used > n_arrays {
+            report.push(
+                rules::CAPACITY_ARRAYS,
+                block_stmt,
+                None,
+                Vec::new(),
+                format!("segment {si} claims {used} arrays, chip has {n_arrays}"),
+            );
+        }
+        // Plan-side weight capacity: every static op needs at least
+        // its min-tiles worth of compute arrays to hold the [K,N]
+        // operand.
+        for (oi, a) in plan.alloc.ops.iter().enumerate() {
+            let Some(gi) = plan.range.0.checked_add(oi) else { break };
+            let Some(op) = program.ops.get(gi) else { continue };
+            if op.weight_static && a.compute < op.min_tiles {
+                report.push(
+                    rules::CAPACITY_WEIGHTS,
+                    block_stmt,
+                    Some(gi),
+                    Vec::new(),
+                    format!(
+                        "{} gets {} compute arrays but needs {} to hold its weights",
+                        op.name, a.compute, op.min_tiles
+                    ),
+                );
+            }
+        }
+        if !aligned {
+            continue;
+        }
+        // Flow-side cross-checks against the aligned block.
+        let block = &blocks[si];
+        touched.reset(false);
+        let mut distinct = 0usize;
+        let mut out_of_range: Vec<ArrayId> = Vec::new();
+        for s in block.body {
+            s.for_each_array_set(&mut |arrays| {
+                for run in arrays.clipped_runs(n_arrays) {
+                    // A clipped piece past the chip is one stray id.
+                    if let Some(a) = run.first_beyond(n_arrays) {
+                        if !out_of_range.contains(&a) {
+                            out_of_range.push(a);
+                        }
+                        continue;
+                    }
+                    touched.update(run, |piece, seen| {
+                        if !*seen {
+                            *seen = true;
+                            distinct += piece.count() as usize;
+                        }
+                    });
+                }
+            });
+            if let Stmt::LoadWeights(w) = s {
+                let capacity = (w.arrays.len() as u64).saturating_mul(cx.arch.array_bytes());
+                if w.bytes > capacity {
+                    report.push(
+                        rules::CAPACITY_LOAD_BYTES,
+                        Some(block.stmt),
+                        None,
+                        listed(&w.arrays, n_arrays),
+                        format!(
+                            "weight load for {} writes {} bytes into {} arrays \
+                             holding {capacity}",
+                            w.op,
+                            w.bytes,
+                            w.arrays.len()
+                        ),
+                    );
+                }
+            }
+        }
+        distinct += out_of_range.len();
+        if !out_of_range.is_empty() {
+            let list = fmt_arrays(&out_of_range);
+            report.push(
+                rules::CAPACITY_ARRAYS,
+                Some(block.stmt),
+                None,
+                out_of_range,
+                format!("segment {si} references arrays beyond the chip: {list}"),
+            );
+        }
+        if distinct != used {
+            report.push(
+                rules::CAPACITY_CLAIM_MISMATCH,
+                Some(block.stmt),
+                None,
+                Vec::new(),
+                format!(
+                    "segment {si} touches {distinct} distinct arrays but its allocation \
+                     claims {used}"
+                ),
+            );
+        }
+    }
+
+    // Statements the aligned blocks above do not cover address the
+    // chip too: the simulator indexes its array state by every id it
+    // meets, wherever the statement sits.
+    for (idx, s) in program.flow.stmts().iter().enumerate() {
+        if aligned && matches!(s, Stmt::Parallel(_) | Stmt::Compute(_)) {
+            continue;
+        }
+        let mut out_of_range: Vec<ArrayId> = Vec::new();
+        s.for_each_array_set(&mut |arrays| {
+            for a in arrays.runs().iter().filter_map(|r| r.first_beyond(n_arrays)) {
+                if !out_of_range.contains(&a) {
+                    out_of_range.push(a);
+                }
+            }
+        });
+        if !out_of_range.is_empty() {
+            let list = fmt_arrays(&out_of_range);
+            report.push(
+                rules::CAPACITY_ARRAYS,
+                Some(idx),
+                None,
+                out_of_range,
+                format!("statement {idx} references arrays beyond the chip: {list}"),
+            );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Analysis 3: dependence soundness.
 // ---------------------------------------------------------------------
 
 /// Checks that `op_deps` is acyclic, respects flow order, and covers
 /// every dependence implied by shared buffer arrays or planned reuse —
 /// the edges the event engine trusts when overlapping segments. All
 /// three run over sources, the granularity `op_deps` is written at.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DependenceLint;
-
-impl Lint for DependenceLint {
-    fn id(&self) -> &'static str {
-        "dependence"
-    }
-
-    fn rules(&self) -> &'static [&'static str] {
-        &[rules::DEP_ORDER, rules::DEP_CYCLE, rules::DEP_MISSING]
-    }
-
-    fn check(&self, cx: &VerifyCx<'_>, report: &mut VerifyReport) {
-        let program = cx.program;
-        // `op_deps` relates sources, each named by its first op.
-        let first = source_spans(&program.ops);
-        let n = first.len() - 1;
-        let name = |s: usize| &program.ops[first[s]].name;
-        let mut valid_edges: Vec<(usize, usize)> = Vec::with_capacity(program.op_deps.len());
-        for (i, &(p, c)) in program.op_deps.iter().enumerate() {
-            if p >= n || c >= n {
-                report.push(
-                    rules::DEP_ORDER,
-                    None,
-                    None,
-                    Vec::new(),
-                    format!("op_deps[{i}] = ({p}, {c}) indexes past the {n} sources"),
-                );
-                continue;
-            }
-            if p >= c {
-                report.push(
-                    rules::DEP_ORDER,
-                    None,
-                    Some(first[p]),
-                    Vec::new(),
-                    format!(
-                        "op_deps[{i}] = ({p}, {c}) runs backwards: {} is scheduled \
-                         at or after {}",
-                        name(p),
-                        name(c)
-                    ),
-                );
-            }
-            valid_edges.push((p, c));
-        }
-
-        // Kahn's algorithm over the in-range edges: leftovers sit on a
-        // cycle. (Backwards edges are still counted here so a genuine
-        // cycle is reported as such, not only as order violations.)
-        // Sorted by producer, the edge list is its own adjacency index:
-        // `succs_from[p]..succs_from[p + 1]` are `p`'s out-edges.
-        valid_edges.sort_unstable();
-        let mut indegree = vec![0usize; n];
-        let mut succs_from = vec![0usize; n + 1];
-        for &(p, c) in &valid_edges {
-            indegree[c] += 1;
-            succs_from[p + 1] += 1;
-        }
-        for p in 0..n {
-            succs_from[p + 1] += succs_from[p];
-        }
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-        let mut visited = 0usize;
-        while let Some(i) = queue.pop() {
-            visited += 1;
-            for &(_, c) in &valid_edges[succs_from[i]..succs_from[i + 1]] {
-                indegree[c] -= 1;
-                if indegree[c] == 0 {
-                    queue.push(c);
-                }
-            }
-        }
-        if visited < n {
-            let stuck = (0..n).filter(|&s| indegree[s] > 0).take(8);
-            let stuck: Vec<usize> = stuck.map(|s| first[s]).collect();
+fn dependence(cx: &VerifyCx<'_>, report: &mut VerifyReport) {
+    let program = cx.program;
+    // `op_deps` relates sources, each named by its first op.
+    let first = source_spans(&program.ops);
+    let n = first.len() - 1;
+    let name = |s: usize| &program.ops[first[s]].name;
+    let mut valid_edges: Vec<(usize, usize)> = Vec::with_capacity(program.op_deps.len());
+    for (i, &(p, c)) in program.op_deps.iter().enumerate() {
+        if p >= n || c >= n {
             report.push(
-                rules::DEP_CYCLE,
+                rules::DEP_ORDER,
                 None,
-                stuck.first().copied(),
+                None,
                 Vec::new(),
-                format!("op_deps contains a cycle through ops {stuck:?}"),
+                format!("op_deps[{i}] = ({p}, {c}) indexes past the {n} sources"),
+            );
+            continue;
+        }
+        if p >= c {
+            report.push(
+                rules::DEP_ORDER,
+                None,
+                Some(first[p]),
+                Vec::new(),
+                format!(
+                    "op_deps[{i}] = ({p}, {c}) runs backwards: {} is scheduled \
+                     at or after {}",
+                    name(p),
+                    name(c)
+                ),
             );
         }
+        valid_edges.push((p, c));
+    }
 
-        // Coverage: every dependence the program implies must have an
-        // edge between the two ops' sources, else the engine may overlap
-        // dependent segments. An op index past the list has no source.
-        let has_edge = |p: usize, c: usize| match (program.ops.get(p), program.ops.get(c)) {
-            (Some(p), Some(c)) => valid_edges.binary_search(&(p.source, c.source)).is_ok(),
-            _ => false,
-        };
-        let mut reported: HashSet<(usize, usize)> = HashSet::new();
-        let mut require = |p: usize, c: usize, why: &str| {
-            if !has_edge(p, c) && reported.insert((p, c)) {
-                let name = |i: usize| {
-                    program.ops.get(i).map_or_else(|| format!("op {i}"), |o| o.name.clone())
-                };
-                report.push(
-                    rules::DEP_MISSING,
-                    None,
-                    Some(p),
-                    Vec::new(),
-                    format!(
-                        "{} -> {} is a real dependence ({why}) but op_deps has no edge",
-                        name(p),
-                        name(c)
-                    ),
-                );
-            }
-        };
-        // (a) Planned Eq. 6 reuse, mapped to global op indices.
-        for plan in &program.segments {
-            let (lo, hi) = plan.range;
-            let width = hi.saturating_sub(lo);
-            for &((lp, lc), r) in &plan.alloc.reuse {
-                if r == 0 || lp > width || lc > width {
-                    continue;
-                }
-                if let (Some(p), Some(c)) = (lo.checked_add(lp), lo.checked_add(lc)) {
-                    require(p, c, "planned buffer reuse");
-                }
+    // Kahn's algorithm over the in-range edges: leftovers sit on a
+    // cycle. (Backwards edges are still counted here so a genuine
+    // cycle is reported as such, not only as order violations.)
+    // Sorted by producer, the edge list is its own adjacency index:
+    // `succs_from[p]..succs_from[p + 1]` are `p`'s out-edges.
+    valid_edges.sort_unstable();
+    let mut indegree = vec![0usize; n];
+    let mut succs_from = vec![0usize; n + 1];
+    for &(p, c) in &valid_edges {
+        indegree[c] += 1;
+        succs_from[p + 1] += 1;
+    }
+    for p in 0..n {
+        succs_from[p + 1] += succs_from[p];
+    }
+    let mut queue: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
+    let mut visited = 0usize;
+    while let Some(i) = queue.pop() {
+        visited += 1;
+        for &(_, c) in &valid_edges[succs_from[i]..succs_from[i + 1]] {
+            indegree[c] -= 1;
+            if indegree[c] == 0 {
+                queue.push(c);
             }
         }
-        // (b) Shared buffer arrays between computes of one block
-        // (producer's mem_out feeding a later op's mem_in).
-        let blocks = cx.blocks();
-        if blocks.len() == program.segments.len() {
-            let n_arrays = cx.arch.n_arrays();
-            let meet = |a: ArrayRun, b: ArrayRun| a.min().0 <= b.max().0 && b.min().0 <= a.max().0;
-            for (plan, block) in program.segments.iter().zip(blocks) {
-                let computes = cx.computes(block);
-                // Checked: a decoded plan's range may be inverted.
-                let (lo, hi) = plan.range;
-                if hi.checked_sub(lo).and_then(|w| w.checked_add(1)) != Some(computes.len()) {
-                    continue; // plan-ops reports the mismatch
+    }
+    if visited < n {
+        let stuck = (0..n).filter(|&s| indegree[s] > 0).take(8);
+        let stuck: Vec<usize> = stuck.map(|s| first[s]).collect();
+        report.push(
+            rules::DEP_CYCLE,
+            None,
+            stuck.first().copied(),
+            Vec::new(),
+            format!("op_deps contains a cycle through ops {stuck:?}"),
+        );
+    }
+
+    // Coverage: every dependence the program implies must have an
+    // edge between the two ops' sources, else the engine may overlap
+    // dependent segments. An op index past the list has no source.
+    let has_edge = |p: usize, c: usize| match (program.ops.get(p), program.ops.get(c)) {
+        (Some(p), Some(c)) => valid_edges.binary_search(&(p.source, c.source)).is_ok(),
+        _ => false,
+    };
+    let mut reported: HashSet<(usize, usize)> = HashSet::new();
+    let mut require = |p: usize, c: usize, why: &str| {
+        if !has_edge(p, c) && reported.insert((p, c)) {
+            let name = |i: usize| {
+                program.ops.get(i).map_or_else(|| format!("op {i}"), |o| o.name.clone())
+            };
+            report.push(
+                rules::DEP_MISSING,
+                None,
+                Some(p),
+                Vec::new(),
+                format!(
+                    "{} -> {} is a real dependence ({why}) but op_deps has no edge",
+                    name(p),
+                    name(c)
+                ),
+            );
+        }
+    };
+    // (a) Planned Eq. 6 reuse, mapped to global op indices.
+    for plan in &program.segments {
+        let (lo, hi) = plan.range;
+        let width = hi.saturating_sub(lo);
+        for &((lp, lc), r) in &plan.alloc.reuse {
+            if r == 0 || lp > width || lc > width {
+                continue;
+            }
+            if let (Some(p), Some(c)) = (lo.checked_add(lp), lo.checked_add(lc)) {
+                require(p, c, "planned buffer reuse");
+            }
+        }
+    }
+    // (b) Shared buffer arrays between computes of one block
+    // (producer's mem_out feeding a later op's mem_in).
+    let blocks = cx.blocks();
+    if blocks.len() == program.segments.len() {
+        let n_arrays = cx.arch.n_arrays();
+        let meet = |a: ArrayRun, b: ArrayRun| a.min().0 <= b.max().0 && b.min().0 <= a.max().0;
+        for (plan, block) in program.segments.iter().zip(blocks) {
+            let computes = cx.computes(block);
+            // Checked: a decoded plan's range may be inverted.
+            let (lo, hi) = plan.range;
+            if hi.checked_sub(lo).and_then(|w| w.checked_add(1)) != Some(computes.len()) {
+                continue; // plan-ops reports the mismatch
+            }
+            for (i, prod) in computes.iter().enumerate() {
+                if prod.mem_out_arrays.is_empty() {
+                    continue;
                 }
-                for (i, prod) in computes.iter().enumerate() {
-                    if prod.mem_out_arrays.is_empty() {
-                        continue;
-                    }
-                    // The producer's output buffers, as clipped runs.
-                    let written = prod.mem_out_arrays.clipped_runs(n_arrays);
-                    for (j, cons) in computes.iter().enumerate().skip(i + 1) {
-                        let reads = |run: ArrayRun| written.clone().any(|w| meet(w, run));
-                        if cons.mem_in_arrays.clipped_runs(n_arrays).any(reads) {
-                            // In range: the block's ops fit the plan.
-                            require(
-                                plan.range.0 + i,
-                                plan.range.0 + j,
-                                "shared buffer arrays in the flow",
-                            );
-                        }
+                // The producer's output buffers, as clipped runs.
+                let written = prod.mem_out_arrays.clipped_runs(n_arrays);
+                for (j, cons) in computes.iter().enumerate().skip(i + 1) {
+                    let reads = |run: ArrayRun| written.clone().any(|w| meet(w, run));
+                    if cons.mem_in_arrays.clipped_runs(n_arrays).any(reads) {
+                        // In range: the block's ops fit the plan.
+                        require(
+                            plan.range.0 + i,
+                            plan.range.0 + j,
+                            "shared buffer arrays in the flow",
+                        );
                     }
                 }
             }
@@ -977,371 +909,331 @@ impl Lint for DependenceLint {
 }
 
 // ---------------------------------------------------------------------
-// Lint 4: parallel-block races.
+// Analysis 4: parallel-block races.
 // ---------------------------------------------------------------------
 
 /// Reports **every** conflicting array claim inside each `parallel`
 /// segment — the same Eq. 6 legality `metaop::validate` enforces
 /// first-error-only — plus illegal nesting.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ParallelRaceLint;
-
-impl Lint for ParallelRaceLint {
-    fn id(&self) -> &'static str {
-        "parallel-race"
-    }
-
-    fn rules(&self) -> &'static [&'static str] {
-        &[rules::RACE_CONFLICT, rules::RACE_NESTED]
-    }
-
-    fn check(&self, cx: &VerifyCx<'_>, report: &mut VerifyReport) {
-        let n_arrays = cx.arch.n_arrays();
-        let mut claims = BlockClaims::new();
-        for (idx, stmt) in cx.program.flow.stmts().iter().enumerate() {
-            let Stmt::Parallel(body) = stmt else { continue };
-            claims.enter_block();
-            // Arrays with at least one conflicting claim; the findings
-            // themselves are worked out after the block, from its body.
-            let mut contested: Vec<ArrayId> = Vec::new();
-            for s in body {
-                match s {
-                    Stmt::Parallel(_) => report.push(
-                        rules::RACE_NESTED,
-                        Some(idx),
-                        None,
-                        Vec::new(),
-                        "parallel block nested inside another parallel block",
-                    ),
-                    Stmt::Compute(c) => {
-                        claims.claim(c, n_arrays, |piece| contested.extend(piece.iter()));
-                    }
-                    _ => {}
+fn parallel_races(cx: &VerifyCx<'_>, report: &mut VerifyReport) {
+    let n_arrays = cx.arch.n_arrays();
+    let mut claims = BlockClaims::new();
+    for (idx, stmt) in cx.program.flow.stmts().iter().enumerate() {
+        let Stmt::Parallel(body) = stmt else { continue };
+        claims.enter_block();
+        // Arrays with at least one conflicting claim; the findings
+        // themselves are worked out after the block, from its body.
+        let mut contested: Vec<ArrayId> = Vec::new();
+        for s in body {
+            match s {
+                Stmt::Parallel(_) => report.push(
+                    rules::RACE_NESTED,
+                    Some(idx),
+                    None,
+                    Vec::new(),
+                    "parallel block nested inside another parallel block",
+                ),
+                Stmt::Compute(c) => {
+                    claims.claim(c, n_arrays, |piece| contested.extend(piece.iter()));
                 }
+                _ => {}
             }
-            contested.sort_unstable();
-            contested.dedup();
-            for a in contested {
-                Self::report_conflict(a, body, idx, report);
-            }
+        }
+        contested.sort_unstable();
+        contested.dedup();
+        for a in contested {
+            report_conflict(a, body, idx, report);
         }
     }
 }
 
-impl ParallelRaceLint {
-    /// Describes how the computes of `body` fight over `a`, naming every
-    /// operator involved (each once, in claim order).
-    fn report_conflict(a: ArrayId, body: &[Stmt], stmt: usize, report: &mut VerifyReport) {
-        let (mut comp, mut ins, mut outs) = (Vec::new(), Vec::new(), Vec::new());
-        for s in body {
-            let Stmt::Compute(c) = s else { continue };
-            let roles = [
-                (&mut comp, &c.compute_arrays),
-                (&mut ins, &c.mem_in_arrays),
-                (&mut outs, &c.mem_out_arrays),
-            ];
-            for (ops, arrays) in roles {
-                if arrays.contains(a) && !ops.contains(&c.op.as_str()) {
-                    ops.push(c.op.as_str());
-                }
+/// Describes how the computes of `body` fight over `a`, naming every
+/// operator involved (each once, in claim order).
+fn report_conflict(a: ArrayId, body: &[Stmt], stmt: usize, report: &mut VerifyReport) {
+    let (mut comp, mut ins, mut outs) = (Vec::new(), Vec::new(), Vec::new());
+    for s in body {
+        let Stmt::Compute(c) = s else { continue };
+        let roles = [
+            (&mut comp, &c.compute_arrays),
+            (&mut ins, &c.mem_in_arrays),
+            (&mut outs, &c.mem_out_arrays),
+        ];
+        for (ops, arrays) in roles {
+            if arrays.contains(a) && !ops.contains(&c.op.as_str()) {
+                ops.push(c.op.as_str());
             }
         }
-        let why = if comp.len() > 1 {
-            // Two operators computing on one array.
-            format!("computed on by {}", comp.join(" and "))
-        } else if !comp.is_empty() && (!ins.is_empty() || !outs.is_empty()) {
-            // Compute and buffer roles on one array — conflicting even
-            // within one operator.
-            format!("both compute ({}) and buffer in one segment", comp.join(", "))
-        } else if ins.len() > 1 {
-            // Two operators' input buffers on one array.
-            format!("input buffer of {}", ins.join(" and "))
-        } else if outs.len() > 1 {
-            // Two operators' output buffers on one array. A single out +
-            // single in pair is the legal Eq. 6 reuse.
-            format!("output buffer of {}", outs.join(" and "))
-        } else {
-            return;
-        };
-        report.push(
-            rules::RACE_CONFLICT,
-            Some(stmt),
-            None,
-            vec![a],
-            format!("array a{} is {why}", a.0),
-        );
     }
+    let why = if comp.len() > 1 {
+        // Two operators computing on one array.
+        format!("computed on by {}", comp.join(" and "))
+    } else if !comp.is_empty() && (!ins.is_empty() || !outs.is_empty()) {
+        // Compute and buffer roles on one array — conflicting even
+        // within one operator.
+        format!("both compute ({}) and buffer in one segment", comp.join(", "))
+    } else if ins.len() > 1 {
+        // Two operators' input buffers on one array.
+        format!("input buffer of {}", ins.join(" and "))
+    } else if outs.len() > 1 {
+        // Two operators' output buffers on one array. A single out +
+        // single in pair is the legal Eq. 6 reuse.
+        format!("output buffer of {}", outs.join(" and "))
+    } else {
+        return;
+    };
+    report.push(
+        rules::RACE_CONFLICT,
+        Some(stmt),
+        None,
+        vec![a],
+        format!("array a{} is {why}", a.0),
+    );
 }
 
 // ---------------------------------------------------------------------
-// Lint 5: flow/plan consistency.
+// Analysis 5: flow/plan consistency.
 // ---------------------------------------------------------------------
 
 /// Checks that the emitted statements account for exactly the ops,
 /// tiles and weight loads the segment plans promise.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FlowPlanLint;
-
-impl Lint for FlowPlanLint {
-    fn id(&self) -> &'static str {
-        "flow-plan"
-    }
-
-    fn rules(&self) -> &'static [&'static str] {
-        &[
+fn flow_plan(cx: &VerifyCx<'_>, report: &mut VerifyReport) {
+    let program = cx.program;
+    let blocks = cx.blocks();
+    if blocks.len() != program.segments.len() {
+        report.push(
             rules::PLAN_SEGMENTS,
-            rules::PLAN_OPS,
-            rules::PLAN_ALLOC_COUNTS,
-            rules::PLAN_WEIGHT_LOADS,
-        ]
+            None,
+            None,
+            Vec::new(),
+            format!(
+                "flow has {} segments but the plan promises {}",
+                blocks.len(),
+                program.segments.len()
+            ),
+        );
+        return;
     }
-
-    fn check(&self, cx: &VerifyCx<'_>, report: &mut VerifyReport) {
-        let program = cx.program;
-        let blocks = cx.blocks();
-        if blocks.len() != program.segments.len() {
+    // The plans must tile 0..ops contiguously.
+    let mut expected_start = 0usize;
+    let mut ranges_ok = true;
+    for (si, plan) in program.segments.iter().enumerate() {
+        let (lo, hi) = plan.range;
+        if lo != expected_start || hi < lo || hi >= program.ops.len() {
             report.push(
                 rules::PLAN_SEGMENTS,
                 None,
                 None,
                 Vec::new(),
                 format!(
-                    "flow has {} segments but the plan promises {}",
-                    blocks.len(),
-                    program.segments.len()
-                ),
-            );
-            return;
-        }
-        // The plans must tile 0..ops contiguously.
-        let mut expected_start = 0usize;
-        let mut ranges_ok = true;
-        for (si, plan) in program.segments.iter().enumerate() {
-            let (lo, hi) = plan.range;
-            if lo != expected_start || hi < lo || hi >= program.ops.len() {
-                report.push(
-                    rules::PLAN_SEGMENTS,
-                    None,
-                    None,
-                    Vec::new(),
-                    format!(
-                        "segment {si} covers ops {lo}..={hi}, expected to start at \
-                         {expected_start} within {} ops",
-                        program.ops.len()
-                    ),
-                );
-                ranges_ok = false;
-                break;
-            }
-            if plan.alloc.ops.len() != hi - lo + 1 {
-                report.push(
-                    rules::PLAN_SEGMENTS,
-                    None,
-                    None,
-                    Vec::new(),
-                    format!(
-                        "segment {si} allocates {} ops for range {lo}..={hi}",
-                        plan.alloc.ops.len()
-                    ),
-                );
-                ranges_ok = false;
-            }
-            expected_start = hi + 1;
-        }
-        if ranges_ok && expected_start != program.ops.len() {
-            report.push(
-                rules::PLAN_SEGMENTS,
-                None,
-                None,
-                Vec::new(),
-                format!(
-                    "segments cover ops 0..{expected_start} but the program has {}",
+                    "segment {si} covers ops {lo}..={hi}, expected to start at \
+                     {expected_start} within {} ops",
                     program.ops.len()
                 ),
             );
             ranges_ok = false;
+            break;
         }
-        if !ranges_ok {
-            return;
-        }
-
-        // Scratch reused across segments: each block's weight loads and
-        // whether a compute has accounted for them yet.
-        let mut loads = Vec::new();
-        for (si, (plan, block)) in program.segments.iter().zip(blocks).enumerate() {
-            Self::check_segment(cx, si, plan, block, &mut loads, report);
-        }
-    }
-}
-
-impl FlowPlanLint {
-    fn check_segment<'a>(
-        cx: &VerifyCx<'a>,
-        si: usize,
-        plan: &Segment,
-        block: &SegmentBlock<'a>,
-        loads: &mut Vec<(&'a WeightLoadStmt, bool)>,
-        report: &mut VerifyReport,
-    ) {
-        let program = cx.program;
-        let n_arrays = cx.arch.n_arrays();
-        let (lo, hi) = plan.range;
-        let computes = cx.computes(block);
-        if computes.len() != hi - lo + 1 {
+        if plan.alloc.ops.len() != hi - lo + 1 {
             report.push(
-                rules::PLAN_OPS,
-                Some(block.stmt),
+                rules::PLAN_SEGMENTS,
+                None,
                 None,
                 Vec::new(),
                 format!(
-                    "segment {si} emits {} compute statements for {} planned ops",
-                    computes.len(),
-                    hi - lo + 1
+                    "segment {si} allocates {} ops for range {lo}..={hi}",
+                    plan.alloc.ops.len()
                 ),
             );
-            return;
+            ranges_ok = false;
         }
-        for (oi, c) in computes.iter().enumerate() {
-            let gi = lo + oi;
-            let op = &program.ops[gi];
-            if c.op != op.name
-                || (c.m, c.k, c.n, c.units) != (op.m, op.k, op.n, op.units)
-            {
-                report.push(
-                    rules::PLAN_OPS,
-                    Some(block.stmt),
-                    Some(gi),
-                    Vec::new(),
-                    format!(
-                        "segment {si} emits {} {}x{}x{}x{} where the plan schedules \
-                         {} {}x{}x{}x{}",
-                        c.op, c.units, c.m, c.k, c.n, op.name, op.units, op.m, op.k, op.n
-                    ),
-                );
-            }
-            let a = &plan.alloc.ops[oi];
-            let emitted = (
-                c.compute_arrays.len(),
-                c.mem_in_arrays.len(),
-                c.mem_out_arrays.len(),
+        expected_start = hi + 1;
+    }
+    if ranges_ok && expected_start != program.ops.len() {
+        report.push(
+            rules::PLAN_SEGMENTS,
+            None,
+            None,
+            Vec::new(),
+            format!(
+                "segments cover ops 0..{expected_start} but the program has {}",
+                program.ops.len()
+            ),
+        );
+        ranges_ok = false;
+    }
+    if !ranges_ok {
+        return;
+    }
+
+    // Scratch reused across segments: each block's weight loads and
+    // whether a compute has accounted for them yet.
+    let mut loads = Vec::new();
+    for (si, (plan, block)) in program.segments.iter().zip(blocks).enumerate() {
+        flow_plan_segment(cx, si, plan, block, &mut loads, report);
+    }
+}
+
+fn flow_plan_segment<'a>(
+    cx: &VerifyCx<'a>,
+    si: usize,
+    plan: &Segment,
+    block: &SegmentBlock<'a>,
+    loads: &mut Vec<(&'a WeightLoadStmt, bool)>,
+    report: &mut VerifyReport,
+) {
+    let program = cx.program;
+    let n_arrays = cx.arch.n_arrays();
+    let (lo, hi) = plan.range;
+    let computes = cx.computes(block);
+    if computes.len() != hi - lo + 1 {
+        report.push(
+            rules::PLAN_OPS,
+            Some(block.stmt),
+            None,
+            Vec::new(),
+            format!(
+                "segment {si} emits {} compute statements for {} planned ops",
+                computes.len(),
+                hi - lo + 1
+            ),
+        );
+        return;
+    }
+    for (oi, c) in computes.iter().enumerate() {
+        let gi = lo + oi;
+        let op = &program.ops[gi];
+        if c.op != op.name || (c.m, c.k, c.n, c.units) != (op.m, op.k, op.n, op.units) {
+            report.push(
+                rules::PLAN_OPS,
+                Some(block.stmt),
+                Some(gi),
+                Vec::new(),
+                format!(
+                    "segment {si} emits {} {}x{}x{}x{} where the plan schedules \
+                     {} {}x{}x{}x{}",
+                    c.op, c.units, c.m, c.k, c.n, op.name, op.units, op.m, op.k, op.n
+                ),
             );
-            if emitted != (a.compute, a.mem_in, a.mem_out) {
+        }
+        let a = &plan.alloc.ops[oi];
+        let emitted = (
+            c.compute_arrays.len(),
+            c.mem_in_arrays.len(),
+            c.mem_out_arrays.len(),
+        );
+        if emitted != (a.compute, a.mem_in, a.mem_out) {
+            report.push(
+                rules::PLAN_ALLOC_COUNTS,
+                Some(block.stmt),
+                Some(gi),
+                Vec::new(),
+                format!(
+                    "{} emits {}/{}/{} compute/in/out arrays, allocation grants \
+                     {}/{}/{}",
+                    op.name, emitted.0, emitted.1, emitted.2, a.compute, a.mem_in, a.mem_out
+                ),
+            );
+        }
+    }
+    // Weight loads: exactly one per static op with compute arrays,
+    // targeting exactly that op's compute arrays, sized to them. The
+    // first compute of a name accounts for every load of that name.
+    loads.clear();
+    loads.extend(block.body.iter().filter_map(|s| match s {
+        Stmt::LoadWeights(w) => Some((w, false)),
+        _ => None,
+    }));
+    for (oi, c) in computes.iter().enumerate() {
+        let gi = lo + oi;
+        let op = &program.ops[gi];
+        let mut seen = 0usize;
+        let mut first = None;
+        for (w, taken) in loads.iter_mut() {
+            if !*taken && w.op == op.name {
+                *taken = true;
+                seen += 1;
+                first = first.or(Some(*w));
+            }
+        }
+        let wants_load = op.weight_static && !c.compute_arrays.is_empty();
+        if !wants_load {
+            if seen > 0 {
                 report.push(
-                    rules::PLAN_ALLOC_COUNTS,
+                    rules::PLAN_WEIGHT_LOADS,
                     Some(block.stmt),
                     Some(gi),
                     Vec::new(),
-                    format!(
-                        "{} emits {}/{}/{} compute/in/out arrays, allocation grants \
-                         {}/{}/{}",
-                        op.name, emitted.0, emitted.1, emitted.2, a.compute, a.mem_in,
-                        a.mem_out
-                    ),
+                    format!("{} needs no weight load but the segment emits one", op.name),
                 );
             }
+            continue;
         }
-        // Weight loads: exactly one per static op with compute arrays,
-        // targeting exactly that op's compute arrays, sized to them. The
-        // first compute of a name accounts for every load of that name.
-        loads.clear();
-        loads.extend(block.body.iter().filter_map(|s| match s {
-            Stmt::LoadWeights(w) => Some((w, false)),
-            _ => None,
-        }));
-        for (oi, c) in computes.iter().enumerate() {
-            let gi = lo + oi;
-            let op = &program.ops[gi];
-            let mut seen = 0usize;
-            let mut first = None;
-            for (w, taken) in loads.iter_mut() {
-                if !*taken && w.op == op.name {
-                    *taken = true;
-                    seen += 1;
-                    first = first.or(Some(*w));
-                }
-            }
-            let wants_load = op.weight_static && !c.compute_arrays.is_empty();
-            if !wants_load {
-                if seen > 0 {
+        match (first, seen) {
+            (None, _) => report.push(
+                rules::PLAN_WEIGHT_LOADS,
+                Some(block.stmt),
+                Some(gi),
+                listed(&c.compute_arrays, n_arrays),
+                format!("{} has static weights but segment {si} loads none", op.name),
+            ),
+            (Some(w), 1) => {
+                if w.arrays != c.compute_arrays {
+                    let loaded = listed(&w.arrays, n_arrays);
+                    let message = format!(
+                        "weight load for {} targets [{}], its compute arrays are [{}]",
+                        op.name,
+                        fmt_arrays(&loaded),
+                        fmt_arrays(&listed(&c.compute_arrays, n_arrays))
+                    );
                     report.push(
                         rules::PLAN_WEIGHT_LOADS,
                         Some(block.stmt),
                         Some(gi),
-                        Vec::new(),
-                        format!("{} needs no weight load but the segment emits one", op.name),
+                        loaded,
+                        message,
+                    );
+                } else if w.bytes != (w.arrays.len() as u64).saturating_mul(cx.arch.array_bytes()) {
+                    report.push(
+                        rules::PLAN_WEIGHT_LOADS,
+                        Some(block.stmt),
+                        Some(gi),
+                        listed(&w.arrays, n_arrays),
+                        format!(
+                            "weight load for {} writes {} bytes into {} arrays of \
+                             {} bytes each",
+                            op.name,
+                            w.bytes,
+                            w.arrays.len(),
+                            cx.arch.array_bytes()
+                        ),
                     );
                 }
-                continue;
             }
-            match (first, seen) {
-                (None, _) => report.push(
-                    rules::PLAN_WEIGHT_LOADS,
-                    Some(block.stmt),
-                    Some(gi),
-                    listed(&c.compute_arrays, n_arrays),
-                    format!("{} has static weights but segment {si} loads none", op.name),
-                ),
-                (Some(w), 1) => {
-                    if w.arrays != c.compute_arrays {
-                        let loaded = listed(&w.arrays, n_arrays);
-                        let message = format!(
-                            "weight load for {} targets [{}], its compute arrays are [{}]",
-                            op.name,
-                            fmt_arrays(&loaded),
-                            fmt_arrays(&listed(&c.compute_arrays, n_arrays))
-                        );
-                        report.push(
-                            rules::PLAN_WEIGHT_LOADS,
-                            Some(block.stmt),
-                            Some(gi),
-                            loaded,
-                            message,
-                        );
-                    } else if w.bytes
-                        != (w.arrays.len() as u64).saturating_mul(cx.arch.array_bytes())
-                    {
-                        report.push(
-                            rules::PLAN_WEIGHT_LOADS,
-                            Some(block.stmt),
-                            Some(gi),
-                            listed(&w.arrays, n_arrays),
-                            format!(
-                                "weight load for {} writes {} bytes into {} arrays of \
-                                 {} bytes each",
-                                op.name,
-                                w.bytes,
-                                w.arrays.len(),
-                                cx.arch.array_bytes()
-                            ),
-                        );
-                    }
-                }
-                (Some(_), many) => report.push(
-                    rules::PLAN_WEIGHT_LOADS,
-                    Some(block.stmt),
-                    Some(gi),
-                    Vec::new(),
-                    format!("{} is loaded {many} times in segment {si}", op.name),
-                ),
-            }
-        }
-        // Loads naming ops outside this segment.
-        let mut stray: Vec<&str> = loads
-            .iter()
-            .filter(|(_, taken)| !taken)
-            .map(|(w, _)| w.op.as_str())
-            .collect();
-        stray.sort_unstable();
-        stray.dedup();
-        for name in stray {
-            report.push(
+            (Some(_), many) => report.push(
                 rules::PLAN_WEIGHT_LOADS,
                 Some(block.stmt),
-                None,
+                Some(gi),
                 Vec::new(),
-                format!("segment {si} loads weights for {name}, which it does not run"),
-            );
+                format!("{} is loaded {many} times in segment {si}", op.name),
+            ),
         }
+    }
+    // Loads naming ops outside this segment.
+    let mut stray: Vec<&str> = loads
+        .iter()
+        .filter(|(_, taken)| !taken)
+        .map(|(w, _)| w.op.as_str())
+        .collect();
+    stray.sort_unstable();
+    stray.dedup();
+    for name in stray {
+        report.push(
+            rules::PLAN_WEIGHT_LOADS,
+            Some(block.stmt),
+            None,
+            Vec::new(),
+            format!("segment {si} loads weights for {name}, which it does not run"),
+        );
     }
 }
 
@@ -1349,77 +1241,45 @@ impl FlowPlanLint {
 // The verifier.
 // ---------------------------------------------------------------------
 
-/// Runs a set of [`Lint`]s over a compiled program.
-pub struct Verifier {
-    lints: Vec<Box<dyn Lint>>,
-}
-
-impl Default for Verifier {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// The rule book: five analyses, run in a fixed order over a compiled
+/// program.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Verifier;
 
 impl Verifier {
-    /// A verifier with the five built-in analyses.
+    /// The verifier.
     pub fn new() -> Self {
-        Verifier {
-            lints: vec![
-                Box::new(ModeIntervalLint),
-                Box::new(CapacityLint),
-                Box::new(DependenceLint),
-                Box::new(ParallelRaceLint),
-                Box::new(FlowPlanLint),
-            ],
-        }
+        Verifier
     }
 
-    /// A verifier with no lints; add them with [`Verifier::with_lint`].
-    pub fn empty() -> Self {
-        Verifier { lints: Vec::new() }
-    }
-
-    /// Adds a lint (builder style).
-    #[must_use]
-    pub fn with_lint(mut self, lint: Box<dyn Lint>) -> Self {
-        self.lints.push(lint);
-        self
-    }
-
-    /// The ids of the registered lints, in run order.
-    pub fn lint_ids(&self) -> Vec<&'static str> {
-        self.lints.iter().map(|l| l.id()).collect()
-    }
-
-    /// Every rule id the registered lints can emit, in run order.
-    pub fn rule_ids(&self) -> Vec<&'static str> {
-        self.lints.iter().flat_map(|l| l.rules().iter().copied()).collect()
-    }
-
-    /// Runs every lint over `program` as compiled for `arch`.
+    /// Runs every analysis over `program` as compiled for `arch`:
+    /// mode-interval, capacity, dependence, parallel-race, flow-plan.
     pub fn run(&self, program: &CompiledProgram, arch: &DualModeArch) -> VerifyReport {
-        let index = BlockIndex::of(&program.flow);
-        let cx = VerifyCx {
-            program,
-            arch,
-            index: &index,
-        };
+        let cx = VerifyCx::new(program, arch);
         let mut report = VerifyReport::new();
-        for lint in &self.lints {
-            lint.check(&cx, &mut report);
-        }
+        mode_intervals(&cx, &mut report);
+        capacity(&cx, &mut report);
+        dependence(&cx, &mut report);
+        parallel_races(&cx, &mut report);
+        flow_plan(&cx, &mut report);
         report
     }
 }
 
-impl fmt::Debug for Verifier {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Verifier").field("lints", &self.lint_ids()).finish()
-    }
+/// What co-scheduler admission checks before it trusts a program's
+/// `op_deps` and array claims: the dependence analysis, then the
+/// capacity analysis — the findings [`Verifier::run`] reports under
+/// `dep-*` and then `capacity-*` rules, in its order.
+pub fn admission(program: &CompiledProgram, arch: &DualModeArch) -> VerifyReport {
+    let cx = VerifyCx::new(program, arch);
+    let mut report = VerifyReport::new();
+    dependence(&cx, &mut report);
+    capacity(&cx, &mut report);
+    report
 }
 
 impl Session {
-    /// Statically verifies a compiled outcome with the default lint set,
+    /// Statically verifies a compiled outcome with the [`Verifier`],
     /// next to `simulate` from `cmswitch-sim`. Returns the full report;
     /// check [`VerifyReport::is_clean`] for pass/fail.
     pub fn verify(&self, outcome: &CompileOutcome) -> VerifyReport {
@@ -1466,7 +1326,7 @@ pub mod mutate {
     //! Defect injection for mutation-kill testing of the verifier.
     //!
     //! Each [`Mutation`] plants one defect class into a valid
-    //! [`CompiledProgram`]; [`Mutation::expected_rule`] names the lint
+    //! [`CompiledProgram`]; [`Mutation::expected_rule`] names the
     //! rule that must fire on the mutant. A mutation returns `None` when
     //! the program has no site to mutate (e.g. no planned reuse to drop
     //! an edge for) — callers skip those, and the kill suite asserts
@@ -1699,18 +1559,27 @@ mod tests {
 
     #[test]
     fn verifier_lists_its_lints_and_rules() {
-        let v = Verifier::new();
-        assert_eq!(
-            v.lint_ids(),
-            ["mode-interval", "capacity", "dependence", "parallel-race", "flow-plan"]
-        );
-        let rule_ids = v.rule_ids();
-        assert_eq!(rule_ids.len(), 17);
-        for rule in &rule_ids {
-            // Severity policy covers every advertised rule.
-            let _ = rules::severity(rule);
+        // The 17 rules, each with the severity its doc gives it.
+        use rules::*;
+        let deny = [
+            MODE_DISCIPLINE, USE_BEFORE_LOAD, CAPACITY_ARRAYS, CAPACITY_WEIGHTS,
+            CAPACITY_LOAD_BYTES, CAPACITY_CLAIM_MISMATCH, DEP_ORDER, DEP_CYCLE, DEP_MISSING,
+            RACE_CONFLICT, RACE_NESTED, PLAN_SEGMENTS, PLAN_OPS, PLAN_ALLOC_COUNTS,
+            PLAN_WEIGHT_LOADS,
+        ];
+        let warn = [DEAD_WEIGHT_LOAD, REDUNDANT_SWITCH];
+        for rule in deny {
+            assert_eq!(severity(rule), Severity::Deny, "{rule}");
         }
-        assert!(Verifier::empty().lint_ids().is_empty());
+        for rule in warn {
+            assert_eq!(severity(rule), Severity::Warn, "{rule}");
+        }
+        let ids: HashSet<&str> = deny.into_iter().chain(warn).collect();
+        assert_eq!(ids.len(), 17, "rule ids must be distinct");
+        // Every rule the mutation suite expects is one of them.
+        for m in mutate::ALL {
+            assert!(ids.contains(m.expected_rule()), "{}", m.name());
+        }
     }
 
     #[test]

@@ -27,6 +27,8 @@
 //! # Ok::<(), cmswitch_graph::GraphError>(())
 //! ```
 
+#![warn(missing_docs)]
+
 mod builder;
 mod error;
 mod graph;

@@ -1,7 +1,7 @@
 //! Per-array state kept by the run, for the flow checkers and the event
 //! engine.
 //!
-//! [`crate::validate`], the verifier lints in `cmswitch-core` and the
+//! [`crate::validate`], the verifier in `cmswitch-core` and the
 //! event engine in `cmswitch-sim` keep a little state per physical
 //! array (its mode, its pending weight load, who claimed it inside the
 //! current segment, when it is released) and touch it once per array

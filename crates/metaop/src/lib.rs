@@ -34,6 +34,7 @@
 //! assert_eq!(flow.stats().arrays_switched_to(ArrayMode::Compute), 2);
 //! ```
 
+#![warn(missing_docs)]
 #![warn(clippy::needless_pass_by_value, clippy::redundant_clone)]
 
 mod arrays;

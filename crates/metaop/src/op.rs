@@ -197,7 +197,7 @@ impl Stmt {
     ///
     /// The one table of which role needs which mode: the validator, the
     /// event engine's cross-flow re-switches and the verifier's
-    /// mode-interval lint all read it.
+    /// mode-interval analysis all read it.
     pub fn for_each_required_mode(&self, f: &mut impl FnMut(&ArraySet, ArrayMode)) {
         match self {
             Stmt::LoadWeights(w) => f(&w.arrays, ArrayMode::Compute),

@@ -24,6 +24,8 @@
 //! assert!(g.len() > 20);
 //! ```
 
+#![warn(missing_docs)]
+
 pub mod bert;
 pub mod generative;
 pub mod llama;

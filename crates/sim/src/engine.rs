@@ -112,8 +112,10 @@
 //! So work is per run and per piece, not per array reference. Only the
 //! per-id float sums (`breakdown.compute`, `breakdown.mem_traffic`) stay
 //! per id — each adds its term once per id, in the per-id order, so the
-//! report's rounding does not move — and the realignment of modes
-//! between flows is skipped outright for one flow. Heap traffic is
+//! report's rounding does not move. Alone on the chip a flow's modes
+//! need no realignment, so one flow only moves a body's own switches.
+//! Each lane is priced once per segment ([`cost::segment_phases`]), into
+//! a reused buffer the occupancy pass reads back. Heap traffic is
 //! bounded by the number of *statements* — one
 //! fixed-size event each, whose label borrows the flow's strings and is
 //! rendered only for the steps of the critical path — never by the
@@ -242,7 +244,7 @@ impl EventEngine {
     ///
     /// The engine *trusts* `op_deps`: a missing edge silently legalizes
     /// an overlap that reads data before it exists. The `dep-missing`
-    /// lint of `cmswitch-core`'s `verify` module statically checks that
+    /// rule of `cmswitch-core`'s `verify` module statically checks that
     /// every shared-buffer and planned-reuse dependence has its edge.
     ///
     /// # Errors
@@ -496,10 +498,12 @@ pub(crate) struct ForwardPass<'a> {
     fu: Option<usize>,
     /// Per-statement scratch, reused: the arrays to drive into each
     /// mode (indexed by it, as runs in the order they are driven), the
-    /// arrays a body references (as `(first, last)` spans), and how long
-    /// it keeps each memory-mode array busy.
+    /// arrays a body references (as `(first, last)` spans), the price of
+    /// each of its lanes, and how long it keeps each memory-mode array
+    /// busy.
     to_switch: [Vec<ArrayRun>; 2],
     referenced: Vec<(u32, u32)>,
+    lanes: Vec<f64>,
     mem_busy: MemBusy,
     pub(crate) switches: SwitchAmortization,
     pub(crate) report: EngineReport,
@@ -541,6 +545,7 @@ impl<'a> ForwardPass<'a> {
             fu: None,
             to_switch: [Vec::new(), Vec::new()],
             referenced: Vec::new(),
+            lanes: Vec::new(),
             mem_busy: MemBusy::default(),
             switches: SwitchAmortization::default(),
             report: EngineReport {
@@ -696,26 +701,34 @@ impl<'a> ForwardPass<'a> {
         self.report.breakdown.switch += duration;
     }
 
-    /// Injects a re-switch of every array `stmts` need in a mode another
-    /// flow flipped it out of. Only another flow can have: alone on the
-    /// chip `modes` retraces the prepass, and there is nothing to find.
+    /// Walks `stmts` in order, as the prepass does: a switch among them
+    /// moves its arrays' modes for free (it has no event of its own), and
+    /// every other statement gets a re-switch injected of each array it
+    /// needs in a mode another flow flipped it out of — one event per
+    /// kind, before the statements. Only another flow can have: alone on
+    /// the chip `modes` retraces the prepass, and there is nothing to find.
     fn realign(&mut self, stmts: &[Stmt], idx: usize) {
-        if self.flows.len() == 1 {
-            return;
-        }
         let by = Some(self.cur);
+        let shared = self.flows.len() > 1;
         let mut to_switch = std::mem::take(&mut self.to_switch);
         for s in stmts {
-            s.for_each_required_mode(&mut |arrays, needed| {
+            if let Stmt::Switch { kind, arrays } = s {
+                let set = (kind.target_mode(), by);
                 for &run in arrays.runs() {
-                    self.modes.update(run, |piece, mode| {
-                        if mode.0 != needed {
-                            *mode = (needed, by);
-                            push_joined(&mut to_switch[needed as usize], piece);
-                        }
-                    });
+                    self.modes.assign(run, &set);
                 }
-            });
+            } else if shared {
+                s.for_each_required_mode(&mut |arrays, needed| {
+                    for &run in arrays.runs() {
+                        self.modes.update(run, |piece, mode| {
+                            if mode.0 != needed {
+                                *mode = (needed, by);
+                                push_joined(&mut to_switch[needed as usize], piece);
+                            }
+                        });
+                    }
+                });
+            }
         }
         for kind in [SwitchKind::ToCompute, SwitchKind::ToMemory] {
             let arrays = &mut to_switch[kind.target_mode() as usize];
@@ -830,17 +843,9 @@ impl<'a> ForwardPass<'a> {
         for s in body {
             self.charge(s);
             energy::accumulate_stmt(s, self.arch, self.energy_model, &mut seg_energy);
-            if let Stmt::Switch { kind, arrays } = s {
-                // Inside a body a switch has no event: the mode moves
-                // for free, as in the prepass.
-                let set = (kind.target_mode(), Some(self.cur));
-                for &run in arrays.runs() {
-                    self.modes.assign(run, &set);
-                }
-            }
         }
 
-        let phases = cost::segment_phases(body, self.arch);
+        let phases = cost::segment_phases(body, self.arch, &mut self.lanes);
         let exec_cycles = phases.exec_and_loose();
         let flow = &mut self.flows[self.cur];
         flow.busy += phases.load_phase;
@@ -913,10 +918,12 @@ impl<'a> ForwardPass<'a> {
         // loose memory statement) that names it.
         let mut mem_busy = std::mem::take(&mut self.mem_busy);
         mem_busy.pieces.clear();
+        let lanes = std::mem::take(&mut self.lanes);
+        let mut prices = lanes.iter().copied();
         for s in body {
             match s {
                 Stmt::Compute(c) => {
-                    let lane = cost::lane_duration(c, body, self.arch);
+                    let lane = prices.next().expect("one price per lane");
                     let (end, kind) = (start + lane, BusyKind::Compute);
                     for &run in c.compute_arrays.runs() {
                         self.occupy(run, id, BusyInterval { start, end, kind });
@@ -944,6 +951,7 @@ impl<'a> ForwardPass<'a> {
             add_per_id(&mut self.report.breakdown.mem_traffic, busy, run);
         }
         self.mem_busy = mem_busy;
+        self.lanes = lanes;
 
         self.report.segments.push(SegmentWindow {
             index,
@@ -1589,6 +1597,35 @@ mod tests {
         let eng = EventEngine::new().simulate(&flow, &arch).unwrap();
         assert_eq!(eng.serialized_cycles.to_bits(), seq.total_cycles.to_bits());
         assert_eq!(eng.total_cycles.to_bits(), seq.total_cycles.to_bits());
+    }
+
+    #[test]
+    fn two_flows_re_switch_nothing_a_body_switches_after_use() {
+        // The same body beside a flow that touches no array: checked in
+        // statement order, array 0 computes while still in compute mode,
+        // so no flow caused a re-switch and none is injected.
+        let arch = presets::tiny();
+        let mut flow = Flow::new("after-use");
+        flow.push(Stmt::switch(SwitchKind::ToCompute, vec![ArrayId(0)]));
+        flow.push(Stmt::Parallel(vec![
+            load("a", vec![ArrayId(0)]),
+            compute("a", vec![ArrayId(0)], 16),
+            Stmt::switch(SwitchKind::ToMemory, vec![ArrayId(0)]),
+        ]));
+        let mut other = Flow::new("bus-only");
+        other.push(Stmt::Mem(MemStmt {
+            loc: MemLoc::Main,
+            direction: MemDirection::Write,
+            bytes: 4096,
+            label: "spill".into(),
+        }));
+        let energy = EnergyModel::default();
+        let pass = pass(&[(&flow, None), (&other, None)], &arch, &energy);
+        assert_eq!(pass.switches.injected, 0);
+        let realigned = pass.events.iter().any(|e| matches!(e.label, Label::Realign { .. }));
+        assert!(!realigned);
+        // The body's own switch still leaves array 0 in memory mode.
+        assert_eq!(*pass.modes.get(ArrayId(0)), (ArrayMode::Memory, Some(0)));
     }
 
     #[test]

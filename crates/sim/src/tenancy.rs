@@ -24,10 +24,12 @@
 //! of them. This module adds admission, relocation, and the per-tenant
 //! accounting around it.
 //!
-//! Admission runs the static verifier's dependence and capacity lints
-//! on every program by default — a co-scheduler that trusts `op_deps`
-//! blindly would happily overlap tenants across a dropped edge — and
-//! rejections surface as [`TenancyError::Admission`]. A flow that breaks
+//! Admission runs [`cmswitch_core::verify::admission`] on every program
+//! by default: the verifier's dependence analysis, then its capacity
+//! analysis, the same functions [`cmswitch_core::Verifier::run`] calls —
+//! a co-scheduler that trusts `op_deps` blindly would happily overlap
+//! tenants across a dropped edge. Rejections surface as
+//! [`TenancyError::Admission`]. A flow that breaks
 //! mode discipline on its own is rejected as the simulators reject it
 //! ([`TenancyError::ModeViolation`]), never repaired.
 //!
@@ -41,10 +43,10 @@
 use std::fmt;
 
 use cmswitch_arch::{ArchError, ArrayId, DualModeArch};
-use cmswitch_core::verify::{CapacityLint, DependenceLint};
+use cmswitch_core::verify;
 use cmswitch_core::{
     CompileError, CompileRequest, CompiledProgram, DiagnosticEvent, Diagnostics, Session,
-    Verifier, VerifyReport,
+    VerifyReport,
 };
 use cmswitch_graph::{Graph, GraphError};
 use cmswitch_metaop::{Flow, MetaOpError};
@@ -88,8 +90,9 @@ pub enum TenancyPolicy {
 pub struct CoSimOptions {
     /// Chip-division policy.
     pub policy: TenancyPolicy,
-    /// Run the dependence and capacity lints on every admitted
-    /// program (default `true`). Opting out is for programs already
+    /// Run the verifier's admission analyses
+    /// ([`cmswitch_core::verify::admission`]) on every admitted program
+    /// (default `true`). Opting out is for programs already
     /// verified by the caller on the same architecture.
     pub verify_admission: bool,
     /// Energy coefficients for per-tenant attribution.
@@ -350,10 +353,7 @@ impl ChipScheduler {
         base: u32,
     ) -> Result<(), TenancyError> {
         if self.options.verify_admission {
-            let verifier = Verifier::empty()
-                .with_lint(Box::new(DependenceLint))
-                .with_lint(Box::new(CapacityLint));
-            let report = verifier.run(program, arch);
+            let report = verify::admission(program, arch);
             if report.deny_count() > 0 {
                 return Err(TenancyError::Admission {
                     tenant: name.to_string(),
@@ -390,7 +390,7 @@ impl ChipScheduler {
     ///
     /// [`TenancyError::NoTenants`] on an empty slice;
     /// [`TenancyError::Admission`] when a program fails the
-    /// dependence/capacity lints; [`TenancyError::ArrayOutOfRange`]
+    /// dependence/capacity analyses; [`TenancyError::ArrayOutOfRange`]
     /// when one names an array the chip lacks;
     /// [`TenancyError::ModeViolation`] when one breaks mode discipline;
     /// share-shape errors under the partitioned policy.
@@ -560,7 +560,8 @@ pub struct DecodeOptions {
     /// partition. `u64::MAX` (the default) leaves re-segmentation
     /// purely footprint-driven.
     pub kv_headroom_bytes: u64,
-    /// Run admission lints in the co-scheduler (default `true`).
+    /// Run the verifier's admission analyses in the co-scheduler
+    /// (default `true`).
     pub verify_admission: bool,
     /// Energy coefficients.
     pub energy_model: EnergyModel,
@@ -957,7 +958,7 @@ mod tests {
             other => panic!("expected admission rejection, got {other}"),
         }
         // Opting out admits the mutant — the flag exists for programs
-        // the caller already verified, and this proves it is the lint
+        // the caller already verified, and this proves it is the verifier
         // doing the rejecting.
         let lax = ChipScheduler::new(presets::dynaplasia()).with_options(CoSimOptions {
             verify_admission: false,

@@ -34,11 +34,12 @@ use crate::stats::{SegmentTiming, SimReport};
 pub fn simulate(flow: &Flow, arch: &DualModeArch) -> Result<SimReport, MetaOpError> {
     validate_on(flow, arch.n_arrays())?;
     let mut report = SimReport::default();
+    let mut lanes = Vec::new();
 
     for (idx, stmt) in flow.stmts().iter().enumerate() {
         match stmt {
             Stmt::Parallel(body) => {
-                let t = simulate_segment(body, arch, idx, &mut report);
+                let t = simulate_segment(body, arch, idx, &mut lanes, &mut report);
                 report.segment_cycles += t.cycles;
                 report.segments.push(t);
             }
@@ -76,7 +77,7 @@ pub fn simulate(flow: &Flow, arch: &DualModeArch) -> Result<SimReport, MetaOpErr
                 // A bare compute statement outside `parallel` is a
                 // single-lane segment.
                 let body = std::slice::from_ref(stmt);
-                let t = simulate_segment(body, arch, idx, &mut report);
+                let t = simulate_segment(body, arch, idx, &mut lanes, &mut report);
                 report.segment_cycles += t.cycles;
                 report.segments.push(t);
             }
@@ -96,9 +97,10 @@ fn simulate_segment(
     body: &[Stmt],
     arch: &DualModeArch,
     seg_idx: usize,
+    lanes: &mut Vec<f64>,
     report: &mut SimReport,
 ) -> SegmentTiming {
-    let phases = cost::segment_phases(body, arch);
+    let phases = cost::segment_phases(body, arch, lanes);
     report.total_cycles += phases.load_phase;
     report.total_cycles += phases.exec_and_loose();
 

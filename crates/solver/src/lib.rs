@@ -34,6 +34,8 @@
 //! # Ok::<(), cmswitch_solver::SolverError>(())
 //! ```
 
+#![warn(missing_docs)]
+
 mod error;
 mod mip;
 mod problem;

@@ -29,6 +29,8 @@
 //! # Ok::<(), cmswitch_tensor::TensorError>(())
 //! ```
 
+#![warn(missing_docs)]
+
 mod error;
 mod shape;
 mod tensor;

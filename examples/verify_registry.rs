@@ -5,7 +5,7 @@
 //! with each of the four backends (CMSwitch plus the PUMA / OCC /
 //! CIM-MLC baselines) on the paper's DynaPlasia chip and on PRIME,
 //! which splits the large transformers along other seams, runs the
-//! `cmswitch::compiler::verify` lint suite over every compiled program
+//! `cmswitch::compiler::verify` rule book over every compiled program
 //! via [`Session::verify`], and prints the findings. It also runs the
 //! mode-discipline check the simulators run,
 //! `cmswitch::metaop::validate_on`, on every program against its chip,

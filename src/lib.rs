@@ -73,6 +73,8 @@
 //! model ([`dse::AreaPowerModel`]) and reports the Pareto frontier over
 //! latency, energy and area (see `examples/dse_frontier.rs`).
 
+#![warn(missing_docs)]
+
 pub use cmswitch_arch as arch;
 pub use cmswitch_baselines as baselines;
 pub use cmswitch_bench as bench;

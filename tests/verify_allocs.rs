@@ -406,7 +406,7 @@ fn mip_solve_allocates_per_lp_solved_not_per_row_or_per_branch() {
 /// blow through.
 #[test]
 fn second_store_served_compile_skips_the_verifiers_allocations() {
-    // Measured: 5 771 calls for the first served compile (decode + ~37
+    // Measured: 5 770 calls for the first served compile (decode + ~36
     // in the verifier's dense tables), 5 734 for the second. 10 204 when
     // every array list was a `Vec` of ids (a list of up to three runs now
     // decodes into the statement itself); 7 429 while the artifact also

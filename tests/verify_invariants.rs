@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 use proptest::prelude::*;
 
 use cmswitch::arch::{presets, ArrayId, DualModeArch};
-use cmswitch::compiler::verify::{mutate, rules, Severity, Verifier};
+use cmswitch::compiler::verify::{self, mutate, rules, Severity, Verifier};
 use cmswitch::compiler::CompiledProgram;
 use cmswitch::metaop::{MemLoc, Stmt, SwitchKind};
 use cmswitch::models::registry;
@@ -147,6 +147,37 @@ fn no_mutant_survives_the_verifier() {
             .filter(|n| !killed.contains(n))
             .collect::<Vec<_>>()
     );
+}
+
+/// Co-scheduler admission runs two of the verifier's own analyses: on
+/// every registry program and every mutant of it, its findings are the
+/// full report's dependence findings followed by its capacity findings,
+/// each in the full report's order.
+#[test]
+fn admission_runs_the_verifiers_dependence_then_capacity_analyses() {
+    let arch = presets::dynaplasia();
+    let verifier = Verifier::new();
+    let (mut checked, mut denied) = (0usize, 0usize);
+    for (model, program) in compile_registry(BackendKind::CmSwitch, &arch) {
+        let mut cases = vec![("clean", Some(program.clone()))];
+        cases.extend(mutate::ALL.iter().map(|m| (m.name(), m.apply(&program))));
+        for (case, candidate) in cases {
+            let Some(candidate) = candidate else { continue };
+            let full = verifier.run(&candidate, &arch);
+            let of = |prefix: &'static str| {
+                full.findings().iter().filter(move |f| f.rule.starts_with(prefix))
+            };
+            let expected: Vec<_> = of("dep-").chain(of("capacity-")).cloned().collect();
+            let admitted = verify::admission(&candidate, &arch);
+            assert_eq!(admitted.findings(), expected.as_slice(), "{model}/{case}");
+            checked += 1;
+            denied += usize::from(!admitted.is_clean());
+        }
+    }
+    // Every model has a clean case and the four dependence and capacity
+    // mutants apply to most of them.
+    assert!(checked > registry::ALL_MODELS.len(), "{checked} programs checked");
+    assert!(denied >= registry::ALL_MODELS.len(), "admission denied only {denied}");
 }
 
 /// Mode discipline has one rule book: the compiler's check sized to the
