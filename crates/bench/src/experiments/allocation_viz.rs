@@ -25,7 +25,7 @@ fn viz(graph: &Graph, title: &str) -> String {
                 ops.len()
             )
         } else {
-            ops.iter().map(|o| o.name.as_str()).collect::<Vec<_>>().join(", ")
+            ops.iter().map(|o| &*o.name).collect::<Vec<_>>().join(", ")
         };
         t.row(vec![
             i.to_string(),

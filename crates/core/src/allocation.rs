@@ -306,7 +306,9 @@ impl AllocationCache {
     /// once no one else is solving the bucket — the in-flight mark alone,
     /// which a top-level solve without cache reuse takes so that a
     /// concurrent neighbour lookup of the same signature waits for it
-    /// rather than solving it a second time.
+    /// rather than solving it a second time. A batch's top-level solves
+    /// get theirs from [`Allocator::reserve_window`] before the batch
+    /// fans out.
     ///
     /// Deadlock safety: a solve that probes *nested* signatures (the
     /// MIP warm-start probing its window minus the trailing op) always
@@ -405,6 +407,10 @@ pub struct Allocator<'a> {
     /// Without it the cache only answers neighbour warm-start lookups,
     /// which are then not counted as cache traffic.
     reuse: bool,
+    /// Without `reuse`: the signature hashes whose in-flight marks
+    /// [`Allocator::reserve_window`] claimed for the top-level solves of
+    /// the batch being fanned out, each taken over by its solve.
+    reserved: Mutex<Vec<u64>>,
     /// `(ALLOC_KEY_SCHEMA, allocation fingerprint, allocator kind)`
     /// prefix of every cache signature this allocator produces.
     sig_prefix: [u64; 3],
@@ -447,9 +453,68 @@ impl<'a> Allocator<'a> {
             kind,
             cache,
             reuse,
+            reserved: Mutex::new(Vec::new()),
             sig_prefix,
             stats: AllocatorStats::default(),
         }
+    }
+
+    /// Whether [`Allocator::allocate`] probes the cache before solving.
+    pub(crate) fn reuses_cache(&self) -> bool {
+        self.reuse
+    }
+
+    /// Without cache reuse (the only case that calls it), claims the
+    /// in-flight mark of the window `ops`'s signature on behalf of its
+    /// top-level solve, which takes it over when it runs. The DP calls
+    /// this on the submitting thread for every window of a solve batch
+    /// before fanning the batch out, so a MIP neighbour lookup that
+    /// reaches one of the batch's signatures first waits for that
+    /// window's solve instead of solving it a second time: the solve
+    /// counts are the same at any worker count by construction. The
+    /// batch runs shortest window first, and a neighbour is one op
+    /// shorter than its window, so a solve only ever waits on a mark
+    /// whose solve was taken before it (and the one-worker loop never
+    /// on its own). A mark already held — the same signature
+    /// twice in a batch — is left to its solve's own probe.
+    /// [`Allocator::release_reserved`] frees the marks no solve took.
+    pub(crate) fn reserve_window(&self, ops: &[SegOp], local_deps: &[(usize, usize, u64)]) {
+        let hash = SIGNATURE.with_borrow_mut(|sig| {
+            write_signature(sig, &self.sig_prefix, ops, local_deps);
+            stable_hash64(sig)
+        });
+        let claimed = self.cache.inflight.lock().insert(hash);
+        if claimed {
+            self.reserved.lock().push(hash);
+        }
+    }
+
+    /// Frees the marks [`Allocator::reserve_window`] claimed that no
+    /// solve took over (a cancelled batch's), waking whoever waits on
+    /// them.
+    pub(crate) fn release_reserved(&self) {
+        let mut reserved = self.reserved.lock();
+        if reserved.is_empty() {
+            return;
+        }
+        let mut inflight = self.cache.inflight.lock();
+        for hash in reserved.drain(..) {
+            inflight.remove(&hash);
+        }
+        drop(inflight);
+        self.cache.inflight_done.notify_all();
+    }
+
+    /// The mark [`Allocator::reserve_window`] claimed for `hash`, taken
+    /// over by the solve that owns it from here on.
+    fn adopt(&self, hash: u64) -> Option<FlightGuard<'_>> {
+        let mut reserved = self.reserved.lock();
+        let i = reserved.iter().position(|&h| h == hash)?;
+        reserved.swap_remove(i);
+        Some(FlightGuard {
+            cache: &self.cache,
+            hash,
+        })
     }
 
     /// Allocates dual-mode arrays for the segment `ops` with intra-segment
@@ -471,7 +536,8 @@ impl<'a> Allocator<'a> {
     /// out a concurrent solver of the same signature), or this call owns
     /// the solve and holds the in-flight mark until it has published the
     /// result. Without it the call solves, but still under the in-flight
-    /// mark. Every solve is published. Under `reuse` each probe counts
+    /// mark — the one [`Allocator::reserve_window`] claimed for it, if any.
+    /// Every solve is published. Under `reuse` each probe counts
     /// as one hit or one miss, so the counts are a function of the
     /// windows asked for, never of which worker asked first.
     ///
@@ -492,9 +558,13 @@ impl<'a> Allocator<'a> {
         let probed = SIGNATURE.with_borrow_mut(|sig| {
             write_signature(sig, &self.sig_prefix, ops, local_deps);
             let hash = stable_hash64(sig);
-            let flight = match self.cache.probe_or_begin(hash, sig, probe) {
-                Flight::Hit(hit) => return ControlFlow::Break(hit),
-                Flight::Solve(guard) => guard,
+            let reserved = if probe { None } else { self.adopt(hash) };
+            let flight = match reserved {
+                Some(guard) => guard,
+                None => match self.cache.probe_or_begin(hash, sig, probe) {
+                    Flight::Hit(hit) => return ControlFlow::Break(hit),
+                    Flight::Solve(guard) => guard,
+                },
             };
             ControlFlow::Continue((hash, sig.clone(), flight))
         });

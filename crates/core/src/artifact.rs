@@ -8,7 +8,7 @@
 //! kinds exist:
 //!
 //! * **Program** ([`encode_program`] / [`decode_program`]) — the plan
-//!   of a [`CompiledProgram`]: flow, operators, dependencies, segments
+//!   of a [`CompiledProgram`]: operators, flow, dependencies, segments
 //!   and predicted latency, bit-identical through a round trip
 //!   (`decode(encode(p))` equals `p` with its `stats` cleared, and
 //!   re-encoding yields the same bytes). Run history — the wall clock,
@@ -24,7 +24,7 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic  b"CMSWART\0"
-//!      8     4  format version, u32 LE   (currently 5)
+//!      8     4  format version, u32 LE   (currently 6)
 //!     12     4  artifact kind, u32 LE    (1 = program, 2 = alloc snapshot)
 //!     16     8  payload length, u64 LE
 //!     24     8  checksum, u64 LE         (see "Checksum" below)
@@ -60,13 +60,12 @@
 //!
 //! # Program payload
 //!
-//! Fields in declaration order; `x*` is a `u64` count, then that many
-//! `x`:
+//! Fields in order; `x*` is a `u64` count, then that many `x`:
 //!
 //! ```text
-//! program := flow, seg_op*, (usize producer, usize consumer)*,
+//! program := str flow_name, seg_op*, stmt*,
+//!            (usize producer, usize consumer)*,
 //!            segment*, f64 predicted_latency
-//! flow    := str name, stmt*
 //! seg_op  := usize source, str name, usize m, k, n, units,
 //!            bool weight_static, f64 work,
 //!            u64 in_bytes, out_bytes, weight_bytes, aux_flops,
@@ -77,15 +76,46 @@
 //!            f64 latency
 //! ```
 //!
+//! The ops are written once and serve twice: they are the program's
+//! [`CompiledProgram::ops`], and the flow's op table is derived from
+//! them ([`SegOp::flow_op`]), each entry sharing its op's name — a
+//! decoded program holds each name once. The table is not written
+//! again, so a program whose flow table is not its ops' does not
+//! survive a round trip (the compiler never builds one).
+//!
 //! A dependency's producer and consumer are `source` values, not op
 //! positions. The first op's `source` is 0 and each next one repeats
 //! it or adds 1, so every source is one span of ops; any other step is
 //! [`ArtifactError::Malformed`]. An edge naming a source no op has
 //! decodes, and is the verifier's `dep-order` finding.
 //!
-//! A statement is its tag and its fields; its array lists follow the
-//! grammar below. An allocation snapshot is `(u64 hash, u64 word*,
-//! u8 tag, alloc if the tag is 1)*`.
+//! # Statements
+//!
+//! A statement is a one-byte tag and its fields; `op` is a `u32` index
+//! into the op table and `list` an array list (below):
+//!
+//! ```text
+//! tag  statement   fields
+//!   0  switch      u8 kind (0 = TOM, 1 = TOC), list
+//!   1  compute     u32 op, list compute, list mem_in, list mem_out
+//!   2  loadw       u32 op, list, u64 bytes
+//!   3  mem         u8 loc (0 = main, 1 = buffer, 2 = cim + list),
+//!                  u8 direction (0 = read, 1 = write), u64 bytes,
+//!                  u8 kind (0 = write-back + u32 segment,
+//!                           1 = final output, 2 = transfer)
+//!   4  vector      u32 op, u64 flops
+//!   5  parallel    u64 count, stmt*
+//! ```
+//!
+//! An op index at or past the op table is [`ArtifactError::Malformed`],
+//! so every decoded statement names an op the program has. Version 5
+//! carried a name per compute, weight-load and vector statement, seven
+//! shape fields per compute and a free label per memory statement:
+//! 375 124 bytes for llama2-7b at seq 32 on DynaPlasia, against 268 175
+//! now, and its decode made 5 734 allocator calls, against 2 623 now —
+//! most of a store-served request's decode time went to those
+//! per-statement strings. An allocation snapshot is `(u64 hash, u64
+//! word*, u8 tag, alloc if the tag is 1)*`.
 //!
 //! # Array lists
 //!
@@ -133,11 +163,12 @@
 //! truth.
 
 use std::fmt;
+use std::sync::Arc;
 
 use cmswitch_arch::ArrayId;
 use cmswitch_metaop::{
-    ArrayRun, ArraySet, ComputeStmt, Flow, MemDirection, MemLoc, MemStmt, Stmt, SwitchKind,
-    VectorStmt, WeightLoadStmt,
+    ArrayRun, ArraySet, ComputeStmt, Flow, MemDirection, MemKind, MemLoc, MemStmt, Stmt,
+    SwitchKind, VectorStmt, WeightLoadStmt,
 };
 
 use crate::allocation::{AllocEntry, OpAllocation, SegmentAllocation};
@@ -150,7 +181,7 @@ pub const MAGIC: [u8; 8] = *b"CMSWART\0";
 
 /// The current wire-format version (see the module docs for the bump
 /// policy).
-pub const FORMAT_VERSION: u32 = 5;
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Artifact kind tag: a serialized [`CompiledProgram`].
 pub const KIND_PROGRAM: u32 = 1;
@@ -378,11 +409,18 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    fn string(&mut self) -> Result<String, ArtifactError> {
+    fn str(&mut self) -> Result<&'a str, ArtifactError> {
         let len = self.usize()?;
-        std::str::from_utf8(self.take(len)?)
-            .map(str::to_owned)
-            .map_err(|_| ArtifactError::Malformed("utf-8 string"))
+        std::str::from_utf8(self.take(len)?).map_err(|_| ArtifactError::Malformed("utf-8 string"))
+    }
+
+    /// An op-table index, checked against a table of `n_ops` entries.
+    fn op(&mut self, n_ops: usize) -> Result<u32, ArtifactError> {
+        let op = self.u32()?;
+        if op as usize >= n_ops {
+            return Err(ArtifactError::Malformed("op index past the op table"));
+        }
+        Ok(op)
     }
 
     /// Reads a sequence length and guards it against the bytes actually
@@ -513,21 +551,14 @@ fn put_stmt(w: &mut Writer, stmt: &Stmt) {
         }
         Stmt::Compute(c) => {
             w.u8(1);
-            w.str(&c.op);
+            w.u32(c.op);
             put_array_set(w, &c.compute_arrays);
             put_array_set(w, &c.mem_in_arrays);
             put_array_set(w, &c.mem_out_arrays);
-            w.usize(c.m);
-            w.usize(c.k);
-            w.usize(c.n);
-            w.usize(c.units);
-            w.u64(c.in_bytes);
-            w.u64(c.out_bytes);
-            w.boolean(c.weight_static);
         }
         Stmt::LoadWeights(l) => {
             w.u8(2);
-            w.str(&l.op);
+            w.u32(l.op);
             put_array_set(w, &l.arrays);
             w.u64(l.bytes);
         }
@@ -546,11 +577,18 @@ fn put_stmt(w: &mut Writer, stmt: &Stmt) {
                 MemDirection::Write => 1,
             });
             w.u64(m.bytes);
-            w.str(&m.label);
+            match m.kind {
+                MemKind::Writeback { segment } => {
+                    w.u8(0);
+                    w.u32(segment);
+                }
+                MemKind::FinalOutput => w.u8(1),
+                MemKind::Transfer => w.u8(2),
+            }
         }
         Stmt::Vector(v) => {
             w.u8(4);
-            w.str(&v.op);
+            w.u32(v.op);
             w.u64(v.flops);
         }
         Stmt::Parallel(body) => {
@@ -563,8 +601,9 @@ fn put_stmt(w: &mut Writer, stmt: &Stmt) {
     }
 }
 
-/// `depth` is the number of `Parallel` blocks around the statement.
-fn get_stmt(r: &mut Reader<'_>, depth: usize) -> Result<Stmt, ArtifactError> {
+/// `depth` is the number of `Parallel` blocks around the statement;
+/// `n_ops` the size of the op table its indices must fall in.
+fn get_stmt(r: &mut Reader<'_>, n_ops: usize, depth: usize) -> Result<Stmt, ArtifactError> {
     Ok(match r.u8()? {
         0 => Stmt::Switch {
             kind: match r.u8()? {
@@ -575,20 +614,13 @@ fn get_stmt(r: &mut Reader<'_>, depth: usize) -> Result<Stmt, ArtifactError> {
             arrays: get_array_set(r)?,
         },
         1 => Stmt::Compute(ComputeStmt {
-            op: r.string()?,
+            op: r.op(n_ops)?,
             compute_arrays: get_array_set(r)?,
             mem_in_arrays: get_array_set(r)?,
             mem_out_arrays: get_array_set(r)?,
-            m: r.usize()?,
-            k: r.usize()?,
-            n: r.usize()?,
-            units: r.usize()?,
-            in_bytes: r.u64()?,
-            out_bytes: r.u64()?,
-            weight_static: r.boolean()?,
         }),
         2 => Stmt::LoadWeights(WeightLoadStmt {
-            op: r.string()?,
+            op: r.op(n_ops)?,
             arrays: get_array_set(r)?,
             bytes: r.u64()?,
         }),
@@ -605,10 +637,15 @@ fn get_stmt(r: &mut Reader<'_>, depth: usize) -> Result<Stmt, ArtifactError> {
                 _ => return Err(ArtifactError::Malformed("mem direction tag")),
             },
             bytes: r.u64()?,
-            label: r.string()?,
+            kind: match r.u8()? {
+                0 => MemKind::Writeback { segment: r.u32()? },
+                1 => MemKind::FinalOutput,
+                2 => MemKind::Transfer,
+                _ => return Err(ArtifactError::Malformed("mem kind tag")),
+            },
         }),
         4 => Stmt::Vector(VectorStmt {
-            op: r.string()?,
+            op: r.op(n_ops)?,
             flops: r.u64()?,
         }),
         5 => {
@@ -618,7 +655,7 @@ fn get_stmt(r: &mut Reader<'_>, depth: usize) -> Result<Stmt, ArtifactError> {
             let len = r.seq_len(MIN_STMT_BYTES)?;
             let mut body = Vec::with_capacity(len);
             for _ in 0..len {
-                body.push(get_stmt(r, depth + 1)?);
+                body.push(get_stmt(r, n_ops, depth + 1)?);
             }
             Stmt::Parallel(body)
         }
@@ -626,20 +663,21 @@ fn get_stmt(r: &mut Reader<'_>, depth: usize) -> Result<Stmt, ArtifactError> {
     })
 }
 
-fn put_flow(w: &mut Writer, flow: &Flow) {
-    w.str(flow.name());
+/// The flow's statements (its name and op table are written apart).
+fn put_stmts(w: &mut Writer, flow: &Flow) {
     w.usize(flow.stmts().len());
     for stmt in flow.stmts() {
         put_stmt(w, stmt);
     }
 }
 
-fn get_flow(r: &mut Reader<'_>) -> Result<Flow, ArtifactError> {
-    let name = r.string()?;
-    let mut flow = Flow::new(name);
+/// The statements of a flow named `name` over the op table of `ops`.
+fn get_flow(r: &mut Reader<'_>, name: &str, ops: &[SegOp]) -> Result<Flow, ArtifactError> {
+    let mut flow = Flow::with_ops(name, ops.iter().map(SegOp::flow_op).collect());
     let len = r.seq_len(MIN_STMT_BYTES)?;
+    flow.stmts_mut().reserve_exact(len);
     for _ in 0..len {
-        flow.push(get_stmt(r, 0)?);
+        flow.push(get_stmt(r, ops.len(), 0)?);
     }
     Ok(flow)
 }
@@ -663,7 +701,7 @@ fn put_seg_op(w: &mut Writer, op: &SegOp) {
 fn get_seg_op(r: &mut Reader<'_>) -> Result<SegOp, ArtifactError> {
     Ok(SegOp {
         source: r.usize()?,
-        name: r.string()?,
+        name: Arc::from(r.str()?),
         m: r.usize()?,
         k: r.usize()?,
         n: r.usize()?,
@@ -739,11 +777,12 @@ fn get_segment(r: &mut Reader<'_>) -> Result<Segment, ArtifactError> {
 /// into a framed, checksummed artifact.
 pub fn encode_program(program: &CompiledProgram) -> Vec<u8> {
     let mut w = Writer::new();
-    put_flow(&mut w, &program.flow);
+    w.str(program.flow.name());
     w.usize(program.ops.len());
     for op in &program.ops {
         put_seg_op(&mut w, op);
     }
+    put_stmts(&mut w, &program.flow);
     w.usize(program.op_deps.len());
     for &(p, c) in &program.op_deps {
         w.usize(p);
@@ -776,7 +815,7 @@ pub(crate) fn decode_program_stamped(
 ) -> Result<(CompiledProgram, PayloadStamp), ArtifactError> {
     let (payload, stamp) = unframe(bytes, KIND_PROGRAM)?;
     let mut r = Reader::new(payload);
-    let flow = get_flow(&mut r)?;
+    let name = r.str()?;
     let n_ops = r.seq_len(8)?;
     let mut ops: Vec<SegOp> = Vec::with_capacity(n_ops);
     for _ in 0..n_ops {
@@ -790,6 +829,7 @@ pub(crate) fn decode_program_stamped(
         }
         ops.push(op);
     }
+    let flow = get_flow(&mut r, name, &ops)?;
     let n_deps = r.seq_len(16)?;
     let mut op_deps = Vec::with_capacity(n_deps);
     for _ in 0..n_deps {
@@ -977,7 +1017,7 @@ mod tests {
 
     #[test]
     fn every_single_bit_flip_of_the_payload_fails_the_checksum() {
-        let clean = encode_program(&compile_mlp(&[128; 17]));
+        let clean = encode_program(&compile_mlp(&[128; 24]));
         decode_program(&clean).expect("the unflipped artifact decodes");
         let payload = HEADER_LEN..clean.len();
         assert!(payload.len() > 4096 + 97, "sample too small: {} bytes", payload.len());

@@ -16,19 +16,22 @@
 //! order, that popping one id at a time would give. The two pools (one
 //! pass over the mode table per segment), the segment's bound ids and
 //! their per-op spans are buffers kept across segments and refilled in
-//! place; what a segment allocates is what its statements own (names,
-//! array lists, the `parallel` body).
+//! place; what a segment allocates is what its statements own (array
+//! lists, the `parallel` body). Statements name their op by its index
+//! in the flow's op table, which is built once from the op list (each
+//! entry shares its op's name), so no name is copied or formatted per
+//! statement.
 
 use std::ops::Range;
 
 use cmswitch_arch::{ArrayId, ArrayMode, DualModeArch};
 use cmswitch_metaop::{
-    ArraySet, ComputeStmt, Flow, MemDirection, MemLoc, MemStmt, Stmt, SwitchKind, VectorStmt,
-    WeightLoadStmt,
+    ArraySet, ComputeStmt, Flow, MemDirection, MemKind, MemLoc, MemStmt, Stmt, SwitchKind,
+    VectorStmt, WeightLoadStmt,
 };
 
 use crate::cost::CostModel;
-use crate::frontend::{DepIndex, OpList};
+use crate::frontend::{DepIndex, OpList, SegOp};
 use crate::segment::Segment;
 use crate::CompileError;
 
@@ -72,7 +75,7 @@ pub fn generate(
 ) -> Result<Flow, CompileError> {
     let n = arch.n_arrays();
     let mut modes = vec![ArrayMode::Memory; n];
-    let mut flow = Flow::new(name);
+    let mut flow = Flow::with_ops(name, list.ops.iter().map(SegOp::flow_op).collect());
     let cm = CostModel::new(arch);
     // Indexed once: the per-boundary write-back queries below otherwise
     // rescan the full dep list for every segment.
@@ -104,7 +107,9 @@ pub fn generate(
                     loc: MemLoc::Main,
                     direction: MemDirection::Write,
                     bytes,
-                    label: format!("seg{seg_idx} writeback"),
+                    kind: MemKind::Writeback {
+                        segment: seg_idx as u32,
+                    },
                 }));
             }
         }
@@ -189,6 +194,7 @@ pub fn generate(
         // ---- Step 3 (Fig. 10) + segment body. ----
         let mut body: Vec<Stmt> = Vec::with_capacity(3 * ops.len());
         for (oi, op) in ops.iter().enumerate() {
+            let index = (lo + oi) as u32;
             let span = &spans[oi];
             let compute = &bound[span.compute.clone()];
             let mem_in_arrays: ArraySet = if lent.iter().any(|&(c, _)| c == oi) {
@@ -203,27 +209,20 @@ pub fn generate(
             };
             if op.weight_static && !compute.is_empty() {
                 body.push(Stmt::LoadWeights(WeightLoadStmt {
-                    op: op.name.clone(),
+                    op: index,
                     arrays: compute.into(),
                     bytes: compute.len() as u64 * arch.array_bytes(),
                 }));
             }
             body.push(Stmt::Compute(ComputeStmt {
-                op: op.name.clone(),
+                op: index,
                 compute_arrays: compute.into(),
                 mem_in_arrays,
                 mem_out_arrays: bound[span.mem_out.clone()].into(),
-                m: op.m,
-                k: op.k,
-                n: op.n,
-                units: op.units,
-                in_bytes: op.in_bytes,
-                out_bytes: op.out_bytes,
-                weight_static: op.weight_static,
             }));
             if op.aux_flops > 0 {
                 body.push(Stmt::Vector(VectorStmt {
-                    op: format!("{}.aux", op.name),
+                    op: index,
                     flops: op.aux_flops,
                 }));
             }
@@ -238,7 +237,7 @@ pub fn generate(
             loc: MemLoc::Main,
             direction: MemDirection::Write,
             bytes: final_out,
-            label: "final output".into(),
+            kind: MemKind::FinalOutput,
         }));
     }
     Ok(flow)
@@ -294,6 +293,6 @@ mod tests {
         let (flow, segs) = flow_for(&g);
         assert!(segs >= 2);
         let last = flow.stmts().last().unwrap();
-        assert!(matches!(last, Stmt::Mem(m) if m.label == "final output"));
+        assert!(matches!(last, Stmt::Mem(m) if m.kind == MemKind::FinalOutput));
     }
 }

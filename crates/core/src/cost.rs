@@ -27,7 +27,7 @@
 //! converted from the architecture in one place, [`CostModel::new`].
 
 use cmswitch_arch::DualModeArch;
-use cmswitch_metaop::{ComputeStmt, MemLoc, Stmt, SwitchKind};
+use cmswitch_metaop::{ComputeStmt, FlowOp, MemLoc, Stmt, SwitchKind};
 use cmswitch_solver::alloc::{self, AllocChip, AllocOp, OpAlloc};
 
 use crate::allocation::{OpAllocation, SegmentAllocation};
@@ -73,42 +73,48 @@ pub fn vector_duration(flops: u64) -> f64 {
 }
 
 /// Execution-lane time of one compute statement — Eq. 10 over the
-/// arrays it names, plus the vector statements named `<op>.aux` in the
-/// same body, which fuse into the operator's lane. Weight loads are a
-/// separate phase (Eq. 2), accounted by [`segment_phases`], which prices
-/// every lane of a body at once, to the same bits.
-pub fn lane_duration(c: &ComputeStmt, body: &[Stmt], arch: &DualModeArch) -> f64 {
+/// arrays it names and the shape of its entry in `ops` (the flow's op
+/// table), plus the vector statements of the same body that name the
+/// same op: an op's fused vector work runs in its lane. Weight loads are
+/// a separate phase (Eq. 2), accounted by [`segment_phases`], which
+/// prices every lane of a body at once, to the same bits.
+///
+/// # Panics
+///
+/// If `c` names an op past `ops` (`metaop::validate` rejects such a
+/// flow, and both simulators run it first).
+pub fn lane_duration(ops: &[FlowOp], c: &ComputeStmt, body: &[Stmt], arch: &DualModeArch) -> f64 {
     let aux = body.iter().filter_map(aux_work).filter(|&(op, _)| op == c.op);
     let aux_cycles = aux.fold(0.0, |sum, (_, cycles)| sum + cycles);
-    CostModel::new(arch).lane_latency(c, aux_cycles)
+    CostModel::new(arch).lane_latency(&ops[c.op as usize], c, aux_cycles)
 }
 
-/// The op a fused `<op>.aux` vector statement belongs to, and its
-/// cycles.
-fn aux_work(s: &Stmt) -> Option<(&str, f64)> {
+/// The op a vector statement's fused work belongs to, and its cycles.
+fn aux_work(s: &Stmt) -> Option<(u32, f64)> {
     match s {
-        Stmt::Vector(v) => Some((v.op.strip_suffix(".aux")?, vector_duration(v.flops))),
+        Stmt::Vector(v) => Some((v.op, vector_duration(v.flops))),
         _ => None,
     }
 }
 
-/// Analytic lower bound on [`lane_duration`] wherever the statement is
-/// placed: its Eq. 9/10 rate term with the whole chip granted, the bound
-/// [`CostModel::op_latency_lower_bound`] starts from.
-pub fn lane_lower_bound(c: &ComputeStmt, arch: &DualModeArch) -> f64 {
+/// Analytic lower bound on [`lane_duration`] of any compute statement of
+/// `op` wherever it is placed: its Eq. 9/10 rate term with the whole
+/// chip granted, the bound [`CostModel::op_latency_lower_bound`] starts
+/// from.
+pub fn lane_lower_bound(op: &FlowOp, arch: &DualModeArch) -> f64 {
     let cm = CostModel::new(arch);
-    let (work, ai) = lane_work_ai(c);
+    let (work, ai) = lane_work_ai(op);
     alloc::latency_lower_bound(&[cm.solver_op(work, ai, 1)], &cm.chip)
 }
 
-/// A compute statement's MACs and arithmetic intensity (MACs per
-/// streamed input byte, infinite when nothing streams).
-fn lane_work_ai(c: &ComputeStmt) -> (f64, f64) {
-    let work = (c.units * c.m * c.k * c.n) as f64;
-    let ai = if c.in_bytes == 0 {
+/// An op-table entry's MACs and arithmetic intensity (MACs per streamed
+/// input byte, infinite when nothing streams).
+fn lane_work_ai(op: &FlowOp) -> (f64, f64) {
+    let work = (op.units * op.m * op.k * op.n) as f64;
+    let ai = if op.in_bytes == 0 {
         f64::INFINITY
     } else {
-        work / c.in_bytes as f64
+        work / op.in_bytes as f64
     };
     (work, ai)
 }
@@ -147,10 +153,20 @@ impl SegmentPhases {
     }
 }
 
-/// Computes the phase timings of one segment body, and the price of each
-/// of its lanes: `lanes` is cleared and receives [`lane_duration`] of
-/// every compute statement, in body order.
-pub fn segment_phases(body: &[Stmt], arch: &DualModeArch, lanes: &mut Vec<f64>) -> SegmentPhases {
+/// Computes the phase timings of one segment body of a flow whose op
+/// table is `ops`, and the price of each of its lanes: `lanes` is
+/// cleared and receives [`lane_duration`] of every compute statement, in
+/// body order.
+///
+/// # Panics
+///
+/// As [`lane_duration`], if a compute statement names an op past `ops`.
+pub fn segment_phases(
+    ops: &[FlowOp],
+    body: &[Stmt],
+    arch: &DualModeArch,
+    lanes: &mut Vec<f64>,
+) -> SegmentPhases {
     let computes = || {
         body.iter().filter_map(|s| match s {
             Stmt::Compute(c) => Some(c),
@@ -158,7 +174,7 @@ pub fn segment_phases(body: &[Stmt], arch: &DualModeArch, lanes: &mut Vec<f64>) 
         })
     };
     // The fused vector cycles per lane, gathered in one pass over the
-    // body: each `.aux` statement adds into the lanes of its op, so every
+    // body: each vector statement adds into the lanes of its op, so every
     // lane sums them in body order, as `lane_duration` does.
     lanes.clear();
     lanes.extend(computes().map(|_| 0.0));
@@ -176,14 +192,14 @@ pub fn segment_phases(body: &[Stmt], arch: &DualModeArch, lanes: &mut Vec<f64>) 
         match stmt {
             Stmt::Compute(c) => {
                 let price = lane.next().expect("one lane per compute statement");
-                *price = cm.lane_latency(c, *price);
+                *price = cm.lane_latency(&ops[c.op as usize], c, *price);
                 phases.n_ops += 1;
                 phases.exec_phase = phases.exec_phase.max(*price);
             }
             Stmt::LoadWeights(w) => {
                 phases.load_phase = phases.load_phase.max(load_duration(w.arrays.len(), arch));
             }
-            Stmt::Vector(_) => {} // folded into lanes via the `.aux` suffix
+            Stmt::Vector(_) => {} // folded into the lanes of its op
             Stmt::Mem(m) => phases.loose_cycles += mem_duration(m.bytes, &m.loc, arch),
             Stmt::Switch { .. } | Stmt::Parallel(_) => {}
         }
@@ -267,15 +283,15 @@ impl<'a> CostModel<'a> {
             + aux_cycles
     }
 
-    /// Eq. 10 for one emitted compute statement, given the cycles of its
-    /// fused `.aux` vector work.
-    fn lane_latency(&self, c: &ComputeStmt, aux_cycles: f64) -> f64 {
-        let (work, ai) = lane_work_ai(c);
+    /// Eq. 10 for one emitted compute statement of op `op`, given the
+    /// cycles of its fused vector work.
+    fn lane_latency(&self, op: &FlowOp, c: &ComputeStmt, aux_cycles: f64) -> f64 {
+        let (work, ai) = lane_work_ai(op);
         let arrays = OpAlloc {
             compute: c.compute_arrays.len(),
             memory: c.mem_in_arrays.len() + c.mem_out_arrays.len(),
         };
-        let dynamic_operand = (!c.weight_static).then_some((c.units * c.k * c.n) as u64);
+        let dynamic_operand = (!op.weight_static).then_some((op.units * op.k * op.n) as u64);
         self.eq10_latency(work, ai, arrays, dynamic_operand, aux_cycles)
     }
 
@@ -456,12 +472,12 @@ mod tests {
         }
     }
 
-    fn compute(op: &str, arrays: Vec<ArrayId>, m: usize) -> Stmt {
-        Stmt::Compute(ComputeStmt {
-            op: op.into(),
-            compute_arrays: arrays.into(),
-            mem_in_arrays: vec![].into(),
-            mem_out_arrays: vec![].into(),
+    /// An op table of static `[m,64]·[64,64]` ops, op `i` streaming
+    /// `ms[i]` rows.
+    fn table(ms: &[usize]) -> Vec<FlowOp> {
+        let op = |m: usize| FlowOp {
+            name: format!("op{m}").into(),
+            source: 0,
             m,
             k: 64,
             n: 64,
@@ -469,6 +485,16 @@ mod tests {
             in_bytes: (m * 64) as u64,
             out_bytes: (m * 64) as u64,
             weight_static: true,
+        };
+        ms.iter().map(|&m| op(m)).collect()
+    }
+
+    fn compute(op: u32, arrays: Vec<ArrayId>) -> Stmt {
+        Stmt::Compute(ComputeStmt {
+            op,
+            compute_arrays: arrays.into(),
+            mem_in_arrays: vec![].into(),
+            mem_out_arrays: vec![].into(),
         })
     }
 
@@ -499,27 +525,29 @@ mod tests {
     #[test]
     fn segment_phases_take_max_load_and_max_lane() {
         let arch = presets::tiny();
+        let ops = table(&[8, 512]);
         let body = vec![
             Stmt::LoadWeights(WeightLoadStmt {
-                op: "a".into(),
+                op: 0,
                 arrays: vec![ArrayId(0)].into(),
                 bytes: 64,
             }),
             Stmt::LoadWeights(WeightLoadStmt {
-                op: "b".into(),
+                op: 1,
                 arrays: vec![ArrayId(1), ArrayId(2)].into(),
                 bytes: 128,
             }),
-            compute("a", vec![ArrayId(0)], 8),
-            compute("b", vec![ArrayId(1), ArrayId(2)], 512),
+            compute(0, vec![ArrayId(0)]),
+            compute(1, vec![ArrayId(1), ArrayId(2)]),
         ];
         let mut lanes = Vec::new();
-        let p = segment_phases(&body, &arch, &mut lanes);
+        let p = segment_phases(&ops, &body, &arch, &mut lanes);
         assert_eq!(p.n_ops, 2);
         assert_eq!(p.load_phase, load_duration(2, &arch));
         assert_eq!(
             p.exec_phase,
             lane_duration(
+                &ops,
                 match &body[3] {
                     Stmt::Compute(c) => c,
                     _ => unreachable!(),
@@ -533,34 +561,39 @@ mod tests {
 
     #[test]
     fn segment_phases_price_every_lane_as_lane_duration() {
-        // `.aux` work before and after its op, an op with two lanes, and
-        // an `.aux` statement naming no op in the body.
+        // Vector work before and after its op, an op with two lanes, and
+        // a vector statement of an op with no lane in the body.
         let arch = presets::tiny();
-        let aux = |op: &str, flops| Stmt::Vector(VectorStmt { op: op.into(), flops });
+        let ops = table(&[8, 64, 16]);
+        let (a, b, c) = (0, 1, 2);
+        let aux = |op, flops| Stmt::Vector(VectorStmt { op, flops });
         let body = vec![
-            aux("a.aux", 100),
-            compute("a", vec![ArrayId(0)], 8),
-            compute("b", vec![ArrayId(1)], 64),
-            aux("a.aux", 37),
-            compute("a", vec![ArrayId(2)], 16),
-            aux("c.aux", 1000),
-            aux("b", 50),
+            aux(a, 100),
+            compute(a, vec![ArrayId(0)]),
+            compute(b, vec![ArrayId(1)]),
+            aux(a, 37),
+            compute(a, vec![ArrayId(2)]),
+            aux(c, 1000),
         ];
         let mut lanes = vec![1.0; 9];
-        let p = segment_phases(&body, &arch, &mut lanes);
+        let p = segment_phases(&ops, &body, &arch, &mut lanes);
         let expected: Vec<u64> = body
             .iter()
             .filter_map(|s| match s {
-                Stmt::Compute(c) => Some(lane_duration(c, &body, &arch).to_bits()),
+                Stmt::Compute(c) => Some(lane_duration(&ops, c, &body, &arch).to_bits()),
                 _ => None,
             })
             .collect();
         assert_eq!(lanes.iter().map(|l| l.to_bits()).collect::<Vec<_>>(), expected);
         assert_eq!(p.exec_phase, lanes.iter().copied().fold(0.0, f64::max));
-        // Both `a.aux` statements fuse into `a`, in body order.
+        // Both vector statements of `a` fuse into each of its lanes, in
+        // body order; `b`'s lane fuses none.
         let Stmt::Compute(a0) = &body[1] else { unreachable!() };
+        let Stmt::Compute(b0) = &body[2] else { unreachable!() };
         let aux = vector_duration(100) + vector_duration(37);
-        assert_eq!(lanes[0], lane_duration(a0, &[], &arch) + aux);
+        assert_eq!(lanes[0], lane_duration(&ops, a0, &[], &arch) + aux);
+        assert_eq!(lanes[2], lane_duration(&ops, a0, &[], &arch) + aux);
+        assert_eq!(lanes[1], lane_duration(&ops, b0, &[], &arch));
     }
 
     #[test]

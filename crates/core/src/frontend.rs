@@ -5,9 +5,11 @@
 //! relation `W` — annotated with everything the cost model needs.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use cmswitch_arch::DualModeArch;
 use cmswitch_graph::{lower, Graph};
+use cmswitch_metaop::FlowOp;
 
 use crate::CompileError;
 
@@ -18,8 +20,9 @@ pub struct SegOp {
     /// dependency edge uses (sub-operators of one op share it and sit
     /// next to each other, so sources ascend from 0 in steps of 0 or 1).
     pub source: usize,
-    /// Name (sub-operators get a `#part` suffix).
-    pub name: String,
+    /// Name (sub-operators get a `#part` suffix), shared with the op
+    /// table of the flow emitted for it ([`SegOp::flow_op`]).
+    pub name: Arc<str>,
     /// Streamed rows per unit.
     pub m: usize,
     /// Reduction dim per unit.
@@ -45,6 +48,23 @@ pub struct SegOp {
 }
 
 impl SegOp {
+    /// The op's entry in an emitted flow's op table: its name (the same
+    /// allocation, not a copy), source and the shape statements are
+    /// priced by.
+    pub fn flow_op(&self) -> FlowOp {
+        FlowOp {
+            name: Arc::clone(&self.name),
+            source: self.source,
+            m: self.m,
+            k: self.k,
+            n: self.n,
+            units: self.units,
+            in_bytes: self.in_bytes,
+            out_bytes: self.out_bytes,
+            weight_static: self.weight_static,
+        }
+    }
+
     /// Arithmetic intensity `AI_Oi`: MACs per streamed input byte
     /// (Eq. 10; equals the per-unit output dim for an MMM, as the paper
     /// derives in Fig. 12).
@@ -227,7 +247,7 @@ pub fn lower_graph(graph: &Graph, arch: &DualModeArch) -> Result<OpList, Compile
         .enumerate()
         .map(|(i, op)| SegOp {
             source: i,
-            name: op.name.clone(),
+            name: op.name.as_str().into(),
             m: op.m,
             k: op.k,
             n: op.n,

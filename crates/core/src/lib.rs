@@ -142,12 +142,12 @@ pub struct CompilerOptions {
     /// lookup takes: a lookup of a signature a top-level solve is
     /// working on waits for it and finds the result, as it would one
     /// worker later (bert-base at seq 32 on DynaPlasia pays 1 252 solver
-    /// invocations at one, two and four workers).
-    /// `tests/solver_determinism.rs` holds every counter equal at 1, 2
-    /// and 4 workers on the registry.
-    /// That is not schedule-free by construction: a lookup that reaches
-    /// a signature before the top-level solve that runs first on one
-    /// worker has marked it would solve it too.
+    /// invocations at one, two and four workers). The DP claims every
+    /// mark of a solve batch before fanning it out, shortest window
+    /// first, so no lookup can reach a batch window's signature before
+    /// its top-level solve owns it: the counters are schedule-free by
+    /// construction. `tests/solver_determinism.rs` holds every counter
+    /// equal at 1, 2 and 4 workers on the registry.
     pub reuse_cache: bool,
     /// Whether inter-segment switch overheads (Eqs. 1, 2, 4) are charged
     /// in the DP (ablation: overhead-oblivious segmentation).

@@ -69,7 +69,7 @@ fn split_op(op: &SegOp, arch: &DualModeArch, budget: usize) -> Result<Vec<SegOp>
     let k_tiles_per_chunk = k_tiles.min(budget);
     if k_tiles_per_chunk == 0 {
         return Err(CompileError::OperatorTooLarge {
-            op: op.name.clone(),
+            op: op.name.to_string(),
             tiles_needed: op.min_tiles,
             available: budget,
         });
@@ -103,7 +103,7 @@ fn split_op(op: &SegOp, arch: &DualModeArch, budget: usize) -> Result<Vec<SegOp>
             let extra_aux = if k_chunks > 1 { out_bytes } else { 0 };
             chunks.push(SegOp {
                 source: op.source,
-                name: format!("{}#p{}_{}", op.name, ki, ni),
+                name: format!("{}#p{}_{}", op.name, ki, ni).into(),
                 m: op.m,
                 k: k_len,
                 n: n_len,
@@ -223,7 +223,7 @@ mod tests {
         let list = lower_graph(&g, &arch).unwrap();
         let parts = partition(&list, &arch, 1.0).unwrap();
         assert_eq!(parts.ops.len(), 1);
-        assert_eq!(parts.ops[0].name, "fc0");
+        assert_eq!(&*parts.ops[0].name, "fc0");
     }
 
     #[test]

@@ -413,6 +413,17 @@ pub trait WindowSolver: Sync {
         deps: &DepIndex,
         window: (usize, usize),
     ) -> Option<SegmentAllocation>;
+
+    /// Called on the submitting thread before a batch of `windows` is
+    /// fanned out (its solves are taken in slice order): may put the
+    /// batch in the order its solves must be taken in, and claims
+    /// whatever each window's solve must own before any solve of the
+    /// batch runs. Does nothing by default.
+    fn reserve(&self, _list: &OpList, _deps: &DepIndex, _windows: &mut [(usize, usize)]) {}
+
+    /// Called once the batch is over: releases what
+    /// [`WindowSolver::reserve`] claimed and no solve took over.
+    fn release(&self) {}
 }
 
 thread_local! {
@@ -438,6 +449,37 @@ impl WindowSolver for Allocator<'_> {
         let alloc = self.allocate(&list.ops[i..=j], &local);
         WINDOW_DEPS.set(local);
         alloc
+    }
+
+    /// Without cache reuse: the batch shortest window first, and the
+    /// in-flight mark of each window's signature, for its top-level
+    /// solve to take over. With reuse, nothing: every solve probes the
+    /// cache, in the DP's order.
+    fn reserve(&self, list: &OpList, deps: &DepIndex, windows: &mut [(usize, usize)]) {
+        if self.reuses_cache() {
+            return;
+        }
+        windows.sort_by_key(|&(i, j)| j - i);
+        let mut local = WINDOW_DEPS.take();
+        for &(i, j) in windows.iter() {
+            deps.window_local_into(i, j, &mut local);
+            self.reserve_window(&list.ops[i..=j], &local);
+        }
+        WINDOW_DEPS.set(local);
+    }
+
+    fn release(&self) {
+        self.release_reserved();
+    }
+}
+
+/// Ends a batch's reservations ([`WindowSolver::release`]) when dropped,
+/// so a cancelled or panicking batch frees them too.
+struct Reserved<'s, S: WindowSolver>(&'s S);
+
+impl<S: WindowSolver> Drop for Reserved<'_, S> {
+    fn drop(&mut self) {
+        self.0.release();
     }
 }
 
@@ -592,10 +634,12 @@ impl AllocMemo {
     /// only on the (sequentially decided) `wanted` set and the memo
     /// contents, so [`DpStats::solve_batches`] is identical at every
     /// worker count. `wanted` holds distinct windows: one column's
-    /// starts, or one start's ends.
+    /// starts, or one start's ends. `solver` reserves the batch
+    /// ([`WindowSolver::reserve`]) before it fans out.
     fn solve_missing<F>(
         &mut self,
         pool: &WindowPool<'_, '_, F>,
+        (solver, list, deps): (&impl WindowSolver, &OpList, &DepIndex),
         stats: &mut DpStats,
         wanted: impl IntoIterator<Item = (usize, usize)>,
     ) -> Result<(), CompileError>
@@ -610,7 +654,11 @@ impl AllocMemo {
             return Ok(());
         }
         stats.solve_batches += 1;
-        let results = pool.run_batch(&self.missing)?;
+        solver.reserve(list, deps, &mut self.missing);
+        let reserved = Reserved(solver);
+        let results = pool.run_batch(&self.missing);
+        drop(reserved);
+        let results = results?;
         for (&w, result) in self.missing.iter().zip(results) {
             self.allocs.insert(w, result);
         }
@@ -637,7 +685,7 @@ fn greedy_incumbent<F>(
     window: usize,
     bounds: &Bounds,
     cancel: &CancelToken,
-    pool: &WindowPool<'_, '_, F>,
+    (pool, solver): (&WindowPool<'_, '_, F>, &impl WindowSolver),
     memo: &mut AllocMemo,
     stats: &mut DpStats,
 ) -> Result<f64, CompileError>
@@ -654,7 +702,8 @@ where
         while wall < m && wall - start < window && !bounds.window_infeasible(start, wall) {
             wall += 1;
         }
-        memo.solve_missing(pool, stats, (start..wall).map(|e| (start, e)))?;
+        let batch = (solver, list, deps);
+        memo.solve_missing(pool, batch, stats, (start..wall).map(|e| (start, e)))?;
         let Some(end) = (start..wall)
             .take_while(|&e| matches!(memo.get((start, e)), Some(Some(_))))
             .last()
@@ -736,7 +785,7 @@ fn segment_list(
     for op in &list.ops {
         if op.min_tiles > cm.arch().n_arrays() {
             return Err(CompileError::OperatorTooLarge {
-                op: op.name.clone(),
+                op: op.name.to_string(),
                 tiles_needed: op.min_tiles,
                 available: cm.arch().n_arrays(),
             });
@@ -753,7 +802,7 @@ fn segment_list(
         opts.effective_solve_workers(),
         cancel,
         solve_window,
-        |pool| run_dp(list, &deps, cm, opts, cancel, pool),
+        |pool| run_dp(list, &deps, cm, opts, cancel, (pool, solver)),
     )
 }
 
@@ -765,7 +814,7 @@ fn run_dp<F>(
     cm: &CostModel<'_>,
     opts: &CompilerOptions,
     cancel: &CancelToken,
-    pool: &WindowPool<'_, '_, F>,
+    (pool, solver): (&WindowPool<'_, '_, F>, &impl WindowSolver),
 ) -> Result<(Vec<Segment>, f64, DpStats), CompileError>
 where
     F: Fn(&(usize, usize)) -> Option<SegmentAllocation> + Sync,
@@ -794,7 +843,7 @@ where
             window,
             b,
             cancel,
-            pool,
+            (pool, solver),
             &mut memo,
             &mut dp_stats,
         )?,
@@ -857,7 +906,8 @@ where
 
         // Pass 2 (parallel): one batch for the column's unsolved
         // survivors.
-        memo.solve_missing(pool, &mut dp_stats, survivors.iter().map(|&i| (i, j)))?;
+        let batch = (solver, list, deps);
+        memo.solve_missing(pool, batch, &mut dp_stats, survivors.iter().map(|&i| (i, j)))?;
 
         // Pass 3 (sequential): the Eq. 3 recurrence in original window
         // order — every allocation it reads is a memo hit.

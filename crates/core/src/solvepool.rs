@@ -131,8 +131,11 @@ where
     /// # Errors
     ///
     /// Returns [`CompileError::Cancelled`] when the pool's token fires
-    /// before or during the batch; already-claimed jobs may still finish
-    /// on their workers, but their results are discarded.
+    /// before or during the batch; every job claimed before it fired
+    /// still runs to its end (the token is polled before a job is
+    /// claimed, never between claiming and running it), but its result
+    /// is discarded. Jobs run in claim order, so a job that waits on an
+    /// earlier one always waits on one that runs.
     pub fn run_batch(&self, jobs: &[J]) -> Result<Vec<O>, CompileError> {
         self.shared.cancel.check()?;
         if self.inline {
@@ -208,6 +211,10 @@ where
     /// (or aborts) — run by the submitting thread.
     fn drain(&self) {
         loop {
+            if self.cancel.is_cancelled() {
+                self.abort();
+                return;
+            }
             let (idx, job) = {
                 let mut st = self.lock();
                 if st.aborted || st.next >= st.jobs.len() {
@@ -217,10 +224,6 @@ where
                 st.next += 1;
                 (idx, st.jobs[idx].clone())
             };
-            if self.cancel.is_cancelled() {
-                self.abort();
-                return;
-            }
             self.complete(idx, (self.work)(&job));
         }
     }
@@ -246,7 +249,13 @@ where
                         return;
                     }
                     if !st.aborted && st.next < st.jobs.len() {
-                        break;
+                        if !self.cancel.is_cancelled() {
+                            break;
+                        }
+                        drop(st);
+                        self.abort();
+                        st = self.lock();
+                        continue;
                     }
                     st = self
                         .work_cv
@@ -257,10 +266,6 @@ where
                 st.next += 1;
                 (idx, st.jobs[idx].clone())
             };
-            if self.cancel.is_cancelled() {
-                self.abort();
-                continue;
-            }
             self.complete(idx, (self.work)(&job));
         }
     }

@@ -47,6 +47,7 @@
 //! programs; the test suite uses it to prove every rule actually fires
 //! (mutation-kill testing).
 
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::fmt;
 use std::ops::Range;
@@ -54,7 +55,9 @@ use std::ops::Range;
 use cmswitch_arch::{ArrayId, ArrayMode, DualModeArch};
 use cmswitch_metaop::dense::{BlockClaims, RunTable};
 use cmswitch_metaop::walk::{walk_flow, FlowEvent};
-use cmswitch_metaop::{ArrayRun, ArraySet, ComputeStmt, Flow, MemLoc, Stmt, WeightLoadStmt};
+use cmswitch_metaop::{
+    ArrayRun, ArraySet, ComputeStmt, Flow, FlowOp, MemLoc, Stmt, WeightLoadStmt,
+};
 
 use crate::compiler::CompiledProgram;
 use crate::diagnostics::DiagnosticEvent;
@@ -135,7 +138,8 @@ pub mod rules {
     /// program.
     pub const PLAN_SEGMENTS: &str = "plan-segments";
     /// A segment's compute statements do not match the ops its plan
-    /// promises (missing, reordered, or wrong-shaped).
+    /// promises (missing, reordered, or wrong-shaped), or a statement
+    /// names an op past the flow's op table.
     pub const PLAN_OPS: &str = "plan-ops";
     /// An emitted statement's array counts differ from the segment
     /// allocation.
@@ -277,10 +281,12 @@ impl fmt::Display for VerifyReport {
 }
 
 /// What every analysis sees: the program under verification, the chip it
-/// was compiled for, and the flow's segment blocks, indexed once.
+/// was compiled for, the flow's op table and its segment blocks, indexed
+/// once.
 struct VerifyCx<'a> {
     program: &'a CompiledProgram,
     arch: &'a DualModeArch,
+    ops: &'a [FlowOp],
     index: BlockIndex<'a>,
 }
 
@@ -289,8 +295,20 @@ impl<'a> VerifyCx<'a> {
         VerifyCx {
             program,
             arch,
+            ops: program.flow.ops(),
             index: BlockIndex::of(&program.flow),
         }
+    }
+
+    /// The op-table entry a statement names, if the table has it.
+    fn op(&self, op: u32) -> Option<&'a FlowOp> {
+        self.ops.get(op as usize)
+    }
+
+    /// How messages name the op a statement names (`plan-ops` reports
+    /// an index past the table).
+    fn name(&self, op: u32) -> Cow<'a, str> {
+        self.program.flow.op_name(op)
     }
 
     /// The flow's segments, in order.
@@ -372,33 +390,41 @@ fn fmt_arrays(arrays: &[ArrayId]) -> String {
 // ---------------------------------------------------------------------
 
 #[derive(Clone, Default, PartialEq)]
-struct ArrayState<'a> {
+struct ArrayState {
     mode: Option<ArrayMode>, // None = initial memory mode
-    load: Option<PendingLoad<'a>>,
+    load: Option<PendingLoad>,
     switched_at: Option<usize>,
     used_since_switch: bool,
 }
 
+/// The weights an array holds: the op (its table index) of the load
+/// that wrote them.
 #[derive(Clone, PartialEq)]
-struct PendingLoad<'a> {
-    op: &'a str,
+struct PendingLoad {
+    op: u32,
     stmt: usize,
     consumed: bool,
 }
 
-impl ArrayState<'_> {
+impl ArrayState {
     fn mode(&self) -> ArrayMode {
         self.mode.unwrap_or(ArrayMode::Memory)
     }
 }
 
-fn flag_dead_load(report: &mut VerifyReport, a: ArrayId, load: &PendingLoad<'_>, why: &str) {
+fn flag_dead_load(
+    cx: &VerifyCx<'_>,
+    report: &mut VerifyReport,
+    a: ArrayId,
+    load: &PendingLoad,
+    why: &str,
+) {
     report.push(
         rules::DEAD_WEIGHT_LOAD,
         Some(load.stmt),
         None,
         vec![a],
-        format!("weights for {} loaded into a{} are {why}", load.op, a.0),
+        format!("weights for {} loaded into a{} are {why}", cx.name(load.op), a.0),
     );
 }
 
@@ -444,6 +470,7 @@ fn mode_intervals(cx: &VerifyCx<'_>, report: &mut VerifyReport) {
                             if let Some(load) = st.load.take().filter(|l| !l.consumed) {
                                 for a in piece.iter() {
                                     flag_dead_load(
+                                        cx,
                                         report,
                                         a,
                                         &load,
@@ -487,10 +514,12 @@ fn mode_intervals(cx: &VerifyCx<'_>, report: &mut VerifyReport) {
             }
             Stmt::Compute(c) => {
                 let mut unloaded = Vec::new();
+                // An op past the table holds no weights to check.
+                let weight_static = cx.op(c.op).is_some_and(|op| op.weight_static);
                 for run in c.compute_arrays.clipped_runs(n_arrays) {
                     states.update(run, |piece, st| {
                         st.used_since_switch = true;
-                        if !c.weight_static {
+                        if !weight_static {
                             return;
                         }
                         match &mut st.load {
@@ -511,7 +540,7 @@ fn mode_intervals(cx: &VerifyCx<'_>, report: &mut VerifyReport) {
                         Some(idx),
                         None,
                         bad_compute,
-                        format!("{} computes on memory-mode arrays: {list}", c.op),
+                        format!("{} computes on memory-mode arrays: {list}", cx.name(c.op)),
                     );
                 }
                 if !bad_memory.is_empty() {
@@ -521,7 +550,7 @@ fn mode_intervals(cx: &VerifyCx<'_>, report: &mut VerifyReport) {
                         Some(idx),
                         None,
                         bad_memory,
-                        format!("{} buffers on compute-mode arrays: {list}", c.op),
+                        format!("{} buffers on compute-mode arrays: {list}", cx.name(c.op)),
                     );
                 }
                 if !unloaded.is_empty() {
@@ -533,7 +562,7 @@ fn mode_intervals(cx: &VerifyCx<'_>, report: &mut VerifyReport) {
                         unloaded,
                         format!(
                             "{} computes on arrays that do not hold its weights: {list}",
-                            c.op
+                            cx.name(c.op)
                         ),
                     );
                 }
@@ -543,13 +572,14 @@ fn mode_intervals(cx: &VerifyCx<'_>, report: &mut VerifyReport) {
                     states.update(run, |piece, st| {
                         st.used_since_switch = true;
                         let load = PendingLoad {
-                            op: &w.op,
+                            op: w.op,
                             stmt: idx,
                             consumed: false,
                         };
                         if let Some(prev) = st.load.replace(load).filter(|l| !l.consumed) {
                             for a in piece.iter() {
                                 flag_dead_load(
+                                    cx,
                                     report,
                                     a,
                                     &prev,
@@ -566,7 +596,10 @@ fn mode_intervals(cx: &VerifyCx<'_>, report: &mut VerifyReport) {
                         Some(idx),
                         None,
                         bad_compute,
-                        format!("weight load for {} into memory-mode arrays: {list}", w.op),
+                        format!(
+                            "weight load for {} into memory-mode arrays: {list}",
+                            cx.name(w.op)
+                        ),
                     );
                 }
             }
@@ -584,7 +617,7 @@ fn mode_intervals(cx: &VerifyCx<'_>, report: &mut VerifyReport) {
                             bad_memory,
                             format!(
                                 "scratchpad access `{}` on compute-mode arrays: {list}",
-                                m.label
+                                m.kind
                             ),
                         );
                     }
@@ -601,7 +634,7 @@ fn mode_intervals(cx: &VerifyCx<'_>, report: &mut VerifyReport) {
     for (first, last, st) in states.iter() {
         if let Some(load) = st.load.as_ref().filter(|l| !l.consumed) {
             for a in first.0..=last.0 {
-                flag_dead_load(report, ArrayId(a), load, "never consumed by any compute");
+                flag_dead_load(cx, report, ArrayId(a), load, "never consumed by any compute");
             }
         }
     }
@@ -692,7 +725,7 @@ fn capacity(cx: &VerifyCx<'_>, report: &mut VerifyReport) {
                         format!(
                             "weight load for {} writes {} bytes into {} arrays \
                              holding {capacity}",
-                            w.op,
+                            cx.name(w.op),
                             w.bytes,
                             w.arrays.len()
                         ),
@@ -845,7 +878,7 @@ fn dependence(cx: &VerifyCx<'_>, report: &mut VerifyReport) {
     let mut require = |p: usize, c: usize, why: &str| {
         if !has_edge(p, c) && reported.insert((p, c)) {
             let name = |i: usize| {
-                program.ops.get(i).map_or_else(|| format!("op {i}"), |o| o.name.clone())
+                program.ops.get(i).map_or_else(|| format!("op {i}"), |o| o.name.to_string())
             };
             report.push(
                 rules::DEP_MISSING,
@@ -942,14 +975,20 @@ fn parallel_races(cx: &VerifyCx<'_>, report: &mut VerifyReport) {
         contested.sort_unstable();
         contested.dedup();
         for a in contested {
-            report_conflict(a, body, idx, report);
+            report_conflict(cx, a, body, idx, report);
         }
     }
 }
 
 /// Describes how the computes of `body` fight over `a`, naming every
 /// operator involved (each once, in claim order).
-fn report_conflict(a: ArrayId, body: &[Stmt], stmt: usize, report: &mut VerifyReport) {
+fn report_conflict(
+    cx: &VerifyCx<'_>,
+    a: ArrayId,
+    body: &[Stmt],
+    stmt: usize,
+    report: &mut VerifyReport,
+) {
     let (mut comp, mut ins, mut outs) = (Vec::new(), Vec::new(), Vec::new());
     for s in body {
         let Stmt::Compute(c) = s else { continue };
@@ -959,25 +998,29 @@ fn report_conflict(a: ArrayId, body: &[Stmt], stmt: usize, report: &mut VerifyRe
             (&mut outs, &c.mem_out_arrays),
         ];
         for (ops, arrays) in roles {
-            if arrays.contains(a) && !ops.contains(&c.op.as_str()) {
-                ops.push(c.op.as_str());
+            if arrays.contains(a) && !ops.contains(&c.op) {
+                ops.push(c.op);
             }
         }
     }
+    let join = |ops: &[u32], sep: &str| {
+        let names: Vec<Cow<'_, str>> = ops.iter().map(|&op| cx.name(op)).collect();
+        names.join(sep)
+    };
     let why = if comp.len() > 1 {
         // Two operators computing on one array.
-        format!("computed on by {}", comp.join(" and "))
+        format!("computed on by {}", join(&comp, " and "))
     } else if !comp.is_empty() && (!ins.is_empty() || !outs.is_empty()) {
         // Compute and buffer roles on one array — conflicting even
         // within one operator.
-        format!("both compute ({}) and buffer in one segment", comp.join(", "))
+        format!("both compute ({}) and buffer in one segment", join(&comp, ", "))
     } else if ins.len() > 1 {
         // Two operators' input buffers on one array.
-        format!("input buffer of {}", ins.join(" and "))
+        format!("input buffer of {}", join(&ins, " and "))
     } else if outs.len() > 1 {
         // Two operators' output buffers on one array. A single out +
         // single in pair is the legal Eq. 6 reuse.
-        format!("output buffer of {}", outs.join(" and "))
+        format!("output buffer of {}", join(&outs, " and "))
     } else {
         return;
     };
@@ -998,6 +1041,26 @@ fn report_conflict(a: ArrayId, body: &[Stmt], stmt: usize, report: &mut VerifyRe
 /// tiles and weight loads the segment plans promise.
 fn flow_plan(cx: &VerifyCx<'_>, report: &mut VerifyReport) {
     let program = cx.program;
+    // Every op a statement names must be in the flow's op table: the
+    // simulators price statements by it.
+    let _: Result<(), std::convert::Infallible> = walk_flow(&program.flow, |event| {
+        if let FlowEvent::Stmt { pos, stmt } = event {
+            if let Some(op) = stmt.op().filter(|&op| cx.op(op).is_none()) {
+                report.push(
+                    rules::PLAN_OPS,
+                    Some(pos.stmt),
+                    None,
+                    Vec::new(),
+                    format!(
+                        "statement {} names op {op}, past the flow's table of {} ops",
+                        pos.stmt,
+                        cx.ops.len()
+                    ),
+                );
+            }
+        }
+        Ok(())
+    });
     let blocks = cx.blocks();
     if blocks.len() != program.segments.len() {
         report.push(
@@ -1102,7 +1165,12 @@ fn flow_plan_segment<'a>(
     for (oi, c) in computes.iter().enumerate() {
         let gi = lo + oi;
         let op = &program.ops[gi];
-        if c.op != op.name || (c.m, c.k, c.n, c.units) != (op.m, op.k, op.n, op.units) {
+        // An op past the table is reported once, above. The table entry
+        // is what the simulators price the statement by.
+        let Some(e) = cx.op(c.op) else { continue };
+        let priced = (e.m, e.k, e.n, e.units, e.in_bytes, e.out_bytes, e.weight_static);
+        let planned = (op.m, op.k, op.n, op.units, op.in_bytes, op.out_bytes, op.weight_static);
+        if c.op as usize != gi || priced != planned {
             report.push(
                 rules::PLAN_OPS,
                 Some(block.stmt),
@@ -1111,7 +1179,7 @@ fn flow_plan_segment<'a>(
                 format!(
                     "segment {si} emits {} {}x{}x{}x{} where the plan schedules \
                      {} {}x{}x{}x{}",
-                    c.op, c.units, c.m, c.k, c.n, op.name, op.units, op.m, op.k, op.n
+                    e.name, e.units, e.m, e.k, e.n, op.name, op.units, op.m, op.k, op.n
                 ),
             );
         }
@@ -1137,7 +1205,7 @@ fn flow_plan_segment<'a>(
     }
     // Weight loads: exactly one per static op with compute arrays,
     // targeting exactly that op's compute arrays, sized to them. The
-    // first compute of a name accounts for every load of that name.
+    // first compute of an op accounts for every load of that op.
     loads.clear();
     loads.extend(block.body.iter().filter_map(|s| match s {
         Stmt::LoadWeights(w) => Some((w, false)),
@@ -1149,7 +1217,7 @@ fn flow_plan_segment<'a>(
         let mut seen = 0usize;
         let mut first = None;
         for (w, taken) in loads.iter_mut() {
-            if !*taken && w.op == op.name {
+            if !*taken && w.op as usize == gi {
                 *taken = true;
                 seen += 1;
                 first = first.or(Some(*w));
@@ -1218,11 +1286,11 @@ fn flow_plan_segment<'a>(
             ),
         }
     }
-    // Loads naming ops outside this segment.
-    let mut stray: Vec<&str> = loads
+    // Loads naming ops outside this segment, by name.
+    let mut stray: Vec<Cow<'_, str>> = loads
         .iter()
         .filter(|(_, taken)| !taken)
-        .map(|(w, _)| w.op.as_str())
+        .map(|(w, _)| cx.name(w.op))
         .collect();
     stray.sort_unstable();
     stray.dedup();
@@ -1333,7 +1401,7 @@ pub mod mutate {
     //! every *applicable* mutant is detected.
 
     use cmswitch_arch::ArrayId;
-    use cmswitch_metaop::{Flow, Stmt, SwitchKind};
+    use cmswitch_metaop::{Stmt, SwitchKind};
 
     use super::rules;
     use crate::compiler::CompiledProgram;
@@ -1498,22 +1566,16 @@ pub mod mutate {
         }
     }
 
-    /// Clones the program, hands the top-level statement list to `f`,
-    /// and rebuilds the flow. `None` from `f` means no mutation site.
+    /// Clones the program and hands the top-level statement list of its
+    /// flow to `f` (the op table stays). `None` from `f` means no
+    /// mutation site.
     fn mutate_stmts(
         program: &CompiledProgram,
         f: impl FnOnce(&mut Vec<Stmt>) -> Option<()>,
     ) -> Option<CompiledProgram> {
-        let mut stmts: Vec<Stmt> = program.flow.stmts().to_vec();
-        f(&mut stmts)?;
-        let mut flow = Flow::new(program.flow.name());
-        for s in stmts {
-            flow.push(s);
-        }
-        Some(CompiledProgram {
-            flow,
-            ..program.clone()
-        })
+        let mut out = program.clone();
+        f(out.flow.stmts_mut())?;
+        Some(out)
     }
 
     /// Like [`mutate_stmts`], but `f` edits the body of the first

@@ -227,21 +227,21 @@ enum Role {
 /// never computes while it buffers; the one legal sharing is the Eq. 6
 /// reuse where one operator's output buffer is another's input buffer.
 /// Only the *first* claimant of each role is remembered: a later claim
-/// conflicts exactly when it differs from the first, so operator names
-/// are compared on second claims only and nothing is cloned.
+/// conflicts exactly when its operator (its op-table index) differs
+/// from the first.
 #[derive(Debug, Clone)]
-pub struct BlockClaims<'a> {
+pub struct BlockClaims {
     /// Per array, the first operator claiming it in each role.
-    table: RunTable<[Option<&'a str>; 3]>,
+    table: RunTable<[Option<u32>; 3]>,
 }
 
-impl Default for BlockClaims<'_> {
+impl Default for BlockClaims {
     fn default() -> Self {
         BlockClaims::new()
     }
 }
 
-impl<'a> BlockClaims<'a> {
+impl BlockClaims {
     /// No claims yet.
     pub fn new() -> Self {
         BlockClaims {
@@ -263,7 +263,7 @@ impl<'a> BlockClaims<'a> {
     /// a run reaching past the chip is claimed as its first stray id.
     pub fn claim(
         &mut self,
-        c: &'a ComputeStmt,
+        c: &ComputeStmt,
         n_arrays: usize,
         mut conflict: impl FnMut(ArrayRun),
     ) {
@@ -275,7 +275,7 @@ impl<'a> BlockClaims<'a> {
         for (role, arrays) in roles {
             for run in arrays.clipped_runs(n_arrays) {
                 self.table.update(run, |piece, claims| {
-                    if Self::claim_one(claims, role, &c.op) {
+                    if Self::claim_one(claims, role, c.op) {
                         conflict(piece);
                     }
                 });
@@ -287,7 +287,7 @@ impl<'a> BlockClaims<'a> {
     /// `role`, and reports whether that claim conflicts with the
     /// segment's earlier ones.
     #[inline]
-    fn claim_one(claims: &mut [Option<&'a str>; 3], role: Role, op: &'a str) -> bool {
+    fn claim_one(claims: &mut [Option<u32>; 3], role: Role, op: u32) -> bool {
         let mine = &mut claims[role as usize];
         let by_other = mine.is_some_and(|first| first != op);
         mine.get_or_insert(op);
@@ -499,29 +499,29 @@ mod tests {
         let one = |a| run(a, a);
         let mut c = BlockClaims::new();
         c.enter_block();
-        let claim = |c: &mut BlockClaims<'static>, a, role, op| {
+        let claim = |c: &mut BlockClaims, a, role, op| {
             let mut hit = false;
             c.table.update(one(a), |_, claims| {
                 hit = BlockClaims::claim_one(claims, role, op)
             });
             hit
         };
-        assert!(!claim(&mut c, 0, Role::Compute, "a"));
+        assert!(!claim(&mut c, 0, Role::Compute, 0));
         // Same operator again: fine. Another operator: conflict.
-        assert!(!claim(&mut c, 0, Role::Compute, "a"));
-        assert!(claim(&mut c, 0, Role::Compute, "b"));
+        assert!(!claim(&mut c, 0, Role::Compute, 0));
+        assert!(claim(&mut c, 0, Role::Compute, 1));
         // Buffering a computing array conflicts even for its own op.
-        assert!(claim(&mut c, 0, Role::MemIn, "a"));
+        assert!(claim(&mut c, 0, Role::MemIn, 0));
         // Eq. 6 reuse: one op's output is another's input.
-        assert!(!claim(&mut c, 1, Role::MemOut, "a"));
-        assert!(!claim(&mut c, 1, Role::MemIn, "b"));
-        assert!(claim(&mut c, 1, Role::MemOut, "b"));
-        assert!(claim(&mut c, 1, Role::Compute, "c"));
+        assert!(!claim(&mut c, 1, Role::MemOut, 0));
+        assert!(!claim(&mut c, 1, Role::MemIn, 1));
+        assert!(claim(&mut c, 1, Role::MemOut, 1));
+        assert!(claim(&mut c, 1, Role::Compute, 2));
         // Stray ids obey the same rules, and a new block starts clean.
-        assert!(!claim(&mut c, u32::MAX, Role::MemIn, "a"));
-        assert!(claim(&mut c, u32::MAX, Role::MemIn, "b"));
+        assert!(!claim(&mut c, u32::MAX, Role::MemIn, 0));
+        assert!(claim(&mut c, u32::MAX, Role::MemIn, 1));
         c.enter_block();
-        assert!(!claim(&mut c, 0, Role::Compute, "b"));
-        assert!(!claim(&mut c, u32::MAX, Role::MemIn, "b"));
+        assert!(!claim(&mut c, 0, Role::Compute, 1));
+        assert!(!claim(&mut c, u32::MAX, Role::MemIn, 1));
     }
 }

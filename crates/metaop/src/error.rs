@@ -28,6 +28,15 @@ pub enum MetaOpError {
         /// Index of the offending statement.
         stmt: usize,
     },
+    /// A statement names an operator past the flow's op table.
+    UnknownOp {
+        /// Index of the offending top-level statement.
+        stmt: usize,
+        /// The op index it names.
+        op: u32,
+        /// Entries in the flow's op table.
+        ops: usize,
+    },
 }
 
 impl fmt::Display for MetaOpError {
@@ -44,6 +53,10 @@ impl fmt::Display for MetaOpError {
             MetaOpError::NestedParallel { stmt } => {
                 write!(f, "nested parallel block at statement {stmt}")
             }
+            MetaOpError::UnknownOp { stmt, op, ops } => write!(
+                f,
+                "statement {stmt} names op {op}, past the flow's table of {ops} ops"
+            ),
         }
     }
 }

@@ -1,13 +1,24 @@
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 
 use cmswitch_arch::ArrayMode;
 
-use crate::{Stmt, SwitchKind};
+use crate::{FlowOp, Stmt, SwitchKind};
 
 /// A complete meta-operator flow: the compiler's output for one network.
+///
+/// It holds one op table ([`Flow::ops`]) and the statement sequence. A
+/// compute, weight-load or vector statement names its operator by its
+/// index in the table, so names and shapes are stored once per
+/// operator. The table is not checked against the statements when they
+/// are pushed: [`crate::validate`] rejects an index past it
+/// ([`crate::MetaOpError::UnknownOp`]), and so does every checker that
+/// reads it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Flow {
     name: String,
+    ops: Vec<FlowOp>,
     stmts: Vec<Stmt>,
 }
 
@@ -41,10 +52,17 @@ impl FlowStats {
 }
 
 impl Flow {
-    /// Creates an empty flow named after the compiled network.
+    /// Creates an empty flow, with an empty op table, named after the
+    /// compiled network.
     pub fn new(name: impl Into<String>) -> Self {
+        Flow::with_ops(name, Vec::new())
+    }
+
+    /// Creates a flow with no statements over the op table `ops`.
+    pub fn with_ops(name: impl Into<String>, ops: Vec<FlowOp>) -> Self {
         Flow {
             name: name.into(),
+            ops,
             stmts: Vec::new(),
         }
     }
@@ -52,6 +70,31 @@ impl Flow {
     /// The flow's name.
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// The op table statements index.
+    pub fn ops(&self) -> &[FlowOp] {
+        &self.ops
+    }
+
+    /// The table entry at `index`, if the table has one.
+    pub fn op(&self, index: u32) -> Option<&FlowOp> {
+        self.ops.get(index as usize)
+    }
+
+    /// How reports name op `index`: its table name, or `?<index>` for an
+    /// index past the table (which [`crate::validate`] rejects).
+    pub fn op_name(&self, index: u32) -> Cow<'_, str> {
+        match self.op(index) {
+            Some(op) => Cow::Borrowed(&op.name),
+            None => Cow::Owned(format!("?{index}")),
+        }
+    }
+
+    /// Appends an operator to the table; returns its index.
+    pub fn push_op(&mut self, op: FlowOp) -> u32 {
+        self.ops.push(op);
+        u32::try_from(self.ops.len() - 1).expect("fewer than 2^32 ops per flow")
     }
 
     /// Appends a statement.
@@ -62,6 +105,11 @@ impl Flow {
     /// The statement sequence.
     pub fn stmts(&self) -> &[Stmt] {
         &self.stmts
+    }
+
+    /// The statement sequence, to edit in place; the op table stays.
+    pub fn stmts_mut(&mut self) -> &mut Vec<Stmt> {
+        &mut self.stmts
     }
 
     /// Number of top-level statements.
@@ -110,33 +158,37 @@ impl Flow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ArraySet, ComputeStmt, MemDirection, MemLoc, MemStmt, WeightLoadStmt};
+    use crate::{ArraySet, ComputeStmt, MemDirection, MemKind, MemLoc, MemStmt, WeightLoadStmt};
     use cmswitch_arch::ArrayId;
 
     fn sample_flow() -> Flow {
         let mut f = Flow::new("sample");
+        let fc = f.push_op(FlowOp {
+            name: "fc".into(),
+            source: 0,
+            m: 8,
+            k: 64,
+            n: 64,
+            units: 1,
+            in_bytes: 512,
+            out_bytes: 512,
+            weight_static: true,
+        });
         f.push(Stmt::switch(
             SwitchKind::ToCompute,
             [ArrayId(0), ArrayId(1)],
         ));
         f.push(Stmt::Parallel(vec![
             Stmt::LoadWeights(WeightLoadStmt {
-                op: "fc".into(),
+                op: fc,
                 arrays: [ArrayId(0), ArrayId(1)].into(),
                 bytes: 1000,
             }),
             Stmt::Compute(ComputeStmt {
-                op: "fc".into(),
+                op: fc,
                 compute_arrays: [ArrayId(0), ArrayId(1)].into(),
                 mem_in_arrays: ArraySet::new(),
                 mem_out_arrays: ArraySet::new(),
-                m: 8,
-                k: 64,
-                n: 64,
-                units: 1,
-                in_bytes: 512,
-                out_bytes: 512,
-                weight_static: true,
             }),
         ]));
         f.push(Stmt::switch(SwitchKind::ToMemory, [ArrayId(0)]));
@@ -144,7 +196,7 @@ mod tests {
             loc: MemLoc::Main,
             direction: MemDirection::Write,
             bytes: 256,
-            label: "writeback".into(),
+            kind: MemKind::Writeback { segment: 1 },
         }));
         f
     }
@@ -170,8 +222,18 @@ mod tests {
     }
 
     #[test]
+    fn ops_are_looked_up_by_index() {
+        let f = sample_flow();
+        assert_eq!(f.ops().len(), 1);
+        assert_eq!(f.op(0).map(|op| &*op.name), Some("fc"));
+        assert_eq!(f.op(1), None);
+        assert_eq!((f.op_name(0), f.op_name(1)), ("fc".into(), "?1".into()));
+    }
+
+    #[test]
     fn empty_flow() {
         let f = Flow::new("e");
+        assert!(f.ops().is_empty());
         assert!(f.is_empty());
         assert_eq!(f.len(), 0);
         assert_eq!(f.stats(), FlowStats::default());

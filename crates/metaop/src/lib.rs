@@ -15,6 +15,17 @@
 //! (no array computes while in memory mode, no array is two things at once
 //! inside a segment).
 //!
+//! A flow holds one op table ([`Flow::ops`], a [`FlowOp`] per operator:
+//! name, shape and source op). Compute, weight-load and vector
+//! statements carry a `u32` index into it rather than a name, and a
+//! compute statement carries no shape of its own: every reader — the
+//! printer, the validator, the compiler's prices and verifier, both
+//! simulators and the artifact codec — looks both up in the table. A
+//! [`VectorStmt`] is the fused work of the op it names, and a
+//! [`MemStmt`] says which plan step emitted it ([`MemKind`]) instead of
+//! carrying a label. An index past the table is an error, never a panic
+//! ([`MetaOpError::UnknownOp`]).
+//!
 //! Every array list a statement carries is an [`ArraySet`]: an ordered
 //! sequence of ids (duplicates kept) stored as maximal runs of step ±1,
 //! three of them inline. The allocator grants each operator contiguous
@@ -49,7 +60,10 @@ pub mod walk;
 pub use arrays::{ArrayRun, ArraySet};
 pub use error::MetaOpError;
 pub use flow::{Flow, FlowStats};
-pub use op::{ComputeStmt, MemDirection, MemLoc, MemStmt, Stmt, SwitchKind, VectorStmt, WeightLoadStmt};
+pub use op::{
+    ComputeStmt, FlowOp, MemDirection, MemKind, MemLoc, MemStmt, Stmt, SwitchKind, VectorStmt,
+    WeightLoadStmt,
+};
 pub use printer::print_flow;
 pub use validate::{validate, validate_on};
 pub use walk::{walk_flow, FlowEvent, StmtPos};

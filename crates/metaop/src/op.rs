@@ -1,3 +1,6 @@
+use std::fmt;
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use cmswitch_arch::{ArrayId, ArrayMode};
@@ -52,18 +55,19 @@ pub enum MemDirection {
     Write,
 }
 
-/// A CIM compute statement: one MMM/MVM operator mapped onto compute-mode
-/// arrays, streaming inputs from memory-mode arrays and/or main memory.
+/// One operator of a flow's op table: the name reports show and the
+/// shape the statements about it are priced by. Every compute, weight
+/// load and vector statement names its operator by its index in
+/// [`Flow::ops`](crate::Flow::ops), so a name and a shape are stored once
+/// per operator, however many statements mention it.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct ComputeStmt {
-    /// Operator name (graph layer).
-    pub op: String,
-    /// Compute-mode arrays executing the MMM.
-    pub compute_arrays: ArraySet,
-    /// Memory-mode arrays buffering this operator's inputs.
-    pub mem_in_arrays: ArraySet,
-    /// Memory-mode arrays buffering this operator's outputs.
-    pub mem_out_arrays: ArraySet,
+pub struct FlowOp {
+    /// Operator name (graph layer; shared with the compiler's own op
+    /// list, never copied per statement).
+    pub name: Arc<str>,
+    /// Index of the originating op in the lowered graph (split
+    /// sub-operators share it).
+    pub source: usize,
     /// Streamed rows per unit.
     pub m: usize,
     /// Reduction dim per unit.
@@ -80,16 +84,59 @@ pub struct ComputeStmt {
     pub weight_static: bool,
 }
 
+/// A CIM compute statement: one MMM/MVM operator mapped onto compute-mode
+/// arrays, streaming inputs from memory-mode arrays and/or main memory.
+/// Its shape is its operator's table entry.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub struct ComputeStmt {
+    /// Index of the operator in the flow's op table.
+    pub op: u32,
+    /// Compute-mode arrays executing the MMM.
+    pub compute_arrays: ArraySet,
+    /// Memory-mode arrays buffering this operator's inputs.
+    pub mem_in_arrays: ArraySet,
+    /// Memory-mode arrays buffering this operator's outputs.
+    pub mem_out_arrays: ArraySet,
+}
+
 /// A weight-load statement: writing an operator's `[K,N]` operand into its
 /// compute arrays (inter-segment step 3, Eq. 2).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct WeightLoadStmt {
-    /// Operator whose weights are loaded.
-    pub op: String,
+    /// Index of the operator (in the flow's op table) whose weights are
+    /// loaded.
+    pub op: u32,
     /// Destination compute arrays.
     pub arrays: ArraySet,
     /// Bytes written.
     pub bytes: u64,
+}
+
+/// What a bulk memory transfer is for: the step of the plan that emits
+/// it, which is also how reports name it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum MemKind {
+    /// Fig. 10 step 1: live data spilled before segment `segment` (its
+    /// index in the flow) written back to main memory.
+    Writeback {
+        /// The segment the write-back precedes.
+        segment: u32,
+    },
+    /// The network's outputs, written out after the last segment.
+    FinalOutput,
+    /// A transfer no plan step names (hand-built flows).
+    Transfer,
+}
+
+impl fmt::Display for MemKind {
+    /// The report name: `seg<k> writeback`, `final output` or `transfer`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MemKind::Writeback { segment } => write!(f, "seg{segment} writeback"),
+            MemKind::FinalOutput => f.write_str("final output"),
+            MemKind::Transfer => f.write_str("transfer"),
+        }
+    }
 }
 
 /// A bulk memory transfer (inter-segment write-back / reload, steps 1 and
@@ -102,16 +149,18 @@ pub struct MemStmt {
     pub direction: MemDirection,
     /// Bytes moved.
     pub bytes: u64,
-    /// Label for reports.
-    pub label: String,
+    /// What the transfer is for.
+    pub kind: MemKind,
 }
 
-/// A vector-function-unit statement (softmax, norms, activations — the
-/// non-CIM operators).
+/// A vector-function-unit statement: the non-CIM work (softmax, norms,
+/// activations) fused after an operator, which runs in that operator's
+/// lane.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct VectorStmt {
-    /// Operator label.
-    pub op: String,
+    /// Index of the operator (in the flow's op table) whose fused work
+    /// this is.
+    pub op: u32,
     /// Elementwise operations to execute.
     pub flops: u64,
 }
@@ -145,6 +194,17 @@ impl Stmt {
         Stmt::Switch {
             kind,
             arrays: arrays.into(),
+        }
+    }
+
+    /// The op-table index a compute, weight-load or vector statement
+    /// names; `None` for the other kinds.
+    pub fn op(&self) -> Option<u32> {
+        match self {
+            Stmt::Compute(c) => Some(c.op),
+            Stmt::LoadWeights(w) => Some(w.op),
+            Stmt::Vector(v) => Some(v.op),
+            Stmt::Switch { .. } | Stmt::Mem(_) | Stmt::Parallel(_) => None,
         }
     }
 
@@ -255,17 +315,10 @@ mod tests {
 
     fn fc() -> ComputeStmt {
         ComputeStmt {
-            op: "fc".into(),
+            op: 0,
             compute_arrays: ids(&[0]),
             mem_in_arrays: ids(&[1]),
             mem_out_arrays: ids(&[2]),
-            m: 1,
-            k: 1,
-            n: 1,
-            units: 1,
-            in_bytes: 0,
-            out_bytes: 0,
-            weight_static: true,
         }
     }
 
@@ -285,7 +338,7 @@ mod tests {
         let mut block = Stmt::Parallel(vec![
             Stmt::switch(SwitchKind::ToCompute, [ArrayId(3)]),
             Stmt::LoadWeights(WeightLoadStmt {
-                op: "fc".into(),
+                op: 0,
                 arrays: ids(&[3, 4]),
                 bytes: 8,
             }),
@@ -299,7 +352,7 @@ mod tests {
                 loc: MemLoc::CimArrays(ids(&[7])),
                 direction: MemDirection::Read,
                 bytes: 64,
-                label: "ld".into(),
+                kind: MemKind::Transfer,
             }),
         ]);
         let before = references(&block);
@@ -318,7 +371,7 @@ mod tests {
         let block = Stmt::Parallel(vec![
             Stmt::switch(SwitchKind::ToCompute, [ArrayId(3)]),
             Stmt::LoadWeights(WeightLoadStmt {
-                op: "fc".into(),
+                op: 0,
                 arrays: ids(&[3, 4]),
                 bytes: 8,
             }),
@@ -336,15 +389,30 @@ mod tests {
             loc: MemLoc::Main,
             direction: MemDirection::Write,
             bytes: 64,
-            label: "wb".into(),
+            kind: MemKind::Writeback { segment: 1 },
         });
         assert!(references(&m).is_empty());
         let m = Stmt::Mem(MemStmt {
             loc: MemLoc::CimArrays(ids(&[7])),
             direction: MemDirection::Read,
             bytes: 64,
-            label: "ld".into(),
+            kind: MemKind::Transfer,
         });
         assert_eq!(references(&m), [7]);
+    }
+
+    #[test]
+    fn mem_kinds_print_their_plan_step_and_statements_name_their_op() {
+        let names: Vec<String> = [
+            MemKind::Writeback { segment: 3 },
+            MemKind::FinalOutput,
+            MemKind::Transfer,
+        ]
+        .iter()
+        .map(MemKind::to_string)
+        .collect();
+        assert_eq!(names, ["seg3 writeback", "final output", "transfer"]);
+        assert_eq!(Stmt::Compute(ComputeStmt { op: 4, ..fc() }).op(), Some(4));
+        assert_eq!(Stmt::switch(SwitchKind::ToCompute, [ArrayId(0)]).op(), None);
     }
 }

@@ -9,6 +9,8 @@
 //!   per role — except the Eq. 6 reuse pattern, where one operator's
 //!   output buffer is another's input buffer,
 //! * `parallel` blocks do not nest,
+//! * every op index a statement carries names an entry of the flow's op
+//!   table,
 //! * and, checked against a chip ([`validate_on`]), every array id names
 //!   one of its arrays.
 //!
@@ -82,6 +84,7 @@ fn check_flow(flow: &Flow, n_arrays: Option<usize>) -> Result<(), MetaOpError> {
                 return Err(MetaOpError::NestedParallel { stmt: pos.stmt });
             }
             check_stmt(
+                flow,
                 stmt,
                 pos.stmt,
                 n_arrays,
@@ -92,12 +95,13 @@ fn check_flow(flow: &Flow, n_arrays: Option<usize>) -> Result<(), MetaOpError> {
     })
 }
 
-fn check_stmt<'a>(
-    stmt: &'a Stmt,
+fn check_stmt(
+    flow: &Flow,
+    stmt: &Stmt,
     idx: usize,
     n_arrays: Option<usize>,
     modes: &mut RunTable<ArrayMode>,
-    claims: Option<&mut BlockClaims<'a>>,
+    claims: Option<&mut BlockClaims>,
 ) -> Result<(), MetaOpError> {
     let violation = |array, detail| {
         Err(MetaOpError::ModeViolation {
@@ -106,6 +110,15 @@ fn check_stmt<'a>(
             detail,
         })
     };
+    if let Some(op) = stmt.op().filter(|&op| flow.op(op).is_none()) {
+        return Err(MetaOpError::UnknownOp {
+            stmt: idx,
+            op,
+            ops: flow.ops().len(),
+        });
+    }
+    // The index was checked above.
+    let name = |op: u32| &flow.ops()[op as usize].name;
     if let Some(n_arrays) = n_arrays {
         let mut stray = None;
         stmt.for_each_array_set(&mut |arrays| {
@@ -146,16 +159,16 @@ fn check_stmt<'a>(
             array,
             match (stmt, needed) {
                 (Stmt::Compute(c), ArrayMode::Compute) => {
-                    format!("{} computes on a memory-mode array", c.op)
+                    format!("{} computes on a memory-mode array", name(c.op))
                 }
                 (Stmt::Compute(c), ArrayMode::Memory) => {
-                    format!("{} buffers on a compute-mode array", c.op)
+                    format!("{} buffers on a compute-mode array", name(c.op))
                 }
                 (Stmt::LoadWeights(w), _) => {
-                    format!("weight load for {} into a memory-mode array", w.op)
+                    format!("weight load for {} into a memory-mode array", name(w.op))
                 }
                 (Stmt::Mem(m), _) => {
-                    format!("scratchpad access `{}` on a compute-mode array", m.label)
+                    format!("scratchpad access `{}` on a compute-mode array", m.kind)
                 }
                 _ => unreachable!("only loads, computes and memory statements require a mode"),
             },
@@ -174,15 +187,21 @@ fn check_stmt<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ComputeStmt, SwitchKind, WeightLoadStmt};
+    use crate::{ComputeStmt, FlowOp, SwitchKind, WeightLoadStmt};
     use cmswitch_arch::ArrayId;
 
-    fn compute(op: &str, c: Vec<u32>, min: Vec<u32>, mout: Vec<u32>) -> Stmt {
-        Stmt::Compute(ComputeStmt {
-            op: op.into(),
-            compute_arrays: c.into_iter().map(ArrayId).collect(),
-            mem_in_arrays: min.into_iter().map(ArrayId).collect(),
-            mem_out_arrays: mout.into_iter().map(ArrayId).collect(),
+    /// The op table of every test flow, named by [`op`].
+    const OPS: [&str; 4] = ["a", "b", "fc", "g"];
+
+    fn op(name: &str) -> u32 {
+        OPS.iter().position(|&o| o == name).expect("a test op") as u32
+    }
+
+    /// An empty flow over [`OPS`], each a unit-shaped static op.
+    fn flow(name: &str) -> Flow {
+        let ops = OPS.iter().map(|&name| FlowOp {
+            name: name.into(),
+            source: 0,
             m: 1,
             k: 1,
             n: 1,
@@ -190,18 +209,28 @@ mod tests {
             in_bytes: 0,
             out_bytes: 0,
             weight_static: true,
+        });
+        Flow::with_ops(name, ops.collect())
+    }
+
+    fn compute(name: &str, c: Vec<u32>, min: Vec<u32>, mout: Vec<u32>) -> Stmt {
+        Stmt::Compute(ComputeStmt {
+            op: op(name),
+            compute_arrays: c.into_iter().map(ArrayId).collect(),
+            mem_in_arrays: min.into_iter().map(ArrayId).collect(),
+            mem_out_arrays: mout.into_iter().map(ArrayId).collect(),
         })
     }
 
     #[test]
     fn compute_requires_compute_mode() {
-        let mut f = Flow::new("f");
+        let mut f = flow("f");
         f.push(compute("fc", vec![0], vec![], vec![]));
         assert!(matches!(
             validate(&f),
             Err(MetaOpError::ModeViolation { .. })
         ));
-        let mut f = Flow::new("f");
+        let mut f = flow("f");
         f.push(Stmt::switch(SwitchKind::ToCompute, vec![ArrayId(0)]));
         f.push(compute("fc", vec![0], vec![], vec![]));
         assert!(validate(&f).is_ok());
@@ -209,7 +238,7 @@ mod tests {
 
     #[test]
     fn buffers_require_memory_mode() {
-        let mut f = Flow::new("f");
+        let mut f = flow("f");
         f.push(Stmt::switch(SwitchKind::ToCompute, vec![ArrayId(0), ArrayId(1)]));
         f.push(compute("fc", vec![0], vec![1], vec![]));
         assert!(matches!(
@@ -220,9 +249,9 @@ mod tests {
 
     #[test]
     fn weight_load_requires_compute_mode() {
-        let mut f = Flow::new("f");
+        let mut f = flow("f");
         f.push(Stmt::LoadWeights(WeightLoadStmt {
-            op: "fc".into(),
+            op: op("fc"),
             arrays: [ArrayId(2)].into(),
             bytes: 10,
         }));
@@ -234,7 +263,7 @@ mod tests {
 
     #[test]
     fn compute_conflict_within_segment() {
-        let mut f = Flow::new("f");
+        let mut f = flow("f");
         f.push(Stmt::switch(SwitchKind::ToCompute, vec![ArrayId(0)]));
         f.push(Stmt::Parallel(vec![
             compute("a", vec![0], vec![], vec![]),
@@ -249,7 +278,7 @@ mod tests {
     #[test]
     fn eq6_reuse_pattern_is_legal() {
         // Array 2 is op a's output buffer AND op b's input buffer.
-        let mut f = Flow::new("f");
+        let mut f = flow("f");
         f.push(Stmt::switch(SwitchKind::ToCompute, vec![ArrayId(0), ArrayId(1)]));
         f.push(Stmt::Parallel(vec![
             compute("a", vec![0], vec![], vec![2]),
@@ -260,7 +289,7 @@ mod tests {
 
     #[test]
     fn compute_and_memory_roles_conflict() {
-        let mut f = Flow::new("f");
+        let mut f = flow("f");
         f.push(Stmt::switch(SwitchKind::ToCompute, vec![ArrayId(0)]));
         // Array 0 computes for a and is claimed as b's buffer: mode check
         // fires first (buffer on compute-mode array).
@@ -273,7 +302,7 @@ mod tests {
 
     #[test]
     fn nested_parallel_rejected() {
-        let mut f = Flow::new("f");
+        let mut f = flow("f");
         f.push(Stmt::Parallel(vec![Stmt::Parallel(vec![])]));
         assert!(matches!(
             validate(&f),
@@ -283,7 +312,7 @@ mod tests {
 
     #[test]
     fn switch_back_and_forth_ok() {
-        let mut f = Flow::new("f");
+        let mut f = flow("f");
         f.push(Stmt::switch(SwitchKind::ToCompute, vec![ArrayId(0)]));
         f.push(compute("a", vec![0], vec![], vec![]));
         f.push(Stmt::switch(SwitchKind::ToMemory, vec![ArrayId(0)]));
@@ -293,7 +322,7 @@ mod tests {
             validate(&f),
             Err(MetaOpError::ModeViolation { .. })
         ));
-        let mut f2 = Flow::new("f2");
+        let mut f2 = flow("f2");
         f2.push(Stmt::switch(SwitchKind::ToCompute, vec![ArrayId(0), ArrayId(1)]));
         f2.push(compute("a", vec![0], vec![], vec![]));
         f2.push(Stmt::switch(SwitchKind::ToMemory, vec![ArrayId(0)]));
@@ -301,9 +330,9 @@ mod tests {
         assert!(validate(&f2).is_ok());
     }
 
-    fn load(op: &str, array: u32) -> Stmt {
+    fn load(name: &str, array: u32) -> Stmt {
         Stmt::LoadWeights(WeightLoadStmt {
-            op: op.into(),
+            op: op(name),
             arrays: [ArrayId(array)].into(),
             bytes: 8,
         })
@@ -312,7 +341,7 @@ mod tests {
     #[test]
     fn starts_all_memory() {
         // Every array of the chip buffers without a switch; none computes.
-        let mut f = Flow::new("f");
+        let mut f = flow("f");
         f.push(compute("fc", vec![], (0..8).collect(), vec![]));
         assert_eq!(validate_on(&f, 8), Ok(()));
         for a in 0..8 {
@@ -325,7 +354,7 @@ mod tests {
 
     #[test]
     fn switch_updates_modes_and_clears_residency() {
-        let mut f = Flow::new("f");
+        let mut f = flow("f");
         f.push(Stmt::switch(SwitchKind::ToCompute, vec![ArrayId(0)]));
         f.push(load("fc", 0));
         f.push(Stmt::switch(SwitchKind::ToMemory, vec![ArrayId(0)]));
@@ -339,7 +368,7 @@ mod tests {
 
     #[test]
     fn rejects_load_on_memory_array() {
-        let mut f = Flow::new("f");
+        let mut f = flow("f");
         f.push(load("fc", 3));
         let detail = "weight load for fc into a memory-mode array".to_string();
         let err = MetaOpError::ModeViolation { array: ArrayId(3), stmt: 0, detail };
@@ -351,7 +380,7 @@ mod tests {
     fn out_of_range_ids_are_rejected_before_modes_and_claims() {
         // A conflicting claim, a wrong-mode buffer and a stray id in one
         // statement: the stray id is what gets reported.
-        let mut f = Flow::new("f");
+        let mut f = flow("f");
         f.push(Stmt::switch(SwitchKind::ToCompute, vec![ArrayId(0)]));
         f.push(Stmt::Parallel(vec![
             compute("a", vec![0], vec![], vec![]),
@@ -362,5 +391,21 @@ mod tests {
         assert_eq!(validate_on(&f, 8), Err(stray));
         // Without a chip the id is just another array.
         assert!(matches!(validate(&f), Err(MetaOpError::ModeViolation { array: ArrayId(0), .. })));
+    }
+
+    #[test]
+    fn an_op_index_past_the_table_is_an_error() {
+        let mut f = flow("f");
+        f.push(Stmt::switch(SwitchKind::ToCompute, vec![ArrayId(0)]));
+        f.push(Stmt::Parallel(vec![load("fc", 0), compute("fc", vec![0], vec![], vec![])]));
+        assert_eq!(validate_on(&f, 8), Ok(()));
+        // The same statements over an empty table.
+        let mut bare = Flow::new("bare");
+        for s in f.stmts() {
+            bare.push(s.clone());
+        }
+        let unknown = MetaOpError::UnknownOp { stmt: 1, op: op("fc"), ops: 0 };
+        assert_eq!(validate_on(&bare, 8), Err(unknown.clone()));
+        assert_eq!(validate(&bare), Err(unknown));
     }
 }

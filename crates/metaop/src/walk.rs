@@ -84,16 +84,16 @@ mod tests {
     use crate::{SwitchKind, VectorStmt};
     use cmswitch_arch::ArrayId;
 
-    fn vector(op: &str) -> Stmt {
-        Stmt::Vector(VectorStmt { op: op.into(), flops: 1 })
+    fn vector(op: u32) -> Stmt {
+        Stmt::Vector(VectorStmt { op, flops: 1 })
     }
 
     #[test]
     fn events_in_program_order() {
         let mut f = Flow::new("f");
         f.push(Stmt::switch(SwitchKind::ToCompute, vec![ArrayId(0)]));
-        f.push(Stmt::Parallel(vec![vector("a"), vector("b")]));
-        f.push(vector("tail"));
+        f.push(Stmt::Parallel(vec![vector(0), vector(1)]));
+        f.push(vector(2));
 
         let mut trace = Vec::new();
         let ok: Result<(), ()> = walk_flow(&f, |ev| {
@@ -116,8 +116,8 @@ mod tests {
     #[test]
     fn first_error_stops_the_walk() {
         let mut f = Flow::new("f");
-        f.push(vector("a"));
-        f.push(vector("b"));
+        f.push(vector(0));
+        f.push(vector(1));
         let mut seen = 0usize;
         let err: Result<(), &str> = walk_flow(&f, |_| {
             seen += 1;
@@ -130,7 +130,7 @@ mod tests {
     #[test]
     fn nested_parallel_is_delivered_not_descended() {
         let mut f = Flow::new("f");
-        f.push(Stmt::Parallel(vec![Stmt::Parallel(vec![vector("hidden")])]));
+        f.push(Stmt::Parallel(vec![Stmt::Parallel(vec![vector(3)])]));
         let mut nested = 0usize;
         let mut total = 0usize;
         let ok: Result<(), ()> = walk_flow(&f, |ev| {

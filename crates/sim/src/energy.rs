@@ -10,7 +10,7 @@
 //! activations in memory-mode arrays saves energy.
 
 use cmswitch_arch::DualModeArch;
-use cmswitch_metaop::{Flow, MemLoc, Stmt};
+use cmswitch_metaop::{Flow, FlowOp, MemLoc, Stmt};
 
 /// Per-event energy coefficients in picojoules (normalized; defaults are
 /// representative of 8-bit CIM accelerators).
@@ -93,18 +93,23 @@ impl EnergyReport {
 /// DRAM — the same resource model the timing simulator uses, so latency
 /// and energy winners agree for the right reason.
 pub fn estimate(flow: &Flow, arch: &DualModeArch, model: &EnergyModel) -> EnergyReport {
-    let mut report = EnergyReport::default();
-    visit(flow.stmts(), arch, model, &mut report);
-    report
-}
-
-fn visit(stmts: &[Stmt], arch: &DualModeArch, model: &EnergyModel, report: &mut EnergyReport) {
-    for stmt in stmts {
-        match stmt {
-            Stmt::Parallel(body) => visit(body, arch, model, report),
-            other => accumulate_stmt(other, arch, model, report),
+    fn visit(
+        ops: &[FlowOp],
+        stmts: &[Stmt],
+        arch: &DualModeArch,
+        model: &EnergyModel,
+        report: &mut EnergyReport,
+    ) {
+        for stmt in stmts {
+            match stmt {
+                Stmt::Parallel(body) => visit(ops, body, arch, model, report),
+                other => accumulate_stmt(ops, other, arch, model, report),
+            }
         }
     }
+    let mut report = EnergyReport::default();
+    visit(flow.ops(), flow.stmts(), arch, model, &mut report);
+    report
 }
 
 /// Charges one non-`parallel` statement's energy into `report`.
@@ -114,8 +119,11 @@ fn visit(stmts: &[Stmt], arch: &DualModeArch, model: &EnergyModel, report: &mut 
 /// attributing the same statements through the same function guarantees
 /// the two agree component-for-component regardless of how the events
 /// were scheduled. `parallel` blocks are containers, not events; passing
-/// one charges nothing.
+/// one charges nothing. A compute statement is charged by its op's
+/// shape in `ops` (the flow's op table); one naming an op past the
+/// table, which `metaop::validate` rejects, charges nothing.
 pub fn accumulate_stmt(
+    ops: &[FlowOp],
     stmt: &Stmt,
     arch: &DualModeArch,
     model: &EnergyModel,
@@ -127,7 +135,8 @@ pub fn accumulate_stmt(
             report.switch_pj += arrays.len() as f64 * model.pj_per_switch;
         }
         Stmt::Compute(c) => {
-            let macs = (c.units * c.m * c.k * c.n) as f64;
+            let Some(op) = ops.get(c.op as usize) else { return };
+            let macs = (op.units * op.m * op.k * op.n) as f64;
             report.compute_pj += macs * model.pj_per_mac;
             // Input stream: memory-mode arrays supply their bandwidth
             // share, the rest comes over the DRAM link.
@@ -135,11 +144,11 @@ pub fn accumulate_stmt(
                 (c.mem_in_arrays.len() + c.mem_out_arrays.len()) as f64 * arch.d_cim();
             let total_bw = mem_bw + arch.d_main();
             let onchip_share = if total_bw > 0.0 { mem_bw / total_bw } else { 0.0 };
-            let moved = (c.in_bytes + c.out_bytes) as f64;
+            let moved = (op.in_bytes + op.out_bytes) as f64;
             report.onchip_pj += moved * onchip_share * model.pj_per_onchip_byte;
             report.dram_pj += moved * (1.0 - onchip_share) * model.pj_per_dram_byte;
-            let operand = (c.units * c.k * c.n) as f64;
-            if c.weight_static {
+            let operand = (op.units * op.k * op.n) as f64;
+            if op.weight_static {
                 // Static weights are fetched from DRAM once per
                 // segment, regardless of how many replicas the arrays
                 // hold (the cell-write energy of replication is
@@ -211,17 +220,14 @@ mod tests {
         // Same compute statement with and without memory-mode arrays: the
         // on-chip share grows, DRAM energy falls.
         use cmswitch_arch::ArrayId;
-        use cmswitch_metaop::{ComputeStmt, Stmt, SwitchKind};
+        use cmswitch_metaop::{ComputeStmt, FlowOp, Stmt, SwitchKind};
         let arch = presets::dynaplasia();
         let m = EnergyModel::default();
         let mk = |mem: Vec<ArrayId>| {
             let mut f = Flow::new("e");
-            f.push(Stmt::switch(SwitchKind::ToCompute, vec![ArrayId(0)]));
-            f.push(Stmt::Compute(ComputeStmt {
-                op: "fc".into(),
-                compute_arrays: vec![ArrayId(0)].into(),
-                mem_in_arrays: mem.into(),
-                mem_out_arrays: vec![].into(),
+            let fc = f.push_op(FlowOp {
+                name: "fc".into(),
+                source: 0,
                 m: 64,
                 k: 64,
                 n: 64,
@@ -229,6 +235,13 @@ mod tests {
                 in_bytes: 4096,
                 out_bytes: 4096,
                 weight_static: true,
+            });
+            f.push(Stmt::switch(SwitchKind::ToCompute, vec![ArrayId(0)]));
+            f.push(Stmt::Compute(ComputeStmt {
+                op: fc,
+                compute_arrays: vec![ArrayId(0)].into(),
+                mem_in_arrays: mem.into(),
+                mem_out_arrays: vec![].into(),
             }));
             f
         };

@@ -117,8 +117,9 @@
 //! Each lane is priced once per segment ([`cost::segment_phases`]), into
 //! a reused buffer the occupancy pass reads back. Heap traffic is
 //! bounded by the number of *statements* — one
-//! fixed-size event each, whose label borrows the flow's strings and is
-//! rendered only for the steps of the critical path — never by the
+//! fixed-size event each, whose label borrows its op's name from the
+//! flow's op table and is rendered only for the steps of the critical
+//! path — never by the
 //! number of references. The per-array busy log (one [`BusyInterval`]
 //! per reference, megabytes on an LLM flow) exists exactly when a
 //! `trace*` entry point asked for it; `simulate*` runs the same
@@ -131,7 +132,7 @@ use cmswitch_core::frontend::source_spans;
 use cmswitch_core::{CompileOutcome, CompiledProgram, DiagnosticEvent, Diagnostics, Session};
 use cmswitch_metaop::dense::RunTable;
 use cmswitch_metaop::{
-    validate_on, ArrayRun, ArraySet, Flow, MemLoc, MetaOpError, Stmt, SwitchKind,
+    validate_on, ArrayRun, ArraySet, Flow, FlowOp, MemKind, MemLoc, MetaOpError, Stmt, SwitchKind,
 };
 
 use crate::energy::{self, EnergyModel, EnergyReport};
@@ -171,20 +172,25 @@ impl SequentialModel {
 /// *whole chip* granted to it ([`cost::lane_lower_bound`], the relaxation
 /// the segmentation DP's pruning bound starts from). No event schedule
 /// can beat it, because every compute event's own duration already
-/// exceeds its bound.
+/// exceeds its bound. A compute statement naming an op past the flow's
+/// table bounds nothing (no simulator runs such a flow).
 pub fn latency_lower_bound(flow: &Flow, arch: &DualModeArch) -> f64 {
-    fn visit(stmts: &[Stmt], arch: &DualModeArch) -> f64 {
+    fn visit(flow: &Flow, stmts: &[Stmt], arch: &DualModeArch) -> f64 {
         let mut lb = 0.0f64;
         for stmt in stmts {
             match stmt {
-                Stmt::Parallel(body) => lb = lb.max(visit(body, arch)),
-                Stmt::Compute(c) => lb = lb.max(cost::lane_lower_bound(c, arch)),
+                Stmt::Parallel(body) => lb = lb.max(visit(flow, body, arch)),
+                Stmt::Compute(c) => {
+                    if let Some(op) = flow.op(c.op) {
+                        lb = lb.max(cost::lane_lower_bound(op, arch));
+                    }
+                }
                 _ => {}
             }
         }
         lb
     }
-    visit(flow.stmts(), arch)
+    visit(flow, flow.stmts(), arch)
 }
 
 /// The event-driven simulator. Construct once (optionally with a custom
@@ -374,9 +380,10 @@ pub(crate) fn schedule<'a>(
     Ok(ForwardPass::run(flows, arch, energy_model, timelines)?.finish())
 }
 
-/// What an event is, borrowing the flow's strings: rendered to a
-/// [`CriticalStep::label`] only for the events on the critical path.
-/// `idx` is the top-level statement, `seg` the segment within its flow.
+/// What an event is, borrowing op names from the flow's op table:
+/// rendered to a [`CriticalStep::label`] only for the events on the
+/// critical path. `idx` is the top-level statement, `seg` the segment
+/// within its flow.
 #[derive(Clone, Copy)]
 enum Label<'a> {
     Switch {
@@ -399,7 +406,7 @@ enum Label<'a> {
     },
     Mem {
         idx: usize,
-        label: &'a str,
+        kind: MemKind,
     },
     Vector {
         idx: usize,
@@ -417,7 +424,7 @@ impl Label<'_> {
             Label::Realign { idx, kind, n } => format!("realign#{idx}({} x{n})", kind.keyword()),
             Label::Load { idx, op } => format!("load#{idx}({op})"),
             Label::SegLoad { seg, op } => format!("seg{seg}.load({op})"),
-            Label::Mem { idx, label } => format!("mem#{idx}({label})"),
+            Label::Mem { idx, kind } => format!("mem#{idx}({kind})"),
             Label::Vector { idx, op } => format!("vector#{idx}({op})"),
             Label::SegExec { seg } => format!("seg{seg}.exec"),
         }
@@ -454,6 +461,7 @@ impl Ready {
 /// (the chip's resources are shared state of the pass) and what it cost.
 #[derive(Default)]
 pub(crate) struct FlowState<'a> {
+    ops: &'a [FlowOp],
     stmts: &'a [Stmt],
     seg_deps: Option<&'a [Vec<usize>]>,
     /// Next top-level statement to lower.
@@ -532,6 +540,7 @@ impl<'a> ForwardPass<'a> {
             flows: flows
                 .iter()
                 .map(|&(flow, seg_deps)| FlowState {
+                    ops: flow.ops(),
                     stmts: flow.stmts(),
                     seg_deps,
                     ..FlowState::default()
@@ -591,7 +600,14 @@ impl<'a> ForwardPass<'a> {
 
     /// Adds `stmt`'s energy to the chip total.
     fn charge(&mut self, stmt: &Stmt) {
-        energy::accumulate_stmt(stmt, self.arch, self.energy_model, &mut self.report.energy);
+        let ops = self.flows[self.cur].ops;
+        energy::accumulate_stmt(ops, stmt, self.arch, self.energy_model, &mut self.report.energy);
+    }
+
+    /// The name of op `op` of the current flow (the prepass checked
+    /// every index against its table).
+    fn op_name(&self, op: u32) -> &'a str {
+        &self.flows[self.cur].ops[op as usize].name
     }
 
     fn wait_finish(&self, event: Option<usize>, ready: &mut Ready) {
@@ -780,7 +796,11 @@ impl<'a> ForwardPass<'a> {
             Stmt::LoadWeights(w) => {
                 self.charge(stmt);
                 self.realign(std::slice::from_ref(stmt), idx);
-                let duration = self.push_load(Label::Load { idx, op: &w.op }, &w.arrays);
+                let label = Label::Load {
+                    idx,
+                    op: self.op_name(w.op),
+                };
+                let duration = self.push_load(label, &w.arrays);
                 self.flows[self.cur].busy += duration;
                 self.report.switch_process_cycles += duration;
             }
@@ -800,10 +820,7 @@ impl<'a> ForwardPass<'a> {
                 for &run in arrays.runs() {
                     self.wait_arrays(run, &mut ready);
                 }
-                let label = Label::Mem {
-                    idx,
-                    label: &m.label,
-                };
+                let label = Label::Mem { idx, kind: m.kind };
                 let (id, start, end) = self.record(label, ready, duration);
                 let kind = BusyKind::MemTraffic;
                 for &run in arrays.runs() {
@@ -822,7 +839,11 @@ impl<'a> ForwardPass<'a> {
                 let mut ready = Ready::default();
                 self.wait_finish(self.flows[self.cur].data, &mut ready);
                 self.wait_finish(self.fu, &mut ready);
-                let (id, ..) = self.record(Label::Vector { idx, op: &v.op }, ready, duration);
+                let label = Label::Vector {
+                    idx,
+                    op: self.op_name(v.op),
+                };
+                let (id, ..) = self.record(label, ready, duration);
                 self.report.breakdown.vector += duration;
                 self.fu = Some(id);
                 let flow = &mut self.flows[self.cur];
@@ -839,13 +860,14 @@ impl<'a> ForwardPass<'a> {
 
         // Energy: per statement into the chip total (same order as
         // `energy::estimate`) and into this segment's own bucket.
+        let ops = self.flows[self.cur].ops;
         let mut seg_energy = EnergyReport::default();
         for s in body {
             self.charge(s);
-            energy::accumulate_stmt(s, self.arch, self.energy_model, &mut seg_energy);
+            energy::accumulate_stmt(ops, s, self.arch, self.energy_model, &mut seg_energy);
         }
 
-        let phases = cost::segment_phases(body, self.arch, &mut self.lanes);
+        let phases = cost::segment_phases(ops, body, self.arch, &mut self.lanes);
         let exec_cycles = phases.exec_and_loose();
         let flow = &mut self.flows[self.cur];
         flow.busy += phases.load_phase;
@@ -860,7 +882,7 @@ impl<'a> ForwardPass<'a> {
             if let Stmt::LoadWeights(w) = s {
                 let label = Label::SegLoad {
                     seg: index,
-                    op: &w.op,
+                    op: self.op_name(w.op),
                 };
                 self.push_load(label, &w.arrays);
             }
@@ -1217,12 +1239,11 @@ mod tests {
     use cmswitch_core::{CompileRequest, Session};
     use cmswitch_metaop::{ComputeStmt, MemDirection, MemStmt, WeightLoadStmt};
 
-    fn compute(op: &str, arrays: Vec<ArrayId>, m: usize) -> Stmt {
-        Stmt::Compute(ComputeStmt {
-            op: op.into(),
-            compute_arrays: arrays.into(),
-            mem_in_arrays: vec![].into(),
-            mem_out_arrays: vec![].into(),
+    /// Adds a static `[m,64]·[64,64]` op named `name` to `flow`'s table.
+    fn op(flow: &mut Flow, name: &str, m: usize) -> u32 {
+        flow.push_op(FlowOp {
+            name: name.into(),
+            source: 0,
             m,
             k: 64,
             n: 64,
@@ -1233,12 +1254,30 @@ mod tests {
         })
     }
 
-    fn load(op: &str, arrays: Vec<ArrayId>) -> Stmt {
+    fn compute(op: u32, arrays: Vec<ArrayId>) -> Stmt {
+        Stmt::Compute(ComputeStmt {
+            op,
+            compute_arrays: arrays.into(),
+            mem_in_arrays: vec![].into(),
+            mem_out_arrays: vec![].into(),
+        })
+    }
+
+    fn load(op: u32, arrays: Vec<ArrayId>) -> Stmt {
         let bytes = arrays.len() as u64 * 64;
         Stmt::LoadWeights(WeightLoadStmt {
-            op: op.into(),
+            op,
             arrays: arrays.into(),
             bytes,
+        })
+    }
+
+    fn mem(loc: MemLoc, bytes: u64, kind: MemKind) -> Stmt {
+        Stmt::Mem(MemStmt {
+            loc,
+            direction: MemDirection::Write,
+            bytes,
+            kind,
         })
     }
 
@@ -1246,22 +1285,18 @@ mod tests {
     fn single_segment_flow_matches_sequential_bit_exactly() {
         let arch = presets::tiny();
         let mut flow = Flow::new("single");
+        let (a, b) = (op(&mut flow, "a", 16), op(&mut flow, "b", 256));
         flow.push(Stmt::switch(
             SwitchKind::ToCompute,
             vec![ArrayId(0), ArrayId(1)],
         ));
         flow.push(Stmt::Parallel(vec![
-            load("a", vec![ArrayId(0)]),
-            compute("a", vec![ArrayId(0)], 16),
-            load("b", vec![ArrayId(1)]),
-            compute("b", vec![ArrayId(1)], 256),
+            load(a, vec![ArrayId(0)]),
+            compute(a, vec![ArrayId(0)]),
+            load(b, vec![ArrayId(1)]),
+            compute(b, vec![ArrayId(1)]),
         ]));
-        flow.push(Stmt::Mem(MemStmt {
-            loc: MemLoc::Main,
-            direction: MemDirection::Write,
-            bytes: 2048,
-            label: "final output".into(),
-        }));
+        flow.push(mem(MemLoc::Main, 2048, MemKind::FinalOutput));
         let seq = SequentialModel.simulate(&flow, &arch).unwrap();
         let eng = EventEngine::new().simulate(&flow, &arch).unwrap();
         assert_eq!(eng.total_cycles.to_bits(), seq.total_cycles.to_bits());
@@ -1276,27 +1311,23 @@ mod tests {
         // load, so the engine beats the serial replay.
         let arch = presets::tiny();
         let mut flow = Flow::new("overlap");
+        let (a, b) = (op(&mut flow, "a", 64), op(&mut flow, "b", 64));
         flow.push(Stmt::switch(
             SwitchKind::ToCompute,
             vec![ArrayId(0), ArrayId(1)],
         ));
         flow.push(Stmt::Parallel(vec![
-            load("a", vec![ArrayId(0), ArrayId(1)]),
-            compute("a", vec![ArrayId(0), ArrayId(1)], 64),
+            load(a, vec![ArrayId(0), ArrayId(1)]),
+            compute(a, vec![ArrayId(0), ArrayId(1)]),
         ]));
-        flow.push(Stmt::Mem(MemStmt {
-            loc: MemLoc::Main,
-            direction: MemDirection::Write,
-            bytes: 1 << 16,
-            label: "seg1 writeback".into(),
-        }));
+        flow.push(mem(MemLoc::Main, 1 << 16, MemKind::Writeback { segment: 1 }));
         flow.push(Stmt::switch(
             SwitchKind::ToCompute,
             vec![ArrayId(2), ArrayId(3)],
         ));
         flow.push(Stmt::Parallel(vec![
-            load("b", vec![ArrayId(2), ArrayId(3)]),
-            compute("b", vec![ArrayId(2), ArrayId(3)], 64),
+            load(b, vec![ArrayId(2), ArrayId(3)]),
+            compute(b, vec![ArrayId(2), ArrayId(3)]),
         ]));
         let seq = SequentialModel.simulate(&flow, &arch).unwrap();
         let trace = EventEngine::new().trace(&flow, &arch).unwrap();
@@ -1371,6 +1402,27 @@ mod tests {
             "no segment waits on two"
         );
         assert_eq!(segment_deps(&program), Some(expected));
+    }
+
+    #[test]
+    fn statements_naming_ops_past_the_table_are_errors_not_panics() {
+        // A compiled program's statements re-pushed into a flow with an
+        // empty op table.
+        let arch = presets::tiny();
+        let g = cmswitch_models::mlp::mlp(1, &[128, 128, 64]).unwrap();
+        let mut program = Session::builder(arch.clone()).build().compile_graph(&g).unwrap();
+        let mut bare = Flow::new("broken");
+        for s in program.flow.stmts() {
+            bare.push(s.clone());
+        }
+        program.flow = bare;
+        let unknown = |r: Result<(), MetaOpError>| matches!(r, Err(MetaOpError::UnknownOp { .. }));
+        let engine = EventEngine::new();
+        assert!(unknown(engine.simulate_program(&program, &arch).map(drop)));
+        assert!(unknown(engine.trace_program(&program, &arch).map(drop)));
+        assert!(unknown(SequentialModel.simulate(&program.flow, &arch).map(drop)));
+        assert_eq!(latency_lower_bound(&program.flow, &arch), 0.0);
+        assert!(energy::estimate(&program.flow, &arch, &EnergyModel::default()).compute_pj == 0.0);
     }
 
     #[test]
@@ -1464,9 +1516,9 @@ mod tests {
     }
 
     /// A compute statement with buffers.
-    fn lane(op: &str, arrays: [Vec<ArrayId>; 3], m: usize) -> Stmt {
+    fn lane(op: u32, arrays: [Vec<ArrayId>; 3]) -> Stmt {
         let [compute_arrays, mem_in, mem_out] = arrays;
-        let Stmt::Compute(mut c) = compute(op, compute_arrays, m) else {
+        let Stmt::Compute(mut c) = compute(op, compute_arrays) else {
             unreachable!("`compute` builds a compute statement")
         };
         c.mem_in_arrays = mem_in.into();
@@ -1483,29 +1535,32 @@ mod tests {
         ForwardPass::run(flows, arch, energy, Some(idle_timelines(arch))).unwrap()
     }
 
-    fn lane_cycles(s: &Stmt, body: &[Stmt], arch: &DualModeArch) -> f64 {
+    fn lane_cycles(flow: &Flow, s: &Stmt, body: &[Stmt], arch: &DualModeArch) -> f64 {
         let Stmt::Compute(c) = s else { unreachable!() };
-        cost::lane_duration(c, body, arch)
+        cost::lane_duration(flow.ops(), c, body, arch)
     }
 
     #[test]
     fn an_array_named_twice_in_a_segment_is_freed_by_its_first_lane() {
-        // Rule 2: op `a` runs two lanes over array 0; successors wait for
-        // the first lane's release, not the later one.
+        // Rule 2: op `a` runs two lanes over array 0, the first on more
+        // arrays and so shorter; successors wait for the first lane's
+        // release, not the later one.
         let arch = presets::tiny();
-        let body = vec![
-            compute("a", vec![ArrayId(0)], 16),
-            compute("a", ids(0..=1), 256),
-        ];
         let mut flow = Flow::new("twice");
-        flow.push(Stmt::switch(SwitchKind::ToCompute, ids(0..=1)));
+        let a = op(&mut flow, "a", 256);
+        let (b, c) = (op(&mut flow, "b", 1), op(&mut flow, "c", 1));
+        let body = vec![
+            compute(a, vec![ArrayId(0), ArrayId(2), ArrayId(3)]),
+            compute(a, ids(0..=1)),
+        ];
+        flow.push(Stmt::switch(SwitchKind::ToCompute, ids(0..=3)));
         flow.push(Stmt::Parallel(body.clone()));
-        flow.push(load("b", vec![ArrayId(0)]));
-        flow.push(load("c", vec![ArrayId(1)]));
+        flow.push(load(b, vec![ArrayId(0)]));
+        flow.push(load(c, vec![ArrayId(1)]));
         let energy = EnergyModel::default();
         let pass = pass(&[(&flow, None)], &arch, &energy);
-        let short = lane_cycles(&body[0], &body, &arch);
-        let long = lane_cycles(&body[1], &body, &arch);
+        let short = lane_cycles(&flow, &body[0], &body, &arch);
+        let long = lane_cycles(&flow, &body[1], &body, &arch);
         assert!(short < long);
         let exec = pass
             .events
@@ -1533,22 +1588,19 @@ mod tests {
         // (Eq. 6 reuse): arrays both name stay busy for the longer lane,
         // and the busy time is summed id by id in first-named order.
         let arch = presets::tiny();
-        let body = vec![
-            lane(
-                "a",
-                [ids(0..=1), vec![], ids(4..=6).into_iter().rev().collect()],
-                16,
-            ),
-            lane("b", [ids(2..=3), ids(5..=7), vec![]], 256),
-        ];
         let mut flow = Flow::new("lanes");
+        let (a, b) = (op(&mut flow, "a", 16), op(&mut flow, "b", 256));
+        let body = vec![
+            lane(a, [ids(0..=1), vec![], ids(4..=6).into_iter().rev().collect()]),
+            lane(b, [ids(2..=3), ids(5..=7), vec![]]),
+        ];
         flow.push(Stmt::switch(SwitchKind::ToCompute, ids(0..=3)));
         flow.push(Stmt::Parallel(body.clone()));
         flow.push(Stmt::switch(SwitchKind::ToMemory, ids(0..=3)));
         let energy = EnergyModel::default();
         let pass = pass(&[(&flow, None)], &arch, &energy);
-        let la = lane_cycles(&body[0], &body, &arch);
-        let lb = lane_cycles(&body[1], &body, &arch);
+        let la = lane_cycles(&flow, &body[0], &body, &arch);
+        let lb = lane_cycles(&flow, &body[1], &body, &arch);
         assert!(la < lb);
         let (exec_id, exec) = pass
             .events
@@ -1587,10 +1639,11 @@ mod tests {
         // sequential replay's, where a re-switch would add a cycle.
         let arch = presets::tiny();
         let mut flow = Flow::new("after-use");
+        let a = op(&mut flow, "a", 16);
         flow.push(Stmt::switch(SwitchKind::ToCompute, vec![ArrayId(0)]));
         flow.push(Stmt::Parallel(vec![
-            load("a", vec![ArrayId(0)]),
-            compute("a", vec![ArrayId(0)], 16),
+            load(a, vec![ArrayId(0)]),
+            compute(a, vec![ArrayId(0)]),
             Stmt::switch(SwitchKind::ToMemory, vec![ArrayId(0)]),
         ]));
         let seq = SequentialModel.simulate(&flow, &arch).unwrap();
@@ -1606,19 +1659,15 @@ mod tests {
         // so no flow caused a re-switch and none is injected.
         let arch = presets::tiny();
         let mut flow = Flow::new("after-use");
+        let a = op(&mut flow, "a", 16);
         flow.push(Stmt::switch(SwitchKind::ToCompute, vec![ArrayId(0)]));
         flow.push(Stmt::Parallel(vec![
-            load("a", vec![ArrayId(0)]),
-            compute("a", vec![ArrayId(0)], 16),
+            load(a, vec![ArrayId(0)]),
+            compute(a, vec![ArrayId(0)]),
             Stmt::switch(SwitchKind::ToMemory, vec![ArrayId(0)]),
         ]));
         let mut other = Flow::new("bus-only");
-        other.push(Stmt::Mem(MemStmt {
-            loc: MemLoc::Main,
-            direction: MemDirection::Write,
-            bytes: 4096,
-            label: "spill".into(),
-        }));
+        other.push(mem(MemLoc::Main, 4096, MemKind::Transfer));
         let energy = EnergyModel::default();
         let pass = pass(&[(&flow, None), (&other, None)], &arch, &energy);
         assert_eq!(pass.switches.injected, 0);
@@ -1636,17 +1685,13 @@ mod tests {
         let quad = ids(0..=3);
         let mut a = Flow::new("a");
         a.push(Stmt::switch(SwitchKind::ToCompute, quad.clone()));
-        for op in ["a0", "a1"] {
-            let body = vec![load(op, quad.clone()), compute(op, quad.clone(), 64)];
+        for name in ["a0", "a1"] {
+            let op = op(&mut a, name, 64);
+            let body = vec![load(op, quad.clone()), compute(op, quad.clone())];
             a.push(Stmt::Parallel(body));
         }
         let mut b = Flow::new("b");
-        b.push(Stmt::Mem(MemStmt {
-            loc: MemLoc::CimArrays(ids(2..=5).into()),
-            direction: MemDirection::Write,
-            bytes: 4096,
-            label: "spill".into(),
-        }));
+        b.push(mem(MemLoc::CimArrays(ids(2..=5).into()), 4096, MemKind::Transfer));
         let energy = EnergyModel::default();
         let pass = pass(&[(&a, None), (&b, None)], &arch, &energy);
         let realigns: Vec<(SwitchKind, usize)> = pass
@@ -1681,26 +1726,20 @@ mod tests {
         // and 1, `b` spills through them in memory mode, so each flips
         // arrays the other still needs.
         let arch = presets::tiny();
-        let mem = |loc| {
-            Stmt::Mem(MemStmt {
-                loc,
-                direction: MemDirection::Write,
-                bytes: 4096,
-                label: "traffic".into(),
-            })
-        };
+        let traffic = |loc| mem(loc, 4096, MemKind::Transfer);
         let pair = vec![ArrayId(0), ArrayId(1)];
         let on_pair = || MemLoc::CimArrays(pair.clone().into());
         let mut a = Flow::new("a");
         a.push(Stmt::switch(SwitchKind::ToCompute, pair.clone()));
-        for op in ["a0", "a1"] {
-            let body = vec![load(op, pair.clone()), compute(op, pair.clone(), 64)];
+        for name in ["a0", "a1"] {
+            let op = op(&mut a, name, 64);
+            let body = vec![load(op, pair.clone()), compute(op, pair.clone())];
             a.push(Stmt::Parallel(body));
-            a.push(mem(MemLoc::Main));
+            a.push(traffic(MemLoc::Main));
         }
         let mut b = Flow::new("b");
         for loc in [on_pair(), MemLoc::Main, on_pair()] {
-            b.push(mem(loc));
+            b.push(traffic(loc));
         }
         let flows = [(&a, None), (&b, None)];
         let energy_model = EnergyModel::default();

@@ -300,13 +300,11 @@ fn jain_fairness(shares: &[f64]) -> f64 {
 /// Relocates a partition-relative flow onto the physical chip by
 /// offsetting every array reference by the partition base.
 fn offset_flow(flow: &Flow, base: u32) -> Flow {
-    let mut out = Flow::new(flow.name());
-    for stmt in flow.stmts() {
-        let mut s = stmt.clone();
+    let mut out = flow.clone();
+    for s in out.stmts_mut() {
         s.for_each_array_set_mut(&mut |arrays| {
             *arrays = arrays.iter().map(|a| ArrayId(a.0 + base)).collect();
         });
-        out.push(s);
     }
     out
 }

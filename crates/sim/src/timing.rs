@@ -39,7 +39,7 @@ pub fn simulate(flow: &Flow, arch: &DualModeArch) -> Result<SimReport, MetaOpErr
     for (idx, stmt) in flow.stmts().iter().enumerate() {
         match stmt {
             Stmt::Parallel(body) => {
-                let t = simulate_segment(body, arch, idx, &mut lanes, &mut report);
+                let t = simulate_segment(flow, body, arch, idx, &mut lanes, &mut report);
                 report.segment_cycles += t.cycles;
                 report.segments.push(t);
             }
@@ -77,7 +77,7 @@ pub fn simulate(flow: &Flow, arch: &DualModeArch) -> Result<SimReport, MetaOpErr
                 // A bare compute statement outside `parallel` is a
                 // single-lane segment.
                 let body = std::slice::from_ref(stmt);
-                let t = simulate_segment(body, arch, idx, &mut lanes, &mut report);
+                let t = simulate_segment(flow, body, arch, idx, &mut lanes, &mut report);
                 report.segment_cycles += t.cycles;
                 report.segments.push(t);
             }
@@ -94,13 +94,14 @@ pub fn simulate(flow: &Flow, arch: &DualModeArch) -> Result<SimReport, MetaOpErr
 /// loose memory work) — the same association the event engine uses, so
 /// serial flows compare bit-exactly across the two simulators.
 fn simulate_segment(
+    flow: &Flow,
     body: &[Stmt],
     arch: &DualModeArch,
     seg_idx: usize,
     lanes: &mut Vec<f64>,
     report: &mut SimReport,
 ) -> SegmentTiming {
-    let phases = cost::segment_phases(body, arch, lanes);
+    let phases = cost::segment_phases(flow.ops(), body, arch, lanes);
     report.total_cycles += phases.load_phase;
     report.total_cycles += phases.exec_and_loose();
 
@@ -153,19 +154,17 @@ mod tests {
     fn segment_takes_slowest_lane() {
         // Hand-build a segment with two unequal lanes.
         use cmswitch_arch::ArrayId;
-        use cmswitch_metaop::{ComputeStmt, Flow, Stmt, SwitchKind};
+        use cmswitch_metaop::{ComputeStmt, Flow, FlowOp, Stmt, SwitchKind};
         let arch = presets::tiny();
         let mut flow = Flow::new("t");
         flow.push(Stmt::switch(
             SwitchKind::ToCompute,
             vec![ArrayId(0), ArrayId(1)],
         ));
-        let mk = |op: &str, arrays: Vec<ArrayId>, m: usize| {
-            Stmt::Compute(ComputeStmt {
-                op: op.into(),
-                compute_arrays: arrays.into(),
-                mem_in_arrays: vec![].into(),
-                mem_out_arrays: vec![].into(),
+        let mut mk = |name: &str, arrays: Vec<ArrayId>, m: usize| {
+            let op = flow.push_op(FlowOp {
+                name: name.into(),
+                source: 0,
                 m,
                 k: 64,
                 n: 64,
@@ -173,12 +172,19 @@ mod tests {
                 in_bytes: (m * 64) as u64,
                 out_bytes: (m * 64) as u64,
                 weight_static: true,
+            });
+            Stmt::Compute(ComputeStmt {
+                op,
+                compute_arrays: arrays.into(),
+                mem_in_arrays: vec![].into(),
+                mem_out_arrays: vec![].into(),
             })
         };
-        flow.push(Stmt::Parallel(vec![
+        let body = vec![
             mk("small", vec![ArrayId(0)], 8),
             mk("big", vec![ArrayId(1)], 512),
-        ]));
+        ];
+        flow.push(Stmt::Parallel(body));
         let r = simulate(&flow, &arch).unwrap();
         // Big lane: work = 512*64*64 at min(1*256, ...) rate; small lane
         // strictly less. The segment equals the big lane, not the sum.
@@ -192,13 +198,11 @@ mod tests {
     #[test]
     fn mode_violation_surfaces() {
         use cmswitch_arch::ArrayId;
-        use cmswitch_metaop::{ComputeStmt, Flow, Stmt};
+        use cmswitch_metaop::{ComputeStmt, Flow, FlowOp, MetaOpError, Stmt};
         let mut flow = Flow::new("bad");
-        flow.push(Stmt::Parallel(vec![Stmt::Compute(ComputeStmt {
-            op: "fc".into(),
-            compute_arrays: vec![ArrayId(0)].into(), // still memory mode!
-            mem_in_arrays: vec![].into(),
-            mem_out_arrays: vec![].into(),
+        let fc = flow.push_op(FlowOp {
+            name: "fc".into(),
+            source: 0,
             m: 1,
             k: 1,
             n: 1,
@@ -206,7 +210,19 @@ mod tests {
             in_bytes: 1,
             out_bytes: 1,
             weight_static: true,
-        })]));
-        assert!(simulate(&flow, &presets::tiny()).is_err());
+        });
+        let compute = |op| {
+            Stmt::Compute(ComputeStmt {
+                op,
+                compute_arrays: vec![ArrayId(0)].into(), // still memory mode!
+                mem_in_arrays: vec![].into(),
+                mem_out_arrays: vec![].into(),
+            })
+        };
+        flow.push(Stmt::Parallel(vec![compute(fc)]));
+        assert!(matches!(
+            simulate(&flow, &presets::tiny()),
+            Err(MetaOpError::ModeViolation { .. })
+        ));
     }
 }

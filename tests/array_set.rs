@@ -13,7 +13,8 @@ use cmswitch::arch::{presets, ArrayId};
 use cmswitch::compiler::artifact::{decode_program, encode_program};
 use cmswitch::compiler::CompiledProgram;
 use cmswitch::metaop::{
-    ArraySet, ComputeStmt, Flow, MemDirection, MemLoc, MemStmt, Stmt, SwitchKind, WeightLoadStmt,
+    ArraySet, ComputeStmt, MemDirection, MemKind, MemLoc, MemStmt, Stmt, SwitchKind,
+    WeightLoadStmt,
 };
 use cmswitch::prelude::*;
 
@@ -76,51 +77,40 @@ fn hash_of(set: &ArraySet) -> u64 {
     h.finish()
 }
 
-/// A flow that carries `set` in every list position the IR has.
-fn flow_with(set: &ArraySet) -> Flow {
-    let mut flow = Flow::new("sets");
-    flow.push(Stmt::switch(SwitchKind::ToCompute, set.clone()));
-    flow.push(Stmt::Parallel(vec![
+/// A compiled program without its run history, which the wire does not
+/// carry, whose flow carries `set` in every list position the IR has
+/// (over the program's own op table, which the wire derives from its
+/// ops).
+fn program_with(set: &ArraySet) -> CompiledProgram {
+    let graph = cmswitch::models::mlp::mlp(1, &[64, 64]).unwrap();
+    let mut program = Session::builder(presets::tiny())
+        .build()
+        .compile_graph(&graph)
+        .unwrap();
+    program.stats = CompileStats::default();
+    let stmts = program.flow.stmts_mut();
+    stmts.clear();
+    stmts.push(Stmt::switch(SwitchKind::ToCompute, set.clone()));
+    stmts.push(Stmt::Parallel(vec![
         Stmt::LoadWeights(WeightLoadStmt {
-            op: "fc".into(),
+            op: 0,
             arrays: set.clone(),
             bytes: 64,
         }),
         Stmt::Compute(ComputeStmt {
-            op: "fc".into(),
+            op: 0,
             compute_arrays: set.clone(),
             mem_in_arrays: set.iter().step_by(2).collect(),
             mem_out_arrays: ArraySet::new(),
-            m: 1,
-            k: 2,
-            n: 3,
-            units: 1,
-            in_bytes: 4,
-            out_bytes: 5,
-            weight_static: true,
         }),
     ]));
-    flow.push(Stmt::Mem(MemStmt {
+    stmts.push(Stmt::Mem(MemStmt {
         loc: MemLoc::CimArrays(set.clone()),
         direction: MemDirection::Write,
         bytes: 6,
-        label: "spill".into(),
+        kind: MemKind::Transfer,
     }));
-    flow
-}
-
-/// A compiled program without its run history, which the wire does not
-/// carry.
-fn sample_program() -> CompiledProgram {
-    let graph = cmswitch::models::mlp::mlp(1, &[64, 64]).unwrap();
-    let program = Session::builder(presets::tiny())
-        .build()
-        .compile_graph(&graph)
-        .unwrap();
-    CompiledProgram {
-        stats: CompileStats::default(),
-        ..program
-    }
+    program
 }
 
 proptest! {
@@ -173,7 +163,7 @@ proptest! {
     #[test]
     fn sets_cross_the_artifact_wire_byte_identically(seed in 0u64..u64::MAX) {
         let set: ArraySet = sequence(seed).into_iter().collect();
-        let program = CompiledProgram { flow: flow_with(&set), ..sample_program() };
+        let program = program_with(&set);
         let bytes = encode_program(&program);
         let decoded = decode_program(&bytes).unwrap();
         prop_assert_eq!(&decoded, &program);
@@ -195,10 +185,7 @@ fn the_spill_boundary_is_invisible() {
         let mut grown = ArraySet::from(&list[..list.len() - 1]);
         grown.push(*list.last().unwrap());
         assert_eq!((hash_of(&grown), grown), (hash_of(&set), set.clone()));
-        let program = CompiledProgram {
-            flow: flow_with(&set),
-            ..sample_program()
-        };
+        let program = program_with(&set);
         let bytes = encode_program(&program);
         assert_eq!(encode_program(&decode_program(&bytes).unwrap()), bytes);
     }

@@ -11,8 +11,10 @@
 //! Each mutant must decode to a typed [`ArtifactError`], or to a program
 //! that `Verifier::run` and `validate_on` check without a panic; and no
 //! decode may hold more than a fixed multiple of its input's bytes,
-//! whatever a forged count claims. Forged op `source` sequences and
-//! dependency edges naming sources no op has meet the same checks.
+//! whatever a forged count claims. Forged op `source` sequences,
+//! dependency edges naming sources no op has, statements naming ops
+//! past the op table (or a table cut short under them) and unknown
+//! memory-statement kinds meet the same checks.
 //!
 //! Own test binary: the counting `#[global_allocator]` (`counting`)
 //! must not tax the other suites.
@@ -27,7 +29,7 @@ use cmswitch::compiler::artifact::{
 };
 use cmswitch::compiler::artifact::{FORMAT_VERSION, KIND_PROGRAM, MAGIC};
 use cmswitch::compiler::verify::rules;
-use cmswitch::metaop::validate_on;
+use cmswitch::metaop::{validate_on, MemDirection, MemKind, MemLoc, MemStmt, Stmt};
 use cmswitch::models::registry;
 use cmswitch::prelude::*;
 use counting::measured;
@@ -304,6 +306,7 @@ fn forged_parallel_count_reserves_only_what_the_payload_holds() {
     const BEHIND: usize = 1 << 16;
     let mut payload = Vec::new();
     payload.extend_from_slice(&0u64.to_le_bytes()); // flow name: ""
+    payload.extend_from_slice(&0u64.to_le_bytes()); // no ops
     payload.extend_from_slice(&1u64.to_le_bytes()); // one statement
     payload.push(5); // Stmt::Parallel
     payload.extend_from_slice(&(BEHIND as u64).to_le_bytes());
@@ -433,4 +436,65 @@ fn forged_sources_are_refused_and_foreign_source_edges_are_findings() {
         );
     }
     assert_eq!(tally.decoded, 4, "{tally:?}");
+}
+
+/// Statements carry `u32` indices into the op table the program's ops
+/// make. An index at or past the table — forged into a compute, a
+/// weight load or a vector statement, or left behind by a table cut
+/// short — and a memory statement whose kind tag names no kind are all
+/// `Malformed`, at the fuzz's memory bound.
+#[test]
+fn forged_op_indices_short_tables_and_mem_kinds_are_malformed() {
+    let arch = presets::tiny();
+    let graph = cmswitch::models::mlp::mlp(2, &[256, 256, 256, 64]).unwrap();
+    let program = Session::builder(arch.clone())
+        .build()
+        .compile_graph(&graph)
+        .unwrap();
+    let n_ops = program.ops.len() as u32;
+    let mut tally = Tally::default();
+    let mut cases = 0;
+    for kind in ["compute", "load", "vector"] {
+        for op in [n_ops, n_ops + 1, u32::MAX] {
+            let mut forged = program.clone();
+            let body = forged.flow.stmts_mut().iter_mut().find_map(|s| match s {
+                Stmt::Parallel(body) => Some(body),
+                _ => None,
+            });
+            let named = body.unwrap().iter_mut().find_map(|s| match (kind, s) {
+                ("compute", Stmt::Compute(c)) => Some(&mut c.op),
+                ("load", Stmt::LoadWeights(w)) => Some(&mut w.op),
+                ("vector", Stmt::Vector(v)) => Some(&mut v.op),
+                _ => None,
+            });
+            *named.unwrap_or_else(|| panic!("the first block has no {kind}")) = op;
+            check(Kind::Program, &encode_program(&forged), &arch, &format!("{kind} op {op}"), &mut tally);
+            cases += 1;
+        }
+    }
+    for keep in [0, 1, program.ops.len() - 1] {
+        let mut short = program.clone();
+        short.ops.truncate(keep);
+        check(Kind::Program, &encode_program(&short), &arch, &format!("{keep} ops"), &mut tally);
+        cases += 1;
+    }
+    // A memory statement whose byte count marks where its kind tag sits.
+    const MARK: u64 = 0x5EED_C0DE_0FA7_0F17;
+    let mut marked = program.clone();
+    marked.flow.push(Stmt::Mem(MemStmt {
+        loc: MemLoc::Main,
+        direction: MemDirection::Write,
+        bytes: MARK,
+        kind: MemKind::Transfer,
+    }));
+    let clean = encode_program(&marked);
+    let at = clean.windows(8).position(|w| w == MARK.to_le_bytes()).unwrap() + 8;
+    assert_eq!(clean[at], 2, "the transfer tag follows the byte count");
+    for tag in [3, 4, 0x80, 0xFF] {
+        let mut forged = clean.clone();
+        forged[at] = tag;
+        check(Kind::Program, &reseal(Kind::Program, forged), &arch, &format!("mem kind {tag}"), &mut tally);
+        cases += 1;
+    }
+    assert_eq!((tally.malformed, tally.decoded, tally.truncated), (cases, 0, 0), "{tally:?}");
 }

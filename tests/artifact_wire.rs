@@ -11,7 +11,8 @@
 //!   architecture presets round-trip and re-encode deterministically.
 //! * **Error paths** — truncation at every framing boundary, a wrong
 //!   version header, a corrupted payload, kind confusion, forged
-//!   `parallel` nesting and forged array runs all fail with the precise
+//!   `parallel` nesting, forged array runs, op indices past the op table
+//!   and unknown memory-statement kinds all fail with the precise
 //!   typed [`ArtifactError`] — never a panic, never a stack overflow,
 //!   never an allocation the size of a forged length, never a silently
 //!   wrong program.
@@ -23,7 +24,7 @@ use cmswitch::compiler::artifact::{
     decode_program, encode_program, ArtifactError, FORMAT_VERSION, KIND_PROGRAM, MAGIC,
 };
 use cmswitch::compiler::CompiledProgram;
-use cmswitch::metaop::{Flow, Stmt};
+use cmswitch::metaop::Stmt;
 use cmswitch::models::registry;
 use cmswitch::prelude::*;
 use cmswitch::sim::timing::simulate;
@@ -148,8 +149,9 @@ fn wrong_version_header_is_rejected_up_front() {
         ArtifactError::UnsupportedVersion(1)
     );
     // Nor does format 2, whose array lists were one `u32` per id, nor
-    // format 3, which also persisted each compile's run history.
-    for old in [2, 3] {
+    // format 3, which also persisted each compile's run history, nor
+    // formats 4 and 5, whose statements carried op names and shapes.
+    for old in [2, 3, 4, 5] {
         bytes[8] = old;
         assert_eq!(
             decode_program(&bytes).unwrap_err(),
@@ -176,14 +178,31 @@ fn corrupted_magic_and_payload_are_rejected() {
     ));
 }
 
-/// A program artifact whose payload is an empty flow name, one top-level
-/// statement and then `depth` nested `parallel` tags of one statement
-/// each — header and checksum valid, so the statement decoder is what
-/// meets it. (The checksum function is private; a first decode reports
-/// what it computed over the forged payload.)
+/// `payload` framed as a program artifact with a valid header and
+/// checksum, so the payload decoder is what meets it. (The checksum
+/// function is private; a first decode reports what it computed over
+/// the forged payload.)
+fn seal(payload: &[u8]) -> Vec<u8> {
+    let mut bytes = MAGIC.to_vec();
+    bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    bytes.extend_from_slice(&KIND_PROGRAM.to_le_bytes());
+    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(&0u64.to_le_bytes());
+    bytes.extend_from_slice(payload);
+    let Err(ArtifactError::ChecksumMismatch { found, .. }) = decode_program(&bytes) else {
+        panic!("a zero checksum matched the forged payload");
+    };
+    bytes[24..32].copy_from_slice(&found.to_le_bytes());
+    bytes
+}
+
+/// A program artifact whose payload is an empty flow name, no ops, one
+/// top-level statement and then `depth` nested `parallel` tags of one
+/// statement each.
 fn forged_nesting(depth: usize) -> Vec<u8> {
     let mut payload = Vec::with_capacity(32 + 9 * depth);
     payload.extend_from_slice(&0u64.to_le_bytes()); // flow name: ""
+    payload.extend_from_slice(&0u64.to_le_bytes()); // no ops
     payload.extend_from_slice(&1u64.to_le_bytes()); // one statement
     for _ in 0..depth {
         payload.push(5); // Stmt::Parallel
@@ -191,18 +210,7 @@ fn forged_nesting(depth: usize) -> Vec<u8> {
     }
     // Enough bytes behind the innermost tag for its length guard.
     payload.extend_from_slice(&[0; 16]);
-
-    let mut bytes = MAGIC.to_vec();
-    bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    bytes.extend_from_slice(&KIND_PROGRAM.to_le_bytes());
-    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&0u64.to_le_bytes());
-    bytes.extend_from_slice(&payload);
-    let Err(ArtifactError::ChecksumMismatch { found, .. }) = decode_program(&bytes) else {
-        panic!("a zero checksum matched the forged payload");
-    };
-    bytes[24..32].copy_from_slice(&found.to_le_bytes());
-    bytes
+    seal(&payload)
 }
 
 /// Nested blocks are illegal (`race-nested`), so the decoder bounds them
@@ -235,14 +243,12 @@ fn one_nested_block_round_trips() {
     let arch = presets::tiny();
     let graph = cmswitch::models::mlp::mlp(2, &[128, 256, 128]).unwrap();
     let honest = compile(BackendKind::CmSwitch, &arch, &graph);
-    let mut flow = Flow::new(honest.flow.name());
-    for stmt in honest.flow.stmts() {
-        flow.push(match stmt {
-            Stmt::Parallel(body) => Stmt::Parallel(vec![Stmt::Parallel(body.clone())]),
-            other => other.clone(),
-        });
+    let mut nested = honest;
+    for stmt in nested.flow.stmts_mut() {
+        if let Stmt::Parallel(body) = stmt {
+            *body = vec![Stmt::Parallel(std::mem::take(body))];
+        }
     }
-    let nested = CompiledProgram { flow, ..honest };
     assert!(
         nested.flow.stmts().iter().any(|s| matches!(s, Stmt::Parallel(_))),
         "the sample has no block to nest"
@@ -271,29 +277,25 @@ fn runs(count: u32, runs: &[(u32, u32, u8)]) -> Vec<u8> {
     list
 }
 
-/// A program artifact whose flow is one `CM.switch(TOC, list)` and whose
-/// plan is empty, with a valid header and checksum — so the array-list
-/// decoder is what meets `list`.
-fn forged_switch(list: &[u8]) -> Vec<u8> {
+/// A program artifact with no ops whose flow is the one statement
+/// `stmt` (its encoded bytes) and whose plan is empty.
+fn forged_stmt(stmt: &[u8]) -> Vec<u8> {
     let mut payload = Vec::new();
     payload.extend_from_slice(&0u64.to_le_bytes()); // flow name: ""
+    payload.extend_from_slice(&0u64.to_le_bytes()); // no ops
     payload.extend_from_slice(&1u64.to_le_bytes()); // one statement
-    payload.extend_from_slice(&[0, 1]); // Stmt::Switch, ToCompute
-    payload.extend_from_slice(list);
-    // ops, op_deps, segments: none; predicted latency 0.0.
-    payload.extend_from_slice(&[0; 8 * 4]);
+    payload.extend_from_slice(stmt);
+    // op_deps, segments: none; predicted latency 0.0.
+    payload.extend_from_slice(&[0; 8 * 3]);
+    seal(&payload)
+}
 
-    let mut bytes = MAGIC.to_vec();
-    bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    bytes.extend_from_slice(&KIND_PROGRAM.to_le_bytes());
-    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&0u64.to_le_bytes());
-    bytes.extend_from_slice(&payload);
-    let Err(ArtifactError::ChecksumMismatch { found, .. }) = decode_program(&bytes) else {
-        panic!("a zero checksum matched the forged payload");
-    };
-    bytes[24..32].copy_from_slice(&found.to_le_bytes());
-    bytes
+/// A program artifact whose flow is one `CM.switch(TOC, list)` and whose
+/// plan is empty — so the array-list decoder is what meets `list`.
+fn forged_switch(list: &[u8]) -> Vec<u8> {
+    let mut stmt = vec![0, 1]; // Stmt::Switch, ToCompute
+    stmt.extend_from_slice(list);
+    forged_stmt(&stmt)
 }
 
 /// Run lists the encoder never writes are grammar violations:
@@ -349,4 +351,56 @@ fn hostile_array_runs_are_malformed() {
         let reaches_past = arrays.runs().iter().any(|r| r.max().index() >= arch.n_arrays());
         assert_eq!(beyond, usize::from(reaches_past), "{what}:\n{report}");
     }
+}
+
+/// Statements name their op by its index in the op table the program's
+/// ops make: an index at or past the table is a grammar violation, and
+/// so is a memory statement whose kind tag names no kind. A table
+/// shorter than the statements need is the same violation, met at the
+/// first statement past it.
+#[test]
+fn hostile_op_indices_and_mem_kinds_are_malformed() {
+    let past = ArtifactError::Malformed("op index past the op table");
+    // Compute, weight load and vector statements naming op 0 of a
+    // program that has none.
+    let compute = [vec![1], 0u32.to_le_bytes().to_vec(), runs(0, &[]), runs(0, &[]), runs(0, &[])];
+    let load = [vec![2], 0u32.to_le_bytes().to_vec(), runs(0, &[]), 8u64.to_le_bytes().to_vec()];
+    let vector = [vec![4], 0u32.to_le_bytes().to_vec(), 8u64.to_le_bytes().to_vec()];
+    for (what, stmt) in [("compute", compute.concat()), ("load", load.concat()), ("vector", vector.concat())] {
+        assert_eq!(decode_program(&forged_stmt(&stmt)).unwrap_err(), past, "{what}");
+    }
+    // A memory statement to main memory, write, 8 bytes, by kind tag.
+    let mem = |kind: &[u8]| [&[3, 0, 1][..], &8u64.to_le_bytes(), kind].concat();
+    assert_eq!(
+        decode_program(&forged_stmt(&mem(&[3]))).unwrap_err(),
+        ArtifactError::Malformed("mem kind tag")
+    );
+    for kind in [&[0, 7, 0, 0, 0][..], &[1], &[2]] {
+        let program = decode_program(&forged_stmt(&mem(kind))).expect("a known kind decodes");
+        assert_eq!(encode_program(&program), forged_stmt(&mem(kind)));
+    }
+
+    // Real programs: one statement's index moved past the table, and the
+    // table cut short under statements that name every op.
+    let arch = presets::tiny();
+    let graph = cmswitch::models::mlp::mlp(2, &[128, 256, 128]).unwrap();
+    let honest = compile(BackendKind::CmSwitch, &arch, &graph);
+    let n_ops = honest.ops.len() as u32;
+    for op in [n_ops, u32::MAX] {
+        let mut forged = honest.clone();
+        let mut last = forged.flow.stmts_mut().iter_mut().rev();
+        let body = last.find_map(|s| match s {
+            Stmt::Parallel(body) => Some(body),
+            _ => None,
+        });
+        let compute = body.unwrap().iter_mut().find_map(|s| match s {
+            Stmt::Compute(c) => Some(c),
+            _ => None,
+        });
+        compute.unwrap().op = op;
+        assert_eq!(decode_program(&encode_program(&forged)).unwrap_err(), past, "op {op}");
+    }
+    let mut short = honest;
+    short.ops.truncate(short.ops.len() / 2);
+    assert_eq!(decode_program(&encode_program(&short)).unwrap_err(), past);
 }

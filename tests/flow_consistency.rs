@@ -39,11 +39,16 @@ fn flow_covers_all_cim_work_exactly_once() {
             .unwrap();
         let stmts = compute_stmts(&program.flow);
 
-        // One compute statement per scheduled (sub-)operator, in order.
+        // One compute statement per scheduled (sub-)operator, in order,
+        // and the flow's op table is the program's ops.
         assert_eq!(stmts.len(), program.ops.len(), "{}", graph.name());
-        for (stmt, op) in stmts.iter().zip(&program.ops) {
-            assert_eq!(stmt.op, op.name);
-            assert_eq!((stmt.m, stmt.k, stmt.n, stmt.units), (op.m, op.k, op.n, op.units));
+        let table = program.flow.ops();
+        assert_eq!(table.len(), program.ops.len(), "{}", graph.name());
+        for (i, (stmt, op)) in stmts.iter().zip(&program.ops).enumerate() {
+            assert_eq!(stmt.op as usize, i);
+            let entry = &table[i];
+            assert_eq!(entry.name, op.name);
+            assert_eq!((entry.m, entry.k, entry.n, entry.units), (op.m, op.k, op.n, op.units));
         }
 
         // MAC conservation against the unpartitioned lowering.
@@ -51,7 +56,8 @@ fn flow_covers_all_cim_work_exactly_once() {
         let graph_macs: u64 = lowered.ops.iter().map(|o| o.macs).sum();
         let flow_macs: u64 = stmts
             .iter()
-            .map(|c| (c.units * c.m * c.k * c.n) as u64)
+            .map(|c| &table[c.op as usize])
+            .map(|op| (op.units * op.m * op.k * op.n) as u64)
             .sum();
         // Partitioning rounds chunk boundaries; allow 1% slack.
         let rel = (graph_macs as f64 - flow_macs as f64).abs() / graph_macs as f64;
@@ -66,12 +72,12 @@ fn per_op_allocation_matches_emitted_arrays() {
     let program = Session::builder(arch).build().compile_graph(&graph)
         .unwrap();
     let stmts = compute_stmts(&program.flow);
-    let by_name: HashMap<&str, &cmswitch::metaop::ComputeStmt> =
-        stmts.iter().map(|c| (c.op.as_str(), c)).collect();
+    let by_op: HashMap<u32, &cmswitch::metaop::ComputeStmt> =
+        stmts.iter().map(|c| (c.op, c)).collect();
     for seg in &program.segments {
         let ops = &program.ops[seg.range.0..=seg.range.1];
-        for (name, alloc) in ops.iter().map(|o| &o.name).zip(&seg.alloc.ops) {
-            let stmt = by_name[name.as_str()];
+        for (i, (name, alloc)) in ops.iter().map(|o| &o.name).zip(&seg.alloc.ops).enumerate() {
+            let stmt = by_op[&((seg.range.0 + i) as u32)];
             assert_eq!(stmt.compute_arrays.len(), alloc.compute, "{name} compute");
             assert_eq!(stmt.mem_in_arrays.len(), alloc.mem_in, "{name} mem_in");
             assert_eq!(stmt.mem_out_arrays.len(), alloc.mem_out, "{name} mem_out");

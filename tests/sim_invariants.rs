@@ -28,8 +28,8 @@ use proptest::prelude::*;
 use cmswitch::arch::{presets, ArrayId, DualModeArch};
 use cmswitch::compiler::cost::{lane_duration, CostModel};
 use cmswitch::metaop::{
-    ComputeStmt, Flow, MemDirection, MemLoc, MemStmt, MetaOpError, Stmt, SwitchKind, VectorStmt,
-    WeightLoadStmt,
+    ComputeStmt, Flow, FlowOp, MemDirection, MemKind, MemLoc, MemStmt, MetaOpError, Stmt,
+    SwitchKind, VectorStmt, WeightLoadStmt,
 };
 use cmswitch::prelude::*;
 use cmswitch::models::registry;
@@ -131,9 +131,24 @@ proptest! {
     }
 }
 
+/// A `[m,k]·[k,64]` op-table entry.
+fn table_op(name: &str, m: usize, k: usize, weight_static: bool) -> FlowOp {
+    FlowOp {
+        name: name.into(),
+        source: 0,
+        m,
+        k,
+        n: 64,
+        units: 1,
+        in_bytes: (m * k) as u64,
+        out_bytes: (m * 64) as u64,
+        weight_static,
+    }
+}
+
 /// Builds a well-formed single-segment flow: one `TOC` switch covering
 /// every compute array, one `parallel` body (loads for static operators,
-/// compute statements, fused `.aux` vector work), one final write-back.
+/// compute statements, fused vector work), one final write-back.
 fn single_segment_flow(
     arch: &DualModeArch,
     ms: &[usize],
@@ -157,33 +172,26 @@ fn single_segment_flow(
 
     let mut body = Vec::new();
     for o in 0..n_ops {
-        let op = format!("op{o}");
         let arrays = compute_arrays[o * arrays_per_op..(o + 1) * arrays_per_op].to_vec();
         let weight_static = static_flags[o].is_multiple_of(2);
         let (m, k) = (ms[o].max(1), ks[o].max(1));
+        let op = flow.push_op(table_op(&format!("op{o}"), m, k, weight_static));
         if weight_static {
             body.push(Stmt::LoadWeights(WeightLoadStmt {
-                op: op.clone(),
+                op,
                 arrays: arrays.clone().into(),
                 bytes: (arrays.len() as u64) * arch.array_bytes(),
             }));
         }
         body.push(Stmt::Compute(ComputeStmt {
-            op: op.clone(),
+            op,
             compute_arrays: arrays.into(),
             mem_in_arrays: if o == 0 { mem_arrays.clone().into() } else { Default::default() },
             mem_out_arrays: Default::default(),
-            m,
-            k,
-            n: 64,
-            units: 1,
-            in_bytes: (m * k) as u64,
-            out_bytes: (m * 64) as u64,
-            weight_static,
         }));
         if aux_flags[o].is_multiple_of(2) {
             body.push(Stmt::Vector(VectorStmt {
-                op: format!("{op}.aux"),
+                op,
                 flops: (m * 64) as u64,
             }));
         }
@@ -193,7 +201,7 @@ fn single_segment_flow(
         loc: MemLoc::Main,
         direction: MemDirection::Write,
         bytes: 4096,
-        label: "final output".into(),
+        kind: MemKind::FinalOutput,
     }));
     flow
 }
@@ -263,7 +271,7 @@ fn tracing_returns_the_report_simulating_returns() {
 /// One price list: over the nine registry models on every backend, each
 /// compute statement codegen emits costs — as a simulator lane — exactly
 /// what the plan priced its operator at, to the bit. That pins codegen
-/// to the array counts, operand bytes and fused `.aux` work the plan
+/// to the array counts, operand bytes and fused vector work the plan
 /// priced: a statement that drops an array or the vector work fails here.
 #[test]
 fn plan_prices_equal_statement_prices() {
@@ -295,13 +303,14 @@ fn plan_prices_equal_statement_prices() {
                     })
                     .collect();
                 assert_eq!(computes.len(), ops.len(), "{what}: one statement per op");
-                for ((c, op), alloc) in computes.into_iter().zip(ops).zip(&seg.alloc.ops) {
-                    assert_eq!(c.op, op.name, "{what}");
+                let planned = ops.iter().zip(&seg.alloc.ops).enumerate();
+                for (c, (i, (op, alloc))) in computes.into_iter().zip(planned) {
+                    assert_eq!(c.op as usize, seg.range.0 + i, "{what}");
                     assert_eq!(
-                        lane_duration(c, body, &arch).to_bits(),
+                        lane_duration(program.flow.ops(), c, body, &arch).to_bits(),
                         cm.op_latency(op, alloc).to_bits(),
                         "{what} {}: statement price vs plan price",
-                        c.op
+                        op.name
                     );
                 }
             }
@@ -344,28 +353,22 @@ fn one_segment_programs_predict_their_sequential_replay() {
     }
 }
 
-/// One statement of every kind that names arrays, each naming `stray`.
+/// One statement of every kind that names arrays, each naming `stray`
+/// (and op 0 of [`stray_flow`]'s table).
 fn statements_naming(stray: ArrayId) -> Vec<Stmt> {
     let compute = |compute: &[ArrayId], mem_in: &[ArrayId], mem_out: &[ArrayId]| {
         Stmt::Compute(ComputeStmt {
-            op: "fc".into(),
+            op: 0,
             compute_arrays: compute.into(),
             mem_in_arrays: mem_in.into(),
             mem_out_arrays: mem_out.into(),
-            m: 4,
-            k: 4,
-            n: 4,
-            units: 1,
-            in_bytes: 16,
-            out_bytes: 16,
-            weight_static: true,
         })
     };
     vec![
         Stmt::switch(SwitchKind::ToCompute, vec![stray]),
         Stmt::switch(SwitchKind::ToMemory, vec![stray]),
         Stmt::LoadWeights(WeightLoadStmt {
-            op: "fc".into(),
+            op: 0,
             arrays: vec![stray].into(),
             bytes: 16,
         }),
@@ -376,9 +379,15 @@ fn statements_naming(stray: ArrayId) -> Vec<Stmt> {
             loc: MemLoc::CimArrays(vec![stray].into()),
             direction: MemDirection::Write,
             bytes: 16,
-            label: "spill".into(),
+            kind: MemKind::Transfer,
         }),
     ]
+}
+
+/// An empty flow whose op table holds the op [`statements_naming`]
+/// names.
+fn stray_flow() -> Flow {
+    Flow::with_ops("stray", vec![table_op("fc", 4, 4, true)])
 }
 
 /// Flows are public input (parsed text, or a program compiled for a
@@ -392,7 +401,7 @@ fn out_of_range_array_ids_are_typed_errors_from_every_entry_point() {
     for stray in [ArrayId(arch.n_arrays() as u32), ArrayId(u32::MAX)] {
         for stmt in statements_naming(stray) {
             for body in [stmt.clone(), Stmt::Parallel(vec![stmt])] {
-                let mut flow = Flow::new("stray");
+                let mut flow = stray_flow();
                 flow.push(body);
                 program.flow = flow.clone();
                 let results = [
@@ -471,13 +480,7 @@ fn a_flow_both_simulators_reject_is_rejected_by_the_co_scheduler() {
     let arch = presets::tiny();
     let graph = cmswitch::models::mlp::mlp(2, &[96, 128, 64]).unwrap();
     let mut program = Session::builder(arch.clone()).build().compile_graph(&graph).unwrap();
-    let mut stripped = Flow::new("stripped");
-    for stmt in program.flow.stmts() {
-        if !matches!(stmt, Stmt::Switch { .. }) {
-            stripped.push(stmt.clone());
-        }
-    }
-    program.flow = stripped;
+    program.flow.stmts_mut().retain(|stmt| !matches!(stmt, Stmt::Switch { .. }));
 
     let engine = EventEngine::new().simulate_program(&program, &arch).unwrap_err();
     let sequential = SequentialModel.simulate(&program.flow, &arch).unwrap_err();
@@ -516,29 +519,24 @@ fn a_flow_both_simulators_reject_is_rejected_by_the_co_scheduler() {
 #[test]
 fn a_nested_parallel_block_is_a_typed_error_not_a_cheaper_schedule() {
     let arch = presets::tiny();
-    let lane = |op: &str, array: u32, m: usize| {
+    // Op 0 is `a`, a short lane; op 1 is `b`, a slow one.
+    let lane = |op: u32, array: u32| {
         Stmt::Compute(ComputeStmt {
-            op: op.into(),
+            op,
             compute_arrays: vec![ArrayId(array)].into(),
             mem_in_arrays: vec![].into(),
             mem_out_arrays: vec![].into(),
-            m,
-            k: 64,
-            n: 64,
-            units: 1,
-            in_bytes: (m * 64) as u64,
-            out_bytes: (m * 64) as u64,
-            weight_static: true,
         })
     };
     let flow_with = |slow_lane: Stmt| {
-        let mut flow = Flow::new("lanes");
+        let ops = vec![table_op("a", 16, 64, true), table_op("b", 4096, 64, true)];
+        let mut flow = Flow::with_ops("lanes", ops);
         flow.push(Stmt::switch(SwitchKind::ToCompute, vec![ArrayId(0), ArrayId(1)]));
-        flow.push(Stmt::Parallel(vec![lane("a", 0, 16), slow_lane]));
+        flow.push(Stmt::Parallel(vec![lane(0, 0), slow_lane]));
         flow
     };
-    let flat = flow_with(lane("b", 1, 4096));
-    let nested = flow_with(Stmt::Parallel(vec![lane("b", 1, 4096)]));
+    let flat = flow_with(lane(1, 1));
+    let nested = flow_with(Stmt::Parallel(vec![lane(1, 1)]));
 
     let engine = EventEngine::new().simulate(&flat, &arch).expect("the flat flow simulates");
     let sequential = SequentialModel.simulate(&flat, &arch).expect("the flat flow simulates");
@@ -583,24 +581,18 @@ fn a_nested_parallel_block_is_a_typed_error_not_a_cheaper_schedule() {
 #[test]
 fn a_racy_parallel_block_is_a_typed_error_not_a_cheaper_schedule() {
     let arch = presets::tiny();
-    let lane = |op: &str| {
+    let lane = |op: u32| {
         Stmt::Compute(ComputeStmt {
-            op: op.into(),
+            op,
             compute_arrays: vec![ArrayId(0)].into(),
             mem_in_arrays: vec![].into(),
             mem_out_arrays: vec![].into(),
-            m: 4096,
-            k: 64,
-            n: 64,
-            units: 1,
-            in_bytes: 4096 * 64,
-            out_bytes: 4096 * 64,
-            weight_static: true,
         })
     };
-    let mut racy = Flow::new("racy");
+    let ops = vec![table_op("a", 4096, 64, true), table_op("b", 4096, 64, true)];
+    let mut racy = Flow::with_ops("racy", ops);
     racy.push(Stmt::switch(SwitchKind::ToCompute, vec![ArrayId(0)]));
-    racy.push(Stmt::Parallel(vec![lane("a"), lane("b")]));
+    racy.push(Stmt::Parallel(vec![lane(0), lane(1)]));
 
     let rejected = Err(MetaOpError::ArrayConflict { array: ArrayId(0), stmt: 1 });
     assert_eq!(cmswitch::metaop::validate(&racy), rejected);

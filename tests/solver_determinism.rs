@@ -156,8 +156,8 @@ fn registry_plans_identical_at_every_worker_count_on_all_backends() {
 /// Without cache reuse every window the DP asks for is solved, and a
 /// window solved at top level while a neighbour lookup wants the same
 /// signature is still solved once: the top-level solve holds the
-/// in-flight mark the lookup waits on. So every counter repeats at any
-/// worker count.
+/// in-flight mark the lookup waits on, claimed for it before its batch
+/// fans out. So every counter repeats at any worker count.
 #[test]
 fn counters_repeat_at_every_worker_count_without_cache_reuse() {
     for model in ["bert-base", "resnet18", "llama2-7b"] {

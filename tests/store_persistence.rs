@@ -348,13 +348,12 @@ fn solves(outcome: &CompileOutcome) -> u64 {
     outcome.stats().solver_invocations()
 }
 
-/// A file a format-1 build left behind (same payload grammar, byte-serial
-/// FNV-1a checksum) under a key this build asks for: refused by version,
+/// Plants, under a key this build asks for, the artifact `forge` makes
+/// of a current one, and checks it is refused by its format `version`,
 /// diagnosed, recompiled and overwritten — there is no migration and no
-/// second reader.
-#[test]
-fn format_v1_artifact_is_recompiled_and_overwritten() {
-    let dir = temp_store("format-v1");
+/// second reader — and that the overwrite then serves with no solve.
+fn stale_format_is_recompiled_and_overwritten(version: u32, forge: impl Fn(&mut Vec<u8>)) {
+    let dir = temp_store(&format!("format-v{version}"));
     let store = ArtifactStore::open(&dir).unwrap();
     let arch = presets::tiny();
     let graph = cmswitch::models::mlp::mlp(2, &[128, 256, 128]).unwrap();
@@ -364,30 +363,51 @@ fn format_v1_artifact_is_recompiled_and_overwritten() {
     let key = StoreKey::for_compile(&arch, "cmswitch", &CompilerOptions::default(), &graph);
     let path = store.program_path(key);
     let mut bytes = std::fs::read(&path).unwrap();
-    let fnv1a = bytes[32..].iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    });
-    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-    bytes[24..32].copy_from_slice(&fnv1a.to_le_bytes());
+    forge(&mut bytes);
+    assert_eq!(bytes[8..12], version.to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
 
     let outcome = fresh_session().compile(CompileRequest::new(graph.clone())).unwrap();
     assert_eq!(outcome.diagnostics.store_traffic(), (0, 0, 1));
+    let reason = format!("format version {version}");
     assert!(
         outcome.diagnostics.events().iter().any(|e| matches!(
             e,
-            DiagnosticEvent::StoreCorrupt { reason, .. } if reason.contains("format version 1")
+            DiagnosticEvent::StoreCorrupt { reason: why, .. } if why.contains(&reason)
         )),
         "{}",
         outcome.diagnostics
     );
     assert!(solves(&outcome) > 0, "a refused artifact means a cold compile");
-    assert_ne!(std::fs::read(&path).unwrap(), bytes, "the v1 file was overwritten");
+    assert_ne!(std::fs::read(&path).unwrap(), bytes, "the v{version} file was overwritten");
 
     let outcome = fresh_session().compile(CompileRequest::new(graph)).unwrap();
     assert_eq!(outcome.diagnostics.store_traffic(), (1, 0, 0));
     assert_eq!(solves(&outcome), 0);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A file a format-1 build left behind (same payload grammar, byte-serial
+/// FNV-1a checksum).
+#[test]
+fn format_v1_artifact_is_recompiled_and_overwritten() {
+    stale_format_is_recompiled_and_overwritten(1, |bytes| {
+        let fnv1a = bytes[32..].iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        bytes[24..32].copy_from_slice(&fnv1a.to_le_bytes());
+    });
+}
+
+/// A file a format-5 build left behind: today's checksum over a payload
+/// whose statements carried op names and shapes. The version is refused
+/// before a payload byte is read, so its header is all it takes.
+#[test]
+fn format_v5_artifact_is_refused_by_version_and_recompiled() {
+    stale_format_is_recompiled_and_overwritten(5, |bytes| {
+        bytes[8..12].copy_from_slice(&5u32.to_le_bytes());
+    });
 }
 
 /// One store handle, one session, one key that has been compiled (miss,

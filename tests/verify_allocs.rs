@@ -13,16 +13,18 @@
 //!
 //! The event engine's contract is the same, with one stated exception:
 //! `simulate*` keeps one fixed-size event per statement (its label
-//! borrows the flow's strings) and nothing per array reference, in calls
-//! and in bytes; the per-array busy log — one `BusyInterval` per
-//! reference — is held exactly when a `trace*` entry point asks for it.
+//! borrows its op's name from the flow's op table, and is rendered only
+//! on the critical path) and nothing per array reference, in calls and
+//! in bytes; the per-array busy log — one `BusyInterval` per reference —
+//! is held exactly when a `trace*` entry point asks for it.
 //!
 //! The simplex kernel under branch-and-bound has the same kind of
 //! contract, per LP instead of per statement: one workspace per MIP
 //! solve, nothing allocated per pivot, per node LP or per branch.
 //!
 //! And the warm path: a store-served compile pays for the verifier on
-//! the first sight of a payload only, and for decoding otherwise.
+//! the first sight of a payload only, and for decoding otherwise — each
+//! op name once, however many statements name the op.
 //!
 //! Partitioning keeps the dependency relation at operator granularity:
 //! its cost is the split ops, never the pairs between them.
@@ -57,16 +59,9 @@ use cmswitch::sim::{BusyInterval, ChipScheduler, TenancyError, TenancyPolicy};
 use counting::measured;
 
 fn with_stmts(program: &CompiledProgram, edit: impl FnOnce(&mut Vec<Stmt>)) -> CompiledProgram {
-    let mut stmts = program.flow.stmts().to_vec();
-    edit(&mut stmts);
-    let mut flow = Flow::new(program.flow.name());
-    for s in stmts {
-        flow.push(s);
-    }
-    CompiledProgram {
-        flow,
-        ..program.clone()
-    }
+    let mut out = program.clone();
+    edit(out.flow.stmts_mut());
+    out
 }
 
 #[test]
@@ -401,23 +396,29 @@ fn mip_solve_allocates_per_lp_solved_not_per_row_or_per_branch() {
 /// the first sight of a payload only. Stated in allocator calls: the
 /// second store-served compile of the largest registry artifact makes
 /// the first one's minus the verifier's, and stays near what decoding
-/// its strings and spilled run lists takes. Stated in bytes: the
-/// artifact stays under a ceiling that one id per array reference would
-/// blow through.
+/// its op names (once each) and spilled run lists takes. Stated in
+/// bytes: the artifact stays under a ceiling that a name per statement
+/// or one id per array reference would blow through.
 #[test]
 fn second_store_served_compile_skips_the_verifiers_allocations() {
-    // Measured: 5 770 calls for the first served compile (decode + ~36
-    // in the verifier's dense tables), 5 734 for the second. 10 204 when
-    // every array list was a `Vec` of ids (a list of up to three runs now
-    // decodes into the statement itself); 7 429 while the artifact also
-    // carried per-segment op-name lists (879 names in 815 `Vec`s) and a
-    // stage list.
-    const MEASURED: u64 = 5_734;
-    // The artifact itself: 375 124 bytes of plan; 450 196 with a
-    // dependency edge per pair of split ops (5 137 edges for 445);
-    // 484 220 with the name lists, intra latencies and compile stats;
-    // 1 032 998 with one `u32` per array id.
-    const ARTIFACT_BYTES: usize = 390_000;
+    // Measured: 2 658 calls for the first served compile (decode + ~35
+    // in the verifier's dense tables), 2 623 for the second: the 879 op
+    // names decode once, into the op list and the flow's op table alike.
+    // 5 734 while every compute, weight-load and vector statement and
+    // every memory statement decoded a `String` of its own (~3.5k would
+    // mean each name is held twice); 10 204 when every array list was a
+    // `Vec` of ids (a list of up to three runs now decodes into the
+    // statement itself); 7 429 while the artifact also carried
+    // per-segment op-name lists (879 names in 815 `Vec`s) and a stage
+    // list.
+    const MEASURED: u64 = 2_623;
+    // The artifact itself: 268 175 bytes of plan (format 6, statements
+    // naming their op by index); 375 124 with a name per statement, the
+    // op's shape per compute and a label per memory statement; 450 196
+    // with a dependency edge per pair of split ops (5 137 edges for
+    // 445); 484 220 with the name lists, intra latencies and compile
+    // stats; 1 032 998 with one `u32` per array id.
+    const ARTIFACT_BYTES: usize = 280_000;
     let dir = std::env::temp_dir().join(format!("cmswitch-allocs-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = ArtifactStore::open(&dir).unwrap();
@@ -485,7 +486,10 @@ fn partition_keeps_the_lowered_dependencies_on_a_tiny_chip() {
 /// DynaPlasia (one solve worker, so every allocation is on this thread).
 #[test]
 fn cold_llama_compile_allocates_per_segment_not_per_window() {
-    // Measured: 13 339 calls for 879 ops in 815 segments. 13 350 while
+    // Measured: 10 348 calls for 879 ops in 815 segments. 13 339 while
+    // codegen copied each op's name into its compute, weight-load and
+    // vector statements (and formatted the vector's) and a label into
+    // every write-back; 13 350 while
     // the DP and the chain it materialises each built a `DepIndex`, and
     // the validator's tables were `Vec`s a chip long; 13 477 while
     // each window lookup collected a fresh window-local dependency list
@@ -494,7 +498,7 @@ fn cold_llama_compile_allocates_per_segment_not_per_window() {
     // hit allocated its signature, each solve batch its job list and
     // result slots, and codegen three `Vec`s per op and two pools per
     // segment.
-    const MEASURED: u64 = 13_339;
+    const MEASURED: u64 = 10_348;
     let session = Session::builder(presets::dynaplasia()).build();
     let graph = registry::build("llama2-7b", 1, 32).unwrap();
     let (program, calls, _) = measured(|| session.compile_graph(&graph).unwrap());

@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use cmswitch::arch::{presets, ArrayId, DualModeArch};
 use cmswitch::compiler::verify::{self, mutate, rules, Severity, Verifier};
 use cmswitch::compiler::CompiledProgram;
-use cmswitch::metaop::{MemLoc, Stmt, SwitchKind};
+use cmswitch::metaop::{FlowOp, MemLoc, Stmt, SwitchKind};
 use cmswitch::models::registry;
 use cmswitch::prelude::*;
 
@@ -303,7 +303,7 @@ fn compiled_mlp(arch: &DualModeArch) -> CompiledProgram {
 #[test]
 fn out_of_range_ids_outside_segment_blocks_are_denied() {
     use cmswitch::compiler::artifact::{decode_program, encode_program};
-    use cmswitch::metaop::{MemDirection, MemStmt, WeightLoadStmt};
+    use cmswitch::metaop::{MemDirection, MemKind, MemStmt, WeightLoadStmt};
 
     let arch = presets::tiny();
     let program = compiled_mlp(&arch);
@@ -315,10 +315,10 @@ fn out_of_range_ids_outside_segment_blocks_are_denied() {
             loc: MemLoc::CimArrays(vec![edge].into()),
             direction: MemDirection::Read,
             bytes: 8,
-            label: "stray".into(),
+            kind: MemKind::Transfer,
         }),
         Stmt::LoadWeights(WeightLoadStmt {
-            op: "nobody".into(),
+            op: 0,
             arrays: vec![edge, far].into(),
             bytes: 8,
         }),
@@ -389,17 +389,26 @@ const FINDINGS_GOLDEN: &str = concat!(
     "/tests/golden/verify_findings.txt"
 );
 
-/// Rebuilds `program` around an edited copy of its top-level statements.
+/// A copy of `program` with its top-level statements edited (the op
+/// table stays).
 fn with_stmts(program: &CompiledProgram, edit: impl FnOnce(&mut Vec<Stmt>)) -> CompiledProgram {
-    let mut stmts = program.flow.stmts().to_vec();
-    edit(&mut stmts);
-    let mut flow = Flow::new(program.flow.name());
-    for s in stmts {
-        flow.push(s);
-    }
-    CompiledProgram {
-        flow,
-        ..program.clone()
+    let mut out = program.clone();
+    edit(out.flow.stmts_mut());
+    out
+}
+
+/// The op table index of an operator named `intruder` with the shape of
+/// op `op`: what renaming a statement's operator to `intruder` makes it
+/// name. One entry per shape, appended on first use.
+fn intruder(flow: &mut Flow, op: u32) -> u32 {
+    let entry = FlowOp {
+        name: "intruder".into(),
+        ..flow.ops()[op as usize].clone()
+    };
+    let same = |o: &FlowOp| (&o.name, o.m, o.k, o.n, o.units) == (&entry.name, entry.m, entry.k, entry.n, entry.units);
+    match flow.ops().iter().position(same) {
+        Some(i) => i as u32,
+        None => flow.push_op(entry),
     }
 }
 
@@ -466,72 +475,75 @@ impl XorShift {
 /// aligned with the blocks and every lint runs its per-segment checks.
 fn perturb(program: &CompiledProgram, n_arrays: usize, seed: u64) -> CompiledProgram {
     let mut rng = XorShift(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
-    with_stmts(program, |stmts| {
-        for _ in 0..3 {
-            let i = rng.below(stmts.len());
-            let mut in_block = matches!(stmts[i], Stmt::Compute(_));
-            let target = match &mut stmts[i] {
-                Stmt::Parallel(body) if !body.is_empty() => {
-                    in_block = true;
-                    let j = rng.below(body.len());
-                    match rng.below(10) {
-                        0 => {
-                            body.remove(j);
-                            continue;
-                        }
-                        1 => {
-                            let dup = body[j].clone();
-                            body.insert(j, dup);
-                            continue;
-                        }
-                        2 => {
-                            let k = rng.below(body.len());
-                            body.swap(j, k);
-                            continue;
-                        }
-                        3 => {
-                            body[j] = Stmt::Parallel(vec![body[j].clone()]);
-                            continue;
-                        }
-                        _ => &mut body[j],
+    let mut out = program.clone();
+    let flow = &mut out.flow;
+    let mut stmts = std::mem::take(flow.stmts_mut());
+    for _ in 0..3 {
+        let i = rng.below(stmts.len());
+        let mut in_block = matches!(stmts[i], Stmt::Compute(_));
+        let target = match &mut stmts[i] {
+            Stmt::Parallel(body) if !body.is_empty() => {
+                in_block = true;
+                let j = rng.below(body.len());
+                match rng.below(10) {
+                    0 => {
+                        body.remove(j);
+                        continue;
+                    }
+                    1 => {
+                        let dup = body[j].clone();
+                        body.insert(j, dup);
+                        continue;
+                    }
+                    2 => {
+                        let k = rng.below(body.len());
+                        body.swap(j, k);
+                        continue;
+                    }
+                    3 => {
+                        body[j] = Stmt::Parallel(vec![body[j].clone()]);
+                        continue;
+                    }
+                    _ => &mut body[j],
+                }
+            }
+            s => s,
+        };
+        let id = match rng.below(4) {
+            0 if in_block => ArrayId(n_arrays as u32),
+            1 if in_block => ArrayId(u32::MAX),
+            _ => ArrayId(rng.below(n_arrays) as u32),
+        };
+        match target {
+            Stmt::Switch { kind, arrays } => match rng.below(3) {
+                0 => {
+                    *kind = match kind {
+                        SwitchKind::ToCompute => SwitchKind::ToMemory,
+                        SwitchKind::ToMemory => SwitchKind::ToCompute,
                     }
                 }
-                s => s,
-            };
-            let id = match rng.below(4) {
-                0 if in_block => ArrayId(n_arrays as u32),
-                1 if in_block => ArrayId(u32::MAX),
-                _ => ArrayId(rng.below(n_arrays) as u32),
-            };
-            match target {
-                Stmt::Switch { kind, arrays } => match rng.below(3) {
-                    0 => {
-                        *kind = match kind {
-                            SwitchKind::ToCompute => SwitchKind::ToMemory,
-                            SwitchKind::ToMemory => SwitchKind::ToCompute,
-                        }
-                    }
-                    _ => arrays.push(id),
-                },
-                Stmt::Compute(c) => match rng.below(4) {
-                    0 => c.compute_arrays.push(id),
-                    1 => c.mem_in_arrays.push(id),
-                    2 => c.mem_out_arrays.push(id),
-                    _ => c.op = "intruder".into(),
-                },
-                Stmt::LoadWeights(w) => match rng.below(3) {
-                    0 => w.op = "intruder".into(),
-                    1 => w.bytes += 1,
-                    _ => w.arrays.push(id),
-                },
-                Stmt::Mem(m) => match &mut m.loc {
-                    MemLoc::CimArrays(arrays) => arrays.push(id),
-                    loc => *loc = MemLoc::CimArrays(vec![id].into()),
-                },
-                Stmt::Vector(_) | Stmt::Parallel(_) => {}
-            }
+                _ => arrays.push(id),
+            },
+            Stmt::Compute(c) => match rng.below(4) {
+                0 => c.compute_arrays.push(id),
+                1 => c.mem_in_arrays.push(id),
+                2 => c.mem_out_arrays.push(id),
+                _ => c.op = intruder(flow, c.op),
+            },
+            Stmt::LoadWeights(w) => match rng.below(3) {
+                0 => w.op = intruder(flow, w.op),
+                1 => w.bytes += 1,
+                _ => w.arrays.push(id),
+            },
+            Stmt::Mem(m) => match &mut m.loc {
+                MemLoc::CimArrays(arrays) => arrays.push(id),
+                loc => *loc = MemLoc::CimArrays(vec![id].into()),
+            },
+            Stmt::Vector(_) | Stmt::Parallel(_) => {}
         }
-    })
+    }
+    *flow.stmts_mut() = stmts;
+    out
 }
 
 /// Every finding of every mutant, in order, plus `validate`'s verdict on
