@@ -4,8 +4,8 @@
 //! explicit codec instead of a derive: every value is written in
 //! little-endian with length-prefixed sequences, wrapped in a fixed
 //! header carrying a magic, a format version, an artifact kind, the
-//! payload length and a word-wide checksum of the payload. Two artifact
-//! kinds exist:
+//! payload length and a word-wide checksum of the payload. Three
+//! artifact kinds exist:
 //!
 //! * **Program** ([`encode_program`] / [`decode_program`]) — the plan
 //!   of a [`CompiledProgram`]: operators, flow, dependencies, segments
@@ -18,6 +18,10 @@
 //!   [`decode_alloc_entries`]) — the entries of an
 //!   [`crate::AllocationCache`], each carrying its precomputed bucket
 //!   hash so importing a snapshot never re-hashes a signature.
+//! * **Report** — a [`StoredReport`] the store keeps beside a program
+//!   (see [`crate::store`]): eleven `f64`s of an engine report and the
+//!   binding that says which payload, under which key and for which
+//!   energy model, they were computed from.
 //!
 //! # Wire layout
 //!
@@ -25,7 +29,8 @@
 //! offset  size  field
 //!      0     8  magic  b"CMSWART\0"
 //!      8     4  format version, u32 LE   (currently 6)
-//!     12     4  artifact kind, u32 LE    (1 = program, 2 = alloc snapshot)
+//!     12     4  artifact kind, u32 LE    (1 = program, 2 = alloc snapshot,
+//!                                         3 = report)
 //!     16     8  payload length, u64 LE
 //!     24     8  checksum, u64 LE         (see "Checksum" below)
 //!     32     …  payload
@@ -115,7 +120,15 @@
 //! now, and its decode made 5 734 allocator calls, against 2 623 now —
 //! most of a store-served request's decode time went to those
 //! per-statement strings. An allocation snapshot is `(u64 hash, u64
-//! word*, u8 tag, alloc if the tag is 1)*`.
+//! word*, u8 tag, alloc if the tag is 1)*`. A report is
+//!
+//! ```text
+//! report := u32 schema, u64 key, u64 energy model,
+//!           u64 program payload length, u64 program payload checksum,
+//!           f64 total_cycles, f64 energy_pj[6], f64 busy[4]
+//! ```
+//!
+//! 124 bytes of payload, whatever the size of the program it describes.
 //!
 //! # Array lists
 //!
@@ -175,6 +188,7 @@ use crate::allocation::{AllocEntry, OpAllocation, SegmentAllocation};
 use crate::compiler::{CompiledProgram, CompileStats};
 use crate::frontend::SegOp;
 use crate::segment::Segment;
+use crate::store::StoredReport;
 
 /// The 8-byte artifact magic.
 pub const MAGIC: [u8; 8] = *b"CMSWART\0";
@@ -188,6 +202,9 @@ pub const KIND_PROGRAM: u32 = 1;
 
 /// Artifact kind tag: an allocation-cache snapshot.
 pub const KIND_ALLOC_SNAPSHOT: u32 = 2;
+
+/// Artifact kind tag: an engine report kept beside a program.
+pub const KIND_REPORT: u32 = 3;
 
 const HEADER_LEN: usize = 32;
 
@@ -272,6 +289,29 @@ impl std::error::Error for ArtifactError {}
 pub(crate) struct PayloadStamp {
     len: u64,
     checksum: u64,
+}
+
+impl PayloadStamp {
+    /// The stamp of an artifact [`frame`] has just written, read back
+    /// from its header.
+    pub(crate) fn of_framed(bytes: &[u8]) -> PayloadStamp {
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+        PayloadStamp {
+            len: word(16),
+            checksum: word(24),
+        }
+    }
+}
+
+/// What a report record was computed from: its layout, the program's
+/// key, the energy model and the stamp of the program payload. A record
+/// is trusted only when all four equal what the reader expects.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ReportBinding {
+    pub(crate) schema: u32,
+    pub(crate) key: u64,
+    pub(crate) model: u64,
+    pub(crate) program: PayloadStamp,
 }
 
 /// The payload checksum of the wire format (definition and rationale in
@@ -914,6 +954,45 @@ pub(crate) fn decode_alloc_payload(payload: &[u8]) -> Result<Vec<AllocEntry>, Ar
     Ok(entries)
 }
 
+/// Serializes a report record and its binding (layout in the module
+/// docs) into a framed, checksummed artifact.
+pub(crate) fn encode_report(binding: &ReportBinding, report: &StoredReport) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.u32(binding.schema);
+    w.u64(binding.key);
+    w.u64(binding.model);
+    w.u64(binding.program.len);
+    w.u64(binding.program.checksum);
+    w.f64(report.total_cycles);
+    for &v in report.energy_pj.iter().chain(&report.busy) {
+        w.f64(v);
+    }
+    frame(KIND_REPORT, w)
+}
+
+/// Decodes a report artifact produced by [`encode_report`].
+pub(crate) fn decode_report(bytes: &[u8]) -> Result<(ReportBinding, StoredReport), ArtifactError> {
+    let mut r = Reader::new(unframe(bytes, KIND_REPORT)?.0);
+    let binding = ReportBinding {
+        schema: r.u32()?,
+        key: r.u64()?,
+        model: r.u64()?,
+        program: PayloadStamp {
+            len: r.u64()?,
+            checksum: r.u64()?,
+        },
+    };
+    let mut report = StoredReport {
+        total_cycles: r.f64()?,
+        ..StoredReport::default()
+    };
+    for v in report.energy_pj.iter_mut().chain(&mut report.busy) {
+        *v = r.f64()?;
+    }
+    r.finish()?;
+    Ok((binding, report))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -943,6 +1022,38 @@ mod tests {
         assert_eq!(decoded, p);
         // Canonical form: re-encoding reproduces the same bytes.
         assert_eq!(encode_program(&decoded), bytes);
+    }
+
+    /// A report round-trips bit for bit, is 124 bytes of payload, and
+    /// the stamp read back from a freshly framed program is the one its
+    /// decode recomputes.
+    #[test]
+    fn report_roundtrip_and_framed_stamp() {
+        let program = encode_program(&program());
+        let stamp = PayloadStamp::of_framed(&program);
+        assert_eq!(decode_program_stamped(&program).unwrap().1, stamp);
+        let binding = ReportBinding {
+            schema: 1,
+            key: 0xfeed,
+            model: 0xbeef,
+            program: stamp,
+        };
+        let report = StoredReport {
+            total_cycles: 1234.5,
+            energy_pj: [1.0, 2.0, 3.0, f64::MIN_POSITIVE, -0.0, 6.0],
+            busy: [7.0, 8.0, 9.0, 10.0],
+        };
+        let bytes = encode_report(&binding, &report);
+        assert_eq!(bytes.len(), HEADER_LEN + 124);
+        let (b, r) = decode_report(&bytes).unwrap();
+        assert_eq!(b, binding);
+        assert_eq!(r.energy_pj[4].to_bits(), (-0.0_f64).to_bits());
+        assert_eq!(r, report);
+        assert!(matches!(
+            decode_report(&program).unwrap_err(),
+            ArtifactError::WrongKind { .. }
+        ));
+        assert!(decode_report(&bytes[..bytes.len() - 1]).is_err());
     }
 
     #[test]

@@ -477,7 +477,6 @@ mod tests {
     fn table(ms: &[usize]) -> Vec<FlowOp> {
         let op = |m: usize| FlowOp {
             name: format!("op{m}").into(),
-            source: 0,
             m,
             k: 64,
             n: 64,

@@ -49,12 +49,12 @@ pub struct SegOp {
 
 impl SegOp {
     /// The op's entry in an emitted flow's op table: its name (the same
-    /// allocation, not a copy), source and the shape statements are
-    /// priced by.
+    /// allocation, not a copy) and the shape statements are priced by.
+    /// Its `source` stays here: dependence readers take it from
+    /// [`crate::CompiledProgram::ops`], never from the flow.
     pub fn flow_op(&self) -> FlowOp {
         FlowOp {
             name: Arc::clone(&self.name),
-            source: self.source,
             m: self.m,
             k: self.k,
             n: self.n,

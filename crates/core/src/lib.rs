@@ -89,7 +89,7 @@ pub use pipeline::{
 };
 pub use service::{BatchOutcome, BatchReport, BatchStats};
 pub use session::{CancelToken, CompileOutcome, CompileRequest, Session, SessionBuilder};
-pub use store::{ArtifactStore, StoreFetch, StoreKey, StoreStats};
+pub use store::{ArtifactStore, StoreFetch, StoreKey, StoreStats, StoredReport};
 pub use verify::{Severity, Verifier, VerifyFinding, VerifyReport, VerifyStage};
 
 /// Which per-segment allocator the compiler uses.

@@ -11,7 +11,8 @@
 //!
 //! * **Concurrency** — requests are compiled by a pool of `workers` OS
 //!   threads ([`std::thread::scope`]) pulling from a shared atomic
-//!   counter, so long models do not convoy short ones.
+//!   counter, so long models do not convoy short ones. A pool of one is
+//!   the calling thread itself.
 //! * **Cross-model allocation caching** — every compilation reads and
 //!   writes the session's one [`crate::AllocationCache`], keyed by a
 //!   stable hash of `(architecture fingerprint, allocator kind, segment

@@ -482,7 +482,8 @@ impl Session {
     /// the others, and outcomes come back in submission order. Deadlines
     /// count from this call, not from the moment a worker picks the
     /// request up. An empty slice returns an empty report without
-    /// spinning up any worker.
+    /// spinning up any worker, and a batch of one worker (or of one
+    /// request) compiles on the calling thread.
     pub fn compile_batch(&self, requests: &[CompileRequest]) -> BatchReport {
         if requests.is_empty() {
             return BatchReport {
@@ -499,30 +500,37 @@ impl Session {
         let slots: Vec<Mutex<Option<BatchOutcome>>> =
             requests.iter().map(|_| Mutex::new(None)).collect();
 
-        thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(request) = requests.get(i) else { break };
-                    let t = Instant::now();
-                    let (result, diagnostics) = self.run_one(
-                        &request.graph,
-                        request.options.as_ref().unwrap_or(&self.options),
-                        &cancels[i],
-                    );
-                    *slots[i].lock() = Some(BatchOutcome {
-                        name: request.display_name().to_string(),
-                        wall: t.elapsed(),
-                        diagnostics,
-                        result,
-                    });
-                });
-            }
-        });
+        let work = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(request) = requests.get(i) else { break };
+            let t = Instant::now();
+            let (result, diagnostics) = self.run_one(
+                &request.graph,
+                request.options.as_ref().unwrap_or(&self.options),
+                &cancels[i],
+            );
+            *slots[i].lock() = Some(BatchOutcome {
+                name: request.display_name().to_string(),
+                wall: t.elapsed(),
+                diagnostics,
+                result,
+            });
+        };
+        if workers == 1 {
+            // No pool of one: a spawned thread would only add a spawn
+            // and a handoff to every batch.
+            work();
+        } else {
+            thread::scope(|s| {
+                for _ in 0..workers {
+                    s.spawn(work);
+                }
+            });
+        }
 
         let outcomes: Vec<BatchOutcome> = slots
             .into_iter()
-            .map(|slot| slot.into_inner().expect("every job slot filled by scope exit"))
+            .map(|slot| slot.into_inner().expect("every job slot filled once the workers are done"))
             .collect();
 
         let mut stats = BatchStats {
@@ -589,7 +597,7 @@ impl Session {
                 StoreFetch::Hit(program) => match self.store_verdict(store, key, stamp, &program) {
                     Ok(warn) => return served_from_store(*program, key, warn, start),
                     Err(deny) => {
-                        store.record_corrupt();
+                        store.record_corrupt(key);
                         store_events.push(DiagnosticEvent::StoreCorrupt {
                             key: key.hash(),
                             reason: format!("verify rejected: {deny} deny finding(s)"),

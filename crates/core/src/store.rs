@@ -12,6 +12,9 @@
 //!   entries, promoted into a fresh process's L1 at session build so
 //!   even *novel* graphs that share segment signatures with prior runs
 //!   compile without solver invocations.
+//! * `reports/<key>-<model>.cmsart` — the engine report of a stored
+//!   program, as a [`StoredReport`]: one per key and energy model (see
+//!   "Reports" below).
 //!
 //! The store is a cache, never the source of truth: every read
 //! validates the wire format (magic, version, kind, length) and
@@ -55,6 +58,30 @@
 //! who could always forge a checksum, and against whom the verifier
 //! (which checks a plan's structure, not that it is the plan of the
 //! requested graph) never was a defence either.
+//!
+//! # Reports
+//!
+//! An engine report is a function of the program, the chip and the
+//! energy model — so, under a key, of the payload bytes and the model.
+//! A report record therefore names what it was computed from: the
+//! report layout ([`REPORT_SCHEMA`]), the key, the energy model's
+//! fingerprint and the program payload's stamp. The handle *vouches*
+//! for one payload per key: the one it last verified there, or the one
+//! it last wrote there; a probe that finds the key missing, corrupt or
+//! holding other bytes, or a payload the verifier denies, withdraws
+//! it. [`ArtifactStore::fetch_report`] returns a record only when its
+//! binding names the payload the handle vouches for, and
+//! [`ArtifactStore::put_report`] binds a record to that payload (and
+//! writes nothing when there is none). A missing, stale
+//! (another payload, schema or model) or corrupt record is a miss: the
+//! caller simulates and writes it anew, as a program miss compiles and
+//! writes back.
+//!
+//! The trust model does not change. A record is read only after the
+//! session has verified (or just written) the payload it names in this
+//! handle, so a `Deny` still refuses the program before any report of it
+//! is read; and the record trusts its own checksum and the program's
+//! exactly as far as decoding already does.
 
 use std::collections::HashMap;
 use std::fs;
@@ -70,13 +97,27 @@ use cmswitch_solver::stable_hash64;
 use parking_lot::Mutex;
 
 use crate::allocation::{AllocationCache, ALLOC_KEY_SCHEMA};
-use crate::artifact::{self, PayloadStamp};
+use crate::artifact::{self, PayloadStamp, ReportBinding};
 use crate::compiler::CompiledProgram;
 use crate::{AllocatorKind, CompilerOptions, DpMode};
 
 /// Bumped whenever the key derivation below changes, so old store
 /// entries become unreachable (a silent miss) instead of wrongly hit.
 const KEY_SCHEMA_VERSION: u64 = 2;
+
+/// Layout and meaning of a report record. A record holds what the event
+/// engine computed, so bump this whenever the engine's output moves — a
+/// record of the old engine must be a miss, not a hit — as well as when
+/// the layout does. `report_schema_tracks_the_engine_goldens` holds it to
+/// [`ENGINE_GOLDENS_DIGEST`].
+pub const REPORT_SCHEMA: u32 = 1;
+
+/// FNV-1a of `tests/golden/engine_reports.txt` followed by
+/// `tests/golden/sim_registry.txt` (the engine's schedules, and every
+/// model's cycles and energy) as of [`REPORT_SCHEMA`]. Re-blessing
+/// either golden fails the test until the schema is bumped and this is
+/// re-pinned.
+pub const ENGINE_GOLDENS_DIGEST: u64 = 0x0119_3ca6_4819_fb15;
 
 /// FNV-1a over raw bytes — the byte-level sibling of
 /// `cmswitch_solver::stable_hash64` (same constants). Hashes the backend
@@ -214,6 +255,23 @@ pub enum StoreFetch {
     Corrupt(String),
 }
 
+/// The fields of an event-engine report that a design-space record is
+/// computed from, kept beside a stored program (see the module docs'
+/// "Reports"). Plain numbers: the engine's own types live downstream of
+/// this crate, and anything derived from these (mode occupancy, total
+/// energy) is derived on read, never stored.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct StoredReport {
+    /// Event-engine makespan, cycles.
+    pub total_cycles: f64,
+    /// The energy report's six components, pJ, in declaration order:
+    /// compute, on-chip, DRAM, write, switch, vector.
+    pub energy_pj: [f64; 6],
+    /// Array-cycles by busy kind, as mode occupancy reads them: switch,
+    /// weight load, compute, memory traffic.
+    pub busy: [f64; 4],
+}
+
 /// Monotonic counters describing store traffic since [`ArtifactStore::open`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
@@ -230,6 +288,15 @@ pub struct StoreStats {
     /// had already verified the very same payload under the same key
     /// (see the module docs' trust model).
     pub verdicts_reused: u64,
+    /// Report records read and trusted.
+    pub report_hits: u64,
+    /// Report probes that found no record, or one bound to another
+    /// payload, schema or energy model.
+    pub report_misses: u64,
+    /// Report records that failed to read or decode.
+    pub report_corrupt: u64,
+    /// Report records written.
+    pub report_writes: u64,
 }
 
 /// The last payload under a key that passed the verifier with no `Deny`.
@@ -237,6 +304,16 @@ pub struct StoreStats {
 struct Verdict {
     stamp: PayloadStamp,
     warn: u64,
+}
+
+/// What a handle remembers under one key.
+#[derive(Debug, Clone, Copy, Default)]
+struct KeyMemo {
+    /// Kept whatever the key holds later: a verdict is a function of the
+    /// bytes, so it covers them again if they come back.
+    verdict: Option<Verdict>,
+    /// The payload the handle vouches for (see the module docs' "Reports").
+    vouched: Option<PayloadStamp>,
 }
 
 /// A content-addressed artifact directory (see the module docs).
@@ -251,7 +328,11 @@ pub struct ArtifactStore {
     corrupt: AtomicU64,
     writes: AtomicU64,
     verdicts_reused: AtomicU64,
-    verdicts: Mutex<HashMap<StoreKey, Verdict>>,
+    report_hits: AtomicU64,
+    report_misses: AtomicU64,
+    report_corrupt: AtomicU64,
+    report_writes: AtomicU64,
+    memo: Mutex<HashMap<StoreKey, KeyMemo>>,
 }
 
 impl ArtifactStore {
@@ -263,6 +344,7 @@ impl ArtifactStore {
     pub fn open(root: impl Into<PathBuf>) -> io::Result<Arc<ArtifactStore>> {
         let root = root.into();
         fs::create_dir_all(root.join("programs"))?;
+        fs::create_dir_all(root.join("reports"))?;
         Ok(Arc::new(ArtifactStore {
             root,
             hits: AtomicU64::new(0),
@@ -270,7 +352,11 @@ impl ArtifactStore {
             corrupt: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             verdicts_reused: AtomicU64::new(0),
-            verdicts: Mutex::default(),
+            report_hits: AtomicU64::new(0),
+            report_misses: AtomicU64::new(0),
+            report_corrupt: AtomicU64::new(0),
+            report_writes: AtomicU64::new(0),
+            memo: Mutex::default(),
         }))
     }
 
@@ -284,6 +370,14 @@ impl ArtifactStore {
         self.root
             .join("programs")
             .join(format!("{}.cmsart", key.file_stem()))
+    }
+
+    /// The on-disk path for the report of `key`'s program under the
+    /// energy model fingerprinted `model`.
+    pub fn report_path(&self, key: StoreKey, model: u64) -> PathBuf {
+        self.root
+            .join("reports")
+            .join(format!("{}-{model:016x}.cmsart", key.file_stem()))
     }
 
     fn alloc_path(&self) -> PathBuf {
@@ -303,6 +397,7 @@ impl ArtifactStore {
         let decoded = match fs::read(&path) {
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
+                self.withdraw(key);
                 return (StoreFetch::Miss, PayloadStamp::default());
             }
             Err(e) => Err(format!("read {}: {e}", path.display())),
@@ -315,6 +410,7 @@ impl ArtifactStore {
             }
             Err(reason) => {
                 self.corrupt.fetch_add(1, Ordering::Relaxed);
+                self.withdraw(key);
                 (StoreFetch::Corrupt(reason), PayloadStamp::default())
             }
         }
@@ -322,22 +418,102 @@ impl ArtifactStore {
 
     /// The warning count remembered for `key` if the payload stamped
     /// `stamp` is the one this handle last verified there; counts the
-    /// reuse.
+    /// reuse, and vouches for the payload again. Any other payload
+    /// withdraws the vouch until the verifier passes it.
     pub(crate) fn reuse_verdict(&self, key: StoreKey, stamp: PayloadStamp) -> Option<u64> {
-        let warn = self
-            .verdicts
-            .lock()
-            .get(&key)
-            .filter(|v| v.stamp == stamp)
-            .map(|v| v.warn)?;
+        let warn = {
+            let mut memo = self.memo.lock();
+            let entry = memo.get_mut(&key)?;
+            match entry.verdict.filter(|v| v.stamp == stamp) {
+                Some(v) => {
+                    entry.vouched = Some(stamp);
+                    v.warn
+                }
+                None => {
+                    entry.vouched = None;
+                    return None;
+                }
+            }
+        };
         self.verdicts_reused.fetch_add(1, Ordering::Relaxed);
         Some(warn)
     }
 
     /// Remembers that the payload stamped `stamp` under `key` passed the
-    /// verifier with no `Deny` and `warn` warnings.
+    /// verifier with no `Deny` and `warn` warnings, and vouches for it.
     pub(crate) fn remember_verdict(&self, key: StoreKey, stamp: PayloadStamp, warn: u64) {
-        self.verdicts.lock().insert(key, Verdict { stamp, warn });
+        let mut memo = self.memo.lock();
+        let entry = memo.entry(key).or_default();
+        entry.verdict = Some(Verdict { stamp, warn });
+        entry.vouched = Some(stamp);
+    }
+
+    /// The stamp of the payload this handle vouches for under `key`.
+    fn vouched_stamp(&self, key: StoreKey) -> Option<PayloadStamp> {
+        self.memo.lock().get(&key).and_then(|m| m.vouched)
+    }
+
+    /// Stops vouching for any payload under `key`.
+    fn withdraw(&self, key: StoreKey) {
+        if let Some(entry) = self.memo.lock().get_mut(&key) {
+            entry.vouched = None;
+        }
+    }
+
+    fn report_binding(&self, key: StoreKey, model: u64, program: PayloadStamp) -> ReportBinding {
+        ReportBinding {
+            schema: REPORT_SCHEMA,
+            key: key.hash(),
+            model,
+            program,
+        }
+    }
+
+    /// The report kept beside `key`'s program for the energy model
+    /// fingerprinted `model` — only if it was computed from the payload
+    /// this handle vouches for under `key` (see the module docs). Anything
+    /// else is `None`, counted as a miss or as corrupt.
+    pub fn fetch_report(&self, key: StoreKey, model: u64) -> Option<StoredReport> {
+        let Some(program) = self.vouched_stamp(key) else {
+            self.report_misses.fetch_add(1, Ordering::Relaxed);
+            return None;
+        };
+        let decoded = match fs::read(self.report_path(key, model)) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                self.report_misses.fetch_add(1, Ordering::Relaxed);
+                return None;
+            }
+            Err(_) => None,
+            Ok(bytes) => artifact::decode_report(&bytes).ok(),
+        };
+        let Some((binding, report)) = decoded else {
+            self.report_corrupt.fetch_add(1, Ordering::Relaxed);
+            return None;
+        };
+        if binding != self.report_binding(key, model, program) {
+            self.report_misses.fetch_add(1, Ordering::Relaxed);
+            return None;
+        }
+        self.report_hits.fetch_add(1, Ordering::Relaxed);
+        Some(report)
+    }
+
+    /// Keeps `report` beside `key`'s program for the energy model
+    /// fingerprinted `model`, bound to the payload this handle vouches
+    /// for under `key`, replacing any earlier record. Returns whether a
+    /// record was written: with no payload vouched for, none is.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors.
+    pub fn put_report(&self, key: StoreKey, model: u64, report: &StoredReport) -> io::Result<bool> {
+        let Some(program) = self.vouched_stamp(key) else {
+            return Ok(false);
+        };
+        let bytes = artifact::encode_report(&self.report_binding(key, model, program), report);
+        self.write_atomic(&self.report_path(key, model), &bytes)?;
+        self.report_writes.fetch_add(1, Ordering::Relaxed);
+        Ok(true)
     }
 
     /// Writes (or overwrites) the program artifact at `key` via a temp
@@ -350,6 +526,9 @@ impl ArtifactStore {
         let bytes = artifact::encode_program(program);
         self.write_atomic(&self.program_path(key), &bytes)?;
         self.writes.fetch_add(1, Ordering::Relaxed);
+        // The handle vouches for what it wrote.
+        let stamp = PayloadStamp::of_framed(&bytes);
+        self.memo.lock().entry(key).or_default().vouched = Some(stamp);
         Ok(())
     }
 
@@ -357,10 +536,12 @@ impl ArtifactStore {
     /// corrupt: the artifact decoded cleanly but was rejected downstream
     /// (the session's verify-before-serve gate), so nothing was served.
     /// Crate-private: any other caller would take back a hit that was
-    /// never counted and wrap `hits`.
-    pub(crate) fn record_corrupt(&self) {
+    /// never counted and wrap `hits`. The handle stops vouching for the
+    /// rejected payload.
+    pub(crate) fn record_corrupt(&self, key: StoreKey) {
         self.hits.fetch_sub(1, Ordering::Relaxed);
         self.corrupt.fetch_add(1, Ordering::Relaxed);
+        self.withdraw(key);
     }
 
     /// Snapshots `cache`'s entries to disk, replacing any prior
@@ -428,6 +609,10 @@ impl ArtifactStore {
             corrupt: self.corrupt.load(Ordering::Relaxed),
             writes: self.writes.load(Ordering::Relaxed),
             verdicts_reused: self.verdicts_reused.load(Ordering::Relaxed),
+            report_hits: self.report_hits.load(Ordering::Relaxed),
+            report_misses: self.report_misses.load(Ordering::Relaxed),
+            report_corrupt: self.report_corrupt.load(Ordering::Relaxed),
+            report_writes: self.report_writes.load(Ordering::Relaxed),
         }
     }
 
@@ -571,6 +756,78 @@ mod tests {
         assert_ne!(reference, key("n", &base, &[1], &[4]));
         assert_ne!(reference, key("n", &base, &[0], &[4, 1]));
         assert_ne!(reference, key("n", &base, &[0, 0], &[4]));
+    }
+
+    /// A report record holds what the engine computed: when a golden of
+    /// the engine's output is re-blessed, records of the old engine must
+    /// stop being hits, so the schema moves with the goldens.
+    #[test]
+    fn report_schema_tracks_the_engine_goldens() {
+        let mut goldens = include_bytes!("../../../tests/golden/engine_reports.txt").to_vec();
+        goldens.extend_from_slice(include_bytes!("../../../tests/golden/sim_registry.txt"));
+        assert_eq!(
+            fnv1a_bytes(&goldens),
+            ENGINE_GOLDENS_DIGEST,
+            "the engine goldens moved: bump REPORT_SCHEMA (now {REPORT_SCHEMA}) and re-pin \
+             ENGINE_GOLDENS_DIGEST to {:#018x}",
+            fnv1a_bytes(&goldens)
+        );
+    }
+
+    /// A report is trusted only beside the payload the handle vouches
+    /// for under its key, and only for the energy model it was priced
+    /// with.
+    #[test]
+    fn reports_are_bound_to_the_vouched_payload_and_model() {
+        let dir = tempdir("reports");
+        let store = ArtifactStore::open(&dir).unwrap();
+        let arch = presets::tiny();
+        let graph = cmswitch_models::mlp::mlp(2, &[64, 128, 64]).unwrap();
+        let session = Session::builder(arch.clone()).build();
+        let program = session.compile_graph(&graph).unwrap();
+        let key = StoreKey::for_compile(&arch, "cmswitch", session.options(), &graph);
+        let report = StoredReport {
+            total_cycles: 10.0,
+            energy_pj: [1.0; 6],
+            busy: [2.0; 4],
+        };
+
+        // Nothing vouched for: nothing is written or read.
+        assert!(!store.put_report(key, 7, &report).unwrap());
+        assert_eq!(store.fetch_report(key, 7), None);
+        // Written, so vouched for.
+        store.put_program(key, &program).unwrap();
+        assert!(store.put_report(key, 7, &report).unwrap());
+        assert_eq!(store.fetch_report(key, 7), Some(report));
+        assert_eq!(store.fetch_report(key, 8), None, "another energy model");
+
+        // A fresh handle vouches for nothing until a session verifies.
+        let fresh = ArtifactStore::open(&dir).unwrap();
+        assert_eq!(fresh.fetch_report(key, 7), None);
+        Session::builder(arch)
+            .store(Arc::clone(&fresh))
+            .build()
+            .compile_graph(&graph)
+            .unwrap();
+        assert_eq!(fresh.fetch_report(key, 7), Some(report));
+
+        // Other bytes under the key: the old record is stale.
+        let mut other = program;
+        other.predicted_latency += 1.0;
+        fresh.put_program(key, &other).unwrap();
+        assert_eq!(fresh.fetch_report(key, 7), None);
+        // A probe that finds the key gone withdraws the vouch.
+        assert!(fresh.put_report(key, 7, &report).unwrap());
+        fs::remove_file(fresh.program_path(key)).unwrap();
+        assert!(matches!(fresh.fetch_program(key), StoreFetch::Miss));
+        assert_eq!(fresh.fetch_report(key, 7), None);
+
+        let stats = fresh.stats();
+        assert_eq!(
+            (stats.report_hits, stats.report_misses, stats.report_corrupt, stats.report_writes),
+            (1, 3, 0, 1)
+        );
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -23,15 +23,25 @@
 //!   method or buffer capacity solves nothing at all, and *new* points
 //!   with repeated segments skip those MIP solves.
 //! * **L2 — artifact store.** Whole compiled programs served from disk,
-//!   across runners and processes.
+//!   across runners and processes, each with its engine report beside
+//!   it ([`StoredReport`], one per energy model). The runner reads a
+//!   program's report instead of simulating it only when the record
+//!   names the payload the store handle has just verified or written
+//!   under the program's key (see `cmswitch_core::store`'s "Reports");
+//!   a missing, stale or corrupt record is simulated and rewritten. So a
+//!   fresh runner in a new process over a primed store pays for decode
+//!   and verify, but runs no engine pass.
 //!
 //! Every compiled program is checked with the static [`Verifier`]
-//! before it is simulated — by the session where it already does so
-//! (store hits, the verify stage), by the runner otherwise; a `Deny`
-//! finding fails the point (it never silently enters the frontier). Points are evaluated sequentially in
-//! grid order — parallelism lives *inside* each point (the session's
-//! batch worker pool and solve pool) — so records come out in a
-//! deterministic order regardless of worker counts.
+//! before its report is read or computed — by the session where it
+//! already does so (store hits, the verify stage), by the runner
+//! otherwise; a `Deny` finding fails the point (it never silently
+//! enters the frontier, and no report of it is written). Points are
+//! evaluated sequentially in grid order — parallelism lives *inside*
+//! each point (the session's batch worker pool and solve pool) — so
+//! records come out in a deterministic order regardless of worker
+//! counts. A record is computed from the stored fields alone, whether
+//! they were just simulated or read back, so the two are bit-identical.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -40,11 +50,11 @@ use std::time::{Duration, Instant};
 
 use cmswitch_core::{
     AllocationCache, ArtifactStore, BatchReport, BatchStats, CompileError, CompileRequest,
-    CompilerOptions, Session, Verifier,
+    CompilerOptions, Session, StoreKey, StoredReport, Verifier,
 };
 use cmswitch_graph::Graph;
 use cmswitch_metaop::MetaOpError;
-use cmswitch_sim::{EnergyReport, EventEngine, ModeOccupancy};
+use cmswitch_sim::{BusyBreakdown, EnergyReport, EngineReport, EventEngine, ModeOccupancy};
 
 use crate::cost::{AreaPowerModel, ChipCost};
 use crate::pareto::ParetoFrontier;
@@ -145,6 +155,22 @@ impl SweepRecord {
     pub fn objectives(&self) -> [f64; 3] {
         [self.latency_cycles, self.energy_pj, self.cost.area_mm2]
     }
+
+    /// Whether `other` measured the same point to the same values: every
+    /// field but the run history of the evaluation that produced it
+    /// (`solves`, `cache_hits`, `store_hits`, `wall`), which depends on
+    /// how warm the sweep was, not on the chip.
+    pub fn same_measurement(&self, other: &SweepRecord) -> bool {
+        // Every other field, one added later included, is compared.
+        let other_with_our_history = SweepRecord {
+            solves: self.solves,
+            cache_hits: self.cache_hits,
+            store_hits: self.store_hits,
+            wall: self.wall,
+            ..other.clone()
+        };
+        *self == other_with_our_history
+    }
 }
 
 /// Everything a sweep produced: measured records in grid order, carried
@@ -173,6 +199,10 @@ pub struct SweepReport {
     /// re-evaluation. Memo-served points contribute nothing to the
     /// other counters of *this* report.
     pub point_hits: u64,
+    /// Programs the event engine simulated.
+    pub simulations: u64,
+    /// Programs whose engine report was read from the store instead.
+    pub reports_reused: u64,
 }
 
 impl SweepReport {
@@ -186,7 +216,8 @@ impl SweepReport {
     pub fn summary(&self) -> String {
         format!(
             "{} points measured ({} rejected, {} failed) in {:.2?} — {} solves, \
-             {} memo hits, {} cache hits, {} store hits, frontier {}",
+             {} memo hits, {} cache hits, {} store hits, {} simulations, \
+             {} reports reused, frontier {}",
             self.records.len(),
             self.rejected.len(),
             self.failed.len(),
@@ -195,6 +226,8 @@ impl SweepReport {
             self.point_hits,
             self.cache_hits,
             self.store_hits,
+            self.simulations,
+            self.reports_reused,
             self.frontier().len(),
         )
     }
@@ -384,12 +417,19 @@ impl SweepRunner {
                 continue;
             }
             match self.run_point(point) {
-                Ok((record, batch)) => {
+                Ok(Evaluated {
+                    record,
+                    batch,
+                    simulations,
+                    reports_reused,
+                }) => {
                     report.solves += record.solves;
                     report.cache_hits += batch.cache_hits;
                     report.cache_misses += batch.cache_misses;
                     report.store_hits += batch.store_hits;
                     report.store_misses += batch.store_misses;
+                    report.simulations += simulations;
+                    report.reports_reused += reports_reused;
                     self.memo
                         .lock()
                         .unwrap()
@@ -419,9 +459,9 @@ impl SweepRunner {
         self.run(&grid)
     }
 
-    /// Compiles, verifies and simulates every model on `point`; returns
-    /// the point's record and its batch's [`BatchStats`].
-    fn run_point(&self, point: &SweepPoint) -> Result<(SweepRecord, BatchStats), FailedPoint> {
+    /// Compiles and verifies every model on `point`, and simulates it
+    /// unless the store holds its report (see the module docs' L2).
+    fn run_point(&self, point: &SweepPoint) -> Result<Evaluated, FailedPoint> {
         let started = Instant::now();
         let mut builder = Session::builder(point.arch.clone())
             .options(self.options.clone())
@@ -446,6 +486,7 @@ impl SweepRunner {
         };
 
         let engine = EventEngine::with_energy_model(self.cost_model.energy.clone());
+        let energy_model = self.cost_model.energy.fingerprint();
         let n_arrays = point.arch.n_arrays();
 
         let mut latency = 0.0_f64;
@@ -453,7 +494,8 @@ impl SweepRunner {
         let mut warnings = 0usize;
         let mut occ_sum = ModeOccupancy::default();
         let mut per_model = Vec::with_capacity(outcomes.len());
-        for outcome in outcomes {
+        let (mut simulations, mut reports_reused) = (0, 0);
+        for (outcome, (_, graph)) in outcomes.into_iter().zip(&self.models) {
             let program = match outcome.result {
                 Ok(p) => p,
                 Err(e) => return Err(fail(&outcome.name, SweepFailure::Compile(e))),
@@ -472,11 +514,34 @@ impl SweepRunner {
                 return Err(fail(&outcome.name, SweepFailure::VerifyDenied { deny }));
             }
             warnings += warn;
-            let sim = match engine.simulate_program(&program, &point.arch) {
-                Ok(r) => r,
-                Err(e) => return Err(fail(&outcome.name, SweepFailure::Simulate(e))),
+            // The session probed the store under this key; the report
+            // beside it counts only if it names the payload just served.
+            let keyed = self.store.as_ref().map(|store| {
+                let backend = session.backend_name();
+                let key = StoreKey::for_compile(&point.arch, backend, &self.options, graph);
+                (store, key)
+            });
+            let reused = keyed.and_then(|(store, key)| store.fetch_report(key, energy_model));
+            let sim = match reused {
+                Some(report) => {
+                    reports_reused += 1;
+                    report
+                }
+                None => {
+                    let sim = match engine.simulate_program(&program, &point.arch) {
+                        Ok(r) => stored_report(&r),
+                        Err(e) => return Err(fail(&outcome.name, SweepFailure::Simulate(e))),
+                    };
+                    simulations += 1;
+                    if let Some((store, key)) = keyed {
+                        // Best-effort, like the program write-back.
+                        let _ = store.put_report(key, energy_model, &sim);
+                    }
+                    sim
+                }
             };
-            let occ = sim.mode_occupancy(n_arrays);
+            let sim_energy = energy_of(&sim);
+            let occ = occupancy_of(&sim, n_arrays);
             // Cycle-weighted occupancy: long models shape the workload's
             // average power more than short ones.
             occ_sum.compute += occ.compute * sim.total_cycles;
@@ -484,11 +549,11 @@ impl SweepRunner {
             occ_sum.switching += occ.switching * sim.total_cycles;
             occ_sum.idle += occ.idle * sim.total_cycles;
             latency += sim.total_cycles;
-            energy.absorb(&sim.energy);
+            energy.absorb(&sim_energy);
             per_model.push(ModelResult {
                 name: outcome.name,
                 cycles: sim.total_cycles,
-                energy_pj: sim.energy.total_pj(),
+                energy_pj: sim_energy.total_pj(),
             });
         }
 
@@ -511,8 +576,8 @@ impl SweepRunner {
             self.cost_model
                 .average_power_mw(&point.arch, latency, &energy, occupancy);
 
-        Ok((
-            SweepRecord {
+        Ok(Evaluated {
+            record: SweepRecord {
                 spec: point.spec,
                 arch_name: point.arch.name().to_string(),
                 fingerprint: point.arch.fingerprint(),
@@ -528,9 +593,72 @@ impl SweepRunner {
                 wall: started.elapsed(),
                 per_model,
             },
-            stats,
-        ))
+            batch: stats,
+            simulations,
+            reports_reused,
+        })
     }
+}
+
+/// What evaluating one point produced besides its record.
+struct Evaluated {
+    record: SweepRecord,
+    batch: BatchStats,
+    simulations: u64,
+    reports_reused: u64,
+}
+
+/// The fields of an engine report a record is computed from, as the
+/// store keeps them.
+fn stored_report(report: &EngineReport) -> StoredReport {
+    // Exhaustive: a new energy component or busy kind cannot compile
+    // without a decision about whether records read it.
+    let EnergyReport {
+        compute_pj,
+        onchip_pj,
+        dram_pj,
+        write_pj,
+        switch_pj,
+        vector_pj,
+    } = report.energy;
+    let BusyBreakdown {
+        switch,
+        weight_load,
+        compute,
+        mem_traffic,
+        vector: _,
+    } = report.breakdown;
+    StoredReport {
+        total_cycles: report.total_cycles,
+        energy_pj: [compute_pj, onchip_pj, dram_pj, write_pj, switch_pj, vector_pj],
+        busy: [switch, weight_load, compute, mem_traffic],
+    }
+}
+
+fn energy_of(report: &StoredReport) -> EnergyReport {
+    let [compute_pj, onchip_pj, dram_pj, write_pj, switch_pj, vector_pj] = report.energy_pj;
+    EnergyReport {
+        compute_pj,
+        onchip_pj,
+        dram_pj,
+        write_pj,
+        switch_pj,
+        vector_pj,
+    }
+}
+
+/// [`EngineReport::mode_occupancy`] of the report `report` was kept
+/// from, derived from the stored fields.
+fn occupancy_of(report: &StoredReport, n_arrays: usize) -> ModeOccupancy {
+    let [switch, weight_load, compute, mem_traffic] = report.busy;
+    let busy = BusyBreakdown {
+        switch,
+        weight_load,
+        compute,
+        mem_traffic,
+        vector: 0.0,
+    };
+    busy.occupancy(report.total_cycles, n_arrays)
 }
 
 #[cfg(test)]
@@ -597,8 +725,10 @@ mod tests {
         let cold = runner.run(&grid);
         assert!(cold.solves > 0, "cold sweep must pay real solves");
         assert_eq!(cold.point_hits, 0);
+        assert_eq!((cold.simulations, cold.reports_reused), (4, 0), "no store, no reports");
         let warm = runner.run(&grid);
         assert_eq!(warm.solves, 0, "warm re-sweep must not touch the solver");
+        assert_eq!(warm.simulations, 0);
         assert_eq!(
             warm.point_hits,
             grid.points.len() as u64,

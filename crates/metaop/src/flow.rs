@@ -165,7 +165,6 @@ mod tests {
         let mut f = Flow::new("sample");
         let fc = f.push_op(FlowOp {
             name: "fc".into(),
-            source: 0,
             m: 8,
             k: 64,
             n: 64,

@@ -16,7 +16,7 @@
 //! inside a segment).
 //!
 //! A flow holds one op table ([`Flow::ops`], a [`FlowOp`] per operator:
-//! name, shape and source op). Compute, weight-load and vector
+//! name and shape). Compute, weight-load and vector
 //! statements carry a `u32` index into it rather than a name, and a
 //! compute statement carries no shape of its own: every reader — the
 //! printer, the validator, the compiler's prices and verifier, both

@@ -65,9 +65,6 @@ pub struct FlowOp {
     /// Operator name (graph layer; shared with the compiler's own op
     /// list, never copied per statement).
     pub name: Arc<str>,
-    /// Index of the originating op in the lowered graph (split
-    /// sub-operators share it).
-    pub source: usize,
     /// Streamed rows per unit.
     pub m: usize,
     /// Reduction dim per unit.

@@ -130,7 +130,6 @@ mod tests {
         let mut op = |name: &str, weight_static: bool| {
             f.push_op(FlowOp {
                 name: name.into(),
-                source: 0,
                 m: 2,
                 k: 3,
                 n: 4,

@@ -201,7 +201,6 @@ mod tests {
     fn flow(name: &str) -> Flow {
         let ops = OPS.iter().map(|&name| FlowOp {
             name: name.into(),
-            source: 0,
             m: 1,
             k: 1,
             n: 1,

@@ -31,6 +31,32 @@ pub struct EnergyModel {
     pub pj_per_vector_flop: f64,
 }
 
+impl EnergyModel {
+    /// A stable hash of every coefficient's bits: two models with equal
+    /// fingerprints charge every flow the same energy, so it keys what
+    /// is kept of a report beside a stored program.
+    pub fn fingerprint(&self) -> u64 {
+        // Exhaustive, like `DualModeArch::fingerprint`: a new
+        // coefficient cannot compile without entering the hash.
+        let &EnergyModel {
+            pj_per_mac,
+            pj_per_onchip_byte,
+            pj_per_dram_byte,
+            pj_per_write_byte,
+            pj_per_switch,
+            pj_per_vector_flop,
+        } = self;
+        cmswitch_solver::stable_hash64(&[
+            pj_per_mac.to_bits(),
+            pj_per_onchip_byte.to_bits(),
+            pj_per_dram_byte.to_bits(),
+            pj_per_write_byte.to_bits(),
+            pj_per_switch.to_bits(),
+            pj_per_vector_flop.to_bits(),
+        ])
+    }
+}
+
 impl Default for EnergyModel {
     fn default() -> Self {
         EnergyModel {
@@ -227,7 +253,6 @@ mod tests {
             let mut f = Flow::new("e");
             let fc = f.push_op(FlowOp {
                 name: "fc".into(),
-                source: 0,
                 m: 64,
                 k: 64,
                 n: 64,

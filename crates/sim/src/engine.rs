@@ -1243,7 +1243,6 @@ mod tests {
     fn op(flow: &mut Flow, name: &str, m: usize) -> u32 {
         flow.push_op(FlowOp {
             name: name.into(),
-            source: 0,
             m,
             k: 64,
             n: 64,

@@ -163,6 +163,30 @@ impl BusyBreakdown {
     pub fn total_array_cycles(&self) -> f64 {
         self.switch + self.weight_load + self.compute + self.mem_traffic
     }
+
+    /// The per-mode duty cycle of `n_arrays` arrays over a `makespan`:
+    /// these busy totals over `n_arrays × makespan`, idle as the
+    /// remainder (`vector` is not read). A zero makespan or zero
+    /// `n_arrays` reports all-idle.
+    pub fn occupancy(&self, makespan: f64, n_arrays: usize) -> ModeOccupancy {
+        let denom = makespan * n_arrays as f64;
+        if denom <= 0.0 {
+            return ModeOccupancy {
+                idle: 1.0,
+                ..ModeOccupancy::default()
+            };
+        }
+        let frac = |c: f64| (c / denom).clamp(0.0, 1.0);
+        let compute = frac(self.compute_mode());
+        let memory = frac(self.memory_mode());
+        let switching = frac(self.switch);
+        ModeOccupancy {
+            compute,
+            memory,
+            switching,
+            idle: (1.0 - compute - memory - switching).clamp(0.0, 1.0),
+        }
+    }
 }
 
 /// Time-averaged occupancy of the array pool over a schedule's makespan:
@@ -271,28 +295,11 @@ impl EngineReport {
         }
     }
 
-    /// The per-mode duty cycle of the whole array pool: busy-kind totals
-    /// over `n_arrays × makespan`, idle as the remainder. `n_arrays` is
-    /// the chip's array count (the report itself holds nothing per
-    /// array). A zero makespan or zero `n_arrays` reports all-idle.
+    /// The per-mode duty cycle of the whole array pool over the
+    /// makespan ([`BusyBreakdown::occupancy`]). `n_arrays` is the chip's
+    /// array count (the report itself holds nothing per array).
     pub fn mode_occupancy(&self, n_arrays: usize) -> ModeOccupancy {
-        let denom = self.total_cycles * n_arrays as f64;
-        if denom <= 0.0 {
-            return ModeOccupancy {
-                idle: 1.0,
-                ..ModeOccupancy::default()
-            };
-        }
-        let frac = |c: f64| (c / denom).clamp(0.0, 1.0);
-        let compute = frac(self.breakdown.compute_mode());
-        let memory = frac(self.breakdown.memory_mode());
-        let switching = frac(self.breakdown.switch);
-        ModeOccupancy {
-            compute,
-            memory,
-            switching,
-            idle: (1.0 - compute - memory - switching).clamp(0.0, 1.0),
-        }
+        self.breakdown.occupancy(self.total_cycles, n_arrays)
     }
 }
 

@@ -164,7 +164,6 @@ mod tests {
         let mut mk = |name: &str, arrays: Vec<ArrayId>, m: usize| {
             let op = flow.push_op(FlowOp {
                 name: name.into(),
-                source: 0,
                 m,
                 k: 64,
                 n: 64,
@@ -202,7 +201,6 @@ mod tests {
         let mut flow = Flow::new("bad");
         let fc = flow.push_op(FlowOp {
             name: "fc".into(),
-            source: 0,
             m: 1,
             k: 1,
             n: 1,

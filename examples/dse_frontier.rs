@@ -7,9 +7,11 @@
 //! Pareto frontier and the CSV export. Exits non-zero if any point
 //! fails compilation/verification/simulation, if a point whose
 //! allocation fingerprint matches an earlier point's pays a single
-//! solve, if the sweep is not warm-served on a re-run, or if the
-//! frontier comes out empty — those are the invariants CI holds the
-//! subsystem to.
+//! solve, if the sweep is not warm-served on a re-run through the same
+//! runner, if a fresh runner over the store the first sweep filled
+//! solves or simulates anything or measures any point differently, or
+//! if the frontier comes out empty — those are the invariants CI holds
+//! the subsystem to.
 //!
 //! ```text
 //! cargo run --release --example dse_frontier
@@ -19,6 +21,16 @@ use cmswitch::arch::presets;
 use cmswitch::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    // The first sweep fills a temporary store; the disk-warm leg reads
+    // it back through a fresh runner.
+    let dir = std::env::temp_dir().join(format!("cmswitch-dse-frontier-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let result = run(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    result
+}
+
+fn run(dir: &std::path::Path) -> Result<(), Box<dyn std::error::Error>> {
     // 2 array counts x 2 switch latencies x 2 bus widths = 8 chips,
     // including an invalid zero-latency row to show typed rejection.
     let grid = SweepSpace::around(presets::tiny())
@@ -45,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             cmswitch::models::mlp::mlp(2, &[128, 128, 128, 128, 64])?,
         ),
     ];
-    let runner = SweepRunner::new(workload);
+    let runner = SweepRunner::new(workload.clone()).with_store(ArtifactStore::open(dir)?);
 
     let cold = runner.run(&grid);
     if let Some(failed) = cold.failed.first() {
@@ -99,6 +111,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             grid.points.len()
         )
         .into());
+    }
+
+    // A fresh runner on a fresh store handle, as a new process would
+    // have: every program is read, checksummed and verified, and every
+    // engine report is read from beside it — nothing solves or simulates.
+    let disk_warm = SweepRunner::new(workload)
+        .with_store(ArtifactStore::open(dir)?)
+        .run(&grid);
+    println!("disk-warm sweep: {}", disk_warm.summary());
+    if disk_warm.solves != 0 || disk_warm.simulations != 0 {
+        return Err(format!(
+            "disk-warm re-sweep paid {} solves and {} simulations — the store must serve all of them",
+            disk_warm.solves, disk_warm.simulations
+        )
+        .into());
+    }
+    if disk_warm.records.len() != cold.records.len()
+        || disk_warm
+            .records
+            .iter()
+            .zip(&cold.records)
+            .any(|(w, c)| !w.same_measurement(c))
+    {
+        return Err("the disk-warm re-sweep measured a point differently".into());
     }
 
     let frontier = cold.frontier();

@@ -1,12 +1,19 @@
 //! Integration tests for the design-space exploration subsystem
 //! (`cmswitch::dse`): grid instantiation, typed rejection, sweep
-//! determinism across worker counts, and property-tested Pareto
-//! frontier minimality/completeness.
+//! determinism across worker counts, engine reports kept in the store,
+//! and property-tested Pareto frontier minimality/completeness.
+
+use std::path::PathBuf;
+use std::sync::Arc;
+use std::time::Duration;
 
 use proptest::prelude::*;
 
 use cmswitch::arch::presets;
-use cmswitch::dse::{frontier_indices, ParetoFrontier, SweepError, SweepGrid};
+use cmswitch::compiler::{StoreFetch, StoreKey, StoreStats};
+use cmswitch::dse::{
+    frontier_indices, AreaPowerModel, ParetoFrontier, SweepError, SweepGrid, SweepRecord,
+};
 use cmswitch::prelude::*;
 
 fn workload() -> Vec<(String, Graph)> {
@@ -323,10 +330,22 @@ fn unverified_sessions_still_gate_points_and_records_match_across_warmth() {
     }
     let poisoned = AllocationCache::new();
     poisoned.import_entries(entries);
+    // With a store attached the poisoned programs are written back, but
+    // the runner's verifier refuses them before any report is read or
+    // written.
+    let poisoned_dir = temp_store_dir("poisoned");
+    let poisoned_store = ArtifactStore::open(&poisoned_dir).unwrap();
     let report = SweepRunner::new(workload())
         .with_options(unverified.clone())
         .with_cache(poisoned)
+        .with_store(Arc::clone(&poisoned_store))
         .run(&grid);
+    let stats = poisoned_store.stats();
+    assert!(stats.writes > 0, "the poisoned programs were stored");
+    assert_eq!((stats.report_hits, stats.report_writes), (0, 0));
+    assert_eq!(report_files(&poisoned_store), 0, "a denied point wrote a report");
+    assert_eq!((report.simulations, report.reports_reused), (0, 0));
+    let _ = std::fs::remove_dir_all(&poisoned_dir);
     assert!(report.records.is_empty(), "poisoned plans entered the frontier");
     assert_eq!(report.failed.len(), grid.points.len());
     for failed in &report.failed {
@@ -355,17 +374,182 @@ fn unverified_sessions_still_gate_points_and_records_match_across_warmth() {
     assert!(cold.solves > 0 && cold.failed.is_empty());
     assert_eq!(disk_warm.solves, 0);
     assert!(disk_warm.store_hits > 0);
+    assert_eq!(disk_warm.simulations, 0, "the store holds every report");
     assert_eq!(memo_warm.records, cold.records);
-    for (c, w) in cold.records.iter().zip(&disk_warm.records) {
-        assert_eq!(c.spec, w.spec);
-        assert_eq!(c.fingerprint, w.fingerprint);
-        assert_eq!(c.latency_cycles, w.latency_cycles);
-        assert_eq!(c.energy_pj, w.energy_pj);
-        assert_eq!(c.cost, w.cost);
-        assert_eq!(c.avg_power_mw, w.avg_power_mw);
-        assert_eq!(c.occupancy, w.occupancy);
-        assert_eq!(c.verify_warnings, w.verify_warnings);
-        assert_eq!(c.per_model, w.per_model);
+    assert_same_measurements(&cold, &disk_warm);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn temp_store_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("cmswitch-dse-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn report_files(store: &ArtifactStore) -> usize {
+    std::fs::read_dir(store.root().join("reports")).map_or(0, |dir| dir.count())
+}
+
+fn report_grid() -> SweepGrid {
+    SweepSpace::around(presets::tiny())
+        .with_array_counts([4, 8])
+        .instantiate()
+}
+
+/// A cold sweep that fills a fresh store at `dir`: every program is
+/// simulated once and its report written beside it.
+fn prime(dir: &std::path::Path, grid: &SweepGrid) -> SweepReport {
+    let store = ArtifactStore::open(dir).unwrap();
+    let cold = SweepRunner::new(workload())
+        .with_store(Arc::clone(&store))
+        .run(grid);
+    let programs = (grid.points.len() * workload().len()) as u64;
+    assert!(cold.failed.is_empty(), "{:?}", cold.failed);
+    assert_eq!((cold.simulations, cold.reports_reused), (programs, 0));
+    assert_eq!(store.stats().report_writes, programs);
+    cold
+}
+
+/// A fresh runner on a fresh store handle, as a new process would
+/// have: nothing memoized, nothing vouched for.
+fn rerun(dir: &std::path::Path, grid: &SweepGrid) -> (SweepReport, StoreStats) {
+    let store = ArtifactStore::open(dir).unwrap();
+    let report = SweepRunner::new(workload())
+        .with_store(Arc::clone(&store))
+        .run(grid);
+    assert!(report.failed.is_empty(), "{:?}", report.failed);
+    (report, store.stats())
+}
+
+fn assert_same_measurements(a: &SweepReport, b: &SweepReport) {
+    assert_eq!(a.records.len(), b.records.len());
+    for (x, y) in a.records.iter().zip(&b.records) {
+        assert!(x.same_measurement(y), "{x:?}\nvs\n{y:?}");
     }
+}
+
+fn without_wall(records: &[SweepRecord]) -> Vec<SweepRecord> {
+    let mut records = records.to_vec();
+    for r in &mut records {
+        r.wall = Duration::ZERO;
+    }
+    records
+}
+
+/// The store key of `model` (in `workload()` order) at `grid` point `p`.
+fn key_of(grid: &SweepGrid, p: usize, model: usize) -> StoreKey {
+    let options = CompilerOptions::default();
+    StoreKey::for_compile(&grid.points[p].arch, "cmswitch", &options, &workload()[model].1)
+}
+
+#[test]
+fn a_fresh_runner_over_a_primed_store_simulates_nothing() {
+    let dir = temp_store_dir("reports-warm");
+    let grid = report_grid();
+    let cold = prime(&dir, &grid);
+    let programs = cold.simulations;
+
+    let (warm, stats) = rerun(&dir, &grid);
+    assert_eq!((warm.simulations, warm.reports_reused), (0, programs));
+    assert_eq!((warm.solves, warm.store_misses), (0, 0));
+    assert_eq!((stats.report_hits, stats.report_misses, stats.report_writes), (programs, 0, 0));
+    assert!(warm.summary().contains("0 simulations"), "{}", warm.summary());
+    assert_same_measurements(&cold, &warm);
+
+    // Without the reports the same warm sweep simulates every program,
+    // writes each report back and records exactly what the report-served
+    // sweep did, run history included.
+    std::fs::remove_dir_all(dir.join("reports")).unwrap();
+    std::fs::create_dir(dir.join("reports")).unwrap();
+    let (simulated, stats) = rerun(&dir, &grid);
+    assert_eq!((simulated.simulations, simulated.reports_reused), (programs, 0));
+    assert_eq!((stats.report_misses, stats.report_writes), (programs, programs));
+    assert_eq!(without_wall(&simulated.records), without_wall(&warm.records));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_program_overwritten_under_its_key_is_simulated_again() {
+    let dir = temp_store_dir("reports-stale");
+    let grid = report_grid();
+    let cold = prime(&dir, &grid);
+
+    // Other bytes under one key: the same plan with another predicted
+    // latency, which the verifier accepts and the engine never reads.
+    let store = ArtifactStore::open(&dir).unwrap();
+    let key = key_of(&grid, 1, 0);
+    let StoreFetch::Hit(mut program) = store.fetch_program(key) else {
+        panic!("the primed store holds the program");
+    };
+    program.predicted_latency += 1.0;
+    store.put_program(key, &program).unwrap();
+
+    let (warm, stats) = rerun(&dir, &grid);
+    assert_eq!((warm.simulations, warm.reports_reused), (1, cold.simulations - 1));
+    assert_eq!((stats.report_misses, stats.report_writes), (1, 1));
+    assert_same_measurements(&cold, &warm);
+    // The rewritten report names the new payload.
+    let (again, _) = rerun(&dir, &grid);
+    assert_eq!(again.simulations, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn corrupt_reports_are_counted_simulated_and_rewritten() {
+    let dir = temp_store_dir("reports-corrupt");
+    let grid = report_grid();
+    let cold = prime(&dir, &grid);
+
+    let store = ArtifactStore::open(&dir).unwrap();
+    let model = AreaPowerModel::default().energy.fingerprint();
+    let truncated = store.report_path(key_of(&grid, 0, 0), model);
+    let bytes = std::fs::read(&truncated).unwrap();
+    std::fs::write(&truncated, &bytes[..bytes.len() - 3]).unwrap();
+    let flipped = store.report_path(key_of(&grid, 1, 1), model);
+    let mut bytes = std::fs::read(&flipped).unwrap();
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0x10;
+    std::fs::write(&flipped, bytes).unwrap();
+
+    let (warm, stats) = rerun(&dir, &grid);
+    assert_eq!((warm.simulations, warm.reports_reused), (2, cold.simulations - 2));
+    assert_eq!((stats.report_corrupt, stats.report_writes), (2, 2));
+    assert_eq!(stats.corrupt, 0, "a bad report is not a bad program");
+    assert_same_measurements(&cold, &warm);
+    let (again, stats) = rerun(&dir, &grid);
+    assert_eq!((again.simulations, stats.report_corrupt), (0, 0));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_runner_with_another_energy_model_reuses_nothing() {
+    let dir = temp_store_dir("reports-model");
+    let grid = report_grid();
+    let cold = prime(&dir, &grid);
+
+    let mut pricier = AreaPowerModel::default();
+    pricier.energy.pj_per_mac *= 2.0;
+    let store = ArtifactStore::open(&dir).unwrap();
+    let report = SweepRunner::new(workload())
+        .with_cost_model(pricier.clone())
+        .with_store(Arc::clone(&store))
+        .run(&grid);
+    assert_eq!((report.simulations, report.reports_reused), (cold.simulations, 0));
+    assert_eq!(store.stats().report_writes, cold.simulations);
+    assert_eq!(report_files(&store) as u64, 2 * cold.simulations, "one per model");
+    for (c, p) in cold.records.iter().zip(&report.records) {
+        assert_eq!(c.latency_cycles, p.latency_cycles);
+        assert!(p.energy_pj > c.energy_pj);
+    }
+    // Each model finds its own reports.
+    let (default_model, _) = rerun(&dir, &grid);
+    assert_eq!(default_model.simulations, 0);
+    assert_same_measurements(&cold, &default_model);
+    let again = SweepRunner::new(workload())
+        .with_cost_model(pricier)
+        .with_store(ArtifactStore::open(&dir).unwrap())
+        .run(&grid);
+    assert_eq!(again.simulations, 0);
+    assert_same_measurements(&report, &again);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -135,7 +135,6 @@ proptest! {
 fn table_op(name: &str, m: usize, k: usize, weight_static: bool) -> FlowOp {
     FlowOp {
         name: name.into(),
-        source: 0,
         m,
         k,
         n: 64,
